@@ -4,7 +4,8 @@ Every generator G is Hermitian (the factor i of the anti-Hermitian cluster
 operator is absorbed), its Jordan-Wigner image is a set of mutually
 commuting Pauli strings with real coefficients, and G^3 = G. The circuit
 exp(-i theta/2 G) therefore compiles exactly into a product of Pauli
-rotations, one per string, with no Trotter error.
+rotations, one per string, with no Trotter error; the simulator applies it
+in one step from G^3 = G.
 
 Operator ordering inside a product ansatz is fixed for reproducibility:
 pair-doubles block first, then generalized doubles, then singles, each block
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .operators import FermionOperator, jordan_wigner
 from .pno import OrbitalSpace
 
-PNO_VARIANTS = ("UpCCD", "UpCCSD", "UpCCGD", "UpCCGSD-restricted")
+PNO_VARIANTS = ("UpCCD", "UpCCSD", "UpCCGD")
 
 
 @dataclass(frozen=True)
@@ -162,21 +163,17 @@ def build_pno_ansatz(space: OrbitalSpace, variant: str) -> Ansatz:
     n_spatial = space.n_total
     diag = _diagonal_pno_sets(space)
 
-    doubles = []
-    for i in sorted(diag):
-        for a in diag[i]:
-            doubles.append((i, a))
+    doubles = [(i, a) for i in sorted(diag) for a in diag[i]]
 
     gens = [make_pair_double(i, a, n_spatial) for i, a in doubles]
-    if variant in ("UpCCGD", "UpCCGSD-restricted"):
+    if variant == "UpCCGD":
         for i in sorted(diag):
             orbs = diag[i]
             for m, a in enumerate(orbs):
                 for b in orbs[m + 1 :]:
                     gens.append(make_pair_double(a, b, n_spatial))
-    if variant in ("UpCCSD", "UpCCGSD-restricted"):
-        pairs = doubles if variant == "UpCCSD" else _all_double_pairs(diag)
-        for p, q in pairs:
+    if variant == "UpCCSD":
+        for p, q in doubles:
             for spin in (0, 1):
                 gens.append(make_single(p, q, spin, n_spatial))
 
@@ -187,19 +184,6 @@ def build_pno_ansatz(space: OrbitalSpace, variant: str) -> Ansatz:
         name=f"PNO-{variant}",
         pair_structure={i: tuple(v) for i, v in diag.items()},
     )
-
-
-def _all_double_pairs(diag: dict) -> list:
-    pairs = []
-    for i in sorted(diag):
-        for a in diag[i]:
-            pairs.append((i, a))
-    for i in sorted(diag):
-        orbs = diag[i]
-        for m, a in enumerate(orbs):
-            for b in orbs[m + 1 :]:
-                pairs.append((a, b))
-    return pairs
 
 
 @dataclass(frozen=True)

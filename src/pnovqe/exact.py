@@ -11,6 +11,7 @@ against the full Jordan-Wigner Hamiltonian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -26,7 +27,7 @@ _MAX_DENSE_QUBITS = 16
 _MAX_ITER_QUBITS = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorBasis:
     """Ordered basis of fixed-particle-number (optionally fixed-S_z) states."""
 
@@ -35,11 +36,15 @@ class SectorBasis:
     two_sz: int | None
     states: np.ndarray   # int64 bitmasks, strictly increasing
 
+    def __post_init__(self):
+        self.states.flags.writeable = False   # bases are cached and shared
+
     @property
     def dim(self) -> int:
         return len(self.states)
 
 
+@lru_cache(maxsize=32)
 def sector_basis(n_qubits: int, n_particles: int, two_sz: int | None = None) -> SectorBasis:
     """All bitmasks with the requested popcount (and spin balance).
 
@@ -48,7 +53,7 @@ def sector_basis(n_qubits: int, n_particles: int, two_sz: int | None = None) -> 
     """
     if two_sz is None:
         states = [
-            _mask_from(bits)
+            sum(1 << b for b in bits)
             for bits in combinations(range(n_qubits), n_particles)
         ]
     else:
@@ -61,7 +66,7 @@ def sector_basis(n_qubits: int, n_particles: int, two_sz: int | None = None) -> 
         if n_up < 0 or n_dn < 0 or n_up > len(ups) or n_dn > len(dns):
             raise ValueError("empty sector: spin balance not realizable")
         states = [
-            _mask_from(u + d)
+            sum(1 << b for b in u + d)
             for u in combinations(ups, n_up)
             for d in combinations(dns, n_dn)
         ]
@@ -75,13 +80,7 @@ def sector_basis(n_qubits: int, n_particles: int, two_sz: int | None = None) -> 
     )
 
 
-def _mask_from(bits) -> int:
-    mask = 0
-    for b in bits:
-        mask |= 1 << b
-    return mask
-
-
+@lru_cache(maxsize=4)
 def full_basis(n_qubits: int) -> SectorBasis:
     return SectorBasis(
         n_qubits=n_qubits,
@@ -93,25 +92,7 @@ def full_basis(n_qubits: int) -> SectorBasis:
 
 def sector_matrix(op: QubitOperator, basis: SectorBasis) -> scipy.sparse.csr_matrix:
     """Projection of the operator onto the sector basis as a sparse matrix."""
-    states = basis.states
-    dim = len(states)
-    if op.n_terms == 0:
-        return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-    rows, cols, vals = [], [], []
-    for (x, z), coeff in op.raw_items():
-        phase = coeff * (1j) ** ((x & z).bit_count())
-        signs = 1.0 - 2.0 * (np.bitwise_count(states & z) & 1)
-        images = states ^ x
-        pos = np.searchsorted(states, images)
-        ok = (pos < dim) & (states[np.minimum(pos, dim - 1)] == images)
-        rows.append(pos[ok])
-        cols.append(np.nonzero(ok)[0])
-        vals.append(phase * signs[ok])
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim), dtype=complex,
-    )
-    return mat.tocsr()
+    return op.matrix(basis.states)
 
 
 def lanczos_ground(matrix, dim: int, tol: float = 1e-12, max_steps: int = 400,
@@ -272,20 +253,8 @@ def seniority_zero_projection(op: QubitOperator, n_orb: int) -> np.ndarray:
     2p and 2p+1 set for every bit p of m (test oracle for the paired
     Hamiltonian).
     """
-    dim = 1 << n_orb
-    paired_states = np.zeros(dim, dtype=np.int64)
-    for m in range(dim):
-        full = 0
-        for p in range(n_orb):
-            if (m >> p) & 1:
-                full |= 0b11 << (2 * p)
-        paired_states[m] = full
-    mat = np.zeros((dim, dim), dtype=complex)
-    for (x, z), coeff in op.raw_items():
-        phase = coeff * (1j) ** ((x & z).bit_count())
-        signs = 1.0 - 2.0 * (np.bitwise_count(paired_states & z) & 1)
-        images = paired_states ^ x
-        pos = np.searchsorted(paired_states, images)
-        ok = (pos < dim) & (paired_states[np.minimum(pos, dim - 1)] == images)
-        mat[pos[ok], np.nonzero(ok)[0]] += phase * signs[ok]
-    return mat
+    paired_states = np.array(
+        [sum(0b11 << (2 * p) for p in range(n_orb) if (m >> p) & 1) for m in range(1 << n_orb)],
+        dtype=np.int64,
+    )
+    return op.matrix(paired_states).toarray()

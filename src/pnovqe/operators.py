@@ -12,7 +12,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 import numpy as np
+import scipy.sparse
 
 COEFF_CUTOFF = 1e-14
 
@@ -192,18 +196,48 @@ class QubitOperator:
     def __rmul__(self, scalar):
         return self * scalar
 
+    def matrix(self, states: np.ndarray) -> scipy.sparse.csr_matrix:
+        """Projection onto a sorted array of basis bitmasks, as a sparse matrix.
+
+        Entry (r, c) is <states[r]| op |states[c]>; images outside ``states``
+        are dropped. A string maps |s> to i^|x&z| (-1)^|s&z| |s ^ x>, so the
+        terms sharing an X mask share one image and one ``searchsorted``.
+        The result is cached per basis in ``_compiled`` and read-only.
+        """
+        if self._compiled is None:
+            self._compiled = {}
+        key = states.tobytes()
+        if key in self._compiled:
+            return self._compiled[key]
+        dim = len(states)
+        # entries hold row * dim + column, so each X mask adds only two arrays
+        entries, vals = [np.zeros(0, np.int64)], [np.zeros(0, complex)]
+        for x, terms in groupby(sorted(self._terms), key=itemgetter(0)):
+            images = states ^ x
+            pos = np.minimum(np.searchsorted(states, images), dim - 1)
+            hit = np.flatnonzero(states[pos] == images)
+            kept = states[hit]
+            values = np.zeros(len(hit), dtype=complex)
+            for _, z in terms:
+                coeff = self._terms[(x, z)] * _PHASES[(x & z).bit_count() % 4]
+                values += np.where(np.bitwise_count(kept & z) & 1, -coeff, coeff)
+            keep = values != 0
+            entries.append(pos[hit[keep]] * dim + hit[keep])
+            vals.append(values[keep])
+        entries, vals = np.concatenate(entries), np.concatenate(vals)
+        mat = scipy.sparse.csr_matrix(
+            (vals, np.divmod(entries, dim)), shape=(dim, dim), dtype=complex
+        )
+        for array in (mat.data, mat.indices, mat.indptr):
+            array.flags.writeable = False   # the cached matrix is shared
+        self._compiled[key] = mat
+        return mat
+
     def to_dense(self) -> np.ndarray:
         """Dense matrix in the little-endian computational basis."""
-        dim = 1 << self.n_qubits
         if self.n_qubits > 14:
             raise ValueError("dense matrix limited to 14 qubits")
-        idx = np.arange(dim, dtype=np.int64)
-        mat = np.zeros((dim, dim), dtype=complex)
-        for (x, z), coeff in self._terms.items():
-            phase = (1j) ** ((x & z).bit_count())
-            signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1).astype(float)
-            mat[idx ^ x, idx] += coeff * phase * signs
-        return mat
+        return self.matrix(np.arange(1 << self.n_qubits, dtype=np.int64)).toarray()
 
     def to_text(self) -> str:
         """One term per line, ``coeff  P0 P1 ...``; round-trips exactly."""

@@ -1,17 +1,24 @@
-"""Exact statevector engine: reference states, Pauli rotations, gradients.
+"""Exact state engine: circuits and energies on a basis of bitmask states.
 
-Amplitudes are indexed little-endian (bit j of the basis index is qubit j).
-Ansatz circuits are products of commuting-string exponentials, so every
-generator is applied exactly, without Trotter error. Gradients come either
-from the statevector adjoint sweep (default) or from the two-point shift
-rule applied rotation by rotation, which is exact for Pauli generators.
+Amplitudes are indexed by a sorted array of basis bitmasks (bit j is qubit
+j). Every circuit factor exp(-i theta/2 G) has a Hermitian generator with
+G^3 = G, one Pauli string or one excitation generator, so it applies
+exactly as v + (cos(theta/2) - 1) G^2 v - i sin(theta/2) G v, with G
+projected onto the basis by ``QubitOperator.matrix``. VQE energies and
+adjoint gradients run on the reference's particle-number sector, so their
+memory follows the sector, not 2^n. Only the public ``Statevector``
+functions and the per-rotation shift rule, whose circuits leave the
+sector, use the full register.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .ansatz import Ansatz
+from .exact import SectorBasis, full_basis, sector_basis
 from .operators import PauliString, QubitOperator
 
 MAX_QUBITS = 26
@@ -43,71 +50,84 @@ class Statevector:
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
 
 
-def prepare_reference(n_qubits: int, occupied) -> Statevector:
-    """Computational basis state with the listed qubits set to 1."""
+def _register(n_qubits: int) -> SectorBasis:
+    if n_qubits > MAX_QUBITS:
+        raise ValueError(f"statevector limited to {MAX_QUBITS} qubits")
+    return full_basis(n_qubits)
+
+
+def _basis_vector(basis: SectorBasis, occupied) -> np.ndarray:
+    """Amplitudes of the basis state with the listed qubits set to 1."""
     occupied = list(occupied)
     if len(set(occupied)) != len(occupied):
         raise ValueError("duplicate index in reference occupation")
-    index = 0
-    for j in occupied:
-        if j >= n_qubits or j < 0:
-            raise ValueError("reference index outside register")
-        index |= 1 << j
-    state = Statevector(n_qubits)
-    state.amplitudes[0] = 0.0
-    state.amplitudes[index] = 1.0
-    return state
+    if any(j >= basis.n_qubits or j < 0 for j in occupied):
+        raise ValueError("reference index outside register")
+    vec = np.zeros(basis.dim, dtype=complex)
+    vec[np.searchsorted(basis.states, sum(1 << j for j in occupied))] = 1.0
+    return vec
 
 
-_INDEX_CACHE: dict = {}
+def prepare_reference(n_qubits: int, occupied) -> Statevector:
+    """Computational basis state with the listed qubits set to 1."""
+    return Statevector(n_qubits, _basis_vector(_register(n_qubits), occupied))
 
 
-def _indices(n_qubits: int) -> np.ndarray:
-    if n_qubits not in _INDEX_CACHE:
-        _INDEX_CACHE[n_qubits] = np.arange(1 << n_qubits, dtype=np.int64)
-    return _INDEX_CACHE[n_qubits]
+def _factor(strings, basis: SectorBasis):
+    """G = sum_m c_m P_m on the basis; raises unless G keeps it closed with G^3 = G."""
+    gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
+    g = gen.matrix(basis.states)
+    if abs(g @ g - (gen * gen).matrix(basis.states)).max() > 1e-10:
+        raise ValueError("generator maps a basis state outside the basis")
+    if abs(g @ g @ g - g).max() > 1e-10:
+        raise ValueError("generator does not satisfy G^3 = G on the basis")
+    return g
 
 
-def _apply_string(vec: np.ndarray, n_qubits: int, x: int, z: int) -> np.ndarray:
-    """P |psi> for one Pauli string given as masks."""
-    idx = _indices(n_qubits)
-    phase = (1j) ** ((x & z).bit_count())
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
-    scaled = (phase * signs) * vec
-    if x == 0:
-        return scaled
-    return scaled[idx ^ x]
+@lru_cache(maxsize=8)
+def _factors(generators: tuple, basis: SectorBasis) -> tuple:
+    """Factors for a sequence of generators, each given by its strings."""
+    return tuple(_factor(strings, basis) for strings in generators)
+
+
+def _rotate(vec: np.ndarray, g, angle: float) -> np.ndarray:
+    """exp(-i angle/2 G) vec for a generator with G^3 = G."""
+    g_vec = g @ vec
+    return vec + (np.cos(0.5 * angle) - 1.0) * (g @ g_vec) - 1j * np.sin(0.5 * angle) * g_vec
 
 
 def apply_pauli_rotation(state: Statevector, string: PauliString, angle: float) -> Statevector:
     """In-place exp(-i angle/2 P): cos(a/2) psi - i sin(a/2) P psi."""
     if string.n_qubits != state.n_qubits:
         raise ValueError("Pauli string length does not match register")
-    c = np.cos(0.5 * angle)
-    s = np.sin(0.5 * angle)
-    if s == 0.0:
-        return state
-    p_psi = _apply_string(state.amplitudes, state.n_qubits, string.x, string.z)
-    state.amplitudes = c * state.amplitudes - 1j * s * p_psi
+    factor = _factor(((string, 1.0),), _register(state.n_qubits))
+    state.amplitudes = _rotate(state.amplitudes, factor, angle)
     return state
 
 
-def _apply_generator_exponential(state: Statevector, gen, angle: float) -> None:
-    for string, coeff in gen.strings:
-        apply_pauli_rotation(state, string, angle * coeff)
+def _evolve(vec: np.ndarray, factors, angles) -> np.ndarray:
+    """Apply exp(-i angle/2 G) for every factor G in order; checks the norm."""
+    for g, angle in zip(factors, angles):
+        vec = _rotate(vec, g, angle)
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+        raise RuntimeError("state norm drifted beyond 1e-10")
+    return vec
+
+
+def _circuit(ansatz: Ansatz, theta, basis: SectorBasis) -> tuple:
+    """The ansatz generators' factors on the basis, and the checked angles."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (ansatz.n_parameters,):
+        raise ValueError("parameter vector length does not match the ansatz")
+    return _factors(tuple(gen.strings for gen in ansatz.generators), basis), theta
 
 
 def apply_ansatz(state: Statevector, ansatz: Ansatz, theta) -> Statevector:
     """Apply exp(-i theta_k/2 G_k) for every generator in ansatz order."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (ansatz.n_parameters,):
-        raise ValueError("parameter vector length does not match the ansatz")
     if ansatz.n_qubits != state.n_qubits:
         raise ValueError("ansatz register does not match the state")
-    for gen, angle in zip(ansatz.generators, theta):
-        _apply_generator_exponential(state, gen, angle)
-    if abs(state.norm() - 1.0) > 1e-10:
-        raise RuntimeError("state norm drifted beyond 1e-10")
+    basis = _register(state.n_qubits)
+    state.amplitudes = _evolve(state.amplitudes, *_circuit(ansatz, theta, basis))
     return state
 
 
@@ -117,59 +137,49 @@ def ansatz_state(ansatz: Ansatz, theta) -> Statevector:
     return apply_ansatz(state, ansatz, theta)
 
 
-def _compiled_groups(op: QubitOperator):
-    """Group terms by X-mask and pre-evaluate their diagonal factors."""
-    if op._compiled is not None:
-        return op._compiled
-    idx = _indices(op.n_qubits)
-    groups: dict = {}
-    for (x, z), coeff in op.raw_items():
-        phase = coeff * (1j) ** ((x & z).bit_count())
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
-        if x in groups:
-            groups[x] = groups[x] + phase * signs
-        else:
-            groups[x] = phase * signs
-    compiled = []
-    for x in sorted(groups):
-        perm = (idx ^ x) if x else None
-        compiled.append((perm, groups[x]))
-    op._compiled = compiled
-    return compiled
+def _sector_state(op: QubitOperator, ansatz: Ansatz, theta) -> tuple:
+    """Circuit state in the reference's particle-number sector, with its parts."""
+    if op.n_qubits != ansatz.n_qubits:
+        raise ValueError("operator register does not match the state")
+    basis = sector_basis(ansatz.n_qubits, len(ansatz.reference))
+    factors, theta = _circuit(ansatz, theta, basis)
+    return basis, factors, _evolve(_basis_vector(basis, ansatz.reference), factors, theta)
 
 
-def apply_operator(op: QubitOperator, vec: np.ndarray) -> np.ndarray:
-    """H |psi> over the full register, using the compiled term groups."""
-    out = np.zeros_like(vec)
-    for perm, diag in _compiled_groups(op):
-        contrib = diag * vec
-        out += contrib if perm is None else contrib[perm]
-    return out
-
-
-def expectation(state: Statevector, op: QubitOperator) -> float:
-    """<psi|H|psi> for Hermitian H; the residual imaginary part is checked."""
-    if op.n_qubits != state.n_qubits:
+def _expectation(op: QubitOperator, vec: np.ndarray, basis: SectorBasis) -> float:
+    if op.n_qubits != basis.n_qubits:
         raise ValueError("operator register does not match the state")
     if op.max_imag() >= 1e-8:
         raise ValueError("operator is not Hermitian (complex coefficients)")
-    value = np.vdot(state.amplitudes, apply_operator(op, state.amplitudes))
+    value = np.vdot(vec, op.matrix(basis.states) @ vec)
     if abs(value.imag) > 1e-10:
         raise RuntimeError("expectation value has a non-negligible imaginary part")
     return float(value.real)
 
 
+def apply_operator(op: QubitOperator, vec: np.ndarray) -> np.ndarray:
+    """H |psi> over the full register."""
+    return op.matrix(_register(op.n_qubits).states) @ vec
+
+
+def expectation(state: Statevector, op: QubitOperator) -> float:
+    """<psi|H|psi> for Hermitian H; the residual imaginary part is checked."""
+    return _expectation(op, state.amplitudes, _register(state.n_qubits))
+
+
 def ansatz_expectation(op: QubitOperator, ansatz: Ansatz, theta) -> float:
-    return expectation(ansatz_state(ansatz, theta), op)
+    """Circuit energy, evaluated in the reference's particle-number sector."""
+    basis, _, psi = _sector_state(op, ansatz, theta)
+    return _expectation(op, psi, basis)
 
 
 def gradient(op: QubitOperator, ansatz: Ansatz, theta, method: str = "adjoint") -> np.ndarray:
     """d<H>/d(theta_k) for every parameter.
 
-    ``adjoint`` runs the exact reverse statevector sweep; ``shift`` applies
-    the two-point rule exp-value difference at +-pi/2 to each Pauli rotation
-    of a generator and sums the contributions. Both are exact and agree to
-    tight tolerance.
+    ``adjoint`` runs the exact reverse sweep in the particle-number sector;
+    ``shift`` applies the two-point rule exp-value difference at +-pi/2 to
+    each Pauli rotation of a generator on the full register and sums the
+    contributions. Both are exact and agree to tight tolerance.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (ansatz.n_parameters,):
@@ -182,40 +192,35 @@ def gradient(op: QubitOperator, ansatz: Ansatz, theta, method: str = "adjoint") 
 
 
 def _gradient_adjoint(op, ansatz, theta) -> np.ndarray:
-    phi = ansatz_state(ansatz, theta)
-    lam = Statevector(ansatz.n_qubits, apply_operator(op, phi.amplitudes))
-    psi = phi
+    basis, factors, psi = _sector_state(op, ansatz, theta)
+    lam = op.matrix(basis.states) @ psi
     grad = np.zeros(ansatz.n_parameters)
     for k in range(ansatz.n_parameters - 1, -1, -1):
-        gen = ansatz.generators[k]
-        g_psi = np.zeros_like(psi.amplitudes)
-        for string, coeff in gen.strings:
-            g_psi += coeff * _apply_string(psi.amplitudes, psi.n_qubits, string.x, string.z)
-        grad[k] = float(np.imag(np.vdot(lam.amplitudes, g_psi)))
-        _apply_generator_exponential(psi, gen, -theta[k])
-        _apply_generator_exponential(lam, gen, -theta[k])
+        grad[k] = float(np.imag(np.vdot(lam, factors[k] @ psi)))
+        psi = _rotate(psi, factors[k], -theta[k])
+        lam = _rotate(lam, factors[k], -theta[k])
     return grad
 
 
 def _gradient_shift(op, ansatz, theta) -> np.ndarray:
+    basis = _register(ansatz.n_qubits)
+    rotations = [
+        (k, string, coeff)
+        for k, gen in enumerate(ansatz.generators)
+        for string, coeff in gen.strings
+    ]
+    factors = _factors(tuple(((string, 1.0),) for _, string, _ in rotations), basis)
+    angles = np.array([theta[k] * coeff for k, _, coeff in rotations])
+    reference = _basis_vector(basis, ansatz.reference)
     grad = np.zeros(ansatz.n_parameters)
-    for k, gen in enumerate(ansatz.generators):
-        for m, (_, coeff) in enumerate(gen.strings):
-            e_plus = _shifted_energy(op, ansatz, theta, k, m, 0.5 * np.pi)
-            e_minus = _shifted_energy(op, ansatz, theta, k, m, -0.5 * np.pi)
-            grad[k] += coeff * 0.5 * (e_plus - e_minus)
+    for r, (k, _, coeff) in enumerate(rotations):
+        energies = []
+        for offset in (0.5 * np.pi, -0.5 * np.pi):
+            shifted = angles.copy()
+            shifted[r] += offset
+            energies.append(_expectation(op, _evolve(reference, factors, shifted), basis))
+        grad[k] += coeff * 0.5 * (energies[0] - energies[1])
     return grad
-
-
-def _shifted_energy(op, ansatz, theta, k_gen, m_string, offset) -> float:
-    state = prepare_reference(ansatz.n_qubits, ansatz.reference)
-    for k, (gen, angle) in enumerate(zip(ansatz.generators, theta)):
-        for m, (string, coeff) in enumerate(gen.strings):
-            rotation = angle * coeff
-            if k == k_gen and m == m_string:
-                rotation += offset
-            apply_pauli_rotation(state, string, rotation)
-    return expectation(state, op)
 
 
 def finite_difference_gradient(op, ansatz, theta, step: float = 1e-5) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Statevector engine: rotations, expectation values, and exact gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -207,3 +209,43 @@ class TestStatevectorLimits:
         ansatz = pq.build_pno_ansatz(space, "UpCCD")
         e0 = ansatz_expectation(hq, ansatz, np.zeros(ansatz.n_parameters))
         assert e0 == pytest.approx(lih_like["scf"].total_energy, abs=1e-10)
+
+
+class TestSectorEngine:
+    def test_energy_and_gradient_never_allocate_a_register_vector(self):
+        # one 16-qubit register vector is 2^16 * 16 B = 1 MiB; the sector
+        # for 2 electrons has 120 states
+        mo = random_integral_set(8, 2, 4)
+        hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 16)
+        ansatz = pq.build_upccgsd(8, 2)
+        theta = np.random.default_rng(4).uniform(-0.5, 0.5, ansatz.n_parameters)
+        tracemalloc.start()
+        try:
+            ansatz_expectation(hq, ansatz, theta)
+            pq.gradient(hq, ansatz, theta, method="adjoint")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << 16) * 16
+
+    @staticmethod
+    def one_generator_ansatz(labels):
+        strings = tuple((pq.PauliString.from_label(4, label), 1.0) for label in labels)
+        gen = pq.ExcitationGenerator(kind="single", orbitals=(0, 1), spin=0, strings=strings)
+        return pq.Ansatz(generators=(gen,), n_qubits=4, reference=(0, 1), name="bad")
+
+    @pytest.mark.parametrize("labels", [("X0",), ("X0", "Z0")])
+    def test_generator_that_breaks_the_engine_is_rejected(self, h2_sto3g, labels):
+        # X0 satisfies G^3 = G but changes the particle number; X0 + Z0
+        # leaves the sector too and has G^3 = 2G
+        ansatz = self.one_generator_ansatz(labels)
+        hq = h2_sto3g["hamiltonian"]
+        with pytest.raises(ValueError, match="outside the basis"):
+            ansatz_expectation(hq, ansatz, [0.3])
+        with pytest.raises(ValueError, match="outside the basis"):
+            pq.gradient(hq, ansatz, [0.3])
+
+    def test_generator_without_cubic_identity_is_rejected_on_the_register(self):
+        ansatz = self.one_generator_ansatz(("X0", "Z0"))
+        with pytest.raises(ValueError, match=r"G\^3 = G"):
+            ansatz_state(ansatz, [0.3])
