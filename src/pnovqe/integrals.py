@@ -2,7 +2,13 @@
 
 The built-in integral engine covers s-type contracted Gaussians only, which
 is enough for the bundled desk-scale systems (H2, He, HeH+, all-s models of
-LiH-like diatomics). Anything larger arrives through FCIDUMP files.
+LiH-like diatomics, H chains). Anything larger arrives through FCIDUMP files.
+The engine is vectorized over unique primitive pairs: each one-electron
+matrix is one array pass (nuclear attraction over all nuclei at once), and
+the ERIs are a primitive-pair x primitive-pair matrix built and contracted
+in fixed-size row blocks, so their working set stays near 1 MiB. F_0 uses
+``erf`` from ``scipy.special``, imported on first use rather than with the
+package. The scalar ``boys``/``boys_all`` remain for higher orders.
 
 Units: coordinates are stored in bohr, energies in hartree. Two-electron
 integrals are kept in physicists' notation <pq|rs> in memory and written in
@@ -118,9 +124,11 @@ def _normalized_shell(center, exponents, coefficients) -> BasisShell:
     """Rescale contraction coefficients so the contracted self-overlap is 1."""
     shell = BasisShell(np.asarray(center, dtype=float), tuple(exponents),
                        tuple(coefficients))
-    s = _contracted_overlap(shell, shell)
+    alpha = np.array(shell.exponents, dtype=float)
+    c = np.array(shell.coefficients) * _prim_norm(alpha)
+    s = float(c @ _primitive_overlap(alpha[:, None], alpha[None, :], 0.0) @ c)
     return BasisShell(shell.center, shell.exponents,
-                      tuple(c / math.sqrt(s) for c in shell.coefficients))
+                      tuple(x / math.sqrt(s) for x in shell.coefficients))
 
 
 def sto3g_shells(molecule: Molecule) -> list[BasisShell]:
@@ -187,20 +195,42 @@ def boys_all(n_max: int, x: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # AO integrals over contracted s-Gaussians
 
+# Rows of the primitive-pair ERI matrix evaluated at once are chosen so that a
+# block holds 2**14 float64 values (128 KiB per array): the few arrays a block
+# keeps alive together stay near 1 MiB, whatever the basis size.
+_ERI_BLOCK = 1 << 14
 
-def _prim_norm(alpha: float) -> float:
+
+def _prim_norm(alpha):
     return (2.0 * alpha / math.pi) ** 0.75
 
 
-def _contracted_overlap(sa: BasisShell, sb: BasisShell) -> float:
-    rab2 = float(np.sum((sa.center - sb.center) ** 2))
-    total = 0.0
-    for a, ca in zip(sa.exponents, sa.coefficients):
-        for b, cb in zip(sb.exponents, sb.coefficients):
-            p = a + b
-            pref = ca * cb * _prim_norm(a) * _prim_norm(b)
-            total += pref * (math.pi / p) ** 1.5 * math.exp(-a * b / p * rab2)
-    return total
+def _primitive_overlap(a, b, rab2):
+    """Overlap of unnormalized s-primitives, exponents a and b, centres rab2 apart.
+
+    Every other closed form below is this overlap times a factor
+    (Szabo & Ostlund, Modern Quantum Chemistry, App. A).
+    """
+    p = a + b
+    return (math.pi / p) ** 1.5 * np.exp(-a * b / p * rab2)
+
+
+def _boys0(x: np.ndarray) -> np.ndarray:
+    """F_0 over an array: sqrt(pi/x) erf(sqrt x) / 2, its Taylor series below 1e-3.
+
+    ``scipy.special`` is imported here rather than at module level, so that
+    ``import pnovqe`` stays cheap for processes that never build integrals.
+    """
+    from scipy.special import erf
+
+    small = x < 1e-3
+    root = np.sqrt(np.where(small, 1.0, x))
+    out = erf(root)
+    out /= root
+    out *= 0.5 * math.sqrt(math.pi)
+    xs = x[small]
+    out[small] = 1.0 - xs * (1.0 / 3 - xs * (1.0 / 10 - xs * (1.0 / 42 - xs / 216)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -227,99 +257,69 @@ class AOIntegralSet:
 def compute_ao_integrals(molecule: Molecule, shells: list[BasisShell]) -> AOIntegralSet:
     """Overlap, kinetic, nuclear attraction, and repulsion integrals.
 
-    Closed-form expressions for contracted s-Gaussians; nuclear repulsion
-    energy of the point charges is included.
+    Closed-form expressions for contracted s-Gaussians, evaluated over
+    arrays of unique primitive pairs and contracted with the weight matrix
+    ``w`` (AO pair x primitive pair). The ERIs are the primitive-pair x
+    primitive-pair matrix, built and contracted in row blocks. Outputs are
+    unpacked from AO-pair storage, so they are exactly symmetric. The
+    nuclear repulsion energy of the point charges is included.
     """
+    charges = np.array([z for _, z, _ in molecule.atoms], dtype=float)
+    nuclei = np.array([pos for _, _, pos in molecule.atoms], dtype=float).reshape(-1, 3)
+    ia, ja = np.triu_indices(len(charges), 1)
+    distances = np.sqrt(np.sum((nuclei[ia] - nuclei[ja]) ** 2, axis=1))
+    if np.any(distances < 1e-10):
+        raise ValueError("nuclear coincidence: two charged nuclei overlap")
+    e_nuc = float(np.sum(charges[ia] * charges[ja] / distances))
+
+    # Primitives: exponent, centre, and the contraction matrix d (AO x primitive).
     n = len(shells)
-    s_mat = np.zeros((n, n))
-    t_mat = np.zeros((n, n))
-    v_mat = np.zeros((n, n))
-    charges = [(z, pos) for _, z, pos in molecule.atoms]
-
-    for za, pa in charges:
-        for zb, pb in charges:
-            if pa is pb:
-                continue
-            if np.linalg.norm(pa - pb) < 1e-10:
-                raise ValueError("nuclear coincidence: two charged nuclei overlap")
-
-    e_nuc = 0.0
-    for i, (za, pa) in enumerate(charges):
-        for zb, pb in charges[i + 1 :]:
-            e_nuc += za * zb / np.linalg.norm(pa - pb)
-
-    for i in range(n):
-        for j in range(i + 1):
-            sij = tij = vij = 0.0
-            sa, sb = shells[i], shells[j]
-            rab2 = float(np.sum((sa.center - sb.center) ** 2))
-            for a, ca in zip(sa.exponents, sa.coefficients):
-                for b, cb in zip(sb.exponents, sb.coefficients):
-                    p = a + b
-                    mu = a * b / p
-                    pref = ca * cb * _prim_norm(a) * _prim_norm(b)
-                    kab = math.exp(-mu * rab2)
-                    s0 = (math.pi / p) ** 1.5 * kab
-                    sij += pref * s0
-                    tij += pref * mu * (3.0 - 2.0 * mu * rab2) * s0
-                    pc = (a * sa.center + b * sb.center) / p
-                    for zc, rc in charges:
-                        arg = p * float(np.sum((pc - rc) ** 2))
-                        vij -= pref * zc * (2.0 * math.pi / p) * kab * boys(0, arg)
-            s_mat[i, j] = s_mat[j, i] = sij
-            t_mat[i, j] = t_mat[j, i] = tij
-            v_mat[i, j] = v_mat[j, i] = vij
-
-    eri = np.zeros((n, n, n, n))
-    pair_index = lambda i, j: i * (i + 1) // 2 + j
-    for i in range(n):
-        for j in range(i + 1):
-            for k in range(n):
-                for l in range(k + 1):
-                    if pair_index(i, j) < pair_index(k, l):
-                        continue
-                    val = _eri_contracted(shells[i], shells[j], shells[k], shells[l])
-                    for a, b in ((i, j), (j, i)):
-                        for c, d in ((k, l), (l, k)):
-                            eri[a, b, c, d] = val
-                            eri[c, d, a, b] = val
-    return AOIntegralSet(
-        n_ao=n,
-        overlap=s_mat,
-        core_hamiltonian=t_mat + v_mat,
-        eri=eri,
-        nuclear_repulsion=e_nuc,
+    alpha = np.array([a for s in shells for a in s.exponents], dtype=float)
+    owner = np.repeat(np.arange(n), [len(s.exponents) for s in shells])
+    centres = np.array([s.center for s in shells], dtype=float).reshape(-1, 3)[owner]
+    d = np.zeros((n, alpha.size))
+    d[owner, np.arange(alpha.size)] = (
+        np.array([c for s in shells for c in s.coefficients]) * _prim_norm(alpha)
     )
 
+    # Unique primitive pairs k >= l and unique AO pairs i >= j; w sums a
+    # primitive-pair quantity into every AO pair, both orders of (k, l) included.
+    k, l = np.tril_indices(alpha.size)
+    i, j = np.tril_indices(n)
+    w = d[i][:, k] * d[j][:, l] + d[i][:, l] * d[j][:, k]
+    w[:, k == l] *= 0.5
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(i.size)
 
-def _eri_contracted(sa, sb, sc, sd) -> float:
-    rab2 = float(np.sum((sa.center - sb.center) ** 2))
-    rcd2 = float(np.sum((sc.center - sd.center) ** 2))
-    total = 0.0
-    for a, ca in zip(sa.exponents, sa.coefficients):
-        for b, cb in zip(sb.exponents, sb.coefficients):
-            p = a + b
-            pab = (a * sa.center + b * sb.center) / p
-            kab = math.exp(-a * b / p * rab2)
-            for c, cc in zip(sc.exponents, sc.coefficients):
-                for d, cd in zip(sd.exponents, sd.coefficients):
-                    q = c + d
-                    pcd = (c * sc.center + d * sd.center) / q
-                    kcd = math.exp(-c * d / q * rcd2)
-                    rho = p * q / (p + q)
-                    arg = rho * float(np.sum((pab - pcd) ** 2))
-                    pref = (
-                        ca * cb * cc * cd
-                        * _prim_norm(a) * _prim_norm(b)
-                        * _prim_norm(c) * _prim_norm(d)
-                    )
-                    total += (
-                        pref
-                        * 2.0 * math.pi**2.5
-                        / (p * q * math.sqrt(p + q))
-                        * kab * kcd * boys(0, arg)
-                    )
-    return total
+    a, b = alpha[k], alpha[l]
+    p = a + b
+    mu = a * b / p
+    rab2 = np.sum((centres[k] - centres[l]) ** 2, axis=1)
+    s0 = _primitive_overlap(a, b, rab2)
+    centre_p = (a[:, None] * centres[k] + b[:, None] * centres[l]) / p[:, None]
+    rpc2 = np.sum((centre_p[:, None, :] - nuclei[None, :, :]) ** 2, axis=2)
+    t0 = mu * (3.0 - 2.0 * mu * rab2) * s0
+    v0 = -2.0 * np.sqrt(p / math.pi) * s0 * (_boys0(p[:, None] * rpc2) @ charges)
+
+    # (kl|mn) = 2 sqrt(rho/pi) S_kl S_mn F0(rho |P - Q|^2), rho = pq/(p + q).
+    ws = w * s0
+    g = np.zeros((i.size, i.size))
+    rows = max(1, _ERI_BLOCK // max(p.size, 1))
+    for lo in range(0, p.size, rows):
+        blk = slice(lo, lo + rows)
+        rho = p[blk, None] * p / (p[blk, None] + p)
+        rpq2 = sum((centre_p[blk, None, x] - centre_p[None, :, x]) ** 2 for x in range(3))
+        block = 2.0 * np.sqrt(rho / math.pi) * _boys0(rho * rpq2)
+        g += ws[:, blk] @ (block @ ws.T)
+    g = 0.5 * (g + g.T)
+
+    return AOIntegralSet(
+        n_ao=n,
+        overlap=(w @ s0)[pair],
+        core_hamiltonian=(w @ (t0 + v0))[pair],
+        eri=g[pair[:, :, None, None], pair],
+        nuclear_repulsion=e_nuc,
+    )
 
 
 # ---------------------------------------------------------------------------

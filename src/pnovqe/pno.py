@@ -75,33 +75,21 @@ def mp2_amplitudes(mo: IntegralSet) -> PairAmplitudes:
     eps = mo.orbital_energies
     if eps is None:
         eps = _fock_diagonal(mo)
-    occ = range(n_occ)
-    virt = range(n_occ, mo.n_orb)
+    eps_v = eps[n_occ:]
 
     t: dict = {}
     pair_energies: dict = {}
     total = 0.0
-    for i in occ:
-        for j in occ:
-            if j < i:
-                continue
-            tij = np.zeros((n_virt, n_virt))
-            e_pair = 0.0
-            for a_local, a in enumerate(virt):
-                for b_local, b in enumerate(virt):
-                    denom = eps[i] + eps[j] - eps[a] - eps[b]
-                    if abs(denom) < 1e-8:
-                        raise ValueError(
-                            "degenerate occupied/virtual gap in MP2 denominator"
-                        )
-                    g_ijab = mo.g[i, j, a, b]
-                    g_ijba = mo.g[i, j, b, a]
-                    tij[a_local, b_local] = g_ijab / denom
-                    e_pair += g_ijab * (2.0 * g_ijab - g_ijba) / denom
+    for i in range(n_occ):
+        for j in range(i, n_occ):
+            denom = eps[i] + eps[j] - eps_v[:, None] - eps_v[None, :]
+            if np.any(np.abs(denom) < 1e-8):
+                raise ValueError("degenerate occupied/virtual gap in MP2 denominator")
+            g = mo.g[i, j, n_occ:, n_occ:]
             weight = 1.0 if i == j else 2.0
-            t[(i, j)] = tij
-            pair_energies[(i, j)] = weight * e_pair
-            total += weight * e_pair
+            t[(i, j)] = g / denom
+            pair_energies[(i, j)] = weight * float(np.sum(g * (2.0 * g - g.T) / denom))
+            total += pair_energies[(i, j)]
     return PairAmplitudes(
         n_occ=n_occ, n_virt=n_virt, t=t, pair_energies=pair_energies,
         mp2_total=float(total),

@@ -1,20 +1,25 @@
-"""Independent determinant-basis CI oracles for the test suite.
+"""Independent reference implementations for the test suite.
 
-These deliberately avoid the package's operator algebra, Jordan-Wigner
-encoding, and simulator: matrix elements come from elementary ladder
-operator action on occupation bitmasks and, separately, from the
-Slater-Condon rules. Basis states use the same little-endian bitmask
-labeling as the qubit register, with a determinant defined by applying
-creation operators in ascending index order.
+The determinant-basis CI oracles deliberately avoid the package's operator
+algebra, Jordan-Wigner encoding, and simulator: matrix elements come from
+elementary ladder operator action on occupation bitmasks and, separately,
+from the Slater-Condon rules. Basis states use the same little-endian
+bitmask labeling as the qubit register, with a determinant defined by
+applying creation operators in ascending index order.
+
+The AO-integral and MP2 oracles are scalar loops over contracted and
+primitive quartets (and virtual pairs) with the scalar Boys function: the
+reference the package's array code is compared against.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
 
-from pnovqe.integrals import IntegralSet
+from pnovqe.integrals import AOIntegralSet, IntegralSet, _prim_norm, boys
 
 
 def apply_ladder(mask: int, index: int, creation: bool):
@@ -227,3 +232,113 @@ def random_integral_set(n_orb: int, n_elec: int, seed: int, scale: float = 0.2,
         n_electrons=n_elec,
         orbital_energies=eps,
     )
+
+
+def reference_ao_integrals(molecule, shells) -> AOIntegralSet:
+    """S, H_core, ERIs and E_nuc by scalar loops over contracted quartets."""
+    n = len(shells)
+    s_mat = np.zeros((n, n))
+    t_mat = np.zeros((n, n))
+    v_mat = np.zeros((n, n))
+    charges = [(z, pos) for _, z, pos in molecule.atoms]
+
+    e_nuc = 0.0
+    for i, (za, pa) in enumerate(charges):
+        for zb, pb in charges[i + 1 :]:
+            e_nuc += za * zb / np.linalg.norm(pa - pb)
+
+    for i in range(n):
+        for j in range(i + 1):
+            sij = tij = vij = 0.0
+            sa, sb = shells[i], shells[j]
+            rab2 = float(np.sum((sa.center - sb.center) ** 2))
+            for a, ca in zip(sa.exponents, sa.coefficients):
+                for b, cb in zip(sb.exponents, sb.coefficients):
+                    p = a + b
+                    mu = a * b / p
+                    pref = ca * cb * _prim_norm(a) * _prim_norm(b)
+                    kab = math.exp(-mu * rab2)
+                    s0 = (math.pi / p) ** 1.5 * kab
+                    sij += pref * s0
+                    tij += pref * mu * (3.0 - 2.0 * mu * rab2) * s0
+                    pc = (a * sa.center + b * sb.center) / p
+                    for zc, rc in charges:
+                        arg = p * float(np.sum((pc - rc) ** 2))
+                        vij -= pref * zc * (2.0 * math.pi / p) * kab * boys(0, arg)
+            s_mat[i, j] = s_mat[j, i] = sij
+            t_mat[i, j] = t_mat[j, i] = tij
+            v_mat[i, j] = v_mat[j, i] = vij
+
+    eri = np.zeros((n, n, n, n))
+    pair_index = lambda i, j: i * (i + 1) // 2 + j
+    for i in range(n):
+        for j in range(i + 1):
+            for k in range(n):
+                for l in range(k + 1):
+                    if pair_index(i, j) < pair_index(k, l):
+                        continue
+                    val = _reference_eri(shells[i], shells[j], shells[k], shells[l])
+                    for a, b in ((i, j), (j, i)):
+                        for c, d in ((k, l), (l, k)):
+                            eri[a, b, c, d] = val
+                            eri[c, d, a, b] = val
+    return AOIntegralSet(
+        n_ao=n,
+        overlap=s_mat,
+        core_hamiltonian=t_mat + v_mat,
+        eri=eri,
+        nuclear_repulsion=e_nuc,
+    )
+
+
+def _reference_eri(sa, sb, sc, sd) -> float:
+    rab2 = float(np.sum((sa.center - sb.center) ** 2))
+    rcd2 = float(np.sum((sc.center - sd.center) ** 2))
+    total = 0.0
+    for a, ca in zip(sa.exponents, sa.coefficients):
+        for b, cb in zip(sb.exponents, sb.coefficients):
+            p = a + b
+            pab = (a * sa.center + b * sb.center) / p
+            kab = math.exp(-a * b / p * rab2)
+            for c, cc in zip(sc.exponents, sc.coefficients):
+                for d, cd in zip(sd.exponents, sd.coefficients):
+                    q = c + d
+                    pcd = (c * sc.center + d * sd.center) / q
+                    kcd = math.exp(-c * d / q * rcd2)
+                    rho = p * q / (p + q)
+                    arg = rho * float(np.sum((pab - pcd) ** 2))
+                    pref = (
+                        ca * cb * cc * cd
+                        * _prim_norm(a) * _prim_norm(b)
+                        * _prim_norm(c) * _prim_norm(d)
+                    )
+                    total += (
+                        pref
+                        * 2.0 * math.pi**2.5
+                        / (p * q * math.sqrt(p + q))
+                        * kab * kcd * boys(0, arg)
+                    )
+    return total
+
+
+def reference_mp2_amplitudes(mo: IntegralSet):
+    """MP2 amplitudes t[(i, j)] and pair energies by a loop over virtual pairs."""
+    n_occ = mo.n_occ
+    eps = mo.orbital_energies
+    virt = range(n_occ, mo.n_orb)
+    t: dict = {}
+    pair_energies: dict = {}
+    for i in range(n_occ):
+        for j in range(i, n_occ):
+            tij = np.zeros((len(virt), len(virt)))
+            e_pair = 0.0
+            for a_local, a in enumerate(virt):
+                for b_local, b in enumerate(virt):
+                    denom = eps[i] + eps[j] - eps[a] - eps[b]
+                    g_ijab = mo.g[i, j, a, b]
+                    g_ijba = mo.g[i, j, b, a]
+                    tij[a_local, b_local] = g_ijab / denom
+                    e_pair += g_ijab * (2.0 * g_ijab - g_ijba) / denom
+            t[(i, j)] = tij
+            pair_energies[(i, j)] = (1.0 if i == j else 2.0) * e_pair
+    return t, pair_energies

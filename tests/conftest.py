@@ -38,11 +38,17 @@ H_S10_EXPONENTS = (0.055, 3.1)     # alpha0, ratio; 5 shells per H atom
 HE_S8_EXPONENTS = (0.16, 3.4)      # 4 shells per He atom
 
 
-def h2_big_integrals(r_bohr: float) -> pq.IntegralSet:
+def h2_big_system(r_bohr: float):
+    """H2 with 5 even-tempered s shells per atom: (molecule, shells)."""
     mol = pq.parse_xyz(h2_xyz(r_bohr))
     shells = []
     for _, _, pos in mol.atoms:
         shells.extend(pq.even_tempered_shells(pos, 5, *H_S10_EXPONENTS))
+    return mol, shells
+
+
+def h2_big_integrals(r_bohr: float) -> pq.IntegralSet:
+    mol, shells = h2_big_system(r_bohr)
     ao = pq.compute_ao_integrals(mol, shells)
     scf = pq.run_rhf(ao, mol.n_electrons)
     assert scf.converged
@@ -52,9 +58,14 @@ def h2_big_integrals(r_bohr: float) -> pq.IntegralSet:
     )
 
 
-def he_big_integrals() -> pq.IntegralSet:
+def he_big_system():
+    """He with 4 even-tempered s shells: (molecule, shells)."""
     mol = pq.Molecule(atoms=(("He", 2, np.zeros(3)),))
-    shells = pq.even_tempered_shells(np.zeros(3), 4, *HE_S8_EXPONENTS)
+    return mol, pq.even_tempered_shells(np.zeros(3), 4, *HE_S8_EXPONENTS)
+
+
+def he_big_integrals() -> pq.IntegralSet:
+    mol, shells = he_big_system()
     ao = pq.compute_ao_integrals(mol, shells)
     scf = pq.run_rhf(ao, mol.n_electrons)
     assert scf.converged
@@ -79,14 +90,20 @@ def he_big_fcidump(tmp_path_factory):
     return path
 
 
-def lih_like_pipeline() -> dict:
-    """All-s model of LiH at 3.0 bohr: 7 orbitals, 4 electrons."""
+def lih_like_system():
+    """All-s model of LiH at 3.0 bohr: (molecule, shells)."""
     li_pos = np.zeros(3)
     h_pos = np.array([0.0, 0.0, 3.0])
     mol = pq.Molecule(atoms=(("Li", 3, li_pos), ("H", 1, h_pos)))
     shells = list(pq.sto3g_shells(mol))
     shells.extend(pq.even_tempered_shells(li_pos, 2, 0.05, 4.0))
     shells.extend(pq.even_tempered_shells(h_pos, 2, 0.08, 5.0))
+    return mol, shells
+
+
+def lih_like_pipeline() -> dict:
+    """All-s model of LiH at 3.0 bohr: 7 orbitals, 4 electrons."""
+    mol, shells = lih_like_system()
     ao = pq.compute_ao_integrals(mol, shells)
     scf = pq.run_rhf(ao, mol.n_electrons)
     assert scf.converged

@@ -1,16 +1,21 @@
 """Geometry parsing, Boys function, s-Gaussian integrals, FCIDUMP I/O."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given, settings, strategies as st
 
 import pnovqe as pq
-from pnovqe.integrals import ParseError, _prim_norm
+from pnovqe.integrals import ParseError, _boys0, _prim_norm
 
-from ci_oracle import random_integral_set
-from conftest import h2_pipeline
+from ci_oracle import random_integral_set, reference_ao_integrals
+from conftest import h2_big_system, h2_pipeline, he_big_system, lih_like_system
 
 
 class TestParseXYZ:
@@ -77,6 +82,18 @@ class TestBoys:
         with pytest.raises(ValueError):
             pq.boys(0, -0.5)
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(0.0, 1e-3), st.floats(0.0, 60.0)))
+    @example(0.0)
+    @example(5e-324)
+    @example(np.nextafter(1e-3, 0.0))
+    @example(1e-3)
+    @example(35.0)
+    @example(np.nextafter(35.0, 0.0))
+    @example(60.0)
+    def test_vectorized_f0_matches_scalar(self, x):
+        assert abs(_boys0(np.array([x]))[0] - pq.boys(0, x)) <= 1e-14
+
 
 def _grid_overlap(shell_a, shell_b, spacing=0.12, extent=7.5):
     """Direct 3-D quadrature of two contracted s-Gaussians (trapezoid grid)."""
@@ -96,6 +113,26 @@ def _grid_overlap(shell_a, shell_b, spacing=0.12, extent=7.5):
             val_b += coef * _prim_norm(alpha) * np.exp(-alpha * r2)
         total += np.sum(val_a * val_b)
     return total * spacing**3
+
+
+def _h8_sto3g():
+    mol = pq.parse_xyz("8\n\n" + "\n".join(f"H 0 0 {0.8 * k}" for k in range(8)))
+    return mol, pq.sto3g_shells(mol)
+
+
+def _heh_cation():
+    mol = pq.parse_xyz("2\n\nHe 0 0 0\nH 0 0 0.7743", charge=1)
+    return mol, pq.sto3g_shells(mol)
+
+
+# Systems the vectorized engine is checked on against the loop reference.
+ENGINE_CASES = {
+    "h8-sto3g": _h8_sto3g,
+    "lih-model": lih_like_system,
+    "h2-s10": lambda: h2_big_system(1.4),
+    "he-s8": he_big_system,
+    "heh-cation": _heh_cation,
+}
 
 
 class TestAOIntegrals:
@@ -133,10 +170,45 @@ class TestAOIntegrals:
         with pytest.raises(ValueError, match="coincidence"):
             pq.compute_ao_integrals(mol, pq.sto3g_shells(mol))
 
+    def test_nuclear_coincidence_shared_position_array(self):
+        pos = np.zeros(3)
+        mol = pq.Molecule(atoms=(("H", 1, pos), ("H", 1, pos)))
+        with pytest.raises(ValueError, match="coincidence"):
+            pq.compute_ao_integrals(mol, pq.sto3g_shells(mol))
+
     def test_nuclear_repulsion(self):
         mol = pq.parse_xyz("2\n\nH 0 0 0\nH 0 0 0.7408481486")
         ao = pq.compute_ao_integrals(mol, pq.sto3g_shells(mol))
         assert ao.nuclear_repulsion == pytest.approx(1.0 / 1.4, abs=1e-7)
+
+    def test_outputs_exactly_symmetric(self):
+        mol, shells = ENGINE_CASES["lih-model"]()
+        ao = pq.compute_ao_integrals(mol, shells)
+        assert np.array_equal(ao.overlap, ao.overlap.T)
+        assert np.array_equal(ao.core_hamiltonian, ao.core_hamiltonian.T)
+        for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
+            assert np.array_equal(ao.eri, ao.eri.transpose(perm))
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_matches_loop_reference(self, case):
+        mol, shells = ENGINE_CASES[case]()
+        ao = pq.compute_ao_integrals(mol, shells)
+        ref = reference_ao_integrals(mol, shells)
+        np.testing.assert_allclose(ao.overlap, ref.overlap, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            ao.core_hamiltonian, ref.core_hamiltonian, rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(ao.eri, ref.eri, rtol=0, atol=1e-13)
+        assert abs(ao.nuclear_repulsion - ref.nuclear_repulsion) <= 1e-13
+
+
+def test_import_leaves_scipy_special_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    code = "import sys, pnovqe; sys.exit('scipy.special' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert result.returncode == 0
 
 
 class TestFCIDump:

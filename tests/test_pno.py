@@ -8,10 +8,11 @@ from pnovqe.pno import PNOSet
 
 from ci_oracle import (
     random_integral_set,
+    reference_mp2_amplitudes,
     sector_masks,
     slater_condon_matrix,
 )
-from conftest import h2_big_integrals
+from conftest import h2_big_integrals, lih_like_pipeline
 
 
 def mp2_brute_force(mo):
@@ -56,6 +57,21 @@ class TestMP2:
         assert amps.mp2_total == pytest.approx(
             sum(amps.pair_energies.values()), abs=1e-12
         )
+
+    @pytest.mark.parametrize("system", ["random-0", "random-1", "lih-model", "h2-s10"])
+    def test_matches_loop_reference(self, system):
+        if system.startswith("random"):
+            mo = random_integral_set(6, 4, int(system[-1]), with_energies=True)
+        elif system == "lih-model":
+            mo = lih_like_pipeline()["mo"]
+        else:
+            mo = h2_big_integrals(1.4)
+        amps = pq.mp2_amplitudes(mo)
+        t_ref, e_ref = reference_mp2_amplitudes(mo)
+        assert amps.t.keys() == t_ref.keys()
+        for pair, t in t_ref.items():
+            assert np.array_equal(amps.t[pair], t)
+            assert abs(amps.pair_energies[pair] - e_ref[pair]) <= 1e-14
 
     def test_h2_against_brute_force(self, h2_sto3g):
         mo = h2_sto3g["mo"]
