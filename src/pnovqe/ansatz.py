@@ -4,8 +4,8 @@ Every generator G is Hermitian (the factor i of the anti-Hermitian cluster
 operator is absorbed), its Jordan-Wigner image is a set of mutually
 commuting Pauli strings with real coefficients, and G^3 = G. The circuit
 exp(-i theta/2 G) therefore compiles exactly into a product of Pauli
-rotations, one per string, with no Trotter error; the simulator applies it
-in one step from G^3 = G.
+rotations, one per string, with no Trotter error; G is also a phased
+permutation of basis states, which is how the simulator applies it.
 
 Operator ordering inside a product ansatz is fixed for reproducibility:
 pair-doubles block first, then generalized doubles, then singles, each block
@@ -15,7 +15,7 @@ in ascending index order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .operators import FermionOperator, jordan_wigner
 from .pno import OrbitalSpace
@@ -49,6 +49,8 @@ class Ansatz:
     reference: tuple     # occupied spin-orbital (qubit) indices
     name: str
     pair_structure: dict | None = None
+    # the simulator's prepared circuit per SectorBasis
+    _prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_parameters(self) -> int:

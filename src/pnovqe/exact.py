@@ -167,11 +167,6 @@ def exact_ground_energy(op: QubitOperator, sector: SectorBasis | None = None):
     return energy, vector
 
 
-def eigenvalues_dense(op: QubitOperator) -> np.ndarray:
-    """Full spectrum of a small operator (test and comparison helper)."""
-    return np.linalg.eigvalsh(op.to_dense())
-
-
 # ---------------------------------------------------------------------------
 # Seniority-zero (paired) encoding
 
@@ -244,17 +239,3 @@ def build_paired_ansatz(occupied, pair_doubles, n_orb: int) -> Ansatz:
         reference=tuple(sorted(occupied)),
         name="paired-UpCCD",
     )
-
-
-def seniority_zero_projection(op: QubitOperator, n_orb: int) -> np.ndarray:
-    """Dense matrix of the full operator restricted to paired states.
-
-    Basis state m on n_orb qubits maps to the determinant with qubits
-    2p and 2p+1 set for every bit p of m (test oracle for the paired
-    Hamiltonian).
-    """
-    paired_states = np.array(
-        [sum(0b11 << (2 * p) for p in range(n_orb) if (m >> p) & 1) for m in range(1 << n_orb)],
-        dtype=np.int64,
-    )
-    return op.matrix(paired_states).toarray()

@@ -119,12 +119,13 @@ class QubitOperator:
     ``COEFF_CUTOFF`` pruned. Instances are treated as immutable.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_compiled")
+    __slots__ = ("n_qubits", "_terms", "_compiled", "_max_imag")
 
     def __init__(self, n_qubits: int, terms: dict | None = None):
         self.n_qubits = n_qubits
         self._terms = {}
         self._compiled = None
+        self._max_imag = None
         if terms:
             for key, coeff in terms.items():
                 if abs(coeff) >= COEFF_CUTOFF:
@@ -154,9 +155,10 @@ class QubitOperator:
         return self._terms.get((string.x, string.z), 0.0 + 0.0j)
 
     def max_imag(self) -> float:
-        if not self._terms:
-            return 0.0
-        return max(abs(c.imag) for c in self._terms.values())
+        """Largest |imaginary part| of a coefficient, computed once."""
+        if self._max_imag is None:
+            self._max_imag = max((abs(c.imag) for c in self._terms.values()), default=0.0)
+        return self._max_imag
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return self.max_imag() < tol

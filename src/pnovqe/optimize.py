@@ -24,6 +24,7 @@ class OptimizationResult:
     n_gradient_evals: int
     converged: bool
     trajectory: tuple            # per-iteration (energy, grad inf-norm)
+    exit_reason: str             # grad_tol, max_iter, line_search_failed, no_descent
     metadata: dict = field(default_factory=dict, compare=False)
 
 
@@ -46,9 +47,10 @@ class _Counted:
 def minimize(objective, grad, x0, grad_tol: float = 1e-6, max_iter: int = 500) -> OptimizationResult:
     """BFGS with inverse-Hessian updates and a strong-Wolfe line search.
 
-    Exits when the gradient infinity-norm drops below ``grad_tol`` or after
-    ``max_iter`` iterations; NaN or Inf in the objective or gradient aborts
-    with the offending parameter vector in the message.
+    ``exit_reason`` says why it stopped: gradient infinity-norm below
+    ``grad_tol``, ``max_iter`` iterations, no step found by the line search
+    (``line_search_failed``) or no descent direction (``no_descent``). NaN
+    or Inf in the objective or gradient aborts, naming the parameter vector.
     """
     f = _Counted(objective, "objective")
     g = _Counted(grad, "gradient")
@@ -62,11 +64,11 @@ def minimize(objective, grad, x0, grad_tol: float = 1e-6, max_iter: int = 500) -
         return OptimizationResult(
             x=x, fun=float(fx), grad_norm=gnorm, iterations=0,
             n_function_evals=f.count, n_gradient_evals=g.count,
-            converged=True, trajectory=tuple(trajectory),
+            converged=True, trajectory=tuple(trajectory), exit_reason="grad_tol",
         )
 
     h_inv = np.eye(n)
-    converged = False
+    exit_reason = "max_iter"
     iterations = 0
     for iterations in range(1, max_iter + 1):
         direction = -h_inv @ gx
@@ -76,9 +78,11 @@ def minimize(objective, grad, x0, grad_tol: float = 1e-6, max_iter: int = 500) -
             direction = -gx
             slope = float(direction @ gx)
             if slope >= 0.0:
+                exit_reason = "no_descent"
                 break
         alpha, fx_new, gx_new = _wolfe_line_search(f, g, x, direction, fx, slope)
         if alpha is None:
+            exit_reason = "line_search_failed"
             break
         step = alpha * direction
         x_new = x + step
@@ -95,14 +99,15 @@ def minimize(objective, grad, x0, grad_tol: float = 1e-6, max_iter: int = 500) -
         gnorm = float(np.max(np.abs(gx)))
         trajectory.append((float(fx), gnorm))
         if gnorm < grad_tol:
-            converged = True
+            exit_reason = "grad_tol"
             break
 
     return OptimizationResult(
         x=x, fun=float(fx), grad_norm=float(np.max(np.abs(gx))) if n else 0.0,
         iterations=iterations,
         n_function_evals=f.count, n_gradient_evals=g.count,
-        converged=converged, trajectory=tuple(trajectory),
+        converged=exit_reason == "grad_tol", trajectory=tuple(trajectory),
+        exit_reason=exit_reason,
     )
 
 
@@ -182,7 +187,7 @@ def run_vqe(
         return OptimizationResult(
             x=np.zeros(0), fun=energy, grad_norm=0.0, iterations=0,
             n_function_evals=1, n_gradient_evals=0, converged=True,
-            trajectory=((energy, 0.0),),
+            trajectory=((energy, 0.0),), exit_reason="grad_tol",
             metadata={"restarts": 0, "gradient_method": gradient_method},
         )
 

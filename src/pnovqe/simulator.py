@@ -2,18 +2,20 @@
 
 Amplitudes are indexed by a sorted array of basis bitmasks (bit j is qubit
 j). Every circuit factor exp(-i theta/2 G) has a Hermitian generator with
-G^3 = G, one Pauli string or one excitation generator, so it applies
-exactly as v + (cos(theta/2) - 1) G^2 v - i sin(theta/2) G v, with G
-projected onto the basis by ``QubitOperator.matrix``. VQE energies and
+G^3 = G that is a phased permutation of its support, G|cols> = phases|rows>,
+so it updates the support in place as v[rows] = cos(theta/2) v[rows] -
+i sin(theta/2) phases v[cols]. Factors and reference vector are prepared
+once per (ansatz, basis) and kept on the ``Ansatz`` with the last forward
+state, which a call at bit-equal parameters reuses. VQE energies and
 adjoint gradients run on the reference's particle-number sector, so their
-memory follows the sector, not 2^n. Only the public ``Statevector``
-functions and the per-rotation shift rule, whose circuits leave the
-sector, use the full register.
+memory follows the sector, not 2^n; only the ``Statevector`` functions and
+the per-rotation shift rule, whose circuits leave the sector, use 2^n.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,77 +75,103 @@ def prepare_reference(n_qubits: int, occupied) -> Statevector:
     return Statevector(n_qubits, _basis_vector(_register(n_qubits), occupied))
 
 
-def _factor(strings, basis: SectorBasis):
-    """G = sum_m c_m P_m on the basis; raises unless G keeps it closed with G^3 = G."""
+def _factor(strings, basis: SectorBasis) -> tuple:
+    """G = sum_m c_m P_m on the basis as (rows, cols, phases): G|cols> = phases|rows>.
+
+    Raises unless G keeps the basis closed, satisfies G^3 = G there and maps
+    each basis state to a single basis state.
+    """
     gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
     g = gen.matrix(basis.states)
-    if abs(g @ g - (gen * gen).matrix(basis.states)).max() > 1e-10:
+    g2 = g @ g
+    if abs(g2 - (gen * gen).matrix(basis.states)).max() > 1e-10:
         raise ValueError("generator maps a basis state outside the basis")
-    if abs(g @ g @ g - g).max() > 1e-10:
+    if abs(g2 @ g - g).max() > 1e-10:
         raise ValueError("generator does not satisfy G^3 = G on the basis")
-    return g
+    per_row = np.diff(g.indptr)
+    if per_row.max(initial=0) > 1:
+        raise ValueError("generator maps a basis state to a superposition of basis states")
+    return np.flatnonzero(per_row), g.indices.astype(np.intp), g.data
 
 
-@lru_cache(maxsize=8)
-def _factors(generators: tuple, basis: SectorBasis) -> tuple:
-    """Factors for a sequence of generators, each given by its strings."""
-    return tuple(_factor(strings, basis) for strings in generators)
-
-
-def _rotate(vec: np.ndarray, g, angle: float) -> np.ndarray:
-    """exp(-i angle/2 G) vec for a generator with G^3 = G."""
-    g_vec = g @ vec
-    return vec + (np.cos(0.5 * angle) - 1.0) * (g @ g_vec) - 1j * np.sin(0.5 * angle) * g_vec
+def _rotate(vec: np.ndarray, factor: tuple, angle: float) -> None:
+    """exp(-i angle/2 G) vec, in place: G^2 is the projector onto the rows."""
+    rows, cols, phases = factor
+    vec[rows] = math.cos(0.5 * angle) * vec[rows] - 1j * math.sin(0.5 * angle) * phases * vec[cols]
 
 
 def apply_pauli_rotation(state: Statevector, string: PauliString, angle: float) -> Statevector:
     """In-place exp(-i angle/2 P): cos(a/2) psi - i sin(a/2) P psi."""
     if string.n_qubits != state.n_qubits:
         raise ValueError("Pauli string length does not match register")
-    factor = _factor(((string, 1.0),), _register(state.n_qubits))
-    state.amplitudes = _rotate(state.amplitudes, factor, angle)
+    vec = state.amplitudes.copy()
+    _rotate(vec, _factor(((string, 1.0),), _register(state.n_qubits)), angle)
+    state.amplitudes = vec
     return state
 
 
 def _evolve(vec: np.ndarray, factors, angles) -> np.ndarray:
-    """Apply exp(-i angle/2 G) for every factor G in order; checks the norm."""
-    for g, angle in zip(factors, angles):
-        vec = _rotate(vec, g, angle)
+    """Apply exp(-i angle/2 G) for every factor G in order, in place; checks the norm."""
+    for factor, angle in zip(factors, angles):
+        _rotate(vec, factor, angle)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
         raise RuntimeError("state norm drifted beyond 1e-10")
     return vec
 
 
-def _circuit(ansatz: Ansatz, theta, basis: SectorBasis) -> tuple:
-    """The ansatz generators' factors on the basis, and the checked angles."""
+@dataclass(eq=False)
+class _Circuit:
+    """An ansatz's factors and reference vector on one basis, and its last forward state."""
+
+    factors: tuple
+    reference: np.ndarray
+    last: tuple = (None, None)    # (parameter bytes, read-only state)
+
+
+def _parameters(ansatz: Ansatz, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (ansatz.n_parameters,):
         raise ValueError("parameter vector length does not match the ansatz")
-    return _factors(tuple(gen.strings for gen in ansatz.generators), basis), theta
+    return theta
+
+
+def _prepared(ansatz: Ansatz, basis: SectorBasis) -> _Circuit:
+    """The ansatz's circuit on the basis, built on first use and kept on the ansatz."""
+    if basis not in ansatz._prepared:
+        factors = tuple(_factor(gen.strings, basis) for gen in ansatz.generators)
+        ansatz._prepared[basis] = _Circuit(factors, _basis_vector(basis, ansatz.reference))
+    return ansatz._prepared[basis]
 
 
 def apply_ansatz(state: Statevector, ansatz: Ansatz, theta) -> Statevector:
     """Apply exp(-i theta_k/2 G_k) for every generator in ansatz order."""
     if ansatz.n_qubits != state.n_qubits:
         raise ValueError("ansatz register does not match the state")
-    basis = _register(state.n_qubits)
-    state.amplitudes = _evolve(state.amplitudes, *_circuit(ansatz, theta, basis))
+    theta = _parameters(ansatz, theta)
+    circuit = _prepared(ansatz, _register(state.n_qubits))
+    state.amplitudes = _evolve(state.amplitudes.copy(), circuit.factors, theta)
     return state
 
 
 def ansatz_state(ansatz: Ansatz, theta) -> Statevector:
     """Reference state with the parametrized circuit applied."""
-    state = prepare_reference(ansatz.n_qubits, ansatz.reference)
-    return apply_ansatz(state, ansatz, theta)
+    return apply_ansatz(prepare_reference(ansatz.n_qubits, ansatz.reference), ansatz, theta)
 
 
 def _sector_state(op: QubitOperator, ansatz: Ansatz, theta) -> tuple:
-    """Circuit state in the reference's particle-number sector, with its parts."""
+    """Basis, circuit and read-only circuit state in the reference's particle-number sector."""
     if op.n_qubits != ansatz.n_qubits:
         raise ValueError("operator register does not match the state")
+    theta = _parameters(ansatz, theta)
     basis = sector_basis(ansatz.n_qubits, len(ansatz.reference))
-    factors, theta = _circuit(ansatz, theta, basis)
-    return basis, factors, _evolve(_basis_vector(basis, ansatz.reference), factors, theta)
+    circuit = _prepared(ansatz, basis)
+    key = theta.tobytes()
+    last_key, psi = circuit.last
+    if key != last_key:
+        psi = _evolve(circuit.reference.copy(), circuit.factors, theta)
+        psi.flags.writeable = False
+        circuit.last = (key, psi)
+    return basis, circuit, psi
 
 
 def _expectation(op: QubitOperator, vec: np.ndarray, basis: SectorBasis) -> float:
@@ -181,24 +209,20 @@ def gradient(op: QubitOperator, ansatz: Ansatz, theta, method: str = "adjoint") 
     each Pauli rotation of a generator on the full register and sums the
     contributions. Both are exact and agree to tight tolerance.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (ansatz.n_parameters,):
-        raise ValueError("parameter vector length does not match the ansatz")
-    if method == "adjoint":
-        return _gradient_adjoint(op, ansatz, theta)
+    theta = _parameters(ansatz, theta)
     if method == "shift":
         return _gradient_shift(op, ansatz, theta)
-    raise ValueError(f"unknown gradient method {method!r}")
-
-
-def _gradient_adjoint(op, ansatz, theta) -> np.ndarray:
-    basis, factors, psi = _sector_state(op, ansatz, theta)
+    if method != "adjoint":
+        raise ValueError(f"unknown gradient method {method!r}")
+    basis, circuit, psi = _sector_state(op, ansatz, theta)
     lam = op.matrix(basis.states) @ psi
+    psi = psi.copy()
     grad = np.zeros(ansatz.n_parameters)
     for k in range(ansatz.n_parameters - 1, -1, -1):
-        grad[k] = float(np.imag(np.vdot(lam, factors[k] @ psi)))
-        psi = _rotate(psi, factors[k], -theta[k])
-        lam = _rotate(lam, factors[k], -theta[k])
+        rows, cols, phases = factor = circuit.factors[k]
+        grad[k] = np.vdot(lam[rows], phases * psi[cols]).imag    # <lam|G_k|psi>
+        _rotate(psi, factor, -theta[k])
+        _rotate(lam, factor, -theta[k])
     return grad
 
 
@@ -209,31 +233,14 @@ def _gradient_shift(op, ansatz, theta) -> np.ndarray:
         for k, gen in enumerate(ansatz.generators)
         for string, coeff in gen.strings
     ]
-    factors = _factors(tuple(((string, 1.0),) for _, string, _ in rotations), basis)
+    factors = [_factor(((string, 1.0),), basis) for _, string, _ in rotations]
     angles = np.array([theta[k] * coeff for k, _, coeff in rotations])
     reference = _basis_vector(basis, ansatz.reference)
     grad = np.zeros(ansatz.n_parameters)
     for r, (k, _, coeff) in enumerate(rotations):
-        energies = []
-        for offset in (0.5 * np.pi, -0.5 * np.pi):
+        for sign in (1.0, -1.0):
             shifted = angles.copy()
-            shifted[r] += offset
-            energies.append(_expectation(op, _evolve(reference, factors, shifted), basis))
-        grad[k] += coeff * 0.5 * (energies[0] - energies[1])
-    return grad
-
-
-def finite_difference_gradient(op, ansatz, theta, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the energy; test oracle, not for runs."""
-    theta = np.asarray(theta, dtype=float)
-    grad = np.zeros_like(theta)
-    for k in range(len(theta)):
-        plus = theta.copy()
-        minus = theta.copy()
-        plus[k] += step
-        minus[k] -= step
-        grad[k] = (
-            ansatz_expectation(op, ansatz, plus)
-            - ansatz_expectation(op, ansatz, minus)
-        ) / (2.0 * step)
+            shifted[r] += sign * 0.5 * np.pi
+            psi = _evolve(reference.copy(), factors, shifted)
+            grad[k] += sign * 0.5 * coeff * _expectation(op, psi, basis)
     return grad

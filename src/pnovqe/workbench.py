@@ -342,6 +342,7 @@ def run_point(config: RunConfig, coordinate=None) -> dict:
         "selection_signature": stage["selection_signature"],
         "optimizer": {
             "converged": vqe.converged,
+            "exit_reason": vqe.exit_reason,
             "iterations": vqe.iterations,
             "grad_norm": vqe.grad_norm,
             "n_function_evals": vqe.n_function_evals,

@@ -10,6 +10,11 @@ applying creation operators in ascending index order.
 The AO-integral and MP2 oracles are scalar loops over contracted and
 primitive quartets (and virtual pairs) with the scalar Boys function: the
 reference the package's array code is compared against.
+
+The state-engine oracles at the end do use the package's Pauli kernel and
+energy: the sparse-G form of a G^3 = G factor (the reference for the
+simulator's support form), central finite differences of the energy, a
+dense spectrum, and the projection onto paired determinants.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from itertools import combinations
 import numpy as np
 
 from pnovqe.integrals import AOIntegralSet, IntegralSet, _prim_norm, boys
+from pnovqe.operators import QubitOperator
+from pnovqe.simulator import ansatz_expectation
 
 
 def apply_ladder(mask: int, index: int, creation: bool):
@@ -342,3 +349,44 @@ def reference_mp2_amplitudes(mo: IntegralSet):
             t[(i, j)] = tij
             pair_energies[(i, j)] = (1.0 if i == j else 2.0) * e_pair
     return t, pair_energies
+
+
+def reference_rotate(vec: np.ndarray, g, angle: float) -> np.ndarray:
+    """exp(-i angle/2 G) vec for a sparse generator with G^3 = G."""
+    g_vec = g @ vec
+    return vec + (np.cos(0.5 * angle) - 1.0) * (g @ g_vec) - 1j * np.sin(0.5 * angle) * g_vec
+
+
+def finite_difference_gradient(op, ansatz, theta, step: float = 1e-5) -> np.ndarray:
+    """Central finite differences of the circuit energy."""
+    theta = np.asarray(theta, dtype=float)
+    grad = np.zeros_like(theta)
+    for k in range(len(theta)):
+        plus = theta.copy()
+        minus = theta.copy()
+        plus[k] += step
+        minus[k] -= step
+        grad[k] = (
+            ansatz_expectation(op, ansatz, plus)
+            - ansatz_expectation(op, ansatz, minus)
+        ) / (2.0 * step)
+    return grad
+
+
+def eigenvalues_dense(op: QubitOperator) -> np.ndarray:
+    """Full spectrum of a small operator."""
+    return np.linalg.eigvalsh(op.to_dense())
+
+
+def seniority_zero_projection(op: QubitOperator, n_orb: int) -> np.ndarray:
+    """Dense matrix of the full operator restricted to paired states.
+
+    Basis state m on n_orb qubits maps to the determinant with qubits
+    2p and 2p+1 set for every bit p of m (oracle for the paired
+    Hamiltonian).
+    """
+    paired_states = np.array(
+        [sum(0b11 << (2 * p) for p in range(n_orb) if (m >> p) & 1) for m in range(1 << n_orb)],
+        dtype=np.int64,
+    )
+    return op.matrix(paired_states).toarray()

@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 import pnovqe as pq
-from pnovqe.exact import build_paired_ansatz, eigenvalues_dense, seniority_zero_projection
-from pnovqe.simulator import ansatz_state, finite_difference_gradient
+from pnovqe.exact import build_paired_ansatz
+from pnovqe.simulator import ansatz_state
 
-from ci_oracle import ci_matrix, random_integral_set
+from ci_oracle import (
+    ci_matrix,
+    eigenvalues_dense,
+    finite_difference_gradient,
+    random_integral_set,
+    seniority_zero_projection,
+)
 from conftest import h2_big_integrals, lih_like_pipeline
 from test_ansatz import bh12_space, bh22_space, lih12_space, lih22_space
 from test_workbench import H2_INLINE, h2_config

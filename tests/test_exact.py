@@ -7,14 +7,12 @@ import scipy.sparse
 import pnovqe as pq
 from pnovqe.exact import (
     build_paired_ansatz,
-    eigenvalues_dense,
     lanczos_ground,
     sector_matrix,
-    seniority_zero_projection,
 )
 from pnovqe.operators import QubitOperator
 
-from ci_oracle import random_integral_set
+from ci_oracle import eigenvalues_dense, random_integral_set, seniority_zero_projection
 
 
 class TestExactGroundEnergy:

@@ -6,6 +6,7 @@ import pytest
 import pnovqe as pq
 from pnovqe.operators import QubitOperator
 
+from test_workbench import h2_config
 
 
 class TestMinimize:
@@ -153,3 +154,36 @@ class TestRunVQE:
         a = pq.run_vqe(hq, ansatz)
         b = pq.run_vqe(hq, ansatz)
         assert a.trajectory == b.trajectory
+
+
+class TestExitReason:
+    def test_quadratic_stops_on_the_gradient_tolerance(self):
+        center = np.array([1.0, -2.0, 0.5])
+        result = pq.minimize(lambda x: 0.5 * np.sum((x - center) ** 2),
+                             lambda x: x - center, np.zeros(3), grad_tol=1e-10)
+        assert result.exit_reason == "grad_tol"
+        assert result.converged
+
+    def test_iteration_cap(self):
+        scales = np.array([1.0, 10.0])
+        result = pq.minimize(lambda x: 0.5 * np.sum(scales * x**2), lambda x: scales * x,
+                             np.ones(2), max_iter=1)
+        assert result.exit_reason == "max_iter"
+        assert result.iterations == 1
+        assert not result.converged
+
+    def test_gradient_of_the_wrong_sign_fails_the_line_search(self):
+        result = pq.minimize(lambda x: float(x @ x), lambda x: -2.0 * x, np.ones(2))
+        assert result.exit_reason == "line_search_failed"
+        assert not result.converged
+
+    def test_zero_parameter_vqe(self, h2_sto3g):
+        ansatz = pq.Ansatz(generators=(), n_qubits=4, reference=(0, 1), name="empty")
+        result = pq.run_vqe(h2_sto3g["hamiltonian"], ansatz)
+        assert result.exit_reason == "grad_tol"
+
+    def test_run_point_records_the_exit_reason(self):
+        record = pq.run_point(h2_config())
+        assert record["optimizer"]["exit_reason"] == "grad_tol"
+        record = pq.run_point(h2_config(max_iter=1))
+        assert record["optimizer"]["exit_reason"] == "max_iter"

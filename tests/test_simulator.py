@@ -12,11 +12,10 @@ from pnovqe.simulator import (
     ansatz_expectation,
     ansatz_state,
     apply_operator,
-    finite_difference_gradient,
 )
 
 from test_operators import dense_from_string
-from ci_oracle import random_integral_set
+from ci_oracle import finite_difference_gradient, random_integral_set
 
 
 class TestPrepareReference:
