@@ -8,17 +8,40 @@ Conventions used throughout the package:
   a_j^dag -> (X_j - i Y_j)/2 * Z_{j-1} ... Z_0.
 * Qubit indexing is little-endian: bit j of a basis-state integer is the
   occupation of qubit j.
+
+``build_hamiltonian``, ``jordan_wigner`` and ``QubitOperator.matrix`` are
+array code that works on fixed blocks of products or of X-mask groups. Part of
+their determinism contract is that every coefficient is summed in the order
+of a term-by-term loop, starting from 0, and that keys keep the order in
+which such a loop first meets them; the block sizes are constants that
+change no bit. The operators, and every energy computed from them, are
+therefore the same to the last bit whatever the blocking. Pauli masks are
+int64 columns, so the array code covers registers of up to
+``MAX_MASK_QUBITS`` qubits.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 import scipy.sparse
 
 COEFF_CUTOFF = 1e-14
+
+# The array code holds Pauli masks in int64 columns, one for X and one for Z,
+# so registers have at most 63 qubits (bit 63 is the sign bit).
+MAX_MASK_QUBITS = 63
+
+# ``jordan_wigner`` expands terms of one length this many products at a time
+# (2**10 quartic terms), so its few int64 arrays stay near 128 KiB each.
+_JW_BLOCK = 1 << 14
+# Operators with at most this many terms (an ansatz generator has 2) are
+# expanded term by term, where numpy's fixed cost per call would dominate.
+_JW_SMALL = 8
+# ``QubitOperator.matrix`` probes this many (X group, basis state) pairs at
+# once, so its image and position arrays stay near 32 KiB each.
+_MATRIX_BLOCK = 1 << 12
 
 _LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -132,6 +155,13 @@ class QubitOperator:
                     self._terms[key] = complex(coeff)
 
     @classmethod
+    def _simplified(cls, n_qubits: int, terms: dict) -> "QubitOperator":
+        """Wrap a dict of complex coefficients that are all above the cutoff."""
+        op = cls(n_qubits)
+        op._terms = terms
+        return op
+
+    @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "QubitOperator":
         return cls(n_qubits, {(0, 0): coeff})
 
@@ -205,35 +235,70 @@ class QubitOperator:
         are dropped. A string maps |s> to i^|x&z| (-1)^|s&z| |s ^ x>, so the
         terms sharing an X mask share one image and one ``searchsorted``.
         The result is cached per basis in ``_compiled`` and read-only.
+
+        Determinism: each entry sums the terms of its X group in ascending Z
+        order, starting from 0; all entries advance one term per step, so
+        neither ``_MATRIX_BLOCK`` nor the group sizes change a bit. No two
+        groups share an entry and the CSR arrays are sorted by row, then
+        column, so the order entries are summed in does not show.
         """
         if self._compiled is None:
             self._compiled = {}
         key = states.tobytes()
         if key in self._compiled:
             return self._compiled[key]
-        dim = len(states)
-        # entries hold row * dim + column, so each X mask adds only two arrays
-        entries, vals = [np.zeros(0, np.int64)], [np.zeros(0, complex)]
-        for x, terms in groupby(sorted(self._terms), key=itemgetter(0)):
-            images = states ^ x
-            pos = np.minimum(np.searchsorted(states, images), dim - 1)
-            hit = np.flatnonzero(states[pos] == images)
-            kept = states[hit]
-            values = np.zeros(len(hit), dtype=complex)
-            for _, z in terms:
-                coeff = self._terms[(x, z)] * _PHASES[(x & z).bit_count() % 4]
-                values += np.where(np.bitwise_count(kept & z) & 1, -coeff, coeff)
-            keep = values != 0
-            entries.append(pos[hit[keep]] * dim + hit[keep])
-            vals.append(values[keep])
-        entries, vals = np.concatenate(entries), np.concatenate(vals)
-        mat = scipy.sparse.csr_matrix(
-            (vals, np.divmod(entries, dim)), shape=(dim, dim), dtype=complex
-        )
+        dim, n_terms = len(states), len(self._terms)
+        masks = np.fromiter(chain.from_iterable(self._terms), np.int64, 2 * n_terms)
+        order = np.lexsort((masks[1::2], masks[0::2]))
+        x, z = masks[0::2][order], masks[1::2][order]
+        coeffs = np.fromiter(self._terms.values(), complex, n_terms)[order]
+        coeffs *= np.asarray(_PHASES)[np.bitwise_count(x & z) & 3]
+        starts = np.flatnonzero(np.diff(x, prepend=-1))
+        sizes = np.diff(starts, append=x.size)
+        xs = x[starts]
+        # arrays are dropped as soon as they are done with: a projection onto
+        # a small sector should cost memory of the order of its entries
+        del masks, order, x
+        group, row, column = _hits(states, xs)
+        # hits by decreasing group size, so those whose group has a k-th term are a prefix
+        by_size = np.argsort(-sizes[group], kind="stable")
+        group, row, column = group[by_size], row[by_size], column[by_size]
+        del by_size
+        active = np.searchsorted(-sizes[group], -np.arange(sizes.max(initial=0)))
+        term, kept = starts[group], states[column]
+        del group
+        # a complex sum adds real and imaginary parts apart; a part whose
+        # coefficients are all zero stays +0
+        sums = [_signed_sums(part, z, term, kept, active) if part.any() else 0.0
+                for part in (coeffs.real, coeffs.imag)]
+        del term, kept
+        values = np.empty(len(row), dtype=complex)
+        values.real, values.imag = sums
+        del sums
+        keep = values != 0
+        entries = (values[keep], (row[keep], column[keep]))
+        del values, row, column
+        mat = scipy.sparse.csr_matrix(entries, shape=(dim, dim), dtype=complex)
         for array in (mat.data, mat.indices, mat.indptr):
             array.flags.writeable = False   # the cached matrix is shared
         self._compiled[key] = mat
         return mat
+
+    def image_norms(self, states: np.ndarray) -> np.ndarray:
+        """||op|s>||^2 for every basis state s, images outside ``states`` included.
+
+        The strings of one X mask x map |s> to the single state |s ^ x>, so
+        the norm sums |<s ^ x| op |s>|^2 over the X groups. For a Hermitian
+        operator this is the diagonal of op^2 on the register.
+        """
+        masks = np.fromiter(chain.from_iterable(self._terms), np.int64, 2 * len(self._terms))
+        x, z = masks[0::2], masks[1::2]
+        coeffs = np.fromiter(self._terms.values(), complex, len(self._terms))
+        coeffs *= np.asarray(_PHASES)[np.bitwise_count(x & z) & 3]
+        xs, group = np.unique(x, return_inverse=True)
+        signs = 1 - 2 * (np.bitwise_count(states & z[:, None]) & 1).astype(float)
+        images = ((np.arange(xs.size)[:, None] == group) * coeffs) @ signs   # per X group
+        return np.sum(np.abs(images) ** 2, axis=0)
 
     def to_dense(self) -> np.ndarray:
         """Dense matrix in the little-endian computational basis."""
@@ -268,6 +333,41 @@ class QubitOperator:
 
     def __repr__(self):
         return f"QubitOperator(n_qubits={self.n_qubits}, n_terms={self.n_terms})"
+
+
+def _hits(states: np.ndarray, x: np.ndarray) -> tuple:
+    """(group, row, column) of every basis state (column) that X mask x[group] maps into the basis.
+
+    Probes ``_MATRIX_BLOCK`` (group, state) pairs at a time, in group order.
+    """
+    dim = len(states)
+    index = np.int32 if max(dim, x.size) < 2**31 else np.intp
+    hits = [(np.zeros(0, index),) * 3]
+    per_block = max(1, _MATRIX_BLOCK // max(dim, 1))
+    for lo in range(0, x.size, per_block):
+        images = states ^ x[lo:lo + per_block, None]
+        pos = np.minimum(np.searchsorted(states, images), dim - 1)
+        group, column = np.nonzero(states[pos] == images)
+        hits.append(tuple(a.astype(index) for a in (group + lo, pos[group, column], column)))
+    return tuple(np.concatenate(parts) for parts in zip(*hits))
+
+
+def _signed_sums(coeffs, z, first, kept, active) -> np.ndarray:
+    """Per hit, the sum of (-1)^|kept & z_t| coeffs[t] over its terms t in order, from 0.
+
+    Hit h owns the terms first[h], first[h] + 1, ...; at step k the first
+    active[k] hits (those with more than k terms) add their k-th term, so
+    every sum keeps the order of a loop over the terms.
+    """
+    total = np.zeros(first.size)
+    for k, n in enumerate(active.tolist()):
+        t = first[:n] + k
+        odd = z[t]
+        odd &= kept[:n]
+        step = coeffs[t]
+        np.negative(step, out=step, where=(np.bitwise_count(odd) & 1).astype(bool))
+        total[:n] += step
+    return total
 
 
 def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
@@ -361,13 +461,6 @@ class FermionOperator:
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return (self - self.hermitian_conjugate()).norm() < tol
 
-    def max_index(self) -> int:
-        top = -1
-        for term in self._terms:
-            for idx, _ in term:
-                top = max(top, idx)
-        return top
-
     def __repr__(self):
         return f"FermionOperator(n_terms={self.n_terms})"
 
@@ -409,37 +502,141 @@ def _normal_order_into(ops: list, coeff: complex, out: dict) -> None:
             out[key] = out.get(key, 0.0) + c
 
 
-def _jw_factor(index: int, creation: bool) -> tuple:
-    """Jordan-Wigner image of a single ladder operator as two mask terms."""
-    chain = (1 << index) - 1
-    bit = 1 << index
-    y_coeff = -0.5j if creation else 0.5j
-    return ((bit, chain, 0.5 + 0.0j), (bit, chain | bit, y_coeff))
+def _check_indices(lowest: int, highest: int, n_qubits: int) -> None:
+    if n_qubits > MAX_MASK_QUBITS:
+        raise ValueError(f"int64 Pauli masks hold at most {MAX_MASK_QUBITS} qubits")
+    if highest >= n_qubits:
+        raise ValueError("fermionic index exceeds qubit register (index overflow)")
+    if lowest < 0:
+        raise ValueError("negative fermionic index")
+
+
+def _expand_term(term, coeff, total: dict) -> None:
+    """Add the 2^L Pauli products of one ladder product to ``total``, in product order.
+
+    The power e of i collects the phases of multiplying out the images: 2
+    when a ladder's X or Y meets a Z already on its qubit, 2 for the Y part
+    of an annihilator, and -|x & z| for writing each X Z pair as a Y.
+    """
+    x, products = 0, [(0, 0)]   # (Z mask, power of i) of each product so far
+    for index, creation in term:
+        bit = 1 << index
+        parity, y_power = bit - 1, 0 if creation else 2
+        grown = []
+        for z, e in products:
+            if z & bit:
+                e += 2
+            grown.append((z ^ parity, e))
+            grown.append((z ^ parity ^ bit, e + y_power))
+        products = grown
+        x ^= bit
+    scale = coeff * 0.5 ** len(term)
+    for z, e in products:
+        key = (x, z)
+        total[key] = total.get(key, 0.0) + scale * _PHASES[(e - (x & z).bit_count()) % 4]
+
+
+def _expand_block(index, y_power, coeffs) -> tuple:
+    """X masks, Z masks and coefficients of the 2^L products of terms of one length L.
+
+    Row t of ``index`` and ``y_power`` holds the ladders of term t; product b
+    takes the Y part of ladder j when bit L-1-j of b is set. Returns (terms,
+    2^L) arrays, each row in order of b.
+    """
+    n_terms, length = index.shape
+    bit = np.left_shift(1, index)
+    b = np.arange(1 << length)
+    z = np.zeros((n_terms, b.size), np.int64)
+    e = np.zeros_like(z)
+    for j in range(length):
+        pick = (b >> (length - 1 - j)) & 1
+        e += 2 * ((z & bit[:, j, None]) != 0) + pick * y_power[:, j, None]
+        z ^= (bit[:, j, None] - 1) ^ (pick * bit[:, j, None])
+    x = np.bitwise_xor.reduce(bit, axis=1)[:, None]
+    e = (e - np.bitwise_count(x & z)) & 3
+    # coefficient * 2^-L * i^e; every factor is exact, as in the product of the factors
+    values = (coeffs * np.ldexp(1.0, -length))[:, None] * np.asarray(_PHASES)[e]
+    return x, z, values
+
+
+def _first_occurrence(*columns) -> tuple:
+    """Number the distinct keys (rows of ``columns``) by first occurrence.
+
+    Returns the number of every entry's key and the first entry of each key.
+    """
+    order = np.argsort(columns[0]) if len(columns) == 1 else np.lexsort(columns[::-1])
+    new = np.zeros(order.size, bool)
+    new[0:1] = True
+    for column in columns:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts) if starts.size else starts
+    by_first = np.argsort(first)
+    number = np.empty(starts.size, np.intp)
+    number[by_first] = np.arange(starts.size)
+    run = np.empty(order.size, np.intp)
+    run[order] = np.cumsum(new) - 1
+    return number[run], first[by_first]
 
 
 def jordan_wigner(op: FermionOperator, n_qubits: int) -> QubitOperator:
     """Encode a fermionic operator as a qubit operator.
 
-    a_j^dag -> (X_j - i Y_j)/2 * Z_{j-1}...Z_0 and the conjugate for a_j;
-    products are expanded and simplified.
+    a_j^dag -> (X_j - i Y_j)/2 * Z_{j-1}...Z_0 and the conjugate for a_j.
+    The 2^L products of a term of length L share the X mask of its ladders;
+    product b takes the Y part of ladder j when bit L-1-j of b is set, and
+    its coefficient is coeff 2^-L i^e with the power e collected ladder by
+    ladder. Every such factor is exact, so the coefficients are the same
+    bits as those of multiplying out the factors.
+
+    Determinism: terms are taken in the operator's order and the products of
+    a term in the order of b. Large operators are expanded one term length
+    at a time, in blocks of about ``_JW_BLOCK`` products, and each block is
+    written to its terms' places in that product list, so neither the
+    grouping nor the block size changes a bit. Each qubit key is summed over
+    the product list starting from 0 (``np.bincount`` adds in input order),
+    and keys, compared as (X mask, Z mask) pairs, are inserted in order of
+    first occurrence. Masks are int64, so ``n_qubits`` is at most
+    ``MAX_MASK_QUBITS``.
     """
-    if op.max_index() >= n_qubits:
-        raise ValueError("fermionic index exceeds qubit register (index overflow)")
-    total: dict = {}
-    for term, coeff in op.items():
-        acc = [(0, 0, complex(coeff))]
-        for index, creation in term:
-            factor = _jw_factor(index, creation)
-            nxt = []
-            for x1, z1, c1 in acc:
-                for x2, z2, c2 in factor:
-                    x3, z3, phase = _mul_masks(x1, z1, x2, z2)
-                    nxt.append((x3, z3, c1 * c2 * phase))
-            acc = nxt
-        for x, z, c in acc:
-            key = (x, z)
-            total[key] = total.get(key, 0.0) + c
-    return QubitOperator(n_qubits, total)
+    terms, coeffs = list(op._terms), list(op._terms.values())
+    if len(terms) <= _JW_SMALL:
+        indices = [index for term in terms for index, _ in term]
+        _check_indices(min(indices, default=0), max(indices, default=-1), n_qubits)
+        total: dict = {}
+        for term, coeff in zip(terms, coeffs):
+            _expand_term(term, coeff, total)
+        return QubitOperator(n_qubits, total)
+    lengths = np.fromiter(map(len, terms), np.int64, len(terms))
+    ladders = np.fromiter(
+        chain.from_iterable(chain.from_iterable(terms)), np.int64, 2 * int(lengths.sum())
+    )
+    index, y_power = ladders[0::2], 2 * (1 - ladders[1::2])
+    _check_indices(index.min(initial=0), index.max(initial=-1), n_qubits)
+    coeffs = np.array(coeffs, dtype=complex)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    products = np.concatenate(([0], np.cumsum(np.left_shift(1, lengths))))
+    x, z = np.empty(products[-1], np.int64), np.empty(products[-1], np.int64)
+    values = np.empty(products[-1], dtype=complex)
+    for length in np.unique(lengths).tolist():
+        same = np.flatnonzero(lengths == length)
+        per_block = max(1, _JW_BLOCK >> length)
+        for lo in range(0, same.size, per_block):
+            block = same[lo:lo + per_block]
+            ladder = offsets[block, None] + np.arange(length)
+            out = products[block, None] + np.arange(1 << length)
+            x[out], z[out], values[out] = _expand_block(
+                index[ladder], y_power[ladder], coeffs[block]
+            )
+    slot, first = _first_occurrence(x, z)
+    total = np.empty(first.size, dtype=complex)
+    total.real = np.bincount(slot, values.real, first.size)
+    total.imag = np.bincount(slot, values.imag, first.size)
+    # abs() of a Python complex is hypot; numpy's complex abs can differ in the last bit
+    keep = np.hypot(total.real, total.imag) >= COEFF_CUTOFF
+    pairs = zip(x[first[keep]].tolist(), z[first[keep]].tolist())
+    return QubitOperator._simplified(n_qubits, dict(zip(pairs, total[keep].tolist())))
 
 
 def build_hamiltonian(mo) -> FermionOperator:
@@ -450,51 +647,48 @@ def build_hamiltonian(mo) -> FermionOperator:
 
         H = core + sum h_pq a^dag_{p,s} a_{q,s}
                  + 1/2 sum <pq|rs> a^dag_{p,s} a^dag_{q,t} a_{s',t} a_{r',s}
+
+    Determinism: the constant comes first, then the one-body terms in (p, q,
+    s) order, then each two-body term a^dag_P a^dag_Q a_S a_R (P > Q, S > R)
+    in order of first occurrence over (p, q, r, s, sigma, tau). A two-body
+    coefficient is the sum of +-<pq|rs>/2 in that order, starting from 0
+    (``np.bincount`` adds in input order); coefficients below
+    ``COEFF_CUTOFF`` are dropped.
     """
-    n = mo.n_orb
-    h = mo.h
-    g = mo.g
+    m = 2 * mo.n_orb
     terms: dict = {(): complex(mo.core_energy)}
+    if abs(terms[()]) < COEFF_CUTOFF:
+        del terms[()]
 
-    def _accumulate(term, coeff):
-        terms[term] = terms.get(term, 0.0) + coeff
+    p, q = np.nonzero(~(np.abs(mo.h) < COEFF_CUTOFF))
+    spins = (0, 1)
+    one_body = zip((2 * p[:, None] + spins).ravel().tolist(),
+                   (2 * q[:, None] + spins).ravel().tolist(),
+                   np.repeat(mo.h[p, q], 2).tolist())
+    # one shared (index, is_creation) pair per ladder operator
+    cre, ann = [(i, True) for i in range(m)], [(i, False) for i in range(m)]
+    for a, b, value in one_body:
+        terms[(cre[a], ann[b])] = complex(value)
 
-    for p in range(n):
-        for q in range(n):
-            hpq = h[p, q]
-            if abs(hpq) < COEFF_CUTOFF:
-                continue
-            for s in (0, 1):
-                P, Q = 2 * p + s, 2 * q + s
-                _accumulate(((P, True), (Q, False)), complex(hpq))
-
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s_ in range(n):
-                    gval = g[p, q, r, s_]
-                    if abs(gval) < COEFF_CUTOFF:
-                        continue
-                    for sig in (0, 1):
-                        for tau in (0, 1):
-                            P, Q = 2 * p + sig, 2 * q + tau
-                            S, R = 2 * s_ + tau, 2 * r + sig
-                            if P == Q or S == R:
-                                continue
-                            # canonicalize a^dag_P a^dag_Q a_S a_R in place
-                            sign = 1.0
-                            if P < Q:
-                                P, Q = Q, P
-                                sign = -sign
-                            if S < R:
-                                S, R = R, S
-                                sign = -sign
-                            _accumulate(
-                                ((P, True), (Q, True), (S, False), (R, False)),
-                                0.5 * sign * complex(gval),
-                            )
+    nonzero = np.nonzero(~(np.abs(mo.g) < COEFF_CUTOFF))
+    p, q, r, s = (2 * i[:, None] for i in nonzero)
+    sigma, tau = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    P, Q, S, R = p + sigma, q + tau, s + tau, r + sigma
+    kept = ((P != Q) & (S != R)).ravel()
+    # a^dag_P a^dag_Q a_S a_R with P > Q and S > R; each swap flips the sign
+    half = np.where((P < Q) ^ (S < R), -0.5, 0.5) * mo.g[nonzero][:, None]
+    ladders = [np.maximum(P, Q), np.minimum(P, Q), np.maximum(S, R), np.minimum(S, R)]
+    ladders = [a.ravel()[kept] for a in ladders]
+    slot, first = _first_occurrence(((ladders[0] * m + ladders[1]) * m + ladders[2]) * m + ladders[3])
+    half = half.ravel()[kept]
+    sums = np.empty(first.size, dtype=complex)
+    sums.real = np.bincount(slot, half.real, first.size)
+    sums.imag = np.bincount(slot, half.imag, first.size)
+    keys = zip(*(a[first].tolist() for a in ladders))
+    for (a, b, c, d), value in zip(keys, sums.tolist()):
+        if not abs(value) < COEFF_CUTOFF:
+            terms[(cre[a], cre[b], ann[c], ann[d])] = value
 
     op = FermionOperator()
     op._terms = terms
-    op.prune()
     return op

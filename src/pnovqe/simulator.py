@@ -75,23 +75,49 @@ def prepare_reference(n_qubits: int, occupied) -> Statevector:
     return Statevector(n_qubits, _basis_vector(_register(n_qubits), occupied))
 
 
+def _cube_defect(rows, cols, phases, dim: int) -> float:
+    """max |G^3 - G| for G with the single entry phases[k] at (rows[k], cols[k]) of its rows."""
+    after = np.full(dim + 1, dim)           # the column each row maps to; row dim is empty
+    after[rows] = cols
+    entry = np.zeros(dim + 1, dtype=complex)
+    entry[rows] = phases
+    middle = after[cols]
+    cube = phases * entry[cols] * entry[middle]   # G^3 has it at column after[middle]
+    same = after[middle] == cols
+    defect = np.where(same, np.abs(cube - phases), np.maximum(np.abs(cube), np.abs(phases)))
+    return float(defect.max(initial=0.0))
+
+
 def _factor(strings, basis: SectorBasis) -> tuple:
     """G = sum_m c_m P_m on the basis as (rows, cols, phases): G|cols> = phases|rows>.
 
     Raises unless G keeps the basis closed, satisfies G^3 = G there and maps
-    each basis state to a single basis state.
+    each basis state to a single basis state. For real c_m (a Hermitian G,
+    as in every ansatz) and one entry per row, the checks run on the
+    support: G maps s outside the basis where the basis part of ||G|s>||^2,
+    the diagonal of G^2, falls short of the whole, and G^3 = G is checked row
+    by row along the permutation. Any other G is checked with the sparse
+    products PG^2P = (PGP)^2 and G^3 = G, in the same order.
     """
     gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
     g = gen.matrix(basis.states)
-    g2 = g @ g
-    if abs(g2 - (gen * gen).matrix(basis.states)).max() > 1e-10:
-        raise ValueError("generator maps a basis state outside the basis")
-    if abs(g2 @ g - g).max() > 1e-10:
-        raise ValueError("generator does not satisfy G^3 = G on the basis")
     per_row = np.diff(g.indptr)
-    if per_row.max(initial=0) > 1:
-        raise ValueError("generator maps a basis state to a superposition of basis states")
-    return np.flatnonzero(per_row), g.indices.astype(np.intp), g.data
+    rows, cols, phases = np.flatnonzero(per_row), g.indices.astype(np.intp), g.data
+    if per_row.max(initial=0) > 1 or gen.max_imag() > 0:
+        g2 = g @ g
+        if abs(g2 - (gen * gen).matrix(basis.states)).max() > 1e-10:
+            raise ValueError("generator maps a basis state outside the basis")
+        if abs(g2 @ g - g).max() > 1e-10:
+            raise ValueError("generator does not satisfy G^3 = G on the basis")
+        if per_row.max(initial=0) > 1:
+            raise ValueError("generator maps a basis state to a superposition of basis states")
+        return rows, cols, phases
+    inside = np.bincount(g.indices, weights=np.abs(g.data) ** 2, minlength=basis.dim)
+    if np.max(gen.image_norms(basis.states) - inside, initial=0.0) > 1e-10:
+        raise ValueError("generator maps a basis state outside the basis")
+    if _cube_defect(rows, cols, phases, basis.dim) > 1e-10:
+        raise ValueError("generator does not satisfy G^3 = G on the basis")
+    return rows, cols, phases
 
 
 def _rotate(vec: np.ndarray, factor: tuple, angle: float) -> None:

@@ -382,6 +382,22 @@ def _point_worker(payload):
         return {"coordinate": coordinate, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _pool_map(payloads, workers: int) -> list:
+    """``_point_worker`` per payload in a process pool; a point whose worker died gets an error record."""
+    from concurrent.futures.process import BrokenProcessPool   # loads multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_point_worker, payload) for payload in payloads]
+    points = []
+    for future, (_, coordinate) in zip(futures, payloads):
+        exc = future.exception()
+        if isinstance(exc, BrokenProcessPool):
+            points.append({"coordinate": coordinate, "error": f"{type(exc).__name__}: {exc}"})
+        else:
+            points.append(future.result())
+    return points
+
+
 @dataclass(frozen=True)
 class CurveResult:
     points: tuple
@@ -402,13 +418,22 @@ class CurveResult:
 
 
 def run_curve(config: RunConfig) -> CurveResult:
-    """Independent run_point per scan value; failures are recorded per point."""
+    """Independent run_point per scan value; failures are recorded per point.
+
+    With several workers a worker process that dies costs only the point it
+    was running: the points it took down run again, one per fresh process.
+    """
     config.validate()
     coordinates = list(config.scan) if config.scan else [None]
     payloads = [(config.to_dict(), c) for c in coordinates]
     if config.workers > 1 and len(payloads) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            points = list(pool.map(_point_worker, payloads))
+        points = _pool_map(payloads, config.workers)
+        # a dead worker breaks the pool and fails every point it had not
+        # finished; each of those runs again alone in a fresh pool, so only a
+        # point that kills its worker again stays an error
+        for k, point in enumerate(points):
+            if point.get("error", "").startswith("BrokenProcessPool"):
+                points[k] = _pool_map([payloads[k]], 1)[0]
     else:
         points = [_point_worker(p) for p in payloads]
     failures = sum(1 for p in points if "error" in p)

@@ -11,21 +11,31 @@ The AO-integral and MP2 oracles are scalar loops over contracted and
 primitive quartets (and virtual pairs) with the scalar Boys function: the
 reference the package's array code is compared against.
 
+The operator oracles are the term-by-term loops the package's array code
+must reproduce bit for bit: the spin-orbital expansion of the integrals,
+the Jordan-Wigner product of the ladder images, and the projection of a
+qubit operator onto a basis, one X group and one term at a time.
+
 The state-engine oracles at the end do use the package's Pauli kernel and
-energy: the sparse-G form of a G^3 = G factor (the reference for the
-simulator's support form), central finite differences of the energy, a
-dense spectrum, and the projection onto paired determinants.
+energy: the sparse-G form of a G^3 = G factor and the sparse checks that
+build it (the references for the simulator's support form), central finite
+differences of the energy, a dense spectrum, and the projection onto paired
+determinants.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 import numpy as np
+import scipy.sparse
 
 from pnovqe.integrals import AOIntegralSet, IntegralSet, _prim_norm, boys
-from pnovqe.operators import QubitOperator
+from pnovqe.operators import (
+    _PHASES, COEFF_CUTOFF, FermionOperator, QubitOperator, _mul_masks,
+)
 from pnovqe.simulator import ansatz_expectation
 
 
@@ -349,6 +359,124 @@ def reference_mp2_amplitudes(mo: IntegralSet):
             t[(i, j)] = tij
             pair_energies[(i, j)] = (1.0 if i == j else 2.0) * e_pair
     return t, pair_energies
+
+
+def reference_build_hamiltonian(mo) -> FermionOperator:
+    """Second-quantized Hamiltonian, one spin-orbital quartet at a time."""
+    n = mo.n_orb
+    h = mo.h
+    g = mo.g
+    terms: dict = {(): complex(mo.core_energy)}
+
+    def _accumulate(term, coeff):
+        terms[term] = terms.get(term, 0.0) + coeff
+
+    for p in range(n):
+        for q in range(n):
+            hpq = h[p, q]
+            if abs(hpq) < COEFF_CUTOFF:
+                continue
+            for s in (0, 1):
+                P, Q = 2 * p + s, 2 * q + s
+                _accumulate(((P, True), (Q, False)), complex(hpq))
+
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                for s_ in range(n):
+                    gval = g[p, q, r, s_]
+                    if abs(gval) < COEFF_CUTOFF:
+                        continue
+                    for sig in (0, 1):
+                        for tau in (0, 1):
+                            P, Q = 2 * p + sig, 2 * q + tau
+                            S, R = 2 * s_ + tau, 2 * r + sig
+                            if P == Q or S == R:
+                                continue
+                            # canonicalize a^dag_P a^dag_Q a_S a_R in place
+                            sign = 1.0
+                            if P < Q:
+                                P, Q = Q, P
+                                sign = -sign
+                            if S < R:
+                                S, R = R, S
+                                sign = -sign
+                            _accumulate(
+                                ((P, True), (Q, True), (S, False), (R, False)),
+                                0.5 * sign * complex(gval),
+                            )
+
+    op = FermionOperator()
+    op._terms = terms
+    op.prune()
+    return op
+
+
+def _jw_factor(index: int, creation: bool) -> tuple:
+    """Jordan-Wigner image of a single ladder operator as two mask terms."""
+    chain = (1 << index) - 1
+    bit = 1 << index
+    y_coeff = -0.5j if creation else 0.5j
+    return ((bit, chain, 0.5 + 0.0j), (bit, chain | bit, y_coeff))
+
+
+def reference_jordan_wigner(op: FermionOperator, n_qubits: int) -> QubitOperator:
+    """Jordan-Wigner image by multiplying out the ladder images of every term."""
+    if max((index for term in op._terms for index, _ in term), default=-1) >= n_qubits:
+        raise ValueError("fermionic index exceeds qubit register (index overflow)")
+    total: dict = {}
+    for term, coeff in op.items():
+        acc = [(0, 0, complex(coeff))]
+        for index, creation in term:
+            factor = _jw_factor(index, creation)
+            nxt = []
+            for x1, z1, c1 in acc:
+                for x2, z2, c2 in factor:
+                    x3, z3, phase = _mul_masks(x1, z1, x2, z2)
+                    nxt.append((x3, z3, c1 * c2 * phase))
+            acc = nxt
+        for x, z, c in acc:
+            key = (x, z)
+            total[key] = total.get(key, 0.0) + c
+    return QubitOperator(n_qubits, total)
+
+
+def reference_matrix(op: QubitOperator, states: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Projection onto sorted basis bitmasks, one X group and one term at a time."""
+    dim = len(states)
+    # entries hold row * dim + column, so each X mask adds only two arrays
+    entries, vals = [np.zeros(0, np.int64)], [np.zeros(0, complex)]
+    for x, terms in groupby(sorted(op._terms), key=itemgetter(0)):
+        images = states ^ x
+        pos = np.minimum(np.searchsorted(states, images), dim - 1)
+        hit = np.flatnonzero(states[pos] == images)
+        kept = states[hit]
+        values = np.zeros(len(hit), dtype=complex)
+        for _, z in terms:
+            coeff = op._terms[(x, z)] * _PHASES[(x & z).bit_count() % 4]
+            values += np.where(np.bitwise_count(kept & z) & 1, -coeff, coeff)
+        keep = values != 0
+        entries.append(pos[hit[keep]] * dim + hit[keep])
+        vals.append(values[keep])
+    entries, vals = np.concatenate(entries), np.concatenate(vals)
+    return scipy.sparse.csr_matrix(
+        (vals, np.divmod(entries, dim)), shape=(dim, dim), dtype=complex
+    )
+
+
+def reference_factor(strings, basis) -> tuple:
+    """(rows, cols, phases) of G = sum_m c_m P_m, checked with sparse products of G."""
+    gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
+    g = gen.matrix(basis.states)
+    g2 = g @ g
+    if abs(g2 - (gen * gen).matrix(basis.states)).max() > 1e-10:
+        raise ValueError("generator maps a basis state outside the basis")
+    if abs(g2 @ g - g).max() > 1e-10:
+        raise ValueError("generator does not satisfy G^3 = G on the basis")
+    per_row = np.diff(g.indptr)
+    if per_row.max(initial=0) > 1:
+        raise ValueError("generator maps a basis state to a superposition of basis states")
+    return np.flatnonzero(per_row), g.indices.astype(np.intp), g.data
 
 
 def reference_rotate(vec: np.ndarray, g, angle: float) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 A factor stores G as a phased permutation of its support and is checked
 against the matrix exponential and against the sparse G^3 = G formula in
-``ci_oracle.reference_rotate``. The prepared circuit keeps the last forward
+``ci_oracle.reference_rotate``; building it must accept and reject exactly
+the generators that the sparse-product checks of ``ci_oracle.reference_factor``
+do. The prepared circuit keeps the last forward
 state; the cache tests require bit-equal results to a fresh ansatz however
 the parameters change between calls. Examples are derandomized.
 """
@@ -14,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe import simulator
-from pnovqe.exact import full_basis
+from pnovqe.exact import SectorBasis, full_basis
 from pnovqe.simulator import _factor, _rotate, _sector_state
 
-from ci_oracle import random_integral_set, reference_rotate
+from ci_oracle import random_integral_set, reference_factor, reference_rotate
+from test_operators import dense_from_string
 
 FACTORS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 CACHE = settings(derandomize=True, database=None, max_examples=10, deadline=None)
@@ -89,6 +92,109 @@ def test_generator_mapping_to_a_superposition_is_rejected():
     ansatz = pq.Ansatz(generators=(gen,), n_qubits=4, reference=(0, 1), name="bad")
     with pytest.raises(ValueError, match="superposition"):
         pq.ansatz_state(ansatz, [0.3])
+
+
+@st.composite
+def any_generators(draw):
+    """(strings, basis): real Pauli sums, valid or not, on the register, a sector or a subset."""
+    n = draw(st.integers(1, 4))
+    mask = st.integers(0, (1 << n) - 1)
+    weights = st.sampled_from([0.5, -0.5, 1.0, -1.0, 0.25, 2.0 ** -0.5, 0.7])
+    terms = draw(st.dictionaries(st.tuples(mask, mask), weights, min_size=1, max_size=4))
+    strings = tuple((pq.PauliString(n, x, z), c) for (x, z), c in terms.items())
+    kind = draw(st.sampled_from(["register", "sector", "subset"]))
+    if kind == "register":
+        return strings, full_basis(n)
+    if kind == "sector":
+        return strings, pq.sector_basis(n, draw(st.integers(0, n)))
+    states = draw(st.lists(mask, min_size=1, max_size=1 << n, unique=True))
+    return strings, SectorBasis(n, -1, None, np.array(sorted(states), dtype=np.int64))
+
+
+def factor_outcome(build, strings, basis):
+    try:
+        return build(strings, basis)
+    except ValueError as exc:
+        return str(exc)
+
+
+def check_same_outcome(strings, basis):
+    got = factor_outcome(_factor, strings, basis)
+    expected = factor_outcome(reference_factor, strings, basis)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+@FACTORS
+@given(any_generators())
+def test_factor_checks_agree_with_the_sparse_products(case):
+    check_same_outcome(*case)
+
+
+@FACTORS
+@given(st.one_of(sector_generators(), register_strings()))
+def test_valid_factors_agree_with_the_sparse_products(case):
+    check_same_outcome(*case)
+
+
+@pytest.mark.parametrize("labels, coeff, basis, message", [
+    (("X0",), 1.0, pq.sector_basis(4, 2), "outside the basis"),
+    (("X0", "Z0"), 0.5, full_basis(1), r"G\^3 = G"),
+    # G = X0 + X1 maps to superpositions too, but fails G^3 = G first
+    (("X0", "X1"), 1.0, full_basis(2), r"G\^3 = G"),
+    (("X0", "X1"), 0.5, full_basis(2), "superposition"),
+    (("X0", "Z0"), 2.0 ** -0.5, full_basis(1), "superposition"),
+])
+def test_each_rejection_matches_the_sparse_products(labels, coeff, basis, message):
+    strings = tuple((pq.PauliString.from_label(basis.n_qubits, label), coeff) for label in labels)
+    with pytest.raises(ValueError, match=message):
+        _factor(strings, basis)
+    check_same_outcome(strings, basis)
+
+
+def test_cyclic_generator_fails_the_cubic_identity_as_with_sparse_products():
+    # G = |1><0| + |2><1| + |0><2| is not Hermitian; it keeps the register
+    # closed and has one entry per row, but G^3 is the identity on its support
+    cycle = np.zeros((4, 4))
+    cycle[1, 0] = cycle[2, 1] = cycle[0, 2] = 1.0
+    strings = []
+    for x in range(4):
+        for z in range(4):
+            string = pq.PauliString(2, x, z)
+            coeff = np.trace(dense_from_string(string) @ cycle) / 4
+            if abs(coeff) > 1e-12:
+                strings.append((string, complex(coeff)))
+    with pytest.raises(ValueError, match=r"G\^3 = G"):
+        _factor(tuple(strings), full_basis(2))
+    check_same_outcome(tuple(strings), full_basis(2))
+
+
+@st.composite
+def complex_generators(draw):
+    """(strings, basis): Pauli sums with complex weights, mostly not Hermitian."""
+    strings, basis = draw(any_generators())
+    weights = st.sampled_from([0.5j, -0.5j, 0.5 + 0.5j, 1.0, 0.5, -1.0j])
+    return tuple((s, draw(weights)) for s, _ in strings), basis
+
+
+@FACTORS
+@given(complex_generators())
+def test_non_hermitian_factor_checks_agree_with_the_sparse_products(case):
+    check_same_outcome(*case)
+
+
+def test_raising_operator_leaving_the_basis_is_kept_as_with_sparse_products():
+    # G = (X0 - i Y0)/2 = |1><0| maps |0> out of the basis {|0>} and never
+    # back: PG^2P = (PGP)^2 = 0, so the sparse checks accept it with an
+    # empty support although ||G|0>|| = 1
+    strings = ((pq.PauliString.from_label(1, "X0"), 0.5), (pq.PauliString.from_label(1, "Y0"), -0.5j))
+    basis = SectorBasis(1, -1, None, np.array([0], dtype=np.int64))
+    rows, cols, phases = _factor(strings, basis)
+    assert rows.size == cols.size == phases.size == 0
+    check_same_outcome(strings, basis)
 
 
 def small_problem(seed: int):

@@ -1,12 +1,16 @@
 """Run configuration, pipelines, error metrics, persistence, and the CLI."""
 
+import concurrent.futures
+import functools
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 import pnovqe as pq
-from pnovqe import cli
+from pnovqe import cli, workbench
 from pnovqe.workbench import (
     ConfigError,
     load_curve_csv,
@@ -205,6 +209,34 @@ class TestRunCurve:
         parallel = pq.run_curve(h2_config(xyz=H2_INLINE, scan=scan, workers=2))
         assert [p["coordinate"] for p in parallel.points] == list(scan)
         assert json.dumps(serial.points) == json.dumps(parallel.points)
+
+    def test_dead_worker_costs_only_its_point(self, tmp_path, monkeypatch):
+        # a worker that exits breaks the process pool; the curve must still
+        # return, and write, every other point
+        scan = (0.6, 0.8, 1.1)
+        run_point = workbench.run_point
+
+        def exit_at_0_8(config, coordinate):
+            if coordinate == 0.8:
+                os._exit(3)
+            return run_point(config, coordinate)
+
+        # forked workers see the patched run_point whatever the default start method
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=fork))
+        monkeypatch.setattr(workbench, "run_point", exit_at_0_8)
+        out = tmp_path / "out"
+        curve = pq.run_curve(h2_config(xyz=H2_INLINE, scan=scan, workers=2, output_dir=str(out)))
+        assert curve.failures == 1
+        assert [p["coordinate"] for p in curve.points] == list(scan)
+        assert curve.points[1]["error"].startswith("BrokenProcessPool")
+        serial = pq.run_curve(h2_config(xyz=H2_INLINE, scan=(0.6, 1.1), workers=1))
+        assert json.dumps([curve.points[0], curve.points[2]]) == json.dumps(serial.points)
+        written = json.loads((out / "run.json").read_text())["points"]
+        assert written == json.loads(json.dumps(curve.points))
+        rows = (out / "curve.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.6, 1.1]
 
     def test_per_point_failure_recorded(self):
         # R = 0 collapses the nuclei; the curve must continue past it
