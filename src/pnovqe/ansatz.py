@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .operators import FermionOperator, jordan_wigner
 from .pno import OrbitalSpace
@@ -59,6 +60,37 @@ class Ansatz:
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.reference, self.reference[1:])):
             raise ValueError("reference occupation must be strictly increasing")
+
+    @cached_property
+    def two_sz(self) -> int | None:
+        """n_up - n_down of the reference if every generator commutes with S_z, else None.
+
+        Qubit 2p is spin up and 2p + 1 spin down. The circuit keeps its
+        reference in the (N, S_z) sector when this is an integer and only in
+        its N sector otherwise; an odd register has no spin pairs.
+        """
+        if self.n_qubits % 2 or not all(_commutes_with_sz(g.strings) for g in self.generators):
+            return None
+        return sum(1 - 2 * (q % 2) for q in self.reference)
+
+
+def _commutes_with_sz(strings) -> bool:
+    """[S_z, G] = 0 for G = sum_m c_m P_m and S_z = sum_j w_j Z_j, w_j = -1/4 (even j), +1/4 (odd j).
+
+    Z_j anticommutes with P_m = P(x_m, z_m) where x_m has bit j, and then
+    Z_j P_m = +-i P(x_m, z_m ^ 2^j), -i where z_m has bit j. The commutator
+    2 sum_m sum_{j in x_m} w_j c_m Z_j P_m vanishes iff each of those strings
+    collects a zero sum.
+    """
+    total: dict = {}
+    for string, coeff in strings:
+        x, z = string.x, string.z
+        for j in range(x.bit_length()):
+            if x >> j & 1:
+                key = (x, z ^ (1 << j))
+                sign = (1 if j % 2 else -1) * (-1 if z >> j & 1 else 1)
+                total[key] = total.get(key, 0.0) + sign * coeff
+    return all(abs(value) < 1e-12 for value in total.values())
 
 
 def _generator_strings(op: FermionOperator, n_qubits: int) -> tuple:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from .integrals import HARTREE_TO_KCALMOL, write_fcidump
 from .workbench import (
     ANSATZ_CHOICES,
     RunConfig,
+    build_ansatz_for,
     compact_hamiltonian,
     load_config,
     load_curve_csv,
@@ -132,9 +134,8 @@ def cmd_vqe(args) -> int:
 def cmd_fci(args) -> int:
     config = _configure(args)
     stage = compact_hamiltonian(config, _first_coordinate(config))
-    sector = sector_basis(
-        config.n_qubits, stage["final"].n_electrons, two_sz=0
-    )
+    ansatz = build_ansatz_for(config, stage)
+    sector = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
     energy, _ = exact_ground_energy(stage["hamiltonian"], sector)
     print(f"E(FCI) = {energy:.10f} hartree ({config.n_qubits} qubits)")
     return 0
@@ -221,6 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the imports are done: later full collections skip their objects
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -142,12 +142,13 @@ class QubitOperator:
     ``COEFF_CUTOFF`` pruned. Instances are treated as immutable.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_compiled", "_max_imag")
+    __slots__ = ("n_qubits", "_terms", "_compiled", "_real", "_max_imag")
 
     def __init__(self, n_qubits: int, terms: dict | None = None):
         self.n_qubits = n_qubits
         self._terms = {}
         self._compiled = None
+        self._real = None       # Re(matrix) per basis, kept by exact.sector_matrix
         self._max_imag = None
         if terms:
             for key, coeff in terms.items():

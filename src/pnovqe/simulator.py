@@ -3,13 +3,21 @@
 Amplitudes are indexed by a sorted array of basis bitmasks (bit j is qubit
 j). Every circuit factor exp(-i theta/2 G) has a Hermitian generator with
 G^3 = G that is a phased permutation of its support, G|cols> = phases|rows>,
-so it updates the support in place as v[rows] = cos(theta/2) v[rows] -
-i sin(theta/2) phases v[cols]. Factors and reference vector are prepared
-once per (ansatz, basis) and kept on the ``Ansatz`` with the last forward
-state, which a call at bit-equal parameters reuses. VQE energies and
-adjoint gradients run on the reference's particle-number sector, so their
-memory follows the sector, not 2^n; only the ``Statevector`` functions and
-the per-rotation shift rule, whose circuits leave the sector, use 2^n.
+so it updates the support in place as v[rows] = cos(theta/2) v[rows] +
+sin(theta/2) signs v[cols] with signs = -i phases. Every excitation
+generator has phases +-i, so its signs are real +-1 and a real reference
+stays real. Factors and reference vector are prepared once per (ansatz,
+basis) and kept on the ``Ansatz`` with the last forward state, which a call
+at bit-equal parameters reuses.
+
+VQE energies and adjoint gradients run on the sector the circuit keeps its
+reference in: the (N, S_z) sector when every generator commutes with S_z
+(``Ansatz.two_sz``), else the N sector. The exact solve of a point uses the
+same basis. There the state is float64, and for a Hermitian H a real state
+sees only Re(H), so the sweeps read the float64 ``exact.sector_matrix``
+that the exact solve shares. Only the ``Statevector`` functions and the
+per-rotation shift rule, whose circuits leave the sector, use complex 2^n
+vectors.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import Ansatz
-from .exact import SectorBasis, full_basis, sector_basis
+from .exact import SectorBasis, full_basis, sector_basis, sector_matrix
 from .operators import PauliString, QubitOperator
 
 MAX_QUBITS = 26
@@ -58,14 +66,14 @@ def _register(n_qubits: int) -> SectorBasis:
     return full_basis(n_qubits)
 
 
-def _basis_vector(basis: SectorBasis, occupied) -> np.ndarray:
+def _basis_vector(basis: SectorBasis, occupied, dtype=complex) -> np.ndarray:
     """Amplitudes of the basis state with the listed qubits set to 1."""
     occupied = list(occupied)
     if len(set(occupied)) != len(occupied):
         raise ValueError("duplicate index in reference occupation")
     if any(j >= basis.n_qubits or j < 0 for j in occupied):
         raise ValueError("reference index outside register")
-    vec = np.zeros(basis.dim, dtype=complex)
+    vec = np.zeros(basis.dim, dtype=dtype)
     vec[np.searchsorted(basis.states, sum(1 << j for j in occupied))] = 1.0
     return vec
 
@@ -88,7 +96,20 @@ def _cube_defect(rows, cols, phases, dim: int) -> float:
     return float(defect.max(initial=0.0))
 
 
-def _factor(strings, basis: SectorBasis) -> tuple:
+class _Factor(tuple):
+    """(rows, cols, phases) with G|cols> = phases|rows>, and ``signs`` = -i phases.
+
+    The rotation reads ``signs``, float64 where they are exactly real.
+    """
+
+    def __new__(cls, rows, cols, phases):
+        factor = super().__new__(cls, (rows, cols, phases))
+        signs = -1j * phases
+        factor.signs = signs if signs.imag.any() else signs.real.copy()
+        return factor
+
+
+def _factor(strings, basis: SectorBasis) -> _Factor:
     """G = sum_m c_m P_m on the basis as (rows, cols, phases): G|cols> = phases|rows>.
 
     Raises unless G keeps the basis closed, satisfies G^3 = G there and maps
@@ -111,19 +132,19 @@ def _factor(strings, basis: SectorBasis) -> tuple:
             raise ValueError("generator does not satisfy G^3 = G on the basis")
         if per_row.max(initial=0) > 1:
             raise ValueError("generator maps a basis state to a superposition of basis states")
-        return rows, cols, phases
+        return _Factor(rows, cols, phases)
     inside = np.bincount(g.indices, weights=np.abs(g.data) ** 2, minlength=basis.dim)
     if np.max(gen.image_norms(basis.states) - inside, initial=0.0) > 1e-10:
         raise ValueError("generator maps a basis state outside the basis")
     if _cube_defect(rows, cols, phases, basis.dim) > 1e-10:
         raise ValueError("generator does not satisfy G^3 = G on the basis")
-    return rows, cols, phases
+    return _Factor(rows, cols, phases)
 
 
-def _rotate(vec: np.ndarray, factor: tuple, angle: float) -> None:
+def _rotate(vec: np.ndarray, factor: _Factor, angle: float) -> None:
     """exp(-i angle/2 G) vec, in place: G^2 is the projector onto the rows."""
-    rows, cols, phases = factor
-    vec[rows] = math.cos(0.5 * angle) * vec[rows] - 1j * math.sin(0.5 * angle) * phases * vec[cols]
+    rows, cols, _ = factor
+    vec[rows] = math.cos(0.5 * angle) * vec[rows] + math.sin(0.5 * angle) * factor.signs * vec[cols]
 
 
 def apply_pauli_rotation(state: Statevector, string: PauliString, angle: float) -> Statevector:
@@ -147,7 +168,10 @@ def _evolve(vec: np.ndarray, factors, angles) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Circuit:
-    """An ansatz's factors and reference vector on one basis, and its last forward state."""
+    """An ansatz's factors and reference vector on one basis, and its last forward state.
+
+    The reference is float64 when every factor's signs are, complex otherwise.
+    """
 
     factors: tuple
     reference: np.ndarray
@@ -165,7 +189,8 @@ def _prepared(ansatz: Ansatz, basis: SectorBasis) -> _Circuit:
     """The ansatz's circuit on the basis, built on first use and kept on the ansatz."""
     if basis not in ansatz._prepared:
         factors = tuple(_factor(gen.strings, basis) for gen in ansatz.generators)
-        ansatz._prepared[basis] = _Circuit(factors, _basis_vector(basis, ansatz.reference))
+        dtype = np.result_type(float, *(factor.signs for factor in factors))
+        ansatz._prepared[basis] = _Circuit(factors, _basis_vector(basis, ansatz.reference, dtype))
     return ansatz._prepared[basis]
 
 
@@ -185,11 +210,11 @@ def ansatz_state(ansatz: Ansatz, theta) -> Statevector:
 
 
 def _sector_state(op: QubitOperator, ansatz: Ansatz, theta) -> tuple:
-    """Basis, circuit and read-only circuit state in the reference's particle-number sector."""
+    """Basis, circuit and read-only circuit state in the sector the circuit keeps its reference in."""
     if op.n_qubits != ansatz.n_qubits:
         raise ValueError("operator register does not match the state")
     theta = _parameters(ansatz, theta)
-    basis = sector_basis(ansatz.n_qubits, len(ansatz.reference))
+    basis = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
     circuit = _prepared(ansatz, basis)
     key = theta.tobytes()
     last_key, psi = circuit.last
@@ -200,12 +225,17 @@ def _sector_state(op: QubitOperator, ansatz: Ansatz, theta) -> tuple:
     return basis, circuit, psi
 
 
-def _expectation(op: QubitOperator, vec: np.ndarray, basis: SectorBasis) -> float:
+def _hermitian_matrix(op: QubitOperator, vec: np.ndarray, basis: SectorBasis):
+    """The Hermitian op on the basis as ``vec`` needs it: Re(op) for a real vec."""
     if op.n_qubits != basis.n_qubits:
         raise ValueError("operator register does not match the state")
     if op.max_imag() >= 1e-8:
         raise ValueError("operator is not Hermitian (complex coefficients)")
-    value = np.vdot(vec, op.matrix(basis.states) @ vec)
+    return op.matrix(basis.states) if np.iscomplexobj(vec) else sector_matrix(op, basis)
+
+
+def _expectation(op: QubitOperator, vec: np.ndarray, basis: SectorBasis) -> float:
+    value = np.vdot(vec, _hermitian_matrix(op, vec, basis) @ vec)
     if abs(value.imag) > 1e-10:
         raise RuntimeError("expectation value has a non-negligible imaginary part")
     return float(value.real)
@@ -222,7 +252,7 @@ def expectation(state: Statevector, op: QubitOperator) -> float:
 
 
 def ansatz_expectation(op: QubitOperator, ansatz: Ansatz, theta) -> float:
-    """Circuit energy, evaluated in the reference's particle-number sector."""
+    """Circuit energy, evaluated in the sector the circuit keeps its reference in."""
     basis, _, psi = _sector_state(op, ansatz, theta)
     return _expectation(op, psi, basis)
 
@@ -230,7 +260,7 @@ def ansatz_expectation(op: QubitOperator, ansatz: Ansatz, theta) -> float:
 def gradient(op: QubitOperator, ansatz: Ansatz, theta, method: str = "adjoint") -> np.ndarray:
     """d<H>/d(theta_k) for every parameter.
 
-    ``adjoint`` runs the exact reverse sweep in the particle-number sector;
+    ``adjoint`` runs the exact reverse sweep in the circuit's sector;
     ``shift`` applies the two-point rule exp-value difference at +-pi/2 to
     each Pauli rotation of a generator on the full register and sums the
     contributions. Both are exact and agree to tight tolerance.
@@ -241,12 +271,12 @@ def gradient(op: QubitOperator, ansatz: Ansatz, theta, method: str = "adjoint") 
     if method != "adjoint":
         raise ValueError(f"unknown gradient method {method!r}")
     basis, circuit, psi = _sector_state(op, ansatz, theta)
-    lam = op.matrix(basis.states) @ psi
+    lam = _hermitian_matrix(op, psi, basis) @ psi
     psi = psi.copy()
     grad = np.zeros(ansatz.n_parameters)
     for k in range(ansatz.n_parameters - 1, -1, -1):
-        rows, cols, phases = factor = circuit.factors[k]
-        grad[k] = np.vdot(lam[rows], phases * psi[cols]).imag    # <lam|G_k|psi>
+        rows, cols, _ = factor = circuit.factors[k]
+        grad[k] = np.vdot(lam[rows], factor.signs * psi[cols]).real    # Im <lam|G_k|psi>
         _rotate(psi, factor, -theta[k])
         _rotate(lam, factor, -theta[k])
     return grad

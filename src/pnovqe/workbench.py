@@ -15,6 +15,7 @@ files when run serially.
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
@@ -323,7 +324,8 @@ def run_point(config: RunConfig, coordinate=None) -> dict:
         restarts=config.restarts,
         seed=config.seed,
     )
-    sector = sector_basis(config.n_qubits, final.n_electrons, two_sz=0)
+    # the basis the VQE ran on, so the exact solve reads the matrix it built
+    sector = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
     e_fci, _ = exact_ground_energy(hamiltonian, sector)
     if vqe.fun < e_fci - 1e-9:
         raise RuntimeError("variational bound violated: VQE below FCI")
@@ -386,7 +388,8 @@ def _pool_map(payloads, workers: int) -> list:
     """``_point_worker`` per payload in a process pool; a point whose worker died gets an error record."""
     from concurrent.futures.process import BrokenProcessPool   # loads multiprocessing
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    # a frozen heap keeps the import-time objects out of the workers' full collections
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
         futures = [pool.submit(_point_worker, payload) for payload in payloads]
     points = []
     for future, (_, coordinate) in zip(futures, payloads):

@@ -18,9 +18,10 @@ qubit operator onto a basis, one X group and one term at a time.
 
 The state-engine oracles at the end do use the package's Pauli kernel and
 energy: the sparse-G form of a G^3 = G factor and the sparse checks that
-build it (the references for the simulator's support form), central finite
-differences of the energy, a dense spectrum, and the projection onto paired
-determinants.
+build it (the references for the simulator's support form), the complex
+sweep in the reference's particle-number sector that the real (N, S_z)
+sweep must reproduce, central finite differences of the energy, a dense
+spectrum, and the projection onto paired determinants.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from operator import itemgetter
 import numpy as np
 import scipy.sparse
 
+from pnovqe.exact import sector_basis
 from pnovqe.integrals import AOIntegralSet, IntegralSet, _prim_norm, boys
 from pnovqe.operators import (
     _PHASES, COEFF_CUTOFF, FermionOperator, QubitOperator, _mul_masks,
@@ -483,6 +485,35 @@ def reference_rotate(vec: np.ndarray, g, angle: float) -> np.ndarray:
     """exp(-i angle/2 G) vec for a sparse generator with G^3 = G."""
     g_vec = g @ vec
     return vec + (np.cos(0.5 * angle) - 1.0) * (g @ g_vec) - 1j * np.sin(0.5 * angle) * g_vec
+
+
+def reference_sector_sweep(op: QubitOperator, ansatz, theta) -> tuple:
+    """(energy, adjoint gradient) by a complex sweep in the reference's N sector.
+
+    Factors come from ``reference_factor`` and rotate as v[rows] =
+    cos(a/2) v[rows] - i sin(a/2) phases v[cols]; the energy and the terms
+    Im <lam|G_k|psi> read the complex ``op.matrix`` of the sector.
+    """
+    basis = sector_basis(ansatz.n_qubits, len(ansatz.reference))
+    factors = [reference_factor(gen.strings, basis) for gen in ansatz.generators]
+
+    def rotate(vec, factor, angle):
+        rows, cols, phases = factor
+        vec[rows] = math.cos(0.5 * angle) * vec[rows] - 1j * math.sin(0.5 * angle) * phases * vec[cols]
+
+    psi = np.zeros(basis.dim, dtype=complex)
+    psi[np.searchsorted(basis.states, sum(1 << q for q in ansatz.reference))] = 1.0
+    for factor, angle in zip(factors, theta):
+        rotate(psi, factor, angle)
+    lam = op.matrix(basis.states) @ psi
+    energy = float(np.vdot(psi, lam).real)
+    grad = np.zeros(len(factors))
+    for k in range(len(factors) - 1, -1, -1):
+        rows, cols, phases = factors[k]
+        grad[k] = np.vdot(lam[rows], phases * psi[cols]).imag
+        rotate(psi, factors[k], -theta[k])
+        rotate(lam, factors[k], -theta[k])
+    return energy, grad
 
 
 def finite_difference_gradient(op, ansatz, theta, step: float = 1e-5) -> np.ndarray:
