@@ -16,8 +16,8 @@ of a term-by-term loop, starting from 0, and that keys keep the order in
 which such a loop first meets them; the block sizes are constants that
 change no bit. The operators, and every energy computed from them, are
 therefore the same to the last bit whatever the blocking. Pauli masks are
-int64 columns, so the array code covers registers of up to
-``MAX_MASK_QUBITS`` qubits.
+int64 columns, so the array code, ``QubitOperator.to_text`` included,
+covers registers of up to ``MAX_MASK_QUBITS`` qubits.
 """
 
 from __future__ import annotations
@@ -285,22 +285,6 @@ class QubitOperator:
         self._compiled[key] = mat
         return mat
 
-    def image_norms(self, states: np.ndarray) -> np.ndarray:
-        """||op|s>||^2 for every basis state s, images outside ``states`` included.
-
-        The strings of one X mask x map |s> to the single state |s ^ x>, so
-        the norm sums |<s ^ x| op |s>|^2 over the X groups. For a Hermitian
-        operator this is the diagonal of op^2 on the register.
-        """
-        masks = np.fromiter(chain.from_iterable(self._terms), np.int64, 2 * len(self._terms))
-        x, z = masks[0::2], masks[1::2]
-        coeffs = np.fromiter(self._terms.values(), complex, len(self._terms))
-        coeffs *= np.asarray(_PHASES)[np.bitwise_count(x & z) & 3]
-        xs, group = np.unique(x, return_inverse=True)
-        signs = 1 - 2 * (np.bitwise_count(states & z[:, None]) & 1).astype(float)
-        images = ((np.arange(xs.size)[:, None] == group) * coeffs) @ signs   # per X group
-        return np.sum(np.abs(images) ** 2, axis=0)
-
     def to_dense(self) -> np.ndarray:
         """Dense matrix in the little-endian computational basis."""
         if self.n_qubits > 14:
@@ -308,15 +292,28 @@ class QubitOperator:
         return self.matrix(np.arange(1 << self.n_qubits, dtype=np.int64)).toarray()
 
     def to_text(self) -> str:
-        """One term per line, ``coeff  P0 P1 ...``; round-trips exactly."""
+        """One term per line, ``coeff  P0 P1 ...``; round-trips exactly.
+
+        Terms are ordered by weight, then X mask, then Z mask, and each label
+        lists the string's Paulis by ascending qubit, as ``PauliString.label``.
+        """
+        n_terms = len(self._terms)
+        masks = np.fromiter(chain.from_iterable(self._terms), np.int64, 2 * n_terms)
+        x, z = masks[0::2], masks[1::2]
+        order = np.lexsort((z, x, np.bitwise_count(x | z)))
+        # code 1 is X, 2 is Z, 3 is Y, per (term, qubit)
+        qubits = np.arange(int(np.bitwise_or.reduce(masks, initial=0)).bit_length())
+        codes = ((x[order, None] >> qubits) & 1) | (((z[order, None] >> qubits) & 1) << 1)
+        term, qubit = np.nonzero(codes)
+        table = [f"{letter}{j}" for j in qubits.tolist() for letter in ("", "X", "Z", "Y")]
+        words = [table[k] for k in (4 * qubit + codes[term, qubit]).tolist()]
+        ends = np.searchsorted(term, np.arange(n_terms + 1)).tolist()
+        coeffs = list(self._terms.values())
         lines = []
-        for (x, z) in sorted(self._terms, key=lambda k: ((k[0] | k[1]).bit_count(), k)):
-            coeff = self._terms[(x, z)]
-            if abs(coeff.imag) < COEFF_CUTOFF:
-                num = repr(coeff.real)
-            else:
-                num = repr(coeff)
-            lines.append(f"{num} {PauliString(self.n_qubits, x, z).label()}")
+        for t, lo, hi in zip(order.tolist(), ends, ends[1:]):
+            coeff = coeffs[t]
+            num = repr(coeff.real) if abs(coeff.imag) < COEFF_CUTOFF else repr(coeff)
+            lines.append(f"{num} {' '.join(words[lo:hi]) or 'I'}")
         return "\n".join(lines) + "\n"
 
     @classmethod

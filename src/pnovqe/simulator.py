@@ -6,9 +6,11 @@ G^3 = G that is a phased permutation of its support, G|cols> = phases|rows>,
 so it updates the support in place as v[rows] = cos(theta/2) v[rows] +
 sin(theta/2) signs v[cols] with signs = -i phases. Every excitation
 generator has phases +-i, so its signs are real +-1 and a real reference
-stays real. Factors and reference vector are prepared once per (ansatz,
-basis) and kept on the ``Ansatz`` with the last forward state, which a call
-at bit-equal parameters reuses.
+stays real. ``_factors`` builds and checks the factors of a whole circuit in
+one blocked array pass over its (generator, X mask) groups, with the same
+bits as each generator's ``QubitOperator.matrix``. Factors and reference
+vector are prepared once per (ansatz, basis) and kept on the ``Ansatz``
+with the last forward state, which a call at bit-equal parameters reuses.
 
 VQE energies and adjoint gradients run on the sector the circuit keeps its
 reference in: the (N, S_z) sector when every generator commutes with S_z
@@ -24,14 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .ansatz import Ansatz
 from .exact import SectorBasis, full_basis, sector_basis, sector_matrix
-from .operators import PauliString, QubitOperator
+from .operators import _PHASES, COEFF_CUTOFF, PauliString, QubitOperator, _signed_sums
 
 MAX_QUBITS = 26
+# ``_factors`` takes whole generators in blocks of about this many (X group,
+# basis state) pairs, so its per-pair arrays stay near 32 KiB each unless one
+# generator alone has more pairs.
+_FACTOR_BLOCK = 1 << 12
 
 
 class Statevector:
@@ -83,19 +90,6 @@ def prepare_reference(n_qubits: int, occupied) -> Statevector:
     return Statevector(n_qubits, _basis_vector(_register(n_qubits), occupied))
 
 
-def _cube_defect(rows, cols, phases, dim: int) -> float:
-    """max |G^3 - G| for G with the single entry phases[k] at (rows[k], cols[k]) of its rows."""
-    after = np.full(dim + 1, dim)           # the column each row maps to; row dim is empty
-    after[rows] = cols
-    entry = np.zeros(dim + 1, dtype=complex)
-    entry[rows] = phases
-    middle = after[cols]
-    cube = phases * entry[cols] * entry[middle]   # G^3 has it at column after[middle]
-    same = after[middle] == cols
-    defect = np.where(same, np.abs(cube - phases), np.maximum(np.abs(cube), np.abs(phases)))
-    return float(defect.max(initial=0.0))
-
-
 class _Factor(tuple):
     """(rows, cols, phases) with G|cols> = phases|rows>, and ``signs`` = -i phases.
 
@@ -109,36 +103,133 @@ class _Factor(tuple):
         return factor
 
 
-def _factor(strings, basis: SectorBasis) -> _Factor:
-    """G = sum_m c_m P_m on the basis as (rows, cols, phases): G|cols> = phases|rows>.
+def _generator_terms(strings, n_qubits: int) -> dict:
+    """The terms of G = sum_m c_m P_m, as summing one ``QubitOperator`` per string keeps them.
 
-    Raises unless G keeps the basis closed, satisfies G^3 = G there and maps
-    each basis state to a single basis state. For real c_m (a Hermitian G,
-    as in every ansatz) and one entry per row, the checks run on the
-    support: G maps s outside the basis where the basis part of ||G|s>||^2,
-    the diagonal of G^2, falls short of the whole, and G^3 = G is checked row
-    by row along the permutation. Any other G is checked with the sparse
-    products PG^2P = (PGP)^2 and G^3 = G, in the same order.
+    Each coefficient is added to its string's term in order, starting from 0;
+    a coefficient or a sum below ``COEFF_CUTOFF`` drops the term.
     """
-    gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
+    terms: dict = {}
+    for string, coeff in strings:
+        if string.n_qubits != n_qubits:
+            raise ValueError("qubit-count mismatch between operators")
+        if abs(coeff) < COEFF_CUTOFF:
+            continue
+        key = (string.x, string.z)
+        value = terms.get(key, 0.0) + complex(coeff)
+        if abs(value) >= COEFF_CUTOFF:
+            terms[key] = value
+        else:
+            del terms[key]
+    return terms
+
+
+def _check_by_products(gen: QubitOperator, basis: SectorBasis) -> None:
+    """Raise unless PG^2P = (PGP)^2 and G^3 = G on the basis, as sparse products."""
     g = gen.matrix(basis.states)
-    per_row = np.diff(g.indptr)
-    rows, cols, phases = np.flatnonzero(per_row), g.indices.astype(np.intp), g.data
-    if per_row.max(initial=0) > 1 or gen.max_imag() > 0:
-        g2 = g @ g
-        if abs(g2 - (gen * gen).matrix(basis.states)).max() > 1e-10:
-            raise ValueError("generator maps a basis state outside the basis")
-        if abs(g2 @ g - g).max() > 1e-10:
-            raise ValueError("generator does not satisfy G^3 = G on the basis")
-        if per_row.max(initial=0) > 1:
-            raise ValueError("generator maps a basis state to a superposition of basis states")
-        return _Factor(rows, cols, phases)
-    inside = np.bincount(g.indices, weights=np.abs(g.data) ** 2, minlength=basis.dim)
-    if np.max(gen.image_norms(basis.states) - inside, initial=0.0) > 1e-10:
+    g2 = g @ g
+    if abs(g2 - (gen * gen).matrix(basis.states)).max() > 1e-10:
         raise ValueError("generator maps a basis state outside the basis")
-    if _cube_defect(rows, cols, phases, basis.dim) > 1e-10:
+    if abs(g2 @ g - g).max() > 1e-10:
         raise ValueError("generator does not satisfy G^3 = G on the basis")
-    return _Factor(rows, cols, phases)
+
+
+def _factors(generators, basis: SectorBasis) -> list:
+    """Each G = sum_m c_m P_m of ``generators`` on the basis as (rows, cols, phases).
+
+    G|cols> = phases|rows>. Raises the first failing generator's error unless
+    G keeps the basis closed, satisfies G^3 = G there and maps each basis
+    state to a single basis state. The strings of all generators are
+    numbered together, and the generators are taken in blocks of about
+    ``_FACTOR_BLOCK`` (X group, basis state) pairs, each group's images
+    probed with one ``searchsorted``. An entry sums its group's terms in
+    ascending Z order from 0, as ``QubitOperator.matrix`` does, so a factor
+    holds the same bits as its generator's sector matrix whatever the
+    blocking. For real c_m (a Hermitian G, as in every ansatz) and one entry
+    per row, the checks are array code over the block: the weight G sends
+    outside the basis, and G^3 = G row by row along the permutation. Any
+    other G is checked with the sparse products PG^2P = (PGP)^2 and G^3 = G,
+    in the same order.
+    """
+    states, dim = basis.states, basis.dim
+    terms = [_generator_terms(strings, basis.n_qubits) for strings in generators]
+    owner = np.repeat(np.arange(len(terms)), [len(t) for t in terms])
+    masks = np.fromiter(chain.from_iterable(chain.from_iterable(terms)), np.int64, 2 * owner.size)
+    coeffs = np.fromiter(chain.from_iterable(t.values() for t in terms), complex, owner.size)
+    complex_gen = np.zeros(len(terms), bool)
+    complex_gen[owner[coeffs.imag != 0]] = True
+    order = np.lexsort((masks[1::2], masks[0::2], owner))
+    owner, x, z, coeffs = owner[order], masks[0::2][order], masks[1::2][order], coeffs[order]
+    coeffs *= np.asarray(_PHASES)[np.bitwise_count(x & z) & 3]
+    parts = [part if part.any() else None for part in (coeffs.real, coeffs.imag)]
+    new = np.ones(owner.size, bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=owner.size)
+    # generator k owns the groups first_group[k]:first_group[k + 1]
+    first_group = np.searchsorted(owner[starts], np.arange(len(terms) + 1))
+    cost = np.maximum(np.diff(first_group), 1) * max(dim, 1)
+    block = (np.cumsum(cost) - cost) // _FACTOR_BLOCK
+    edges = np.flatnonzero(np.diff(block, prepend=-1, append=-1)).tolist()
+    factors = []
+    for lo, hi in zip(edges, edges[1:]):
+        n, width = hi - lo, dim + 1
+        # the block's groups by decreasing size, so the pairs whose group has
+        # a k-th term are a prefix, as ``_signed_sums`` needs
+        groups = np.arange(first_group[lo], first_group[hi])
+        groups = groups[np.argsort(-sizes[groups], kind="stable")]
+        images = states ^ x[starts[groups], None]
+        pos = np.minimum(np.searchsorted(states, images), dim - 1).ravel()
+        found = states[pos] == images.ravel()
+        first, kept = np.repeat(starts[groups], dim), np.tile(states, groups.size)
+        active = dim * np.searchsorted(-sizes[groups], -np.arange(sizes[groups].max(initial=0)))
+        values = np.empty(first.size, complex)
+        values.real, values.imag = (
+            0.0 if part is None else _signed_sums(part, z, first, kept, active) for part in parts
+        )
+        local, nonzero = owner[first] - lo, values != 0
+        # cell g * width + r holds the entry in row r of the block's generator
+        # g; row dim stays empty
+        hit = np.flatnonzero(found & nonzero)
+        cell = local[hit] * width + pos[hit]
+        count = np.bincount(cell, minlength=n * width)
+        after = np.full(n * width, dim)
+        after[cell] = hit % dim
+        entry = np.zeros(n * width, complex)
+        entry[cell] = values[hit]
+        miss = np.flatnonzero(~found & nonzero)
+        leak = np.bincount(local[miss] * dim + miss % dim, np.abs(values[miss]) ** 2, n * dim)
+        leaking = leak.reshape(n, dim).max(axis=1, initial=0.0) > 1e-10
+        superposed = np.zeros(n, bool)
+        superposed[np.flatnonzero(count > 1) // width] = True
+        cell = np.flatnonzero(count)
+        gen, rows, cols, phases = cell // width, cell % width, after[cell], entry[cell]
+        # G^3 has phases * entry[cols] * entry[middle] at column after[middle]
+        base = gen * width
+        middle = after[base + cols]
+        cube = phases * entry[base + cols] * entry[base + middle]
+        same = after[base + middle] == cols
+        defect = np.where(same, np.abs(cube - phases), np.maximum(np.abs(cube), np.abs(phases)))
+        not_cubic = np.zeros(n, bool)
+        not_cubic[gen[defect > 1e-10]] = True
+        bounds = np.searchsorted(gen, np.arange(n + 1)).tolist()
+        for k in range(n):
+            if superposed[k] or complex_gen[lo + k]:
+                _check_by_products(QubitOperator._simplified(basis.n_qubits, terms[lo + k]), basis)
+                if superposed[k]:
+                    raise ValueError("generator maps a basis state to a superposition of basis states")
+            elif leaking[k]:
+                raise ValueError("generator maps a basis state outside the basis")
+            elif not_cubic[k]:
+                raise ValueError("generator does not satisfy G^3 = G on the basis")
+            sl = slice(bounds[k], bounds[k + 1])
+            factors.append(_Factor(rows[sl], cols[sl], phases[sl]))
+    return factors
+
+
+def _factor(strings, basis: SectorBasis) -> _Factor:
+    """G = sum_m c_m P_m on the basis as (rows, cols, phases); see ``_factors``."""
+    return _factors((strings,), basis)[0]
 
 
 def _rotate(vec: np.ndarray, factor: _Factor, angle: float) -> None:
@@ -188,7 +279,7 @@ def _parameters(ansatz: Ansatz, theta) -> np.ndarray:
 def _prepared(ansatz: Ansatz, basis: SectorBasis) -> _Circuit:
     """The ansatz's circuit on the basis, built on first use and kept on the ansatz."""
     if basis not in ansatz._prepared:
-        factors = tuple(_factor(gen.strings, basis) for gen in ansatz.generators)
+        factors = tuple(_factors([gen.strings for gen in ansatz.generators], basis))
         dtype = np.result_type(float, *(factor.signs for factor in factors))
         ansatz._prepared[basis] = _Circuit(factors, _basis_vector(basis, ansatz.reference, dtype))
     return ansatz._prepared[basis]
@@ -289,7 +380,7 @@ def _gradient_shift(op, ansatz, theta) -> np.ndarray:
         for k, gen in enumerate(ansatz.generators)
         for string, coeff in gen.strings
     ]
-    factors = [_factor(((string, 1.0),), basis) for _, string, _ in rotations]
+    factors = _factors([((string, 1.0),) for _, string, _ in rotations], basis)
     angles = np.array([theta[k] * coeff for k, _, coeff in rotations])
     reference = _basis_vector(basis, ansatz.reference)
     grad = np.zeros(ansatz.n_parameters)

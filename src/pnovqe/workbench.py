@@ -53,6 +53,7 @@ from .pno import (
 from .scf import run_rhf, transform_to_mo
 
 ANSATZ_CHOICES = ("upccgsd", "pno-upccd", "pno-upccsd", "pno-upccgd")
+GRADIENT_METHODS = ("adjoint", "shift")
 _VARIANT_MAP = {
     "pno-upccd": "UpCCD",
     "pno-upccsd": "UpCCSD",
@@ -114,6 +115,10 @@ class RunConfig:
             b <= a for a, b in zip(self.scan, self.scan[1:])
         ):
             raise ConfigError("scan values must be strictly increasing")
+        tags = [_point_tag(v) for v in self.scan]
+        for a, b, tag, other in zip(self.scan, self.scan[1:], tags, tags[1:]):
+            if tag == other:
+                raise ConfigError(f"scan values {a!r} and {b!r} share the artifact tag {tag}")
         if self.scan:
             if self.integral_source == "fcidump" and "{R}" not in self.fcidump:
                 raise ConfigError("scan over fcidump source needs {R} in the path")
@@ -121,6 +126,16 @@ class RunConfig:
                 raise ConfigError("scan needs a {R} placeholder in the geometry")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.gradient_method not in GRADIENT_METHODS:
+            raise ConfigError(f"unknown gradient_method {self.gradient_method!r}")
+        if self.layers < 1:
+            raise ConfigError("layers must be >= 1")
+        if self.restarts < 0:
+            raise ConfigError("restarts must be >= 0")
+        if self.max_iter < 0:
+            raise ConfigError("max_iter must be >= 0")
+        if not self.grad_tol > 0:
+            raise ConfigError("grad_tol must be > 0")
         return self
 
     def to_dict(self) -> dict:

@@ -13,12 +13,15 @@ reference the package's array code is compared against.
 
 The operator oracles are the term-by-term loops the package's array code
 must reproduce bit for bit: the spin-orbital expansion of the integrals,
-the Jordan-Wigner product of the ladder images, and the projection of a
-qubit operator onto a basis, one X group and one term at a time.
+the Jordan-Wigner product of the ladder images, the projection of a qubit
+operator onto a basis, one X group and one term at a time, and the text
+form of a qubit operator, one label per term.
 
 The state-engine oracles at the end do use the package's Pauli kernel and
 energy: the sparse-G form of a G^3 = G factor and the sparse checks that
-build it (the references for the simulator's support form), the complex
+build it (the references for the simulator's support form), the
+one-generator build of a support-form factor from its sector matrix (the
+reference for the batched factor pass), the complex
 sweep in the reference's particle-number sector that the real (N, S_z)
 sweep must reproduce, central finite differences of the energy, a dense
 spectrum, and the projection onto paired determinants.
@@ -27,7 +30,7 @@ spectrum, and the projection onto paired determinants.
 from __future__ import annotations
 
 import math
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from operator import itemgetter
 
 import numpy as np
@@ -36,9 +39,9 @@ import scipy.sparse
 from pnovqe.exact import sector_basis
 from pnovqe.integrals import AOIntegralSet, IntegralSet, _prim_norm, boys
 from pnovqe.operators import (
-    _PHASES, COEFF_CUTOFF, FermionOperator, QubitOperator, _mul_masks,
+    _PHASES, COEFF_CUTOFF, FermionOperator, PauliString, QubitOperator, _mul_masks,
 )
-from pnovqe.simulator import ansatz_expectation
+from pnovqe.simulator import _Factor, ansatz_expectation
 
 
 def apply_ladder(mask: int, index: int, creation: bool):
@@ -466,6 +469,19 @@ def reference_matrix(op: QubitOperator, states: np.ndarray) -> scipy.sparse.csr_
     )
 
 
+def reference_to_text(op: QubitOperator) -> str:
+    """One term per line, sorted by (weight, (X mask, Z mask)), labels from ``PauliString.label``."""
+    lines = []
+    for (x, z) in sorted(op._terms, key=lambda k: ((k[0] | k[1]).bit_count(), k)):
+        coeff = op._terms[(x, z)]
+        if abs(coeff.imag) < COEFF_CUTOFF:
+            num = repr(coeff.real)
+        else:
+            num = repr(coeff)
+        lines.append(f"{num} {PauliString(op.n_qubits, x, z).label()}")
+    return "\n".join(lines) + "\n"
+
+
 def reference_factor(strings, basis) -> tuple:
     """(rows, cols, phases) of G = sum_m c_m P_m, checked with sparse products of G."""
     gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
@@ -479,6 +495,66 @@ def reference_factor(strings, basis) -> tuple:
     if per_row.max(initial=0) > 1:
         raise ValueError("generator maps a basis state to a superposition of basis states")
     return np.flatnonzero(per_row), g.indices.astype(np.intp), g.data
+
+
+def _cube_defect(rows, cols, phases, dim: int) -> float:
+    """max |G^3 - G| for G with the single entry phases[k] at (rows[k], cols[k]) of its rows."""
+    after = np.full(dim + 1, dim)           # the column each row maps to; row dim is empty
+    after[rows] = cols
+    entry = np.zeros(dim + 1, dtype=complex)
+    entry[rows] = phases
+    middle = after[cols]
+    cube = phases * entry[cols] * entry[middle]   # G^3 has it at column after[middle]
+    same = after[middle] == cols
+    defect = np.where(same, np.abs(cube - phases), np.maximum(np.abs(cube), np.abs(phases)))
+    return float(defect.max(initial=0.0))
+
+
+def _image_norms(op: QubitOperator, states: np.ndarray) -> np.ndarray:
+    """||op|s>||^2 for every basis state s, images outside ``states`` included.
+
+    The strings of one X mask x map |s> to the single state |s ^ x>, so
+    the norm sums |<s ^ x| op |s>|^2 over the X groups. For a Hermitian
+    operator this is the diagonal of op^2 on the register.
+    """
+    masks = np.fromiter(chain.from_iterable(op._terms), np.int64, 2 * len(op._terms))
+    x, z = masks[0::2], masks[1::2]
+    coeffs = np.fromiter(op._terms.values(), complex, len(op._terms))
+    coeffs *= np.asarray(_PHASES)[np.bitwise_count(x & z) & 3]
+    xs, group = np.unique(x, return_inverse=True)
+    signs = 1 - 2 * (np.bitwise_count(states & z[:, None]) & 1).astype(float)
+    images = ((np.arange(xs.size)[:, None] == group) * coeffs) @ signs   # per X group
+    return np.sum(np.abs(images) ** 2, axis=0)
+
+
+def reference_support_factor(strings, basis) -> _Factor:
+    """The factor of one generator from its sector matrix, with the checks on its support.
+
+    The simulator's batched ``_factors`` must return the same arrays to the
+    bit, and raise the same first error, as this one-generator build: the
+    generator's ``QubitOperator.matrix``, its ``_image_norms`` for the weight
+    outside the basis, and ``_cube_defect`` for G^3 = G; the sparse-product
+    checks for a complex G or one with two entries in a row.
+    """
+    gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
+    g = gen.matrix(basis.states)
+    per_row = np.diff(g.indptr)
+    rows, cols, phases = np.flatnonzero(per_row), g.indices.astype(np.intp), g.data
+    if per_row.max(initial=0) > 1 or gen.max_imag() > 0:
+        g2 = g @ g
+        if abs(g2 - (gen * gen).matrix(basis.states)).max() > 1e-10:
+            raise ValueError("generator maps a basis state outside the basis")
+        if abs(g2 @ g - g).max() > 1e-10:
+            raise ValueError("generator does not satisfy G^3 = G on the basis")
+        if per_row.max(initial=0) > 1:
+            raise ValueError("generator maps a basis state to a superposition of basis states")
+        return _Factor(rows, cols, phases)
+    inside = np.bincount(g.indices, weights=np.abs(g.data) ** 2, minlength=basis.dim)
+    if np.max(_image_norms(gen, basis.states) - inside, initial=0.0) > 1e-10:
+        raise ValueError("generator maps a basis state outside the basis")
+    if _cube_defect(rows, cols, phases, basis.dim) > 1e-10:
+        raise ValueError("generator does not satisfy G^3 = G on the basis")
+    return _Factor(rows, cols, phases)
 
 
 def reference_rotate(vec: np.ndarray, g, angle: float) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 ``build_hamiltonian``, ``jordan_wigner`` and ``QubitOperator.matrix`` must
 give exactly what the loops in ``ci_oracle`` give: the same dict items in
-the same order, and the same CSR arrays. Examples are derandomized. The
+the same order, and the same CSR arrays; ``QubitOperator.to_text`` the same
+bytes. Examples are derandomized. The
 block sizes are shrunk in some checks so that every example spans many
 blocks; the result must not depend on them.
 """
@@ -26,6 +27,7 @@ from ci_oracle import (
     reference_build_hamiltonian,
     reference_jordan_wigner,
     reference_matrix,
+    reference_to_text,
 )
 
 EXACT = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -201,6 +203,32 @@ class TestMatrix:
         hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 8)
         for basis in (pq.sector_basis(8, 4), pq.sector_basis(8, 4, 0), full_basis(8)):
             assert same_csr(hq.matrix(basis.states), reference_matrix(hq, basis.states))
+
+
+@st.composite
+def text_operators(draw):
+    """Qubit operators with the identity, real and complex terms, and imaginary parts at the cutoff."""
+    n = draw(st.integers(1, 12))
+    mask = st.integers(0, (1 << n) - 1)
+    terms = draw(st.dictionaries(st.tuples(mask, mask), coefficients, max_size=30))
+    return QubitOperator(n, terms)
+
+
+class TestToText:
+    @EXACT
+    @given(text_operators())
+    def test_matches_the_loop(self, op):
+        assert op.to_text() == reference_to_text(op)
+
+    def test_empty_and_identity(self):
+        assert QubitOperator(3).to_text() == reference_to_text(QubitOperator(3)) == "\n"
+        identity = QubitOperator.identity(3, -0.5)
+        assert identity.to_text() == reference_to_text(identity) == "-0.5 I\n"
+
+    def test_hamiltonian(self):
+        mo = random_integral_set(5, 4, 4)
+        hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 10)
+        assert hq.to_text() == reference_to_text(hq)
 
 
 # seed-0 inputs of the benchmark's workloads and their qubit Hamiltonians'

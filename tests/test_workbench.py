@@ -102,6 +102,37 @@ class TestConfigParsing:
         assert h2_config().hash() != h2_config(n_qubits=6).hash()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("gradient_method", "bogus"),
+    ("layers", 0),
+    ("restarts", -1),
+    ("max_iter", -1),
+    ("grad_tol", 0.0),
+    ("grad_tol", -1e-6),
+    ("grad_tol", float("nan")),
+])
+def test_bad_optimizer_and_ansatz_settings_are_refused(key, value):
+    with pytest.raises(ConfigError, match=key):
+        h2_config(**{key: value})
+
+
+def test_bad_settings_from_a_config_file_are_refused():
+    text = BASE_CONFIG.replace("variant = upccgsd", "variant = upccgsd\nlayers = 0")
+    with pytest.raises(ConfigError, match="layers"):
+        pq.parse_config(text)
+
+
+def test_edge_settings_still_validate():
+    config = h2_config(gradient_method="shift", layers=1, restarts=0, max_iter=0, grad_tol=1e-12)
+    assert config.max_iter == 0
+
+
+def test_scan_values_sharing_an_artifact_tag_are_refused():
+    with pytest.raises(ConfigError, match="r1.400000"):
+        h2_config(xyz=H2_INLINE, scan=(0.7, 1.4, 1.4 + 4e-7))
+    assert h2_config(xyz=H2_INLINE, scan=(1.4, 1.4 + 6e-7)).scan == (1.4, 1.4 + 6e-7)
+
+
 class TestMetrics:
     def test_npe_constant_errors(self):
         assert pq.npe([0.1, 0.1, 0.1]) == 0.0
