@@ -2,10 +2,10 @@
 
 A point's exact solve runs on the sector the ansatz keeps its reference in,
 the basis its VQE sweeps already projected the Hamiltonian onto, so both
-read one cached matrix. A real-integral Hamiltonian has an exactly real
-sector matrix; the solve then reads the float64 ``sector_matrix`` and runs
-in real arithmetic, and only an operator whose sector entries really are
-complex takes the complex branch. Bases of up to ``_DENSE_DIM`` states get
+read one cached ``QubitOperator.matrix``. A real-integral Hamiltonian has an
+exactly real sector matrix, stored as float64, and the solve then runs in
+real arithmetic; only an operator whose sector entries really are complex
+is solved in complex arithmetic. Bases of up to ``_DENSE_DIM`` states get
 the lowest pair of a dense ``eigh``, larger ones Lanczos with full
 reorthogonalization from a seeded start vector; the crossover was measured
 on real sector matrices.
@@ -24,7 +24,6 @@ from itertools import combinations
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .ansatz import Ansatz, ExcitationGenerator
 from .integrals import IntegralSet
@@ -101,25 +100,6 @@ def full_basis(n_qubits: int) -> SectorBasis:
     )
 
 
-def sector_matrix(op: QubitOperator, basis: SectorBasis) -> scipy.sparse.csr_matrix:
-    """Re(op) on the basis as a float64 CSR matrix, cached on the operator per basis.
-
-    It shares ``indices`` and ``indptr`` with ``op.matrix(basis.states)``, so
-    only the values are stored twice. For a Hermitian op, Im(op) is
-    antisymmetric: a real vector's energy and adjoint terms see only this
-    part, and when Im(op) is zero on the basis it is the whole operator.
-    """
-    if op._real is None:
-        op._real = {}
-    key = basis.states.tobytes()
-    if key not in op._real:
-        mat = op.matrix(basis.states)
-        data = mat.data.real.copy()
-        data.flags.writeable = False
-        op._real[key] = scipy.sparse.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
-    return op._real[key]
-
-
 def lanczos_ground(matrix, dim: int, tol: float = 1e-12, max_steps: int = 400,
                    seed: int = 12345):
     """Smallest eigenpair by Lanczos with full reorthogonalization."""
@@ -164,8 +144,9 @@ def exact_ground_energy(op: QubitOperator, sector: SectorBasis | None = None):
     """Lowest eigenvalue and eigenvector of a Hermitian qubit operator.
 
     Small (sector) bases are solved densely, larger ones with Lanczos, both
-    in real arithmetic unless an entry on the basis has an imaginary part;
-    the returned pair always satisfies ||Hv - Ev|| < 1e-8 in the chosen basis.
+    in the dtype of ``op.matrix`` on the basis: real arithmetic unless an
+    entry there has an imaginary part. The returned pair always satisfies
+    ||Hv - Ev|| < 1e-8 in the chosen basis.
     """
     if op.max_imag() >= 1e-8:
         raise ValueError("operator is not Hermitian")
@@ -176,13 +157,13 @@ def exact_ground_energy(op: QubitOperator, sector: SectorBasis | None = None):
                 "restrict to a sector"
             )
         sector = full_basis(op.n_qubits)
+    elif sector.n_qubits != op.n_qubits:
+        raise ValueError("operator register does not match the sector")
     elif op.n_qubits > _MAX_ITER_QUBITS:
         raise ValueError(f"sector diagonalization limited to {_MAX_ITER_QUBITS} qubits")
     if sector.dim == 0:
         raise ValueError("empty sector")
     mat = op.matrix(sector.states)
-    if not mat.data.imag.any():
-        mat = sector_matrix(op, sector)
     if sector.dim <= _DENSE_DIM:
         evals, evecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, 0])
         energy, vector = float(evals[0]), evecs[:, 0]

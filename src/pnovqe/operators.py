@@ -142,13 +142,12 @@ class QubitOperator:
     ``COEFF_CUTOFF`` pruned. Instances are treated as immutable.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_compiled", "_real", "_max_imag")
+    __slots__ = ("n_qubits", "_terms", "_compiled", "_max_imag")
 
     def __init__(self, n_qubits: int, terms: dict | None = None):
         self.n_qubits = n_qubits
         self._terms = {}
         self._compiled = None
-        self._real = None       # Re(matrix) per basis, kept by exact.sector_matrix
         self._max_imag = None
         if terms:
             for key, coeff in terms.items():
@@ -235,7 +234,9 @@ class QubitOperator:
         Entry (r, c) is <states[r]| op |states[c]>; images outside ``states``
         are dropped. A string maps |s> to i^|x&z| (-1)^|s&z| |s ^ x>, so the
         terms sharing an X mask share one image and one ``searchsorted``.
-        The result is cached per basis in ``_compiled`` and read-only.
+        The result is cached per basis in ``_compiled`` and read-only. Its
+        values are float64 when no entry on the basis has an imaginary part
+        (every sector of a real-integral Hamiltonian), complex128 otherwise.
 
         Determinism: each entry sums the terms of its X group in ascending Z
         order, starting from 0; all entries advance one term per step, so
@@ -273,13 +274,16 @@ class QubitOperator:
         sums = [_signed_sums(part, z, term, kept, active) if part.any() else 0.0
                 for part in (coeffs.real, coeffs.imag)]
         del term, kept
-        values = np.empty(len(row), dtype=complex)
-        values.real, values.imag = sums
+        if np.any(sums[1]):
+            values = np.empty(len(row), dtype=complex)
+            values.real, values.imag = sums
+        else:   # no entry is imaginary: store float64
+            values = np.broadcast_to(sums[0], len(row))
         del sums
         keep = values != 0
         entries = (values[keep], (row[keep], column[keep]))
         del values, row, column
-        mat = scipy.sparse.csr_matrix(entries, shape=(dim, dim), dtype=complex)
+        mat = scipy.sparse.csr_matrix(entries, shape=(dim, dim), dtype=entries[0].dtype)
         for array in (mat.data, mat.indices, mat.indptr):
             array.flags.writeable = False   # the cached matrix is shared
         self._compiled[key] = mat

@@ -12,14 +12,14 @@ bits as each generator's ``QubitOperator.matrix``. Factors and reference
 vector are prepared once per (ansatz, basis) and kept on the ``Ansatz``
 with the last forward state, which a call at bit-equal parameters reuses.
 
-VQE energies and adjoint gradients run on the sector the circuit keeps its
+VQE energies and gradients run on the sector the circuit keeps its
 reference in: the (N, S_z) sector when every generator commutes with S_z
 (``Ansatz.two_sz``), else the N sector. The exact solve of a point uses the
-same basis. There the state is float64, and for a Hermitian H a real state
-sees only Re(H), so the sweeps read the float64 ``exact.sector_matrix``
-that the exact solve shares. Only the ``Statevector`` functions and the
-per-rotation shift rule, whose circuits leave the sector, use complex 2^n
-vectors.
+same basis and reads the same cached ``QubitOperator.matrix``, float64 when
+its entries are real. There the state is float64 too. The adjoint sweep
+runs backwards through the factors; the shift rule takes four circuit
+energies per generator, which is exact because G^3 = G. Only the
+``Statevector`` functions use complex 2^n vectors.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .ansatz import Ansatz
-from .exact import SectorBasis, full_basis, sector_basis, sector_matrix
+from .exact import SectorBasis, full_basis, sector_basis
 from .operators import _PHASES, COEFF_CUTOFF, PauliString, QubitOperator, _signed_sums
 
 MAX_QUBITS = 26
@@ -300,13 +300,18 @@ def ansatz_state(ansatz: Ansatz, theta) -> Statevector:
     return apply_ansatz(prepare_reference(ansatz.n_qubits, ansatz.reference), ansatz, theta)
 
 
-def _sector_state(op: QubitOperator, ansatz: Ansatz, theta) -> tuple:
-    """Basis, circuit and read-only circuit state in the sector the circuit keeps its reference in."""
+def _sector(op: QubitOperator, ansatz: Ansatz) -> tuple:
+    """Basis and circuit of the sector the circuit keeps its reference in."""
     if op.n_qubits != ansatz.n_qubits:
         raise ValueError("operator register does not match the state")
-    theta = _parameters(ansatz, theta)
     basis = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
-    circuit = _prepared(ansatz, basis)
+    return basis, _prepared(ansatz, basis)
+
+
+def _sector_state(op: QubitOperator, ansatz: Ansatz, theta) -> tuple:
+    """Basis, circuit and read-only circuit state in the sector the circuit keeps its reference in."""
+    theta = _parameters(ansatz, theta)
+    basis, circuit = _sector(op, ansatz)
     key = theta.tobytes()
     last_key, psi = circuit.last
     if key != last_key:
@@ -316,17 +321,17 @@ def _sector_state(op: QubitOperator, ansatz: Ansatz, theta) -> tuple:
     return basis, circuit, psi
 
 
-def _hermitian_matrix(op: QubitOperator, vec: np.ndarray, basis: SectorBasis):
-    """The Hermitian op on the basis as ``vec`` needs it: Re(op) for a real vec."""
+def _hermitian_matrix(op: QubitOperator, basis: SectorBasis):
+    """The Hermitian op's cached matrix on the basis."""
     if op.n_qubits != basis.n_qubits:
         raise ValueError("operator register does not match the state")
     if op.max_imag() >= 1e-8:
         raise ValueError("operator is not Hermitian (complex coefficients)")
-    return op.matrix(basis.states) if np.iscomplexobj(vec) else sector_matrix(op, basis)
+    return op.matrix(basis.states)
 
 
 def _expectation(op: QubitOperator, vec: np.ndarray, basis: SectorBasis) -> float:
-    value = np.vdot(vec, _hermitian_matrix(op, vec, basis) @ vec)
+    value = np.vdot(vec, _hermitian_matrix(op, basis) @ vec)
     if abs(value.imag) > 1e-10:
         raise RuntimeError("expectation value has a non-negligible imaginary part")
     return float(value.real)
@@ -349,12 +354,16 @@ def ansatz_expectation(op: QubitOperator, ansatz: Ansatz, theta) -> float:
 
 
 def gradient(op: QubitOperator, ansatz: Ansatz, theta, method: str = "adjoint") -> np.ndarray:
-    """d<H>/d(theta_k) for every parameter.
+    """d<H>/d(theta_k) for every parameter, in the circuit's sector.
 
-    ``adjoint`` runs the exact reverse sweep in the circuit's sector;
-    ``shift`` applies the two-point rule exp-value difference at +-pi/2 to
-    each Pauli rotation of a generator on the full register and sums the
-    contributions. Both are exact and agree to tight tolerance.
+    ``adjoint`` runs the exact reverse sweep. ``shift`` evaluates, for each
+    parameter, the circuit energy at theta_k +- pi/2 and +- pi:
+
+        dE/dtheta_k = [E(+pi/2) - E(-pi/2)]/2 - (sqrt(2) - 1)/4 [E(+pi) - E(-pi)]
+
+    which is exact because every generator has G^3 = G on the sector (its
+    eigenvalues are -1, 0 and 1), as ``_factors`` checks. Both methods agree
+    to tight tolerance.
     """
     theta = _parameters(ansatz, theta)
     if method == "shift":
@@ -362,7 +371,7 @@ def gradient(op: QubitOperator, ansatz: Ansatz, theta, method: str = "adjoint") 
     if method != "adjoint":
         raise ValueError(f"unknown gradient method {method!r}")
     basis, circuit, psi = _sector_state(op, ansatz, theta)
-    lam = _hermitian_matrix(op, psi, basis) @ psi
+    lam = _hermitian_matrix(op, basis) @ psi
     psi = psi.copy()
     grad = np.zeros(ansatz.n_parameters)
     for k in range(ansatz.n_parameters - 1, -1, -1):
@@ -373,21 +382,22 @@ def gradient(op: QubitOperator, ansatz: Ansatz, theta, method: str = "adjoint") 
     return grad
 
 
+# (shift, weight) of the four-energy rule for generators with G^3 = G
+_SHIFT_RULE = (
+    (0.5 * math.pi, 0.5),
+    (-0.5 * math.pi, -0.5),
+    (math.pi, -0.25 * (math.sqrt(2.0) - 1.0)),
+    (-math.pi, 0.25 * (math.sqrt(2.0) - 1.0)),
+)
+
+
 def _gradient_shift(op, ansatz, theta) -> np.ndarray:
-    basis = _register(ansatz.n_qubits)
-    rotations = [
-        (k, string, coeff)
-        for k, gen in enumerate(ansatz.generators)
-        for string, coeff in gen.strings
-    ]
-    factors = _factors([((string, 1.0),) for _, string, _ in rotations], basis)
-    angles = np.array([theta[k] * coeff for k, _, coeff in rotations])
-    reference = _basis_vector(basis, ansatz.reference)
+    basis, circuit = _sector(op, ansatz)
     grad = np.zeros(ansatz.n_parameters)
-    for r, (k, _, coeff) in enumerate(rotations):
-        for sign in (1.0, -1.0):
-            shifted = angles.copy()
-            shifted[r] += sign * 0.5 * np.pi
-            psi = _evolve(reference.copy(), factors, shifted)
-            grad[k] += sign * 0.5 * coeff * _expectation(op, psi, basis)
+    for k in range(ansatz.n_parameters):
+        for shift, weight in _SHIFT_RULE:
+            shifted = theta.copy()
+            shifted[k] += shift
+            psi = _evolve(circuit.reference.copy(), circuit.factors, shifted)
+            grad[k] += weight * _expectation(op, psi, basis)
     return grad

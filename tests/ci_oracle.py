@@ -23,7 +23,8 @@ build it (the references for the simulator's support form), the
 one-generator build of a support-form factor from its sector matrix (the
 reference for the batched factor pass), the complex
 sweep in the reference's particle-number sector that the real (N, S_z)
-sweep must reproduce, central finite differences of the energy, a dense
+sweep must reproduce, central finite differences of the energy, the
+two-point shift rule on each Pauli rotation of the full register, a dense
 spectrum, and the projection onto paired determinants.
 """
 
@@ -41,7 +42,15 @@ from pnovqe.integrals import AOIntegralSet, IntegralSet, _prim_norm, boys
 from pnovqe.operators import (
     _PHASES, COEFF_CUTOFF, FermionOperator, PauliString, QubitOperator, _mul_masks,
 )
-from pnovqe.simulator import _Factor, ansatz_expectation
+from pnovqe.simulator import (
+    _basis_vector,
+    _evolve,
+    _expectation,
+    _Factor,
+    _factors,
+    _register,
+    ansatz_expectation,
+)
 
 
 def apply_ladder(mask: int, index: int, creation: bool):
@@ -568,7 +577,7 @@ def reference_sector_sweep(op: QubitOperator, ansatz, theta) -> tuple:
 
     Factors come from ``reference_factor`` and rotate as v[rows] =
     cos(a/2) v[rows] - i sin(a/2) phases v[cols]; the energy and the terms
-    Im <lam|G_k|psi> read the complex ``op.matrix`` of the sector.
+    Im <lam|G_k|psi> read ``op.matrix`` of the sector on a complex state.
     """
     basis = sector_basis(ansatz.n_qubits, len(ansatz.reference))
     factors = [reference_factor(gen.strings, basis) for gen in ansatz.generators]
@@ -605,6 +614,32 @@ def finite_difference_gradient(op, ansatz, theta, step: float = 1e-5) -> np.ndar
             ansatz_expectation(op, ansatz, plus)
             - ansatz_expectation(op, ansatz, minus)
         ) / (2.0 * step)
+    return grad
+
+
+def reference_register_shift_gradient(op, ansatz, theta) -> np.ndarray:
+    """Gradient by the two-point rule at +-pi/2 on every Pauli rotation of every generator.
+
+    Each generator sum_m c_m P_m is applied as the product of its rotations
+    exp(-i theta c_m/2 P_m) (exact for the commuting strings of an
+    excitation), on complex vectors over the full 2^n register.
+    """
+    basis = _register(ansatz.n_qubits)
+    rotations = [
+        (k, string, coeff)
+        for k, gen in enumerate(ansatz.generators)
+        for string, coeff in gen.strings
+    ]
+    factors = _factors([((string, 1.0),) for _, string, _ in rotations], basis)
+    angles = np.array([theta[k] * coeff for k, _, coeff in rotations])
+    reference = _basis_vector(basis, ansatz.reference)
+    grad = np.zeros(ansatz.n_parameters)
+    for r, (k, _, coeff) in enumerate(rotations):
+        for sign in (1.0, -1.0):
+            shifted = angles.copy()
+            shifted[r] += sign * 0.5 * np.pi
+            psi = _evolve(reference.copy(), factors, shifted)
+            grad[k] += sign * 0.5 * coeff * _expectation(op, psi, basis)
     return grad
 
 

@@ -8,7 +8,6 @@ import pnovqe as pq
 from pnovqe.exact import (
     build_paired_ansatz,
     lanczos_ground,
-    sector_matrix,
 )
 from pnovqe.operators import QubitOperator
 
@@ -51,6 +50,11 @@ class TestExactGroundEnergy:
         with pytest.raises(ValueError, match="parity"):
             pq.sector_basis(2, 2, two_sz=1)
 
+    def test_sector_of_another_register_rejected(self):
+        op = QubitOperator.from_string(pq.PauliString.from_label(2, "Z0"))
+        with pytest.raises(ValueError, match="register"):
+            pq.exact_ground_energy(op, pq.sector_basis(4, 2, 0))
+
     def test_non_hermitian_rejected(self):
         op = QubitOperator(1, {(1, 0): 0.5j})
         with pytest.raises(ValueError, match="Hermitian"):
@@ -60,7 +64,7 @@ class TestExactGroundEnergy:
         hq = h2_sto3g["hamiltonian"]
         sector = pq.sector_basis(4, 2, two_sz=0)
         energy, vector = pq.exact_ground_energy(hq, sector)
-        mat = sector_matrix(hq, sector).toarray()
+        mat = hq.matrix(sector.states).toarray()
         assert np.linalg.norm(mat @ vector - energy * vector) < 1e-8
 
 

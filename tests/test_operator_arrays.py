@@ -186,12 +186,17 @@ class TestJordanWigner:
             pq.jordan_wigner(op, 64)
 
 
+def stored(expected):
+    """The oracle's matrix as ``QubitOperator.matrix`` stores it: its real part when no entry is imaginary."""
+    return expected if expected.data.imag.any() else expected.real
+
+
 class TestMatrix:
     @EXACT
     @given(projections())
     def test_matches_the_loop(self, case):
         op, states = case
-        expected = reference_matrix(op, states)
+        expected = stored(reference_matrix(op, states))
         assert same_csr(op.matrix(states), expected)
         for block in (1, 7):
             with mock.patch.object(operators, "_MATRIX_BLOCK", block):
@@ -202,7 +207,7 @@ class TestMatrix:
         mo = random_integral_set(4, 4, 3)
         hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 8)
         for basis in (pq.sector_basis(8, 4), pq.sector_basis(8, 4, 0), full_basis(8)):
-            assert same_csr(hq.matrix(basis.states), reference_matrix(hq, basis.states))
+            assert same_csr(hq.matrix(basis.states), stored(reference_matrix(hq, basis.states)))
 
 
 @st.composite

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 import pnovqe as pq
 from pnovqe import exact, workbench
 from pnovqe.ansatz import PNO_VARIANTS, _commutes_with_sz
-from pnovqe.exact import build_paired_ansatz, build_paired_hamiltonian, lanczos_ground, sector_matrix
+from pnovqe.exact import build_paired_ansatz, build_paired_hamiltonian, lanczos_ground
 from pnovqe.operators import QubitOperator, commutator, spin_z_operator
 
-from ci_oracle import random_integral_set, reference_sector_sweep
+from ci_oracle import random_integral_set, reference_matrix, reference_sector_sweep
 from conftest import lih_like_pipeline
 
 SWEEP = settings(derandomize=True, database=None, max_examples=15, deadline=None)
@@ -130,9 +130,9 @@ def test_run_point_builds_one_sector_matrix(monkeypatch, tmp_path):
                           n_qubits=8, ansatz="upccgsd", diagonal_only=True).validate()
     record = pq.run_point(config)
     (hamiltonian,) = built
-    (states,) = hamiltonian._compiled
-    (real_states,) = hamiltonian._real
-    assert states == real_states == pq.sector_basis(8, 4, 0).states.tobytes()
+    ((states, mat),) = hamiltonian._compiled.items()
+    assert states == pq.sector_basis(8, 4, 0).states.tobytes()
+    assert mat.dtype == np.float64
     assert record["e_fci"] <= record["e_vqe"]
 
 
@@ -181,16 +181,16 @@ def test_real_sector_solve_runs_in_real_arithmetic(h2_sto3g):
     assert energy == pytest.approx(-1.1372759431, abs=1e-8)
 
 
-def test_sector_matrix_is_the_cached_real_part_sharing_the_index_arrays(h2_sto3g):
+def test_real_integral_sector_matrix_is_the_cached_float64_real_part(h2_sto3g):
     hq = pq.jordan_wigner(pq.build_hamiltonian(h2_sto3g["mo"]), 4)
     basis = pq.sector_basis(4, 2, 0)
-    real = sector_matrix(hq, basis)
     mat = hq.matrix(basis.states)
-    assert real is sector_matrix(hq, basis)
-    assert real.dtype == np.float64
-    assert np.shares_memory(real.indices, mat.indices) and np.shares_memory(real.indptr, mat.indptr)
-    assert np.array_equal(real.data, mat.data.real)
-    assert not real.data.flags.writeable
+    assert mat is hq.matrix(basis.states)
+    assert mat.dtype == np.float64
+    assert not mat.data.flags.writeable
+    expected = reference_matrix(hq, basis.states)
+    assert np.array_equal(mat.data, expected.data.real)
+    assert np.array_equal(mat.indices, expected.indices) and np.array_equal(mat.indptr, expected.indptr)
 
 
 def test_lanczos_follows_the_matrix_dtype_from_one_seeded_start():

@@ -211,7 +211,8 @@ class TestStatevectorLimits:
 
 
 class TestSectorEngine:
-    def test_energy_and_gradient_never_allocate_a_register_vector(self):
+    @pytest.mark.parametrize("method", ["adjoint", "shift"])
+    def test_energy_and_gradient_never_allocate_a_register_vector(self, method):
         # one 16-qubit register vector is 2^16 * 16 B = 1 MiB; the sector
         # for 2 electrons has 120 states
         mo = random_integral_set(8, 2, 4)
@@ -221,7 +222,7 @@ class TestSectorEngine:
         tracemalloc.start()
         try:
             ansatz_expectation(hq, ansatz, theta)
-            pq.gradient(hq, ansatz, theta, method="adjoint")
+            pq.gradient(hq, ansatz, theta, method=method)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
