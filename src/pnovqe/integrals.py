@@ -233,6 +233,44 @@ def _boys0(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Pair-packed ERIs: chemists' (pq|rs) is a symmetric matrix over the pairs
+# p >= q. The AO engine, FCIDUMP I/O and the four-index transforms work in it
+# and unpack at the end, so all eight permutations of (pq|rs) read one value.
+
+
+def _pair_table(n: int) -> tuple:
+    """Pairs i >= j in row-major order, and the n x n matrix of their indices."""
+    i, j = np.tril_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(i.size)
+    return i, j, pair
+
+
+def _pair_weights(m: np.ndarray) -> np.ndarray:
+    """w[ij, kl] = m[i, k] m[j, l] + m[i, l] m[j, k] over pairs i >= j, k >= l; halved on k = l."""
+    (i, j, _), (k, l, _) = _pair_table(len(m)), _pair_table(m.shape[1])
+    w = m[i][:, k] * m[j][:, l] + m[i][:, l] * m[j][:, k]
+    w[:, k == l] *= 0.5
+    return w
+
+
+def _unpacked(packed: np.ndarray, n: int) -> np.ndarray:
+    pair = _pair_table(n)[2]
+    return packed[pair[:, :, None, None], pair]
+
+
+def transform_eri(chem: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(ij|kl) = sum_pqrs m[i, p] m[j, q] m[k, r] m[l, s] (pq|rs), exactly 8-fold symmetric.
+
+    The packed matrix G goes to w G w^T, of which only the lower triangle is kept.
+    """
+    i, j, _ = _pair_table(len(chem))
+    w = _pair_weights(m)
+    g = w @ chem[i[:, None], j[:, None], i, j] @ w.T
+    return _unpacked(np.tril(g) + np.tril(g, -1).T, len(m))
+
+
 @dataclass(frozen=True)
 class AOIntegralSet:
     """Atomic-orbital integrals: overlap, core Hamiltonian, ERIs (chemists')."""
@@ -282,14 +320,10 @@ def compute_ao_integrals(molecule: Molecule, shells: list[BasisShell]) -> AOInte
         np.array([c for s in shells for c in s.coefficients]) * _prim_norm(alpha)
     )
 
-    # Unique primitive pairs k >= l and unique AO pairs i >= j; w sums a
-    # primitive-pair quantity into every AO pair, both orders of (k, l) included.
-    k, l = np.tril_indices(alpha.size)
-    i, j = np.tril_indices(n)
-    w = d[i][:, k] * d[j][:, l] + d[i][:, l] * d[j][:, k]
-    w[:, k == l] *= 0.5
-    pair = np.empty((n, n), dtype=np.intp)
-    pair[i, j] = pair[j, i] = np.arange(i.size)
+    # w sums a quantity over primitive pairs k >= l into every AO pair
+    k, l, _ = _pair_table(alpha.size)
+    w = _pair_weights(d)
+    pair = _pair_table(n)[2]
 
     a, b = alpha[k], alpha[l]
     p = a + b
@@ -303,7 +337,7 @@ def compute_ao_integrals(molecule: Molecule, shells: list[BasisShell]) -> AOInte
 
     # (kl|mn) = 2 sqrt(rho/pi) S_kl S_mn F0(rho |P - Q|^2), rho = pq/(p + q).
     ws = w * s0
-    g = np.zeros((i.size, i.size))
+    g = np.zeros((w.shape[0],) * 2)
     rows = max(1, _ERI_BLOCK // max(p.size, 1))
     for lo in range(0, p.size, rows):
         blk = slice(lo, lo + rows)
@@ -317,7 +351,7 @@ def compute_ao_integrals(molecule: Molecule, shells: list[BasisShell]) -> AOInte
         n_ao=n,
         overlap=(w @ s0)[pair],
         core_hamiltonian=(w @ (t0 + v0))[pair],
-        eri=g[pair[:, :, None, None], pair],
+        eri=_unpacked(g, n),
         nuclear_repulsion=e_nuc,
     )
 
@@ -358,6 +392,13 @@ class IntegralSet:
     def n_occ(self) -> int:
         return self.n_electrons // 2
 
+    def mean_field(self, occupied) -> np.ndarray:
+        """h + sum_i (2<.i|.i> - <.i|i.>) over the doubly occupied orbitals i."""
+        fock = self.h.copy()
+        for i in occupied:
+            fock += 2.0 * self.g[:, i, :, i] - self.g[:, i, i, :]
+        return fock
+
 
 def read_fcidump(path) -> IntegralSet:
     """Read an FCIDUMP file (chemists' notation, 1-based indices)."""
@@ -380,8 +421,9 @@ def read_fcidump(path) -> IntegralSet:
     if n_elec % 2 != 0:
         raise ParseError("odd NELEC not supported (closed shell only)")
 
+    pair = _pair_table(n_orb)[2].tolist()
     h = np.zeros((n_orb, n_orb))
-    chem = np.zeros((n_orb,) * 4)
+    packed = np.zeros((n_orb * (n_orb + 1) // 2,) * 2)
     core = 0.0
     eps = np.full(n_orb, np.nan)
     for raw in body.splitlines():
@@ -402,21 +444,17 @@ def read_fcidump(path) -> IntegralSet:
         elif k == 0:
             if l != 0:
                 raise ParseError(f"malformed index pattern in line: {raw!r}")
-            h[i - 1, j - 1] = value
-            h[j - 1, i - 1] = value
+            h[i - 1, j - 1] = h[j - 1, i - 1] = value
         elif l == 0:
             raise ParseError(f"malformed index pattern in line: {raw!r}")
         else:
-            a, b, c, d = i - 1, j - 1, k - 1, l - 1
-            for p, q in ((a, b), (b, a)):
-                for r, s in ((c, d), (d, c)):
-                    chem[p, q, r, s] = value
-                    chem[r, s, p, q] = value
+            ij, kl = pair[i - 1][j - 1], pair[k - 1][l - 1]
+            packed[ij, kl] = packed[kl, ij] = value
     orbital_energies = None if np.any(np.isnan(eps)) else eps
     return IntegralSet(
         n_orb=n_orb,
         h=h,
-        g=chem.transpose(0, 2, 1, 3).copy(),
+        g=_unpacked(packed, n_orb).transpose(0, 2, 1, 3).copy(),
         core_energy=core,
         n_electrons=n_elec,
         orbital_energies=orbital_energies,
@@ -426,34 +464,26 @@ def read_fcidump(path) -> IntegralSet:
 def write_fcidump(mo: IntegralSet, path) -> None:
     """Write unique integrals in chemists' notation with 1-based indices."""
     n = mo.n_orb
-    chem = mo.g.transpose(0, 2, 1, 3)
-    lines = [
-        f"&FCI NORB={n},NELEC={mo.n_electrons},MS2=0,",
-        " ORBSYM=" + ",".join(["1"] * n) + ",",
-        " ISYM=1,",
-        "&END",
-    ]
+    lines = [f"&FCI NORB={n},NELEC={mo.n_electrons},MS2=0,",
+             " ORBSYM=" + ",".join(["1"] * n) + ",", " ISYM=1,", "&END"]
 
     def _emit(value, i, j, k, l):
         lines.append(f"{value: .16E} {i:4d} {j:4d} {k:4d} {l:4d}")
 
-    pair_index = lambda i, j: i * (i + 1) // 2 + j
-    for i in range(n):
-        for j in range(i + 1):
-            for k in range(n):
-                for l in range(k + 1):
-                    if pair_index(i, j) < pair_index(k, l):
-                        continue
-                    val = chem[i, j, k, l]
-                    if abs(val) > 1e-14:
-                        _emit(val, i + 1, j + 1, k + 1, l + 1)
-    for i in range(n):
-        for j in range(i + 1):
-            if abs(mo.h[i, j]) > 1e-14:
-                _emit(mo.h[i, j], i + 1, j + 1, 0, 0)
+    # (ij|kl) over pairs ij >= kl in ascending order, then h over i >= j
+    i, j, _ = _pair_table(n)
+    ij, kl = np.tril_indices(i.size)
+    quads = np.stack([i[ij], j[ij], i[kl], j[kl]], axis=1)
+    values = mo.g.transpose(0, 2, 1, 3)[tuple(quads.T)]
+    keep = np.abs(values) > 1e-14
+    for value, quad in zip(values[keep].tolist(), (quads[keep] + 1).tolist()):
+        _emit(value, *quad)
+    for p, q in zip(i.tolist(), j.tolist()):
+        if abs(mo.h[p, q]) > 1e-14:
+            _emit(mo.h[p, q], p + 1, q + 1, 0, 0)
     if mo.orbital_energies is not None:
-        for i, e in enumerate(mo.orbital_energies):
-            _emit(e, i + 1, 0, 0, 0)
+        for p, e in enumerate(mo.orbital_energies):
+            _emit(e, p + 1, 0, 0, 0)
     _emit(mo.core_energy, 0, 0, 0, 0)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .integrals import IntegralSet
+from .integrals import IntegralSet, transform_eri
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,7 @@ class OrbitalSpace:
 
 def _fock_diagonal(mo: IntegralSet) -> np.ndarray:
     """Orbital energies from the MO-basis Fock matrix, if it is diagonal."""
-    n_occ = mo.n_occ
-    fock = mo.h.copy()
-    for i in range(n_occ):
-        fock += 2.0 * mo.g[:, i, :, i] - mo.g[:, i, i, :]
+    fock = mo.mean_field(range(mo.n_occ))
     off = fock - np.diag(np.diag(fock))
     if np.max(np.abs(off)) > 1e-6:
         raise ValueError("non-canonical orbitals: MO Fock matrix not diagonal")
@@ -233,14 +230,12 @@ def build_final_integrals(mo: IntegralSet, space: OrbitalSpace) -> IntegralSet:
     u = space.transform
     if u.shape[0] != mo.n_orb:
         raise ValueError("orbital-space transform does not match parent basis")
-    h = u.T @ mo.h @ u
-    g = np.einsum("PQRS,Pp,Qq,Rr,Ss->pqrs", mo.g, u, u, u, u, optimize=True)
     origin = {i: (i, i) for i in space.occupied}
     origin.update(space.pno_assignment)
     return IntegralSet(
         n_orb=space.n_total,
-        h=h,
-        g=g,
+        h=u.T @ mo.h @ u,
+        g=transform_eri(mo.g.transpose(0, 2, 1, 3), u.T).transpose(0, 2, 1, 3).copy(),
         core_energy=mo.core_energy,
         n_electrons=mo.n_electrons,
         orbital_energies=None,
@@ -260,21 +255,14 @@ def freeze_core(mo: IntegralSet, frozen: list[int]) -> IntegralSet:
     occupied = set(range(mo.n_occ))
     if not set(frozen) <= occupied:
         raise ValueError("can only freeze occupied orbitals")
-    core = mo.core_energy
-    for i in frozen:
-        core += 2.0 * mo.h[i, i]
-        for j in frozen:
-            core += 2.0 * mo.g[i, j, i, j] - mo.g[i, j, j, i]
+    h_eff = mo.mean_field(frozen)
+    core = mo.core_energy + np.sum(np.diag(mo.h + h_eff)[frozen])
     keep = [p for p in range(mo.n_orb) if p not in frozen]
-    h_eff = mo.h.copy()
-    for i in frozen:
-        h_eff += 2.0 * mo.g[:, i, :, i] - mo.g[:, i, i, :]
-    h_new = h_eff[np.ix_(keep, keep)]
     g_new = mo.g[np.ix_(keep, keep, keep, keep)]
     eps = mo.orbital_energies
     return IntegralSet(
         n_orb=len(keep),
-        h=h_new,
+        h=h_eff[np.ix_(keep, keep)],
         g=g_new,
         core_energy=float(core),
         n_electrons=mo.n_electrons - 2 * len(frozen),

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrals import AOIntegralSet, IntegralSet
+from .integrals import AOIntegralSet, IntegralSet, transform_eri
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,7 @@ def _diis_extrapolate(fock_list, error_list) -> np.ndarray:
     m = len(fock_list)
     b = -np.ones((m + 1, m + 1))
     b[m, m] = 0.0
-    for i in range(m):
-        for j in range(m):
-            b[i, j] = np.sum(error_list[i] * error_list[j])
+    b[:m, :m] = [[np.sum(ei * ej) for ej in error_list] for ei in error_list]
     rhs = np.zeros(m + 1)
     rhs[m] = -1.0
     try:
@@ -134,19 +132,15 @@ def transform_to_mo(ao: AOIntegralSet, c: np.ndarray, n_electrons: int,
     """Four-index transform of the AO integrals into the MO basis.
 
     Output two-electron integrals are in physicists' notation,
-    <pq|rs> = (pr|qs) over the chemists' AO tensor.
+    <pq|rs> = (pr|qs) over the chemists' AO tensor, exactly 8-fold symmetric.
     """
     ctsc = c.T @ ao.overlap @ c
     if not np.allclose(ctsc, np.eye(c.shape[1]), atol=1e-8):
         raise ValueError("MO coefficients are not S-orthonormal")
-    h_mo = c.T @ ao.core_hamiltonian @ c
-    chem = np.einsum(
-        "pqrs,pi,qj,rk,sl->ijkl", ao.eri, c, c, c, c, optimize=True
-    )
     return IntegralSet(
         n_orb=c.shape[1],
-        h=h_mo,
-        g=chem.transpose(0, 2, 1, 3).copy(),
+        h=c.T @ ao.core_hamiltonian @ c,
+        g=transform_eri(ao.eri, c.T).transpose(0, 2, 1, 3).copy(),
         core_energy=ao.nuclear_repulsion,
         n_electrons=n_electrons,
         orbital_energies=None if orbital_energies is None else np.asarray(orbital_energies),

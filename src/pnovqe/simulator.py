@@ -394,10 +394,12 @@ _SHIFT_RULE = (
 def _gradient_shift(op, ansatz, theta) -> np.ndarray:
     basis, circuit = _sector(op, ansatz)
     grad = np.zeros(ansatz.n_parameters)
-    for k in range(ansatz.n_parameters):
+    prefix = circuit.reference.copy()    # the factors before k applied, at theta
+    for k, factor in enumerate(circuit.factors):
         for shift, weight in _SHIFT_RULE:
-            shifted = theta.copy()
-            shifted[k] += shift
-            psi = _evolve(circuit.reference.copy(), circuit.factors, shifted)
+            psi = prefix.copy()
+            _rotate(psi, factor, theta[k] + shift)
+            psi = _evolve(psi, circuit.factors[k + 1:], theta[k + 1:])
             grad[k] += weight * _expectation(op, psi, basis)
+        _rotate(prefix, factor, theta[k])
     return grad

@@ -272,13 +272,8 @@ def molecular_integrals(config: RunConfig, coordinate=None):
 
 def reference_energy(mo: IntegralSet) -> float:
     """Closed-shell single-determinant energy of the first n_occ orbitals."""
-    occ = range(mo.n_occ)
-    energy = mo.core_energy
-    for i in occ:
-        energy += 2.0 * mo.h[i, i]
-        for j in occ:
-            energy += 2.0 * mo.g[i, j, i, j] - mo.g[i, j, j, i]
-    return float(energy)
+    occ = np.arange(mo.n_occ)
+    return float(mo.core_energy + np.sum(np.diag(mo.h + mo.mean_field(occ))[occ]))
 
 
 def compact_hamiltonian(config: RunConfig, coordinate=None):
@@ -424,15 +419,6 @@ class CurveResult:
 
     def coordinates(self):
         return [p["coordinate"] for p in self.points if "error" not in p]
-
-    def errors_vs(self, reference: dict, column: str = "e_vqe"):
-        out = []
-        for p in self.points:
-            if "error" in p:
-                continue
-            ref = _lookup_coordinate(reference, p["coordinate"])
-            out.append(p[column] - ref)
-        return out
 
 
 def run_curve(config: RunConfig) -> CurveResult:

@@ -9,7 +9,10 @@ applying creation operators in ascending index order.
 
 The AO-integral and MP2 oracles are scalar loops over contracted and
 primitive quartets (and virtual pairs) with the scalar Boys function: the
-reference the package's array code is compared against.
+reference the package's array code is compared against. The four-index
+transforms are plain ``einsum`` contractions over the full tensor, and the
+FCIDUMP oracles fill all eight permutations of each integral line and write
+with four nested loops: the references for the package's pair-packed code.
 
 The operator oracles are the term-by-term loops the package's array code
 must reproduce bit for bit: the spin-orbital expansion of the integrals,
@@ -31,6 +34,7 @@ spectrum, and the projection onto paired determinants.
 from __future__ import annotations
 
 import math
+import re
 from itertools import chain, combinations, groupby
 from operator import itemgetter
 
@@ -320,6 +324,79 @@ def reference_ao_integrals(molecule, shells) -> AOIntegralSet:
         eri=eri,
         nuclear_repulsion=e_nuc,
     )
+
+
+def reference_mo_eri(eri: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Chemists' (ij|kl) = sum_pqrs C_pi C_qj C_rk C_sl (pq|rs) by one einsum."""
+    return np.einsum("pqrs,pi,qj,rk,sl->ijkl", eri, c, c, c, c, optimize=True)
+
+
+def reference_final_eri(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Physicists' <pq|rs> rotated by the columns of u, by one einsum."""
+    return np.einsum("PQRS,Pp,Qq,Rr,Ss->pqrs", g, u, u, u, u, optimize=True)
+
+
+def reference_read_fcidump(path) -> tuple:
+    """(h, physicists' g, orbital energies or None, core) of an FCIDUMP file."""
+    with open(path) as fh:
+        text = fh.read()
+    end = re.search(r"(&END|/)", text)
+    n = int(re.search(r"NORB\s*=\s*(\d+)", text[: end.start()], re.IGNORECASE).group(1))
+    h = np.zeros((n, n))
+    chem = np.zeros((n,) * 4)
+    eps = np.full(n, np.nan)
+    core = 0.0
+    for line in text[end.end():].splitlines():
+        fields = line.split()
+        if not fields:
+            continue
+        value = float(fields[0].upper().replace("D", "E"))
+        i, j, k, l = (int(v) for v in fields[1:])
+        if i == 0:
+            core = value
+        elif j == 0:
+            eps[i - 1] = value
+        elif k == 0:
+            h[i - 1, j - 1] = value
+            h[j - 1, i - 1] = value
+        else:
+            a, b, c, d = i - 1, j - 1, k - 1, l - 1
+            for p, q in ((a, b), (b, a)):
+                for r, s in ((c, d), (d, c)):
+                    chem[p, q, r, s] = value
+                    chem[r, s, p, q] = value
+    return h, chem.transpose(0, 2, 1, 3).copy(), None if np.any(np.isnan(eps)) else eps, core
+
+
+def reference_fcidump_text(mo: IntegralSet) -> str:
+    """FCIDUMP text of an integral set: unique (ij|kl) by four nested loops, then h."""
+    n = mo.n_orb
+    chem = mo.g.transpose(0, 2, 1, 3)
+    lines = [f"&FCI NORB={n},NELEC={mo.n_electrons},MS2=0,",
+             " ORBSYM=" + ",".join(["1"] * n) + ",", " ISYM=1,", "&END"]
+
+    def _emit(value, i, j, k, l):
+        lines.append(f"{value: .16E} {i:4d} {j:4d} {k:4d} {l:4d}")
+
+    pair_index = lambda i, j: i * (i + 1) // 2 + j
+    for i in range(n):
+        for j in range(i + 1):
+            for k in range(n):
+                for l in range(k + 1):
+                    if pair_index(i, j) < pair_index(k, l):
+                        continue
+                    val = chem[i, j, k, l]
+                    if abs(val) > 1e-14:
+                        _emit(val, i + 1, j + 1, k + 1, l + 1)
+    for i in range(n):
+        for j in range(i + 1):
+            if abs(mo.h[i, j]) > 1e-14:
+                _emit(mo.h[i, j], i + 1, j + 1, 0, 0)
+    if mo.orbital_energies is not None:
+        for i, e in enumerate(mo.orbital_energies):
+            _emit(e, i + 1, 0, 0, 0)
+    _emit(mo.core_energy, 0, 0, 0, 0)
+    return "\n".join(lines) + "\n"
 
 
 def _reference_eri(sa, sb, sc, sd) -> float:

@@ -14,8 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 import pnovqe as pq
 from pnovqe.integrals import ParseError, _boys0, _prim_norm
 
-from ci_oracle import random_integral_set, reference_ao_integrals
-from conftest import h2_big_system, h2_pipeline, he_big_system, lih_like_system
+from ci_oracle import (
+    random_integral_set, reference_ao_integrals, reference_fcidump_text, reference_read_fcidump,
+)
+from conftest import (
+    h2_big_integrals, h2_big_system, h2_pipeline, he_big_system, lih_like_pipeline, lih_like_system,
+)
 
 
 class TestParseXYZ:
@@ -254,6 +258,17 @@ class TestFCIDump:
         path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n0.5 3 1 1 1\n")
         with pytest.raises(ParseError, match="out of range"):
             pq.read_fcidump(path)
+
+    @pytest.mark.parametrize("system", ["lih-model", "h2-s10"])
+    def test_bytes_and_arrays_match_loop_reference(self, system, tmp_path):
+        mo = lih_like_pipeline()["mo"] if system == "lih-model" else h2_big_integrals(1.4)
+        path = tmp_path / f"{system}.fcidump"
+        pq.write_fcidump(mo, path)
+        assert path.read_bytes() == reference_fcidump_text(mo).encode()
+        back = pq.read_fcidump(path)
+        h, g, eps, core = reference_read_fcidump(path)
+        assert np.array_equal(back.h, h) and np.array_equal(back.g, g)
+        assert np.array_equal(back.orbital_energies, eps) and back.core_energy == core
 
     def test_roundtrip_preserves_fci_energy(self, tmp_path):
         base = h2_pipeline(1.4)

@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
+from pnovqe.integrals import transform_eri
 
-from ci_oracle import random_integral_set
+from ci_oracle import random_integral_set, reference_final_eri, reference_mo_eri
+
+# the seven non-trivial permutations of chemists' (pq|rs) that leave it unchanged
+CHEM_SYMMETRIES = [(1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2), (2, 3, 0, 1),
+                   (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)]
+
+
+def assert_exactly_symmetric(chem):
+    for perm in CHEM_SYMMETRIES:
+        assert np.array_equal(chem, chem.transpose(perm)), perm
 
 
 def heh_plus():
@@ -138,3 +149,50 @@ class TestTransformToMO:
         ao = h2_sto3g["ao"]
         with pytest.raises(ValueError, match="orthonormal"):
             pq.transform_to_mo(ao, np.eye(2), 2)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**16))
+def test_transform_eri_exactly_symmetric_and_matches_einsum(n_in, n_out, seed):
+    chem = random_integral_set(n_in, 2, seed).g.transpose(0, 2, 1, 3)
+    c = np.random.default_rng(seed).standard_normal((n_in, n_out))
+    out = transform_eri(chem, c.T)
+    assert out.shape == (n_out,) * 4
+    assert_exactly_symmetric(out)
+    np.testing.assert_allclose(out, reference_mo_eri(chem, c), rtol=0, atol=1e-12)
+
+
+def h_chain(n_atoms: int, n_shells: int, alpha0: float, ratio: float, spacing: float = 1.6):
+    """Linear H chain in an even-tempered s set: (molecule, shells)."""
+    atoms = tuple(("H", 1, np.array([0.0, 0.0, spacing * k])) for k in range(n_atoms))
+    shells = [s for _, _, pos in atoms
+              for s in pq.even_tempered_shells(pos, n_shells, alpha0, ratio)]
+    return pq.Molecule(atoms=atoms), shells
+
+
+# Near-dependent even-tempered sets: max |C| is 35.5 for H6 and 19.2 for H4, so
+# a full-tensor einsum breaks (pq|rs) symmetry by 6.3e-11 and 5.5e-12.
+@pytest.mark.parametrize("n_atoms, n_shells, alpha0, ratio, n_qubits", [
+    (6, 2, 0.1, 4.0, 22),
+    (4, 4, 0.07, 3.3, 20),
+])
+def test_ill_conditioned_chains_pass_both_transforms(n_atoms, n_shells, alpha0, ratio, n_qubits):
+    mol, shells = h_chain(n_atoms, n_shells, alpha0, ratio)
+    ao = pq.compute_ao_integrals(mol, shells)
+    scf = pq.run_rhf(ao, mol.n_electrons)
+    assert scf.converged
+    c = scf.mo_coefficients
+    mo = pq.transform_to_mo(ao, c, mol.n_electrons, orbital_energies=scf.orbital_energies)
+    chem = mo.g.transpose(0, 2, 1, 3)
+    assert_exactly_symmetric(chem)
+    # both transforms carry round-off of order max|C|^4 eps
+    tol = 8 * np.finfo(float).eps * np.abs(c).max() ** 4
+    np.testing.assert_allclose(chem, reference_mo_eri(ao.eri, c), rtol=0, atol=tol)
+
+    amps = pq.mp2_amplitudes(mo)
+    space = pq.orthonormalize(pq.select_pnos(pq.pair_densities(amps), n_qubits))
+    final = pq.build_final_integrals(mo, space)
+    assert final.n_orb == n_qubits // 2
+    assert_exactly_symmetric(final.g.transpose(0, 2, 1, 3))
+    np.testing.assert_allclose(final.g, reference_final_eri(mo.g, space.transform),
+                               rtol=0, atol=1e-12)
