@@ -71,6 +71,7 @@ from .simulator import (
 )
 from .optimize import OptimizationResult, minimize, run_vqe
 from .exact import (
+    IntegralHamiltonian,
     SectorBasis,
     build_paired_ansatz,
     build_paired_hamiltonian,

@@ -9,13 +9,14 @@ import sys
 from pathlib import Path
 
 from .ansatz import resource_table_json
-from .exact import exact_ground_energy, sector_basis
+from .exact import IntegralHamiltonian, exact_ground_energy, sector_basis
 from .integrals import HARTREE_TO_KCALMOL, write_fcidump
 from .workbench import (
     ANSATZ_CHOICES,
     RunConfig,
     build_ansatz_for,
     compact_hamiltonian,
+    compact_integrals,
     load_config,
     load_curve_csv,
     load_reference,
@@ -81,7 +82,7 @@ def cmd_scf(args) -> int:
 
 def cmd_mp2(args) -> int:
     config = _configure(args)
-    stage = compact_hamiltonian(config, _first_coordinate(config))
+    stage = compact_integrals(config, _first_coordinate(config))
     amps = stage["amplitudes"]
     print(f"E(HF)       = {stage['e_hf']:.10f} hartree")
     print(f"E(MP2 corr) = {amps.mp2_total:.10f} hartree")
@@ -133,10 +134,10 @@ def cmd_vqe(args) -> int:
 
 def cmd_fci(args) -> int:
     config = _configure(args)
-    stage = compact_hamiltonian(config, _first_coordinate(config))
+    stage = compact_integrals(config, _first_coordinate(config))
     ansatz = build_ansatz_for(config, stage)
     sector = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
-    energy, _ = exact_ground_energy(stage["hamiltonian"], sector)
+    energy, _ = exact_ground_energy(IntegralHamiltonian(stage["final"], config.n_qubits), sector)
     print(f"E(FCI) = {energy:.10f} hartree ({config.n_qubits} qubits)")
     return 0
 

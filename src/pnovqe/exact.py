@@ -1,14 +1,14 @@
 """Exact diagonalization of qubit Hamiltonians and the paired encoding.
 
-A point's exact solve runs on the sector the ansatz keeps its reference in,
-the basis its VQE sweeps already projected the Hamiltonian onto, so both
-read one cached ``QubitOperator.matrix``. A real-integral Hamiltonian has an
-exactly real sector matrix, stored as float64, and the solve then runs in
-real arithmetic; only an operator whose sector entries really are complex
-is solved in complex arithmetic. Bases of up to ``_DENSE_DIM`` states get
-the lowest pair of a dense ``eigh``, larger ones Lanczos with full
-reorthogonalization from a seeded start vector; the crossover was measured
-on real sector matrices.
+A point's exact solve runs on the sector its VQE sweeps read, so both read
+one cached sector matrix: ``determinant_matrix`` of the compact integrals
+(``IntegralHamiltonian``), or ``QubitOperator.matrix`` of a Pauli operator.
+A real-integral Hamiltonian has an exactly real sector matrix, stored as
+float64, and the solve then runs in real arithmetic; only an operator whose
+sector entries really are complex is solved in complex arithmetic. Bases of
+up to ``_DENSE_DIM`` states get the lowest pair of a dense ``eigh``, larger
+ones Lanczos with full reorthogonalization from a seeded start vector; the
+crossover was measured on real sector matrices.
 
 The paired (seniority-zero) Hamiltonian encodes one doubly occupied spatial
 orbital per qubit, halving the register relative to the spin-orbital
@@ -24,10 +24,11 @@ from itertools import combinations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .ansatz import Ansatz, ExcitationGenerator
 from .integrals import IntegralSet
-from .operators import PauliString, QubitOperator
+from .operators import COEFF_CUTOFF, PauliString, QubitOperator
 
 # Real sectors of H8 STO-3G compact Hamiltonians on 2 cores: the lowest pair
 # by dense eigh takes 2.4 / 8.0 / 25 / 102 ms at dim 225 / 441 / 735 / 1225,
@@ -35,6 +36,9 @@ from .operators import PauliString, QubitOperator
 _DENSE_DIM = 600
 _MAX_DENSE_QUBITS = 16
 _MAX_ITER_QUBITS = 24
+# Rows per block of ``determinant_matrix``: the 22-qubit H6 sector took 4.8 s
+# at 64 rows against 5.0-5.7 s at 16, 32, 128 and 256 rows (2 cores)
+_DETERMINANT_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +102,115 @@ def full_basis(n_qubits: int) -> SectorBasis:
         two_sz=None,
         states=np.arange(1 << n_qubits, dtype=np.int64),
     )
+
+
+def _determinant_block(block, states, core, h, anti, exchange):
+    """Rows ``block`` of the determinant matrix as (row, column, value) entries, by row then column."""
+    m, n, b = h.shape[0], int(block[0]).bit_count(), len(block)
+    bits = (block[:, None] >> np.arange(m)) & 1
+    occ, vir = np.nonzero(bits)[1].reshape(b, n), np.nonzero(1 - bits)[1].reshape(b, m - n)
+    below = np.cumsum(bits, axis=1) - bits      # c_p: occupied spin-orbitals below p
+    c_occ, c_vir = np.take_along_axis(below, occ, 1), np.take_along_axis(below, vir, 1)
+    (ki, kj), (va, vb) = np.triu_indices(n, 1), np.triu_indices(m - n, 1)
+    # diagonal: core + sum_k h_kk + sum_{k<l} <kl||kl>
+    i, j = occ[:, ki], occ[:, kj]
+    diag = core + h[occ, occ].sum(axis=1) + anti[((i * m + j) * m + i) * m + j].sum(axis=1)
+    # singles i -> a: h_ai + sum_k <ak||ik>; a+_a a_i has the parity c_i + c_a - [i < a]
+    i, a = occ[:, :, None], vir[:, None, :]
+    single = h[a, i] + exchange[((a * m + i) * m)[..., None] + occ[:, None, None, :]].sum(axis=-1)
+    flip_s = np.left_shift(1, i) | np.left_shift(1, a)
+    odd_s = c_occ[:, :, None] + c_vir[:, None, :] + (i < a)
+    # doubles i < j -> a < b: <ab||ij>; a+_a a+_b a_j a_i has the parity
+    # c_i + c_j - 1 + c_a + c_b, less the number of i, j strictly between a and b
+    i, j, a, c = occ[:, ki, None], occ[:, kj, None], vir[:, None, va], vir[:, None, vb]
+    double = anti[((a * m + c) * m + i) * m + j]
+    holes = np.left_shift(1, i) | np.left_shift(1, j)
+    between = (np.left_shift(1, c) - 1) & ~(np.left_shift(2, a) - 1)
+    odd_d = ((c_occ[:, ki] + c_occ[:, kj] + 1)[:, :, None] + (c_vir[:, va] + c_vir[:, vb])[:, None, :]
+             + np.bitwise_count(holes & between))
+    flip_d = holes | np.left_shift(1, a) | np.left_shift(1, c)
+    keys, values = [], []
+    for value, flip, odd in ((diag, 0, 0), (single, flip_s, odd_s), (double, flip_d, odd_d)):
+        keep = ~(np.abs(value) < COEFF_CUTOFF)
+        shape = (b,) + (1,) * (value.ndim - 1)
+        key = np.left_shift(np.arange(b).reshape(shape), m) | (block.reshape(shape) ^ flip)
+        keys.append(np.broadcast_to(key, value.shape)[keep])
+        values.append(np.where(odd & 1, -value, value)[keep])
+    # keys row << m | image sort by row, then image: a row's columns come out sorted
+    order = np.argsort(np.concatenate(keys))
+    key, value = np.concatenate(keys)[order], np.concatenate(values)[order]
+    image = key & ((1 << m) - 1)
+    column = np.minimum(np.searchsorted(states, image), len(states) - 1)
+    found = states[column] == image
+    return key[found] >> m, column[found], value[found]
+
+
+def determinant_matrix(mo: IntegralSet, states: np.ndarray, n_qubits: int):
+    """The Hamiltonian of ``mo`` on a sorted fixed-N basis of determinants, as a real read-only CSR.
+
+    Bit q of a state occupies spin-orbital q, interleaved as in ``operators``.
+    Per determinant: the diagonal, every single i -> a (h_ai + sum_k <ak||ik>)
+    and double i < j -> a < b (<ab||ij>), with the Jordan-Wigner sign of
+    a+_a (a+_b a_j) a_i; images outside ``states`` and entries below
+    ``COEFF_CUTOFF`` are dropped. Blocks of ``_DETERMINANT_BLOCK`` rows fill,
+    in order, arrays sized by the spin-conserving excitation count; each
+    entry's operations are elementwise, so the block size changes no bit.
+    """
+    dim, counts = len(states), np.unique(np.bitwise_count(states))
+    if counts.size != 1:
+        raise ValueError("the determinant matrix needs a nonempty fixed-particle-number basis")
+    if n_qubits + (_DETERMINANT_BLOCK - 1).bit_length() > 63:
+        raise ValueError("a block's (row, image) keys overflow int64 on this register")
+    # h_PQ and <PQ||RS> with <PQ|RS> = <pq|rs> d(s_P, s_R) d(s_Q, s_S) over interleaved
+    # spin-orbitals: spin-forbidden entries are (signed) zeros
+    n_so, eye = 2 * mo.n_orb, np.eye(2)
+    h, g = np.zeros((n_qubits,) * 2), np.zeros((n_qubits,) * 4)
+    h[:n_so, :n_so] = np.kron(mo.h, eye)
+    g[:n_so, :n_so, :n_so, :n_so] = np.kron(mo.g, np.einsum("ac,bd->abcd", eye, eye))
+    anti = g - g.transpose(0, 1, 3, 2)
+    tables = (float(mo.core_energy), h, anti.ravel(), np.einsum("akik->aik", anti).ravel())
+    # a row holds at most 1 + its spin-conserving singles and doubles
+    up = np.bitwise_count(states & sum(1 << q for q in range(0, n_qubits, 2))).astype(np.int64)
+    n = int(counts[0])
+    dn, up_holes, dn_holes = n - up, (n_qubits + 1) // 2 - up, n_qubits // 2 - n + up
+    pairs = up * (up - 1) * up_holes * (up_holes - 1) + dn * (dn - 1) * dn_holes * (dn_holes - 1)
+    bound = int(np.sum(1 + up * up_holes + dn * dn_holes + up * dn * up_holes * dn_holes + pairs // 4))
+    data, indices, indptr = np.empty(bound), np.empty(bound, np.int32), np.zeros(dim + 1, np.int64)
+    for lo in range(0, dim, _DETERMINANT_BLOCK):
+        block = states[lo:lo + _DETERMINANT_BLOCK]
+        rows, columns, values = _determinant_block(block, states, *tables)
+        start = indptr[lo]
+        data[start:start + values.size], indices[start:start + values.size] = values, columns
+        indptr[lo + 1:lo + 1 + len(block)] = start + np.cumsum(np.bincount(rows, minlength=len(block)))
+    # the tail past nnz was never written, so it takes no resident memory
+    mat = scipy.sparse.csr_matrix((data[:indptr[-1]], indices[:indptr[-1]], indptr), shape=(dim, dim))
+    for array in (mat.data, mat.indices, mat.indptr):
+        array.flags.writeable = False   # the cached matrix is shared
+    return mat
+
+
+class IntegralHamiltonian:
+    """The Hamiltonian of an ``IntegralSet`` on ``n_qubits`` spin-orbitals.
+
+    It has the members of a ``QubitOperator`` that the simulator and
+    ``exact_ground_energy`` read; ``matrix`` is ``determinant_matrix``, cached per basis.
+    """
+
+    __slots__ = ("integrals", "n_qubits", "_compiled")
+
+    def __init__(self, integrals: IntegralSet, n_qubits: int):
+        if n_qubits < 2 * integrals.n_orb:
+            raise ValueError("register smaller than the spin-orbitals of the integrals")
+        self.integrals, self.n_qubits, self._compiled = integrals, n_qubits, {}
+
+    def max_imag(self) -> float:
+        return 0.0
+
+    def matrix(self, states: np.ndarray):
+        key = states.tobytes()
+        if key not in self._compiled:
+            self._compiled[key] = determinant_matrix(self.integrals, states, self.n_qubits)
+        return self._compiled[key]
 
 
 def lanczos_ground(matrix, dim: int, tol: float = 1e-12, max_steps: int = 400,

@@ -190,9 +190,6 @@ class QubitOperator:
             self._max_imag = max((abs(c.imag) for c in self._terms.values()), default=0.0)
         return self._max_imag
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self.max_imag() < tol
-
     def norm(self) -> float:
         """Frobenius norm over the orthogonal Pauli basis (up to 2^n scale)."""
         return float(np.sqrt(sum(abs(c) ** 2 for c in self._terms.values())))
@@ -430,9 +427,6 @@ class FermionOperator:
     def items(self):
         return self._terms.items()
 
-    def constant(self) -> complex:
-        return self._terms.get((), 0.0 + 0.0j)
-
     def hermitian_conjugate(self) -> "FermionOperator":
         out = FermionOperator()
         for term, coeff in self._terms.items():
@@ -459,9 +453,6 @@ class FermionOperator:
 
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(c) ** 2 for c in self._terms.values())))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return (self - self.hermitian_conjugate()).norm() < tol
 
     def __repr__(self):
         return f"FermionOperator(n_terms={self.n_terms})"

@@ -69,7 +69,8 @@ def run_rhf(
         return eps, c, d
 
     eps, c, density = _density(h)
-    energy = 0.5 * np.sum(density * (h + _fock_matrix(ao, density))) + ao.nuclear_repulsion
+    fock_of_density = _fock_matrix(ao, density)
+    energy = 0.5 * np.sum(density * (h + fock_of_density)) + ao.nuclear_repulsion
 
     fock_list: list = []
     error_list: list = []
@@ -77,7 +78,7 @@ def run_rhf(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        fock = _fock_matrix(ao, density)
+        fock = fock_of_density
         if diis:
             err = x.T @ (fock @ density @ s - s @ density @ fock) @ x
             fock_list.append(fock)
@@ -88,10 +89,8 @@ def run_rhf(
             if len(fock_list) > 1:
                 fock = _diis_extrapolate(fock_list, error_list)
         eps, c, new_density = _density(fock)
-        new_energy = (
-            0.5 * np.sum(new_density * (h + _fock_matrix(ao, new_density)))
-            + ao.nuclear_repulsion
-        )
+        fock_of_density = _fock_matrix(ao, new_density)
+        new_energy = 0.5 * np.sum(new_density * (h + fock_of_density)) + ao.nuclear_repulsion
         history.append(new_energy)
         delta_e = abs(new_energy - energy)
         delta_d = np.max(np.abs(new_density - density))
@@ -101,7 +100,7 @@ def run_rhf(
             break
 
     # canonical orbitals from the final (un-extrapolated) Fock matrix
-    eps, c, _ = _density(_fock_matrix(ao, density))
+    eps, c, _ = _density(fock_of_density)
     return SCFResult(
         mo_coefficients=c,
         orbital_energies=eps,

@@ -15,8 +15,9 @@ with the last forward state, which a call at bit-equal parameters reuses.
 VQE energies and gradients run on the sector the circuit keeps its
 reference in: the (N, S_z) sector when every generator commutes with S_z
 (``Ansatz.two_sz``), else the N sector. The exact solve of a point uses the
-same basis and reads the same cached ``QubitOperator.matrix``, float64 when
-its entries are real. There the state is float64 too. The adjoint sweep
+same basis and reads the same cached ``matrix`` of the Hamiltonian (a
+``QubitOperator`` or the point's ``exact.IntegralHamiltonian``), float64
+when its entries are real. There the state is float64 too. The adjoint sweep
 runs backwards through the factors; the shift rule takes four circuit
 energies per generator, which is exact because G^3 = G. Only the
 ``Statevector`` functions use complex 2^n vectors.
@@ -239,11 +240,18 @@ def _rotate(vec: np.ndarray, factor: _Factor, angle: float) -> None:
 
 
 def apply_pauli_rotation(state: Statevector, string: PauliString, angle: float) -> Statevector:
-    """In-place exp(-i angle/2 P): cos(a/2) psi - i sin(a/2) P psi."""
+    """In-place exp(-i angle/2 P): cos(a/2) psi - i sin(a/2) P psi.
+
+    P|s> = i^|x&z| (-1)^|s&z| |s ^ x>: an index XOR and a phase array, each
+    part of a phase 0.0 + (+-part) as in the sums of ``_factor``."""
     if string.n_qubits != state.n_qubits:
         raise ValueError("Pauli string length does not match register")
+    rows = _register(state.n_qubits).states
+    cols = rows ^ string.x
+    phase = _PHASES[(string.x & string.z).bit_count() & 3]
+    phases = 0.0 + np.where(np.bitwise_count(cols & string.z) & 1, -phase, phase)
     vec = state.amplitudes.copy()
-    _rotate(vec, _factor(((string, 1.0),), _register(state.n_qubits)), angle)
+    _rotate(vec, _Factor(rows, cols, phases), angle)
     state.amplitudes = vec
     return state
 

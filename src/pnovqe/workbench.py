@@ -1,11 +1,12 @@
 """Pipelines from molecule or FCIDUMP to VQE numbers, plus error metrics.
 
 A run proceeds integrals -> SCF -> MP2 pair densities -> budgeted PNO
-selection -> compact Hamiltonian -> Jordan-Wigner -> ansatz -> VQE, with an
-exact-diagonalization energy of the same compact basis attached to every
-point. PNO selection is redone independently at every scan geometry, so the
-orbital set adapts to each point; the per-point selection signature is
-recorded to make curve kinks diagnosable.
+selection -> compact integrals -> ansatz -> VQE, with an exact energy of the
+same sector matrix (built from the compact integrals) attached to every
+point; Jordan-Wigner only writes a point's ``hamiltonian.txt``. PNO
+selection is redone independently at every scan geometry, so the orbital
+set adapts to each point; the per-point selection signature is recorded to
+make curve kinks diagnosable.
 
 Serialized outputs (one JSON document per run, one CSV per curve) contain
 no wall-clock data, so identical configurations reproduce byte-identical
@@ -30,7 +31,7 @@ from .ansatz import (
     count_resources,
     format_resource_table,
 )
-from .exact import exact_ground_energy, sector_basis
+from .exact import IntegralHamiltonian, exact_ground_energy, sector_basis
 from .integrals import (
     IntegralSet,
     parse_xyz,
@@ -276,8 +277,8 @@ def reference_energy(mo: IntegralSet) -> float:
     return float(mo.core_energy + np.sum(np.diag(mo.h + mo.mean_field(occ))[occ]))
 
 
-def compact_hamiltonian(config: RunConfig, coordinate=None):
-    """Stages 1-4: integrals, MP2/PNO truncation, Jordan-Wigner encoding.
+def compact_integrals(config: RunConfig, coordinate=None):
+    """Stages 1-4: integrals and MP2/PNO truncation to the compact integrals.
 
     Returns a dict with the intermediate artifacts needed downstream.
     """
@@ -294,7 +295,6 @@ def compact_hamiltonian(config: RunConfig, coordinate=None):
     )
     space = orthonormalize(pnos)
     final = build_final_integrals(mo, space)
-    qubit_h = jordan_wigner(build_hamiltonian(final), config.n_qubits)
     signature = [f"{i}.{j}#{local}" for (i, j), local, _ in pnos.selection]
     return {
         "mo": mo,
@@ -303,11 +303,17 @@ def compact_hamiltonian(config: RunConfig, coordinate=None):
         "pnos": pnos,
         "space": space,
         "final": final,
-        "hamiltonian": qubit_h,
         "e_hf": reference_energy(mo),
         "e_mp2": reference_energy(mo) + amps.mp2_total,
         "selection_signature": signature,
     }
+
+
+def compact_hamiltonian(config: RunConfig, coordinate=None):
+    """``compact_integrals`` plus their Jordan-Wigner Hamiltonian under "hamiltonian"."""
+    stage = compact_integrals(config, coordinate)
+    stage["hamiltonian"] = jordan_wigner(build_hamiltonian(stage["final"]), config.n_qubits)
+    return stage
 
 
 def build_ansatz_for(config: RunConfig, stage: dict):
@@ -320,11 +326,11 @@ def build_ansatz_for(config: RunConfig, stage: dict):
 def run_point(config: RunConfig, coordinate=None) -> dict:
     """Full single-point pipeline; returns a JSON-ready record."""
     config.validate()
-    stage = compact_hamiltonian(config, coordinate)
+    stage = compact_integrals(config, coordinate)
     ansatz = build_ansatz_for(config, stage)
     resources = count_resources(ansatz)
-    hamiltonian = stage["hamiltonian"]
     final = stage["final"]
+    hamiltonian = IntegralHamiltonian(final, config.n_qubits)
     vqe = run_vqe(
         hamiltonian,
         ansatz,
@@ -375,7 +381,8 @@ def _write_point_artifacts(config, coordinate, stage, vqe, resources) -> None:
     out.mkdir(parents=True, exist_ok=True)
     tag = _point_tag(coordinate)
     write_fcidump(stage["final"], out / f"{tag}.fcidump")
-    (out / f"{tag}.hamiltonian.txt").write_text(stage["hamiltonian"].to_text())
+    qubit_h = jordan_wigner(build_hamiltonian(stage["final"]), config.n_qubits)
+    (out / f"{tag}.hamiltonian.txt").write_text(qubit_h.to_text())
     (out / f"{tag}.resources.json").write_text(
         json.dumps(resources.as_dict(), indent=2, sort_keys=True) + "\n"
     )
@@ -553,7 +560,7 @@ def load_curve_csv(path, column: str = "e_vqe") -> dict:
 
 def resource_rows_for(config: RunConfig, label: str | None = None) -> list:
     """(system label, {variant: ResourceReport}) rows for the configured run."""
-    stage = compact_hamiltonian(config, config.scan[0] if config.scan else None)
+    stage = compact_integrals(config, config.scan[0] if config.scan else None)
     final = stage["final"]
     reports = {}
     for name in ANSATZ_CHOICES:

@@ -13,6 +13,8 @@ reference the package's array code is compared against. The four-index
 transforms are plain ``einsum`` contractions over the full tensor, and the
 FCIDUMP oracles fill all eight permutations of each integral line and write
 with four nested loops: the references for the package's pair-packed code.
+The SCF oracle is the Roothaan-DIIS loop that rebuilt the Fock matrix of a
+density it already had.
 
 The operator oracles are the term-by-term loops the package's array code
 must reproduce bit for bit: the spin-orbital expansion of the integrals,
@@ -43,6 +45,7 @@ import scipy.sparse
 
 from pnovqe.exact import sector_basis
 from pnovqe.integrals import AOIntegralSet, IntegralSet, _prim_norm, boys
+from pnovqe.scf import SCFResult, _diis_extrapolate, _fock_matrix, _orthogonalizer
 from pnovqe.operators import (
     _PHASES, COEFF_CUTOFF, FermionOperator, PauliString, QubitOperator, _mul_masks,
 )
@@ -450,6 +453,55 @@ def reference_mp2_amplitudes(mo: IntegralSet):
             t[(i, j)] = tij
             pair_energies[(i, j)] = (1.0 if i == j else 2.0) * e_pair
     return t, pair_energies
+
+
+def reference_run_rhf(ao: AOIntegralSet, n_electrons: int, max_iter: int = 100,
+                      energy_tol: float = 1e-10, density_tol: float = 1e-8,
+                      diis: bool = True, diis_size: int = 8) -> SCFResult:
+    """The Roothaan-DIIS loop that builds the Fock matrix of each density twice.
+
+    Once for the energy of a new density and again at the start of the next
+    iteration (and once more for the canonical orbitals); ``scf.run_rhf``
+    must return the same bits building it once.
+    """
+    n_occ = n_electrons // 2
+    x = _orthogonalizer(ao.overlap)
+    h, s = ao.core_hamiltonian, ao.overlap
+
+    def _density(fock):
+        eps, c_ortho = np.linalg.eigh(x.T @ fock @ x)
+        c = x @ c_ortho
+        return eps, c, 2.0 * c[:, :n_occ] @ c[:, :n_occ].T
+
+    eps, c, density = _density(h)
+    energy = 0.5 * np.sum(density * (h + _fock_matrix(ao, density))) + ao.nuclear_repulsion
+    fock_list, error_list, history = [], [], [energy]
+    converged, iterations = False, 0
+    for iterations in range(1, max_iter + 1):
+        fock = _fock_matrix(ao, density)
+        if diis:
+            err = x.T @ (fock @ density @ s - s @ density @ fock) @ x
+            fock_list.append(fock)
+            error_list.append(err)
+            if len(fock_list) > diis_size:
+                fock_list.pop(0)
+                error_list.pop(0)
+            if len(fock_list) > 1:
+                fock = _diis_extrapolate(fock_list, error_list)
+        eps, c, new_density = _density(fock)
+        new_energy = (0.5 * np.sum(new_density * (h + _fock_matrix(ao, new_density)))
+                      + ao.nuclear_repulsion)
+        history.append(new_energy)
+        delta_e = abs(new_energy - energy)
+        delta_d = np.max(np.abs(new_density - density))
+        density, energy = new_density, new_energy
+        if delta_e < energy_tol and delta_d < density_tol:
+            converged = True
+            break
+    eps, c, _ = _density(_fock_matrix(ao, density))
+    return SCFResult(mo_coefficients=c, orbital_energies=eps, total_energy=float(energy),
+                     converged=converged, iterations=iterations, density_matrix=density,
+                     energy_history=tuple(history))
 
 
 def reference_build_hamiltonian(mo) -> FermionOperator:

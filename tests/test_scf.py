@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
+from pnovqe import scf as scf_module
 from pnovqe.integrals import transform_eri
 
-from ci_oracle import random_integral_set, reference_final_eri, reference_mo_eri
+from ci_oracle import random_integral_set, reference_final_eri, reference_mo_eri, reference_run_rhf
 
 # the seven non-trivial permutations of chemists' (pq|rs) that leave it unchanged
 CHEM_SYMMETRIES = [(1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2), (2, 3, 0, 1),
@@ -108,6 +109,28 @@ class TestRunRHF:
             pq.run_rhf(ao, 3)
         with pytest.raises(ValueError):
             pq.run_rhf(ao, 4)
+
+    @pytest.mark.parametrize("diis", [True, False])
+    @pytest.mark.parametrize("system", ["heh+", "h8"])
+    def test_one_fock_build_per_density_keeps_the_bits(self, monkeypatch, system, diis):
+        if system == "heh+":
+            mol, ao = heh_plus()
+        else:
+            rows = "\n".join(f"H 0 0 {0.9 * k:.1f}" for k in range(8))
+            mol = pq.parse_xyz(f"8\n\n{rows}")
+            ao = pq.compute_ao_integrals(mol, pq.sto3g_shells(mol))
+        expected = reference_run_rhf(ao, mol.n_electrons, diis=diis)
+        built = []
+        fock_matrix = scf_module._fock_matrix
+        monkeypatch.setattr(scf_module, "_fock_matrix",
+                            lambda ao, density: built.append(1) or fock_matrix(ao, density))
+        result = pq.run_rhf(ao, mol.n_electrons, diis=diis)
+        assert len(built) <= result.iterations + 1
+        assert (result.iterations, result.converged) == (expected.iterations, expected.converged)
+        assert result.total_energy == expected.total_energy
+        assert result.energy_history == expected.energy_history
+        for name in ("mo_coefficients", "orbital_energies", "density_matrix"):
+            assert np.array_equal(getattr(result, name), getattr(expected, name)), name
 
 
 class TestTransformToMO:

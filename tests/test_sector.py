@@ -119,19 +119,19 @@ def test_sz_rule_agrees_with_the_commutator(case):
 
 def test_run_point_builds_one_sector_matrix(monkeypatch, tmp_path):
     built = []
+    build = exact.determinant_matrix
 
-    def keep(*args):
-        built.append(pq.jordan_wigner(*args))
-        return built[-1]
+    def keep(mo, states, n_qubits):
+        built.append((states, build(mo, states, n_qubits)))
+        return built[-1][1]
 
-    monkeypatch.setattr(workbench, "jordan_wigner", keep)
+    monkeypatch.setattr(exact, "determinant_matrix", keep)
     pq.write_fcidump(LIH_MO, tmp_path / "lih.fcidump")
     config = pq.RunConfig(integral_source="fcidump", fcidump=str(tmp_path / "lih.fcidump"),
                           n_qubits=8, ansatz="upccgsd", diagonal_only=True).validate()
     record = pq.run_point(config)
-    (hamiltonian,) = built
-    ((states, mat),) = hamiltonian._compiled.items()
-    assert states == pq.sector_basis(8, 4, 0).states.tobytes()
+    ((states, mat),) = built
+    assert states.tobytes() == pq.sector_basis(8, 4, 0).states.tobytes()
     assert mat.dtype == np.float64
     assert record["e_fci"] <= record["e_vqe"]
 

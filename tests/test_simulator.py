@@ -5,10 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
+from pnovqe.exact import full_basis
 from pnovqe.operators import QubitOperator
 from pnovqe.simulator import (
+    _factor,
+    _rotate,
     ansatz_expectation,
     ansatz_state,
     apply_operator,
@@ -63,6 +67,23 @@ class TestPauliRotation:
             pq.apply_pauli_rotation(state, string, theta)
             u = scipy.linalg.expm(-0.5j * theta * dense_from_string(string))
             np.testing.assert_allclose(state.amplitudes, u @ vec, atol=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))),
+        st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False), st.integers(0, 2**32 - 1))
+    def test_rotation_has_the_bits_of_the_factor_rotation(self, masks, angle, seed):
+        n, x, z = masks
+        string = pq.PauliString(n, x, z)
+        rng = np.random.default_rng(seed)
+        vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        vec[rng.random(1 << n) < 0.3] = 0.0     # zero amplitudes, whose sign shows in the bits
+        vec /= np.linalg.norm(vec) or 1.0
+        expected = vec.copy()
+        _rotate(expected, _factor(((string, 1.0),), full_basis(n)), angle)
+        state = pq.apply_pauli_rotation(pq.Statevector(n, vec.copy()), string, angle)
+        # the same bits, signed zeros included
+        assert np.array_equal(state.amplitudes.view(np.uint64), expected.view(np.uint64))
 
     def test_norm_preserved_through_sequences(self):
         rng = np.random.default_rng(6)
