@@ -20,6 +20,7 @@ from .workbench import (
     load_config,
     load_curve_csv,
     load_reference,
+    lookup_coordinate,
     max_error,
     molecular_integrals,
     npe,
@@ -55,9 +56,9 @@ def _configure(args) -> RunConfig:
         config.freeze = tuple(int(v) for v in args.freeze.split())
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         config.output_dir = args.out
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         config.workers = args.workers
     return config.validate()
 
@@ -160,23 +161,20 @@ def cmd_curve(args) -> int:
 
 def cmd_metrics(args) -> int:
     model = load_curve_csv(args.curve, column=args.column)
-    if args.reference:
-        reference = load_reference(args.reference)
-        errors = []
-        for coord, energy in sorted(model.items()):
-            matches = [v for k, v in reference.items() if abs(k - coord) <= 1e-9]
-            if not matches:
-                print(f"no reference energy for coordinate {coord}", file=sys.stderr)
-                return 1
-            errors.append(energy - matches[0])
-        print(f"NPE = {npe(errors):.10f} hartree")
-        print(f"MAX = {max_error(errors):.10f} hartree")
-    if args.barrier_at:
-        x1, x2 = args.barrier_at
-        e1 = model[min(model, key=lambda k: abs(k - x1))]
-        e2 = model[min(model, key=lambda k: abs(k - x2))]
-        delta = e1 - e2
-        print(f"barrier = {delta:.10f} hartree = {delta * HARTREE_TO_KCALMOL:.6f} kcal/mol")
+    try:
+        if args.reference:
+            reference = load_reference(args.reference)
+            errors = [energy - lookup_coordinate(reference, coord)
+                      for coord, energy in sorted(model.items())]
+            print(f"NPE = {npe(errors):.10f} hartree")
+            print(f"MAX = {max_error(errors):.10f} hartree")
+        if args.barrier_at:
+            e1, e2 = (lookup_coordinate(model, x, "curve") for x in args.barrier_at)
+            delta = e1 - e2
+            print(f"barrier = {delta:.10f} hartree = {delta * HARTREE_TO_KCALMOL:.6f} kcal/mol")
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 1
     if not args.reference and not args.barrier_at:
         print("nothing to compute: give --reference and/or --barrier-at", file=sys.stderr)
         return 2

@@ -9,15 +9,16 @@ Conventions used throughout the package:
 * Qubit indexing is little-endian: bit j of a basis-state integer is the
   occupation of qubit j.
 
-``build_hamiltonian``, ``jordan_wigner`` and ``QubitOperator.matrix`` are
-array code that works on fixed blocks of products or of X-mask groups. Part of
-their determinism contract is that every coefficient is summed in the order
-of a term-by-term loop, starting from 0, and that keys keep the order in
-which such a loop first meets them; the block sizes are constants that
-change no bit. The operators, and every energy computed from them, are
-therefore the same to the last bit whatever the blocking. Pauli masks are
-int64 columns, so the array code, ``QubitOperator.to_text`` included,
-covers registers of up to ``MAX_MASK_QUBITS`` qubits.
+``build_hamiltonian``, ``jordan_wigner`` and ``_pauli_pass`` (the one action
+of Pauli sums on bitmask states, for ``QubitOperator.matrix`` and the circuit
+factors) are array code that works on fixed blocks of products or of X-mask
+groups. Part of their determinism contract is that every coefficient is
+summed in the order of a term-by-term loop, starting from 0, and that keys
+keep the order in which such a loop first meets them; the block sizes are
+constants that change no bit. The operators, and every energy computed from
+them, are therefore the same to the last bit whatever the blocking. Pauli
+masks are int64 columns, so the array code, ``QubitOperator.to_text``
+included, covers registers of up to ``MAX_MASK_QUBITS`` qubits.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ _JW_BLOCK = 1 << 14
 # Operators with at most this many terms (an ansatz generator has 2) are
 # expanded term by term, where numpy's fixed cost per call would dominate.
 _JW_SMALL = 8
-# ``QubitOperator.matrix`` probes this many (X group, basis state) pairs at
-# once, so its image and position arrays stay near 32 KiB each.
-_MATRIX_BLOCK = 1 << 12
+# ``_pauli_pass`` takes whole owners in blocks of about this many (X group,
+# basis state) pairs, so its per-pair arrays stay near 32 KiB each unless one
+# owner alone has more pairs.
+_PAULI_BLOCK = 1 << 12
 
 _LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -229,17 +231,15 @@ class QubitOperator:
         """Projection onto a sorted array of basis bitmasks, as a sparse matrix.
 
         Entry (r, c) is <states[r]| op |states[c]>; images outside ``states``
-        are dropped. A string maps |s> to i^|x&z| (-1)^|s&z| |s ^ x>, so the
-        terms sharing an X mask share one image and one ``searchsorted``.
-        The result is cached per basis in ``_compiled`` and read-only. Its
-        values are float64 when no entry on the basis has an imaginary part
-        (every sector of a real-integral Hamiltonian), complex128 otherwise.
+        are dropped. The entries are the found nonzero sums of ``_pauli_pass``
+        with each X group its own owner. The result is cached per basis in
+        ``_compiled`` and read-only. Its values are float64 when no entry on
+        the basis has an imaginary part (every sector of a real-integral
+        Hamiltonian), complex128 otherwise.
 
-        Determinism: each entry sums the terms of its X group in ascending Z
-        order, starting from 0; all entries advance one term per step, so
-        neither ``_MATRIX_BLOCK`` nor the group sizes change a bit. No two
-        groups share an entry and the CSR arrays are sorted by row, then
-        column, so the order entries are summed in does not show.
+        Determinism: each entry has the bits of ``_pauli_pass``, whatever its
+        blocking. No two groups share an entry and the CSR arrays are sorted
+        by row, then column, so the order entries are summed in does not show.
         """
         if self._compiled is None:
             self._compiled = {}
@@ -248,39 +248,20 @@ class QubitOperator:
             return self._compiled[key]
         dim, n_terms = len(states), len(self._terms)
         masks = np.fromiter(chain.from_iterable(self._terms), np.int64, 2 * n_terms)
-        order = np.lexsort((masks[1::2], masks[0::2]))
-        x, z = masks[0::2][order], masks[1::2][order]
-        coeffs = np.fromiter(self._terms.values(), complex, n_terms)[order]
-        coeffs *= np.asarray(_PHASES)[np.bitwise_count(x & z) & 3]
-        starts = np.flatnonzero(np.diff(x, prepend=-1))
-        sizes = np.diff(starts, append=x.size)
-        xs = x[starts]
-        # arrays are dropped as soon as they are done with: a projection onto
-        # a small sector should cost memory of the order of its entries
-        del masks, order, x
-        group, row, column = _hits(states, xs)
-        # hits by decreasing group size, so those whose group has a k-th term are a prefix
-        by_size = np.argsort(-sizes[group], kind="stable")
-        group, row, column = group[by_size], row[by_size], column[by_size]
-        del by_size
-        active = np.searchsorted(-sizes[group], -np.arange(sizes.max(initial=0)))
-        term, kept = starts[group], states[column]
-        del group
-        # a complex sum adds real and imaginary parts apart; a part whose
-        # coefficients are all zero stays +0
-        sums = [_signed_sums(part, z, term, kept, active) if part.any() else 0.0
-                for part in (coeffs.real, coeffs.imag)]
-        del term, kept
-        if np.any(sums[1]):
-            values = np.empty(len(row), dtype=complex)
-            values.real, values.imag = sums
-        else:   # no entry is imaginary: store float64
-            values = np.broadcast_to(sums[0], len(row))
-        del sums
-        keep = values != 0
-        entries = (values[keep], (row[keep], column[keep]))
-        del values, row, column
-        mat = scipy.sparse.csr_matrix(entries, shape=(dim, dim), dtype=entries[0].dtype)
+        xs, group = np.unique(masks[0::2], return_inverse=True)   # each X group is its own owner
+        blocks = _pauli_pass(group, masks[0::2], masks[1::2],
+                             np.fromiter(self._terms.values(), complex, n_terms), xs.size, states)
+        # the pass holds the only copy of the terms and only the entries are
+        # kept: a projection onto a small sector costs memory of their order
+        del masks, group
+        entries = [(np.zeros(0, complex), np.zeros(0, np.intp), np.zeros(0, np.intp))]
+        for _, _, pos, found, values in blocks:
+            hit = np.flatnonzero(found & (values != 0))
+            entries.append((values[hit], pos[hit], hit % dim))
+        values, row, column = (np.concatenate(parts) for parts in zip(*entries))
+        if not values.imag.any():   # no entry is imaginary: store float64
+            values = values.real
+        mat = scipy.sparse.csr_matrix((values, (row, column)), shape=(dim, dim), dtype=values.dtype)
         for array in (mat.data, mat.indices, mat.indptr):
             array.flags.writeable = False   # the cached matrix is shared
         self._compiled[key] = mat
@@ -334,39 +315,60 @@ class QubitOperator:
         return f"QubitOperator(n_qubits={self.n_qubits}, n_terms={self.n_terms})"
 
 
-def _hits(states: np.ndarray, x: np.ndarray) -> tuple:
-    """(group, row, column) of every basis state (column) that X mask x[group] maps into the basis.
+def _pauli_pass(owner, x, z, coeffs, n_owners: int, states: np.ndarray):
+    """Walk the (owner, X group, basis state) pairs of Pauli sums in blocks of whole owners.
 
-    Probes ``_MATRIX_BLOCK`` (group, state) pairs at a time, in group order.
+    Term t is coeffs[t] times the string with masks (x[t], z[t]) and belongs
+    to owner[t], one of ``range(n_owners)``. A string maps |s> to
+    i^|x&z| (-1)^|s&z| |s ^ x>, so the terms of an owner sharing an X mask
+    form a group with one image per state, probed with one ``searchsorted``.
+    Owners are taken in order, in blocks of about ``_PAULI_BLOCK`` pairs (an
+    owner without terms counts as one group). Each block yields the range of
+    owners it covers and, per pair, its owner, the position of its image in
+    ``states``, whether the image is in ``states`` and the group's sum on the
+    state. A block's pairs run group by group, so pair p is on state
+    states[p % len(states)].
+
+    Determinism: each sum adds its group's terms in ascending Z order,
+    starting from 0, and all sums advance one term per step, so neither the
+    blocking nor the group sizes change a bit.
     """
     dim = len(states)
-    index = np.int32 if max(dim, x.size) < 2**31 else np.intp
-    hits = [(np.zeros(0, index),) * 3]
-    per_block = max(1, _MATRIX_BLOCK // max(dim, 1))
-    for lo in range(0, x.size, per_block):
-        images = states ^ x[lo:lo + per_block, None]
-        pos = np.minimum(np.searchsorted(states, images), dim - 1)
-        group, column = np.nonzero(states[pos] == images)
-        hits.append(tuple(a.astype(index) for a in (group + lo, pos[group, column], column)))
-    return tuple(np.concatenate(parts) for parts in zip(*hits))
-
-
-def _signed_sums(coeffs, z, first, kept, active) -> np.ndarray:
-    """Per hit, the sum of (-1)^|kept & z_t| coeffs[t] over its terms t in order, from 0.
-
-    Hit h owns the terms first[h], first[h] + 1, ...; at step k the first
-    active[k] hits (those with more than k terms) add their k-th term, so
-    every sum keeps the order of a loop over the terms.
-    """
-    total = np.zeros(first.size)
-    for k, n in enumerate(active.tolist()):
-        t = first[:n] + k
-        odd = z[t]
-        odd &= kept[:n]
-        step = coeffs[t]
-        np.negative(step, out=step, where=(np.bitwise_count(odd) & 1).astype(bool))
-        total[:n] += step
-    return total
+    order = np.lexsort((z, x, owner))
+    owner, x, z, coeffs = owner[order], x[order], z[order], coeffs[order]
+    del order
+    coeffs *= np.asarray(_PHASES)[np.bitwise_count(x & z) & 3]
+    # real and imaginary parts are summed apart; a part whose coefficients are
+    # all zero is skipped, so its sums stay +0
+    parts = [p for p in ("real", "imag") if getattr(coeffs, p).any()]
+    new = np.ones(owner.size, bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=owner.size)
+    owner, x = owner[starts], x[starts]   # per group from here on
+    # owner k owns the groups first_group[k]:first_group[k + 1]
+    first_group = np.searchsorted(owner, np.arange(n_owners + 1))
+    cost = np.maximum(np.diff(first_group), 1) * max(dim, 1)
+    block = (np.cumsum(cost) - cost) // _PAULI_BLOCK
+    edges = np.flatnonzero(np.diff(block, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(edges, edges[1:]):
+        # the block's groups by decreasing size, so at step k the groups with
+        # a k-th term are the first active[k]
+        groups = np.arange(first_group[lo], first_group[hi])
+        groups = groups[np.argsort(-sizes[groups], kind="stable")]
+        images = states ^ x[groups, None]
+        pos = np.minimum(np.searchsorted(states, images), dim - 1).ravel()
+        found = states[pos] == images.ravel()
+        active = np.searchsorted(-sizes[groups], -np.arange(sizes[groups].max(initial=0)))
+        values = np.zeros((groups.size, dim), complex)
+        sums = [(getattr(coeffs, p), getattr(values, p)) for p in parts]
+        first = starts[groups, None]
+        for k, n in enumerate(active.tolist()):
+            t = first[:n] + k
+            odd = np.bitwise_count(z[t] & states) & 1
+            for part, total in sums:
+                total[:n] += np.where(odd, -part[t], part[t])
+        yield range(lo, hi), np.repeat(owner[groups], dim), pos, found, values.ravel()
 
 
 def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:

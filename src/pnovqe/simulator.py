@@ -7,8 +7,8 @@ so it updates the support in place as v[rows] = cos(theta/2) v[rows] +
 sin(theta/2) signs v[cols] with signs = -i phases. Every excitation
 generator has phases +-i, so its signs are real +-1 and a real reference
 stays real. ``_factors`` builds and checks the factors of a whole circuit in
-one blocked array pass over its (generator, X mask) groups, with the same
-bits as each generator's ``QubitOperator.matrix``. Factors and reference
+one ``operators._pauli_pass``, each generator an owner, so a factor has the
+bits of its generator's ``QubitOperator.matrix``. Factors and reference
 vector are prepared once per (ansatz, basis) and kept on the ``Ansatz``
 with the last forward state, which a call at bit-equal parameters reuses.
 
@@ -33,13 +33,9 @@ import numpy as np
 
 from .ansatz import Ansatz
 from .exact import SectorBasis, full_basis, sector_basis
-from .operators import _PHASES, COEFF_CUTOFF, PauliString, QubitOperator, _signed_sums
+from .operators import _PHASES, COEFF_CUTOFF, PauliString, QubitOperator, _pauli_pass
 
 MAX_QUBITS = 26
-# ``_factors`` takes whole generators in blocks of about this many (X group,
-# basis state) pairs, so its per-pair arrays stay near 32 KiB each unless one
-# generator alone has more pairs.
-_FACTOR_BLOCK = 1 << 12
 
 
 class Statevector:
@@ -140,14 +136,12 @@ def _factors(generators, basis: SectorBasis) -> list:
 
     G|cols> = phases|rows>. Raises the first failing generator's error unless
     G keeps the basis closed, satisfies G^3 = G there and maps each basis
-    state to a single basis state. The strings of all generators are
-    numbered together, and the generators are taken in blocks of about
-    ``_FACTOR_BLOCK`` (X group, basis state) pairs, each group's images
-    probed with one ``searchsorted``. An entry sums its group's terms in
-    ascending Z order from 0, as ``QubitOperator.matrix`` does, so a factor
+    state to a single basis state. The strings of all generators go through
+    one ``operators._pauli_pass`` with each generator an owner, the pass
+    ``QubitOperator.matrix`` runs with each X group an owner, so a factor
     holds the same bits as its generator's sector matrix whatever the
     blocking. For real c_m (a Hermitian G, as in every ansatz) and one entry
-    per row, the checks are array code over the block: the weight G sends
+    per row, the checks are array code over each block: the weight G sends
     outside the basis, and G^3 = G row by row along the permutation. Any
     other G is checked with the sparse products PG^2P = (PGP)^2 and G^3 = G,
     in the same order.
@@ -159,36 +153,11 @@ def _factors(generators, basis: SectorBasis) -> list:
     coeffs = np.fromiter(chain.from_iterable(t.values() for t in terms), complex, owner.size)
     complex_gen = np.zeros(len(terms), bool)
     complex_gen[owner[coeffs.imag != 0]] = True
-    order = np.lexsort((masks[1::2], masks[0::2], owner))
-    owner, x, z, coeffs = owner[order], masks[0::2][order], masks[1::2][order], coeffs[order]
-    coeffs *= np.asarray(_PHASES)[np.bitwise_count(x & z) & 3]
-    parts = [part if part.any() else None for part in (coeffs.real, coeffs.imag)]
-    new = np.ones(owner.size, bool)
-    new[1:] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
-    starts = np.flatnonzero(new)
-    sizes = np.diff(starts, append=owner.size)
-    # generator k owns the groups first_group[k]:first_group[k + 1]
-    first_group = np.searchsorted(owner[starts], np.arange(len(terms) + 1))
-    cost = np.maximum(np.diff(first_group), 1) * max(dim, 1)
-    block = (np.cumsum(cost) - cost) // _FACTOR_BLOCK
-    edges = np.flatnonzero(np.diff(block, prepend=-1, append=-1)).tolist()
     factors = []
-    for lo, hi in zip(edges, edges[1:]):
-        n, width = hi - lo, dim + 1
-        # the block's groups by decreasing size, so the pairs whose group has
-        # a k-th term are a prefix, as ``_signed_sums`` needs
-        groups = np.arange(first_group[lo], first_group[hi])
-        groups = groups[np.argsort(-sizes[groups], kind="stable")]
-        images = states ^ x[starts[groups], None]
-        pos = np.minimum(np.searchsorted(states, images), dim - 1).ravel()
-        found = states[pos] == images.ravel()
-        first, kept = np.repeat(starts[groups], dim), np.tile(states, groups.size)
-        active = dim * np.searchsorted(-sizes[groups], -np.arange(sizes[groups].max(initial=0)))
-        values = np.empty(first.size, complex)
-        values.real, values.imag = (
-            0.0 if part is None else _signed_sums(part, z, first, kept, active) for part in parts
-        )
-        local, nonzero = owner[first] - lo, values != 0
+    for owners, pair_owner, pos, found, values in _pauli_pass(
+            owner, masks[0::2], masks[1::2], coeffs, len(terms), states):
+        lo, n, width = owners.start, len(owners), dim + 1
+        local, nonzero = pair_owner - lo, values != 0
         # cell g * width + r holds the entry in row r of the block's generator
         # g; row dim stays empty
         hit = np.flatnonzero(found & nonzero)
@@ -243,7 +212,7 @@ def apply_pauli_rotation(state: Statevector, string: PauliString, angle: float) 
     """In-place exp(-i angle/2 P): cos(a/2) psi - i sin(a/2) P psi.
 
     P|s> = i^|x&z| (-1)^|s&z| |s ^ x>: an index XOR and a phase array, each
-    part of a phase 0.0 + (+-part) as in the sums of ``_factor``."""
+    part of a phase 0.0 + (+-part) as in the sums of ``operators._pauli_pass``."""
     if string.n_qubits != state.n_qubits:
         raise ValueError("Pauli string length does not match register")
     rows = _register(state.n_qubits).states

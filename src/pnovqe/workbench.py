@@ -436,6 +436,13 @@ def run_curve(config: RunConfig) -> CurveResult:
     """
     config.validate()
     coordinates = list(config.scan) if config.scan else [None]
+    if config.reference_file:   # a missing reference energy is refused before any point runs
+        reference = load_reference(config.reference_file)
+        for coordinate in coordinates:
+            try:
+                lookup_coordinate(reference, coordinate)
+            except KeyError as exc:
+                raise ConfigError(f"{exc.args[0]} in {config.reference_file}") from None
     payloads = [(config.to_dict(), c) for c in coordinates]
     if config.workers > 1 and len(payloads) > 1:
         points = _pool_map(payloads, config.workers)
@@ -483,7 +490,7 @@ def write_outputs(config: RunConfig, result: CurveResult) -> None:
         coord = p["coordinate"]
         row = f"{coord!r},{p['e_vqe']!r},{p['e_fci']!r},{p['error_vs_fci']!r}"
         if reference is not None:
-            ref = _lookup_coordinate(reference, coord)
+            ref = lookup_coordinate(reference, coord)
             row += f",{ref!r},{p['e_vqe'] - ref!r}"
         rows.append(row)
     (out / "curve.csv").write_text("\n".join(rows) + "\n")
@@ -535,11 +542,12 @@ def load_reference(path) -> dict:
     return table
 
 
-def _lookup_coordinate(table: dict, coordinate, tol: float = 1e-9) -> float:
+def lookup_coordinate(table: dict, coordinate, what: str = "reference", tol: float = 1e-9) -> float:
+    """The energy of ``table`` (coordinate -> energy) at the coordinate, to within ``tol``."""
     for key, value in table.items():
         if coordinate is not None and abs(key - coordinate) <= tol:
             return value
-    raise KeyError(f"no reference energy for coordinate {coordinate}")
+    raise KeyError(f"no {what} energy for coordinate {coordinate}")
 
 
 def load_curve_csv(path, column: str = "e_vqe") -> dict:

@@ -133,11 +133,11 @@ def test_valid_sets_match_without_the_sparse_products(case):
 @given(generator_sets(), st.sampled_from([1, 7, 100]))
 def test_block_constant_changes_no_bit(case, block):
     expected = outcome(oracle, *case)
-    with mock.patch.object(simulator, "_FACTOR_BLOCK", block):
+    with mock.patch.object(pq.operators, "_PAULI_BLOCK", block):
         assert_same(outcome(_factors, *case), expected)
 
 
-@pytest.mark.parametrize("block", [1, 50, simulator._FACTOR_BLOCK])
+@pytest.mark.parametrize("block", [1, 50, pq.operators._PAULI_BLOCK])
 @pytest.mark.parametrize("build", [
     lambda: pq.build_upccgsd(4, 4),
     lambda: pq.build_upccgsd(3, 2, layers=2),
@@ -147,7 +147,7 @@ def test_ansatz_circuits_match_on_their_sector(build, block):
     ansatz = build()    # a fresh ansatz, so its circuit is prepared here
     basis = pq.sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
     generators = [gen.strings for gen in ansatz.generators]
-    with mock.patch.object(simulator, "_FACTOR_BLOCK", block):
+    with mock.patch.object(pq.operators, "_PAULI_BLOCK", block):
         circuit = simulator._prepared(ansatz, basis)
     assert_same(list(circuit.factors), oracle(generators, basis))
 

@@ -199,7 +199,7 @@ class TestMatrix:
         expected = stored(reference_matrix(op, states))
         assert same_csr(op.matrix(states), expected)
         for block in (1, 7):
-            with mock.patch.object(operators, "_MATRIX_BLOCK", block):
+            with mock.patch.object(operators, "_PAULI_BLOCK", block):
                 fresh = QubitOperator(op.n_qubits, dict(op.raw_items()))
                 assert same_csr(fresh.matrix(states), expected)
 

@@ -363,6 +363,20 @@ class TestPersistence:
         table = load_curve_csv(out / "curve.csv", column="error_vs_reference")
         assert abs(table[0.74]) < 0.05
 
+    @pytest.mark.parametrize("scan, missing", [((0.7, 0.9), "0.9"), ((), "None")])
+    def test_reference_without_a_coordinate_is_refused_before_any_point(
+            self, tmp_path, monkeypatch, scan, missing):
+        ref = tmp_path / "ref.dat"
+        ref.write_text("0.7 -1.13\n0.8 -1.14\n")
+        out = tmp_path / "run"
+        geometry = {"xyz": H2_INLINE} if scan else {}
+        config = h2_config(scan=scan, output_dir=str(out), reference_file=str(ref), **geometry)
+        ran = []
+        monkeypatch.setattr(workbench, "run_point", lambda *args: ran.append(args))
+        with pytest.raises(ConfigError, match=f"no reference energy for coordinate {missing}"):
+            pq.run_curve(config)
+        assert ran == [] and not out.exists()
+
     def test_resource_table_matches_count_resources(self):
         config = h2_config()
         table = resource_table_for(config, label="H2(2,4)")
@@ -467,6 +481,26 @@ class TestCLI:
         )
         assert code == 0
         assert "0.0100000000 hartree" in capsys.readouterr().out
+
+    def test_metrics_barrier_needs_both_coordinates(self, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("coordinate,e_vqe\n0.5,-56.01\n1.0,-56.0\n")
+        code = cli.main(["metrics", str(curve), "--barrier-at", "9.0", "-3.0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "barrier" not in captured.out
+        assert "no curve energy for coordinate 9.0" in captured.err
+
+    def test_curve_refuses_zero_workers(self, tmp_path, capsys):
+        cfg = tmp_path / "curve.cfg"
+        cfg.write_text(
+            BASE_CONFIG.replace(
+                "xyz = H 0 0 0; H 0 0 0.7408481486", f"xyz = {H2_INLINE}"
+            )
+            + "\n[scan]\nvalues = 0.7 0.8\n"
+        )
+        assert cli.main(["curve", "--config", str(cfg), "--workers", "0"]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
