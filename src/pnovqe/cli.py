@@ -13,6 +13,7 @@ from .exact import IntegralHamiltonian, exact_ground_energy, sector_basis
 from .integrals import HARTREE_TO_KCALMOL, write_fcidump
 from .workbench import (
     ANSATZ_CHOICES,
+    CONFIG_KEYS,
     RunConfig,
     build_ansatz_for,
     compact_hamiltonian,
@@ -38,7 +39,8 @@ def _add_common(parser: argparse.ArgumentParser, scan_tools: bool = False) -> No
         "--ansatz", choices=ANSATZ_CHOICES, help="override the ansatz variant"
     )
     parser.add_argument(
-        "--freeze", help="override frozen orbitals, space-separated indices"
+        "--freeze", type=CONFIG_KEYS["space"]["freeze"][1],
+        help="override frozen orbitals, space-separated indices",
     )
     parser.add_argument("--seed", type=int, help="override the run seed")
     parser.add_argument("--out", help="override the output directory")
@@ -48,18 +50,10 @@ def _add_common(parser: argparse.ArgumentParser, scan_tools: bool = False) -> No
 
 def _configure(args) -> RunConfig:
     config = load_config(args.config)
-    if args.nq is not None:
-        config.n_qubits = args.nq
-    if getattr(args, "ansatz", None):
-        config.ansatz = args.ansatz
-    if getattr(args, "freeze", None) is not None:
-        config.freeze = tuple(int(v) for v in args.freeze.split())
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        config.output_dir = args.out
-    if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
+    for flag, name in (("nq", "n_qubits"), ("ansatz", "ansatz"), ("freeze", "freeze"),
+                       ("seed", "seed"), ("out", "output_dir"), ("workers", "workers")):
+        if (value := getattr(args, flag, None)) is not None:
+            setattr(config, name, value)
     return config.validate()
 
 

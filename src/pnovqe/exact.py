@@ -34,8 +34,10 @@ from .operators import COEFF_CUTOFF, PauliString, QubitOperator
 # by dense eigh takes 2.4 / 8.0 / 25 / 102 ms at dim 225 / 441 / 735 / 1225,
 # lanczos_ground 9.4 / 17.8 / 18.7 / 26 ms
 _DENSE_DIM = 600
-_MAX_DENSE_QUBITS = 16
+_MAX_FULL_QUBITS = 16
 _MAX_ITER_QUBITS = 24
+# Lanczos: eigenvalue tolerance, step cap and start-vector seed
+_LANCZOS_TOL, _LANCZOS_STEPS, _LANCZOS_SEED = 1e-12, 400, 12345
 # Rows per block of ``determinant_matrix``: the 22-qubit H6 sector took 4.8 s
 # at 64 rows against 5.0-5.7 s at 16, 32, 128 and 256 rows (2 cores)
 _DETERMINANT_BLOCK = 64
@@ -213,17 +215,16 @@ class IntegralHamiltonian:
         return self._compiled[key]
 
 
-def lanczos_ground(matrix, dim: int, tol: float = 1e-12, max_steps: int = 400,
-                   seed: int = 12345):
+def lanczos_ground(matrix, dim: int):
     """Smallest eigenpair by Lanczos with full reorthogonalization."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_LANCZOS_SEED)
     q = rng.standard_normal(dim).astype(np.result_type(matrix.dtype, float))
     q /= np.linalg.norm(q)
     basis = [q]
     alphas: list = []
     betas: list = []
     previous = np.inf
-    for step in range(min(max_steps, dim)):
+    for step in range(min(_LANCZOS_STEPS, dim)):
         w = matrix @ basis[-1]
         alpha = float(np.real(np.vdot(basis[-1], w)))
         alphas.append(alpha)
@@ -237,7 +238,7 @@ def lanczos_ground(matrix, dim: int, tol: float = 1e-12, max_steps: int = 400,
         evals, evecs = scipy.linalg.eigh_tridiagonal(alphas, betas)
         residual_bound = beta * abs(evecs[-1, 0])
         done = (
-            (residual_bound < 1e-10 and abs(evals[0] - previous) < tol)
+            (residual_bound < 1e-10 and abs(evals[0] - previous) < _LANCZOS_TOL)
             or beta < 1e-13
             or step == dim - 1
         )
@@ -264,9 +265,9 @@ def exact_ground_energy(op: QubitOperator, sector: SectorBasis | None = None):
     if op.max_imag() >= 1e-8:
         raise ValueError("operator is not Hermitian")
     if sector is None:
-        if op.n_qubits > _MAX_DENSE_QUBITS:
+        if op.n_qubits > _MAX_FULL_QUBITS:
             raise ValueError(
-                f"full-space diagonalization limited to {_MAX_DENSE_QUBITS} qubits; "
+                f"full-space diagonalization limited to {_MAX_FULL_QUBITS} qubits; "
                 "restrict to a sector"
             )
         sector = full_basis(op.n_qubits)

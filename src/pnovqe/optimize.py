@@ -12,6 +12,7 @@ from .simulator import ansatz_expectation, gradient as ansatz_gradient
 
 _C1 = 1e-4
 _C2 = 0.9
+_RESTART_SCALE = 0.1   # half-width of the uniform draw of a restart's start point
 
 
 @dataclass(frozen=True)
@@ -165,12 +166,11 @@ def run_vqe(
     max_iter: int = 500,
     gradient_method: str = "adjoint",
     restarts: int = 0,
-    restart_scale: float = 0.1,
     seed: int = 0,
 ) -> OptimizationResult:
     """Minimize <H> over the ansatz parameters, starting from zero.
 
-    Optional random restarts (uniform in +-restart_scale, seeded) rerun the
+    Optional random restarts (uniform in +-0.1, seeded) rerun the
     minimization and keep the best energy; the restart count is logged in
     the result metadata.
     """
@@ -194,7 +194,7 @@ def run_vqe(
     best = minimize(objective, grad, np.zeros(n), grad_tol=grad_tol, max_iter=max_iter)
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
-        theta0 = rng.uniform(-restart_scale, restart_scale, size=n)
+        theta0 = rng.uniform(-_RESTART_SCALE, _RESTART_SCALE, size=n)
         candidate = minimize(objective, grad, theta0, grad_tol=grad_tol, max_iter=max_iter)
         if candidate.fun < best.fun:
             best = candidate

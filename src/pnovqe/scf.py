@@ -8,6 +8,8 @@ import numpy as np
 
 from .integrals import AOIntegralSet, IntegralSet, transform_eri
 
+_DIIS_SIZE = 8   # Fock/error pairs kept for DIIS extrapolation
+
 
 @dataclass(frozen=True)
 class SCFResult:
@@ -44,7 +46,6 @@ def run_rhf(
     energy_tol: float = 1e-10,
     density_tol: float = 1e-8,
     diis: bool = True,
-    diis_size: int = 8,
 ) -> SCFResult:
     """Solve the closed-shell Roothaan equations.
 
@@ -83,7 +84,7 @@ def run_rhf(
             err = x.T @ (fock @ density @ s - s @ density @ fock) @ x
             fock_list.append(fock)
             error_list.append(err)
-            if len(fock_list) > diis_size:
+            if len(fock_list) > _DIIS_SIZE:
                 fock_list.pop(0)
                 error_list.pop(0)
             if len(fock_list) > 1:

@@ -95,6 +95,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         self.scan = tuple(float(v) for v in self.scan)
         self.freeze = tuple(int(v) for v in self.freeze)
+        if any(i < 0 for i in self.freeze) or len(set(self.freeze)) < len(self.freeze):
+            raise ConfigError(f"freeze indices must be distinct and >= 0, got {self.freeze}")
         self.n_qubits = int(self.n_qubits)
         if self.n_qubits % 2 != 0:
             raise ConfigError("qubit budget must be even")
@@ -151,83 +153,65 @@ class RunConfig:
         ).hexdigest()[:16]
 
 
-_SCHEMA = {
-    "molecule": {"xyz", "xyz_file", "charge"},
-    "integrals": {"source", "fcidump"},
-    "space": {"nq", "diagonal_only", "freeze", "occupation_threshold"},
-    "ansatz": {"variant", "layers"},
-    "optimizer": {"grad_tol", "max_iter", "restarts", "gradient_method"},
-    "scan": {"values"},
-    "output": {"directory", "workers", "seed"},
-    "reference": {"file"},
-    "metadata": None,  # free-form, echoed into outputs
+def _as_bool(value: str) -> bool:
+    if value.lower() in ("true", "yes", "1", "on"):
+        return True
+    if value.lower() in ("false", "no", "0", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {value!r}")
+
+
+def _split(convert):  # converter of a whitespace-separated list to a tuple
+    return lambda text: tuple(convert(v) for v in text.split())
+
+
+# [section] key -> (RunConfig field, converter); [metadata] is free-form
+CONFIG_KEYS = {
+    "molecule": {"xyz": ("xyz", str), "xyz_file": ("xyz_file", str), "charge": ("charge", int)},
+    "integrals": {"source": ("integral_source", str), "fcidump": ("fcidump", str)},
+    "space": {"nq": ("n_qubits", int), "diagonal_only": ("diagonal_only", _as_bool),
+              "freeze": ("freeze", _split(int)),
+              "occupation_threshold": ("occupation_threshold", float)},
+    "ansatz": {"variant": ("ansatz", str), "layers": ("layers", int)},
+    "optimizer": {"grad_tol": ("grad_tol", float), "max_iter": ("max_iter", int),
+                  "restarts": ("restarts", int), "gradient_method": ("gradient_method", str)},
+    "scan": {"values": ("scan", _split(float))},
+    "output": {"directory": ("output_dir", str), "workers": ("workers", int), "seed": ("seed", int)},
+    "reference": {"file": ("reference_file", str)},
 }
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the sectioned key-value config format; unknown keys are errors."""
-    sections: dict = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in _SCHEMA:
-                raise ConfigError(f"unknown section [{current}] at line {lineno}")
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line or current is None:
-            raise ConfigError(f"expected 'key = value' inside a section at line {lineno}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        allowed = _SCHEMA[current]
-        if allowed is not None and key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in section [{current}] at line {lineno}")
-        sections[current][key] = value
+    """Parse the sectioned ``key = value`` format; unknown sections or keys are errors."""
+    import configparser  # only config files need it, not ``import pnovqe``
 
+    # "=" only, since xyz holds ";"; "" can name no section, so none is DEFAULT
+    parser = configparser.ConfigParser(
+        delimiters=("=",), comment_prefixes=("#",), inline_comment_prefixes=("#",),
+        interpolation=None, default_section="", empty_lines_in_values=False,
+    )
+    parser.optionxform = str
+    try:
+        parser.read_string(text, source="config")
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from None
     cfg = RunConfig()
-    mol = sections.get("molecule", {})
-    cfg.xyz = mol.get("xyz")
-    cfg.xyz_file = mol.get("xyz_file")
-    cfg.charge = int(mol.get("charge", 0))
-    ints = sections.get("integrals", {})
-    cfg.integral_source = ints.get("source", cfg.integral_source)
-    cfg.fcidump = ints.get("fcidump")
-    space = sections.get("space", {})
-    cfg.n_qubits = int(space.get("nq", cfg.n_qubits))
-    cfg.diagonal_only = _as_bool(space.get("diagonal_only", "false"))
-    cfg.freeze = tuple(int(v) for v in space.get("freeze", "").split())
-    if "occupation_threshold" in space:
-        cfg.occupation_threshold = float(space["occupation_threshold"])
-    ans = sections.get("ansatz", {})
-    cfg.ansatz = ans.get("variant", cfg.ansatz)
-    cfg.layers = int(ans.get("layers", 1))
-    opt = sections.get("optimizer", {})
-    cfg.grad_tol = float(opt.get("grad_tol", cfg.grad_tol))
-    cfg.max_iter = int(opt.get("max_iter", cfg.max_iter))
-    cfg.restarts = int(opt.get("restarts", cfg.restarts))
-    cfg.gradient_method = opt.get("gradient_method", cfg.gradient_method)
-    scan = sections.get("scan", {})
-    cfg.scan = tuple(float(v) for v in scan.get("values", "").split())
-    out = sections.get("output", {})
-    cfg.output_dir = out.get("directory")
-    cfg.workers = int(out.get("workers", 1))
-    cfg.seed = int(out.get("seed", 0))
-    ref = sections.get("reference", {})
-    cfg.reference_file = ref.get("file")
-    cfg.metadata = dict(sections.get("metadata", {}))
+    for section in parser.sections():
+        if section == "metadata":
+            cfg.metadata = dict(parser[section])
+            continue
+        keys = CONFIG_KEYS.get(section)
+        if keys is None:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, value in parser[section].items():
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            name, convert = keys[key]
+            try:
+                setattr(cfg, name, convert(value))
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
     return cfg.validate()
-
-
-def _as_bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
 
 
 def load_config(path) -> RunConfig:

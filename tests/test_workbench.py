@@ -5,6 +5,10 @@ import functools
 import json
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from pnovqe.workbench import (
 from ci_oracle import fci_ground_energy
 from conftest import h2_big_integrals
 
+ROOT = Path(__file__).resolve().parents[1]
 H2_INLINE = "H 0 0 0; H 0 0 {R}"
 
 BASE_CONFIG = """
@@ -131,6 +136,62 @@ def test_scan_values_sharing_an_artifact_tag_are_refused():
     with pytest.raises(ConfigError, match="r1.400000"):
         h2_config(xyz=H2_INLINE, scan=(0.7, 1.4, 1.4 + 4e-7))
     assert h2_config(xyz=H2_INLINE, scan=(1.4, 1.4 + 6e-7)).scan == (1.4, 1.4 + 6e-7)
+
+
+def test_readme_schema_block_parses_to_its_documented_values():
+    block = re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    config = pq.parse_config(block)
+    assert config.n_qubits == 4
+    assert config.freeze == (0,)
+    assert config.scan == (0.5, 0.7, 0.9)
+    assert config.gradient_method == "adjoint"
+    assert config.metadata == {"orbital_solver_threshold": "1e-4"}
+
+
+def test_comments_and_continuation_lines():
+    config = pq.parse_config(
+        BASE_CONFIG.replace("nq = 4", "nq = 6  # budget\n# nq = 8")
+        + "\n[metadata]\nnote = first#not a comment\n  second\n"
+    )
+    assert config.n_qubits == 6
+    assert config.metadata == {"note": "first#not a comment\nsecond"}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("space", "nq", "four"),
+    ("space", "diagonal_only", "maybe"),
+    ("space", "freeze", "0 x"),
+    ("scan", "values", "0.5 0.7.1"),
+    ("optimizer", "grad_tol", "tiny"),
+    ("molecule", "charge", "1.5"),
+])
+def test_a_bad_value_names_its_section_and_key(section, key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}:")):
+        pq.parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ("[space]\nnq = 4\nnq = 6\n", 3, "option 'nq'"),
+    ("[space]\nnq = 4\n\n[ansatz]\nlayers = 1\n[space]\nfreeze = 0\n", 6, "section 'space'"),
+])
+def test_a_repeated_key_or_section_is_refused_with_its_line(text, line, what):
+    with pytest.raises(ConfigError, match=rf"line +{line}\]: {what}"):
+        pq.parse_config(text)
+
+
+@pytest.mark.parametrize("freeze", [(-1,), (0, 0), (1, 0, 1)])
+def test_negative_or_repeated_freeze_indices_are_refused(freeze):
+    with pytest.raises(ConfigError, match="freeze"):
+        h2_config(freeze=freeze)
+    with pytest.raises(ConfigError, match="freeze"):
+        pq.parse_config(BASE_CONFIG.replace("nq = 4", "nq = 4\nfreeze = " + " ".join(map(str, freeze))))
+
+
+def test_import_leaves_configparser_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p))
+    code = "import sys, pnovqe; sys.exit('configparser' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestMetrics:
@@ -412,6 +473,19 @@ class TestCLI:
     def test_fci_command(self, tmp_path, capsys):
         assert cli.main(["fci", "--config", self._write_config(tmp_path)]) == 0
         assert "-1.1372" in capsys.readouterr().out
+
+    def test_fci_command_on_the_demo_config(self, capsys):
+        assert cli.main(["fci", "--config", str(ROOT / "demos" / "h2_sto3g.cfg")]) == 0
+        assert "-1.1372" in capsys.readouterr().out
+
+    def test_every_override_flag_replaces_its_entry(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["curve", "--config", self._write_config(tmp_path), "--nq", "2", "--ansatz",
+             "pno-upccd", "--freeze", "0", "--seed", "7", "--out", "o", "--workers", "3"]
+        )
+        config = cli._configure(args)
+        assert (config.n_qubits, config.ansatz, config.freeze, config.seed,
+                config.output_dir, config.workers) == (2, "pno-upccd", (0,), 7, "o", 3)
 
     def test_counts_command(self, tmp_path, capsys):
         assert cli.main(["counts", "--config", self._write_config(tmp_path)]) == 0
