@@ -3,9 +3,9 @@
 The pipeline: molecular integrals (built-in s-Gaussian engine or FCIDUMP)
 -> restricted Hartree-Fock -> MP2 pair densities -> globally ranked PNO
 selection under a qubit budget -> Cholesky orthonormalization -> compact
-second-quantized Hamiltonian -> Jordan-Wigner encoding -> pair
-coupled-cluster VQE on an exact statevector, checked against exact
-diagonalization.
+integrals on 2 qubits per kept orbital -> their (N, S_z) sector matrix by
+Slater-Condon rules -> pair coupled-cluster VQE there, checked against exact
+diagonalization of that matrix. Jordan-Wigner runs only for Pauli text.
 """
 
 __version__ = "0.1.0"

@@ -49,7 +49,6 @@ class Ansatz:
     n_qubits: int
     reference: tuple     # occupied spin-orbital (qubit) indices
     name: str
-    pair_structure: dict | None = None
     # the simulator's prepared circuit per SectorBasis
     _prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -216,7 +215,6 @@ def build_pno_ansatz(space: OrbitalSpace, variant: str) -> Ansatz:
         n_qubits=2 * n_spatial,
         reference=tuple(range(2 * len(space.occupied))),
         name=f"PNO-{variant}",
-        pair_structure={i: tuple(v) for i, v in diag.items()},
     )
 
 

@@ -9,15 +9,15 @@ import sys
 from pathlib import Path
 
 from .ansatz import resource_table_json
-from .exact import IntegralHamiltonian, exact_ground_energy, sector_basis
+from .exact import IntegralHamiltonian
 from .integrals import HARTREE_TO_KCALMOL, write_fcidump
 from .workbench import (
     ANSATZ_CHOICES,
     CONFIG_KEYS,
     RunConfig,
-    build_ansatz_for,
     compact_hamiltonian,
     compact_integrals,
+    fci_energy,
     load_config,
     load_curve_csv,
     load_reference,
@@ -98,7 +98,7 @@ def cmd_hamiltonian(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_fcidump(stage["final"], out / "compact.fcidump")
     (out / "hamiltonian.txt").write_text(stage["hamiltonian"].to_text())
-    print(f"n_qubits = {config.n_qubits}")
+    print(f"n_qubits = {stage['n_qubits']}")
     print(f"pauli terms = {stage['hamiltonian'].n_terms}")
     print(f"wrote {out / 'compact.fcidump'} and {out / 'hamiltonian.txt'}")
     return 0
@@ -130,10 +130,8 @@ def cmd_vqe(args) -> int:
 def cmd_fci(args) -> int:
     config = _configure(args)
     stage = compact_integrals(config, _first_coordinate(config))
-    ansatz = build_ansatz_for(config, stage)
-    sector = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
-    energy, _ = exact_ground_energy(IntegralHamiltonian(stage["final"], config.n_qubits), sector)
-    print(f"E(FCI) = {energy:.10f} hartree ({config.n_qubits} qubits)")
+    energy = fci_energy(stage, IntegralHamiltonian(stage["final"], stage["n_qubits"]))
+    print(f"E(FCI) = {energy:.10f} hartree ({stage['n_qubits']} qubits)")
     return 0
 
 

@@ -400,15 +400,12 @@ class IntegralSet:
         return fock
 
 
-def read_fcidump(path) -> IntegralSet:
-    """Read an FCIDUMP file (chemists' notation, 1-based indices)."""
-    with open(path) as fh:
-        text = fh.read()
+def fcidump_header(text: str) -> tuple:
+    """(NORB, NELEC, body) of FCIDUMP text, the body being the integral lines."""
     header_match = re.search(r"(&END|/)", text)
     if not header_match:
         raise ParseError("FCIDUMP header terminator (&END or /) not found")
     header = text[: header_match.start()]
-    body = text[header_match.end() :]
 
     def _header_int(key):
         m = re.search(rf"{key}\s*=\s*(-?\d+)", header, re.IGNORECASE)
@@ -420,7 +417,13 @@ def read_fcidump(path) -> IntegralSet:
         raise ParseError("FCIDUMP header must define NORB and NELEC")
     if n_elec % 2 != 0:
         raise ParseError("odd NELEC not supported (closed shell only)")
+    return n_orb, n_elec, text[header_match.end() :]
 
+
+def read_fcidump(path) -> IntegralSet:
+    """Read an FCIDUMP file (chemists' notation, 1-based indices)."""
+    with open(path) as fh:
+        n_orb, n_elec, body = fcidump_header(fh.read())
     pair = _pair_table(n_orb)[2].tolist()
     h = np.zeros((n_orb, n_orb))
     packed = np.zeros((n_orb * (n_orb + 1) // 2,) * 2)

@@ -13,6 +13,7 @@ from .simulator import ansatz_expectation, gradient as ansatz_gradient
 _C1 = 1e-4
 _C2 = 0.9
 _RESTART_SCALE = 0.1   # half-width of the uniform draw of a restart's start point
+_BRACKET_STEPS, _ZOOM_STEPS = 25, 40   # step doublings and bisections of one line search
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def minimize(objective, grad, x0, grad_tol: float = 1e-6, max_iter: int = 500) -
     )
 
 
-def _wolfe_line_search(f, g, x, direction, f0, slope0, max_steps: int = 25):
+def _wolfe_line_search(f, g, x, direction, f0, slope0):
     """Strong Wolfe conditions (c1 = 1e-4, c2 = 0.9), initial step 1."""
 
     def phi(alpha):
@@ -124,7 +125,7 @@ def _wolfe_line_search(f, g, x, direction, f0, slope0, max_steps: int = 25):
 
     alpha_prev, phi_prev = 0.0, f0
     alpha = 1.0
-    for i in range(max_steps):
+    for i in range(_BRACKET_STEPS):
         phi_a = phi(alpha)
         if phi_a > f0 + _C1 * alpha * slope0 or (i > 0 and phi_a >= phi_prev):
             return _zoom(f, g, x, direction, f0, slope0, alpha_prev, phi_prev, alpha)
@@ -138,8 +139,8 @@ def _wolfe_line_search(f, g, x, direction, f0, slope0, max_steps: int = 25):
     return None, None, None
 
 
-def _zoom(f, g, x, direction, f0, slope0, lo, phi_lo, hi, max_steps: int = 40):
-    for _ in range(max_steps):
+def _zoom(f, g, x, direction, f0, slope0, lo, phi_lo, hi):
+    for _ in range(_ZOOM_STEPS):
         alpha = 0.5 * (lo + hi)
         phi_a = f(x + alpha * direction)
         if phi_a > f0 + _C1 * alpha * slope0 or phi_a >= phi_lo:

@@ -172,18 +172,14 @@ def select_pnos(
     )
 
 
-def orthonormalize(selection: PNOSet, method: str = "cholesky") -> OrbitalSpace:
+def orthonormalize(selection: PNOSet) -> OrbitalSpace:
     """Orthonormalize the retained PNOs in selection order.
 
-    The default Cholesky route factors G = V^T V = L L^T and rotates with
-    (L^-1)^T, so the first (highest-occupation) PNO is preserved up to
-    normalization; ``method="symmetric"`` applies the Loewdin G^(-1/2)
-    instead, which spreads the correction over all vectors. The PNO vectors
-    live entirely in the virtual space, so projection against the occupied
-    block is a no-op here.
+    Cholesky factors G = V^T V = L L^T and rotates with (L^-1)^T, so the
+    first (highest-occupation) PNO is preserved up to normalization. The PNO
+    vectors live entirely in the virtual space, so projection against the
+    occupied block is a no-op here.
     """
-    if method not in ("cholesky", "symmetric"):
-        raise ValueError(f"unknown orthonormalization method {method!r}")
     n_occ, n_virt = selection.n_occ, selection.n_virt
     n_parent = n_occ + n_virt
     k = len(selection.selection)
@@ -201,15 +197,11 @@ def orthonormalize(selection: PNOSet, method: str = "cholesky") -> OrbitalSpace:
     gram = v.T @ v
     if np.linalg.cond(gram) > 1e10:
         raise ValueError("linearly dependent PNO selection")
-    if method == "symmetric":
-        evals, evecs = np.linalg.eigh(gram)
-        w = v @ (evecs @ np.diag(evals**-0.5) @ evecs.T)
-    else:
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            raise ValueError("linearly dependent PNO selection") from None
-        w = scipy.linalg.solve_triangular(chol, v.T, lower=True).T
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise ValueError("linearly dependent PNO selection") from None
+    w = scipy.linalg.solve_triangular(chol, v.T, lower=True).T
 
     transform = np.zeros((n_parent, n_occ + k))
     transform[:n_occ, :n_occ] = np.eye(n_occ)

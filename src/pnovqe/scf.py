@@ -9,6 +9,7 @@ import numpy as np
 from .integrals import AOIntegralSet, IntegralSet, transform_eri
 
 _DIIS_SIZE = 8   # Fock/error pairs kept for DIIS extrapolation
+_MAX_ITER, _ENERGY_TOL, _DENSITY_TOL = 100, 1e-10, 1e-8   # iterations, |dE| and max |dD|
 
 
 @dataclass(frozen=True)
@@ -39,15 +40,8 @@ def _fock_matrix(ao: AOIntegralSet, density: np.ndarray) -> np.ndarray:
     return ao.core_hamiltonian + j - 0.5 * k
 
 
-def run_rhf(
-    ao: AOIntegralSet,
-    n_electrons: int,
-    max_iter: int = 100,
-    energy_tol: float = 1e-10,
-    density_tol: float = 1e-8,
-    diis: bool = True,
-) -> SCFResult:
-    """Solve the closed-shell Roothaan equations.
+def run_rhf(ao: AOIntegralSet, n_electrons: int) -> SCFResult:
+    """Solve the closed-shell Roothaan equations with DIIS.
 
     The core guess diagonalizes h in the symmetrically orthogonalized basis;
     convergence requires both the energy change and the density change to
@@ -78,17 +72,16 @@ def run_rhf(
     history = [energy]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         fock = fock_of_density
-        if diis:
-            err = x.T @ (fock @ density @ s - s @ density @ fock) @ x
-            fock_list.append(fock)
-            error_list.append(err)
-            if len(fock_list) > _DIIS_SIZE:
-                fock_list.pop(0)
-                error_list.pop(0)
-            if len(fock_list) > 1:
-                fock = _diis_extrapolate(fock_list, error_list)
+        err = x.T @ (fock @ density @ s - s @ density @ fock) @ x
+        fock_list.append(fock)
+        error_list.append(err)
+        if len(fock_list) > _DIIS_SIZE:
+            fock_list.pop(0)
+            error_list.pop(0)
+        if len(fock_list) > 1:
+            fock = _diis_extrapolate(fock_list, error_list)
         eps, c, new_density = _density(fock)
         fock_of_density = _fock_matrix(ao, new_density)
         new_energy = 0.5 * np.sum(new_density * (h + fock_of_density)) + ao.nuclear_repulsion
@@ -96,7 +89,7 @@ def run_rhf(
         delta_e = abs(new_energy - energy)
         delta_d = np.max(np.abs(new_density - density))
         density, energy = new_density, new_energy
-        if delta_e < energy_tol and delta_d < density_tol:
+        if delta_e < _ENERGY_TOL and delta_d < _DENSITY_TOL:
             converged = True
             break
 

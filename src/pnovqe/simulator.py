@@ -33,7 +33,7 @@ import numpy as np
 
 from .ansatz import Ansatz
 from .exact import SectorBasis, full_basis, sector_basis
-from .operators import _PHASES, COEFF_CUTOFF, PauliString, QubitOperator, _pauli_pass
+from .operators import COEFF_CUTOFF, PauliString, QubitOperator, _pauli_pass
 
 MAX_QUBITS = 26
 
@@ -209,18 +209,11 @@ def _rotate(vec: np.ndarray, factor: _Factor, angle: float) -> None:
 
 
 def apply_pauli_rotation(state: Statevector, string: PauliString, angle: float) -> Statevector:
-    """In-place exp(-i angle/2 P): cos(a/2) psi - i sin(a/2) P psi.
-
-    P|s> = i^|x&z| (-1)^|s&z| |s ^ x>: an index XOR and a phase array, each
-    part of a phase 0.0 + (+-part) as in the sums of ``operators._pauli_pass``."""
+    """In-place exp(-i angle/2 P): cos(a/2) psi - i sin(a/2) P psi, as the factor of G = P."""
     if string.n_qubits != state.n_qubits:
         raise ValueError("Pauli string length does not match register")
-    rows = _register(state.n_qubits).states
-    cols = rows ^ string.x
-    phase = _PHASES[(string.x & string.z).bit_count() & 3]
-    phases = 0.0 + np.where(np.bitwise_count(cols & string.z) & 1, -phase, phase)
     vec = state.amplitudes.copy()
-    _rotate(vec, _Factor(rows, cols, phases), angle)
+    _rotate(vec, _factor(((string, 1.0),), _register(state.n_qubits)), angle)
     state.amplitudes = vec
     return state
 
@@ -312,11 +305,6 @@ def _expectation(op: QubitOperator, vec: np.ndarray, basis: SectorBasis) -> floa
     if abs(value.imag) > 1e-10:
         raise RuntimeError("expectation value has a non-negligible imaginary part")
     return float(value.real)
-
-
-def apply_operator(op: QubitOperator, vec: np.ndarray) -> np.ndarray:
-    """H |psi> over the full register."""
-    return op.matrix(_register(op.n_qubits).states) @ vec
 
 
 def expectation(state: Statevector, op: QubitOperator) -> float:

@@ -34,6 +34,7 @@ from .ansatz import (
 from .exact import IntegralHamiltonian, exact_ground_energy, sector_basis
 from .integrals import (
     IntegralSet,
+    fcidump_header,
     parse_xyz,
     read_fcidump,
     sto3g_shells,
@@ -60,6 +61,7 @@ _VARIANT_MAP = {
     "pno-upccsd": "UpCCSD",
     "pno-upccgd": "UpCCGD",
 }
+_COORDINATE_TOL = 1e-9   # a reference or curve coordinate matches a point within this
 
 
 class ConfigError(ValueError):
@@ -235,17 +237,21 @@ def _substitute(template: str, coordinate) -> str:
     return template
 
 
-def molecular_integrals(config: RunConfig, coordinate=None):
-    """Stage 1: produce the canonical MO IntegralSet for one geometry."""
-    if config.integral_source == "fcidump":
-        path = _substitute(config.fcidump, coordinate)
-        return read_fcidump(path), None
+def _molecule(config: RunConfig, coordinate):
     if config.xyz_file:
         text = Path(_substitute(config.xyz_file, coordinate)).read_text()
         text = _substitute(text, coordinate)
     else:
         text = _inline_to_xyz(_substitute(config.xyz, coordinate))
-    molecule = parse_xyz(text, charge=config.charge)
+    return parse_xyz(text, charge=config.charge)
+
+
+def molecular_integrals(config: RunConfig, coordinate=None):
+    """Stage 1: produce the canonical MO IntegralSet for one geometry."""
+    if config.integral_source == "fcidump":
+        path = _substitute(config.fcidump, coordinate)
+        return read_fcidump(path), None
+    molecule = _molecule(config, coordinate)
     ao = compute_ao_integrals(molecule, sto3g_shells(molecule))
     scf = run_rhf(ao, molecule.n_electrons)
     if not scf.converged:
@@ -264,7 +270,8 @@ def reference_energy(mo: IntegralSet) -> float:
 def compact_integrals(config: RunConfig, coordinate=None):
     """Stages 1-4: integrals and MP2/PNO truncation to the compact integrals.
 
-    Returns a dict with the intermediate artifacts needed downstream.
+    Returns a dict with the intermediate artifacts needed downstream; its
+    "n_qubits" is the point's register, 2 qubits per kept orbital.
     """
     mo, scf = molecular_integrals(config, coordinate)
     if config.freeze:
@@ -287,6 +294,7 @@ def compact_integrals(config: RunConfig, coordinate=None):
         "pnos": pnos,
         "space": space,
         "final": final,
+        "n_qubits": 2 * final.n_orb,
         "e_hf": reference_energy(mo),
         "e_mp2": reference_energy(mo) + amps.mp2_total,
         "selection_signature": signature,
@@ -296,7 +304,7 @@ def compact_integrals(config: RunConfig, coordinate=None):
 def compact_hamiltonian(config: RunConfig, coordinate=None):
     """``compact_integrals`` plus their Jordan-Wigner Hamiltonian under "hamiltonian"."""
     stage = compact_integrals(config, coordinate)
-    stage["hamiltonian"] = jordan_wigner(build_hamiltonian(stage["final"]), config.n_qubits)
+    stage["hamiltonian"] = jordan_wigner(build_hamiltonian(stage["final"]), stage["n_qubits"])
     return stage
 
 
@@ -307,6 +315,12 @@ def build_ansatz_for(config: RunConfig, stage: dict):
     return build_pno_ansatz(stage["space"], _VARIANT_MAP[config.ansatz])
 
 
+def fci_energy(stage: dict, hamiltonian: IntegralHamiltonian) -> float:
+    """E_FCI: the ground state of the compact integrals' (N, S_z = 0) sector, where the VQE runs."""
+    sector = sector_basis(stage["n_qubits"], stage["final"].n_electrons, 0)
+    return exact_ground_energy(hamiltonian, sector)[0]
+
+
 def run_point(config: RunConfig, coordinate=None) -> dict:
     """Full single-point pipeline; returns a JSON-ready record."""
     config.validate()
@@ -314,7 +328,7 @@ def run_point(config: RunConfig, coordinate=None) -> dict:
     ansatz = build_ansatz_for(config, stage)
     resources = count_resources(ansatz)
     final = stage["final"]
-    hamiltonian = IntegralHamiltonian(final, config.n_qubits)
+    hamiltonian = IntegralHamiltonian(final, stage["n_qubits"])
     vqe = run_vqe(
         hamiltonian,
         ansatz,
@@ -324,9 +338,7 @@ def run_point(config: RunConfig, coordinate=None) -> dict:
         restarts=config.restarts,
         seed=config.seed,
     )
-    # the basis the VQE ran on, so the exact solve reads the matrix it built
-    sector = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
-    e_fci, _ = exact_ground_energy(hamiltonian, sector)
+    e_fci = fci_energy(stage, hamiltonian)
     if vqe.fun < e_fci - 1e-9:
         raise RuntimeError("variational bound violated: VQE below FCI")
     record = {
@@ -336,7 +348,7 @@ def run_point(config: RunConfig, coordinate=None) -> dict:
         "e_hf": stage["e_hf"],
         "e_mp2": stage["e_mp2"],
         "error_vs_fci": vqe.fun - e_fci,
-        "n_qubits": config.n_qubits,
+        "n_qubits": stage["n_qubits"],
         "n_electrons": final.n_electrons,
         "ansatz": ansatz.name,
         "n_parameters": resources.n_parameters,
@@ -365,7 +377,7 @@ def _write_point_artifacts(config, coordinate, stage, vqe, resources) -> None:
     out.mkdir(parents=True, exist_ok=True)
     tag = _point_tag(coordinate)
     write_fcidump(stage["final"], out / f"{tag}.fcidump")
-    qubit_h = jordan_wigner(build_hamiltonian(stage["final"]), config.n_qubits)
+    qubit_h = jordan_wigner(build_hamiltonian(stage["final"]), stage["n_qubits"])
     (out / f"{tag}.hamiltonian.txt").write_text(qubit_h.to_text())
     (out / f"{tag}.resources.json").write_text(
         json.dumps(resources.as_dict(), indent=2, sort_keys=True) + "\n"
@@ -427,6 +439,8 @@ def run_curve(config: RunConfig) -> CurveResult:
                 lookup_coordinate(reference, coordinate)
             except KeyError as exc:
                 raise ConfigError(f"{exc.args[0]} in {config.reference_file}") from None
+    if config.freeze:   # and so is a frozen orbital that is not occupied
+        _check_freeze(config, coordinates[0])
     payloads = [(config.to_dict(), c) for c in coordinates]
     if config.workers > 1 and len(payloads) > 1:
         points = _pool_map(payloads, config.workers)
@@ -450,6 +464,19 @@ def run_curve(config: RunConfig) -> CurveResult:
     if config.output_dir:
         write_outputs(config, result)
     return result
+
+
+def _check_freeze(config: RunConfig, coordinate) -> None:
+    """Refuse ``freeze`` indices the input leaves unoccupied; an unreadable input fails its point."""
+    try:
+        if config.integral_source == "fcidump":
+            n_occ = fcidump_header(Path(_substitute(config.fcidump, coordinate)).read_text())[1] // 2
+        else:
+            n_occ = _molecule(config, coordinate).n_electrons // 2
+    except (OSError, ValueError):
+        return
+    if max(config.freeze) >= n_occ:
+        raise ConfigError(f"freeze {list(config.freeze)}: can only freeze the {n_occ} occupied orbitals")
 
 
 def write_outputs(config: RunConfig, result: CurveResult) -> None:
@@ -526,10 +553,10 @@ def load_reference(path) -> dict:
     return table
 
 
-def lookup_coordinate(table: dict, coordinate, what: str = "reference", tol: float = 1e-9) -> float:
-    """The energy of ``table`` (coordinate -> energy) at the coordinate, to within ``tol``."""
+def lookup_coordinate(table: dict, coordinate, what: str = "reference") -> float:
+    """The energy of ``table`` (coordinate -> energy) within ``_COORDINATE_TOL`` of the coordinate."""
     for key, value in table.items():
-        if coordinate is not None and abs(key - coordinate) <= tol:
+        if coordinate is not None and abs(key - coordinate) <= _COORDINATE_TOL:
             return value
     raise KeyError(f"no {what} energy for coordinate {coordinate}")
 
@@ -550,19 +577,17 @@ def load_curve_csv(path, column: str = "e_vqe") -> dict:
     return table
 
 
-def resource_rows_for(config: RunConfig, label: str | None = None) -> list:
+def resource_rows_for(config: RunConfig) -> list:
     """(system label, {variant: ResourceReport}) rows for the configured run."""
     stage = compact_integrals(config, config.scan[0] if config.scan else None)
-    final = stage["final"]
     reports = {}
     for name in ANSATZ_CHOICES:
         probe = RunConfig(**{**config.to_dict(), "ansatz": name})
         ans = build_ansatz_for(probe, stage)
         reports[ans.name] = count_resources(ans)
-    system = label or f"system({final.n_electrons},{config.n_qubits})"
-    return [(system, reports)]
+    return [(f"system({stage['final'].n_electrons},{stage['n_qubits']})", reports)]
 
 
-def resource_table_for(config: RunConfig, label: str | None = None) -> str:
+def resource_table_for(config: RunConfig) -> str:
     """Text resource table for the configured system (all ansatz variants)."""
-    return format_resource_table(resource_rows_for(config, label))
+    return format_resource_table(resource_rows_for(config))

@@ -457,7 +457,7 @@ def reference_mp2_amplitudes(mo: IntegralSet):
 
 def reference_run_rhf(ao: AOIntegralSet, n_electrons: int, max_iter: int = 100,
                       energy_tol: float = 1e-10, density_tol: float = 1e-8,
-                      diis: bool = True, diis_size: int = 8) -> SCFResult:
+                      diis_size: int = 8) -> SCFResult:
     """The Roothaan-DIIS loop that builds the Fock matrix of each density twice.
 
     Once for the energy of a new density and again at the start of the next
@@ -479,15 +479,14 @@ def reference_run_rhf(ao: AOIntegralSet, n_electrons: int, max_iter: int = 100,
     converged, iterations = False, 0
     for iterations in range(1, max_iter + 1):
         fock = _fock_matrix(ao, density)
-        if diis:
-            err = x.T @ (fock @ density @ s - s @ density @ fock) @ x
-            fock_list.append(fock)
-            error_list.append(err)
-            if len(fock_list) > diis_size:
-                fock_list.pop(0)
-                error_list.pop(0)
-            if len(fock_list) > 1:
-                fock = _diis_extrapolate(fock_list, error_list)
+        err = x.T @ (fock @ density @ s - s @ density @ fock) @ x
+        fock_list.append(fock)
+        error_list.append(err)
+        if len(fock_list) > diis_size:
+            fock_list.pop(0)
+            error_list.pop(0)
+        if len(fock_list) > 1:
+            fock = _diis_extrapolate(fock_list, error_list)
         eps, c, new_density = _density(fock)
         new_energy = (0.5 * np.sum(new_density * (h + _fock_matrix(ao, new_density)))
                       + ao.nuclear_repulsion)

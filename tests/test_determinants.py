@@ -152,7 +152,7 @@ def test_fci_command_reads_the_matrix_of_run_point(monkeypatch, tmp_path, lih_li
         solved.append((hamiltonian, pq.exact_ground_energy(hamiltonian, sector)[0]))
         return solved[-1][1], None
 
-    monkeypatch.setattr(cli, "exact_ground_energy", keep)
+    monkeypatch.setattr(workbench, "exact_ground_energy", keep)
     assert cli.main(["fci", "--config", str(path)]) == 0
     (hamiltonian, energy), = solved
     assert isinstance(hamiltonian, IntegralHamiltonian)

@@ -12,7 +12,7 @@ import scipy.integrate
 from hypothesis import example, given, settings, strategies as st
 
 import pnovqe as pq
-from pnovqe.integrals import ParseError, _boys0, _prim_norm
+from pnovqe.integrals import ParseError, _boys0, _prim_norm, fcidump_header
 
 from ci_oracle import (
     random_integral_set, reference_ao_integrals, reference_fcidump_text, reference_read_fcidump,
@@ -246,6 +246,22 @@ class TestFCIDump:
         path.write_text("&FCI NELEC=2,\n&END\n")
         with pytest.raises(ParseError, match="NORB"):
             pq.read_fcidump(path)
+
+    def test_missing_header_terminator(self, tmp_path):
+        path = tmp_path / "open.fcidump"
+        path.write_text("&FCI NORB=1,NELEC=2,MS2=0,\n0.5 1 1 1 1\n")
+        with pytest.raises(ParseError, match="terminator"):
+            pq.read_fcidump(path)
+
+    def test_header_gives_norb_nelec_and_the_integral_lines(self, tmp_path):
+        mo = lih_like_pipeline()["mo"]
+        path = tmp_path / "lih.fcidump"
+        pq.write_fcidump(mo, path)
+        n_orb, n_elec, body = fcidump_header(path.read_text())
+        assert (n_orb, n_elec) == (mo.n_orb, mo.n_electrons)
+        assert "NORB" not in body.upper() and len(body.split()) % 5 == 0
+        back = pq.read_fcidump(path)
+        assert (back.n_orb, back.n_electrons) == (n_orb, n_elec)
 
     def test_odd_nelec_rejected(self, tmp_path):
         path = tmp_path / "odd.fcidump"

@@ -283,26 +283,24 @@ class TestOrthonormalize:
         with pytest.raises(ValueError, match="linearly dependent"):
             pq.orthonormalize(_pno_set_from_vectors(v))
 
-    def test_symmetric_variant_spans_same_space(self):
-        rng = np.random.default_rng(9)
-        v = rng.standard_normal((6, 3))
-        pnos = _pno_set_from_vectors(v)
-        sym = pq.orthonormalize(pnos, method="symmetric")
-        w = sym.transform[1:, 1:]
-        np.testing.assert_allclose(w.T @ w, np.eye(3), atol=1e-10)
-        assert np.max(np.abs(w @ (w.T @ v) - v)) < 1e-10
-        with pytest.raises(ValueError, match="method"):
-            pq.orthonormalize(pnos, method="qr")
-
-    def test_orthonormalization_choice_leaves_fci_invariant(self, h2_sto3g):
-        big = h2_big_integrals(1.4)
-        pnos = pq.select_pnos(pq.pair_densities(pq.mp2_amplitudes(big)), 6)
+    def test_orthonormalization_choice_leaves_fci_invariant(self, lih_like):
+        # the Cholesky basis of the pipeline and a Loewdin basis of the same
+        # PNOs span one space, so the FCI energy cannot tell them apart
+        mo = lih_like["mo"]
+        pnos = pq.select_pnos(pq.pair_densities(pq.mp2_amplitudes(mo)), 10)
+        cholesky = pq.orthonormalize(pnos)
+        v = np.column_stack([pnos.vectors[pair][:, local] for pair, local, _ in pnos.selection])
+        evals, evecs = np.linalg.eigh(v.T @ v)
+        transform = cholesky.transform.copy()
+        transform[pnos.n_occ:, pnos.n_occ:] = v @ (evecs @ np.diag(evals**-0.5) @ evecs.T)
+        loewdin = pq.OrbitalSpace(n_total=cholesky.n_total, occupied=cholesky.occupied,
+                                  pno_assignment=cholesky.pno_assignment, transform=transform)
+        assert np.max(np.abs(loewdin.transform - cholesky.transform)) > 1e-3
         energies = []
-        for method in ("cholesky", "symmetric"):
-            space = pq.orthonormalize(pnos, method=method)
-            final = pq.build_final_integrals(big, space)
-            hq = pq.jordan_wigner(pq.build_hamiltonian(final), 6)
-            e, _ = pq.exact_ground_energy(hq, pq.sector_basis(6, 2, two_sz=0))
+        for space in (cholesky, loewdin):
+            final = pq.build_final_integrals(mo, space)
+            hq = pq.jordan_wigner(pq.build_hamiltonian(final), 10)
+            e, _ = pq.exact_ground_energy(hq, pq.sector_basis(10, 4, two_sz=0))
             energies.append(e)
         assert energies[0] == pytest.approx(energies[1], abs=1e-9)
 

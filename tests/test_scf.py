@@ -75,25 +75,13 @@ class TestRunRHF:
         off = f_mo - np.diag(np.diag(f_mo))
         assert np.max(np.abs(off)) < 1e-6
 
-    @pytest.mark.parametrize("system", ["h2", "he", "heh+"])
-    def test_monotone_without_diis(self, system):
-        if system == "h2":
-            mol = pq.parse_xyz("2\n\nH 0 0 0\nH 0 0 0.7414")
-        elif system == "he":
-            mol = pq.parse_xyz("1\n\nHe 0 0 0")
-        else:
-            mol = pq.parse_xyz("2\n\nHe 0 0 0\nH 0 0 0.7743", charge=1)
-        ao = pq.compute_ao_integrals(mol, pq.sto3g_shells(mol))
-        scf = pq.run_rhf(ao, 2, diis=False)
-        assert scf.converged
-        history = np.array(scf.energy_history)
-        assert np.all(np.diff(history) <= 1e-10)
-
-    def test_nonconvergence_flagged(self):
+    def test_nonconvergence_flagged(self, monkeypatch):
         mol, ao = heh_plus()
-        scf = pq.run_rhf(ao, 2, max_iter=1, diis=False, energy_tol=1e-14,
-                         density_tol=1e-14)
-        assert not scf.converged
+        monkeypatch.setattr(scf_module, "_MAX_ITER", 1)
+        monkeypatch.setattr(scf_module, "_ENERGY_TOL", 1e-14)
+        monkeypatch.setattr(scf_module, "_DENSITY_TOL", 1e-14)
+        scf = pq.run_rhf(ao, 2)
+        assert not scf.converged and scf.iterations == 1
 
     def test_linear_dependence_error(self):
         mol = pq.parse_xyz("1\n\nHe 0 0 0")
@@ -110,21 +98,20 @@ class TestRunRHF:
         with pytest.raises(ValueError):
             pq.run_rhf(ao, 4)
 
-    @pytest.mark.parametrize("diis", [True, False])
     @pytest.mark.parametrize("system", ["heh+", "h8"])
-    def test_one_fock_build_per_density_keeps_the_bits(self, monkeypatch, system, diis):
+    def test_one_fock_build_per_density_keeps_the_bits(self, monkeypatch, system):
         if system == "heh+":
             mol, ao = heh_plus()
         else:
             rows = "\n".join(f"H 0 0 {0.9 * k:.1f}" for k in range(8))
             mol = pq.parse_xyz(f"8\n\n{rows}")
             ao = pq.compute_ao_integrals(mol, pq.sto3g_shells(mol))
-        expected = reference_run_rhf(ao, mol.n_electrons, diis=diis)
+        expected = reference_run_rhf(ao, mol.n_electrons)
         built = []
         fock_matrix = scf_module._fock_matrix
         monkeypatch.setattr(scf_module, "_fock_matrix",
                             lambda ao, density: built.append(1) or fock_matrix(ao, density))
-        result = pq.run_rhf(ao, mol.n_electrons, diis=diis)
+        result = pq.run_rhf(ao, mol.n_electrons)
         assert len(built) <= result.iterations + 1
         assert (result.iterations, result.converged) == (expected.iterations, expected.converged)
         assert result.total_energy == expected.total_energy

@@ -15,7 +15,6 @@ from pnovqe.simulator import (
     _rotate,
     ansatz_expectation,
     ansatz_state,
-    apply_operator,
 )
 
 from test_operators import dense_from_string
@@ -162,15 +161,6 @@ class TestExpectation:
         op = QubitOperator(1, {(1, 0): 1j})
         with pytest.raises(ValueError, match="Hermitian"):
             pq.expectation(state, op)
-
-    def test_apply_operator_matches_dense(self):
-        mo = random_integral_set(2, 2, 12)
-        hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 4)
-        rng = np.random.default_rng(0)
-        vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        np.testing.assert_allclose(
-            apply_operator(hq, vec), hq.to_dense() @ vec, atol=1e-12
-        )
 
 
 class TestGradient:

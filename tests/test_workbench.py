@@ -272,6 +272,64 @@ class TestRunPoint:
         assert back.n_terms > 0
 
 
+class TestRegisterFromKeptOrbitals:
+    """A point's register is 2 qubits per kept orbital, not the budget."""
+
+    THRESHOLD_CONFIG = """
+[integrals]
+source = fcidump
+fcidump = {path}
+
+[space]
+nq = 16
+occupation_threshold = 1e-4
+
+[ansatz]
+variant = pno-upccgd
+"""
+
+    def _write_config(self, tmp_path, fcidump):
+        path = tmp_path / "threshold.cfg"
+        path.write_text(self.THRESHOLD_CONFIG.format(path=fcidump))
+        return str(path)
+
+    def test_run_point_when_the_threshold_drops_pnos(self, h2_big_fcidump):
+        # 4 of the 7 PNOs the 16-qubit budget would keep fall below 1e-4
+        config = pq.parse_config(self.THRESHOLD_CONFIG.format(path=h2_big_fcidump))
+        record = pq.run_point(config)
+        assert record["n_qubits"] == 8 and len(record["selection_signature"]) == 3
+        assert record["e_fci"] - 1e-9 <= record["e_vqe"] <= record["e_hf"]
+
+    def test_cli_commands_when_the_threshold_drops_pnos(self, tmp_path, capsys, h2_big_fcidump):
+        cfg = self._write_config(tmp_path, h2_big_fcidump)
+        record = pq.run_point(pq.load_config(cfg))
+        assert cli.main(["fci", "--config", cfg]) == 0
+        assert f"E(FCI) = {record['e_fci']:.10f} hartree (8 qubits)" in capsys.readouterr().out
+        assert cli.main(["vqe", "--config", cfg]) == 0
+        assert f"E(VQE) = {record['e_vqe']:.10f}" in capsys.readouterr().out
+        out = tmp_path / "h"
+        assert cli.main(["hamiltonian", "--config", cfg, "--out", str(out)]) == 0
+        assert "n_qubits = 8" in capsys.readouterr().out
+        text = (out / "hamiltonian.txt").read_text()
+        assert max(int(label[1:]) for label in re.findall(r"[XYZ]\d+", text)) == 7
+        assert pq.QubitOperator.from_text(text, 8).n_terms > 0
+        assert cli.main(["counts", "--config", cfg]) == 0
+        assert "system(2,8)" in capsys.readouterr().out
+
+    def test_fci_command_builds_no_ansatz(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG)
+        record = pq.run_point(pq.load_config(cfg))
+
+        def refuse(*args):
+            raise AssertionError("pnovqe fci built an ansatz")
+
+        monkeypatch.setattr(workbench, "build_ansatz_for", refuse)
+        monkeypatch.setattr(cli, "build_ansatz_for", refuse, raising=False)
+        assert cli.main(["fci", "--config", str(cfg)]) == 0
+        assert f"E(FCI) = {record['e_fci']:.10f} hartree (4 qubits)" in capsys.readouterr().out
+
+
 class TestRunCurve:
     def test_single_point_scan_matches_run_point(self):
         config = h2_config(xyz=H2_INLINE, scan=(0.7408481486,))
@@ -438,9 +496,37 @@ class TestPersistence:
             pq.run_curve(config)
         assert ran == [] and not out.exists()
 
+    @pytest.mark.parametrize("source", ["builtin-sto3g", "fcidump"])
+    def test_unoccupied_frozen_orbital_is_refused_before_any_point(
+            self, tmp_path, monkeypatch, h2_sto3g, source):
+        scan = (0.6, 0.74, 1.0)
+        if source == "fcidump":
+            for r in scan:
+                pq.write_fcidump(h2_sto3g["mo"], tmp_path / f"h2_{r!r}.fcidump")
+            config = pq.RunConfig(integral_source="fcidump", fcidump=str(tmp_path / "h2_{R}.fcidump"),
+                                  n_qubits=4, scan=scan, freeze=(1,)).validate()
+        else:
+            config = h2_config(xyz=H2_INLINE, scan=scan, freeze=(1,))
+        ran = []
+        monkeypatch.setattr(workbench, "run_rhf", lambda *args: ran.append(args))
+        monkeypatch.setattr(workbench, "read_fcidump", lambda *args: ran.append(args))
+        with pytest.raises(ConfigError, match=r"freeze \[1\]: can only freeze the 1 occupied orbitals"):
+            pq.run_curve(config)
+        assert ran == []
+
+    def test_freeze_check_leaves_occupied_and_unreadable_inputs_to_the_points(self, tmp_path, lih_like):
+        path = tmp_path / "lih.fcidump"
+        pq.write_fcidump(lih_like["mo"], path)
+        config = pq.RunConfig(integral_source="fcidump", fcidump=str(path), n_qubits=6,
+                              ansatz="pno-upccd", freeze=(1,), diagonal_only=True).validate()
+        assert pq.run_curve(config).failures == 0
+        config.fcidump = str(tmp_path / "missing.fcidump")
+        curve = pq.run_curve(config)
+        assert curve.failures == 1 and "No such file" in curve.points[0]["error"]
+
     def test_resource_table_matches_count_resources(self):
         config = h2_config()
-        table = resource_table_for(config, label="H2(2,4)")
+        table = resource_table_for(config)
         report = pq.count_resources(pq.build_upccgsd(2, 2))
         assert f"{report.n_parameters} ({report.n_cnots})" in table
 
