@@ -130,7 +130,7 @@ def cmd_vqe(args) -> int:
 def cmd_fci(args) -> int:
     config = _configure(args)
     stage = compact_integrals(config, _first_coordinate(config))
-    energy = fci_energy(stage, IntegralHamiltonian(stage["final"], stage["n_qubits"]))
+    energy = fci_energy(IntegralHamiltonian(stage["final"]))
     print(f"E(FCI) = {energy:.10f} hartree ({stage['n_qubits']} qubits)")
     return 0
 

@@ -7,8 +7,12 @@ A real-integral Hamiltonian has an exactly real sector matrix, stored as
 float64, and the solve then runs in real arithmetic; only an operator whose
 sector entries really are complex is solved in complex arithmetic. Bases of
 up to ``_DENSE_DIM`` states get the lowest pair of a dense ``eigh``, larger
-ones Lanczos with full reorthogonalization from a seeded start vector; the
-crossover was measured on real sector matrices.
+ones ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``,
+``eigs`` for a complex matrix) from one seeded generator, so reruns give the
+same bits; the crossover was measured on real sector matrices.
+``_hermitian_matrix`` is the one check before a sector matrix is read, here
+and in the simulator: the operator is Hermitian and its register is the
+basis'.
 
 The paired (seniority-zero) Hamiltonian encodes one doubly occupied spatial
 orbital per qubit, halving the register relative to the spin-orbital
@@ -30,14 +34,14 @@ from .ansatz import Ansatz, ExcitationGenerator
 from .integrals import IntegralSet
 from .operators import COEFF_CUTOFF, PauliString, QubitOperator
 
-# Real sectors of H8 STO-3G compact Hamiltonians on 2 cores: the lowest pair
-# by dense eigh takes 2.4 / 8.0 / 25 / 102 ms at dim 225 / 441 / 735 / 1225,
-# lanczos_ground 9.4 / 17.8 / 18.7 / 26 ms
+# Real sectors of H8 STO-3G compact Hamiltonians on 2 cores, lowest pair, best
+# of 7: dense eigh 2.2-3.1 / 7.1-11.5 / 20-31 / 93-108 ms at dim 225 / 441 /
+# 735 / 1225, eigsh 1.9-3.3 / 4.8-7.6 / 6.6-11.3 / 12-18 ms. eigsh is faster
+# from about 300 states on, but the first one in a process also imports
+# scipy.sparse.linalg (16-20 ms), which a dense solve up to 600 states undercuts
 _DENSE_DIM = 600
 _MAX_FULL_QUBITS = 16
 _MAX_ITER_QUBITS = 24
-# Lanczos: eigenvalue tolerance, step cap and start-vector seed
-_LANCZOS_TOL, _LANCZOS_STEPS, _LANCZOS_SEED = 1e-12, 400, 12345
 # Rows per block of ``determinant_matrix``: the 22-qubit H6 sector took 4.8 s
 # at 64 rows against 5.0-5.7 s at 16, 32, 128 and 256 rows (2 cores)
 _DETERMINANT_BLOCK = 64
@@ -147,34 +151,35 @@ def _determinant_block(block, states, core, h, anti, exchange):
     return key[found] >> m, column[found], value[found]
 
 
-def determinant_matrix(mo: IntegralSet, states: np.ndarray, n_qubits: int):
+def determinant_matrix(mo: IntegralSet, states: np.ndarray):
     """The Hamiltonian of ``mo`` on a sorted fixed-N basis of determinants, as a real read-only CSR.
 
-    Bit q of a state occupies spin-orbital q, interleaved as in ``operators``.
-    Per determinant: the diagonal, every single i -> a (h_ai + sum_k <ak||ik>)
-    and double i < j -> a < b (<ab||ij>), with the Jordan-Wigner sign of
-    a+_a (a+_b a_j) a_i; images outside ``states`` and entries below
-    ``COEFF_CUTOFF`` are dropped. Blocks of ``_DETERMINANT_BLOCK`` rows fill,
-    in order, arrays sized by the spin-conserving excitation count; each
-    entry's operations are elementwise, so the block size changes no bit.
+    Bit q of a state occupies spin-orbital q of the 2 * ``mo.n_orb``,
+    interleaved as in ``operators``. Per determinant: the diagonal, every
+    single i -> a (h_ai + sum_k <ak||ik>) and double i < j -> a < b
+    (<ab||ij>), with the Jordan-Wigner sign of a+_a (a+_b a_j) a_i; images
+    outside ``states`` and entries below ``COEFF_CUTOFF`` are dropped.
+    Blocks of ``_DETERMINANT_BLOCK`` rows fill, in order, arrays sized by the
+    spin-conserving excitation count; each entry's operations are
+    elementwise, so the block size changes no bit.
     """
-    dim, counts = len(states), np.unique(np.bitwise_count(states))
+    dim, counts, n_qubits = len(states), np.unique(np.bitwise_count(states)), 2 * mo.n_orb
     if counts.size != 1:
         raise ValueError("the determinant matrix needs a nonempty fixed-particle-number basis")
+    if int(states[-1]) >> n_qubits:
+        raise ValueError("a state occupies a spin-orbital past the integrals'")
     if n_qubits + (_DETERMINANT_BLOCK - 1).bit_length() > 63:
         raise ValueError("a block's (row, image) keys overflow int64 on this register")
     # h_PQ and <PQ||RS> with <PQ|RS> = <pq|rs> d(s_P, s_R) d(s_Q, s_S) over interleaved
     # spin-orbitals: spin-forbidden entries are (signed) zeros
-    n_so, eye = 2 * mo.n_orb, np.eye(2)
-    h, g = np.zeros((n_qubits,) * 2), np.zeros((n_qubits,) * 4)
-    h[:n_so, :n_so] = np.kron(mo.h, eye)
-    g[:n_so, :n_so, :n_so, :n_so] = np.kron(mo.g, np.einsum("ac,bd->abcd", eye, eye))
+    eye = np.eye(2)
+    h, g = np.kron(mo.h, eye), np.kron(mo.g, np.einsum("ac,bd->abcd", eye, eye))
     anti = g - g.transpose(0, 1, 3, 2)
     tables = (float(mo.core_energy), h, anti.ravel(), np.einsum("akik->aik", anti).ravel())
     # a row holds at most 1 + its spin-conserving singles and doubles
     up = np.bitwise_count(states & sum(1 << q for q in range(0, n_qubits, 2))).astype(np.int64)
     n = int(counts[0])
-    dn, up_holes, dn_holes = n - up, (n_qubits + 1) // 2 - up, n_qubits // 2 - n + up
+    dn, up_holes, dn_holes = n - up, mo.n_orb - up, mo.n_orb - n + up
     pairs = up * (up - 1) * up_holes * (up_holes - 1) + dn * (dn - 1) * dn_holes * (dn_holes - 1)
     bound = int(np.sum(1 + up * up_holes + dn * dn_holes + up * dn * up_holes * dn_holes + pairs // 4))
     data, indices, indptr = np.empty(bound), np.empty(bound, np.int32), np.zeros(dim + 1, np.int64)
@@ -192,7 +197,7 @@ def determinant_matrix(mo: IntegralSet, states: np.ndarray, n_qubits: int):
 
 
 class IntegralHamiltonian:
-    """The Hamiltonian of an ``IntegralSet`` on ``n_qubits`` spin-orbitals.
+    """The Hamiltonian of an ``IntegralSet`` on its 2 * ``n_orb`` spin-orbitals.
 
     It has the members of a ``QubitOperator`` that the simulator and
     ``exact_ground_energy`` read; ``matrix`` is ``determinant_matrix``, cached per basis.
@@ -200,10 +205,8 @@ class IntegralHamiltonian:
 
     __slots__ = ("integrals", "n_qubits", "_compiled")
 
-    def __init__(self, integrals: IntegralSet, n_qubits: int):
-        if n_qubits < 2 * integrals.n_orb:
-            raise ValueError("register smaller than the spin-orbitals of the integrals")
-        self.integrals, self.n_qubits, self._compiled = integrals, n_qubits, {}
+    def __init__(self, integrals: IntegralSet):
+        self.integrals, self.n_qubits, self._compiled = integrals, 2 * integrals.n_orb, {}
 
     def max_imag(self) -> float:
         return 0.0
@@ -211,59 +214,28 @@ class IntegralHamiltonian:
     def matrix(self, states: np.ndarray):
         key = states.tobytes()
         if key not in self._compiled:
-            self._compiled[key] = determinant_matrix(self.integrals, states, self.n_qubits)
+            self._compiled[key] = determinant_matrix(self.integrals, states)
         return self._compiled[key]
 
 
-def lanczos_ground(matrix, dim: int):
-    """Smallest eigenpair by Lanczos with full reorthogonalization."""
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    q = rng.standard_normal(dim).astype(np.result_type(matrix.dtype, float))
-    q /= np.linalg.norm(q)
-    basis = [q]
-    alphas: list = []
-    betas: list = []
-    previous = np.inf
-    for step in range(min(_LANCZOS_STEPS, dim)):
-        w = matrix @ basis[-1]
-        alpha = float(np.real(np.vdot(basis[-1], w)))
-        alphas.append(alpha)
-        w = w - alpha * basis[-1]
-        if len(basis) > 1:
-            w = w - betas[-1] * basis[-2]
-        # full reorthogonalization against every stored vector
-        for vec in basis:
-            w = w - np.vdot(vec, w) * vec
-        beta = np.linalg.norm(w)
-        evals, evecs = scipy.linalg.eigh_tridiagonal(alphas, betas)
-        residual_bound = beta * abs(evecs[-1, 0])
-        done = (
-            (residual_bound < 1e-10 and abs(evals[0] - previous) < _LANCZOS_TOL)
-            or beta < 1e-13
-            or step == dim - 1
-        )
-        if done:
-            ground = np.zeros(dim, dtype=q.dtype)
-            for coeff, vec in zip(evecs[:, 0], basis):
-                ground += coeff * vec
-            ground /= np.linalg.norm(ground)
-            return float(evals[0]), ground
-        previous = evals[0]
-        betas.append(float(beta))
-        basis.append(w / beta)
-    raise RuntimeError("Lanczos failed to converge")
+def _hermitian_matrix(op, basis: SectorBasis):
+    """The cached matrix of a Hermitian operator on a basis of its register."""
+    if op.n_qubits != basis.n_qubits:
+        raise ValueError("operator register does not match the basis")
+    if op.max_imag() >= 1e-8:
+        raise ValueError("operator is not Hermitian (complex coefficients)")
+    return op.matrix(basis.states)
 
 
 def exact_ground_energy(op: QubitOperator, sector: SectorBasis | None = None):
     """Lowest eigenvalue and eigenvector of a Hermitian qubit operator.
 
-    Small (sector) bases are solved densely, larger ones with Lanczos, both
-    in the dtype of ``op.matrix`` on the basis: real arithmetic unless an
-    entry there has an imaginary part. The returned pair always satisfies
-    ||Hv - Ev|| < 1e-8 in the chosen basis.
+    Small (sector) bases are solved densely, larger ones by ARPACK from a
+    seeded start vector, both in the dtype of ``op.matrix`` on the basis:
+    real arithmetic unless an entry there has an imaginary part. The
+    returned pair always satisfies ||Hv - Ev|| < 1e-8 in the chosen basis;
+    ARPACK's failure to converge is a ``RuntimeError``.
     """
-    if op.max_imag() >= 1e-8:
-        raise ValueError("operator is not Hermitian")
     if sector is None:
         if op.n_qubits > _MAX_FULL_QUBITS:
             raise ValueError(
@@ -271,18 +243,30 @@ def exact_ground_energy(op: QubitOperator, sector: SectorBasis | None = None):
                 "restrict to a sector"
             )
         sector = full_basis(op.n_qubits)
-    elif sector.n_qubits != op.n_qubits:
-        raise ValueError("operator register does not match the sector")
     elif op.n_qubits > _MAX_ITER_QUBITS:
         raise ValueError(f"sector diagonalization limited to {_MAX_ITER_QUBITS} qubits")
     if sector.dim == 0:
         raise ValueError("empty sector")
-    mat = op.matrix(sector.states)
+    mat = _hermitian_matrix(op, sector)
     if sector.dim <= _DENSE_DIM:
         evals, evecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, 0])
-        energy, vector = float(evals[0]), evecs[:, 0]
     else:
-        energy, vector = lanczos_ground(mat, sector.dim)
+        # imported here: small sectors, and so ``import pnovqe``, never need it
+        from scipy.sparse.linalg import eigs, eigsh
+
+        rng = np.random.default_rng(12345)
+        start = rng.standard_normal(sector.dim).astype(mat.dtype)
+        # ARPACK restarts from a random vector when its Krylov space is
+        # invariant, drawn from ``rng`` (from entropy when None). eigsh hands a
+        # complex matrix to eigs without its ``rng``, so complex ones go to eigs here.
+        if not mat.count_nonzero():   # ARPACK refuses it; every vector is a ground state
+            evals, evecs = np.zeros(1), (start / np.linalg.norm(start))[:, None]
+        elif np.iscomplexobj(mat):
+            evals, evecs = eigs(mat, k=1, which="SR", v0=start, tol=0, rng=rng)
+            evals = evals.real
+        else:
+            evals, evecs = eigsh(mat, k=1, which="SA", v0=start, tol=0, rng=rng)
+    energy, vector = float(evals[0]), evecs[:, 0]
     residual = np.linalg.norm(mat @ vector - energy * vector)
     if residual > 1e-8:
         raise RuntimeError(f"eigenpair residual {residual:.2e} exceeds 1e-8")

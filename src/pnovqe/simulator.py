@@ -16,11 +16,12 @@ VQE energies and gradients run on the sector the circuit keeps its
 reference in: the (N, S_z) sector when every generator commutes with S_z
 (``Ansatz.two_sz``), else the N sector. The exact solve of a point uses the
 same basis and reads the same cached ``matrix`` of the Hamiltonian (a
-``QubitOperator`` or the point's ``exact.IntegralHamiltonian``), float64
-when its entries are real. There the state is float64 too. The adjoint sweep
-runs backwards through the factors; the shift rule takes four circuit
-energies per generator, which is exact because G^3 = G. Only the
-``Statevector`` functions use complex 2^n vectors.
+``QubitOperator`` or the point's ``exact.IntegralHamiltonian``) through the
+same check, ``exact._hermitian_matrix``; the matrix is float64 when its
+entries are real, and the state is float64 too. The adjoint sweep runs
+backwards through the factors; the shift rule takes four circuit energies
+per generator, which is exact because G^3 = G. Only the ``Statevector``
+functions use complex 2^n vectors.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from .ansatz import Ansatz
-from .exact import SectorBasis, full_basis, sector_basis
+from .exact import SectorBasis, _hermitian_matrix, full_basis, sector_basis
 from .operators import COEFF_CUTOFF, PauliString, QubitOperator, _pauli_pass
 
 MAX_QUBITS = 26
@@ -270,18 +271,16 @@ def ansatz_state(ansatz: Ansatz, theta) -> Statevector:
     return apply_ansatz(prepare_reference(ansatz.n_qubits, ansatz.reference), ansatz, theta)
 
 
-def _sector(op: QubitOperator, ansatz: Ansatz) -> tuple:
+def _sector(ansatz: Ansatz) -> tuple:
     """Basis and circuit of the sector the circuit keeps its reference in."""
-    if op.n_qubits != ansatz.n_qubits:
-        raise ValueError("operator register does not match the state")
     basis = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
     return basis, _prepared(ansatz, basis)
 
 
-def _sector_state(op: QubitOperator, ansatz: Ansatz, theta) -> tuple:
+def _sector_state(ansatz: Ansatz, theta) -> tuple:
     """Basis, circuit and read-only circuit state in the sector the circuit keeps its reference in."""
     theta = _parameters(ansatz, theta)
-    basis, circuit = _sector(op, ansatz)
+    basis, circuit = _sector(ansatz)
     key = theta.tobytes()
     last_key, psi = circuit.last
     if key != last_key:
@@ -289,15 +288,6 @@ def _sector_state(op: QubitOperator, ansatz: Ansatz, theta) -> tuple:
         psi.flags.writeable = False
         circuit.last = (key, psi)
     return basis, circuit, psi
-
-
-def _hermitian_matrix(op: QubitOperator, basis: SectorBasis):
-    """The Hermitian op's cached matrix on the basis."""
-    if op.n_qubits != basis.n_qubits:
-        raise ValueError("operator register does not match the state")
-    if op.max_imag() >= 1e-8:
-        raise ValueError("operator is not Hermitian (complex coefficients)")
-    return op.matrix(basis.states)
 
 
 def _expectation(op: QubitOperator, vec: np.ndarray, basis: SectorBasis) -> float:
@@ -314,7 +304,7 @@ def expectation(state: Statevector, op: QubitOperator) -> float:
 
 def ansatz_expectation(op: QubitOperator, ansatz: Ansatz, theta) -> float:
     """Circuit energy, evaluated in the sector the circuit keeps its reference in."""
-    basis, _, psi = _sector_state(op, ansatz, theta)
+    basis, _, psi = _sector_state(ansatz, theta)
     return _expectation(op, psi, basis)
 
 
@@ -335,7 +325,7 @@ def gradient(op: QubitOperator, ansatz: Ansatz, theta, method: str = "adjoint") 
         return _gradient_shift(op, ansatz, theta)
     if method != "adjoint":
         raise ValueError(f"unknown gradient method {method!r}")
-    basis, circuit, psi = _sector_state(op, ansatz, theta)
+    basis, circuit, psi = _sector_state(ansatz, theta)
     lam = _hermitian_matrix(op, basis) @ psi
     psi = psi.copy()
     grad = np.zeros(ansatz.n_parameters)
@@ -357,7 +347,7 @@ _SHIFT_RULE = (
 
 
 def _gradient_shift(op, ansatz, theta) -> np.ndarray:
-    basis, circuit = _sector(op, ansatz)
+    basis, circuit = _sector(ansatz)
     grad = np.zeros(ansatz.n_parameters)
     prefix = circuit.reference.copy()    # the factors before k applied, at theta
     for k, factor in enumerate(circuit.factors):

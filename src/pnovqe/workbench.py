@@ -252,6 +252,7 @@ def molecular_integrals(config: RunConfig, coordinate=None):
         path = _substitute(config.fcidump, coordinate)
         return read_fcidump(path), None
     molecule = _molecule(config, coordinate)
+    _refuse_unoccupied(config.freeze, molecule.n_electrons // 2)   # before the SCF
     ao = compute_ao_integrals(molecule, sto3g_shells(molecule))
     scf = run_rhf(ao, molecule.n_electrons)
     if not scf.converged:
@@ -315,9 +316,9 @@ def build_ansatz_for(config: RunConfig, stage: dict):
     return build_pno_ansatz(stage["space"], _VARIANT_MAP[config.ansatz])
 
 
-def fci_energy(stage: dict, hamiltonian: IntegralHamiltonian) -> float:
-    """E_FCI: the ground state of the compact integrals' (N, S_z = 0) sector, where the VQE runs."""
-    sector = sector_basis(stage["n_qubits"], stage["final"].n_electrons, 0)
+def fci_energy(hamiltonian: IntegralHamiltonian) -> float:
+    """E_FCI: the ground state of the Hamiltonian's (N, S_z = 0) sector, where the VQE runs."""
+    sector = sector_basis(hamiltonian.n_qubits, hamiltonian.integrals.n_electrons, 0)
     return exact_ground_energy(hamiltonian, sector)[0]
 
 
@@ -328,7 +329,7 @@ def run_point(config: RunConfig, coordinate=None) -> dict:
     ansatz = build_ansatz_for(config, stage)
     resources = count_resources(ansatz)
     final = stage["final"]
-    hamiltonian = IntegralHamiltonian(final, stage["n_qubits"])
+    hamiltonian = IntegralHamiltonian(final)
     vqe = run_vqe(
         hamiltonian,
         ansatz,
@@ -338,7 +339,7 @@ def run_point(config: RunConfig, coordinate=None) -> dict:
         restarts=config.restarts,
         seed=config.seed,
     )
-    e_fci = fci_energy(stage, hamiltonian)
+    e_fci = fci_energy(hamiltonian)
     if vqe.fun < e_fci - 1e-9:
         raise RuntimeError("variational bound violated: VQE below FCI")
     record = {
@@ -475,8 +476,12 @@ def _check_freeze(config: RunConfig, coordinate) -> None:
             n_occ = _molecule(config, coordinate).n_electrons // 2
     except (OSError, ValueError):
         return
-    if max(config.freeze) >= n_occ:
-        raise ConfigError(f"freeze {list(config.freeze)}: can only freeze the {n_occ} occupied orbitals")
+    _refuse_unoccupied(config.freeze, n_occ)
+
+
+def _refuse_unoccupied(freeze: tuple, n_occ: int) -> None:
+    if freeze and max(freeze) >= n_occ:
+        raise ConfigError(f"freeze {list(freeze)}: can only freeze the {n_occ} occupied orbitals")
 
 
 def write_outputs(config: RunConfig, result: CurveResult) -> None:

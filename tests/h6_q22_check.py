@@ -5,11 +5,13 @@
 Linear H6 at 1.6 bohr spacing, 2 even-tempered s shells per atom (alpha0
 0.1, ratio 4.0), SCF, FCIDUMP, then the PNO-UpCCGD point's compact
 integrals on 22 qubits: an (N=6, S_z=0) sector of 27 225 determinants. The
-script builds that sector's matrix from the compact integrals, solves it by
-Lanczos through ``exact_ground_energy`` and exits nonzero unless E_FCI is
-within 1e-9 Ha of the pinned value and the process's peak RSS stays under
-800 MiB. The name keeps it out of the test suite's collection: it takes
-about 10 s and 0.3 GiB.
+script takes the route of ``run_point`` and ``pnovqe fci``: it builds that
+sector's matrix from the compact integrals (``IntegralHamiltonian``), solves
+it through ``workbench.fci_energy``, where ``exact_ground_energy`` runs
+ARPACK's Lanczos (``eigsh``), and exits nonzero unless E_FCI is within 1e-9
+Ha of the pinned value and the process's peak RSS stays under 800 MiB. The
+name keeps it out of the test suite's collection: it takes about 10 s and
+0.3 GiB.
 """
 
 import resource
@@ -49,14 +51,14 @@ def main() -> int:
         config = pq.RunConfig(integral_source="fcidump", fcidump=str(path), n_qubits=22,
                               ansatz="pno-upccgd").validate()
         stage = workbench.compact_integrals(config)
-    ansatz = workbench.build_ansatz_for(config, stage)
-    sector = pq.sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
-    hamiltonian = pq.IntegralHamiltonian(stage["final"], config.n_qubits)
+    hamiltonian = pq.IntegralHamiltonian(stage["final"])
+    # the sector fci_energy solves; its matrix is cached on the Hamiltonian
+    sector = pq.sector_basis(hamiltonian.n_qubits, stage["final"].n_electrons, 0)
     start = time.perf_counter()
     matrix = hamiltonian.matrix(sector.states)
     build_s = time.perf_counter() - start
     start = time.perf_counter()
-    energy, _ = pq.exact_ground_energy(hamiltonian, sector)
+    energy = workbench.fci_energy(hamiltonian)
     solve_s = time.perf_counter() - start
     peak = peak_rss_mib()
     print(f"sector dim {sector.dim}, {matrix.nnz} nonzeros, built in {build_s:.2f} s")

@@ -25,40 +25,38 @@ from ci_oracle import random_integral_set, slater_condon_matrix
 BUILDER = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
 
-def jw_matrix(mo, states, n_qubits):
-    return pq.jordan_wigner(pq.build_hamiltonian(mo), n_qubits).matrix(states)
+def jw_matrix(mo, states):
+    return pq.jordan_wigner(pq.build_hamiltonian(mo), 2 * mo.n_orb).matrix(states)
 
 
 @st.composite
 def sectors(draw):
-    """(integrals, register, basis): (N, S_z) or N sectors, open and closed shell."""
+    """(integrals, basis): (N, S_z) or N sectors, open and closed shell."""
     n_orb = draw(st.integers(1, 4))
     mo = random_integral_set(n_orb, 2, draw(st.integers(0, 10_000)))
-    # a register may hold spin-orbitals past the integrals'
-    n_qubits = 2 * n_orb + draw(st.sampled_from([0, 0, 2]))
+    n_qubits = 2 * n_orb
     n_particles = draw(st.integers(0, n_qubits))
     two_sz = draw(st.sampled_from([None] + list(range(-n_particles, n_particles + 1, 2))))
     try:
         basis = pq.sector_basis(n_qubits, n_particles, two_sz)
     except ValueError:   # a spin balance the register cannot hold
         basis = pq.sector_basis(n_qubits, n_particles)
-    return mo, n_qubits, basis
+    return mo, basis
 
 
 @BUILDER
 @given(sectors())
 def test_builder_matches_the_determinant_oracle_and_the_jordan_wigner_matrix(case):
-    mo, n_qubits, basis = case
-    mat = determinant_matrix(mo, basis.states, n_qubits)
+    mo, basis = case
+    mat = determinant_matrix(mo, basis.states)
     assert mat.dtype == np.float64 and mat.has_sorted_indices
     assert not mat.data.flags.writeable
     assert np.all(np.abs(mat.data) >= COEFF_CUTOFF)
     dense = mat.toarray()
-    jw = jw_matrix(mo, basis.states, n_qubits).toarray()
+    jw = jw_matrix(mo, basis.states).toarray()
     np.testing.assert_allclose(dense, jw.real, atol=1e-12, rtol=0)
-    if n_qubits == 2 * mo.n_orb:   # the oracle spans the integrals' spin-orbitals
-        oracle = slater_condon_matrix(mo, [int(s) for s in basis.states])
-        np.testing.assert_allclose(dense, oracle, atol=1e-12, rtol=0)
+    oracle = slater_condon_matrix(mo, [int(s) for s in basis.states])
+    np.testing.assert_allclose(dense, oracle, atol=1e-12, rtol=0)
 
 
 def benchmark_points():
@@ -82,7 +80,7 @@ def test_builder_matches_the_jordan_wigner_matrix_on_benchmark_points(workload, 
     stage = workbench.compact_hamiltonian(config, coordinate)
     ansatz = workbench.build_ansatz_for(config, stage)
     basis = pq.sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
-    mat = IntegralHamiltonian(stage["final"], config.n_qubits).matrix(basis.states)
+    mat = IntegralHamiltonian(stage["final"]).matrix(basis.states)
     jw = stage["hamiltonian"].matrix(basis.states)
     assert jw.dtype == np.float64
     assert abs(mat - jw).max() < 1e-12
@@ -95,7 +93,7 @@ def test_row_blocks_change_no_bit(monkeypatch, two_sz):
     built = []
     for block in (1, 7, exact._DETERMINANT_BLOCK):
         monkeypatch.setattr(exact, "_DETERMINANT_BLOCK", block)
-        built.append(determinant_matrix(mo, states, 10))
+        built.append(determinant_matrix(mo, states))
     first = built[0]
     for mat in built[1:]:
         for name in ("data", "indices", "indptr"):
@@ -104,15 +102,15 @@ def test_row_blocks_change_no_bit(monkeypatch, two_sz):
 
 def test_integral_hamiltonian_caches_one_matrix_per_basis():
     mo = random_integral_set(3, 2, 4)
-    hamiltonian = IntegralHamiltonian(mo, 6)
+    hamiltonian = IntegralHamiltonian(mo)
     basis = pq.sector_basis(6, 2, 0)
     mat = hamiltonian.matrix(basis.states)
     assert hamiltonian.matrix(basis.states) is mat
-    assert hamiltonian.max_imag() == 0.0
+    assert hamiltonian.n_qubits == 6 and hamiltonian.max_imag() == 0.0
     with pytest.raises(ValueError, match="fixed-particle-number"):
         hamiltonian.matrix(np.arange(4, dtype=np.int64))
-    with pytest.raises(ValueError, match="register smaller"):
-        IntegralHamiltonian(mo, 4)
+    with pytest.raises(ValueError, match="past the integrals"):
+        hamiltonian.matrix(pq.sector_basis(8, 2, 0).states)
 
 
 def lih_config(tmp_path, lih_like, **fields):

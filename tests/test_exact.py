@@ -1,14 +1,23 @@
-"""Exact diagonalization, sector restriction, and the paired encoding."""
+"""Exact diagonalization, sector restriction, and the paired encoding.
+
+The iterative solve (``scipy.sparse.linalg.eigsh``) only runs on sectors
+above ``exact._DENSE_DIM`` = 600 states; its property tests patch the
+crossover down so random Pauli sums on sectors of 3-252 states reach it;
+sectors above 40 states make ARPACK restart. Examples are derandomized.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
-from pnovqe.exact import (
-    build_paired_ansatz,
-    lanczos_ground,
-)
+from pnovqe import exact as exact_mod
+from pnovqe.exact import build_paired_ansatz
 from pnovqe.operators import QubitOperator
 
 from ci_oracle import eigenvalues_dense, random_integral_set, seniority_zero_projection
@@ -68,27 +77,75 @@ class TestExactGroundEnergy:
         assert np.linalg.norm(mat @ vector - energy * vector) < 1e-8
 
 
-class TestLanczos:
-    def test_matches_dense_on_random_sparse(self):
-        rng = np.random.default_rng(3)
-        dim = 600
-        dense = rng.standard_normal((dim, dim)) * 0.1
-        dense = dense + dense.T + np.diag(np.linspace(-2, 2, dim))
-        sparse = scipy.sparse.csr_matrix(dense)
-        energy, vector = lanczos_ground(sparse, dim)
-        expected = np.linalg.eigvalsh(dense)[0]
-        assert energy == pytest.approx(expected, abs=1e-9)
-        assert np.linalg.norm(sparse @ vector - energy * vector) < 1e-7
+ITERATIVE = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+# ARPACK's default Krylov space for one eigenpair holds 20 vectors: larger
+# sectors make it restart, and a Krylov space that turns invariant there
+# restarts from a vector drawn from the solver's seeded generator
+_NCV = 20
 
-    def test_lanczos_path_in_exact_ground_energy(self, monkeypatch):
-        import pnovqe.exact as exact_mod
 
-        mo = random_integral_set(3, 2, 8)
-        hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 6)
-        e_dense, _ = pq.exact_ground_energy(hq)
-        monkeypatch.setattr(exact_mod, "_DENSE_DIM", 4)
-        e_lanczos, _ = pq.exact_ground_energy(hq)
-        assert e_lanczos == pytest.approx(e_dense, abs=1e-8)
+@st.composite
+def sector_operators(draw, qubits=(3, 6), edge=1, max_terms=12):
+    """(Hermitian Pauli sum, number sector of at least 3 states): real, or with an imaginary hopping.
+
+    Random strings mostly leave a number sector; the real hoppings
+    (X_p X_q + Y_p Y_q)/2 connect it.
+    """
+    n_qubits = draw(st.integers(*qubits))
+    basis = pq.sector_basis(n_qubits, draw(st.integers(edge, n_qubits - edge)))
+    mask = st.integers(0, (1 << n_qubits) - 1)
+    pair = st.lists(st.integers(0, n_qubits - 1), min_size=2, max_size=2, unique=True)
+    terms = draw(st.lists(st.tuples(mask, mask, st.floats(-1, 1)), max_size=max_terms))
+    op = QubitOperator(n_qubits, {})
+    for x, z, coeff in terms:
+        op = op + QubitOperator(n_qubits, {(x, z): coeff})
+    for (p, q), coeff in draw(st.lists(st.tuples(pair, st.floats(-1, 1)), max_size=max_terms)):
+        op = op + QubitOperator(n_qubits, {(1 << p | 1 << q, 0): coeff, (1 << p | 1 << q,) * 2: coeff})
+    if draw(st.booleans()):   # (X_p Y_q - Y_p X_q)/2 has imaginary entries on every number sector
+        p, q = draw(pair)
+        op = (op + QubitOperator(n_qubits, {(1 << p | 1 << q, 1 << q): 0.5})
+              + QubitOperator(n_qubits, {(1 << p | 1 << q, 1 << p): -0.5}))
+        assert op.matrix(basis.states).dtype == np.complex128
+    return op, basis
+
+
+def _check_iterative_solve(op, basis):
+    mat = op.matrix(basis.states)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_mod, "_DENSE_DIM", 2)
+        energy, vector = pq.exact_ground_energy(op, basis)
+        again, vector_again = pq.exact_ground_energy(op, basis)
+    assert abs(energy - np.linalg.eigvalsh(mat.toarray())[0]) < 1e-10
+    assert np.linalg.norm(mat @ vector - energy * vector) < 1e-8
+    assert vector.dtype == mat.dtype
+    assert again == energy and np.array_equal(vector_again, vector)
+
+
+@ITERATIVE
+@given(sector_operators())
+def test_iterative_solve_matches_the_dense_spectrum(case):
+    _check_iterative_solve(*case)
+
+
+@ITERATIVE
+@given(sector_operators(qubits=(8, 10), edge=3, max_terms=40))
+def test_restarted_iterative_solve_matches_the_dense_spectrum(case):
+    assert case[1].dim > 2 * _NCV
+    _check_iterative_solve(*case)
+
+
+def test_iterative_solve_of_an_operator_that_vanishes_on_the_sector(monkeypatch):
+    monkeypatch.setattr(exact_mod, "_DENSE_DIM", 2)
+    energy, vector = pq.exact_ground_energy(QubitOperator(3, {}), pq.sector_basis(3, 1))
+    assert energy == 0.0 and np.linalg.norm(vector) == pytest.approx(1.0)
+
+
+def test_import_leaves_the_iterative_solver_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    code = "import sys, pnovqe; sys.exit('scipy.sparse.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 class TestPairedHamiltonian:

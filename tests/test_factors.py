@@ -259,7 +259,7 @@ def test_cached_state_refuses_writes_and_survives_the_gradient():
     ansatz = fresh_ansatz()
     theta = np.linspace(-0.4, 0.4, ansatz.n_parameters)
     energy = pq.ansatz_expectation(hq, ansatz, theta)
-    _, _, psi = _sector_state(hq, ansatz, theta)
+    _, _, psi = _sector_state(ansatz, theta)
     with pytest.raises(ValueError, match="read-only"):
         psi[0] = 1.0
     pq.gradient(hq, ansatz, theta)

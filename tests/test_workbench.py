@@ -668,6 +668,15 @@ class TestCLI:
         assert cli.main(["vqe", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fci", "vqe"])
+    def test_unoccupied_frozen_orbital_is_refused_before_the_scf(self, capsys, monkeypatch, command):
+        ran = []
+        monkeypatch.setattr(workbench, "run_rhf", lambda *args: ran.append(args))
+        config = str(ROOT / "demos" / "h2_sto3g.cfg")
+        assert cli.main([command, "--config", config, "--freeze", "1"]) == 1
+        assert ran == []
+        assert "error: freeze [1]: can only freeze the 1 occupied orbitals" in capsys.readouterr().err
+
     def test_freeze_override(self, tmp_path, capsys, lih_like):
         dump = tmp_path / "lih.fcidump"
         pq.write_fcidump(lih_like["mo"], dump)
