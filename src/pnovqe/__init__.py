@@ -59,16 +59,7 @@ from .ansatz import (
     make_pair_double,
     make_single,
 )
-from .simulator import (
-    Statevector,
-    ansatz_expectation,
-    ansatz_state,
-    apply_ansatz,
-    apply_pauli_rotation,
-    expectation,
-    gradient,
-    prepare_reference,
-)
+from .simulator import ansatz_expectation, gradient
 from .optimize import OptimizationResult, minimize, run_vqe
 from .exact import (
     IntegralHamiltonian,

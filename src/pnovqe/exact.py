@@ -1,6 +1,8 @@
 """Exact diagonalization of qubit Hamiltonians and the paired encoding.
 
-A point's exact solve runs on the sector its VQE sweeps read, so both read
+Every solve runs on a basis its caller names, of a register of at most
+``_MAX_SECTOR_QUBITS`` = 24 qubits; there is no full-register solve. A
+point's exact solve runs on the sector its VQE sweeps read, so both read
 one cached sector matrix: ``determinant_matrix`` of the compact integrals
 (``IntegralHamiltonian``), or ``QubitOperator.matrix`` of a Pauli operator.
 A real-integral Hamiltonian has an exactly real sector matrix, stored as
@@ -40,8 +42,7 @@ from .operators import COEFF_CUTOFF, PauliString, QubitOperator
 # from about 300 states on, but the first one in a process also imports
 # scipy.sparse.linalg (16-20 ms), which a dense solve up to 600 states undercuts
 _DENSE_DIM = 600
-_MAX_FULL_QUBITS = 16
-_MAX_ITER_QUBITS = 24
+_MAX_SECTOR_QUBITS = 24
 # Rows per block of ``determinant_matrix``: the 22-qubit H6 sector took 4.8 s
 # at 64 rows against 5.0-5.7 s at 16, 32, 128 and 256 rows (2 cores)
 _DETERMINANT_BLOCK = 64
@@ -97,16 +98,6 @@ def sector_basis(n_qubits: int, n_particles: int, two_sz: int | None = None) -> 
         n_particles=n_particles,
         two_sz=two_sz,
         states=np.array(sorted(states), dtype=np.int64),
-    )
-
-
-@lru_cache(maxsize=4)
-def full_basis(n_qubits: int) -> SectorBasis:
-    return SectorBasis(
-        n_qubits=n_qubits,
-        n_particles=-1,
-        two_sz=None,
-        states=np.arange(1 << n_qubits, dtype=np.int64),
     )
 
 
@@ -227,24 +218,17 @@ def _hermitian_matrix(op, basis: SectorBasis):
     return op.matrix(basis.states)
 
 
-def exact_ground_energy(op: QubitOperator, sector: SectorBasis | None = None):
-    """Lowest eigenvalue and eigenvector of a Hermitian qubit operator.
+def exact_ground_energy(op: QubitOperator, sector: SectorBasis):
+    """Lowest eigenvalue and eigenvector of a Hermitian qubit operator on a basis of its register.
 
-    Small (sector) bases are solved densely, larger ones by ARPACK from a
+    Small bases are solved densely, larger ones by ARPACK from a
     seeded start vector, both in the dtype of ``op.matrix`` on the basis:
     real arithmetic unless an entry there has an imaginary part. The
     returned pair always satisfies ||Hv - Ev|| < 1e-8 in the chosen basis;
     ARPACK's failure to converge is a ``RuntimeError``.
     """
-    if sector is None:
-        if op.n_qubits > _MAX_FULL_QUBITS:
-            raise ValueError(
-                f"full-space diagonalization limited to {_MAX_FULL_QUBITS} qubits; "
-                "restrict to a sector"
-            )
-        sector = full_basis(op.n_qubits)
-    elif op.n_qubits > _MAX_ITER_QUBITS:
-        raise ValueError(f"sector diagonalization limited to {_MAX_ITER_QUBITS} qubits")
+    if op.n_qubits > _MAX_SECTOR_QUBITS:
+        raise ValueError(f"sector diagonalization limited to {_MAX_SECTOR_QUBITS} qubits")
     if sector.dim == 0:
         raise ValueError("empty sector")
     mat = _hermitian_matrix(op, sector)

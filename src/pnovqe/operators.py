@@ -267,12 +267,6 @@ class QubitOperator:
         self._compiled[key] = mat
         return mat
 
-    def to_dense(self) -> np.ndarray:
-        """Dense matrix in the little-endian computational basis."""
-        if self.n_qubits > 14:
-            raise ValueError("dense matrix limited to 14 qubits")
-        return self.matrix(np.arange(1 << self.n_qubits, dtype=np.int64)).toarray()
-
     def to_text(self) -> str:
         """One term per line, ``coeff  P0 P1 ...``; round-trips exactly.
 

@@ -123,23 +123,25 @@ def _wolfe_line_search(f, g, x, direction, f0, slope0):
         grad = np.asarray(g(x + alpha * direction), dtype=float)
         return float(grad @ direction), grad
 
-    alpha_prev, phi_prev = 0.0, f0
+    # the gradient at step 0 is never read: a search that ends there fails
+    alpha_prev, phi_prev, grad_prev = 0.0, f0, None
     alpha = 1.0
     for i in range(_BRACKET_STEPS):
         phi_a = phi(alpha)
         if phi_a > f0 + _C1 * alpha * slope0 or (i > 0 and phi_a >= phi_prev):
-            return _zoom(f, g, x, direction, f0, slope0, alpha_prev, phi_prev, alpha)
+            return _zoom(f, g, x, direction, f0, slope0, alpha_prev, phi_prev, grad_prev, alpha)
         d_a, grad_a = dphi(alpha)
         if abs(d_a) <= -_C2 * slope0:
             return alpha, phi_a, grad_a
         if d_a >= 0.0:
-            return _zoom(f, g, x, direction, f0, slope0, alpha, phi_a, alpha_prev)
-        alpha_prev, phi_prev = alpha, phi_a
+            return _zoom(f, g, x, direction, f0, slope0, alpha, phi_a, grad_a, alpha_prev)
+        alpha_prev, phi_prev, grad_prev = alpha, phi_a, grad_a
         alpha *= 2.0
     return None, None, None
 
 
-def _zoom(f, g, x, direction, f0, slope0, lo, phi_lo, hi):
+def _zoom(f, g, x, direction, f0, slope0, lo, phi_lo, grad_lo, hi):
+    """Bisect [lo, hi] for a strong-Wolfe step; phi_lo and grad_lo are f and g at lo."""
     for _ in range(_ZOOM_STEPS):
         alpha = 0.5 * (lo + hi)
         phi_a = f(x + alpha * direction)
@@ -152,11 +154,10 @@ def _zoom(f, g, x, direction, f0, slope0, lo, phi_lo, hi):
             return alpha, phi_a, grad_a
         if d_a * (hi - lo) >= 0.0:
             hi = lo
-        lo, phi_lo = alpha, phi_a
-    # fall back to the best admissible point found
-    grad_a = np.asarray(g(x + lo * direction), dtype=float)
+        lo, phi_lo, grad_lo = alpha, phi_a, grad_a
+    # fall back to the best admissible point found, whose values are in hand
     if lo > 0.0:
-        return lo, f(x + lo * direction), grad_a
+        return lo, phi_lo, grad_lo
     return None, None, None
 
 

@@ -20,8 +20,8 @@ same basis and reads the same cached ``matrix`` of the Hamiltonian (a
 same check, ``exact._hermitian_matrix``; the matrix is float64 when its
 entries are real, and the state is float64 too. The adjoint sweep runs
 backwards through the factors; the shift rule takes four circuit energies
-per generator, which is exact because G^3 = G. Only the ``Statevector``
-functions use complex 2^n vectors.
+per generator, which is exact because G^3 = G. No state here spans the
+2^n register.
 """
 
 from __future__ import annotations
@@ -33,59 +33,20 @@ from itertools import chain
 import numpy as np
 
 from .ansatz import Ansatz
-from .exact import SectorBasis, _hermitian_matrix, full_basis, sector_basis
-from .operators import COEFF_CUTOFF, PauliString, QubitOperator, _pauli_pass
-
-MAX_QUBITS = 26
+from .exact import SectorBasis, _hermitian_matrix, sector_basis
+from .operators import COEFF_CUTOFF, QubitOperator, _pauli_pass
 
 
-class Statevector:
-    """Normalized complex amplitude vector over 2^n basis states."""
+def _basis_vector(basis: SectorBasis, occupied, dtype) -> np.ndarray:
+    """Amplitudes of the basis state with the listed qubits set to 1.
 
-    __slots__ = ("n_qubits", "amplitudes")
-
-    def __init__(self, n_qubits: int, amplitudes: np.ndarray | None = None):
-        if n_qubits > MAX_QUBITS:
-            raise ValueError(f"statevector limited to {MAX_QUBITS} qubits")
-        self.n_qubits = n_qubits
-        if amplitudes is None:
-            amplitudes = np.zeros(1 << n_qubits, dtype=complex)
-            amplitudes[0] = 1.0
-        self.amplitudes = np.asarray(amplitudes, dtype=complex)
-        if self.amplitudes.shape != (1 << n_qubits,):
-            raise ValueError("amplitude vector has wrong length")
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amplitudes.copy())
-
-    def fidelity(self, other: "Statevector") -> float:
-        return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
-
-
-def _register(n_qubits: int) -> SectorBasis:
-    if n_qubits > MAX_QUBITS:
-        raise ValueError(f"statevector limited to {MAX_QUBITS} qubits")
-    return full_basis(n_qubits)
-
-
-def _basis_vector(basis: SectorBasis, occupied, dtype=complex) -> np.ndarray:
-    """Amplitudes of the basis state with the listed qubits set to 1."""
-    occupied = list(occupied)
-    if len(set(occupied)) != len(occupied):
-        raise ValueError("duplicate index in reference occupation")
+    ``occupied`` is an ``Ansatz.reference``, which is strictly increasing.
+    """
     if any(j >= basis.n_qubits or j < 0 for j in occupied):
         raise ValueError("reference index outside register")
     vec = np.zeros(basis.dim, dtype=dtype)
     vec[np.searchsorted(basis.states, sum(1 << j for j in occupied))] = 1.0
     return vec
-
-
-def prepare_reference(n_qubits: int, occupied) -> Statevector:
-    """Computational basis state with the listed qubits set to 1."""
-    return Statevector(n_qubits, _basis_vector(_register(n_qubits), occupied))
 
 
 class _Factor(tuple):
@@ -198,25 +159,10 @@ def _factors(generators, basis: SectorBasis) -> list:
     return factors
 
 
-def _factor(strings, basis: SectorBasis) -> _Factor:
-    """G = sum_m c_m P_m on the basis as (rows, cols, phases); see ``_factors``."""
-    return _factors((strings,), basis)[0]
-
-
 def _rotate(vec: np.ndarray, factor: _Factor, angle: float) -> None:
     """exp(-i angle/2 G) vec, in place: G^2 is the projector onto the rows."""
     rows, cols, _ = factor
     vec[rows] = math.cos(0.5 * angle) * vec[rows] + math.sin(0.5 * angle) * factor.signs * vec[cols]
-
-
-def apply_pauli_rotation(state: Statevector, string: PauliString, angle: float) -> Statevector:
-    """In-place exp(-i angle/2 P): cos(a/2) psi - i sin(a/2) P psi, as the factor of G = P."""
-    if string.n_qubits != state.n_qubits:
-        raise ValueError("Pauli string length does not match register")
-    vec = state.amplitudes.copy()
-    _rotate(vec, _factor(((string, 1.0),), _register(state.n_qubits)), angle)
-    state.amplitudes = vec
-    return state
 
 
 def _evolve(vec: np.ndarray, factors, angles) -> np.ndarray:
@@ -256,21 +202,6 @@ def _prepared(ansatz: Ansatz, basis: SectorBasis) -> _Circuit:
     return ansatz._prepared[basis]
 
 
-def apply_ansatz(state: Statevector, ansatz: Ansatz, theta) -> Statevector:
-    """Apply exp(-i theta_k/2 G_k) for every generator in ansatz order."""
-    if ansatz.n_qubits != state.n_qubits:
-        raise ValueError("ansatz register does not match the state")
-    theta = _parameters(ansatz, theta)
-    circuit = _prepared(ansatz, _register(state.n_qubits))
-    state.amplitudes = _evolve(state.amplitudes.copy(), circuit.factors, theta)
-    return state
-
-
-def ansatz_state(ansatz: Ansatz, theta) -> Statevector:
-    """Reference state with the parametrized circuit applied."""
-    return apply_ansatz(prepare_reference(ansatz.n_qubits, ansatz.reference), ansatz, theta)
-
-
 def _sector(ansatz: Ansatz) -> tuple:
     """Basis and circuit of the sector the circuit keeps its reference in."""
     basis = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
@@ -295,11 +226,6 @@ def _expectation(op: QubitOperator, vec: np.ndarray, basis: SectorBasis) -> floa
     if abs(value.imag) > 1e-10:
         raise RuntimeError("expectation value has a non-negligible imaginary part")
     return float(value.real)
-
-
-def expectation(state: Statevector, op: QubitOperator) -> float:
-    """<psi|H|psi> for Hermitian H; the residual imaginary part is checked."""
-    return _expectation(op, state.amplitudes, _register(state.n_qubits))
 
 
 def ansatz_expectation(op: QubitOperator, ansatz: Ansatz, theta) -> float:

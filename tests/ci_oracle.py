@@ -22,15 +22,23 @@ the Jordan-Wigner product of the ladder images, the projection of a qubit
 operator onto a basis, one X group and one term at a time, and the text
 form of a qubit operator, one label per term.
 
-The state-engine oracles at the end do use the package's Pauli kernel and
+The state-engine oracles that follow do use the package's Pauli kernel and
 energy: the sparse-G form of a G^3 = G factor and the sparse checks that
 build it (the references for the simulator's support form), the
 one-generator build of a support-form factor from its sector matrix (the
-reference for the batched factor pass), the complex
-sweep in the reference's particle-number sector that the real (N, S_z)
-sweep must reproduce, central finite differences of the energy, the
-two-point shift rule on each Pauli rotation of the full register, a dense
-spectrum, and the projection onto paired determinants.
+reference for the batched factor pass), the complex sweep in the
+reference's particle-number sector that the real (N, S_z) sweep must
+reproduce, and central finite differences of the energy.
+``register_basis`` is every bitmask of a register as a ``SectorBasis``,
+for the tests that probe the kernel and the factors there.
+
+The full-register oracles at the end run nothing of the package and read
+only an operator's terms and an ansatz's strings: Pauli sums as Kronecker
+products (``scipy.sparse.kron`` above 8 qubits), circuit states by
+``expm_multiply`` of each generator, the two-point shift rule on each
+Pauli rotation of the 2^n register, dense spectra from ``eigvalsh``, and
+the projection onto paired determinants. Dense Hamiltonians are for 8
+qubits or fewer.
 """
 
 from __future__ import annotations
@@ -42,22 +50,15 @@ from operator import itemgetter
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse.linalg import expm_multiply
 
-from pnovqe.exact import sector_basis
+from pnovqe.exact import SectorBasis, sector_basis
 from pnovqe.integrals import AOIntegralSet, IntegralSet, _prim_norm, boys
 from pnovqe.scf import SCFResult, _diis_extrapolate, _fock_matrix, _orthogonalizer
 from pnovqe.operators import (
     _PHASES, COEFF_CUTOFF, FermionOperator, PauliString, QubitOperator, _mul_masks,
 )
-from pnovqe.simulator import (
-    _basis_vector,
-    _evolve,
-    _expectation,
-    _Factor,
-    _factors,
-    _register,
-    ansatz_expectation,
-)
+from pnovqe.simulator import _Factor, ansatz_expectation
 
 
 def apply_ladder(mask: int, index: int, creation: bool):
@@ -745,46 +746,121 @@ def finite_difference_gradient(op, ansatz, theta, step: float = 1e-5) -> np.ndar
     return grad
 
 
+def register_basis(n_qubits: int) -> SectorBasis:
+    """Every bitmask of the register, as the basis ``QubitOperator.matrix`` and ``_factors`` take."""
+    return SectorBasis(n_qubits, -1, None, np.arange(1 << n_qubits, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# Full-register oracles: Kronecker products, matrix exponentials and dense
+# spectra. They read an operator's terms and an ansatz's strings and run
+# nothing of the package.
+
+_PAULI_MATRICES = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),       # X
+    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),    # Y: both masks set
+    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),      # Z
+}
+
+
+def kron_string(string: PauliString, sparse: bool = False):
+    """The 2^n matrix of a Pauli string, qubit 0 the last Kronecker factor (little-endian)."""
+    mat = scipy.sparse.identity(1, dtype=complex, format="csr") if sparse else np.eye(1, dtype=complex)
+    kron = (lambda a, b: scipy.sparse.kron(a, b, format="csr")) if sparse else np.kron
+    for j in range(string.n_qubits):
+        mat = kron(_PAULI_MATRICES[(string.x >> j) & 1, (string.z >> j) & 1], mat)
+    return mat
+
+
+def kron_sum(strings, n_qubits: int, sparse: bool = False):
+    """sum_m c_m P_m of (string, c_m) pairs over the 2^n register: a dense array, or CSR when ``sparse``."""
+    dim = 1 << n_qubits
+    total = scipy.sparse.csr_matrix((dim, dim), dtype=complex) if sparse else np.zeros((dim, dim), complex)
+    for string, coeff in strings:
+        total = total + coeff * kron_string(string, sparse)
+    return total
+
+
+def kron_matrix(op: QubitOperator) -> np.ndarray:
+    """The operator over the 2^n register as a dense Kronecker sum of its terms."""
+    return kron_sum(op.items(), op.n_qubits)
+
+
+def register_state(n_qubits: int, occupied) -> np.ndarray:
+    """The computational basis state with the listed qubits set, over 2^n amplitudes."""
+    vec = np.zeros(1 << n_qubits, dtype=complex)
+    vec[sum(1 << j for j in occupied)] = 1.0
+    return vec
+
+
+def kron_ansatz_state(ansatz, theta) -> np.ndarray:
+    """exp(-i theta_K/2 G_K) ... exp(-i theta_1/2 G_1)|reference> over the 2^n register.
+
+    Each step is ``expm_multiply`` of the generator's Kronecker sum, built
+    dense up to 8 qubits and with ``scipy.sparse.kron`` above.
+    """
+    psi = register_state(ansatz.n_qubits, ansatz.reference)
+    for gen, angle in zip(ansatz.generators, theta):
+        g = kron_sum(gen.strings, ansatz.n_qubits, sparse=ansatz.n_qubits > 8)
+        psi = expm_multiply(scipy.sparse.csr_matrix(-0.5j * angle * g), psi)
+    return psi
+
+
+def kron_expectation(op: QubitOperator, psi: np.ndarray) -> float:
+    """<psi|op|psi> with the dense Kronecker matrix of a Hermitian op (8 qubits or fewer)."""
+    return float(np.vdot(psi, kron_matrix(op) @ psi).real)
+
+
+def embed(basis, vec: np.ndarray) -> np.ndarray:
+    """A state over a basis as 2^n register amplitudes."""
+    out = np.zeros(1 << basis.n_qubits, dtype=complex)
+    out[basis.states] = vec
+    return out
+
+
 def reference_register_shift_gradient(op, ansatz, theta) -> np.ndarray:
     """Gradient by the two-point rule at +-pi/2 on every Pauli rotation of every generator.
 
     Each generator sum_m c_m P_m is applied as the product of its rotations
-    exp(-i theta c_m/2 P_m) (exact for the commuting strings of an
-    excitation), on complex vectors over the full 2^n register.
+    exp(-i a/2 P_m), a = theta c_m (exact for the commuting strings of an
+    excitation), each cos(a/2) - i sin(a/2) P_m with P_m^2 = 1 and P_m the
+    dense Kronecker matrix, on the 2^n register; energies read ``kron_matrix``.
     """
-    basis = _register(ansatz.n_qubits)
     rotations = [
-        (k, string, coeff)
+        (k, kron_string(string), theta[k] * coeff, coeff)
         for k, gen in enumerate(ansatz.generators)
         for string, coeff in gen.strings
     ]
-    factors = _factors([((string, 1.0),) for _, string, _ in rotations], basis)
-    angles = np.array([theta[k] * coeff for k, _, coeff in rotations])
-    reference = _basis_vector(basis, ansatz.reference)
+
+    def unitary(pauli, angle):
+        return np.cos(0.5 * angle) * np.eye(len(pauli)) - 1j * np.sin(0.5 * angle) * pauli
+
+    plain = [unitary(pauli, angle) for _, pauli, angle, _ in rotations]
+    hamiltonian = kron_matrix(op)
+    reference = register_state(ansatz.n_qubits, ansatz.reference)
     grad = np.zeros(ansatz.n_parameters)
-    for r, (k, _, coeff) in enumerate(rotations):
+    for r, (k, pauli, angle, coeff) in enumerate(rotations):
         for sign in (1.0, -1.0):
-            shifted = angles.copy()
-            shifted[r] += sign * 0.5 * np.pi
-            psi = _evolve(reference.copy(), factors, shifted)
-            grad[k] += sign * 0.5 * coeff * _expectation(op, psi, basis)
+            circuit = plain[:r] + [unitary(pauli, angle + sign * 0.5 * np.pi)] + plain[r + 1:]
+            psi = reference
+            for u in circuit:
+                psi = u @ psi
+            grad[k] += sign * 0.5 * coeff * float(np.vdot(psi, hamiltonian @ psi).real)
     return grad
 
 
 def eigenvalues_dense(op: QubitOperator) -> np.ndarray:
-    """Full spectrum of a small operator."""
-    return np.linalg.eigvalsh(op.to_dense())
+    """Full spectrum of a small operator, from its Kronecker matrix."""
+    return np.linalg.eigvalsh(kron_matrix(op))
 
 
 def seniority_zero_projection(op: QubitOperator, n_orb: int) -> np.ndarray:
-    """Dense matrix of the full operator restricted to paired states.
+    """Dense Kronecker matrix of the full operator restricted to paired states.
 
     Basis state m on n_orb qubits maps to the determinant with qubits
     2p and 2p+1 set for every bit p of m (oracle for the paired
     Hamiltonian).
     """
-    paired_states = np.array(
-        [sum(0b11 << (2 * p) for p in range(n_orb) if (m >> p) & 1) for m in range(1 << n_orb)],
-        dtype=np.int64,
-    )
-    return op.matrix(paired_states).toarray()
+    paired_states = [sum(0b11 << (2 * p) for p in range(n_orb) if (m >> p) & 1) for m in range(1 << n_orb)]
+    return kron_matrix(op)[np.ix_(paired_states, paired_states)]

@@ -20,23 +20,25 @@ from pnovqe import exact as exact_mod
 from pnovqe.exact import build_paired_ansatz
 from pnovqe.operators import QubitOperator
 
-from ci_oracle import eigenvalues_dense, random_integral_set, seniority_zero_projection
+from ci_oracle import (
+    eigenvalues_dense, random_integral_set, register_basis, seniority_zero_projection,
+)
 
 
 class TestExactGroundEnergy:
     def test_single_z(self):
         op = QubitOperator.from_string(pq.PauliString.from_label(1, "Z0"))
-        energy, _ = pq.exact_ground_energy(op)
+        energy, _ = pq.exact_ground_energy(op, register_basis(1))
         assert energy == pytest.approx(-1.0)
 
     def test_constant_operator(self):
         op = QubitOperator.identity(2, coeff=-2.75)
-        energy, _ = pq.exact_ground_energy(op)
+        energy, _ = pq.exact_ground_energy(op, register_basis(2))
         assert energy == pytest.approx(-2.75)
 
     def test_h2_pin_and_sector_consistency(self, h2_sto3g):
         hq = h2_sto3g["hamiltonian"]
-        e_full, _ = pq.exact_ground_energy(hq)
+        e_full = eigenvalues_dense(hq)[0]
         sector = pq.sector_basis(4, 2, two_sz=0)
         e_sector, _ = pq.exact_ground_energy(hq, sector)
         assert e_sector == pytest.approx(e_full, abs=1e-10)
@@ -45,7 +47,7 @@ class TestExactGroundEnergy:
     def test_minimum_over_sectors_equals_full(self):
         mo = random_integral_set(2, 2, 40)
         hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 4)
-        e_full, _ = pq.exact_ground_energy(hq)
+        e_full = eigenvalues_dense(hq)[0]
         sector_energies = []
         for n in range(5):
             energy, _ = pq.exact_ground_energy(hq, pq.sector_basis(4, n))
@@ -67,7 +69,7 @@ class TestExactGroundEnergy:
     def test_non_hermitian_rejected(self):
         op = QubitOperator(1, {(1, 0): 0.5j})
         with pytest.raises(ValueError, match="Hermitian"):
-            pq.exact_ground_energy(op)
+            pq.exact_ground_energy(op, register_basis(1))
 
     def test_residual_certified(self, h2_sto3g):
         hq = h2_sto3g["hamiltonian"]
@@ -185,8 +187,8 @@ class TestPairedHamiltonian:
         mo = random_integral_set(3, 4, 9)
         h_full = pq.jordan_wigner(pq.build_hamiltonian(mo), 6)
         h_pair = pq.build_paired_hamiltonian(mo)
-        e_full, _ = pq.exact_ground_energy(h_full)
-        e_pair, _ = pq.exact_ground_energy(h_pair)
+        e_full = eigenvalues_dense(h_full)[0]
+        e_pair, _ = pq.exact_ground_energy(h_pair, register_basis(3))
         assert e_pair >= e_full - 1e-10
 
 

@@ -16,16 +16,21 @@ from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe import simulator
-from pnovqe.exact import SectorBasis, full_basis
-from pnovqe.simulator import _factor, _rotate, _sector_state
+from pnovqe.exact import SectorBasis
+from pnovqe.simulator import _factors, _rotate, _sector_state
 
-from ci_oracle import random_integral_set, reference_factor, reference_rotate
-from test_operators import dense_from_string
+from ci_oracle import (
+    kron_string, random_integral_set, reference_factor, reference_rotate, register_basis,
+)
 
 FACTORS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 CACHE = settings(derandomize=True, database=None, max_examples=10, deadline=None)
 
 angles = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
+
+
+def one_factor(strings, basis):
+    return _factors((strings,), basis)[0]
 
 
 def random_state(dim: int, seed: int) -> np.ndarray:
@@ -56,7 +61,7 @@ def register_strings(draw):
     n = draw(st.integers(1, 5))
     x = draw(st.sampled_from([0, draw(st.integers(0, (1 << n) - 1))]))
     z = draw(st.integers(0, (1 << n) - 1))
-    return ((pq.PauliString(n, x, z), 1.0),), full_basis(n)
+    return ((pq.PauliString(n, x, z), 1.0),), register_basis(n)
 
 
 def check_factor(strings, basis, angle, seed):
@@ -64,7 +69,7 @@ def check_factor(strings, basis, angle, seed):
               pq.QubitOperator(basis.n_qubits))
     g = gen.matrix(basis.states)
     vec = random_state(basis.dim, seed)
-    factor = _factor(strings, basis)
+    factor = one_factor(strings, basis)
     got = vec.copy()
     _rotate(got, factor, angle)
     expected = scipy.linalg.expm(-0.5j * angle * g.toarray()) @ vec
@@ -86,12 +91,11 @@ def test_pauli_string_factor_matches_expm_and_reference(case, angle, seed):
 
 def test_generator_mapping_to_a_superposition_is_rejected():
     # G = (X0 + X1)/2 has G^3 = G and keeps the register closed, but maps
-    # |00> to (|01> + |10>)/2
+    # |0000> to (|0001> + |0010>)/2
     strings = tuple((pq.PauliString.from_label(4, label), 0.5) for label in ("X0", "X1"))
-    gen = pq.ExcitationGenerator(kind="single", orbitals=(0, 1), spin=0, strings=strings)
-    ansatz = pq.Ansatz(generators=(gen,), n_qubits=4, reference=(0, 1), name="bad")
     with pytest.raises(ValueError, match="superposition"):
-        pq.ansatz_state(ansatz, [0.3])
+        one_factor(strings, register_basis(4))
+    check_same_outcome(strings, register_basis(4))
 
 
 @st.composite
@@ -104,7 +108,7 @@ def any_generators(draw):
     strings = tuple((pq.PauliString(n, x, z), c) for (x, z), c in terms.items())
     kind = draw(st.sampled_from(["register", "sector", "subset"]))
     if kind == "register":
-        return strings, full_basis(n)
+        return strings, register_basis(n)
     if kind == "sector":
         return strings, pq.sector_basis(n, draw(st.integers(0, n)))
     states = draw(st.lists(mask, min_size=1, max_size=1 << n, unique=True))
@@ -119,7 +123,7 @@ def factor_outcome(build, strings, basis):
 
 
 def check_same_outcome(strings, basis):
-    got = factor_outcome(_factor, strings, basis)
+    got = factor_outcome(one_factor, strings, basis)
     expected = factor_outcome(reference_factor, strings, basis)
     if isinstance(expected, str):
         assert got == expected
@@ -142,16 +146,16 @@ def test_valid_factors_agree_with_the_sparse_products(case):
 
 @pytest.mark.parametrize("labels, coeff, basis, message", [
     (("X0",), 1.0, pq.sector_basis(4, 2), "outside the basis"),
-    (("X0", "Z0"), 0.5, full_basis(1), r"G\^3 = G"),
+    (("X0", "Z0"), 0.5, register_basis(1), r"G\^3 = G"),
     # G = X0 + X1 maps to superpositions too, but fails G^3 = G first
-    (("X0", "X1"), 1.0, full_basis(2), r"G\^3 = G"),
-    (("X0", "X1"), 0.5, full_basis(2), "superposition"),
-    (("X0", "Z0"), 2.0 ** -0.5, full_basis(1), "superposition"),
+    (("X0", "X1"), 1.0, register_basis(2), r"G\^3 = G"),
+    (("X0", "X1"), 0.5, register_basis(2), "superposition"),
+    (("X0", "Z0"), 2.0 ** -0.5, register_basis(1), "superposition"),
 ])
 def test_each_rejection_matches_the_sparse_products(labels, coeff, basis, message):
     strings = tuple((pq.PauliString.from_label(basis.n_qubits, label), coeff) for label in labels)
     with pytest.raises(ValueError, match=message):
-        _factor(strings, basis)
+        one_factor(strings, basis)
     check_same_outcome(strings, basis)
 
 
@@ -164,12 +168,12 @@ def test_cyclic_generator_fails_the_cubic_identity_as_with_sparse_products():
     for x in range(4):
         for z in range(4):
             string = pq.PauliString(2, x, z)
-            coeff = np.trace(dense_from_string(string) @ cycle) / 4
+            coeff = np.trace(kron_string(string) @ cycle) / 4
             if abs(coeff) > 1e-12:
                 strings.append((string, complex(coeff)))
     with pytest.raises(ValueError, match=r"G\^3 = G"):
-        _factor(tuple(strings), full_basis(2))
-    check_same_outcome(tuple(strings), full_basis(2))
+        one_factor(tuple(strings), register_basis(2))
+    check_same_outcome(tuple(strings), register_basis(2))
 
 
 @st.composite
@@ -192,7 +196,7 @@ def test_raising_operator_leaving_the_basis_is_kept_as_with_sparse_products():
     # empty support although ||G|0>|| = 1
     strings = ((pq.PauliString.from_label(1, "X0"), 0.5), (pq.PauliString.from_label(1, "Y0"), -0.5j))
     basis = SectorBasis(1, -1, None, np.array([0], dtype=np.int64))
-    rows, cols, phases = _factor(strings, basis)
+    rows, cols, phases = one_factor(strings, basis)
     assert rows.size == cols.size == phases.size == 0
     check_same_outcome(strings, basis)
 

@@ -6,23 +6,7 @@ import pytest
 import pnovqe as pq
 from pnovqe.operators import QubitOperator, _mul_masks
 
-from ci_oracle import ci_matrix, random_integral_set, slater_condon_matrix
-
-_PAULI_MATRICES = {
-    "I": np.eye(2),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def dense_from_string(string: pq.PauliString) -> np.ndarray:
-    mat = np.eye(1, dtype=complex)
-    for j in range(string.n_qubits):
-        bx, bz = (string.x >> j) & 1, (string.z >> j) & 1
-        letter = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[(bx, bz)]
-        mat = np.kron(_PAULI_MATRICES[letter], mat)  # little-endian: qubit 0 last
-    return mat
+from ci_oracle import ci_matrix, kron_string, random_integral_set, slater_condon_matrix
 
 
 class TestPauliStrings:
@@ -48,8 +32,8 @@ class TestPauliStrings:
             a = pq.PauliString(2, int(rng.integers(0, 4)), int(rng.integers(0, 4)))
             b = pq.PauliString(2, int(rng.integers(0, 4)), int(rng.integers(0, 4)))
             string, phase = pq.pauli_multiply(a, b)
-            lhs = dense_from_string(a) @ dense_from_string(b)
-            rhs = phase * dense_from_string(string)
+            lhs = kron_string(a) @ kron_string(b)
+            rhs = phase * kron_string(string)
             np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
     def test_associativity_with_phases(self):
@@ -129,7 +113,7 @@ class TestJordanWigner:
         mo = random_integral_set(3, 2, seed)
         h_fermion = pq.build_hamiltonian(mo)
         h_qubit = pq.jordan_wigner(h_fermion, 6)
-        dense = h_qubit.to_dense()
+        dense = h_qubit.matrix(np.arange(1 << 6)).toarray()
         oracle = ci_matrix(mo)
         np.testing.assert_allclose(dense, oracle, atol=1e-10)
         np.testing.assert_allclose(
@@ -146,7 +130,7 @@ class TestJordanWigner:
     def test_four_orbital_spectrum(self):
         # one larger register than the seeded sweep covers
         mo = random_integral_set(4, 4, 77, scale=0.1)
-        dense = pq.jordan_wigner(pq.build_hamiltonian(mo), 8).to_dense()
+        dense = pq.jordan_wigner(pq.build_hamiltonian(mo), 8).matrix(np.arange(1 << 8)).toarray()
         oracle = ci_matrix(mo)
         np.testing.assert_allclose(dense, oracle, atol=1e-10)
 
@@ -159,7 +143,7 @@ class TestBuildHamiltonian:
         hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 2)
         # H = core + h11 (n0 + n1) + <11|11> n0 n1 on the 4-state register
         expected = np.diag([0.7, 0.7 - 1.25, 0.7 - 1.25, 0.7 - 2.5 + 0.675])
-        np.testing.assert_allclose(hq.to_dense(), expected, atol=1e-12)
+        np.testing.assert_allclose(hq.matrix(np.arange(4)).toarray(), expected, atol=1e-12)
 
     def test_one_orbital_term_count(self):
         h = np.array([[-1.0]])
@@ -220,9 +204,9 @@ class TestOperatorAlgebra:
                 for x2 in (0, 1):
                     for z2 in (0, 1):
                         x3, z3, phase = _mul_masks(x1, z1, x2, z2)
-                        lhs = dense_from_string(pq.PauliString(1, x1, z1)) @ \
-                            dense_from_string(pq.PauliString(1, x2, z2))
-                        rhs = phase * dense_from_string(pq.PauliString(1, x3, z3))
+                        lhs = kron_string(pq.PauliString(1, x1, z1)) @ \
+                            kron_string(pq.PauliString(1, x2, z2))
+                        rhs = phase * kron_string(pq.PauliString(1, x3, z3))
                         np.testing.assert_allclose(lhs, rhs, atol=1e-15)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import pnovqe as pq
 from pnovqe.operators import QubitOperator
+from pnovqe.optimize import _zoom
 
 from test_workbench import h2_config
 
@@ -102,8 +103,8 @@ class TestRunVQE:
         grad0 = pq.gradient(hq, ansatz, np.zeros(3))
         np.testing.assert_allclose(grad0, 0.0, atol=1e-12)
         result = pq.run_vqe(hq, ansatz)
-        state = pq.prepare_reference(4, [0, 1])
-        assert result.fun == pytest.approx(pq.expectation(state, hq), abs=1e-12)
+        # the reference |0011> is a Z eigenstate: -0.5 + 0.3 * (-1) - 0.2 * (-1)(+1)
+        assert result.fun == pytest.approx(-0.6, abs=1e-12)
         assert result.iterations == 0
 
     def test_zero_parameter_ansatz(self, h2_sto3g):
@@ -176,6 +177,28 @@ class TestExitReason:
         result = pq.minimize(lambda x: float(x @ x), lambda x: -2.0 * x, np.ones(2))
         assert result.exit_reason == "line_search_failed"
         assert not result.converged
+
+    def test_failed_line_search_evaluates_the_gradient_once(self):
+        # every step along the wrong-sign gradient raises x @ x; the search
+        # fails at step 0, where the gradient is already known
+        points = []
+
+        def grad(x):
+            points.append(x.copy())
+            return -2.0 * x
+
+        result = pq.minimize(lambda x: x @ x, grad, [1.0])
+        assert result.exit_reason == "line_search_failed"
+        assert result.n_gradient_evals == len(points) == 1
+
+    def test_bisection_fallback_reuses_the_values_at_lo(self):
+        # no bisection point of (1, 2) falls below phi(1) = 0: the search
+        # returns step 1 with the values it was given, calling g never
+        calls = []
+        grad_lo = np.array([-0.5])
+        alpha, phi, grad = _zoom(lambda x: 0.5, lambda x: calls.append(x), np.zeros(1),
+                                 np.ones(1), 1.0, -1.0, 1.0, 0.0, grad_lo, 2.0)
+        assert alpha == 1.0 and phi == 0.0 and grad is grad_lo and not calls
 
     def test_zero_parameter_vqe(self, h2_sto3g):
         ansatz = pq.Ansatz(generators=(), n_qubits=4, reference=(0, 1), name="empty")

@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe.operators import QubitOperator
+from pnovqe.simulator import _sector_state
 
-from ci_oracle import random_integral_set, reference_register_shift_gradient
-from test_operators import dense_from_string
+from ci_oracle import (
+    embed, kron_ansatz_state, kron_expectation, kron_matrix, random_integral_set,
+    reference_register_shift_gradient,
+)
 
 KERNEL = settings(derandomize=True, database=None, max_examples=30, deadline=None)
 ENGINE = settings(derandomize=True, database=None, max_examples=15, deadline=None)
@@ -30,19 +33,11 @@ def qubit_operators(draw):
     return QubitOperator(n, terms)
 
 
-def kron_oracle(op: QubitOperator) -> np.ndarray:
-    dim = 1 << op.n_qubits
-    total = np.zeros((dim, dim), dtype=complex)
-    for string, coeff in op.items():
-        total += coeff * dense_from_string(string)
-    return total
-
-
 @KERNEL
 @given(qubit_operators())
 def test_matrix_on_full_basis_matches_kron_oracle(op):
     states = np.arange(1 << op.n_qubits, dtype=np.int64)
-    np.testing.assert_allclose(op.matrix(states).toarray(), kron_oracle(op), atol=1e-12)
+    np.testing.assert_allclose(op.matrix(states).toarray(), kron_matrix(op), atol=1e-12)
 
 
 @KERNEL
@@ -51,7 +46,7 @@ def test_matrix_on_subset_is_the_submatrix(op, data):
     subset = sorted(data.draw(
         st.lists(st.integers(0, (1 << op.n_qubits) - 1), min_size=1, unique=True)
     ))
-    expected = kron_oracle(op)[np.ix_(subset, subset)]
+    expected = kron_matrix(op)[np.ix_(subset, subset)]
     got = op.matrix(np.array(subset, dtype=np.int64)).toarray()
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -74,9 +69,10 @@ def circuits(draw):
 @given(circuits())
 def test_sector_energy_matches_full_register(circuit):
     hq, ansatz, theta = circuit
-    state = pq.apply_ansatz(pq.prepare_reference(ansatz.n_qubits, ansatz.reference),
-                            ansatz, theta)
-    assert abs(pq.ansatz_expectation(hq, ansatz, theta) - pq.expectation(state, hq)) < 1e-10
+    oracle = kron_ansatz_state(ansatz, theta)
+    assert abs(pq.ansatz_expectation(hq, ansatz, theta) - kron_expectation(hq, oracle)) < 1e-10
+    basis, _, psi = _sector_state(ansatz, theta)
+    assert abs(abs(np.vdot(embed(basis, psi), oracle)) - 1.0) < 1e-10
 
 
 @ENGINE

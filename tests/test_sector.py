@@ -17,7 +17,10 @@ from pnovqe.ansatz import PNO_VARIANTS, _commutes_with_sz
 from pnovqe.exact import build_paired_ansatz, build_paired_hamiltonian
 from pnovqe.operators import QubitOperator, commutator, spin_z_operator
 
-from ci_oracle import random_integral_set, reference_matrix, reference_sector_sweep
+from ci_oracle import (
+    kron_ansatz_state, kron_expectation, random_integral_set, reference_matrix,
+    reference_sector_sweep,
+)
 from conftest import lih_like_pipeline
 
 SWEEP = settings(derandomize=True, database=None, max_examples=15, deadline=None)
@@ -207,6 +210,6 @@ def test_complex_circuit_state_reads_the_complex_matrix():
     assert circuit.reference.dtype == np.complex128
     # cos(a/2)|01> - i sin(a/2)|10>: <Z0> = -cos a, <(X0 Y1 - Y0 X1)/2> = -sin a
     assert energy == pytest.approx(-0.3 * np.cos(0.7) - np.sin(0.7), abs=1e-12)
-    assert energy == pytest.approx(pq.expectation(pq.ansatz_state(ansatz, theta), op), abs=1e-12)
+    assert energy == pytest.approx(kron_expectation(op, kron_ansatz_state(ansatz, theta)), abs=1e-12)
     np.testing.assert_allclose(pq.gradient(op, ansatz, theta),
                                [0.3 * np.sin(0.7) - np.cos(0.7)], atol=1e-12)
