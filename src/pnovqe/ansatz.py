@@ -26,7 +26,11 @@ PNO_VARIANTS = ("UpCCD", "UpCCSD", "UpCCGD")
 
 @dataclass(frozen=True)
 class ExcitationGenerator:
-    """One Hermitian excitation generator with its Pauli-string image."""
+    """One Hermitian excitation generator with its Pauli-string image.
+
+    The coefficients are real: the simulator refuses a generator with a
+    complex one as not Hermitian.
+    """
 
     kind: str             # "pair_double" or "single"
     orbitals: tuple       # (i, a) spatial indices

@@ -8,13 +8,15 @@ import json
 import sys
 from pathlib import Path
 
-from .ansatz import resource_table_json
+from .ansatz import format_resource_table, resource_table_json
 from .exact import IntegralHamiltonian
-from .integrals import HARTREE_TO_KCALMOL, write_fcidump
+from .integrals import write_fcidump
 from .workbench import (
     ANSATZ_CHOICES,
     CONFIG_KEYS,
     RunConfig,
+    barrier,
+    barrier_kcal,
     compact_hamiltonian,
     compact_integrals,
     fci_energy,
@@ -26,7 +28,6 @@ from .workbench import (
     molecular_integrals,
     npe,
     resource_rows_for,
-    resource_table_for,
     run_curve,
     run_point,
 )
@@ -109,7 +110,7 @@ def cmd_counts(args) -> int:
     if args.json:
         print(resource_table_json(resource_rows_for(config)))
     else:
-        print(resource_table_for(config), end="")
+        print(format_resource_table(resource_rows_for(config)), end="")
     return 0
 
 
@@ -162,8 +163,7 @@ def cmd_metrics(args) -> int:
             print(f"MAX = {max_error(errors):.10f} hartree")
         if args.barrier_at:
             e1, e2 = (lookup_coordinate(model, x, "curve") for x in args.barrier_at)
-            delta = e1 - e2
-            print(f"barrier = {delta:.10f} hartree = {delta * HARTREE_TO_KCALMOL:.6f} kcal/mol")
+            print(f"barrier = {barrier(e1, e2):.10f} hartree = {barrier_kcal(e1, e2):.6f} kcal/mol")
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 1

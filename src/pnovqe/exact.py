@@ -50,11 +50,9 @@ _DETERMINANT_BLOCK = 64
 
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
-    """Ordered basis of fixed-particle-number (optionally fixed-S_z) states."""
+    """Ordered basis of bitmask states of a register; ``sector_basis`` builds the sectors."""
 
     n_qubits: int
-    n_particles: int
-    two_sz: int | None
     states: np.ndarray   # int64 bitmasks, strictly increasing
 
     def __post_init__(self):
@@ -93,12 +91,7 @@ def sector_basis(n_qubits: int, n_particles: int, two_sz: int | None = None) -> 
         ]
     if not states:
         raise ValueError("empty sector basis")
-    return SectorBasis(
-        n_qubits=n_qubits,
-        n_particles=n_particles,
-        two_sz=two_sz,
-        states=np.array(sorted(states), dtype=np.int64),
-    )
+    return SectorBasis(n_qubits, np.array(sorted(states), dtype=np.int64))
 
 
 def _determinant_block(block, states, core, h, anti, exchange):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -370,7 +370,6 @@ class IntegralSet:
     core_energy: float
     n_electrons: int
     orbital_energies: np.ndarray | None = None
-    pair_origin: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.h.shape != (self.n_orb, self.n_orb):

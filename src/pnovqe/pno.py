@@ -222,8 +222,6 @@ def build_final_integrals(mo: IntegralSet, space: OrbitalSpace) -> IntegralSet:
     u = space.transform
     if u.shape[0] != mo.n_orb:
         raise ValueError("orbital-space transform does not match parent basis")
-    origin = {i: (i, i) for i in space.occupied}
-    origin.update(space.pno_assignment)
     return IntegralSet(
         n_orb=space.n_total,
         h=u.T @ mo.h @ u,
@@ -231,7 +229,6 @@ def build_final_integrals(mo: IntegralSet, space: OrbitalSpace) -> IntegralSet:
         core_energy=mo.core_energy,
         n_electrons=mo.n_electrons,
         orbital_energies=None,
-        pair_origin=origin,
     )
 
 

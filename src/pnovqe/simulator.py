@@ -2,15 +2,18 @@
 
 Amplitudes are indexed by a sorted array of basis bitmasks (bit j is qubit
 j). Every circuit factor exp(-i theta/2 G) has a Hermitian generator with
-G^3 = G that is a phased permutation of its support, G|cols> = phases|rows>,
+G^3 = G that is a phased permutation of its support, G|cols> = i signs|rows>,
 so it updates the support in place as v[rows] = cos(theta/2) v[rows] +
-sin(theta/2) signs v[cols] with signs = -i phases. Every excitation
-generator has phases +-i, so its signs are real +-1 and a real reference
-stays real. ``_factors`` builds and checks the factors of a whole circuit in
-one ``operators._pauli_pass``, each generator an owner, so a factor has the
-bits of its generator's ``QubitOperator.matrix``. Factors and reference
-vector are prepared once per (ansatz, basis) and kept on the ``Ansatz``
-with the last forward state, which a call at bit-equal parameters reuses.
+sin(theta/2) signs v[cols]. Every excitation generator has entries +-i, so
+its signs are real +-1 and a real reference stays real. ``_factors`` builds
+and checks the factors of a whole circuit in one ``operators._pauli_pass``,
+each generator an owner, so a factor has the bits of its generator's
+``QubitOperator.matrix``. It refuses, in this order, a generator with a
+complex coefficient (not Hermitian), one that leaks out of the basis, one
+that maps a basis state to a superposition and one without G^3 = G.
+Factors and reference vector are prepared once per (ansatz, basis) and
+kept on the ``Ansatz`` with the last forward state, which a call at
+bit-equal parameters reuses.
 
 VQE energies and gradients run on the sector the circuit keeps its
 reference in: the (N, S_z) sector when every generator commutes with S_z
@@ -49,19 +52,6 @@ def _basis_vector(basis: SectorBasis, occupied, dtype) -> np.ndarray:
     return vec
 
 
-class _Factor(tuple):
-    """(rows, cols, phases) with G|cols> = phases|rows>, and ``signs`` = -i phases.
-
-    The rotation reads ``signs``, float64 where they are exactly real.
-    """
-
-    def __new__(cls, rows, cols, phases):
-        factor = super().__new__(cls, (rows, cols, phases))
-        signs = -1j * phases
-        factor.signs = signs if signs.imag.any() else signs.real.copy()
-        return factor
-
-
 def _generator_terms(strings, n_qubits: int) -> dict:
     """The terms of G = sum_m c_m P_m, as summing one ``QubitOperator`` per string keeps them.
 
@@ -83,30 +73,19 @@ def _generator_terms(strings, n_qubits: int) -> dict:
     return terms
 
 
-def _check_by_products(gen: QubitOperator, basis: SectorBasis) -> None:
-    """Raise unless PG^2P = (PGP)^2 and G^3 = G on the basis, as sparse products."""
-    g = gen.matrix(basis.states)
-    g2 = g @ g
-    if abs(g2 - (gen * gen).matrix(basis.states)).max() > 1e-10:
-        raise ValueError("generator maps a basis state outside the basis")
-    if abs(g2 @ g - g).max() > 1e-10:
-        raise ValueError("generator does not satisfy G^3 = G on the basis")
-
-
 def _factors(generators, basis: SectorBasis) -> list:
-    """Each G = sum_m c_m P_m of ``generators`` on the basis as (rows, cols, phases).
+    """Each G = sum_m c_m P_m of ``generators`` on the basis as (rows, cols, signs).
 
-    G|cols> = phases|rows>. Raises the first failing generator's error unless
-    G keeps the basis closed, satisfies G^3 = G there and maps each basis
-    state to a single basis state. The strings of all generators go through
-    one ``operators._pauli_pass`` with each generator an owner, the pass
-    ``QubitOperator.matrix`` runs with each X group an owner, so a factor
-    holds the same bits as its generator's sector matrix whatever the
-    blocking. For real c_m (a Hermitian G, as in every ansatz) and one entry
-    per row, the checks are array code over each block: the weight G sends
-    outside the basis, and G^3 = G row by row along the permutation. Any
-    other G is checked with the sparse products PG^2P = (PGP)^2 and G^3 = G,
-    in the same order.
+    G|cols> = i signs|rows>; signs are float64 where they are exactly real.
+    For each generator in order, raises the first error that applies: a c_m
+    is complex (G is not Hermitian), G sends weight outside the basis, G maps
+    a basis state to a superposition of basis states, G^3 != G on the basis.
+    The strings of all generators go through one ``operators._pauli_pass``
+    with each generator an owner, the pass ``QubitOperator.matrix`` runs
+    with each X group an owner, so a factor holds the same bits as its
+    generator's sector matrix whatever the blocking. The checks are array
+    code over each block: the weight G sends outside the basis, the entries
+    per row, and G^3 = G row by row along the permutation.
     """
     states, dim = basis.states, basis.dim
     terms = [_generator_terms(strings, basis.n_qubits) for strings in generators]
@@ -146,23 +125,24 @@ def _factors(generators, basis: SectorBasis) -> list:
         not_cubic[gen[defect > 1e-10]] = True
         bounds = np.searchsorted(gen, np.arange(n + 1)).tolist()
         for k in range(n):
-            if superposed[k] or complex_gen[lo + k]:
-                _check_by_products(QubitOperator._simplified(basis.n_qubits, terms[lo + k]), basis)
-                if superposed[k]:
-                    raise ValueError("generator maps a basis state to a superposition of basis states")
-            elif leaking[k]:
+            if complex_gen[lo + k]:
+                raise ValueError("generator is not Hermitian (complex coefficients)")
+            if leaking[k]:
                 raise ValueError("generator maps a basis state outside the basis")
-            elif not_cubic[k]:
+            if superposed[k]:
+                raise ValueError("generator maps a basis state to a superposition of basis states")
+            if not_cubic[k]:
                 raise ValueError("generator does not satisfy G^3 = G on the basis")
             sl = slice(bounds[k], bounds[k + 1])
-            factors.append(_Factor(rows[sl], cols[sl], phases[sl]))
+            signs = -1j * phases[sl]
+            factors.append((rows[sl], cols[sl], signs if signs.imag.any() else signs.real.copy()))
     return factors
 
 
-def _rotate(vec: np.ndarray, factor: _Factor, angle: float) -> None:
+def _rotate(vec: np.ndarray, factor: tuple, angle: float) -> None:
     """exp(-i angle/2 G) vec, in place: G^2 is the projector onto the rows."""
-    rows, cols, _ = factor
-    vec[rows] = math.cos(0.5 * angle) * vec[rows] + math.sin(0.5 * angle) * factor.signs * vec[cols]
+    rows, cols, signs = factor
+    vec[rows] = math.cos(0.5 * angle) * vec[rows] + math.sin(0.5 * angle) * signs * vec[cols]
 
 
 def _evolve(vec: np.ndarray, factors, angles) -> np.ndarray:
@@ -197,7 +177,7 @@ def _prepared(ansatz: Ansatz, basis: SectorBasis) -> _Circuit:
     """The ansatz's circuit on the basis, built on first use and kept on the ansatz."""
     if basis not in ansatz._prepared:
         factors = tuple(_factors([gen.strings for gen in ansatz.generators], basis))
-        dtype = np.result_type(float, *(factor.signs for factor in factors))
+        dtype = np.result_type(float, *(signs for _, _, signs in factors))
         ansatz._prepared[basis] = _Circuit(factors, _basis_vector(basis, ansatz.reference, dtype))
     return ansatz._prepared[basis]
 
@@ -256,8 +236,8 @@ def gradient(op: QubitOperator, ansatz: Ansatz, theta, method: str = "adjoint") 
     psi = psi.copy()
     grad = np.zeros(ansatz.n_parameters)
     for k in range(ansatz.n_parameters - 1, -1, -1):
-        rows, cols, _ = factor = circuit.factors[k]
-        grad[k] = np.vdot(lam[rows], factor.signs * psi[cols]).real    # Im <lam|G_k|psi>
+        rows, cols, signs = factor = circuit.factors[k]
+        grad[k] = np.vdot(lam[rows], signs * psi[cols]).real    # Im <lam|G_k|psi>
         _rotate(psi, factor, -theta[k])
         _rotate(lam, factor, -theta[k])
     return grad

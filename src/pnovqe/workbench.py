@@ -25,12 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ansatz import (
-    build_pno_ansatz,
-    build_upccgsd,
-    count_resources,
-    format_resource_table,
-)
+from .ansatz import build_pno_ansatz, build_upccgsd, count_resources
 from .exact import IntegralHamiltonian, exact_ground_energy, sector_basis
 from .integrals import (
     IntegralSet,
@@ -421,9 +416,6 @@ class CurveResult:
     metadata: dict
     failures: int
 
-    def coordinates(self):
-        return [p["coordinate"] for p in self.points if "error" not in p]
-
 
 def run_curve(config: RunConfig) -> CurveResult:
     """Independent run_point per scan value; failures are recorded per point.
@@ -591,8 +583,3 @@ def resource_rows_for(config: RunConfig) -> list:
         ans = build_ansatz_for(probe, stage)
         reports[ans.name] = count_resources(ans)
     return [(f"system({stage['final'].n_electrons},{stage['n_qubits']})", reports)]
-
-
-def resource_table_for(config: RunConfig) -> str:
-    """Text resource table for the configured system (all ansatz variants)."""
-    return format_resource_table(resource_rows_for(config))

@@ -58,7 +58,7 @@ from pnovqe.scf import SCFResult, _diis_extrapolate, _fock_matrix, _orthogonaliz
 from pnovqe.operators import (
     _PHASES, COEFF_CUTOFF, FermionOperator, PauliString, QubitOperator, _mul_masks,
 )
-from pnovqe.simulator import _Factor, ansatz_expectation
+from pnovqe.simulator import ansatz_expectation
 
 
 def apply_ladder(mask: int, index: int, creation: bool):
@@ -621,17 +621,23 @@ def reference_to_text(op: QubitOperator) -> str:
 
 
 def reference_factor(strings, basis) -> tuple:
-    """(rows, cols, phases) of G = sum_m c_m P_m, checked with sparse products of G."""
+    """(rows, cols, phases) of G = sum_m c_m P_m, checked with sparse products of G.
+
+    The checks run in the simulator's order: real coefficients,
+    PG^2P = (PGP)^2, one entry per row, G^3 = G.
+    """
     gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
+    if gen.max_imag() > 0:
+        raise ValueError("generator is not Hermitian (complex coefficients)")
     g = gen.matrix(basis.states)
     g2 = g @ g
     if abs(g2 - (gen * gen).matrix(basis.states)).max() > 1e-10:
         raise ValueError("generator maps a basis state outside the basis")
-    if abs(g2 @ g - g).max() > 1e-10:
-        raise ValueError("generator does not satisfy G^3 = G on the basis")
     per_row = np.diff(g.indptr)
     if per_row.max(initial=0) > 1:
         raise ValueError("generator maps a basis state to a superposition of basis states")
+    if abs(g2 @ g - g).max() > 1e-10:
+        raise ValueError("generator does not satisfy G^3 = G on the basis")
     return np.flatnonzero(per_row), g.indices.astype(np.intp), g.data
 
 
@@ -665,34 +671,31 @@ def _image_norms(op: QubitOperator, states: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(images) ** 2, axis=0)
 
 
-def reference_support_factor(strings, basis) -> _Factor:
-    """The factor of one generator from its sector matrix, with the checks on its support.
+def reference_support_factor(strings, basis) -> tuple:
+    """(rows, cols, signs) of one generator from its sector matrix, checked on its support.
 
     The simulator's batched ``_factors`` must return the same arrays to the
-    bit, and raise the same first error, as this one-generator build: the
-    generator's ``QubitOperator.matrix``, its ``_image_norms`` for the weight
-    outside the basis, and ``_cube_defect`` for G^3 = G; the sparse-product
-    checks for a complex G or one with two entries in a row.
+    bit, and raise the same first error, as this one-generator build: a
+    complex coefficient first, then the weight outside the basis from
+    ``_image_norms``, two entries in a row of the generator's
+    ``QubitOperator.matrix``, and ``_cube_defect`` for G^3 = G. The signs
+    are -i times the entries, float64 where that is exactly real.
     """
     gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
+    if gen.max_imag() > 0:
+        raise ValueError("generator is not Hermitian (complex coefficients)")
     g = gen.matrix(basis.states)
     per_row = np.diff(g.indptr)
     rows, cols, phases = np.flatnonzero(per_row), g.indices.astype(np.intp), g.data
-    if per_row.max(initial=0) > 1 or gen.max_imag() > 0:
-        g2 = g @ g
-        if abs(g2 - (gen * gen).matrix(basis.states)).max() > 1e-10:
-            raise ValueError("generator maps a basis state outside the basis")
-        if abs(g2 @ g - g).max() > 1e-10:
-            raise ValueError("generator does not satisfy G^3 = G on the basis")
-        if per_row.max(initial=0) > 1:
-            raise ValueError("generator maps a basis state to a superposition of basis states")
-        return _Factor(rows, cols, phases)
     inside = np.bincount(g.indices, weights=np.abs(g.data) ** 2, minlength=basis.dim)
     if np.max(_image_norms(gen, basis.states) - inside, initial=0.0) > 1e-10:
         raise ValueError("generator maps a basis state outside the basis")
+    if per_row.max(initial=0) > 1:
+        raise ValueError("generator maps a basis state to a superposition of basis states")
     if _cube_defect(rows, cols, phases, basis.dim) > 1e-10:
         raise ValueError("generator does not satisfy G^3 = G on the basis")
-    return _Factor(rows, cols, phases)
+    signs = -1j * phases
+    return rows, cols, signs if signs.imag.any() else signs.real.copy()
 
 
 def reference_rotate(vec: np.ndarray, g, angle: float) -> np.ndarray:
@@ -748,7 +751,7 @@ def finite_difference_gradient(op, ansatz, theta, step: float = 1e-5) -> np.ndar
 
 def register_basis(n_qubits: int) -> SectorBasis:
     """Every bitmask of the register, as the basis ``QubitOperator.matrix`` and ``_factors`` take."""
-    return SectorBasis(n_qubits, -1, None, np.arange(1 << n_qubits, dtype=np.int64))
+    return SectorBasis(n_qubits, np.arange(1 << n_qubits, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ A factor stores G as a phased permutation of its support and is checked
 against the matrix exponential and against the sparse G^3 = G formula in
 ``ci_oracle.reference_rotate``; building it must accept and reject exactly
 the generators that the sparse-product checks of ``ci_oracle.reference_factor``
-do. The prepared circuit keeps the last forward
-state; the cache tests require bit-equal results to a fresh ansatz however
-the parameters change between calls. Examples are derandomized.
+do, with the same first error. A generator with a complex coefficient is not
+Hermitian and is refused before any other check. The prepared circuit keeps
+the last forward state; the cache tests require bit-equal results to a fresh
+ansatz however the parameters change between calls. Examples are
+derandomized.
 """
 
 import numpy as np
@@ -112,7 +114,7 @@ def any_generators(draw):
     if kind == "sector":
         return strings, pq.sector_basis(n, draw(st.integers(0, n)))
     states = draw(st.lists(mask, min_size=1, max_size=1 << n, unique=True))
-    return strings, SectorBasis(n, -1, None, np.array(sorted(states), dtype=np.int64))
+    return strings, SectorBasis(n, np.array(sorted(states), dtype=np.int64))
 
 
 def factor_outcome(build, strings, basis):
@@ -129,7 +131,9 @@ def check_same_outcome(strings, basis):
         assert got == expected
     else:
         assert not isinstance(got, str), got
-        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        rows, cols, phases = expected
+        assert np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
+        assert np.array_equal(got[2], -1j * phases)
 
 
 @FACTORS
@@ -146,9 +150,10 @@ def test_valid_factors_agree_with_the_sparse_products(case):
 
 @pytest.mark.parametrize("labels, coeff, basis, message", [
     (("X0",), 1.0, pq.sector_basis(4, 2), "outside the basis"),
-    (("X0", "Z0"), 0.5, register_basis(1), r"G\^3 = G"),
-    # G = X0 + X1 maps to superpositions too, but fails G^3 = G first
-    (("X0", "X1"), 1.0, register_basis(2), r"G\^3 = G"),
+    (("X0",), 2.0, register_basis(1), r"G\^3 = G"),
+    # X0 + Z0 and X0 + X1 fail G^3 = G too, but map to superpositions first
+    (("X0", "Z0"), 0.5, register_basis(1), "superposition"),
+    (("X0", "X1"), 1.0, register_basis(2), "superposition"),
     (("X0", "X1"), 0.5, register_basis(2), "superposition"),
     (("X0", "Z0"), 2.0 ** -0.5, register_basis(1), "superposition"),
 ])
@@ -159,9 +164,10 @@ def test_each_rejection_matches_the_sparse_products(labels, coeff, basis, messag
     check_same_outcome(strings, basis)
 
 
-def test_cyclic_generator_fails_the_cubic_identity_as_with_sparse_products():
-    # G = |1><0| + |2><1| + |0><2| is not Hermitian; it keeps the register
-    # closed and has one entry per row, but G^3 is the identity on its support
+def test_cyclic_generator_is_refused_as_non_hermitian():
+    # G = |1><0| + |2><1| + |0><2| keeps the register closed and has one
+    # entry per row, and G^3 is the identity on its support; its Pauli
+    # coefficients are complex, which is refused first
     cycle = np.zeros((4, 4))
     cycle[1, 0] = cycle[2, 1] = cycle[0, 2] = 1.0
     strings = []
@@ -171,7 +177,8 @@ def test_cyclic_generator_fails_the_cubic_identity_as_with_sparse_products():
             coeff = np.trace(kron_string(string) @ cycle) / 4
             if abs(coeff) > 1e-12:
                 strings.append((string, complex(coeff)))
-    with pytest.raises(ValueError, match=r"G\^3 = G"):
+    assert any(c.imag for _, c in strings)
+    with pytest.raises(ValueError, match="not Hermitian"):
         one_factor(tuple(strings), register_basis(2))
     check_same_outcome(tuple(strings), register_basis(2))
 
@@ -186,19 +193,29 @@ def complex_generators(draw):
 
 @FACTORS
 @given(complex_generators())
-def test_non_hermitian_factor_checks_agree_with_the_sparse_products(case):
-    check_same_outcome(*case)
-
-
-def test_raising_operator_leaving_the_basis_is_kept_as_with_sparse_products():
-    # G = (X0 - i Y0)/2 = |1><0| maps |0> out of the basis {|0>} and never
-    # back: PG^2P = (PGP)^2 = 0, so the sparse checks accept it with an
-    # empty support although ||G|0>|| = 1
-    strings = ((pq.PauliString.from_label(1, "X0"), 0.5), (pq.PauliString.from_label(1, "Y0"), -0.5j))
-    basis = SectorBasis(1, -1, None, np.array([0], dtype=np.int64))
-    rows, cols, phases = one_factor(strings, basis)
-    assert rows.size == cols.size == phases.size == 0
+def test_complex_weight_generators_are_refused_as_non_hermitian(case):
+    strings, basis = case
+    if any(c.imag for _, c in strings):
+        with pytest.raises(ValueError, match=r"^generator is not Hermitian \(complex coefficients\)$"):
+            one_factor(strings, basis)
     check_same_outcome(strings, basis)
+
+
+def test_raising_operator_is_refused_as_non_hermitian():
+    # G = (X0 - i Y0)/2 = |1><0| maps |0> out of the basis {|0>} and never
+    # back, so PG^2P = (PGP)^2 = 0 although ||G|0>|| = 1; an empty factor
+    # would leave every energy at the reference's and every gradient at 0
+    strings = ((pq.PauliString.from_label(1, "X0"), 0.5), (pq.PauliString.from_label(1, "Y0"), -0.5j))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        one_factor(strings, SectorBasis(1, np.array([0], dtype=np.int64)))
+    gen = pq.ExcitationGenerator(kind="single", orbitals=(0, 0), spin=0, strings=strings)
+    ansatz = pq.Ansatz(generators=(gen,), n_qubits=1, reference=(), name="raising")
+    z0 = pq.QubitOperator.from_string(pq.PauliString.from_label(1, "Z0"))
+    for theta in (0.0, 0.7, 2.0):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            pq.ansatz_expectation(z0, ansatz, [theta])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            pq.gradient(z0, ansatz, [theta])
 
 
 def small_problem(seed: int):

@@ -335,11 +335,11 @@ class TestBuildFinalIntegrals:
         )
         assert energy == pytest.approx(scf.total_energy, abs=1e-10)
 
-    def test_pair_origin_metadata(self, h2_sto3g):
+    def test_pno_assignment_metadata(self, h2_sto3g):
         mo = h2_sto3g["mo"]
         pnos = pq.select_pnos(pq.pair_densities(pq.mp2_amplitudes(mo)), 4)
-        final = pq.build_final_integrals(mo, pq.orthonormalize(pnos))
-        assert final.pair_origin == {0: (0, 0), 1: (0, 0)}
+        space = pq.orthonormalize(pnos)
+        assert space.occupied == (0,) and space.pno_assignment == {1: (0, 0)}
 
     def test_truncation_monotonicity_and_compactness(self, h2_sto3g):
         big = h2_big_integrals(1.4)

@@ -63,7 +63,7 @@ def check_against_oracle(hq, ansatz, theta):
     assert abs(energy - expected_energy) < 1e-12
     np.testing.assert_allclose(grad, expected_grad, atol=1e-12, rtol=0)
     (basis, circuit), = ansatz._prepared.items()
-    assert basis.two_sz == 0
+    assert basis is pq.sector_basis(ansatz.n_qubits, len(ansatz.reference), 0)
     assert circuit.reference.dtype == np.float64
 
 
@@ -88,7 +88,7 @@ def test_open_shell_reference_keeps_its_own_sz_sector():
     assert ansatz.two_sz == 1
     energy = pq.ansatz_expectation(hq, ansatz, theta)
     (basis,) = ansatz._prepared
-    assert (basis.n_particles, basis.two_sz, basis.dim) == (3, 1, 9)
+    assert basis is pq.sector_basis(6, 3, 1) and basis.dim == 9
     expected, expected_grad = reference_sector_sweep(hq, ansatz, theta)
     assert abs(energy - expected) < 1e-12
     np.testing.assert_allclose(pq.gradient(hq, ansatz, theta), expected_grad, atol=1e-12)
@@ -150,7 +150,7 @@ def test_paired_ansatz_runs_on_the_number_sector():
     assert paired.two_sz is None
     energy = pq.ansatz_expectation(h_pair, paired, theta)
     (basis,) = paired._prepared
-    assert basis.two_sz is None and basis.n_particles == final.n_occ
+    assert basis is pq.sector_basis(paired.n_qubits, final.n_occ, None)
     expected, expected_grad = reference_sector_sweep(h_pair, paired, theta)
     assert abs(energy - expected) < 1e-12
     np.testing.assert_allclose(pq.gradient(h_pair, paired, theta), expected_grad, atol=1e-12)

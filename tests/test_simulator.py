@@ -99,7 +99,7 @@ class TestPauliRotation:
         states = np.unique(np.concatenate([seeds, seeds ^ x])).astype(np.int64)
         if states.size == 0:
             states = np.array([0, x], dtype=np.int64) if x else np.array([0], dtype=np.int64)
-        subset = SectorBasis(n, -1, None, states)
+        subset = SectorBasis(n, states)
         got = rotate(vec[states].copy(), string, angle, subset)
         # the same bits, signed zeros included
         assert np.array_equal(got.view(np.uint64), expected[states].view(np.uint64))
@@ -277,8 +277,9 @@ class TestSectorEngine:
             pq.gradient(hq, ansatz, [0.3])
 
     def test_generator_without_cubic_identity_is_rejected_on_the_register(self):
-        # X0 + Z0 has G^3 = 2G; on the whole register it leaves no state
-        # outside the basis, so the cubic identity is what refuses it
-        ansatz = self.one_generator_ansatz(("X0", "Z0"))
+        # 2 X0 has G^3 = 4G; on the whole register it leaves no state outside
+        # the basis and maps each state to one state, so the cubic identity
+        # is what refuses it
+        strings = ((pq.PauliString.from_label(4, "X0"), 2.0),)
         with pytest.raises(ValueError, match=r"G\^3 = G"):
-            _factors((ansatz.generators[0].strings,), register_basis(4))
+            _factors((strings,), register_basis(4))

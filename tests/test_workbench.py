@@ -15,11 +15,7 @@ import pytest
 
 import pnovqe as pq
 from pnovqe import cli, workbench
-from pnovqe.workbench import (
-    ConfigError,
-    load_curve_csv,
-    resource_table_for,
-)
+from pnovqe.workbench import ConfigError, load_curve_csv, resource_rows_for
 
 from ci_oracle import fci_ground_energy
 from conftest import h2_big_integrals
@@ -526,7 +522,7 @@ class TestPersistence:
 
     def test_resource_table_matches_count_resources(self):
         config = h2_config()
-        table = resource_table_for(config)
+        table = pq.format_resource_table(resource_rows_for(config))
         report = pq.count_resources(pq.build_upccgsd(2, 2))
         assert f"{report.n_parameters} ({report.n_cnots})" in table
 
@@ -641,6 +637,15 @@ class TestCLI:
         )
         assert code == 0
         assert "0.0100000000 hartree" in capsys.readouterr().out
+
+    def test_metrics_barrier_refuses_a_non_finite_energy(self, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("coordinate,e_vqe\n0.5,-56.01\n1.0,nan\n")
+        code = cli.main(["metrics", str(curve), "--barrier-at", "1.0", "0.5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "barrier" not in captured.out
+        assert "error: barrier needs finite energies" in captured.err
 
     def test_metrics_barrier_needs_both_coordinates(self, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
