@@ -63,13 +63,18 @@ class SectorBasis:
         return len(self.states)
 
 
-@lru_cache(maxsize=32)
 def sector_basis(n_qubits: int, n_particles: int, two_sz: int | None = None) -> SectorBasis:
     """All bitmasks with the requested popcount (and spin balance).
 
     Spin balance uses the interleaved convention: even qubits are spin up.
-    ``two_sz`` is n_up - n_down.
+    ``two_sz`` is n_up - n_down. Every call form of one sector returns the
+    same cached basis.
     """
+    return _sector_basis(n_qubits, n_particles, two_sz)
+
+
+@lru_cache(maxsize=32)   # keyed on the positional arguments only
+def _sector_basis(n_qubits: int, n_particles: int, two_sz: int | None) -> SectorBasis:
     if two_sz is None:
         states = [
             sum(1 << b for b in bits)

@@ -59,11 +59,8 @@ class Molecule:
 
     atoms: tuple
     charge: int = 0
-    multiplicity: int = 1
 
     def __post_init__(self):
-        if self.multiplicity != 1:
-            raise ValueError("restricted formalism: multiplicity must be 1")
         for symbol, z, pos in self.atoms:
             if z < 1:
                 raise ValueError(f"nuclear charge {z} < 1 for {symbol}")

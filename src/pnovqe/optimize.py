@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class OptimizationResult:
     converged: bool
     trajectory: tuple            # per-iteration (energy, grad inf-norm)
     exit_reason: str             # grad_tol, max_iter, line_search_failed, no_descent
-    metadata: dict = field(default_factory=dict, compare=False)
 
 
 class _Counted:
@@ -166,15 +165,14 @@ def run_vqe(
     ansatz: Ansatz,
     grad_tol: float = 1e-6,
     max_iter: int = 500,
-    gradient_method: str = "adjoint",
     restarts: int = 0,
     seed: int = 0,
 ) -> OptimizationResult:
     """Minimize <H> over the ansatz parameters, starting from zero.
 
     Optional random restarts (uniform in +-0.1, seeded) rerun the
-    minimization and keep the best energy; the restart count is logged in
-    the result metadata.
+    minimization and keep the result of lowest energy. The gradient is
+    ``simulator.gradient``'s adjoint sweep.
     """
     n = ansatz.n_parameters
 
@@ -182,7 +180,7 @@ def run_vqe(
         return ansatz_expectation(hamiltonian, ansatz, theta)
 
     def grad(theta):
-        return ansatz_gradient(hamiltonian, ansatz, theta, method=gradient_method)
+        return ansatz_gradient(hamiltonian, ansatz, theta)
 
     if n == 0:
         energy = objective(np.zeros(0))
@@ -190,7 +188,6 @@ def run_vqe(
             x=np.zeros(0), fun=energy, grad_norm=0.0, iterations=0,
             n_function_evals=1, n_gradient_evals=0, converged=True,
             trajectory=((energy, 0.0),), exit_reason="grad_tol",
-            metadata={"restarts": 0, "gradient_method": gradient_method},
         )
 
     best = minimize(objective, grad, np.zeros(n), grad_tol=grad_tol, max_iter=max_iter)
@@ -200,7 +197,4 @@ def run_vqe(
         candidate = minimize(objective, grad, theta0, grad_tol=grad_tol, max_iter=max_iter)
         if candidate.fun < best.fun:
             best = candidate
-    best.metadata.update(
-        {"restarts": restarts, "gradient_method": gradient_method, "grad_tol": grad_tol}
-    )
     return best

@@ -21,10 +21,9 @@ reference in: the (N, S_z) sector when every generator commutes with S_z
 same basis and reads the same cached ``matrix`` of the Hamiltonian (a
 ``QubitOperator`` or the point's ``exact.IntegralHamiltonian``) through the
 same check, ``exact._hermitian_matrix``; the matrix is float64 when its
-entries are real, and the state is float64 too. The adjoint sweep runs
-backwards through the factors; the shift rule takes four circuit energies
-per generator, which is exact because G^3 = G. No state here spans the
-2^n register.
+entries are real, and the state is float64 too. The gradient is the adjoint
+sweep, one pass backwards through the factors. No state here spans the 2^n
+register.
 """
 
 from __future__ import annotations
@@ -182,16 +181,11 @@ def _prepared(ansatz: Ansatz, basis: SectorBasis) -> _Circuit:
     return ansatz._prepared[basis]
 
 
-def _sector(ansatz: Ansatz) -> tuple:
-    """Basis and circuit of the sector the circuit keeps its reference in."""
-    basis = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
-    return basis, _prepared(ansatz, basis)
-
-
 def _sector_state(ansatz: Ansatz, theta) -> tuple:
     """Basis, circuit and read-only circuit state in the sector the circuit keeps its reference in."""
     theta = _parameters(ansatz, theta)
-    basis, circuit = _sector(ansatz)
+    basis = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
+    circuit = _prepared(ansatz, basis)
     key = theta.tobytes()
     last_key, psi = circuit.last
     if key != last_key:
@@ -201,36 +195,22 @@ def _sector_state(ansatz: Ansatz, theta) -> tuple:
     return basis, circuit, psi
 
 
-def _expectation(op: QubitOperator, vec: np.ndarray, basis: SectorBasis) -> float:
-    value = np.vdot(vec, _hermitian_matrix(op, basis) @ vec)
+def ansatz_expectation(op: QubitOperator, ansatz: Ansatz, theta) -> float:
+    """Circuit energy, evaluated in the sector the circuit keeps its reference in."""
+    basis, _, psi = _sector_state(ansatz, theta)
+    value = np.vdot(psi, _hermitian_matrix(op, basis) @ psi)
     if abs(value.imag) > 1e-10:
         raise RuntimeError("expectation value has a non-negligible imaginary part")
     return float(value.real)
 
 
-def ansatz_expectation(op: QubitOperator, ansatz: Ansatz, theta) -> float:
-    """Circuit energy, evaluated in the sector the circuit keeps its reference in."""
-    basis, _, psi = _sector_state(ansatz, theta)
-    return _expectation(op, psi, basis)
+def gradient(op: QubitOperator, ansatz: Ansatz, theta) -> np.ndarray:
+    """d<H>/d(theta_k) for every parameter, in the circuit's sector, by the adjoint sweep.
 
-
-def gradient(op: QubitOperator, ansatz: Ansatz, theta, method: str = "adjoint") -> np.ndarray:
-    """d<H>/d(theta_k) for every parameter, in the circuit's sector.
-
-    ``adjoint`` runs the exact reverse sweep. ``shift`` evaluates, for each
-    parameter, the circuit energy at theta_k +- pi/2 and +- pi:
-
-        dE/dtheta_k = [E(+pi/2) - E(-pi/2)]/2 - (sqrt(2) - 1)/4 [E(+pi) - E(-pi)]
-
-    which is exact because every generator has G^3 = G on the sector (its
-    eigenvalues are -1, 0 and 1), as ``_factors`` checks. Both methods agree
-    to tight tolerance.
+    One pass backwards through the factors carries the state and H times the
+    state, and reads Im <lam|G_k|psi> at each factor; it is exact.
     """
     theta = _parameters(ansatz, theta)
-    if method == "shift":
-        return _gradient_shift(op, ansatz, theta)
-    if method != "adjoint":
-        raise ValueError(f"unknown gradient method {method!r}")
     basis, circuit, psi = _sector_state(ansatz, theta)
     lam = _hermitian_matrix(op, basis) @ psi
     psi = psi.copy()
@@ -240,27 +220,4 @@ def gradient(op: QubitOperator, ansatz: Ansatz, theta, method: str = "adjoint") 
         grad[k] = np.vdot(lam[rows], signs * psi[cols]).real    # Im <lam|G_k|psi>
         _rotate(psi, factor, -theta[k])
         _rotate(lam, factor, -theta[k])
-    return grad
-
-
-# (shift, weight) of the four-energy rule for generators with G^3 = G
-_SHIFT_RULE = (
-    (0.5 * math.pi, 0.5),
-    (-0.5 * math.pi, -0.5),
-    (math.pi, -0.25 * (math.sqrt(2.0) - 1.0)),
-    (-math.pi, 0.25 * (math.sqrt(2.0) - 1.0)),
-)
-
-
-def _gradient_shift(op, ansatz, theta) -> np.ndarray:
-    basis, circuit = _sector(ansatz)
-    grad = np.zeros(ansatz.n_parameters)
-    prefix = circuit.reference.copy()    # the factors before k applied, at theta
-    for k, factor in enumerate(circuit.factors):
-        for shift, weight in _SHIFT_RULE:
-            psi = prefix.copy()
-            _rotate(psi, factor, theta[k] + shift)
-            psi = _evolve(psi, circuit.factors[k + 1:], theta[k + 1:])
-            grad[k] += weight * _expectation(op, psi, basis)
-        _rotate(prefix, factor, theta[k])
     return grad

@@ -50,7 +50,6 @@ from .pno import (
 from .scf import run_rhf, transform_to_mo
 
 ANSATZ_CHOICES = ("upccgsd", "pno-upccd", "pno-upccsd", "pno-upccgd")
-GRADIENT_METHODS = ("adjoint", "shift")
 _VARIANT_MAP = {
     "pno-upccd": "UpCCD",
     "pno-upccsd": "UpCCSD",
@@ -81,7 +80,6 @@ class RunConfig:
     grad_tol: float = 1e-6
     max_iter: int = 500
     restarts: int = 0
-    gradient_method: str = "adjoint"
     scan: tuple = ()
     output_dir: str | None = None
     workers: int = 1
@@ -94,6 +92,10 @@ class RunConfig:
         self.freeze = tuple(int(v) for v in self.freeze)
         if any(i < 0 for i in self.freeze) or len(set(self.freeze)) < len(self.freeze):
             raise ConfigError(f"freeze indices must be distinct and >= 0, got {self.freeze}")
+        threshold = self.occupation_threshold
+        if threshold is not None and not (np.isfinite(threshold) and threshold >= 0):
+            # a NaN or infinite cutoff would drop every PNO without an error
+            raise ConfigError(f"occupation_threshold must be finite and >= 0, got {threshold!r}")
         self.n_qubits = int(self.n_qubits)
         if self.n_qubits % 2 != 0:
             raise ConfigError("qubit budget must be even")
@@ -126,8 +128,6 @@ class RunConfig:
                 raise ConfigError("scan needs a {R} placeholder in the geometry")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.gradient_method not in GRADIENT_METHODS:
-            raise ConfigError(f"unknown gradient_method {self.gradient_method!r}")
         if self.layers < 1:
             raise ConfigError("layers must be >= 1")
         if self.restarts < 0:
@@ -171,7 +171,7 @@ CONFIG_KEYS = {
               "occupation_threshold": ("occupation_threshold", float)},
     "ansatz": {"variant": ("ansatz", str), "layers": ("layers", int)},
     "optimizer": {"grad_tol": ("grad_tol", float), "max_iter": ("max_iter", int),
-                  "restarts": ("restarts", int), "gradient_method": ("gradient_method", str)},
+                  "restarts": ("restarts", int)},
     "scan": {"values": ("scan", _split(float))},
     "output": {"directory": ("output_dir", str), "workers": ("workers", int), "seed": ("seed", int)},
     "reference": {"file": ("reference_file", str)},
@@ -330,7 +330,6 @@ def run_point(config: RunConfig, coordinate=None) -> dict:
         ansatz,
         grad_tol=config.grad_tol,
         max_iter=config.max_iter,
-        gradient_method=config.gradient_method,
         restarts=config.restarts,
         seed=config.seed,
     )

@@ -18,6 +18,7 @@ from ci_oracle import (
     finite_difference_gradient,
     kron_ansatz_state,
     random_integral_set,
+    reference_register_shift_gradient,
     seniority_zero_projection,
 )
 from conftest import h2_big_integrals, lih_like_pipeline
@@ -106,14 +107,17 @@ def test_criterion_4_vqe_exactness_curve():
 
 def test_criterion_5_gradient_correctness(h2_sto3g, lih_like_diag12):
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    worst = worst_oracle = 0.0
 
+    hq = h2_sto3g["hamiltonian"]
     h2_ansatz = pq.build_upccgsd(2, 2)
     for _ in range(20):
         theta = rng.uniform(-1.0, 1.0, h2_ansatz.n_parameters)
-        fd = finite_difference_gradient(h2_sto3g["hamiltonian"], h2_ansatz, theta)
-        shift = pq.gradient(h2_sto3g["hamiltonian"], h2_ansatz, theta, method="shift")
-        worst = max(worst, np.max(np.abs(shift - fd)))
+        grad = pq.gradient(hq, h2_ansatz, theta)
+        fd = finite_difference_gradient(hq, h2_ansatz, theta)
+        oracle = reference_register_shift_gradient(hq, h2_ansatz, theta)
+        worst = max(worst, np.max(np.abs(grad - fd)))
+        worst_oracle = max(worst_oracle, np.max(np.abs(grad - oracle)))
 
     big = lih_like_diag12
     ansatz = pq.build_pno_ansatz(big["space"], "UpCCSD")
@@ -121,12 +125,13 @@ def test_criterion_5_gradient_correctness(h2_sto3g, lih_like_diag12):
     for _ in range(20):
         theta = rng.uniform(-0.6, 0.6, ansatz.n_parameters)
         fd = finite_difference_gradient(big["hamiltonian"], ansatz, theta)
-        shift = pq.gradient(big["hamiltonian"], ansatz, theta, method="shift")
-        adjoint = pq.gradient(big["hamiltonian"], ansatz, theta, method="adjoint")
-        worst = max(worst, np.max(np.abs(shift - fd)))
-        assert np.max(np.abs(shift - adjoint)) < 1e-10
+        worst = max(worst, np.max(np.abs(pq.gradient(big["hamiltonian"], ansatz, theta) - fd)))
     assert worst < 1e-6
-    print(f"criterion 5 PASS: shift-rule vs finite differences (worst {worst:.2e})")
+    assert worst_oracle < 1e-10
+    print(
+        f"criterion 5 PASS: adjoint gradient vs finite differences (worst {worst:.2e}) "
+        f"and vs the register shift rule on H2 (worst {worst_oracle:.2e})"
+    )
 
 
 def test_criterion_6_pno_compactness(h2_sto3g):

@@ -145,7 +145,6 @@ class TestRunVQE:
         ansatz = pq.build_upccgsd(2, 2)
         a = pq.run_vqe(hq, ansatz, restarts=2, seed=7)
         b = pq.run_vqe(hq, ansatz, restarts=2, seed=7)
-        assert a.metadata["restarts"] == 2
         assert a.fun == b.fun
         np.testing.assert_array_equal(a.x, b.x)
 

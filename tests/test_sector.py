@@ -63,7 +63,7 @@ def check_against_oracle(hq, ansatz, theta):
     assert abs(energy - expected_energy) < 1e-12
     np.testing.assert_allclose(grad, expected_grad, atol=1e-12, rtol=0)
     (basis, circuit), = ansatz._prepared.items()
-    assert basis is pq.sector_basis(ansatz.n_qubits, len(ansatz.reference), 0)
+    assert basis is pq.sector_basis(ansatz.n_qubits, len(ansatz.reference), two_sz=0)
     assert circuit.reference.dtype == np.float64
 
 
@@ -88,7 +88,7 @@ def test_open_shell_reference_keeps_its_own_sz_sector():
     assert ansatz.two_sz == 1
     energy = pq.ansatz_expectation(hq, ansatz, theta)
     (basis,) = ansatz._prepared
-    assert basis is pq.sector_basis(6, 3, 1) and basis.dim == 9
+    assert basis is pq.sector_basis(6, 3, two_sz=1) and basis.dim == 9
     expected, expected_grad = reference_sector_sweep(hq, ansatz, theta)
     assert abs(energy - expected) < 1e-12
     np.testing.assert_allclose(pq.gradient(hq, ansatz, theta), expected_grad, atol=1e-12)
@@ -150,7 +150,7 @@ def test_paired_ansatz_runs_on_the_number_sector():
     assert paired.two_sz is None
     energy = pq.ansatz_expectation(h_pair, paired, theta)
     (basis,) = paired._prepared
-    assert basis is pq.sector_basis(paired.n_qubits, final.n_occ, None)
+    assert basis is pq.sector_basis(paired.n_qubits, final.n_occ)
     expected, expected_grad = reference_sector_sweep(h_pair, paired, theta)
     assert abs(energy - expected) < 1e-12
     np.testing.assert_allclose(pq.gradient(h_pair, paired, theta), expected_grad, atol=1e-12)
@@ -162,6 +162,18 @@ def imaginary_operator(n_qubits: int = 2):
     return (QubitOperator.from_string(label(n_qubits, "Z0"), 0.3)
             + QubitOperator.from_string(label(n_qubits, "X0 Y1"), 0.5)
             + QubitOperator.from_string(label(n_qubits, "Y0 X1"), -0.5))
+
+
+def test_every_call_form_of_one_sector_returns_the_one_basis():
+    # an Ansatz keeps its prepared circuit per basis object, so a sector must be one object
+    n_sector = pq.sector_basis(4, 2)
+    assert pq.sector_basis(4, 2, None) is n_sector
+    assert pq.sector_basis(4, 2, two_sz=None) is n_sector
+    assert pq.sector_basis(n_qubits=4, n_particles=2) is n_sector
+    sz_sector = pq.sector_basis(4, 2, 0)
+    assert pq.sector_basis(4, 2, two_sz=0) is sz_sector
+    assert pq.sector_basis(4, n_particles=2, two_sz=0) is sz_sector
+    assert sz_sector is not n_sector
 
 
 @pytest.mark.parametrize("dense_dim", [600, 1])

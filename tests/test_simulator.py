@@ -19,7 +19,7 @@ from pnovqe.simulator import _factors, _rotate, _sector_state, ansatz_expectatio
 
 from ci_oracle import (
     embed, finite_difference_gradient, kron_expectation, kron_string, kron_sum,
-    random_integral_set, register_basis,
+    random_integral_set, reference_register_shift_gradient, register_basis,
 )
 
 
@@ -220,9 +220,7 @@ class TestGradient:
         for _ in range(5):
             theta = rng.uniform(-1, 1, 3)
             fd = finite_difference_gradient(hq, ansatz, theta)
-            for method in ("adjoint", "shift"):
-                grad = pq.gradient(hq, ansatz, theta, method=method)
-                np.testing.assert_allclose(grad, fd, atol=1e-6)
+            np.testing.assert_allclose(pq.gradient(hq, ansatz, theta), fd, atol=1e-6)
 
     def test_shift_and_adjoint_agree(self):
         mo = random_integral_set(3, 2, 31)
@@ -231,19 +229,12 @@ class TestGradient:
         rng = np.random.default_rng(11)
         for _ in range(20):
             theta = rng.uniform(-1.5, 1.5, ansatz.n_parameters)
-            adjoint = pq.gradient(hq, ansatz, theta, method="adjoint")
-            shift = pq.gradient(hq, ansatz, theta, method="shift")
-            np.testing.assert_allclose(adjoint, shift, atol=1e-10)
-
-    def test_unknown_method(self, h2_sto3g):
-        ansatz = pq.build_upccgsd(2, 2)
-        with pytest.raises(ValueError, match="method"):
-            pq.gradient(h2_sto3g["hamiltonian"], ansatz, np.zeros(3), method="spsa")
+            expected = reference_register_shift_gradient(hq, ansatz, theta)
+            np.testing.assert_allclose(pq.gradient(hq, ansatz, theta), expected, atol=1e-10)
 
 
 class TestSectorEngine:
-    @pytest.mark.parametrize("method", ["adjoint", "shift"])
-    def test_energy_and_gradient_never_allocate_a_register_vector(self, method):
+    def test_energy_and_gradient_never_allocate_a_register_vector(self):
         # one 16-qubit register vector is 2^16 * 16 B = 1 MiB; the sector
         # for 2 electrons has 120 states
         mo = random_integral_set(8, 2, 4)
@@ -253,7 +244,7 @@ class TestSectorEngine:
         tracemalloc.start()
         try:
             ansatz_expectation(hq, ansatz, theta)
-            pq.gradient(hq, ansatz, theta, method=method)
+            pq.gradient(hq, ansatz, theta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -104,7 +104,6 @@ class TestConfigParsing:
 
 
 @pytest.mark.parametrize("key, value", [
-    ("gradient_method", "bogus"),
     ("layers", 0),
     ("restarts", -1),
     ("max_iter", -1),
@@ -123,8 +122,25 @@ def test_bad_settings_from_a_config_file_are_refused():
         pq.parse_config(text)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-4"])
+def test_an_occupation_threshold_that_is_not_finite_and_nonnegative_is_refused(tmp_path, value):
+    # a NaN or infinite cutoff would drop every PNO and run the point on HF alone
+    path = tmp_path / "threshold.cfg"
+    path.write_text(BASE_CONFIG.replace("nq = 4", f"nq = 4\noccupation_threshold = {value}"))
+    with pytest.raises(ConfigError, match="occupation_threshold"):
+        pq.load_config(path)
+
+
+def test_the_retired_gradient_method_key_is_refused(tmp_path):
+    path = tmp_path / "gradient.cfg"
+    path.write_text(BASE_CONFIG + "\n[optimizer]\ngradient_method = adjoint\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            "unknown key 'gradient_method' in section [optimizer]")):
+        pq.load_config(path)
+
+
 def test_edge_settings_still_validate():
-    config = h2_config(gradient_method="shift", layers=1, restarts=0, max_iter=0, grad_tol=1e-12)
+    config = h2_config(layers=1, restarts=0, max_iter=0, grad_tol=1e-12, occupation_threshold=0.0)
     assert config.max_iter == 0
 
 
@@ -140,7 +156,6 @@ def test_readme_schema_block_parses_to_its_documented_values():
     assert config.n_qubits == 4
     assert config.freeze == (0,)
     assert config.scan == (0.5, 0.7, 0.9)
-    assert config.gradient_method == "adjoint"
     assert config.metadata == {"orbital_solver_threshold": "1e-4"}
 
 
