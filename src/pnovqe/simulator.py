@@ -12,8 +12,12 @@ each generator an owner, so a factor has the bits of its generator's
 complex coefficient (not Hermitian), one that leaks out of the basis, one
 that maps a basis state to a superposition and one without G^3 = G.
 Factors and reference vector are prepared once per (ansatz, basis) and
-kept on the ``Ansatz`` with the last forward state, which a call at
-bit-equal parameters reuses.
+kept on the ``Ansatz`` with the last forward sweep, which a call at
+bit-equal parameters reuses: the state, the signed input
+t_k = signs psi_{k-1}[cols] of each rotation (one amplitude per support
+row of each factor, 8 or 16 B each), and H times the state for the last
+operator read, formed by whichever of the energy and the gradient needs
+it first.
 
 VQE energies and gradients run on the sector the circuit keeps its
 reference in: the (N, S_z) sector when every generator commutes with S_z
@@ -22,8 +26,10 @@ same basis and reads the same cached ``matrix`` of the Hamiltonian (a
 ``QubitOperator`` or the point's ``exact.IntegralHamiltonian``) through the
 same check, ``exact._hermitian_matrix``; the matrix is float64 when its
 entries are real, and the state is float64 too. The gradient is the adjoint
-sweep, one pass backwards through the factors. No state here spans the 2^n
-register.
+sweep (Jones and Gacon, arXiv:2009.02823): it rotates a copy of H psi alone
+backwards through the factors and reads each derivative from the kept
+rotation inputs, so one parameter point costs one forward sweep, one
+mat-vec and one backward sweep. No state here spans the 2^n register.
 """
 
 from __future__ import annotations
@@ -138,31 +144,40 @@ def _factors(generators, basis: SectorBasis) -> list:
     return factors
 
 
-def _rotate(vec: np.ndarray, factor: tuple, angle: float) -> None:
-    """exp(-i angle/2 G) vec, in place: G^2 is the projector onto the rows."""
+def _rotate(vec: np.ndarray, factor: tuple, angle: float) -> np.ndarray:
+    """exp(-i angle/2 G) vec, in place: G^2 is the projector onto the rows.
+
+    Returns the signed input signs * vec[cols], that is (G vec)[rows] / i of
+    the vector before the update, which the adjoint gradient reads.
+    """
     rows, cols, signs = factor
-    vec[rows] = math.cos(0.5 * angle) * vec[rows] + math.sin(0.5 * angle) * signs * vec[cols]
+    signed = signs * vec[cols]
+    vec[rows] = math.cos(0.5 * angle) * vec[rows] + math.sin(0.5 * angle) * signed
+    return signed
 
 
-def _evolve(vec: np.ndarray, factors, angles) -> np.ndarray:
-    """Apply exp(-i angle/2 G) for every factor G in order, in place; checks the norm."""
-    for factor, angle in zip(factors, angles):
-        _rotate(vec, factor, angle)
+def _evolve(vec: np.ndarray, factors, angles) -> tuple:
+    """Apply exp(-i angle/2 G) for every factor G in order, in place; checks the norm.
+
+    Returns the state and the signed input of every factor's rotation.
+    """
+    inputs = tuple(_rotate(vec, factor, angle) for factor, angle in zip(factors, angles))
     if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
         raise RuntimeError("state norm drifted beyond 1e-10")
-    return vec
+    return vec, inputs
 
 
 @dataclass(eq=False)
 class _Circuit:
-    """An ansatz's factors and reference vector on one basis, and its last forward state.
+    """An ansatz's factors and reference vector on one basis, and its last forward sweep.
 
     The reference is float64 when every factor's signs are, complex otherwise.
     """
 
     factors: tuple
     reference: np.ndarray
-    last: tuple = (None, None)    # (parameter bytes, read-only state)
+    last: tuple = (None, None, ())    # (parameter bytes, read-only state, signed rotation inputs)
+    applied: tuple = (None, None)     # (operator, read-only matrix @ last state)
 
 
 def _parameters(ansatz: Ansatz, theta) -> np.ndarray:
@@ -187,18 +202,33 @@ def _sector_state(ansatz: Ansatz, theta) -> tuple:
     basis = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
     circuit = _prepared(ansatz, basis)
     key = theta.tobytes()
-    last_key, psi = circuit.last
-    if key != last_key:
-        psi = _evolve(circuit.reference.copy(), circuit.factors, theta)
+    if key != circuit.last[0]:
+        # drop the old sweep first, so that two sets of inputs are never held
+        circuit.last, circuit.applied = (None, None, ()), (None, None)
+        psi, inputs = _evolve(circuit.reference.copy(), circuit.factors, theta)
         psi.flags.writeable = False
-        circuit.last = (key, psi)
-    return basis, circuit, psi
+        circuit.last = (key, psi, inputs)
+    return basis, circuit, circuit.last[1]
+
+
+def _applied(op: QubitOperator, basis: SectorBasis, circuit: _Circuit) -> np.ndarray:
+    """The operator's sector matrix times the circuit's last state, read-only.
+
+    Formed once per (state, operator): the energy and the gradient at one
+    parameter point share it, and another operator never reads it.
+    """
+    kept_op, h_psi = circuit.applied
+    if kept_op is not op:
+        h_psi = _hermitian_matrix(op, basis) @ circuit.last[1]
+        h_psi.flags.writeable = False
+        circuit.applied = (op, h_psi)
+    return h_psi
 
 
 def ansatz_expectation(op: QubitOperator, ansatz: Ansatz, theta) -> float:
     """Circuit energy, evaluated in the sector the circuit keeps its reference in."""
-    basis, _, psi = _sector_state(ansatz, theta)
-    value = np.vdot(psi, _hermitian_matrix(op, basis) @ psi)
+    basis, circuit, psi = _sector_state(ansatz, theta)
+    value = np.vdot(psi, _applied(op, basis, circuit))
     if abs(value.imag) > 1e-10:
         raise RuntimeError("expectation value has a non-negligible imaginary part")
     return float(value.real)
@@ -207,17 +237,20 @@ def ansatz_expectation(op: QubitOperator, ansatz: Ansatz, theta) -> float:
 def gradient(op: QubitOperator, ansatz: Ansatz, theta) -> np.ndarray:
     """d<H>/d(theta_k) for every parameter, in the circuit's sector, by the adjoint sweep.
 
-    One pass backwards through the factors carries the state and H times the
-    state, and reads Im <lam|G_k|psi> at each factor; it is exact.
+    It reuses the forward sweep and H psi of the energy at theta, and sweeps
+    lam = H psi alone backwards: lam_{k-1} = exp(+i theta_k/2 G_k) lam_k, and
+    d<H>/d(theta_k) = Im <lam_k|G_k|psi_k> = Im <lam_{k-1}|G_k|psi_{k-1}>,
+    read from the signed input t_k = signs psi_{k-1}[cols] that the forward
+    rotation kept, as Re <lam_{k-1}[rows]|t_k>. It is exact. The kept inputs
+    are one value per support row of each factor.
     """
     theta = _parameters(ansatz, theta)
-    basis, circuit, psi = _sector_state(ansatz, theta)
-    lam = _hermitian_matrix(op, basis) @ psi
-    psi = psi.copy()
+    basis, circuit, _ = _sector_state(ansatz, theta)
+    lam = _applied(op, basis, circuit).copy()
+    inputs = circuit.last[2]
     grad = np.zeros(ansatz.n_parameters)
     for k in range(ansatz.n_parameters - 1, -1, -1):
-        rows, cols, signs = factor = circuit.factors[k]
-        grad[k] = np.vdot(lam[rows], signs * psi[cols]).real    # Im <lam|G_k|psi>
-        _rotate(psi, factor, -theta[k])
+        factor = circuit.factors[k]
         _rotate(lam, factor, -theta[k])
+        grad[k] = np.vdot(lam[factor[0]], inputs[k]).real
     return grad

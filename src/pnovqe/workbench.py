@@ -134,8 +134,9 @@ class RunConfig:
             raise ConfigError("restarts must be >= 0")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be >= 0")
-        if not self.grad_tol > 0:
-            raise ConfigError("grad_tol must be > 0")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
+            # an infinite tolerance would stop every VQE at its start point
+            raise ConfigError(f"grad_tol must be finite and > 0, got {self.grad_tol!r}")
         return self
 
     def to_dict(self) -> dict:

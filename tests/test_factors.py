@@ -6,9 +6,10 @@ against the matrix exponential and against the sparse G^3 = G formula in
 the generators that the sparse-product checks of ``ci_oracle.reference_factor``
 do, with the same first error. A generator with a complex coefficient is not
 Hermitian and is refused before any other check. The prepared circuit keeps
-the last forward state; the cache tests require bit-equal results to a fresh
-ansatz however the parameters change between calls. Examples are
-derandomized.
+the last forward state, the signed input of each rotation and H times the
+state; the cache tests require bit-equal results to a fresh ansatz however
+the parameters change between calls, and count one sector mat-vec and one
+sweep each way per parameter point. Examples are derandomized.
 """
 
 import numpy as np
@@ -18,11 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe import simulator
+from pnovqe.ansatz import PNO_VARIANTS
 from pnovqe.exact import SectorBasis
 from pnovqe.simulator import _factors, _rotate, _sector_state
 
 from ci_oracle import (
-    kron_string, random_integral_set, reference_factor, reference_rotate, register_basis,
+    kron_string, random_integral_set, reference_factor, reference_register_shift_gradient,
+    reference_rotate, register_basis,
 )
 
 FACTORS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -304,3 +307,88 @@ def test_gradient_reuses_the_forward_sweep_of_the_energy(monkeypatch):
     assert len(sweeps) == 1
     pq.gradient(hq, ansatz, theta + 0.1)
     assert len(sweeps) == 2
+
+
+def test_one_mat_vec_and_one_backward_sweep_per_parameter_point(monkeypatch):
+    h1, h2 = small_problem(7), small_problem(8)
+    ansatz = fresh_ansatz()
+    k = ansatz.n_parameters
+    theta = np.linspace(-0.2, 0.6, k)
+    products, rotations = [], []
+    hermitian_matrix, rotate = simulator._hermitian_matrix, simulator._rotate
+
+    class CountedMatrix:
+        def __init__(self, mat):
+            self.mat = mat
+
+        def __matmul__(self, vec):
+            products.append(1)
+            return self.mat @ vec
+
+    def counted_rotate(*args):
+        rotations.append(1)
+        return rotate(*args)
+
+    monkeypatch.setattr(simulator, "_hermitian_matrix",
+                        lambda op, basis: CountedMatrix(hermitian_matrix(op, basis)))
+    monkeypatch.setattr(simulator, "_rotate", counted_rotate)
+    pq.ansatz_expectation(h1, ansatz, theta)
+    grad = pq.gradient(h1, ansatz, theta)
+    assert (len(products), len(rotations)) == (1, 2 * k)    # K on psi, K on lam
+    assert np.array_equal(pq.gradient(h1, ansatz, theta), grad)
+    assert (len(products), len(rotations)) == (1, 3 * k)
+    # H psi is kept for its operator only
+    pq.ansatz_expectation(h2, ansatz, theta)
+    assert (len(products), len(rotations)) == (2, 3 * k)
+
+
+def hop(p: int, q: int, n_qubits: int):
+    """a+_p a_q + a+_q a_p on same-spin qubits p < q: real entries, so its signs are imaginary."""
+    z = "".join(f" Z{j}" for j in range(p + 1, q))
+    label = pq.PauliString.from_label
+    strings = ((label(n_qubits, f"X{p}{z} X{q}"), 0.5), (label(n_qubits, f"Y{p}{z} Y{q}"), 0.5))
+    return pq.ExcitationGenerator(kind="single", orbitals=(p // 2, q // 2), spin=p % 2,
+                                  strings=strings)
+
+
+@st.composite
+def sweep_circuits(draw, kind: str):
+    """(operator, ansatz, theta) on a random integral set: UpCCGSD, a PNO variant or complex signs."""
+    seed = draw(st.integers(0, 10_000))
+    if kind in PNO_VARIANTS:
+        mo = random_integral_set(4, draw(st.sampled_from([2, 4])), seed, with_energies=True)
+        pnos = pq.select_pnos(pq.pair_densities(pq.mp2_amplitudes(mo)), 6,
+                              diagonal_only=draw(st.booleans()))
+        space = pq.orthonormalize(pnos)
+        mo = pq.build_final_integrals(mo, space)
+        ansatz = pq.build_pno_ansatz(space, kind)
+    else:
+        mo = random_integral_set(3, 2, seed)
+        ansatz = pq.build_upccgsd(3, 2)
+        if kind == "complex":
+            generators = ansatz.generators
+            ansatz = pq.Ansatz(generators=(hop(0, 2, 6),) + generators[:3] + (hop(1, 5, 6),),
+                               n_qubits=6, reference=ansatz.reference, name="hops")
+    hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 2 * mo.n_orb)
+    theta = draw(st.lists(st.floats(-np.pi, np.pi, allow_nan=False),
+                          min_size=ansatz.n_parameters, max_size=ansatz.n_parameters))
+    return hq, ansatz, np.array(theta)
+
+
+@pytest.mark.parametrize("kind", ("UpCCGSD", "complex") + PNO_VARIANTS)
+@CACHE
+@given(data=st.data(), gradient_first=st.booleans())
+def test_backward_sweep_matches_register_shift_rule(kind, data, gradient_first):
+    hq, ansatz, theta = data.draw(sweep_circuits(kind))
+    if gradient_first:
+        grad = pq.gradient(hq, ansatz, theta)
+        energy = pq.ansatz_expectation(hq, ansatz, theta)
+    else:
+        energy = pq.ansatz_expectation(hq, ansatz, theta)
+        grad = pq.gradient(hq, ansatz, theta)
+    np.testing.assert_allclose(grad, reference_register_shift_gradient(hq, ansatz, theta),
+                               atol=1e-10, rtol=0)
+    (basis, circuit), = ansatz._prepared.items()
+    assert (circuit.reference.dtype == np.complex128) == (kind == "complex")
+    psi, _ = simulator._evolve(circuit.reference.copy(), circuit.factors, theta)
+    assert energy == float(np.vdot(psi, hq.matrix(basis.states) @ psi).real)

@@ -110,6 +110,7 @@ class TestConfigParsing:
     ("grad_tol", 0.0),
     ("grad_tol", -1e-6),
     ("grad_tol", float("nan")),
+    ("grad_tol", float("inf")),
 ])
 def test_bad_optimizer_and_ansatz_settings_are_refused(key, value):
     with pytest.raises(ConfigError, match=key):
