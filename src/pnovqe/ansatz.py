@@ -4,8 +4,9 @@ Every generator G is Hermitian (the factor i of the anti-Hermitian cluster
 operator is absorbed), its Jordan-Wigner image is a set of mutually
 commuting Pauli strings with real coefficients, and G^3 = G. The circuit
 exp(-i theta/2 G) therefore compiles exactly into a product of Pauli
-rotations, one per string, with no Trotter error; G is also a phased
-permutation of basis states, which is how the simulator applies it.
+rotations, one per string, with no Trotter error; the strings give the CNOT
+counts and the S_z test. On determinants G is a signed permutation fixed by
+its kind, orbitals and spin, which is how the simulator applies it.
 
 Operator ordering inside a product ansatz is fixed for reproducibility:
 pair-doubles block first, then generalized doubles, then singles, each block
@@ -22,27 +23,35 @@ from .operators import FermionOperator, jordan_wigner
 from .pno import OrbitalSpace
 
 PNO_VARIANTS = ("UpCCD", "UpCCSD", "UpCCGD")
+GENERATOR_KINDS = ("pair_double", "single", "paired_double")
 
 
 @dataclass(frozen=True)
 class ExcitationGenerator:
-    """One Hermitian excitation generator with its Pauli-string image.
+    """One Hermitian excitation generator i(E - E^dag), E moving orbital i's electrons to a.
 
-    The coefficients are real: the simulator refuses a generator with a
-    complex one as not Hermitian.
+    ``kind`` names E: a pair double (both spins), a single (one spin) or a
+    hard-core pair rotation of the paired encoding (one qubit per spatial
+    orbital). The simulator builds the factor from ``kind``, ``orbitals``
+    and ``spin``; ``strings`` is G's Pauli-string image, with real
+    coefficients.
     """
 
-    kind: str             # "pair_double" or "single"
+    kind: str             # one of GENERATOR_KINDS
     orbitals: tuple       # (i, a) spatial indices
     spin: int | None      # 0 (up) / 1 (down) for singles, None for doubles
     strings: tuple        # ((PauliString, real coefficient), ...)
 
+    def __post_init__(self):
+        if self.kind not in GENERATOR_KINDS:
+            raise ValueError(f"unknown excitation kind {self.kind!r}")
+
     @property
     def label(self) -> str:
-        if self.kind == "pair_double":
-            return f"D({self.orbitals[0]}->{self.orbitals[1]})"
-        arrow = "u" if self.spin == 0 else "d"
-        return f"S{arrow}({self.orbitals[0]}->{self.orbitals[1]})"
+        i, a = self.orbitals
+        if self.kind == "single":
+            return f"S{'u' if self.spin == 0 else 'd'}({i}->{a})"
+        return f"{'D' if self.kind == 'pair_double' else 'P'}({i}->{a})"
 
 
 @dataclass(frozen=True)

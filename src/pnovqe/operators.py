@@ -9,16 +9,16 @@ Conventions used throughout the package:
 * Qubit indexing is little-endian: bit j of a basis-state integer is the
   occupation of qubit j.
 
-``build_hamiltonian``, ``jordan_wigner`` and ``_pauli_pass`` (the one action
-of Pauli sums on bitmask states, for ``QubitOperator.matrix`` and the circuit
-factors) are array code that works on fixed blocks of products or of X-mask
-groups. Part of their determinism contract is that every coefficient is
-summed in the order of a term-by-term loop, starting from 0, and that keys
-keep the order in which such a loop first meets them; the block sizes are
-constants that change no bit. The operators, and every energy computed from
-them, are therefore the same to the last bit whatever the blocking. Pauli
-masks are int64 columns, so the array code, ``QubitOperator.to_text``
-included, covers registers of up to ``MAX_MASK_QUBITS`` qubits.
+``build_hamiltonian``, ``jordan_wigner`` and ``_pauli_pass`` (the action of a
+Pauli sum on bitmask states, behind ``QubitOperator.matrix``) are array code
+that works on fixed blocks of products or of X-mask groups. Part of their
+determinism contract is that every coefficient is summed in the order of a
+term-by-term loop, starting from 0, and that keys keep the order in which
+such a loop first meets them; the block sizes are constants that change no
+bit. The operators, and every energy computed from them, are therefore the
+same to the last bit whatever the blocking. Pauli masks are int64 columns,
+so the array code, ``QubitOperator.to_text`` included, covers registers of
+up to ``MAX_MASK_QUBITS`` qubits.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ _JW_BLOCK = 1 << 14
 # Operators with at most this many terms (an ansatz generator has 2) are
 # expanded term by term, where numpy's fixed cost per call would dominate.
 _JW_SMALL = 8
-# ``_pauli_pass`` takes whole owners in blocks of about this many (X group,
+# ``_pauli_pass`` takes whole X groups in blocks of about this many (X group,
 # basis state) pairs, so its per-pair arrays stay near 32 KiB each unless one
-# owner alone has more pairs.
+# group alone has more pairs.
 _PAULI_BLOCK = 1 << 12
 
 _LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -231,11 +231,10 @@ class QubitOperator:
         """Projection onto a sorted array of basis bitmasks, as a sparse matrix.
 
         Entry (r, c) is <states[r]| op |states[c]>; images outside ``states``
-        are dropped. The entries are the found nonzero sums of ``_pauli_pass``
-        with each X group its own owner. The result is cached per basis in
-        ``_compiled`` and read-only. Its values are float64 when no entry on
-        the basis has an imaginary part (every sector of a real-integral
-        Hamiltonian), complex128 otherwise.
+        are dropped. The entries are the found nonzero sums of ``_pauli_pass``.
+        The result is cached per basis in ``_compiled`` and read-only. Its
+        values are float64 when no entry on the basis has an imaginary part
+        (every sector of a real-integral Hamiltonian), complex128 otherwise.
 
         Determinism: each entry has the bits of ``_pauli_pass``, whatever its
         blocking. No two groups share an entry and the CSR arrays are sorted
@@ -248,14 +247,13 @@ class QubitOperator:
             return self._compiled[key]
         dim, n_terms = len(states), len(self._terms)
         masks = np.fromiter(chain.from_iterable(self._terms), np.int64, 2 * n_terms)
-        xs, group = np.unique(masks[0::2], return_inverse=True)   # each X group is its own owner
-        blocks = _pauli_pass(group, masks[0::2], masks[1::2],
-                             np.fromiter(self._terms.values(), complex, n_terms), xs.size, states)
+        blocks = _pauli_pass(masks[0::2], masks[1::2],
+                             np.fromiter(self._terms.values(), complex, n_terms), states)
         # the pass holds the only copy of the terms and only the entries are
         # kept: a projection onto a small sector costs memory of their order
-        del masks, group
+        del masks
         entries = [(np.zeros(0, complex), np.zeros(0, np.intp), np.zeros(0, np.intp))]
-        for _, _, pos, found, values in blocks:
+        for pos, found, values in blocks:
             hit = np.flatnonzero(found & (values != 0))
             entries.append((values[hit], pos[hit], hit % dim))
         values, row, column = (np.concatenate(parts) for parts in zip(*entries))
@@ -309,51 +307,45 @@ class QubitOperator:
         return f"QubitOperator(n_qubits={self.n_qubits}, n_terms={self.n_terms})"
 
 
-def _pauli_pass(owner, x, z, coeffs, n_owners: int, states: np.ndarray):
-    """Walk the (owner, X group, basis state) pairs of Pauli sums in blocks of whole owners.
+def _pauli_pass(x, z, coeffs, states: np.ndarray):
+    """Walk the (X group, basis state) pairs of a Pauli sum in blocks of whole groups.
 
-    Term t is coeffs[t] times the string with masks (x[t], z[t]) and belongs
-    to owner[t], one of ``range(n_owners)``. A string maps |s> to
-    i^|x&z| (-1)^|s&z| |s ^ x>, so the terms of an owner sharing an X mask
+    Term t is coeffs[t] times the string with masks (x[t], z[t]). A string
+    maps |s> to i^|x&z| (-1)^|s&z| |s ^ x>, so the terms sharing an X mask
     form a group with one image per state, probed with one ``searchsorted``.
-    Owners are taken in order, in blocks of about ``_PAULI_BLOCK`` pairs (an
-    owner without terms counts as one group). Each block yields the range of
-    owners it covers and, per pair, its owner, the position of its image in
-    ``states``, whether the image is in ``states`` and the group's sum on the
-    state. A block's pairs run group by group, so pair p is on state
-    states[p % len(states)].
+    Groups are taken in ascending X order, as many as fill about
+    ``_PAULI_BLOCK`` (group, state) pairs (at least one). Each block yields,
+    per pair, the position of its image in ``states``, whether the image is
+    in ``states`` and the group's sum on the state. A block's pairs run
+    group by group, so pair p is on state states[p % len(states)].
 
     Determinism: each sum adds its group's terms in ascending Z order,
     starting from 0, and all sums advance one term per step, so neither the
     blocking nor the group sizes change a bit.
     """
     dim = len(states)
-    order = np.lexsort((z, x, owner))
-    owner, x, z, coeffs = owner[order], x[order], z[order], coeffs[order]
+    order = np.lexsort((z, x))
+    x, z, coeffs = x[order], z[order], coeffs[order]
     del order
     coeffs *= np.asarray(_PHASES)[np.bitwise_count(x & z) & 3]
     # real and imaginary parts are summed apart; a part whose coefficients are
     # all zero is skipped, so its sums stay +0
     parts = [p for p in ("real", "imag") if getattr(coeffs, p).any()]
-    new = np.ones(owner.size, bool)
-    new[1:] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
+    new = np.ones(x.size, bool)
+    new[1:] = x[1:] != x[:-1]
     starts = np.flatnonzero(new)
-    sizes = np.diff(starts, append=owner.size)
-    owner, x = owner[starts], x[starts]   # per group from here on
-    # owner k owns the groups first_group[k]:first_group[k + 1]
-    first_group = np.searchsorted(owner, np.arange(n_owners + 1))
-    cost = np.maximum(np.diff(first_group), 1) * max(dim, 1)
-    block = (np.cumsum(cost) - cost) // _PAULI_BLOCK
-    edges = np.flatnonzero(np.diff(block, prepend=-1, append=-1)).tolist()
-    for lo, hi in zip(edges, edges[1:]):
+    sizes = np.diff(starts, append=x.size)
+    x = x[starts]   # per group from here on
+    step = max(1, _PAULI_BLOCK // max(dim, 1))
+    for lo in range(0, starts.size, step):
         # the block's groups by decreasing size, so at step k the groups with
         # a k-th term are the first active[k]
-        groups = np.arange(first_group[lo], first_group[hi])
+        groups = np.arange(lo, min(lo + step, starts.size))
         groups = groups[np.argsort(-sizes[groups], kind="stable")]
         images = states ^ x[groups, None]
         pos = np.minimum(np.searchsorted(states, images), dim - 1).ravel()
         found = states[pos] == images.ravel()
-        active = np.searchsorted(-sizes[groups], -np.arange(sizes[groups].max(initial=0)))
+        active = np.searchsorted(-sizes[groups], -np.arange(sizes[groups].max()))
         values = np.zeros((groups.size, dim), complex)
         sums = [(getattr(coeffs, p), getattr(values, p)) for p in parts]
         first = starts[groups, None]
@@ -362,7 +354,7 @@ def _pauli_pass(owner, x, z, coeffs, n_owners: int, states: np.ndarray):
             odd = np.bitwise_count(z[t] & states) & 1
             for part, total in sums:
                 total[:n] += np.where(odd, -part[t], part[t])
-        yield range(lo, hi), np.repeat(owner[groups], dim), pos, found, values.ravel()
+        yield pos, found, values.ravel()
 
 
 def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:

@@ -1,23 +1,25 @@
 """Exact state engine: circuits and energies on a basis of bitmask states.
 
 Amplitudes are indexed by a sorted array of basis bitmasks (bit j is qubit
-j). Every circuit factor exp(-i theta/2 G) has a Hermitian generator with
-G^3 = G that is a phased permutation of its support, G|cols> = i signs|rows>,
-so it updates the support in place as v[rows] = cos(theta/2) v[rows] +
-sin(theta/2) signs v[cols]. Every excitation generator has entries +-i, so
-its signs are real +-1 and a real reference stays real. ``_factors`` builds
-and checks the factors of a whole circuit in one ``operators._pauli_pass``,
-each generator an owner, so a factor has the bits of its generator's
-``QubitOperator.matrix``. It refuses, in this order, a generator with a
-complex coefficient (not Hermitian), one that leaks out of the basis, one
-that maps a basis state to a superposition and one without G^3 = G.
-Factors and reference vector are prepared once per (ansatz, basis) and
-kept on the ``Ansatz`` with the last forward sweep, which a call at
-bit-equal parameters reuses: the state, the signed input
-t_k = signs psi_{k-1}[cols] of each rotation (one amplitude per support
-row of each factor, 8 or 16 B each), and H times the state for the last
-operator read, formed by whichever of the energy and the gradient needs
-it first.
+j). Every circuit generator is an excitation G = i(E - E^dag): a pair
+double, a single or a hard-core pair rotation. On a basis of determinants G
+is a signed permutation of its support, G|cols> = i signs|rows> with real
+signs +-1, so G^3 = G and each factor exp(-i theta/2 G) updates the support
+in place as v[rows] = cos(theta/2) v[rows] + sin(theta/2) signs v[cols].
+``_factors`` builds (rows, cols, signs) straight from each generator's kind,
+orbitals and spin and the basis bitmasks, by the determinant rule that
+``exact._determinant_block`` applies to the Hamiltonian: E's sign on a
+determinant is the Jordan-Wigner parity of the occupied spin-orbitals
+strictly between the two of a single, and +1 for a pair double (the interior
+parities of its two spin hops cancel) and for a hard-core pair rotation. Its
+one check refuses a generator that maps a basis state outside the basis,
+which a subset of a sector can. Factors are real, so the reference and every
+state are float64. Factors and reference vector are prepared once per
+(ansatz, basis) and kept on the ``Ansatz`` with the last forward sweep,
+which a call at bit-equal parameters reuses: the state, the signed input
+t_k = signs psi_{k-1}[cols] of each rotation (one 8 B amplitude per support
+row of each factor), and H times the state for the last operator read,
+formed by whichever of the energy and the gradient needs it first.
 
 VQE energies and gradients run on the sector the circuit keeps its
 reference in: the (N, S_z) sector when every generator commutes with S_z
@@ -25,122 +27,75 @@ reference in: the (N, S_z) sector when every generator commutes with S_z
 same basis and reads the same cached ``matrix`` of the Hamiltonian (a
 ``QubitOperator`` or the point's ``exact.IntegralHamiltonian``) through the
 same check, ``exact._hermitian_matrix``; the matrix is float64 when its
-entries are real, and the state is float64 too. The gradient is the adjoint
-sweep (Jones and Gacon, arXiv:2009.02823): it rotates a copy of H psi alone
-backwards through the factors and reads each derivative from the kept
-rotation inputs, so one parameter point costs one forward sweep, one
-mat-vec and one backward sweep. No state here spans the 2^n register.
+entries are real. The gradient is the adjoint sweep (Jones and Gacon,
+arXiv:2009.02823): it rotates a copy of H psi alone backwards through the
+factors and reads each derivative from the kept rotation inputs, so one
+parameter point costs one forward sweep, one mat-vec and one backward
+sweep. No state here spans the 2^n register.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .ansatz import Ansatz
 from .exact import SectorBasis, _hermitian_matrix, sector_basis
-from .operators import COEFF_CUTOFF, QubitOperator, _pauli_pass
+from .operators import QubitOperator
 
 
-def _basis_vector(basis: SectorBasis, occupied, dtype) -> np.ndarray:
+def _basis_vector(basis: SectorBasis, occupied) -> np.ndarray:
     """Amplitudes of the basis state with the listed qubits set to 1.
 
     ``occupied`` is an ``Ansatz.reference``, which is strictly increasing.
     """
     if any(j >= basis.n_qubits or j < 0 for j in occupied):
         raise ValueError("reference index outside register")
-    vec = np.zeros(basis.dim, dtype=dtype)
+    vec = np.zeros(basis.dim)
     vec[np.searchsorted(basis.states, sum(1 << j for j in occupied))] = 1.0
     return vec
 
 
-def _generator_terms(strings, n_qubits: int) -> dict:
-    """The terms of G = sum_m c_m P_m, as summing one ``QubitOperator`` per string keeps them.
+def _excitation(gen) -> tuple:
+    """(emptied, filled, parity) qubit masks of the excitation E of G = i(E - E^dag).
 
-    Each coefficient is added to its string's term in order, starting from 0;
-    a coefficient or a sum below ``COEFF_CUTOFF`` drops the term.
+    E empties the first mask and fills the second, with the sign of the
+    parity of the occupied qubits in the third: those strictly between the
+    two spin-orbitals of a single, none for the other kinds.
     """
-    terms: dict = {}
-    for string, coeff in strings:
-        if string.n_qubits != n_qubits:
-            raise ValueError("qubit-count mismatch between operators")
-        if abs(coeff) < COEFF_CUTOFF:
-            continue
-        key = (string.x, string.z)
-        value = terms.get(key, 0.0) + complex(coeff)
-        if abs(value) >= COEFF_CUTOFF:
-            terms[key] = value
-        else:
-            del terms[key]
-    return terms
+    i, a = gen.orbitals
+    if gen.kind == "paired_double":
+        return 1 << i, 1 << a, 0
+    if gen.kind == "pair_double":
+        return 3 << 2 * i, 3 << 2 * a, 0
+    p, q = 2 * i + gen.spin, 2 * a + gen.spin
+    return 1 << p, 1 << q, (1 << max(p, q)) - (2 << min(p, q))
 
 
 def _factors(generators, basis: SectorBasis) -> list:
-    """Each G = sum_m c_m P_m of ``generators`` on the basis as (rows, cols, signs).
+    """Each excitation generator on the basis as (rows, cols, signs): G|cols> = i signs|rows>.
 
-    G|cols> = i signs|rows>; signs are float64 where they are exactly real.
-    For each generator in order, raises the first error that applies: a c_m
-    is complex (G is not Hermitian), G sends weight outside the basis, G maps
-    a basis state to a superposition of basis states, G^3 != G on the basis.
-    The strings of all generators go through one ``operators._pauli_pass``
-    with each generator an owner, the pass ``QubitOperator.matrix`` runs
-    with each X group an owner, so a factor holds the same bits as its
-    generator's sector matrix whatever the blocking. The checks are array
-    code over each block: the weight G sends outside the basis, the entries
-    per row, and G^3 = G row by row along the permutation.
+    The rows, ascending, are the basis states on which E or E^dag acts (one
+    mask all occupied, the other all empty), and cols their images with
+    both masks flipped. E and E^dag carry the same parity sign, and G =
+    i(E - E^dag), so signs (float64) are that sign on rows with the filled
+    mask occupied and minus it on the others. A generator that maps a basis
+    state outside the basis is refused.
     """
-    states, dim = basis.states, basis.dim
-    terms = [_generator_terms(strings, basis.n_qubits) for strings in generators]
-    owner = np.repeat(np.arange(len(terms)), [len(t) for t in terms])
-    masks = np.fromiter(chain.from_iterable(chain.from_iterable(terms)), np.int64, 2 * owner.size)
-    coeffs = np.fromiter(chain.from_iterable(t.values() for t in terms), complex, owner.size)
-    complex_gen = np.zeros(len(terms), bool)
-    complex_gen[owner[coeffs.imag != 0]] = True
-    factors = []
-    for owners, pair_owner, pos, found, values in _pauli_pass(
-            owner, masks[0::2], masks[1::2], coeffs, len(terms), states):
-        lo, n, width = owners.start, len(owners), dim + 1
-        local, nonzero = pair_owner - lo, values != 0
-        # cell g * width + r holds the entry in row r of the block's generator
-        # g; row dim stays empty
-        hit = np.flatnonzero(found & nonzero)
-        cell = local[hit] * width + pos[hit]
-        count = np.bincount(cell, minlength=n * width)
-        after = np.full(n * width, dim)
-        after[cell] = hit % dim
-        entry = np.zeros(n * width, complex)
-        entry[cell] = values[hit]
-        miss = np.flatnonzero(~found & nonzero)
-        leak = np.bincount(local[miss] * dim + miss % dim, np.abs(values[miss]) ** 2, n * dim)
-        leaking = leak.reshape(n, dim).max(axis=1, initial=0.0) > 1e-10
-        superposed = np.zeros(n, bool)
-        superposed[np.flatnonzero(count > 1) // width] = True
-        cell = np.flatnonzero(count)
-        gen, rows, cols, phases = cell // width, cell % width, after[cell], entry[cell]
-        # G^3 has phases * entry[cols] * entry[middle] at column after[middle]
-        base = gen * width
-        middle = after[base + cols]
-        cube = phases * entry[base + cols] * entry[base + middle]
-        same = after[base + middle] == cols
-        defect = np.where(same, np.abs(cube - phases), np.maximum(np.abs(cube), np.abs(phases)))
-        not_cubic = np.zeros(n, bool)
-        not_cubic[gen[defect > 1e-10]] = True
-        bounds = np.searchsorted(gen, np.arange(n + 1)).tolist()
-        for k in range(n):
-            if complex_gen[lo + k]:
-                raise ValueError("generator is not Hermitian (complex coefficients)")
-            if leaking[k]:
-                raise ValueError("generator maps a basis state outside the basis")
-            if superposed[k]:
-                raise ValueError("generator maps a basis state to a superposition of basis states")
-            if not_cubic[k]:
-                raise ValueError("generator does not satisfy G^3 = G on the basis")
-            sl = slice(bounds[k], bounds[k + 1])
-            signs = -1j * phases[sl]
-            factors.append((rows[sl], cols[sl], signs if signs.imag.any() else signs.real.copy()))
+    states, factors = basis.states, []
+    for gen in generators:
+        emptied, filled, parity = _excitation(gen)
+        flip = emptied | filled
+        side = states & flip
+        rows = np.flatnonzero((side == emptied) | (side == filled))
+        images = states[rows] ^ flip
+        cols = np.minimum(np.searchsorted(states, images), basis.dim - 1)
+        if not np.array_equal(states[cols], images):
+            raise ValueError("generator maps a basis state outside the basis")
+        odd = (side[rows] == emptied) ^ (np.bitwise_count(images & parity) & 1).astype(bool)
+        factors.append((rows, cols, np.where(odd, -1.0, 1.0)))
     return factors
 
 
@@ -169,10 +124,7 @@ def _evolve(vec: np.ndarray, factors, angles) -> tuple:
 
 @dataclass(eq=False)
 class _Circuit:
-    """An ansatz's factors and reference vector on one basis, and its last forward sweep.
-
-    The reference is float64 when every factor's signs are, complex otherwise.
-    """
+    """An ansatz's factors and float64 reference vector on one basis, and its last forward sweep."""
 
     factors: tuple
     reference: np.ndarray
@@ -190,9 +142,8 @@ def _parameters(ansatz: Ansatz, theta) -> np.ndarray:
 def _prepared(ansatz: Ansatz, basis: SectorBasis) -> _Circuit:
     """The ansatz's circuit on the basis, built on first use and kept on the ansatz."""
     if basis not in ansatz._prepared:
-        factors = tuple(_factors([gen.strings for gen in ansatz.generators], basis))
-        dtype = np.result_type(float, *(signs for _, _, signs in factors))
-        ansatz._prepared[basis] = _Circuit(factors, _basis_vector(basis, ansatz.reference, dtype))
+        factors = tuple(_factors(ansatz.generators, basis))
+        ansatz._prepared[basis] = _Circuit(factors, _basis_vector(basis, ansatz.reference))
     return ansatz._prepared[basis]
 
 

@@ -326,6 +326,9 @@ def run_point(config: RunConfig, coordinate=None) -> dict:
     resources = count_resources(ansatz)
     final = stage["final"]
     hamiltonian = IntegralHamiltonian(final)
+    # first, so that a register past the exact-solve cap is refused before
+    # the VQE; both read the one cached sector matrix
+    e_fci = fci_energy(hamiltonian)
     vqe = run_vqe(
         hamiltonian,
         ansatz,
@@ -334,7 +337,6 @@ def run_point(config: RunConfig, coordinate=None) -> dict:
         restarts=config.restarts,
         seed=config.seed,
     )
-    e_fci = fci_energy(hamiltonian)
     if vqe.fun < e_fci - 1e-9:
         raise RuntimeError("variational bound violated: VQE below FCI")
     record = {

@@ -23,10 +23,9 @@ operator onto a basis, one X group and one term at a time, and the text
 form of a qubit operator, one label per term.
 
 The state-engine oracles that follow do use the package's Pauli kernel and
-energy: the sparse-G form of a G^3 = G factor and the sparse checks that
-build it (the references for the simulator's support form), the
-one-generator build of a support-form factor from its sector matrix (the
-reference for the batched factor pass), the complex sweep in the
+energy: the sparse-G form of a G^3 = G factor from a generator's Pauli
+strings and the sparse checks that build it (the reference for the
+simulator's determinant-rule factors), the complex sweep in the
 reference's particle-number sector that the real (N, S_z) sweep must
 reproduce, and central finite differences of the energy.
 ``register_basis`` is every bitmask of a register as a ``SectorBasis``,
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import chain, combinations, groupby
+from itertools import combinations, groupby
 from operator import itemgetter
 
 import numpy as np
@@ -623,8 +622,9 @@ def reference_to_text(op: QubitOperator) -> str:
 def reference_factor(strings, basis) -> tuple:
     """(rows, cols, phases) of G = sum_m c_m P_m, checked with sparse products of G.
 
-    The checks run in the simulator's order: real coefficients,
-    PG^2P = (PGP)^2, one entry per row, G^3 = G.
+    The checks, in order: real coefficients, PG^2P = (PGP)^2 (G keeps the
+    basis closed, the one check the simulator makes), one entry per row,
+    G^3 = G. The simulator's signs are -i times the phases.
     """
     gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
     if gen.max_imag() > 0:
@@ -639,63 +639,6 @@ def reference_factor(strings, basis) -> tuple:
     if abs(g2 @ g - g).max() > 1e-10:
         raise ValueError("generator does not satisfy G^3 = G on the basis")
     return np.flatnonzero(per_row), g.indices.astype(np.intp), g.data
-
-
-def _cube_defect(rows, cols, phases, dim: int) -> float:
-    """max |G^3 - G| for G with the single entry phases[k] at (rows[k], cols[k]) of its rows."""
-    after = np.full(dim + 1, dim)           # the column each row maps to; row dim is empty
-    after[rows] = cols
-    entry = np.zeros(dim + 1, dtype=complex)
-    entry[rows] = phases
-    middle = after[cols]
-    cube = phases * entry[cols] * entry[middle]   # G^3 has it at column after[middle]
-    same = after[middle] == cols
-    defect = np.where(same, np.abs(cube - phases), np.maximum(np.abs(cube), np.abs(phases)))
-    return float(defect.max(initial=0.0))
-
-
-def _image_norms(op: QubitOperator, states: np.ndarray) -> np.ndarray:
-    """||op|s>||^2 for every basis state s, images outside ``states`` included.
-
-    The strings of one X mask x map |s> to the single state |s ^ x>, so
-    the norm sums |<s ^ x| op |s>|^2 over the X groups. For a Hermitian
-    operator this is the diagonal of op^2 on the register.
-    """
-    masks = np.fromiter(chain.from_iterable(op._terms), np.int64, 2 * len(op._terms))
-    x, z = masks[0::2], masks[1::2]
-    coeffs = np.fromiter(op._terms.values(), complex, len(op._terms))
-    coeffs *= np.asarray(_PHASES)[np.bitwise_count(x & z) & 3]
-    xs, group = np.unique(x, return_inverse=True)
-    signs = 1 - 2 * (np.bitwise_count(states & z[:, None]) & 1).astype(float)
-    images = ((np.arange(xs.size)[:, None] == group) * coeffs) @ signs   # per X group
-    return np.sum(np.abs(images) ** 2, axis=0)
-
-
-def reference_support_factor(strings, basis) -> tuple:
-    """(rows, cols, signs) of one generator from its sector matrix, checked on its support.
-
-    The simulator's batched ``_factors`` must return the same arrays to the
-    bit, and raise the same first error, as this one-generator build: a
-    complex coefficient first, then the weight outside the basis from
-    ``_image_norms``, two entries in a row of the generator's
-    ``QubitOperator.matrix``, and ``_cube_defect`` for G^3 = G. The signs
-    are -i times the entries, float64 where that is exactly real.
-    """
-    gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
-    if gen.max_imag() > 0:
-        raise ValueError("generator is not Hermitian (complex coefficients)")
-    g = gen.matrix(basis.states)
-    per_row = np.diff(g.indptr)
-    rows, cols, phases = np.flatnonzero(per_row), g.indices.astype(np.intp), g.data
-    inside = np.bincount(g.indices, weights=np.abs(g.data) ** 2, minlength=basis.dim)
-    if np.max(_image_norms(gen, basis.states) - inside, initial=0.0) > 1e-10:
-        raise ValueError("generator maps a basis state outside the basis")
-    if per_row.max(initial=0) > 1:
-        raise ValueError("generator maps a basis state to a superposition of basis states")
-    if _cube_defect(rows, cols, phases, basis.dim) > 1e-10:
-        raise ValueError("generator does not satisfy G^3 = G on the basis")
-    signs = -1j * phases
-    return rows, cols, signs if signs.imag.any() else signs.real.copy()
 
 
 def reference_rotate(vec: np.ndarray, g, angle: float) -> np.ndarray:
@@ -750,7 +693,7 @@ def finite_difference_gradient(op, ansatz, theta, step: float = 1e-5) -> np.ndar
 
 
 def register_basis(n_qubits: int) -> SectorBasis:
-    """Every bitmask of the register, as the basis ``QubitOperator.matrix`` and ``_factors`` take."""
+    """Every bitmask of the register, as a basis ``QubitOperator.matrix`` and ``_factors`` take."""
     return SectorBasis(n_qubits, np.arange(1 << n_qubits, dtype=np.int64))
 
 

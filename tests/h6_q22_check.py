@@ -1,4 +1,4 @@
-"""The 22-qubit H6 point: E_FCI from the integral-built sector matrix, within a memory bound.
+"""The 22-qubit H6 point: E_FCI and the PNO-UpCCGD E_VQE, within a memory bound.
 
     PYTHONPATH=src python tests/h6_q22_check.py
 
@@ -8,10 +8,11 @@ integrals on 22 qubits: an (N=6, S_z=0) sector of 27 225 determinants. The
 script takes the route of ``run_point`` and ``pnovqe fci``: it builds that
 sector's matrix from the compact integrals (``IntegralHamiltonian``), solves
 it through ``workbench.fci_energy``, where ``exact_ground_energy`` runs
-ARPACK's Lanczos (``eigsh``), and exits nonzero unless E_FCI is within 1e-9
-Ha of the pinned value and the process's peak RSS stays under 800 MiB. The
-name keeps it out of the test suite's collection: it takes about 10 s and
-0.3 GiB.
+ARPACK's Lanczos (``eigsh``), then runs the point's 5-parameter VQE with the
+config's optimizer settings on the same cached matrix. It exits nonzero
+unless E_FCI and E_VQE are each within 1e-9 Ha of their pinned values and
+the process's peak RSS stays under 800 MiB. The name keeps it out of the
+test suite's collection: it takes about 10 s and 0.3 GiB.
 """
 
 import resource
@@ -26,6 +27,7 @@ import pnovqe as pq
 from pnovqe import workbench
 
 E_FCI = -2.9543291800
+E_VQE = -2.908391701945759
 E_TOL = 1e-9
 PEAK_RSS_MIB = 800.0
 
@@ -60,12 +62,21 @@ def main() -> int:
     start = time.perf_counter()
     energy = workbench.fci_energy(hamiltonian)
     solve_s = time.perf_counter() - start
+    start = time.perf_counter()
+    ansatz = workbench.build_ansatz_for(config, stage)
+    vqe = pq.run_vqe(hamiltonian, ansatz, grad_tol=config.grad_tol, max_iter=config.max_iter,
+                     restarts=config.restarts, seed=config.seed)
+    vqe_s = time.perf_counter() - start
     peak = peak_rss_mib()
     print(f"sector dim {sector.dim}, {matrix.nnz} nonzeros, built in {build_s:.2f} s")
-    print(f"E_FCI {energy!r} Ha in {solve_s:.2f} s, peak RSS {peak:.0f} MiB")
+    print(f"E_FCI {energy!r} Ha in {solve_s:.2f} s")
+    print(f"E_VQE {vqe.fun!r} Ha in {vqe_s:.2f} s ({vqe.iterations} iterations), "
+          f"peak RSS {peak:.0f} MiB")
     failures = []
     if not abs(energy - E_FCI) < E_TOL:
         failures.append(f"E_FCI {energy!r} is not within {E_TOL} of {E_FCI}")
+    if not abs(vqe.fun - E_VQE) < E_TOL:
+        failures.append(f"E_VQE {vqe.fun!r} is not within {E_TOL} of {E_VQE}")
     if not peak < PEAK_RSS_MIB:
         failures.append(f"peak RSS {peak:.0f} MiB is not under {PEAK_RSS_MIB:.0f} MiB")
     for failure in failures:

@@ -114,6 +114,20 @@ class TestSingle:
             np.testing.assert_allclose(embed(basis, psi), expected @ ref, atol=1e-12)
 
 
+class TestGeneratorKinds:
+    def test_each_kind_has_its_own_label(self):
+        assert pq.make_pair_double(0, 2, 3).label == "D(0->2)"
+        assert pq.make_single(0, 2, 0, 3).label == "Su(0->2)"
+        assert pq.make_single(0, 2, 1, 3).label == "Sd(0->2)"
+        assert pq.make_paired_rotation(0, 2, 4).label == "P(0->2)"
+
+    def test_unknown_kind_rejected(self):
+        # the simulator builds a factor from the kind, so there is none for a Pauli sum
+        strings = pq.make_single(0, 1, 0, 2).strings
+        with pytest.raises(ValueError, match="unknown excitation kind 'hop'"):
+            pq.ExcitationGenerator(kind="hop", orbitals=(0, 1), spin=0, strings=strings)
+
+
 class TestGeneratorInvariants:
     def gens_for(self, n):
         out = []

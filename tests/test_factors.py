@@ -1,41 +1,45 @@
-"""Support-form circuit factors and the per-ansatz prepared circuit.
+"""Circuit factors from the determinant rule, and the per-ansatz prepared circuit.
 
-A factor stores G as a phased permutation of its support and is checked
-against the matrix exponential and against the sparse G^3 = G formula in
-``ci_oracle.reference_rotate``; building it must accept and reject exactly
-the generators that the sparse-product checks of ``ci_oracle.reference_factor``
-do, with the same first error. A generator with a complex coefficient is not
-Hermitian and is refused before any other check. The prepared circuit keeps
-the last forward state, the signed input of each rotation and H times the
-state; the cache tests require bit-equal results to a fresh ansatz however
-the parameters change between calls, and count one sector mat-vec and one
-sweep each way per parameter point. Examples are derandomized.
+A factor stores G as a signed permutation of its support, built from the
+generator's kind, orbitals and spin alone. It must be array-equal to
+``ci_oracle.reference_factor`` of the generator's Pauli strings, which ties
+each kind's rule to its strings, and raise the same leak error where the
+oracle does. That the factor is a Hermitian signed permutation with G^3 = G,
+which the build no longer checks, is asserted on its sparse matrix; its
+rotation is checked against the matrix exponential and against the sparse
+G^3 = G formula in ``ci_oracle.reference_rotate``. The
+prepared circuit keeps the last forward state, the signed input of each
+rotation and H times the state; the cache tests require bit-equal results to
+a fresh ansatz however the parameters change between calls, and count one
+sector mat-vec and one sweep each way per parameter point. Examples are
+derandomized.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe import simulator
-from pnovqe.ansatz import PNO_VARIANTS
+from pnovqe.ansatz import GENERATOR_KINDS, PNO_VARIANTS
 from pnovqe.exact import SectorBasis
 from pnovqe.simulator import _factors, _rotate, _sector_state
 
 from ci_oracle import (
-    kron_string, random_integral_set, reference_factor, reference_register_shift_gradient,
-    reference_rotate, register_basis,
+    random_integral_set, reference_factor, reference_register_shift_gradient, reference_rotate,
 )
 
 FACTORS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+ORACLE = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 CACHE = settings(derandomize=True, database=None, max_examples=10, deadline=None)
 
 angles = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
 
 
-def one_factor(strings, basis):
-    return _factors((strings,), basis)[0]
+def one_factor(gen, basis):
+    return _factors((gen,), basis)[0]
 
 
 def random_state(dim: int, seed: int) -> np.ndarray:
@@ -45,180 +49,190 @@ def random_state(dim: int, seed: int) -> np.ndarray:
 
 
 @st.composite
-def sector_generators(draw):
-    """(strings, basis) for a pair double or single on a random (N, S_z) sector."""
+def generator_cases(draw, subsets: bool = True, kinds=GENERATOR_KINDS, closed: bool = False):
+    """(generator, basis) from make_pair_double, make_single or make_paired_rotation.
+
+    The generator is of one of ``kinds``. The basis is an N sector, an
+    (N, S_z) sector of a spin-orbital register or, with ``subsets``, a random
+    subset of the register that is closed under the generator's X mask or
+    not (always closed with ``closed``).
+    """
+    kind = draw(st.sampled_from(kinds))
     n_spatial = draw(st.integers(2, 4))
-    p, q = sorted(draw(st.lists(st.integers(0, n_spatial - 1), min_size=2, max_size=2,
-                                unique=True)))
-    if draw(st.booleans()):
-        gen = pq.make_pair_double(p, q, n_spatial)
+    i, a = draw(st.lists(st.integers(0, n_spatial - 1), min_size=2, max_size=2, unique=True))
+    if kind == "pair_double":
+        gen, n = pq.make_pair_double(i, a, n_spatial), 2 * n_spatial
+    elif kind == "single":
+        gen, n = pq.make_single(i, a, draw(st.integers(0, 1)), n_spatial), 2 * n_spatial
     else:
-        gen = pq.make_single(p, q, draw(st.integers(0, 1)), n_spatial)
-    n_particles = draw(st.integers(0, 2 * n_spatial))
-    n_up = draw(st.integers(max(0, n_particles - n_spatial), min(n_particles, n_spatial)))
-    two_sz = draw(st.sampled_from([None, 2 * n_up - n_particles]))
-    return gen.strings, pq.sector_basis(2 * n_spatial, n_particles, two_sz)
+        gen, n = pq.make_paired_rotation(i, a, n_spatial), n_spatial
+    mask = st.integers(0, (1 << n) - 1)
+    shape = draw(st.sampled_from(["sector", "subset"] if subsets else ["sector"]))
+    if shape == "subset":
+        states = set(draw(st.lists(mask, min_size=1, max_size=40, unique=True)))
+        if closed or draw(st.booleans()):
+            x = gen.strings[0][0].x    # every string of an excitation flips the same qubits
+            states |= {s ^ x for s in states}
+        return gen, SectorBasis(n, np.array(sorted(states), dtype=np.int64))
+    n_particles = draw(st.integers(0, n))
+    if kind == "paired_double" or draw(st.booleans()):
+        return gen, pq.sector_basis(n, n_particles)
+    n_up = draw(st.integers(max(0, n_particles - n // 2), min(n_particles, n // 2)))
+    return gen, pq.sector_basis(n, n_particles, 2 * n_up - n_particles)
 
 
-@st.composite
-def register_strings(draw):
-    """(strings, basis) for one Pauli string, diagonal ones included, on the register."""
-    n = draw(st.integers(1, 5))
-    x = draw(st.sampled_from([0, draw(st.integers(0, (1 << n) - 1))]))
-    z = draw(st.integers(0, (1 << n) - 1))
-    return ((pq.PauliString(n, x, z), 1.0),), register_basis(n)
+def factor_outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
-def check_factor(strings, basis, angle, seed):
-    gen = sum((pq.QubitOperator.from_string(s, c) for s, c in strings),
-              pq.QubitOperator(basis.n_qubits))
-    g = gen.matrix(basis.states)
+def assert_matches_oracle(factor, strings, basis):
+    """The factor is the oracle's: the same rows and columns, signs -i times its entries, float64."""
+    rows, cols, phases = reference_factor(strings, basis)
+    expected = -1j * phases
+    assert not expected.imag.any()
+    assert np.array_equal(factor[0], rows) and np.array_equal(factor[1], cols)
+    assert factor[2].dtype == np.float64 and np.array_equal(factor[2], expected.real)
+
+
+@ORACLE
+@given(generator_cases())
+def test_factor_matches_the_oracle_of_its_strings(case):
+    gen, basis = case
+    expected = factor_outcome(reference_factor, gen.strings, basis)
+    if isinstance(expected, str):
+        assert expected == "generator maps a basis state outside the basis"
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            one_factor(gen, basis)
+    else:
+        assert_matches_oracle(one_factor(gen, basis), gen.strings, basis)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@FACTORS
+@given(data=st.data())
+def test_factor_is_a_hermitian_signed_permutation_with_g_cubed_equal_to_g(kind, data):
+    # the checks the factor build no longer runs must hold by construction:
+    # one entry +-i per row, G Hermitian, the support closed and G^3 = G
+    gen, basis = data.draw(generator_cases(kinds=(kind,), closed=True))
+    rows, cols, signs = one_factor(gen, basis)
+    assert signs.dtype == np.float64 and np.array_equal(np.abs(signs), np.ones(rows.size))
+    assert np.array_equal(np.unique(rows), rows) and np.array_equal(np.sort(cols), rows)
+    g = scipy.sparse.csr_matrix((1j * signs, (rows, cols)), shape=(basis.dim, basis.dim))
+    assert (g - g.conj().T).count_nonzero() == 0
+    assert (g @ g @ g - g).count_nonzero() == 0
+    projector = np.zeros(basis.dim)
+    projector[rows] = 1.0
+    assert np.array_equal((g @ g).toarray(), np.diag(projector).astype(complex))
+
+
+def every_generator(kind: str, n_spatial: int):
+    """Every generator of one kind that the makers build on n_spatial orbitals."""
+    pairs = [(i, a) for i in range(n_spatial) for a in range(n_spatial) if i != a]
+    if kind == "pair_double":
+        return [pq.make_pair_double(i, a, n_spatial) for i, a in pairs]
+    if kind == "single":
+        return [pq.make_single(i, a, spin, n_spatial) for i, a in pairs for spin in (0, 1)]
+    return [pq.make_paired_rotation(i, a, n_spatial) for i, a in pairs]
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_every_generator_matches_the_oracle_on_every_sector(kind):
+    n_spatial = 3
+    n = n_spatial if kind == "paired_double" else 2 * n_spatial
+    bases = [pq.sector_basis(n, n_particles) for n_particles in range(n + 1)]
+    if kind != "paired_double":
+        bases += [pq.sector_basis(n, n_up + n_down, n_up - n_down)
+                  for n_up in range(n_spatial + 1) for n_down in range(n_spatial + 1)]
+    for gen in every_generator(kind, n_spatial):
+        for basis in bases:
+            assert_matches_oracle(one_factor(gen, basis), gen.strings, basis)
+
+
+LEAK = "generator maps a basis state outside the basis"
+
+
+@pytest.mark.parametrize("gen, state", [
+    (pq.make_pair_double(0, 2, 3), 0b000011),
+    (pq.make_single(0, 2, 1, 3), 0b000110),
+    (pq.make_paired_rotation(0, 2, 3), 0b001),
+], ids=GENERATOR_KINDS)
+def test_each_kind_refuses_a_basis_without_its_image(gen, state):
+    basis = SectorBasis(gen.strings[0][0].n_qubits, np.array([state], dtype=np.int64))
+    with pytest.raises(ValueError, match=f"^{LEAK}$"):
+        one_factor(gen, basis)
+    with pytest.raises(ValueError, match=f"^{LEAK}$"):
+        reference_factor(gen.strings, basis)
+
+
+def test_first_leaking_generator_of_a_set_raises():
+    # on {|0011>, |1100>} the pair double 0 -> 1 is closed and the single 0 -> 1 leaks
+    basis = SectorBasis(4, np.array([0b0011, 0b1100], dtype=np.int64))
+    closed, leaking = pq.make_pair_double(0, 1, 2), pq.make_single(0, 1, 0, 2)
+    for generators in ([closed, leaking], [leaking, closed], [closed, leaking, closed]):
+        with pytest.raises(ValueError, match=f"^{LEAK}$"):
+            _factors(generators, basis)
+    (factor,) = _factors([closed], basis)
+    assert_matches_oracle(factor, closed.strings, basis)
+
+
+def pno_space():
+    """Two occupied orbitals with one and two diagonal-pair PNOs: 10 qubits."""
+    return pq.OrbitalSpace(n_total=5, occupied=(0, 1),
+                           pno_assignment={2: (0, 0), 3: (1, 1), 4: (1, 1)},
+                           transform=np.eye(5))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pq.build_upccgsd(4, 4),
+    lambda: pq.build_upccgsd(3, 2, layers=2),
+    *(lambda variant=variant: pq.build_pno_ansatz(pno_space(), variant)
+      for variant in PNO_VARIANTS),
+    lambda: pq.build_paired_ansatz((0,), [(0, 1), (0, 2), (0, 3)], 4),
+], ids=["upccgsd", "upccgsd-k2", *PNO_VARIANTS, "paired"])
+def test_circuit_factors_match_the_oracle_on_their_sector(build):
+    ansatz = build()    # a fresh ansatz, so its circuit is prepared here
+    basis = pq.sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
+    circuit = simulator._prepared(ansatz, basis)
+    assert len(circuit.factors) == ansatz.n_parameters
+    for gen, factor in zip(ansatz.generators, circuit.factors):
+        assert_matches_oracle(factor, gen.strings, basis)
+    assert circuit.reference.dtype == np.float64
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pq.build_upccgsd(4, 4),
+    lambda: pq.build_upccgsd(3, 2, layers=2),
+    *(lambda variant=variant: pq.build_pno_ansatz(pno_space(), variant)
+      for variant in PNO_VARIANTS),
+], ids=["upccgsd", "upccgsd-k2", *PNO_VARIANTS])
+def test_circuit_factors_match_the_oracle_on_the_n_sector(build):
+    # the N sector holds every S_z of the reference's N, so each factor has more rows
+    ansatz = build()
+    basis = pq.sector_basis(ansatz.n_qubits, len(ansatz.reference))
+    factors = simulator._prepared(ansatz, basis).factors
+    for gen, factor in zip(ansatz.generators, factors, strict=True):
+        assert_matches_oracle(factor, gen.strings, basis)
+
+
+def check_factor(gen, basis, angle, seed):
+    gen_op = sum((pq.QubitOperator.from_string(s, c) for s, c in gen.strings),
+                 pq.QubitOperator(basis.n_qubits))
+    g = gen_op.matrix(basis.states)
     vec = random_state(basis.dim, seed)
-    factor = one_factor(strings, basis)
     got = vec.copy()
-    _rotate(got, factor, angle)
+    _rotate(got, one_factor(gen, basis), angle)
     expected = scipy.linalg.expm(-0.5j * angle * g.toarray()) @ vec
     np.testing.assert_allclose(got, expected, atol=1e-12)
     np.testing.assert_allclose(got, reference_rotate(vec, g, angle), atol=1e-12)
 
 
 @FACTORS
-@given(sector_generators(), angles, st.integers(0, 2**16))
+@given(generator_cases(subsets=False), angles, st.integers(0, 2**16))
 def test_excitation_factor_matches_expm_and_reference(case, angle, seed):
     check_factor(*case, angle, seed)
-
-
-@FACTORS
-@given(register_strings(), angles, st.integers(0, 2**16))
-def test_pauli_string_factor_matches_expm_and_reference(case, angle, seed):
-    check_factor(*case, angle, seed)
-
-
-def test_generator_mapping_to_a_superposition_is_rejected():
-    # G = (X0 + X1)/2 has G^3 = G and keeps the register closed, but maps
-    # |0000> to (|0001> + |0010>)/2
-    strings = tuple((pq.PauliString.from_label(4, label), 0.5) for label in ("X0", "X1"))
-    with pytest.raises(ValueError, match="superposition"):
-        one_factor(strings, register_basis(4))
-    check_same_outcome(strings, register_basis(4))
-
-
-@st.composite
-def any_generators(draw):
-    """(strings, basis): real Pauli sums, valid or not, on the register, a sector or a subset."""
-    n = draw(st.integers(1, 4))
-    mask = st.integers(0, (1 << n) - 1)
-    weights = st.sampled_from([0.5, -0.5, 1.0, -1.0, 0.25, 2.0 ** -0.5, 0.7])
-    terms = draw(st.dictionaries(st.tuples(mask, mask), weights, min_size=1, max_size=4))
-    strings = tuple((pq.PauliString(n, x, z), c) for (x, z), c in terms.items())
-    kind = draw(st.sampled_from(["register", "sector", "subset"]))
-    if kind == "register":
-        return strings, register_basis(n)
-    if kind == "sector":
-        return strings, pq.sector_basis(n, draw(st.integers(0, n)))
-    states = draw(st.lists(mask, min_size=1, max_size=1 << n, unique=True))
-    return strings, SectorBasis(n, np.array(sorted(states), dtype=np.int64))
-
-
-def factor_outcome(build, strings, basis):
-    try:
-        return build(strings, basis)
-    except ValueError as exc:
-        return str(exc)
-
-
-def check_same_outcome(strings, basis):
-    got = factor_outcome(one_factor, strings, basis)
-    expected = factor_outcome(reference_factor, strings, basis)
-    if isinstance(expected, str):
-        assert got == expected
-    else:
-        assert not isinstance(got, str), got
-        rows, cols, phases = expected
-        assert np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
-        assert np.array_equal(got[2], -1j * phases)
-
-
-@FACTORS
-@given(any_generators())
-def test_factor_checks_agree_with_the_sparse_products(case):
-    check_same_outcome(*case)
-
-
-@FACTORS
-@given(st.one_of(sector_generators(), register_strings()))
-def test_valid_factors_agree_with_the_sparse_products(case):
-    check_same_outcome(*case)
-
-
-@pytest.mark.parametrize("labels, coeff, basis, message", [
-    (("X0",), 1.0, pq.sector_basis(4, 2), "outside the basis"),
-    (("X0",), 2.0, register_basis(1), r"G\^3 = G"),
-    # X0 + Z0 and X0 + X1 fail G^3 = G too, but map to superpositions first
-    (("X0", "Z0"), 0.5, register_basis(1), "superposition"),
-    (("X0", "X1"), 1.0, register_basis(2), "superposition"),
-    (("X0", "X1"), 0.5, register_basis(2), "superposition"),
-    (("X0", "Z0"), 2.0 ** -0.5, register_basis(1), "superposition"),
-])
-def test_each_rejection_matches_the_sparse_products(labels, coeff, basis, message):
-    strings = tuple((pq.PauliString.from_label(basis.n_qubits, label), coeff) for label in labels)
-    with pytest.raises(ValueError, match=message):
-        one_factor(strings, basis)
-    check_same_outcome(strings, basis)
-
-
-def test_cyclic_generator_is_refused_as_non_hermitian():
-    # G = |1><0| + |2><1| + |0><2| keeps the register closed and has one
-    # entry per row, and G^3 is the identity on its support; its Pauli
-    # coefficients are complex, which is refused first
-    cycle = np.zeros((4, 4))
-    cycle[1, 0] = cycle[2, 1] = cycle[0, 2] = 1.0
-    strings = []
-    for x in range(4):
-        for z in range(4):
-            string = pq.PauliString(2, x, z)
-            coeff = np.trace(kron_string(string) @ cycle) / 4
-            if abs(coeff) > 1e-12:
-                strings.append((string, complex(coeff)))
-    assert any(c.imag for _, c in strings)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        one_factor(tuple(strings), register_basis(2))
-    check_same_outcome(tuple(strings), register_basis(2))
-
-
-@st.composite
-def complex_generators(draw):
-    """(strings, basis): Pauli sums with complex weights, mostly not Hermitian."""
-    strings, basis = draw(any_generators())
-    weights = st.sampled_from([0.5j, -0.5j, 0.5 + 0.5j, 1.0, 0.5, -1.0j])
-    return tuple((s, draw(weights)) for s, _ in strings), basis
-
-
-@FACTORS
-@given(complex_generators())
-def test_complex_weight_generators_are_refused_as_non_hermitian(case):
-    strings, basis = case
-    if any(c.imag for _, c in strings):
-        with pytest.raises(ValueError, match=r"^generator is not Hermitian \(complex coefficients\)$"):
-            one_factor(strings, basis)
-    check_same_outcome(strings, basis)
-
-
-def test_raising_operator_is_refused_as_non_hermitian():
-    # G = (X0 - i Y0)/2 = |1><0| maps |0> out of the basis {|0>} and never
-    # back, so PG^2P = (PGP)^2 = 0 although ||G|0>|| = 1; an empty factor
-    # would leave every energy at the reference's and every gradient at 0
-    strings = ((pq.PauliString.from_label(1, "X0"), 0.5), (pq.PauliString.from_label(1, "Y0"), -0.5j))
-    with pytest.raises(ValueError, match="not Hermitian"):
-        one_factor(strings, SectorBasis(1, np.array([0], dtype=np.int64)))
-    gen = pq.ExcitationGenerator(kind="single", orbitals=(0, 0), spin=0, strings=strings)
-    ansatz = pq.Ansatz(generators=(gen,), n_qubits=1, reference=(), name="raising")
-    z0 = pq.QubitOperator.from_string(pq.PauliString.from_label(1, "Z0"))
-    for theta in (0.0, 0.7, 2.0):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            pq.ansatz_expectation(z0, ansatz, [theta])
-        with pytest.raises(ValueError, match="not Hermitian"):
-            pq.gradient(z0, ansatz, [theta])
 
 
 def small_problem(seed: int):
@@ -342,19 +356,18 @@ def test_one_mat_vec_and_one_backward_sweep_per_parameter_point(monkeypatch):
     assert (len(products), len(rotations)) == (2, 3 * k)
 
 
-def hop(p: int, q: int, n_qubits: int):
-    """a+_p a_q + a+_q a_p on same-spin qubits p < q: real entries, so its signs are imaginary."""
-    z = "".join(f" Z{j}" for j in range(p + 1, q))
-    label = pq.PauliString.from_label
-    strings = ((label(n_qubits, f"X{p}{z} X{q}"), 0.5), (label(n_qubits, f"Y{p}{z} Y{q}"), 0.5))
-    return pq.ExcitationGenerator(kind="single", orbitals=(p // 2, q // 2), spin=p % 2,
-                                  strings=strings)
-
-
 @st.composite
 def sweep_circuits(draw, kind: str):
-    """(operator, ansatz, theta) on a random integral set: UpCCGSD, a PNO variant or complex signs."""
+    """(operator, ansatz, theta) on a random integral set: UpCCGSD, a PNO variant or paired."""
     seed = draw(st.integers(0, 10_000))
+    if kind == "paired":
+        mo = random_integral_set(4, 4, seed)
+        pairs = draw(st.lists(st.sampled_from([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)]),
+                              min_size=1, max_size=6))
+        ansatz = pq.build_paired_ansatz((0, 1), pairs, 4)
+        theta = draw(st.lists(st.floats(-np.pi, np.pi, allow_nan=False),
+                              min_size=ansatz.n_parameters, max_size=ansatz.n_parameters))
+        return pq.build_paired_hamiltonian(mo), ansatz, np.array(theta)
     if kind in PNO_VARIANTS:
         mo = random_integral_set(4, draw(st.sampled_from([2, 4])), seed, with_energies=True)
         pnos = pq.select_pnos(pq.pair_densities(pq.mp2_amplitudes(mo)), 6,
@@ -365,17 +378,13 @@ def sweep_circuits(draw, kind: str):
     else:
         mo = random_integral_set(3, 2, seed)
         ansatz = pq.build_upccgsd(3, 2)
-        if kind == "complex":
-            generators = ansatz.generators
-            ansatz = pq.Ansatz(generators=(hop(0, 2, 6),) + generators[:3] + (hop(1, 5, 6),),
-                               n_qubits=6, reference=ansatz.reference, name="hops")
     hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 2 * mo.n_orb)
     theta = draw(st.lists(st.floats(-np.pi, np.pi, allow_nan=False),
                           min_size=ansatz.n_parameters, max_size=ansatz.n_parameters))
     return hq, ansatz, np.array(theta)
 
 
-@pytest.mark.parametrize("kind", ("UpCCGSD", "complex") + PNO_VARIANTS)
+@pytest.mark.parametrize("kind", ("UpCCGSD",) + PNO_VARIANTS + ("paired",))
 @CACHE
 @given(data=st.data(), gradient_first=st.booleans())
 def test_backward_sweep_matches_register_shift_rule(kind, data, gradient_first):
@@ -389,6 +398,6 @@ def test_backward_sweep_matches_register_shift_rule(kind, data, gradient_first):
     np.testing.assert_allclose(grad, reference_register_shift_gradient(hq, ansatz, theta),
                                atol=1e-10, rtol=0)
     (basis, circuit), = ansatz._prepared.items()
-    assert (circuit.reference.dtype == np.complex128) == (kind == "complex")
+    assert circuit.reference.dtype == np.float64
     psi, _ = simulator._evolve(circuit.reference.copy(), circuit.factors, theta)
     assert energy == float(np.vdot(psi, hq.matrix(basis.states) @ psi).real)

@@ -209,6 +209,27 @@ class TestMatrix:
         for basis in (pq.sector_basis(8, 4), pq.sector_basis(8, 4, 0), register_basis(8)):
             assert same_csr(hq.matrix(basis.states), stored(reference_matrix(hq, basis.states)))
 
+    @pytest.mark.parametrize("block", [1, 64, 1000])
+    def test_block_constant_changes_no_bit_of_a_hamiltonian(self, block):
+        # one X group per block, a few, or every group of a small sector in one
+        mo = random_integral_set(4, 4, 3)
+        hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 8)
+        for basis in (pq.sector_basis(8, 4), pq.sector_basis(8, 4, 0), register_basis(8)):
+            with mock.patch.object(operators, "_PAULI_BLOCK", block):
+                got = QubitOperator(8, dict(hq.raw_items())).matrix(basis.states)
+            assert same_csr(got, stored(reference_matrix(hq, basis.states)))
+
+    def test_entries_sum_their_terms_in_ascending_z_order(self):
+        # on |000> and |111> the entries are +-(0.1 + 0.2 + 0.7): 1.0 summed in
+        # ascending Z order, 0.9999999999999999 in descending order
+        total = ((0.0 + 0.1) + 0.2) + 0.7
+        assert total != ((0.0 + 0.7) + 0.2) + 0.1
+        for order in ((2, 0, 1), (0, 1, 2), (2, 1, 0)):
+            weights = {0: 0.1, 1: 0.2, 2: 0.7}
+            op = QubitOperator(3, {(0, 1 << j): weights[j] for j in order})
+            mat = op.matrix(np.array([0b000, 0b111], dtype=np.int64))
+            assert mat.toarray().diagonal().tolist() == [total, -total]
+
 
 @st.composite
 def text_operators(draw):

@@ -18,7 +18,7 @@ from pnovqe.operators import QubitOperator
 from pnovqe.simulator import _factors, _rotate, _sector_state, ansatz_expectation
 
 from ci_oracle import (
-    embed, finite_difference_gradient, kron_expectation, kron_string, kron_sum,
+    embed, finite_difference_gradient, kron_expectation, kron_sum,
     random_integral_set, reference_register_shift_gradient, register_basis,
 )
 
@@ -27,11 +27,22 @@ def empty_circuit(n_qubits, reference) -> pq.Ansatz:
     return pq.Ansatz(generators=(), n_qubits=n_qubits, reference=tuple(reference), name="none")
 
 
-def rotate(vec, string, angle, basis=None):
-    """exp(-i angle/2 P) on ``vec`` in place, by the engine's factor of P on ``basis`` (the register by default)."""
-    basis = register_basis(string.n_qubits) if basis is None else basis
-    _rotate(vec, _factors((((string, 1.0),),), basis)[0], angle)
+def rotate(vec, gen, angle, basis=None):
+    """exp(-i angle/2 G) on ``vec`` in place, by the engine's factor of G on ``basis`` (the register by default)."""
+    basis = register_basis(gen.strings[0][0].n_qubits) if basis is None else basis
+    _rotate(vec, _factors((gen,), basis)[0], angle)
     return vec
+
+
+def random_generator(rng, n_spatial: int, paired: bool = True):
+    """A pair double, single or (with ``paired``) paired rotation of random orbitals of n_spatial."""
+    i, a = (int(k) for k in rng.choice(n_spatial, size=2, replace=False))
+    kind = int(rng.integers(0, 3 if paired else 2))
+    if kind == 0:
+        return pq.make_pair_double(i, a, n_spatial)
+    if kind == 1:
+        return pq.make_single(i, a, int(rng.integers(0, 2)), n_spatial)
+    return pq.make_paired_rotation(i, a, n_spatial)
 
 
 class TestPrepareReference:
@@ -55,64 +66,95 @@ class TestPrepareReference:
         assert energy == pytest.approx(h2_sto3g["scf"].total_energy, abs=1e-10)
 
 
-class TestPauliRotation:
+class TestExcitationRotation:
     def test_zero_angle_identity(self):
-        state = embed(register_basis(3), np.zeros(8))
-        state[0b101] = 1.0
+        state = embed(register_basis(4), np.zeros(16))
+        state[0b0101] = 1.0
         before = state.copy()
-        rotate(state, pq.PauliString.from_label(3, "X1 Z2"), 0.0)
+        rotate(state, pq.make_single(0, 1, 0, 2), 0.0)
         np.testing.assert_array_equal(state, before)
 
-    def test_x_rotation_pi(self):
-        state = np.array([1.0, 0.0], dtype=complex)
-        rotate(state, pq.PauliString.from_label(1, "X0"), np.pi)
-        np.testing.assert_allclose(state, [0.0, -1.0j], atol=1e-15)
+    def test_pair_rotation_pi(self):
+        # exp(-i pi/2 G) sends |i> to -i G|i> = |a> for G = i(P+_a P_i - P+_i P_a)
+        state = np.array([0.0, 1.0, 0.0, 0.0])
+        rotate(state, pq.make_paired_rotation(0, 1, 2), np.pi)
+        np.testing.assert_allclose(state, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
+
+    @staticmethod
+    def rotated_pi(gen, occupied):
+        """exp(-i pi/2 G) on the register determinant with the listed qubits occupied."""
+        state = np.zeros(1 << gen.strings[0][0].n_qubits)
+        state[sum(1 << q for q in occupied)] = 1.0
+        return rotate(state, gen, np.pi)
+
+    @staticmethod
+    def determinant(n_qubits, occupied, sign):
+        state = np.zeros(1 << n_qubits)
+        state[sum(1 << q for q in occupied)] = sign
+        return state
+
+    @pytest.mark.parametrize("occupied, image, sign", [
+        ((0,), (4,), 1.0),
+        ((0, 1), (1, 4), -1.0),       # one occupied spin-orbital between qubits 0 and 4
+        ((0, 1, 3), (1, 3, 4), 1.0),  # two
+        ((0, 5), (4, 5), 1.0),        # qubit 5 is not between
+    ])
+    def test_single_rotation_pi_carries_the_parity_between(self, occupied, image, sign):
+        # exp(-i pi/2 G)|s> = (E - E^dag)|s> = a+_4 a_0|s> for the spin-up single 0 -> 2
+        got = self.rotated_pi(pq.make_single(0, 2, 0, 3), occupied)
+        np.testing.assert_allclose(got, self.determinant(6, image, sign), atol=1e-15)
+
+    @pytest.mark.parametrize("occupied, image, sign", [
+        ((0, 1), (4, 5), 1.0),
+        ((0, 1, 2), (2, 4, 5), 1.0),      # the two spin hops cross qubit 2 alike
+        ((0, 1, 2, 3), (2, 3, 4, 5), 1.0),
+        ((4, 5), (0, 1), -1.0),           # E^dag: |a a> goes to -|i i>
+    ])
+    def test_pair_double_rotation_pi_has_no_parity_sign(self, occupied, image, sign):
+        got = self.rotated_pi(pq.make_pair_double(0, 2, 3), occupied)
+        np.testing.assert_allclose(got, self.determinant(6, image, sign), atol=1e-15)
 
     def test_random_rotations_match_expm(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            n = 4
-            x, z = int(rng.integers(0, 16)), int(rng.integers(0, 16))
-            string = pq.PauliString(n, x, z)
+            gen = random_generator(rng, 3)
+            n = gen.strings[0][0].n_qubits
             theta = float(rng.uniform(-3, 3))
-            vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
             vec /= np.linalg.norm(vec)
-            got = rotate(vec.copy(), string, theta)
-            u = scipy.linalg.expm(-0.5j * theta * kron_string(string))
+            got = rotate(vec.copy(), gen, theta)
+            u = scipy.linalg.expm(-0.5j * theta * kron_sum(gen.strings, n))
             np.testing.assert_allclose(got, u @ vec, atol=1e-12)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))),
-        st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False), st.integers(0, 2**32 - 1))
-    def test_rotation_has_the_bits_of_the_factor_rotation(self, masks, angle, seed):
-        # on a subset that P keeps closed (a union of pairs {b, b ^ x}), the
-        # rotation has the bits of the register rotation on those states
-        n, x, z = masks
-        string = pq.PauliString(n, x, z)
+    @given(st.integers(2, 4), st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False),
+           st.integers(0, 2**32 - 1))
+    def test_rotation_has_the_bits_of_the_register_rotation(self, n_spatial, angle, seed):
+        # on a subset that G keeps closed (states with each one's image under
+        # G), the rotation has the bits of the register rotation on those states
         rng = np.random.default_rng(seed)
-        vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        vec[rng.random(1 << n) < 0.3] = 0.0     # zero amplitudes, whose sign shows in the bits
+        gen = random_generator(rng, n_spatial)
+        register = register_basis(gen.strings[0][0].n_qubits)
+        vec = rng.standard_normal(register.dim) + 1j * rng.standard_normal(register.dim)
+        vec[rng.random(register.dim) < 0.3] = 0.0     # zero amplitudes, whose sign shows in the bits
         vec /= np.linalg.norm(vec) or 1.0
-        expected = rotate(vec.copy(), string, angle)
-        seeds = np.flatnonzero(rng.random(1 << n) < 0.5)
-        states = np.unique(np.concatenate([seeds, seeds ^ x])).astype(np.int64)
-        if states.size == 0:
-            states = np.array([0, x], dtype=np.int64) if x else np.array([0], dtype=np.int64)
-        subset = SectorBasis(n, states)
-        got = rotate(vec[states].copy(), string, angle, subset)
+        expected = rotate(vec.copy(), gen, angle)
+        rows, cols, _ = _factors((gen,), register)[0]
+        partner = np.arange(register.dim)
+        partner[rows] = cols
+        seeds = np.flatnonzero(rng.random(register.dim) < 0.5)
+        states = np.unique(np.concatenate([[0], seeds, partner[seeds]])).astype(np.int64)
+        subset = SectorBasis(register.n_qubits, states)
+        got = rotate(vec[states].copy(), gen, angle, subset)
         # the same bits, signed zeros included
         assert np.array_equal(got.view(np.uint64), expected[states].view(np.uint64))
 
     def test_norm_preserved_through_sequences(self):
         rng = np.random.default_rng(6)
-        state = embed(register_basis(5), np.zeros(32))
-        state[0b01001] = 1.0
+        state = embed(register_basis(6), np.zeros(64))
+        state[0b001011] = 1.0
         for _ in range(60):
-            string = pq.PauliString(
-                5, int(rng.integers(0, 32)), int(rng.integers(0, 32))
-            )
-            rotate(state, string, float(rng.uniform(-3, 3)))
+            rotate(state, random_generator(rng, 3, paired=False), float(rng.uniform(-3, 3)))
         assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
 
@@ -249,28 +291,3 @@ class TestSectorEngine:
         finally:
             tracemalloc.stop()
         assert peak < (1 << 16) * 16
-
-    @staticmethod
-    def one_generator_ansatz(labels):
-        strings = tuple((pq.PauliString.from_label(4, label), 1.0) for label in labels)
-        gen = pq.ExcitationGenerator(kind="single", orbitals=(0, 1), spin=0, strings=strings)
-        return pq.Ansatz(generators=(gen,), n_qubits=4, reference=(0, 1), name="bad")
-
-    @pytest.mark.parametrize("labels", [("X0",), ("X0", "Z0")])
-    def test_generator_that_breaks_the_engine_is_rejected(self, h2_sto3g, labels):
-        # X0 satisfies G^3 = G but changes the particle number; X0 + Z0
-        # leaves the sector too and has G^3 = 2G
-        ansatz = self.one_generator_ansatz(labels)
-        hq = h2_sto3g["hamiltonian"]
-        with pytest.raises(ValueError, match="outside the basis"):
-            ansatz_expectation(hq, ansatz, [0.3])
-        with pytest.raises(ValueError, match="outside the basis"):
-            pq.gradient(hq, ansatz, [0.3])
-
-    def test_generator_without_cubic_identity_is_rejected_on_the_register(self):
-        # 2 X0 has G^3 = 4G; on the whole register it leaves no state outside
-        # the basis and maps each state to one state, so the cubic identity
-        # is what refuses it
-        strings = ((pq.PauliString.from_label(4, "X0"), 2.0),)
-        with pytest.raises(ValueError, match=r"G\^3 = G"):
-            _factors((strings,), register_basis(4))

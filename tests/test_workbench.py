@@ -261,6 +261,14 @@ class TestRunPoint:
         assert record["e_vqe"] == pytest.approx(record["e_hf"], abs=1e-10)
         assert record["n_parameters"] == 0
 
+    def test_point_past_the_exact_solve_cap_is_refused_before_the_vqe(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(pq.exact, "_MAX_SECTOR_QUBITS", 2)
+        monkeypatch.setattr(workbench, "run_vqe", lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(ValueError, match="limited to 2 qubits"):
+            pq.run_point(h2_config())
+        assert ran == []
+
     def test_fcidump_source_with_freeze(self, tmp_path, lih_like):
         path = tmp_path / "lih.fcidump"
         pq.write_fcidump(lih_like["mo"], path)
@@ -407,6 +415,14 @@ class TestRunCurve:
         assert curve.failures == 1
         assert "error" in curve.points[0]
         assert "e_vqe" in curve.points[1]
+
+    def test_points_past_the_exact_solve_cap_are_recorded_without_a_vqe(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(pq.exact, "_MAX_SECTOR_QUBITS", 2)
+        monkeypatch.setattr(workbench, "run_vqe", lambda *args, **kwargs: ran.append(args))
+        curve = pq.run_curve(h2_config(xyz=H2_INLINE, scan=(0.7, 0.74)))
+        assert curve.failures == 2 and ran == []
+        assert all("limited to 2 qubits" in point["error"] for point in curve.points)
 
     def test_fcidump_path_template_scan(self, tmp_path):
         grid = (1.2, 1.6)
