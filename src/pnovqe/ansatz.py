@@ -1,12 +1,14 @@
 """Fermionic excitation generators and unitary pair-coupled-cluster ansaetze.
 
-Every generator G is Hermitian (the factor i of the anti-Hermitian cluster
-operator is absorbed), its Jordan-Wigner image is a set of mutually
-commuting Pauli strings with real coefficients, and G^3 = G. The circuit
-exp(-i theta/2 G) therefore compiles exactly into a product of Pauli
-rotations, one per string, with no Trotter error; the strings give the CNOT
-counts and the S_z test. On determinants G is a signed permutation fixed by
-its kind, orbitals and spin, which is how the simulator applies it.
+Every generator G = i(E - E^dag) is Hermitian (the factor i of the
+anti-Hermitian cluster operator is absorbed) and is fixed by its
+excitation E: the qubits E empties, those it fills, and the qubits whose
+parity signs it (``ExcitationGenerator.masks``). Its Jordan-Wigner image is
+a set of mutually commuting Pauli strings with real coefficients, and G^3 =
+G, so the circuit exp(-i theta/2 G) compiles exactly into a product of
+Pauli rotations, one per string, with no Trotter error. The masks give
+that image in closed form (for the CNOT counts), the S_z test, and the
+signed permutation by which the simulator applies G to determinants.
 
 Operator ordering inside a product ansatz is fixed for reproducibility:
 pair-doubles block first, then generalized doubles, then singles, each block
@@ -19,32 +21,95 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .operators import FermionOperator, jordan_wigner
+from .operators import PauliString
 from .pno import OrbitalSpace
 
 PNO_VARIANTS = ("UpCCD", "UpCCSD", "UpCCGD")
 GENERATOR_KINDS = ("pair_double", "single", "paired_double")
 
 
+def _two_sz(qubits) -> int:
+    """n_up - n_down of the listed qubits: qubit 2p is spin up and 2p + 1 spin down."""
+    return sum(1 - 2 * (q % 2) for q in qubits)
+
+
+def _qubits(mask: int) -> list:
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
 @dataclass(frozen=True)
 class ExcitationGenerator:
     """One Hermitian excitation generator i(E - E^dag), E moving orbital i's electrons to a.
 
-    ``kind`` names E: a pair double (both spins), a single (one spin) or a
-    hard-core pair rotation of the paired encoding (one qubit per spatial
-    orbital). The simulator builds the factor from ``kind``, ``orbitals``
-    and ``spin``; ``strings`` is G's Pauli-string image, with real
-    coefficients.
+    ``kind`` names E: a pair double (both spins of spatial orbitals i and a,
+    qubits 2i, 2i+1 to 2a, 2a+1), a single (spin-orbital 2i+spin to
+    2a+spin) or a hard-core pair rotation of the paired encoding (qubit i
+    to qubit a, one qubit per spatial orbital), on a register of
+    ``n_qubits`` qubits. A spin is given for singles only. An unknown kind,
+    i == a and an orbital outside the register are refused.
     """
 
     kind: str             # one of GENERATOR_KINDS
     orbitals: tuple       # (i, a) spatial indices
-    spin: int | None      # 0 (up) / 1 (down) for singles, None for doubles
-    strings: tuple        # ((PauliString, real coefficient), ...)
+    spin: int | None      # 0 (up) / 1 (down) for singles, None for the other kinds
+    n_qubits: int         # the register
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown excitation kind {self.kind!r}")
+        if self.spin not in ((0, 1) if self.kind == "single" else (None,)):
+            raise ValueError(f"{self.kind} excitation cannot have spin {self.spin!r}")
+        i, a = self.orbitals
+        if i == a:
+            raise ValueError("excitation needs two distinct orbitals")
+        if min(i, a) < 0 or (self.masks[0] | self.masks[1]) >> self.n_qubits:
+            raise ValueError("excitation orbital outside the register")
+
+    @property
+    def masks(self) -> tuple:
+        """(emptied, filled, parity) qubit masks of E.
+
+        E empties the first mask and fills the second, with the sign of the
+        parity of the occupied qubits in the third: those strictly between
+        the two spin-orbitals of a single, none for the other kinds (the
+        interior parities of a pair double's two spin hops cancel).
+        """
+        i, a = self.orbitals
+        if self.kind == "paired_double":
+            return 1 << i, 1 << a, 0
+        if self.kind == "pair_double":
+            return 3 << 2 * i, 3 << 2 * a, 0
+        p, q = 2 * i + self.spin, 2 * a + self.spin
+        return 1 << p, 1 << q, (1 << max(p, q)) - (2 << min(p, q))
+
+    @cached_property
+    def strings(self) -> tuple:
+        """G's Jordan-Wigner image as ((PauliString, real coefficient), ...), by ascending Z mask.
+
+        E = Z_parity prod_filled s+ prod_emptied s-, with s+- = (X -+ iY)/2,
+        so G = i(E - E^dag) has one string for each odd-size subset S of the
+        L flipped qubits: X on the others, Y on S and Z on the parity
+        qubits, with coefficient 2^(1-L) (-1)^((|S|+1)/2) prod_{j in S} c_j,
+        c_j = -1 on filled qubits and +1 on emptied ones.
+        """
+        emptied, filled, parity = self.masks
+        flip = emptied | filled
+        flipped = _qubits(flip)
+        scale = 2.0 ** (1 - len(flipped))
+        strings = []
+        for pick in range(1 << len(flipped)):    # subsets in ascending mask order
+            subset = sum(1 << q for k, q in enumerate(flipped) if pick >> k & 1)
+            size = subset.bit_count()
+            if size % 2:
+                sign = (-1) ** ((size + 1) // 2 + (subset & filled).bit_count())
+                strings.append((PauliString(self.n_qubits, flip, subset | parity), sign * scale))
+        return tuple(strings)
+
+    @property
+    def commutes_with_sz(self) -> bool:
+        """[S_z, G] = 0: E fills as many spin-up (even) and spin-down (odd) qubits as it empties."""
+        emptied, filled, _ = self.masks
+        return _two_sz(_qubits(emptied)) == _two_sz(_qubits(filled))
 
     @property
     def label(self) -> str:
@@ -72,6 +137,8 @@ class Ansatz:
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.reference, self.reference[1:])):
             raise ValueError("reference occupation must be strictly increasing")
+        if any(g.n_qubits != self.n_qubits for g in self.generators):
+            raise ValueError("generator register differs from the ansatz register")
 
     @cached_property
     def two_sz(self) -> int | None:
@@ -81,38 +148,9 @@ class Ansatz:
         reference in the (N, S_z) sector when this is an integer and only in
         its N sector otherwise; an odd register has no spin pairs.
         """
-        if self.n_qubits % 2 or not all(_commutes_with_sz(g.strings) for g in self.generators):
+        if self.n_qubits % 2 or not all(g.commutes_with_sz for g in self.generators):
             return None
-        return sum(1 - 2 * (q % 2) for q in self.reference)
-
-
-def _commutes_with_sz(strings) -> bool:
-    """[S_z, G] = 0 for G = sum_m c_m P_m and S_z = sum_j w_j Z_j, w_j = -1/4 (even j), +1/4 (odd j).
-
-    Z_j anticommutes with P_m = P(x_m, z_m) where x_m has bit j, and then
-    Z_j P_m = +-i P(x_m, z_m ^ 2^j), -i where z_m has bit j. The commutator
-    2 sum_m sum_{j in x_m} w_j c_m Z_j P_m vanishes iff each of those strings
-    collects a zero sum.
-    """
-    total: dict = {}
-    for string, coeff in strings:
-        x, z = string.x, string.z
-        for j in range(x.bit_length()):
-            if x >> j & 1:
-                key = (x, z ^ (1 << j))
-                sign = (1 if j % 2 else -1) * (-1 if z >> j & 1 else 1)
-                total[key] = total.get(key, 0.0) + sign * coeff
-    return all(abs(value) < 1e-12 for value in total.values())
-
-
-def _generator_strings(op: FermionOperator, n_qubits: int) -> tuple:
-    qubit_op = jordan_wigner(op, n_qubits)
-    strings = []
-    for string, coeff in qubit_op.items():
-        if abs(coeff.imag) > 1e-12:
-            raise ValueError("generator image has a complex coefficient")
-        strings.append((string, float(coeff.real)))
-    return tuple(strings)
+        return _two_sz(self.reference)
 
 
 def make_pair_double(i: int, a: int, n_spatial: int) -> ExcitationGenerator:
@@ -122,19 +160,7 @@ def make_pair_double(i: int, a: int, n_spatial: int) -> ExcitationGenerator:
     The Jordan-Wigner image is 8 weight-4 strings with coefficients +-1/8
     supported on qubits {2i, 2i+1, 2a, 2a+1}; interior parity chains cancel.
     """
-    if i == a:
-        raise ValueError("pair double needs two distinct spatial orbitals")
-    up_i, dn_i, up_a, dn_a = 2 * i, 2 * i + 1, 2 * a, 2 * a + 1
-    op = FermionOperator.from_terms([
-        (((up_a, True), (up_i, False), (dn_a, True), (dn_i, False)), 1.0j),
-        (((dn_i, True), (dn_a, False), (up_i, True), (up_a, False)), -1.0j),
-    ])
-    return ExcitationGenerator(
-        kind="pair_double",
-        orbitals=(i, a),
-        spin=None,
-        strings=_generator_strings(op, 2 * n_spatial),
-    )
+    return ExcitationGenerator("pair_double", (i, a), None, 2 * n_spatial)
 
 
 def make_single(p: int, q: int, spin: int, n_spatial: int) -> ExcitationGenerator:
@@ -144,19 +170,7 @@ def make_single(p: int, q: int, spin: int, n_spatial: int) -> ExcitationGenerato
     the two spin-orbitals: w = 2(q - p) + 1 for p < q in the interleaved
     ordering.
     """
-    if p == q:
-        raise ValueError("single excitation needs two distinct orbitals")
-    so_p, so_q = 2 * p + spin, 2 * q + spin
-    op = FermionOperator.from_terms([
-        (((so_q, True), (so_p, False)), 1.0j),
-        (((so_p, True), (so_q, False)), -1.0j),
-    ])
-    return ExcitationGenerator(
-        kind="single",
-        orbitals=(p, q),
-        spin=spin,
-        strings=_generator_strings(op, 2 * n_spatial),
-    )
+    return ExcitationGenerator("single", (p, q), spin, 2 * n_spatial)
 
 
 def build_upccgsd(n_spatial: int, n_electrons: int, layers: int = 1) -> Ansatz:

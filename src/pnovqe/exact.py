@@ -34,7 +34,7 @@ import scipy.sparse
 
 from .ansatz import Ansatz, ExcitationGenerator
 from .integrals import IntegralSet
-from .operators import COEFF_CUTOFF, PauliString, QubitOperator
+from .operators import COEFF_CUTOFF, QubitOperator
 
 # Real sectors of H8 STO-3G compact Hamiltonians on 2 cores, lowest pair, best
 # of 7: dense eigh 2.2-3.1 / 7.1-11.5 / 20-31 / 93-108 ms at dim 225 / 441 /
@@ -216,6 +216,12 @@ def _hermitian_matrix(op, basis: SectorBasis):
     return op.matrix(basis.states)
 
 
+def _check_solvable(n_qubits: int) -> None:
+    """Refuse a register past the exact-solve cap."""
+    if n_qubits > _MAX_SECTOR_QUBITS:
+        raise ValueError(f"sector diagonalization limited to {_MAX_SECTOR_QUBITS} qubits")
+
+
 def exact_ground_energy(op: QubitOperator, sector: SectorBasis):
     """Lowest eigenvalue and eigenvector of a Hermitian qubit operator on a basis of its register.
 
@@ -225,8 +231,7 @@ def exact_ground_energy(op: QubitOperator, sector: SectorBasis):
     returned pair always satisfies ||Hv - Ev|| < 1e-8 in the chosen basis;
     ARPACK's failure to converge is a ``RuntimeError``.
     """
-    if op.n_qubits > _MAX_SECTOR_QUBITS:
-        raise ValueError(f"sector diagonalization limited to {_MAX_SECTOR_QUBITS} qubits")
+    _check_solvable(op.n_qubits)
     if sector.dim == 0:
         raise ValueError("empty sector")
     mat = _hermitian_matrix(op, sector)
@@ -303,15 +308,7 @@ def make_paired_rotation(i: int, a: int, n_orb: int) -> ExcitationGenerator:
     i(P+_a P_i - P+_i P_a) = (Y_a X_i - X_a Y_i)/2 on two qubits; the two
     strings commute, so the exponential is an exact two-rotation circuit.
     """
-    if i == a:
-        raise ValueError("pair rotation needs two distinct orbitals")
-    bit_i, bit_a = 1 << i, 1 << a
-    strings = (
-        (PauliString(n_orb, bit_i | bit_a, bit_a), 0.5),    # X_i Y_a
-        (PauliString(n_orb, bit_i | bit_a, bit_i), -0.5),   # Y_i X_a
-    )
-    return ExcitationGenerator(kind="paired_double", orbitals=(i, a), spin=None,
-                               strings=strings)
+    return ExcitationGenerator("paired_double", (i, a), None, n_orb)
 
 
 def build_paired_ansatz(occupied, pair_doubles, n_orb: int) -> Ansatz:

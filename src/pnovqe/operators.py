@@ -18,7 +18,9 @@ such a loop first meets them; the block sizes are constants that change no
 bit. The operators, and every energy computed from them, are therefore the
 same to the last bit whatever the blocking. Pauli masks are int64 columns,
 so the array code, ``QubitOperator.to_text`` included, covers registers of
-up to ``MAX_MASK_QUBITS`` qubits.
+up to ``MAX_MASK_QUBITS`` qubits. ``jordan_wigner`` has this one path
+whatever the operator's size; an ansatz generator's image does not come
+from it but from its excitation masks (``ExcitationGenerator.strings``).
 """
 
 from __future__ import annotations
@@ -37,9 +39,6 @@ MAX_MASK_QUBITS = 63
 # ``jordan_wigner`` expands terms of one length this many products at a time
 # (2**10 quartic terms), so its few int64 arrays stay near 128 KiB each.
 _JW_BLOCK = 1 << 14
-# Operators with at most this many terms (an ansatz generator has 2) are
-# expanded term by term, where numpy's fixed cost per call would dominate.
-_JW_SMALL = 8
 # ``_pauli_pass`` takes whole X groups in blocks of about this many (X group,
 # basis state) pairs, so its per-pair arrays stay near 32 KiB each unless one
 # group alone has more pairs.
@@ -483,40 +482,6 @@ def _normal_order_into(ops: list, coeff: complex, out: dict) -> None:
             out[key] = out.get(key, 0.0) + c
 
 
-def _check_indices(lowest: int, highest: int, n_qubits: int) -> None:
-    if n_qubits > MAX_MASK_QUBITS:
-        raise ValueError(f"int64 Pauli masks hold at most {MAX_MASK_QUBITS} qubits")
-    if highest >= n_qubits:
-        raise ValueError("fermionic index exceeds qubit register (index overflow)")
-    if lowest < 0:
-        raise ValueError("negative fermionic index")
-
-
-def _expand_term(term, coeff, total: dict) -> None:
-    """Add the 2^L Pauli products of one ladder product to ``total``, in product order.
-
-    The power e of i collects the phases of multiplying out the images: 2
-    when a ladder's X or Y meets a Z already on its qubit, 2 for the Y part
-    of an annihilator, and -|x & z| for writing each X Z pair as a Y.
-    """
-    x, products = 0, [(0, 0)]   # (Z mask, power of i) of each product so far
-    for index, creation in term:
-        bit = 1 << index
-        parity, y_power = bit - 1, 0 if creation else 2
-        grown = []
-        for z, e in products:
-            if z & bit:
-                e += 2
-            grown.append((z ^ parity, e))
-            grown.append((z ^ parity ^ bit, e + y_power))
-        products = grown
-        x ^= bit
-    scale = coeff * 0.5 ** len(term)
-    for z, e in products:
-        key = (x, z)
-        total[key] = total.get(key, 0.0) + scale * _PHASES[(e - (x & z).bit_count()) % 4]
-
-
 def _expand_block(index, y_power, coeffs) -> tuple:
     """X masks, Z masks and coefficients of the 2^L products of terms of one length L.
 
@@ -572,29 +537,27 @@ def jordan_wigner(op: FermionOperator, n_qubits: int) -> QubitOperator:
     bits as those of multiplying out the factors.
 
     Determinism: terms are taken in the operator's order and the products of
-    a term in the order of b. Large operators are expanded one term length
-    at a time, in blocks of about ``_JW_BLOCK`` products, and each block is
-    written to its terms' places in that product list, so neither the
-    grouping nor the block size changes a bit. Each qubit key is summed over
-    the product list starting from 0 (``np.bincount`` adds in input order),
-    and keys, compared as (X mask, Z mask) pairs, are inserted in order of
-    first occurrence. Masks are int64, so ``n_qubits`` is at most
+    a term in the order of b. Terms are expanded one term length at a time,
+    in blocks of about ``_JW_BLOCK`` products, and each block is written to
+    its terms' places in that product list, so neither the grouping nor the
+    block size changes a bit. Each qubit key is summed over the product list
+    starting from 0 (``np.bincount`` adds in input order), and keys,
+    compared as (X mask, Z mask) pairs, are inserted in order of first
+    occurrence. Masks are int64, so ``n_qubits`` is at most
     ``MAX_MASK_QUBITS``.
     """
     terms, coeffs = list(op._terms), list(op._terms.values())
-    if len(terms) <= _JW_SMALL:
-        indices = [index for term in terms for index, _ in term]
-        _check_indices(min(indices, default=0), max(indices, default=-1), n_qubits)
-        total: dict = {}
-        for term, coeff in zip(terms, coeffs):
-            _expand_term(term, coeff, total)
-        return QubitOperator(n_qubits, total)
     lengths = np.fromiter(map(len, terms), np.int64, len(terms))
     ladders = np.fromiter(
         chain.from_iterable(chain.from_iterable(terms)), np.int64, 2 * int(lengths.sum())
     )
     index, y_power = ladders[0::2], 2 * (1 - ladders[1::2])
-    _check_indices(index.min(initial=0), index.max(initial=-1), n_qubits)
+    if n_qubits > MAX_MASK_QUBITS:
+        raise ValueError(f"int64 Pauli masks hold at most {MAX_MASK_QUBITS} qubits")
+    if index.max(initial=-1) >= n_qubits:
+        raise ValueError("fermionic index exceeds qubit register (index overflow)")
+    if index.min(initial=0) < 0:
+        raise ValueError("negative fermionic index")
     coeffs = np.array(coeffs, dtype=complex)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     products = np.concatenate(([0], np.cumsum(np.left_shift(1, lengths))))

@@ -6,10 +6,12 @@ double, a single or a hard-core pair rotation. On a basis of determinants G
 is a signed permutation of its support, G|cols> = i signs|rows> with real
 signs +-1, so G^3 = G and each factor exp(-i theta/2 G) updates the support
 in place as v[rows] = cos(theta/2) v[rows] + sin(theta/2) signs v[cols].
-``_factors`` builds (rows, cols, signs) straight from each generator's kind,
-orbitals and spin and the basis bitmasks, by the determinant rule that
-``exact._determinant_block`` applies to the Hamiltonian: E's sign on a
-determinant is the Jordan-Wigner parity of the occupied spin-orbitals
+``_factors`` builds (rows, cols, signs) straight from each generator's
+excitation masks (``ExcitationGenerator.masks``: the qubits E empties, those
+it fills, and those whose parity signs it, from which the generator's Pauli
+strings and S_z test derive too) and the basis bitmasks, by the determinant
+rule that ``exact._determinant_block`` applies to the Hamiltonian: E's sign
+on a determinant is the Jordan-Wigner parity of the occupied spin-orbitals
 strictly between the two of a single, and +1 for a pair double (the interior
 parities of its two spin hops cancel) and for a hard-core pair rotation. Its
 one check refuses a generator that maps a basis state outside the basis,
@@ -58,22 +60,6 @@ def _basis_vector(basis: SectorBasis, occupied) -> np.ndarray:
     return vec
 
 
-def _excitation(gen) -> tuple:
-    """(emptied, filled, parity) qubit masks of the excitation E of G = i(E - E^dag).
-
-    E empties the first mask and fills the second, with the sign of the
-    parity of the occupied qubits in the third: those strictly between the
-    two spin-orbitals of a single, none for the other kinds.
-    """
-    i, a = gen.orbitals
-    if gen.kind == "paired_double":
-        return 1 << i, 1 << a, 0
-    if gen.kind == "pair_double":
-        return 3 << 2 * i, 3 << 2 * a, 0
-    p, q = 2 * i + gen.spin, 2 * a + gen.spin
-    return 1 << p, 1 << q, (1 << max(p, q)) - (2 << min(p, q))
-
-
 def _factors(generators, basis: SectorBasis) -> list:
     """Each excitation generator on the basis as (rows, cols, signs): G|cols> = i signs|rows>.
 
@@ -86,7 +72,7 @@ def _factors(generators, basis: SectorBasis) -> list:
     """
     states, factors = basis.states, []
     for gen in generators:
-        emptied, filled, parity = _excitation(gen)
+        emptied, filled, parity = gen.masks
         flip = emptied | filled
         side = states & flip
         rows = np.flatnonzero((side == emptied) | (side == filled))

@@ -20,7 +20,11 @@ The operator oracles are the term-by-term loops the package's array code
 must reproduce bit for bit: the spin-orbital expansion of the integrals,
 the Jordan-Wigner product of the ladder images, the projection of a qubit
 operator onto a basis, one X group and one term at a time, and the text
-form of a qubit operator, one label per term.
+form of a qubit operator, one label per term. An excitation generator's
+Pauli strings come from that Jordan-Wigner product of its ladders (written
+out for a pair rotation), never from the excitation masks the package
+derives its strings and factors from; every oracle below that reads a
+generator reads these strings.
 
 The state-engine oracles that follow do use the package's Pauli kernel and
 energy: the sparse-G form of a G^3 = G factor from a generator's Pauli
@@ -31,12 +35,12 @@ reproduce, and central finite differences of the energy.
 ``register_basis`` is every bitmask of a register as a ``SectorBasis``,
 for the tests that probe the kernel and the factors there.
 
-The full-register oracles at the end run nothing of the package and read
-only an operator's terms and an ansatz's strings: Pauli sums as Kronecker
-products (``scipy.sparse.kron`` above 8 qubits), circuit states by
-``expm_multiply`` of each generator, the two-point shift rule on each
-Pauli rotation of the 2^n register, dense spectra from ``eigvalsh``, and
-the projection onto paired determinants. Dense Hamiltonians are for 8
+The full-register oracles at the end run nothing of the package's engine
+and read only an operator's terms and an ansatz's reference strings: Pauli
+sums as Kronecker products (``scipy.sparse.kron`` above 8 qubits), circuit
+states by ``expm_multiply`` of each generator, the two-point shift rule on
+each Pauli rotation of the 2^n register, dense spectra from ``eigvalsh``,
+and the projection onto paired determinants. Dense Hamiltonians are for 8
 qubits or fewer.
 """
 
@@ -583,6 +587,32 @@ def reference_jordan_wigner(op: FermionOperator, n_qubits: int) -> QubitOperator
     return QubitOperator(n_qubits, total)
 
 
+def reference_generator_strings(gen) -> tuple:
+    """An excitation generator's Pauli strings from its fermionic form, never from its masks.
+
+    A pair double or a single is i(E - E^dag) of its ladder product E
+    through ``reference_jordan_wigner``; a hard-core pair rotation i -> a
+    is the written-out (X_i Y_a - Y_i X_a)/2. Returns ((PauliString, real
+    coefficient), ...) by ascending (X mask, Z mask).
+    """
+    i, a = gen.orbitals
+    if gen.kind == "paired_double":
+        flip = (1 << i) | (1 << a)
+        terms = {(flip, 1 << a): 0.5, (flip, 1 << i): -0.5}
+    else:
+        if gen.kind == "pair_double":
+            ladders = ((2 * a, True), (2 * i, False), (2 * a + 1, True), (2 * i + 1, False))
+        else:
+            ladders = ((2 * a + gen.spin, True), (2 * i + gen.spin, False))
+        adjoint = tuple((index, not creation) for index, creation in reversed(ladders))
+        op = FermionOperator.from_terms([(ladders, 1.0j), (adjoint, -1.0j)])
+        terms = reference_jordan_wigner(op, gen.n_qubits)._terms
+    if any(complex(c).imag for c in terms.values()):
+        raise ValueError("generator image has a complex coefficient")
+    return tuple((PauliString(gen.n_qubits, x, z), complex(c).real)
+                 for (x, z), c in sorted(terms.items()))
+
+
 def reference_matrix(op: QubitOperator, states: np.ndarray) -> scipy.sparse.csr_matrix:
     """Projection onto sorted basis bitmasks, one X group and one term at a time."""
     dim = len(states)
@@ -655,7 +685,8 @@ def reference_sector_sweep(op: QubitOperator, ansatz, theta) -> tuple:
     Im <lam|G_k|psi> read ``op.matrix`` of the sector on a complex state.
     """
     basis = sector_basis(ansatz.n_qubits, len(ansatz.reference))
-    factors = [reference_factor(gen.strings, basis) for gen in ansatz.generators]
+    factors = [reference_factor(reference_generator_strings(gen), basis)
+               for gen in ansatz.generators]
 
     def rotate(vec, factor, angle):
         rows, cols, phases = factor
@@ -699,8 +730,8 @@ def register_basis(n_qubits: int) -> SectorBasis:
 
 # ---------------------------------------------------------------------------
 # Full-register oracles: Kronecker products, matrix exponentials and dense
-# spectra. They read an operator's terms and an ansatz's strings and run
-# nothing of the package.
+# spectra. They read an operator's terms and an ansatz's reference strings
+# and run nothing of the package's engine.
 
 _PAULI_MATRICES = {
     (0, 0): np.eye(2, dtype=complex),
@@ -748,7 +779,7 @@ def kron_ansatz_state(ansatz, theta) -> np.ndarray:
     """
     psi = register_state(ansatz.n_qubits, ansatz.reference)
     for gen, angle in zip(ansatz.generators, theta):
-        g = kron_sum(gen.strings, ansatz.n_qubits, sparse=ansatz.n_qubits > 8)
+        g = kron_sum(reference_generator_strings(gen), ansatz.n_qubits, sparse=ansatz.n_qubits > 8)
         psi = expm_multiply(scipy.sparse.csr_matrix(-0.5j * angle * g), psi)
     return psi
 
@@ -776,7 +807,7 @@ def reference_register_shift_gradient(op, ansatz, theta) -> np.ndarray:
     rotations = [
         (k, kron_string(string), theta[k] * coeff, coeff)
         for k, gen in enumerate(ansatz.generators)
-        for string, coeff in gen.strings
+        for string, coeff in reference_generator_strings(gen)
     ]
 
     def unitary(pauli, angle):

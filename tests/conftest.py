@@ -1,11 +1,13 @@
-"""Shared test fixtures: built-in systems and generated FCIDUMP data."""
+"""Shared test fixtures: built-in systems, generated FCIDUMP data and excitation generators."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import pnovqe as pq
+from pnovqe.ansatz import GENERATOR_KINDS
 from pnovqe.integrals import ANGSTROM_TO_BOHR
 
 
@@ -117,3 +119,20 @@ def lih_like_pipeline() -> dict:
 @pytest.fixture(scope="session")
 def lih_like():
     return lih_like_pipeline()
+
+
+@st.composite
+def excitation_generators(draw):
+    """A generator of any kind from its maker, orbital pairs in either order.
+
+    Singles take either spin. The register (2-5 spatial orbitals, or 2-5
+    qubits for a pair rotation) may be larger than the pair needs.
+    """
+    kind = draw(st.sampled_from(GENERATOR_KINDS))
+    n_spatial = draw(st.integers(2, 5))
+    i, a = draw(st.lists(st.integers(0, n_spatial - 1), min_size=2, max_size=2, unique=True))
+    if kind == "pair_double":
+        return pq.make_pair_double(i, a, n_spatial)
+    if kind == "single":
+        return pq.make_single(i, a, draw(st.integers(0, 1)), n_spatial)
+    return pq.make_paired_rotation(i, a, n_spatial)

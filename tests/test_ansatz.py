@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
 
 import pnovqe as pq
 from pnovqe.operators import QubitOperator
 from pnovqe.pno import OrbitalSpace
 from pnovqe.simulator import _sector_state
 
-from ci_oracle import embed, kron_sum
+from ci_oracle import embed, kron_sum, reference_generator_strings
+from conftest import excitation_generators
 
 
 def generator_operator(gen, n_qubits) -> QubitOperator:
@@ -122,10 +124,59 @@ class TestGeneratorKinds:
         assert pq.make_paired_rotation(0, 2, 4).label == "P(0->2)"
 
     def test_unknown_kind_rejected(self):
-        # the simulator builds a factor from the kind, so there is none for a Pauli sum
-        strings = pq.make_single(0, 1, 0, 2).strings
+        # the simulator builds a factor from the kind, so there is none for another one
         with pytest.raises(ValueError, match="unknown excitation kind 'hop'"):
-            pq.ExcitationGenerator(kind="hop", orbitals=(0, 1), spin=0, strings=strings)
+            pq.ExcitationGenerator(kind="hop", orbitals=(0, 1), spin=0, n_qubits=4)
+
+    @pytest.mark.parametrize("make", [
+        lambda: pq.make_pair_double(1, 1, 3),
+        lambda: pq.make_single(2, 2, 0, 3),
+        lambda: pq.make_paired_rotation(0, 0, 2),
+    ], ids=["pair_double", "single", "paired_double"])
+    def test_equal_orbitals_rejected(self, make):
+        with pytest.raises(ValueError, match="^excitation needs two distinct orbitals$"):
+            make()
+
+    @pytest.mark.parametrize("kind, orbitals, spin, n_qubits", [
+        ("pair_double", (0, 2), None, 5),     # qubit 5
+        ("pair_double", (3, 0), None, 6),     # qubits 6 and 7
+        ("single", (0, 2), 1, 5),             # qubit 5
+        ("single", (2, 0), 0, 4),             # qubit 4
+        ("paired_double", (0, 3), None, 3),
+        ("paired_double", (-1, 1), None, 3),
+        ("single", (0, -1), 0, 6),
+    ])
+    def test_orbital_outside_the_register_rejected(self, kind, orbitals, spin, n_qubits):
+        with pytest.raises(ValueError, match="^excitation orbital outside the register$"):
+            pq.ExcitationGenerator(kind, orbitals, spin, n_qubits)
+
+    def test_register_edge_is_inside(self):
+        # spin-up qubit 2a of a single fits an odd register whose last qubit is 2a
+        gen = pq.ExcitationGenerator("single", (0, 2), 0, 5)
+        assert gen.masks == (0b00001, 0b10000, 0b01110)
+
+    @pytest.mark.parametrize("kind, spin", [
+        ("single", None), ("single", 2), ("pair_double", 0), ("paired_double", 1),
+    ])
+    def test_spin_that_disagrees_with_the_kind_rejected(self, kind, spin):
+        with pytest.raises(ValueError, match="excitation cannot have spin"):
+            pq.ExcitationGenerator(kind, (0, 1), spin, 4)
+
+    def test_ansatz_refuses_a_generator_of_another_register(self):
+        with pytest.raises(ValueError, match="generator register differs"):
+            pq.Ansatz(generators=(pq.make_pair_double(0, 1, 3),), n_qubits=4,
+                      reference=(0, 1), name="mixed")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(excitation_generators())
+def test_strings_are_the_jordan_wigner_image_of_the_fermionic_generator(gen):
+    # the strings derive from the masks; the reference from the ladder
+    # products (written out for a pair rotation), never from the masks
+    expected = reference_generator_strings(gen)
+    assert [string for string, _ in gen.strings] == [string for string, _ in expected]
+    assert [type(coeff) for _, coeff in gen.strings] == [float] * len(expected)
+    assert [coeff for _, coeff in gen.strings] == [coeff for _, coeff in expected]
 
 
 class TestGeneratorInvariants:

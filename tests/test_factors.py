@@ -1,10 +1,11 @@
 """Circuit factors from the determinant rule, and the per-ansatz prepared circuit.
 
 A factor stores G as a signed permutation of its support, built from the
-generator's kind, orbitals and spin alone. It must be array-equal to
-``ci_oracle.reference_factor`` of the generator's Pauli strings, which ties
-each kind's rule to its strings, and raise the same leak error where the
-oracle does. That the factor is a Hermitian signed permutation with G^3 = G,
+generator's excitation masks alone. It must be array-equal to
+``ci_oracle.reference_factor`` of the generator's reference Pauli strings
+(``ci_oracle.reference_generator_strings``, the Jordan-Wigner image of its
+fermionic form, which never reads the masks), and raise the same leak
+error where the oracle does. That the factor is a Hermitian signed permutation with G^3 = G,
 which the build no longer checks, is asserted on its sparse matrix; its
 rotation is checked against the matrix exponential and against the sparse
 G^3 = G formula in ``ci_oracle.reference_rotate``. The
@@ -28,7 +29,8 @@ from pnovqe.exact import SectorBasis
 from pnovqe.simulator import _factors, _rotate, _sector_state
 
 from ci_oracle import (
-    random_integral_set, reference_factor, reference_register_shift_gradient, reference_rotate,
+    random_integral_set, reference_factor, reference_generator_strings,
+    reference_register_shift_gradient, reference_rotate,
 )
 
 FACTORS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -71,7 +73,8 @@ def generator_cases(draw, subsets: bool = True, kinds=GENERATOR_KINDS, closed: b
     if shape == "subset":
         states = set(draw(st.lists(mask, min_size=1, max_size=40, unique=True)))
         if closed or draw(st.booleans()):
-            x = gen.strings[0][0].x    # every string of an excitation flips the same qubits
+            # every string of an excitation flips the same qubits
+            x = reference_generator_strings(gen)[0][0].x
             states |= {s ^ x for s in states}
         return gen, SectorBasis(n, np.array(sorted(states), dtype=np.int64))
     n_particles = draw(st.integers(0, n))
@@ -88,9 +91,9 @@ def factor_outcome(build, *args):
         return str(exc)
 
 
-def assert_matches_oracle(factor, strings, basis):
+def assert_matches_oracle(factor, gen, basis):
     """The factor is the oracle's: the same rows and columns, signs -i times its entries, float64."""
-    rows, cols, phases = reference_factor(strings, basis)
+    rows, cols, phases = reference_factor(reference_generator_strings(gen), basis)
     expected = -1j * phases
     assert not expected.imag.any()
     assert np.array_equal(factor[0], rows) and np.array_equal(factor[1], cols)
@@ -101,13 +104,13 @@ def assert_matches_oracle(factor, strings, basis):
 @given(generator_cases())
 def test_factor_matches_the_oracle_of_its_strings(case):
     gen, basis = case
-    expected = factor_outcome(reference_factor, gen.strings, basis)
+    expected = factor_outcome(reference_factor, reference_generator_strings(gen), basis)
     if isinstance(expected, str):
         assert expected == "generator maps a basis state outside the basis"
         with pytest.raises(ValueError, match=f"^{expected}$"):
             one_factor(gen, basis)
     else:
-        assert_matches_oracle(one_factor(gen, basis), gen.strings, basis)
+        assert_matches_oracle(one_factor(gen, basis), gen, basis)
 
 
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
@@ -148,7 +151,7 @@ def test_every_generator_matches_the_oracle_on_every_sector(kind):
                   for n_up in range(n_spatial + 1) for n_down in range(n_spatial + 1)]
     for gen in every_generator(kind, n_spatial):
         for basis in bases:
-            assert_matches_oracle(one_factor(gen, basis), gen.strings, basis)
+            assert_matches_oracle(one_factor(gen, basis), gen, basis)
 
 
 LEAK = "generator maps a basis state outside the basis"
@@ -160,11 +163,11 @@ LEAK = "generator maps a basis state outside the basis"
     (pq.make_paired_rotation(0, 2, 3), 0b001),
 ], ids=GENERATOR_KINDS)
 def test_each_kind_refuses_a_basis_without_its_image(gen, state):
-    basis = SectorBasis(gen.strings[0][0].n_qubits, np.array([state], dtype=np.int64))
+    basis = SectorBasis(gen.n_qubits, np.array([state], dtype=np.int64))
     with pytest.raises(ValueError, match=f"^{LEAK}$"):
         one_factor(gen, basis)
     with pytest.raises(ValueError, match=f"^{LEAK}$"):
-        reference_factor(gen.strings, basis)
+        reference_factor(reference_generator_strings(gen), basis)
 
 
 def test_first_leaking_generator_of_a_set_raises():
@@ -175,7 +178,7 @@ def test_first_leaking_generator_of_a_set_raises():
         with pytest.raises(ValueError, match=f"^{LEAK}$"):
             _factors(generators, basis)
     (factor,) = _factors([closed], basis)
-    assert_matches_oracle(factor, closed.strings, basis)
+    assert_matches_oracle(factor, closed, basis)
 
 
 def pno_space():
@@ -198,7 +201,7 @@ def test_circuit_factors_match_the_oracle_on_their_sector(build):
     circuit = simulator._prepared(ansatz, basis)
     assert len(circuit.factors) == ansatz.n_parameters
     for gen, factor in zip(ansatz.generators, circuit.factors):
-        assert_matches_oracle(factor, gen.strings, basis)
+        assert_matches_oracle(factor, gen, basis)
     assert circuit.reference.dtype == np.float64
 
 
@@ -214,11 +217,11 @@ def test_circuit_factors_match_the_oracle_on_the_n_sector(build):
     basis = pq.sector_basis(ansatz.n_qubits, len(ansatz.reference))
     factors = simulator._prepared(ansatz, basis).factors
     for gen, factor in zip(ansatz.generators, factors, strict=True):
-        assert_matches_oracle(factor, gen.strings, basis)
+        assert_matches_oracle(factor, gen, basis)
 
 
 def check_factor(gen, basis, angle, seed):
-    gen_op = sum((pq.QubitOperator.from_string(s, c) for s, c in gen.strings),
+    gen_op = sum((pq.QubitOperator.from_string(s, c) for s, c in reference_generator_strings(gen)),
                  pq.QubitOperator(basis.n_qubits))
     g = gen_op.matrix(basis.states)
     vec = random_state(basis.dim, seed)

@@ -110,12 +110,11 @@ class TestJordanWigner:
 
     @EXACT
     @given(fermion_operators())
-    def test_block_size_and_small_path_change_no_bit(self, case):
+    def test_block_size_changes_no_bit(self, case):
         op, n_qubits = case
         expected = reference_jordan_wigner(op, n_qubits).raw_items()
-        for block, small in ((1, 0), (3, 0), (1 << 10, 1 << 10)):
-            with mock.patch.object(operators, "_JW_BLOCK", block), \
-                    mock.patch.object(operators, "_JW_SMALL", small):
+        for block in (1, 3, 1 << 10):
+            with mock.patch.object(operators, "_JW_BLOCK", block):
                 assert same_items(pq.jordan_wigner(op, n_qubits).raw_items(), expected)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -134,7 +133,6 @@ class TestJordanWigner:
         terms += [(((index - 1, True), (index - 3, False)), 0.3),
                   (((index - 1, True), (index - 2, False)), 0.2)]
         op = FermionOperator.from_terms(terms)
-        assert op.n_terms > operators._JW_SMALL
         assert same_items(pq.jordan_wigner(op, n_qubits).raw_items(),
                           reference_jordan_wigner(op, n_qubits).raw_items())
 
@@ -164,19 +162,19 @@ class TestJordanWigner:
         assert sum(expanded) == sum(1 << len(term) for term in terms)
         assert max(expanded) == 1 << 10
 
-    @pytest.mark.parametrize("small", [True, False])
-    def test_negative_index_rejected(self, small):
+    @pytest.mark.parametrize("n_number_terms", [0, 9])
+    def test_negative_index_rejected(self, n_number_terms):
         op = FermionOperator()
         op._terms = {((-1, True), (0, False)): 1.0 + 0j}
-        op._terms.update({} if small else {((j, True), (j, False)): 1.0 + 0j for j in range(9)})
+        op._terms.update({((j, True), (j, False)): 1.0 + 0j for j in range(n_number_terms)})
         with pytest.raises(ValueError, match="negative fermionic index"):
             pq.jordan_wigner(op, 10)
 
-    @pytest.mark.parametrize("small", [True, False])
-    def test_index_beyond_register_rejected(self, small):
+    @pytest.mark.parametrize("n_number_terms", [0, 9])
+    def test_index_beyond_register_rejected(self, n_number_terms):
         op = FermionOperator()
         op._terms = {((10, True), (0, False)): 1.0 + 0j}
-        op._terms.update({} if small else {((j, True), (j, False)): 1.0 + 0j for j in range(9)})
+        op._terms.update({((j, True), (j, False)): 1.0 + 0j for j in range(n_number_terms)})
         with pytest.raises(ValueError, match="index overflow"):
             pq.jordan_wigner(op, 10)
 

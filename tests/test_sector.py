@@ -13,15 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe import exact, workbench
-from pnovqe.ansatz import PNO_VARIANTS, _commutes_with_sz
+from pnovqe.ansatz import PNO_VARIANTS
 from pnovqe.exact import build_paired_ansatz, build_paired_hamiltonian
 from pnovqe.operators import QubitOperator, commutator, spin_z_operator
 
 from ci_oracle import (
-    kron_ansatz_state, kron_expectation, random_integral_set, reference_matrix,
-    reference_sector_sweep,
+    kron_ansatz_state, kron_expectation, random_integral_set, reference_generator_strings,
+    reference_matrix, reference_sector_sweep,
 )
-from conftest import lih_like_pipeline
+from conftest import excitation_generators, lih_like_pipeline
 
 SWEEP = settings(derandomize=True, database=None, max_examples=15, deadline=None)
 ALGEBRA = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -94,29 +94,17 @@ def test_open_shell_reference_keeps_its_own_sz_sector():
     np.testing.assert_allclose(pq.gradient(hq, ansatz, theta), expected_grad, atol=1e-12)
 
 
-@st.composite
-def pauli_sums(draw):
-    """Real or complex Pauli sums on an even register; pair doubles and singles among them."""
-    n_spatial = draw(st.integers(1, 3))
-    n = 2 * n_spatial
-    if n_spatial > 1 and draw(st.booleans()):
-        p, q = sorted(draw(st.lists(st.integers(0, n_spatial - 1), min_size=2, max_size=2,
-                                    unique=True)))
-        gen = (pq.make_pair_double(p, q, n_spatial) if draw(st.booleans())
-               else pq.make_single(p, q, draw(st.integers(0, 1)), n_spatial))
-        return n, gen.strings
-    mask = st.integers(0, (1 << n) - 1)
-    weights = st.sampled_from([0.5, -0.5, 0.25, 1.0, 0.5j])
-    terms = draw(st.dictionaries(st.tuples(mask, mask), weights, min_size=1, max_size=6))
-    return n, tuple((pq.PauliString(n, x, z), c) for (x, z), c in terms.items())
-
-
 @ALGEBRA
-@given(pauli_sums())
-def test_sz_rule_agrees_with_the_commutator(case):
-    n, strings = case
-    gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(n))
-    assert _commutes_with_sz(strings) == (commutator(gen, spin_z_operator(n // 2)).norm() < 1e-12)
+@given(excitation_generators().filter(lambda gen: gen.n_qubits % 2 == 0))
+def test_sz_rule_agrees_with_the_commutator(gen):
+    # pair rotations on a spin-orbital register move weight between spins
+    # when i and a differ in parity; the commutator reads the reference strings
+    g = sum((QubitOperator.from_string(s, c) for s, c in reference_generator_strings(gen)),
+            QubitOperator(gen.n_qubits))
+    commutes = commutator(g, spin_z_operator(gen.n_qubits // 2)).norm() < 1e-12
+    assert gen.commutes_with_sz == commutes
+    ansatz = pq.Ansatz(generators=(gen,), n_qubits=gen.n_qubits, reference=(0,), name="one")
+    assert ansatz.two_sz == (1 if commutes else None)
 
 
 def test_run_point_builds_one_sector_matrix(monkeypatch, tmp_path):

@@ -19,7 +19,8 @@ from pnovqe.simulator import _factors, _rotate, _sector_state, ansatz_expectatio
 
 from ci_oracle import (
     embed, finite_difference_gradient, kron_expectation, kron_sum,
-    random_integral_set, reference_register_shift_gradient, register_basis,
+    random_integral_set, reference_generator_strings, reference_register_shift_gradient,
+    register_basis,
 )
 
 
@@ -29,7 +30,7 @@ def empty_circuit(n_qubits, reference) -> pq.Ansatz:
 
 def rotate(vec, gen, angle, basis=None):
     """exp(-i angle/2 G) on ``vec`` in place, by the engine's factor of G on ``basis`` (the register by default)."""
-    basis = register_basis(gen.strings[0][0].n_qubits) if basis is None else basis
+    basis = register_basis(gen.n_qubits) if basis is None else basis
     _rotate(vec, _factors((gen,), basis)[0], angle)
     return vec
 
@@ -83,7 +84,7 @@ class TestExcitationRotation:
     @staticmethod
     def rotated_pi(gen, occupied):
         """exp(-i pi/2 G) on the register determinant with the listed qubits occupied."""
-        state = np.zeros(1 << gen.strings[0][0].n_qubits)
+        state = np.zeros(1 << gen.n_qubits)
         state[sum(1 << q for q in occupied)] = 1.0
         return rotate(state, gen, np.pi)
 
@@ -118,12 +119,12 @@ class TestExcitationRotation:
         rng = np.random.default_rng(5)
         for _ in range(10):
             gen = random_generator(rng, 3)
-            n = gen.strings[0][0].n_qubits
+            n = gen.n_qubits
             theta = float(rng.uniform(-3, 3))
             vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
             vec /= np.linalg.norm(vec)
             got = rotate(vec.copy(), gen, theta)
-            u = scipy.linalg.expm(-0.5j * theta * kron_sum(gen.strings, n))
+            u = scipy.linalg.expm(-0.5j * theta * kron_sum(reference_generator_strings(gen), n))
             np.testing.assert_allclose(got, u @ vec, atol=1e-12)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -134,7 +135,7 @@ class TestExcitationRotation:
         # G), the rotation has the bits of the register rotation on those states
         rng = np.random.default_rng(seed)
         gen = random_generator(rng, n_spatial)
-        register = register_basis(gen.strings[0][0].n_qubits)
+        register = register_basis(gen.n_qubits)
         vec = rng.standard_normal(register.dim) + 1j * rng.standard_normal(register.dim)
         vec[rng.random(register.dim) < 0.3] = 0.0     # zero amplitudes, whose sign shows in the bits
         vec /= np.linalg.norm(vec) or 1.0
@@ -171,7 +172,7 @@ class TestApplyAnsatz:
         ansatz = pq.Ansatz(
             generators=(gen,), n_qubits=4, reference=(0, 1), name="d"
         )
-        dense = kron_sum(gen.strings, 4)
+        dense = kron_sum(reference_generator_strings(gen), 4)
         for theta in (-1.3, 0.4, 2.2):
             basis, _, psi = _sector_state(ansatz, [theta])
             state = embed(basis, psi)

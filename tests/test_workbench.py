@@ -17,7 +17,7 @@ import pnovqe as pq
 from pnovqe import cli, workbench
 from pnovqe.workbench import ConfigError, load_curve_csv, resource_rows_for
 
-from ci_oracle import fci_ground_energy
+from ci_oracle import fci_ground_energy, random_integral_set
 from conftest import h2_big_integrals
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -268,6 +268,16 @@ class TestRunPoint:
         with pytest.raises(ValueError, match="limited to 2 qubits"):
             pq.run_point(h2_config())
         assert ran == []
+
+    def test_register_past_the_cap_is_refused_before_its_sector_is_enumerated(self, monkeypatch):
+        # sector_basis(26, 10, 0) alone is 1.66 million states, listed in Python
+        enumerated = []
+        monkeypatch.setattr(workbench, "sector_basis", lambda *args: enumerated.append(args))
+        hamiltonian = pq.IntegralHamiltonian(random_integral_set(13, 10, 0))
+        assert hamiltonian.n_qubits == 26
+        with pytest.raises(ValueError, match="limited to 24 qubits"):
+            workbench.fci_energy(hamiltonian)
+        assert enumerated == []
 
     def test_fcidump_source_with_freeze(self, tmp_path, lih_like):
         path = tmp_path / "lih.fcidump"
