@@ -29,7 +29,7 @@ space = pq.orthonormalize(pnos)
 compact = pq.build_final_integrals(mo, space)
 
 # spin-orbital route: 12 qubits
-h_full = pq.jordan_wigner(pq.build_hamiltonian(compact), 12)
+h_full = pq.IntegralHamiltonian(compact)
 ansatz = pq.build_pno_ansatz(space, "UpCCD")
 full = pq.run_vqe(h_full, ansatz)
 print(f"spin-orbital encoding : {ansatz.n_qubits:>2} qubits, "

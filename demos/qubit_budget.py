@@ -20,7 +20,7 @@ ao = pq.compute_ao_integrals(mol, pq.sto3g_shells(mol))
 scf = pq.run_rhf(ao, 2)
 mo = pq.transform_to_mo(ao, scf.mo_coefficients, 2,
                         orbital_energies=scf.orbital_energies)
-h_min = pq.jordan_wigner(pq.build_hamiltonian(mo), 4)
+h_min = pq.IntegralHamiltonian(mo)
 e_min, _ = pq.exact_ground_energy(h_min, pq.sector_basis(4, 2, two_sz=0))
 print(f"STO-3G (4 qubits)  FCI = {e_min:.8f} hartree")
 
@@ -41,7 +41,7 @@ for nq in (4, 6, 8, 10, 12):
     pnos = pq.select_pnos(densities, nq)
     space = pq.orthonormalize(pnos)
     compact = pq.build_final_integrals(big, space)
-    hq = pq.jordan_wigner(pq.build_hamiltonian(compact), nq)
+    hq = pq.IntegralHamiltonian(compact)
     energy, _ = pq.exact_ground_energy(hq, pq.sector_basis(nq, 2, two_sz=0))
     marker = "  < STO-3G" if energy < e_min else ""
     print(f"{nq:>4} {len(pnos.selection):>10} {energy:>16.8f}{marker}")

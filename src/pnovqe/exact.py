@@ -1,25 +1,26 @@
-"""Exact diagonalization of qubit Hamiltonians and the paired encoding.
+"""Exact diagonalization of sector Hamiltonians and the paired encoding.
 
 Every solve runs on a basis its caller names, of a register of at most
 ``_MAX_SECTOR_QUBITS`` = 24 qubits; there is no full-register solve. A
 point's exact solve runs on the sector its VQE sweeps read, so both read
 one cached sector matrix: ``determinant_matrix`` of the compact integrals
-(``IntegralHamiltonian``), or ``QubitOperator.matrix`` of a Pauli operator.
-A real-integral Hamiltonian has an exactly real sector matrix, stored as
-float64, and the solve then runs in real arithmetic; only an operator whose
-sector entries really are complex is solved in complex arithmetic. Bases of
-up to ``_DENSE_DIM`` states get the lowest pair of a dense ``eigh``, larger
-ones ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``,
-``eigs`` for a complex matrix) from one seeded generator, so reruns give the
-same bits; the crossover was measured on real sector matrices.
-``_hermitian_matrix`` is the one check before a sector matrix is read, here
-and in the simulator: the operator is Hermitian and its register is the
-basis'.
+(Slater-Condon rules per determinant), through ``IntegralHamiltonian`` or
+its paired restriction. ``IntegralSet`` refuses asymmetric h and g, so
+every sector matrix is real symmetric, stored as float64, and every solve
+runs in real arithmetic. Bases of up to ``_DENSE_DIM`` states get the
+lowest pair of a dense ``eigh``, larger ones ARPACK's implicitly restarted
+Lanczos (``scipy.sparse.linalg.eigsh``) from one seeded generator, so
+reruns give the same bits; the crossover was measured on real sector
+matrices. ``_sector_matrix`` is the one check before a sector matrix is
+read, here and in the simulator: the Hamiltonian's register is the basis'.
 
-The paired (seniority-zero) Hamiltonian encodes one doubly occupied spatial
-orbital per qubit, halving the register relative to the spin-orbital
-encoding; its coefficients are locked in by a projection-equivalence test
-against the full Jordan-Wigner Hamiltonian.
+The paired (seniority-zero) encoding gives one qubit to each spatial
+orbital, halving the register relative to the spin-orbital encoding: qubit
+p set is the orbital doubly occupied (Elfving et al., PRA 2021).
+``PairedHamiltonian`` reads ``determinant_matrix`` on the determinants with
+spin-orbitals 2p and 2p + 1 occupied for every set qubit p; its entries are
+locked in by a test against the seniority-zero projection of the full
+Jordan-Wigner Hamiltonian.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import scipy.sparse
 
 from .ansatz import Ansatz, ExcitationGenerator
 from .integrals import IntegralSet
-from .operators import COEFF_CUTOFF, QubitOperator
+from .operators import COEFF_CUTOFF
 
 # Real sectors of H8 STO-3G compact Hamiltonians on 2 cores, lowest pair, best
 # of 7: dense eigh 2.2-3.1 / 7.1-11.5 / 20-31 / 93-108 ms at dim 225 / 441 /
@@ -56,7 +57,13 @@ class SectorBasis:
     states: np.ndarray   # int64 bitmasks, strictly increasing
 
     def __post_init__(self):
-        self.states.flags.writeable = False   # bases are cached and shared
+        # ``determinant_matrix`` and the simulator locate images by ``searchsorted``
+        states = np.asarray(self.states, dtype=np.int64)
+        if states.size and (states[0] < 0 or int(states[-1]) >> self.n_qubits
+                            or not np.all(states[1:] > states[:-1])):
+            raise ValueError("basis states must be strictly increasing bitmasks of the register")
+        states.flags.writeable = False   # bases are cached and shared
+        object.__setattr__(self, "states", states)
 
     @property
     def dim(self) -> int:
@@ -188,8 +195,8 @@ def determinant_matrix(mo: IntegralSet, states: np.ndarray):
 class IntegralHamiltonian:
     """The Hamiltonian of an ``IntegralSet`` on its 2 * ``n_orb`` spin-orbitals.
 
-    It has the members of a ``QubitOperator`` that the simulator and
-    ``exact_ground_energy`` read; ``matrix`` is ``determinant_matrix``, cached per basis.
+    The simulator and ``exact_ground_energy`` read its ``n_qubits`` and its
+    ``matrix``: ``determinant_matrix`` on the basis' determinants, cached per basis.
     """
 
     __slots__ = ("integrals", "n_qubits", "_compiled")
@@ -197,22 +204,40 @@ class IntegralHamiltonian:
     def __init__(self, integrals: IntegralSet):
         self.integrals, self.n_qubits, self._compiled = integrals, 2 * integrals.n_orb, {}
 
-    def max_imag(self) -> float:
-        return 0.0
+    def _determinants(self, states: np.ndarray) -> np.ndarray:
+        """The spin-orbital bitmasks of basis states: here the states themselves."""
+        return states
 
     def matrix(self, states: np.ndarray):
         key = states.tobytes()
         if key not in self._compiled:
-            self._compiled[key] = determinant_matrix(self.integrals, states)
+            self._compiled[key] = determinant_matrix(self.integrals, self._determinants(states))
         return self._compiled[key]
 
 
-def _hermitian_matrix(op, basis: SectorBasis):
-    """The cached matrix of a Hermitian operator on a basis of its register."""
+class PairedHamiltonian(IntegralHamiltonian):
+    """The seniority-zero restriction of an ``IntegralSet``'s Hamiltonian, on ``n_orb`` qubits.
+
+    Qubit p set is spatial orbital p doubly occupied, so bit p of a state
+    becomes spin-orbitals 2p and 2p + 1 of its determinant. The map keeps
+    the order of states, so a sorted basis stays sorted.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, integrals: IntegralSet):
+        super().__init__(integrals)
+        self.n_qubits = integrals.n_orb
+
+    def _determinants(self, states: np.ndarray) -> np.ndarray:
+        p = np.arange(int(states.max(initial=0)).bit_length())
+        return ((states[:, None] >> p) & 1) @ np.left_shift(3, 2 * p)
+
+
+def _sector_matrix(op: IntegralHamiltonian, basis: SectorBasis):
+    """The cached matrix of a Hamiltonian on a basis of its register."""
     if op.n_qubits != basis.n_qubits:
         raise ValueError("operator register does not match the basis")
-    if op.max_imag() >= 1e-8:
-        raise ValueError("operator is not Hermitian (complex coefficients)")
     return op.matrix(basis.states)
 
 
@@ -222,35 +247,31 @@ def _check_solvable(n_qubits: int) -> None:
         raise ValueError(f"sector diagonalization limited to {_MAX_SECTOR_QUBITS} qubits")
 
 
-def exact_ground_energy(op: QubitOperator, sector: SectorBasis):
-    """Lowest eigenvalue and eigenvector of a Hermitian qubit operator on a basis of its register.
+def exact_ground_energy(op: IntegralHamiltonian, sector: SectorBasis):
+    """Lowest eigenvalue and eigenvector of a Hamiltonian on a basis of its register.
 
-    Small bases are solved densely, larger ones by ARPACK from a
-    seeded start vector, both in the dtype of ``op.matrix`` on the basis:
-    real arithmetic unless an entry there has an imaginary part. The
-    returned pair always satisfies ||Hv - Ev|| < 1e-8 in the chosen basis;
-    ARPACK's failure to converge is a ``RuntimeError``.
+    ``op`` is an ``IntegralHamiltonian`` or a ``PairedHamiltonian``, whose
+    sector matrix is real symmetric. Small bases are solved densely, larger
+    ones by ARPACK from a seeded start vector. The returned pair always
+    satisfies ||Hv - Ev|| < 1e-8 in the chosen basis; ARPACK's failure to
+    converge is a ``RuntimeError``.
     """
     _check_solvable(op.n_qubits)
     if sector.dim == 0:
         raise ValueError("empty sector")
-    mat = _hermitian_matrix(op, sector)
+    mat = _sector_matrix(op, sector)
     if sector.dim <= _DENSE_DIM:
         evals, evecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, 0])
     else:
         # imported here: small sectors, and so ``import pnovqe``, never need it
-        from scipy.sparse.linalg import eigs, eigsh
+        from scipy.sparse.linalg import eigsh
 
         rng = np.random.default_rng(12345)
-        start = rng.standard_normal(sector.dim).astype(mat.dtype)
+        start = rng.standard_normal(sector.dim)
         # ARPACK restarts from a random vector when its Krylov space is
-        # invariant, drawn from ``rng`` (from entropy when None). eigsh hands a
-        # complex matrix to eigs without its ``rng``, so complex ones go to eigs here.
+        # invariant, drawn from ``rng`` (from entropy when None)
         if not mat.count_nonzero():   # ARPACK refuses it; every vector is a ground state
             evals, evecs = np.zeros(1), (start / np.linalg.norm(start))[:, None]
-        elif np.iscomplexobj(mat):
-            evals, evecs = eigs(mat, k=1, which="SR", v0=start, tol=0, rng=rng)
-            evals = evals.real
         else:
             evals, evecs = eigsh(mat, k=1, which="SA", v0=start, tol=0, rng=rng)
     energy, vector = float(evals[0]), evecs[:, 0]
@@ -264,42 +285,18 @@ def exact_ground_energy(op: QubitOperator, sector: SectorBasis):
 # Seniority-zero (paired) encoding
 
 
-def build_paired_hamiltonian(mo: IntegralSet) -> QubitOperator:
+def build_paired_hamiltonian(mo: IntegralSet) -> PairedHamiltonian:
     """Seniority-zero restriction of the Hamiltonian on n_orb qubits.
 
-    Qubit p means spatial orbital p is doubly occupied. In terms of the
-    hard-core pair operators P+_p -> (X_p - i Y_p)/2:
+    Qubit p means spatial orbital p is doubly occupied. On these
+    determinants the Slater-Condon rules give, with hard-core pair
+    operators P+_p -> (X_p - i Y_p)/2,
 
         H = core + sum_p (2 h_pp + <pp|pp>) n_p
                  + sum_{p<q} (4 <pq|pq> - 2 <pq|qp>) n_p n_q
                  + sum_{p<q} <pp|qq> (X_p X_q + Y_p Y_q)/2
     """
-    n = mo.n_orb
-    terms: dict = {}
-
-    def _add(x, z, coeff):
-        key = (x, z)
-        terms[key] = terms.get(key, 0.0) + coeff
-
-    _add(0, 0, mo.core_energy)
-    for p in range(n):
-        w = 2.0 * mo.h[p, p] + mo.g[p, p, p, p]
-        # n_p = (I - Z_p)/2
-        _add(0, 0, 0.5 * w)
-        _add(0, 1 << p, -0.5 * w)
-    for p in range(n):
-        for q in range(p + 1, n):
-            w = 4.0 * mo.g[p, q, p, q] - 2.0 * mo.g[p, q, q, p]
-            # n_p n_q = (I - Z_p - Z_q + Z_p Z_q)/4
-            _add(0, 0, 0.25 * w)
-            _add(0, 1 << p, -0.25 * w)
-            _add(0, 1 << q, -0.25 * w)
-            _add(0, (1 << p) | (1 << q), 0.25 * w)
-            v = mo.g[p, p, q, q]
-            xx = (1 << p) | (1 << q)
-            _add(xx, 0, 0.5 * v)           # X_p X_q
-            _add(xx, xx, 0.5 * v)          # Y_p Y_q
-    return QubitOperator(n, terms)
+    return PairedHamiltonian(mo)
 
 
 def make_paired_rotation(i: int, a: int, n_orb: int) -> ExcitationGenerator:

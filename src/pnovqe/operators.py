@@ -9,18 +9,22 @@ Conventions used throughout the package:
 * Qubit indexing is little-endian: bit j of a basis-state integer is the
   occupation of qubit j.
 
-``build_hamiltonian``, ``jordan_wigner`` and ``_pauli_pass`` (the action of a
-Pauli sum on bitmask states, behind ``QubitOperator.matrix``) are array code
-that works on fixed blocks of products or of X-mask groups. Part of their
-determinism contract is that every coefficient is summed in the order of a
-term-by-term loop, starting from 0, and that keys keep the order in which
-such a loop first meets them; the block sizes are constants that change no
-bit. The operators, and every energy computed from them, are therefore the
-same to the last bit whatever the blocking. Pauli masks are int64 columns,
-so the array code, ``QubitOperator.to_text`` included, covers registers of
-up to ``MAX_MASK_QUBITS`` qubits. ``jordan_wigner`` has this one path
-whatever the operator's size; an ansatz generator's image does not come
-from it but from its excitation masks (``ExcitationGenerator.strings``).
+``build_hamiltonian`` and ``jordan_wigner`` are array code that works on
+fixed blocks of products. Part of their determinism contract is that every
+coefficient is summed in the order of a term-by-term loop, starting from 0,
+and that keys keep the order in which such a loop first meets them; the
+block size is a constant that changes no bit, so the operators and their
+text are the same to the last bit whatever the blocking. Pauli masks are
+int64 columns, so the array code, ``QubitOperator.to_text`` included,
+covers registers of up to ``MAX_MASK_QUBITS`` qubits. ``jordan_wigner`` has
+this one path whatever the operator's size; an ansatz generator's image
+does not come from it but from its excitation masks
+(``ExcitationGenerator.strings``).
+
+A ``QubitOperator`` is Pauli text (a point's ``hamiltonian.txt``) and the
+strings a generator's CNOT count is read from. No sector matrix is built
+from one: the exact solve and the VQE engine read
+``exact.determinant_matrix`` of the integrals.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from __future__ import annotations
 from itertools import chain
 
 import numpy as np
-import scipy.sparse
 
 COEFF_CUTOFF = 1e-14
 
@@ -39,10 +42,6 @@ MAX_MASK_QUBITS = 63
 # ``jordan_wigner`` expands terms of one length this many products at a time
 # (2**10 quartic terms), so its few int64 arrays stay near 128 KiB each.
 _JW_BLOCK = 1 << 14
-# ``_pauli_pass`` takes whole X groups in blocks of about this many (X group,
-# basis state) pairs, so its per-pair arrays stay near 32 KiB each unless one
-# group alone has more pairs.
-_PAULI_BLOCK = 1 << 12
 
 _LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -143,13 +142,14 @@ class QubitOperator:
     ``COEFF_CUTOFF`` pruned. Instances are treated as immutable.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_compiled", "_max_imag")
+    __slots__ = ("n_qubits", "_terms")
+    # no sector matrix is ever compiled from a Pauli sum (sector matrices come
+    # from ``exact.determinant_matrix``); ``bench/test_bench.py`` reads this
+    _compiled = None
 
     def __init__(self, n_qubits: int, terms: dict | None = None):
         self.n_qubits = n_qubits
         self._terms = {}
-        self._compiled = None
-        self._max_imag = None
         if terms:
             for key, coeff in terms.items():
                 if abs(coeff) >= COEFF_CUTOFF:
@@ -185,12 +185,6 @@ class QubitOperator:
     def coefficient(self, string: PauliString) -> complex:
         return self._terms.get((string.x, string.z), 0.0 + 0.0j)
 
-    def max_imag(self) -> float:
-        """Largest |imaginary part| of a coefficient, computed once."""
-        if self._max_imag is None:
-            self._max_imag = max((abs(c.imag) for c in self._terms.values()), default=0.0)
-        return self._max_imag
-
     def norm(self) -> float:
         """Frobenius norm over the orthogonal Pauli basis (up to 2^n scale)."""
         return float(np.sqrt(sum(abs(c) ** 2 for c in self._terms.values())))
@@ -225,44 +219,6 @@ class QubitOperator:
 
     def __rmul__(self, scalar):
         return self * scalar
-
-    def matrix(self, states: np.ndarray) -> scipy.sparse.csr_matrix:
-        """Projection onto a sorted array of basis bitmasks, as a sparse matrix.
-
-        Entry (r, c) is <states[r]| op |states[c]>; images outside ``states``
-        are dropped. The entries are the found nonzero sums of ``_pauli_pass``.
-        The result is cached per basis in ``_compiled`` and read-only. Its
-        values are float64 when no entry on the basis has an imaginary part
-        (every sector of a real-integral Hamiltonian), complex128 otherwise.
-
-        Determinism: each entry has the bits of ``_pauli_pass``, whatever its
-        blocking. No two groups share an entry and the CSR arrays are sorted
-        by row, then column, so the order entries are summed in does not show.
-        """
-        if self._compiled is None:
-            self._compiled = {}
-        key = states.tobytes()
-        if key in self._compiled:
-            return self._compiled[key]
-        dim, n_terms = len(states), len(self._terms)
-        masks = np.fromiter(chain.from_iterable(self._terms), np.int64, 2 * n_terms)
-        blocks = _pauli_pass(masks[0::2], masks[1::2],
-                             np.fromiter(self._terms.values(), complex, n_terms), states)
-        # the pass holds the only copy of the terms and only the entries are
-        # kept: a projection onto a small sector costs memory of their order
-        del masks
-        entries = [(np.zeros(0, complex), np.zeros(0, np.intp), np.zeros(0, np.intp))]
-        for pos, found, values in blocks:
-            hit = np.flatnonzero(found & (values != 0))
-            entries.append((values[hit], pos[hit], hit % dim))
-        values, row, column = (np.concatenate(parts) for parts in zip(*entries))
-        if not values.imag.any():   # no entry is imaginary: store float64
-            values = values.real
-        mat = scipy.sparse.csr_matrix((values, (row, column)), shape=(dim, dim), dtype=values.dtype)
-        for array in (mat.data, mat.indices, mat.indptr):
-            array.flags.writeable = False   # the cached matrix is shared
-        self._compiled[key] = mat
-        return mat
 
     def to_text(self) -> str:
         """One term per line, ``coeff  P0 P1 ...``; round-trips exactly.
@@ -304,56 +260,6 @@ class QubitOperator:
 
     def __repr__(self):
         return f"QubitOperator(n_qubits={self.n_qubits}, n_terms={self.n_terms})"
-
-
-def _pauli_pass(x, z, coeffs, states: np.ndarray):
-    """Walk the (X group, basis state) pairs of a Pauli sum in blocks of whole groups.
-
-    Term t is coeffs[t] times the string with masks (x[t], z[t]). A string
-    maps |s> to i^|x&z| (-1)^|s&z| |s ^ x>, so the terms sharing an X mask
-    form a group with one image per state, probed with one ``searchsorted``.
-    Groups are taken in ascending X order, as many as fill about
-    ``_PAULI_BLOCK`` (group, state) pairs (at least one). Each block yields,
-    per pair, the position of its image in ``states``, whether the image is
-    in ``states`` and the group's sum on the state. A block's pairs run
-    group by group, so pair p is on state states[p % len(states)].
-
-    Determinism: each sum adds its group's terms in ascending Z order,
-    starting from 0, and all sums advance one term per step, so neither the
-    blocking nor the group sizes change a bit.
-    """
-    dim = len(states)
-    order = np.lexsort((z, x))
-    x, z, coeffs = x[order], z[order], coeffs[order]
-    del order
-    coeffs *= np.asarray(_PHASES)[np.bitwise_count(x & z) & 3]
-    # real and imaginary parts are summed apart; a part whose coefficients are
-    # all zero is skipped, so its sums stay +0
-    parts = [p for p in ("real", "imag") if getattr(coeffs, p).any()]
-    new = np.ones(x.size, bool)
-    new[1:] = x[1:] != x[:-1]
-    starts = np.flatnonzero(new)
-    sizes = np.diff(starts, append=x.size)
-    x = x[starts]   # per group from here on
-    step = max(1, _PAULI_BLOCK // max(dim, 1))
-    for lo in range(0, starts.size, step):
-        # the block's groups by decreasing size, so at step k the groups with
-        # a k-th term are the first active[k]
-        groups = np.arange(lo, min(lo + step, starts.size))
-        groups = groups[np.argsort(-sizes[groups], kind="stable")]
-        images = states ^ x[groups, None]
-        pos = np.minimum(np.searchsorted(states, images), dim - 1).ravel()
-        found = states[pos] == images.ravel()
-        active = np.searchsorted(-sizes[groups], -np.arange(sizes[groups].max()))
-        values = np.zeros((groups.size, dim), complex)
-        sums = [(getattr(coeffs, p), getattr(values, p)) for p in parts]
-        first = starts[groups, None]
-        for k, n in enumerate(active.tolist()):
-            t = first[:n] + k
-            odd = np.bitwise_count(z[t] & states) & 1
-            for part, total in sums:
-                total[:n] += np.where(odd, -part[t], part[t])
-        yield pos, found, values.ravel()
 
 
 def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:

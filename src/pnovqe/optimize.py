@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import Ansatz
-from .operators import QubitOperator
+from .exact import IntegralHamiltonian
 from .simulator import ansatz_expectation, gradient as ansatz_gradient
 
 _C1 = 1e-4
@@ -161,7 +161,7 @@ def _zoom(f, g, x, direction, f0, slope0, lo, phi_lo, grad_lo, hi):
 
 
 def run_vqe(
-    hamiltonian: QubitOperator,
+    hamiltonian: IntegralHamiltonian,
     ansatz: Ansatz,
     grad_tol: float = 1e-6,
     max_iter: int = 500,

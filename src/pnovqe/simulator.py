@@ -25,11 +25,11 @@ formed by whichever of the energy and the gradient needs it first.
 
 VQE energies and gradients run on the sector the circuit keeps its
 reference in: the (N, S_z) sector when every generator commutes with S_z
-(``Ansatz.two_sz``), else the N sector. The exact solve of a point uses the
-same basis and reads the same cached ``matrix`` of the Hamiltonian (a
-``QubitOperator`` or the point's ``exact.IntegralHamiltonian``) through the
-same check, ``exact._hermitian_matrix``; the matrix is float64 when its
-entries are real. The gradient is the adjoint sweep (Jones and Gacon,
+(``Ansatz.two_sz``), else the N sector. The Hamiltonian is an
+``exact.IntegralHamiltonian`` or its paired restriction, and the exact
+solve of a point uses the same basis and reads the same cached real
+``matrix`` of it (``exact.determinant_matrix``) through the same check,
+``exact._sector_matrix``. The gradient is the adjoint sweep (Jones and Gacon,
 arXiv:2009.02823): it rotates a copy of H psi alone backwards through the
 factors and reads each derivative from the kept rotation inputs, so one
 parameter point costs one forward sweep, one mat-vec and one backward
@@ -44,8 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import Ansatz
-from .exact import SectorBasis, _hermitian_matrix, sector_basis
-from .operators import QubitOperator
+from .exact import IntegralHamiltonian, SectorBasis, _sector_matrix, sector_basis
 
 
 def _basis_vector(basis: SectorBasis, occupied) -> np.ndarray:
@@ -148,7 +147,7 @@ def _sector_state(ansatz: Ansatz, theta) -> tuple:
     return basis, circuit, circuit.last[1]
 
 
-def _applied(op: QubitOperator, basis: SectorBasis, circuit: _Circuit) -> np.ndarray:
+def _applied(op: IntegralHamiltonian, basis: SectorBasis, circuit: _Circuit) -> np.ndarray:
     """The operator's sector matrix times the circuit's last state, read-only.
 
     Formed once per (state, operator): the energy and the gradient at one
@@ -156,22 +155,19 @@ def _applied(op: QubitOperator, basis: SectorBasis, circuit: _Circuit) -> np.nda
     """
     kept_op, h_psi = circuit.applied
     if kept_op is not op:
-        h_psi = _hermitian_matrix(op, basis) @ circuit.last[1]
+        h_psi = _sector_matrix(op, basis) @ circuit.last[1]
         h_psi.flags.writeable = False
         circuit.applied = (op, h_psi)
     return h_psi
 
 
-def ansatz_expectation(op: QubitOperator, ansatz: Ansatz, theta) -> float:
+def ansatz_expectation(op: IntegralHamiltonian, ansatz: Ansatz, theta) -> float:
     """Circuit energy, evaluated in the sector the circuit keeps its reference in."""
     basis, circuit, psi = _sector_state(ansatz, theta)
-    value = np.vdot(psi, _applied(op, basis, circuit))
-    if abs(value.imag) > 1e-10:
-        raise RuntimeError("expectation value has a non-negligible imaginary part")
-    return float(value.real)
+    return float(np.vdot(psi, _applied(op, basis, circuit)))
 
 
-def gradient(op: QubitOperator, ansatz: Ansatz, theta) -> np.ndarray:
+def gradient(op: IntegralHamiltonian, ansatz: Ansatz, theta) -> np.ndarray:
     """d<H>/d(theta_k) for every parameter, in the circuit's sector, by the adjoint sweep.
 
     It reuses the forward sweep and H psi of the energy at theta, and sweeps

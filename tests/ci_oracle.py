@@ -18,30 +18,34 @@ density it already had.
 
 The operator oracles are the term-by-term loops the package's array code
 must reproduce bit for bit: the spin-orbital expansion of the integrals,
-the Jordan-Wigner product of the ladder images, the projection of a qubit
-operator onto a basis, one X group and one term at a time, and the text
-form of a qubit operator, one label per term. An excitation generator's
+the Jordan-Wigner product of the ladder images, and the text form of a
+qubit operator, one label per term. The projection of a qubit operator
+onto a basis, one X group and one term at a time (``reference_matrix``),
+is the only sector matrix of a Pauli sum: the package builds its sector
+matrices from the integrals, and the tests check them against this
+projection of the Jordan-Wigner image. An excitation generator's
 Pauli strings come from that Jordan-Wigner product of its ladders (written
 out for a pair rotation), never from the excitation masks the package
 derives its strings and factors from; every oracle below that reads a
 generator reads these strings.
 
-The state-engine oracles that follow do use the package's Pauli kernel and
-energy: the sparse-G form of a G^3 = G factor from a generator's Pauli
+The state-engine oracles that follow build on ``reference_matrix``: the
+sparse-G form of a G^3 = G factor from a generator's Pauli
 strings and the sparse checks that build it (the reference for the
 simulator's determinant-rule factors), the complex sweep in the
 reference's particle-number sector that the real (N, S_z) sweep must
-reproduce, and central finite differences of the energy.
+reproduce, and central finite differences of the package's energy.
 ``register_basis`` is every bitmask of a register as a ``SectorBasis``,
-for the tests that probe the kernel and the factors there.
+for the tests that probe the factors there.
 
 The full-register oracles at the end run nothing of the package's engine
-and read only an operator's terms and an ansatz's reference strings: Pauli
+and read only an operator's terms (or a dense register matrix, as
+``paired_register_matrix`` gives) and an ansatz's reference strings: Pauli
 sums as Kronecker products (``scipy.sparse.kron`` above 8 qubits), circuit
 states by ``expm_multiply`` of each generator, the two-point shift rule on
 each Pauli rotation of the 2^n register, dense spectra from ``eigvalsh``,
-and the projection onto paired determinants. Dense Hamiltonians are for 8
-qubits or fewer.
+and the projection onto paired determinants (by ``reference_matrix``).
+Dense Hamiltonians are for 8 qubits or fewer.
 """
 
 from __future__ import annotations
@@ -652,16 +656,16 @@ def reference_to_text(op: QubitOperator) -> str:
 def reference_factor(strings, basis) -> tuple:
     """(rows, cols, phases) of G = sum_m c_m P_m, checked with sparse products of G.
 
-    The checks, in order: real coefficients, PG^2P = (PGP)^2 (G keeps the
-    basis closed, the one check the simulator makes), one entry per row,
-    G^3 = G. The simulator's signs are -i times the phases.
+    G is ``reference_matrix`` of the real-coefficient strings (as
+    ``reference_generator_strings`` gives them). The checks, in order:
+    PG^2P = (PGP)^2 (G keeps the basis closed, the one check the simulator
+    makes), one entry per row, G^3 = G. The simulator's signs are -i times
+    the phases.
     """
     gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
-    if gen.max_imag() > 0:
-        raise ValueError("generator is not Hermitian (complex coefficients)")
-    g = gen.matrix(basis.states)
+    g = reference_matrix(gen, basis.states)
     g2 = g @ g
-    if abs(g2 - (gen * gen).matrix(basis.states)).max() > 1e-10:
+    if abs(g2 - reference_matrix(gen * gen, basis.states)).max() > 1e-10:
         raise ValueError("generator maps a basis state outside the basis")
     per_row = np.diff(g.indptr)
     if per_row.max(initial=0) > 1:
@@ -677,12 +681,16 @@ def reference_rotate(vec: np.ndarray, g, angle: float) -> np.ndarray:
     return vec + (np.cos(0.5 * angle) - 1.0) * (g @ g_vec) - 1j * np.sin(0.5 * angle) * g_vec
 
 
-def reference_sector_sweep(op: QubitOperator, ansatz, theta) -> tuple:
+def reference_sector_sweep(op, ansatz, theta) -> tuple:
     """(energy, adjoint gradient) by a complex sweep in the reference's N sector.
 
-    Factors come from ``reference_factor`` and rotate as v[rows] =
-    cos(a/2) v[rows] - i sin(a/2) phases v[cols]; the energy and the terms
-    Im <lam|G_k|psi> read ``op.matrix`` of the sector on a complex state.
+    ``op`` is a Pauli sum, such as the Jordan-Wigner image of the
+    Hamiltonian the engine reads as an ``IntegralHamiltonian``, or a dense
+    register matrix such as ``paired_register_matrix``. Factors come
+    from ``reference_factor`` and rotate as v[rows] = cos(a/2) v[rows] - i
+    sin(a/2) phases v[cols]; the energy and the terms Im <lam|G_k|psi> read
+    the sector block of ``op`` (``reference_matrix`` of a Pauli sum) on a
+    complex state.
     """
     basis = sector_basis(ansatz.n_qubits, len(ansatz.reference))
     factors = [reference_factor(reference_generator_strings(gen), basis)
@@ -696,7 +704,10 @@ def reference_sector_sweep(op: QubitOperator, ansatz, theta) -> tuple:
     psi[np.searchsorted(basis.states, sum(1 << q for q in ansatz.reference))] = 1.0
     for factor, angle in zip(factors, theta):
         rotate(psi, factor, angle)
-    lam = op.matrix(basis.states) @ psi
+    if isinstance(op, np.ndarray):
+        lam = op[np.ix_(basis.states, basis.states)] @ psi
+    else:
+        lam = reference_matrix(op, basis.states) @ psi
     energy = float(np.vdot(psi, lam).real)
     grad = np.zeros(len(factors))
     for k in range(len(factors) - 1, -1, -1):
@@ -724,7 +735,7 @@ def finite_difference_gradient(op, ansatz, theta, step: float = 1e-5) -> np.ndar
 
 
 def register_basis(n_qubits: int) -> SectorBasis:
-    """Every bitmask of the register, as a basis ``QubitOperator.matrix`` and ``_factors`` take."""
+    """Every bitmask of the register, as a basis ``reference_matrix`` and ``_factors`` take."""
     return SectorBasis(n_qubits, np.arange(1 << n_qubits, dtype=np.int64))
 
 
@@ -802,7 +813,8 @@ def reference_register_shift_gradient(op, ansatz, theta) -> np.ndarray:
     Each generator sum_m c_m P_m is applied as the product of its rotations
     exp(-i a/2 P_m), a = theta c_m (exact for the commuting strings of an
     excitation), each cos(a/2) - i sin(a/2) P_m with P_m^2 = 1 and P_m the
-    dense Kronecker matrix, on the 2^n register; energies read ``kron_matrix``.
+    dense Kronecker matrix, on the 2^n register; energies read ``kron_matrix``
+    of a Pauli sum ``op``, or ``op`` itself when it is a dense register matrix.
     """
     rotations = [
         (k, kron_string(string), theta[k] * coeff, coeff)
@@ -814,7 +826,7 @@ def reference_register_shift_gradient(op, ansatz, theta) -> np.ndarray:
         return np.cos(0.5 * angle) * np.eye(len(pauli)) - 1j * np.sin(0.5 * angle) * pauli
 
     plain = [unitary(pauli, angle) for _, pauli, angle, _ in rotations]
-    hamiltonian = kron_matrix(op)
+    hamiltonian = op if isinstance(op, np.ndarray) else kron_matrix(op)
     reference = register_state(ansatz.n_qubits, ansatz.reference)
     grad = np.zeros(ansatz.n_parameters)
     for r, (k, pauli, angle, coeff) in enumerate(rotations):
@@ -833,11 +845,17 @@ def eigenvalues_dense(op: QubitOperator) -> np.ndarray:
 
 
 def seniority_zero_projection(op: QubitOperator, n_orb: int) -> np.ndarray:
-    """Dense Kronecker matrix of the full operator restricted to paired states.
+    """The full operator restricted to paired states, dense, by ``reference_matrix``.
 
     Basis state m on n_orb qubits maps to the determinant with qubits
     2p and 2p+1 set for every bit p of m (oracle for the paired
-    Hamiltonian).
+    Hamiltonian); row and column m are that of state m.
     """
     paired_states = [sum(0b11 << (2 * p) for p in range(n_orb) if (m >> p) & 1) for m in range(1 << n_orb)]
-    return kron_matrix(op)[np.ix_(paired_states, paired_states)]
+    return reference_matrix(op, np.array(paired_states, dtype=np.int64)).toarray()
+
+
+def paired_register_matrix(mo: IntegralSet) -> np.ndarray:
+    """The paired Hamiltonian over its 2^n_orb register, from the reference Jordan-Wigner image."""
+    full = reference_jordan_wigner(reference_build_hamiltonian(mo), 2 * mo.n_orb)
+    return seniority_zero_projection(full, mo.n_orb)

@@ -2,8 +2,11 @@
 
 The iterative solve (``scipy.sparse.linalg.eigsh``) only runs on sectors
 above ``exact._DENSE_DIM`` = 600 states; its property tests patch the
-crossover down so random Pauli sums on sectors of 3-252 states reach it;
-sectors above 40 states make ARPACK restart. Examples are derandomized.
+crossover down so Hamiltonians of random integrals on N and (N, S_z)
+sectors of 3-252 states reach it; sectors above 40 states make ARPACK
+restart. The paired Hamiltonian's entries are checked against the
+seniority-zero projection of the reference Jordan-Wigner image. Examples
+are derandomized.
 """
 
 import os
@@ -17,40 +20,47 @@ from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe import exact as exact_mod
-from pnovqe.exact import build_paired_ansatz
-from pnovqe.operators import QubitOperator
+from pnovqe.exact import IntegralHamiltonian, SectorBasis, build_paired_ansatz
 
 from ci_oracle import (
-    eigenvalues_dense, random_integral_set, register_basis, seniority_zero_projection,
+    eigenvalues_dense, random_integral_set, reference_build_hamiltonian,
+    reference_jordan_wigner, seniority_zero_projection,
 )
 
 
+def integral_set(h, g=None, core=0.0) -> pq.IntegralSet:
+    h = np.asarray(h, dtype=float)
+    n = h.shape[0]
+    g = np.zeros((n,) * 4) if g is None else g
+    return pq.IntegralSet(n_orb=n, h=h, g=g, core_energy=core, n_electrons=2)
+
+
 class TestExactGroundEnergy:
-    def test_single_z(self):
-        op = QubitOperator.from_string(pq.PauliString.from_label(1, "Z0"))
-        energy, _ = pq.exact_ground_energy(op, register_basis(1))
-        assert energy == pytest.approx(-1.0)
+    def test_one_electron_closed_form(self):
+        # one spin-up electron: the sector energies are core + the eigenvalues of h
+        h = [[-1.0, 0.3], [0.3, 0.5]]
+        energy, _ = pq.exact_ground_energy(IntegralHamiltonian(integral_set(h, core=0.25)),
+                                           pq.sector_basis(4, 1, two_sz=1))
+        assert energy == pytest.approx(0.25 + np.linalg.eigvalsh(h)[0], abs=1e-12)
 
     def test_constant_operator(self):
-        op = QubitOperator.identity(2, coeff=-2.75)
-        energy, _ = pq.exact_ground_energy(op, register_basis(2))
+        hamiltonian = IntegralHamiltonian(integral_set(np.zeros((1, 1)), core=-2.75))
+        energy, _ = pq.exact_ground_energy(hamiltonian, pq.sector_basis(2, 1))
         assert energy == pytest.approx(-2.75)
 
     def test_h2_pin_and_sector_consistency(self, h2_sto3g):
-        hq = h2_sto3g["hamiltonian"]
-        e_full = eigenvalues_dense(hq)[0]
+        e_full = eigenvalues_dense(h2_sto3g["hamiltonian"])[0]
         sector = pq.sector_basis(4, 2, two_sz=0)
-        e_sector, _ = pq.exact_ground_energy(hq, sector)
+        e_sector, _ = pq.exact_ground_energy(IntegralHamiltonian(h2_sto3g["mo"]), sector)
         assert e_sector == pytest.approx(e_full, abs=1e-10)
         assert e_full == pytest.approx(-1.1372759431, abs=1e-8)  # frozen regression
 
     def test_minimum_over_sectors_equals_full(self):
         mo = random_integral_set(2, 2, 40)
-        hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 4)
-        e_full = eigenvalues_dense(hq)[0]
+        e_full = eigenvalues_dense(pq.jordan_wigner(pq.build_hamiltonian(mo), 4))[0]
         sector_energies = []
         for n in range(5):
-            energy, _ = pq.exact_ground_energy(hq, pq.sector_basis(4, n))
+            energy, _ = pq.exact_ground_energy(IntegralHamiltonian(mo), pq.sector_basis(4, n))
             assert energy >= e_full - 1e-10
             sector_energies.append(energy)
         assert min(sector_energies) == pytest.approx(e_full, abs=1e-10)
@@ -62,20 +72,36 @@ class TestExactGroundEnergy:
             pq.sector_basis(2, 2, two_sz=1)
 
     def test_sector_of_another_register_rejected(self):
-        op = QubitOperator.from_string(pq.PauliString.from_label(2, "Z0"))
+        hamiltonian = IntegralHamiltonian(integral_set(np.zeros((1, 1))))
         with pytest.raises(ValueError, match="register"):
-            pq.exact_ground_energy(op, pq.sector_basis(4, 2, 0))
+            pq.exact_ground_energy(hamiltonian, pq.sector_basis(4, 2, 0))
 
-    def test_non_hermitian_rejected(self):
-        op = QubitOperator(1, {(1, 0): 0.5j})
-        with pytest.raises(ValueError, match="Hermitian"):
-            pq.exact_ground_energy(op, register_basis(1))
+    def test_asymmetric_integrals_rejected(self):
+        # every sector matrix is real symmetric because no other integrals get in
+        with pytest.raises(ValueError, match="h must be symmetric"):
+            integral_set([[0.0, 0.1], [0.2, 0.0]])
+        g = np.zeros((2,) * 4)
+        g[0, 0, 1, 1] = 0.3
+        with pytest.raises(ValueError, match="8-fold"):
+            integral_set(np.zeros((2, 2)), g)
+
+    def test_basis_out_of_order_or_outside_the_register_rejected(self):
+        # states are located by searchsorted: a reversed basis solved to 0.0
+        mo = random_integral_set(3, 2, 4)
+        basis = pq.sector_basis(6, 2, 0)
+        energy, _ = pq.exact_ground_energy(IntegralHamiltonian(mo), basis)
+        assert energy == pytest.approx(-4.644260867743372, abs=1e-12)
+        bad = [(6, basis.states[::-1]), (2, [1, 2, 8]), (2, [1, 1, 2]), (2, [-1, 1]), (2, [4])]
+        for n_qubits, states in bad:
+            with pytest.raises(ValueError, match="strictly increasing bitmasks of the register"):
+                SectorBasis(n_qubits, np.array(states, dtype=np.int64))
+        assert SectorBasis(2, np.arange(4)).dim == 4
 
     def test_residual_certified(self, h2_sto3g):
-        hq = h2_sto3g["hamiltonian"]
+        hamiltonian = IntegralHamiltonian(h2_sto3g["mo"])
         sector = pq.sector_basis(4, 2, two_sz=0)
-        energy, vector = pq.exact_ground_energy(hq, sector)
-        mat = hq.matrix(sector.states).toarray()
+        energy, vector = pq.exact_ground_energy(hamiltonian, sector)
+        mat = hamiltonian.matrix(sector.states).toarray()
         assert np.linalg.norm(mat @ vector - energy * vector) < 1e-8
 
 
@@ -87,50 +113,41 @@ _NCV = 20
 
 
 @st.composite
-def sector_operators(draw, qubits=(3, 6), edge=1, max_terms=12):
-    """(Hermitian Pauli sum, number sector of at least 3 states): real, or with an imaginary hopping.
+def sector_hamiltonians(draw, orbitals=(2, 3), edge=1):
+    """(Hamiltonian of random integrals, a sector of at least 3 states of its register).
 
-    Random strings mostly leave a number sector; the real hoppings
-    (X_p X_q + Y_p Y_q)/2 connect it.
+    The sector is the N sector, or the (N, S_z) sector of the least |S_z|
+    when that holds 3 states or more.
     """
-    n_qubits = draw(st.integers(*qubits))
-    basis = pq.sector_basis(n_qubits, draw(st.integers(edge, n_qubits - edge)))
-    mask = st.integers(0, (1 << n_qubits) - 1)
-    pair = st.lists(st.integers(0, n_qubits - 1), min_size=2, max_size=2, unique=True)
-    terms = draw(st.lists(st.tuples(mask, mask, st.floats(-1, 1)), max_size=max_terms))
-    op = QubitOperator(n_qubits, {})
-    for x, z, coeff in terms:
-        op = op + QubitOperator(n_qubits, {(x, z): coeff})
-    for (p, q), coeff in draw(st.lists(st.tuples(pair, st.floats(-1, 1)), max_size=max_terms)):
-        op = op + QubitOperator(n_qubits, {(1 << p | 1 << q, 0): coeff, (1 << p | 1 << q,) * 2: coeff})
-    if draw(st.booleans()):   # (X_p Y_q - Y_p X_q)/2 has imaginary entries on every number sector
-        p, q = draw(pair)
-        op = (op + QubitOperator(n_qubits, {(1 << p | 1 << q, 1 << q): 0.5})
-              + QubitOperator(n_qubits, {(1 << p | 1 << q, 1 << p): -0.5}))
-        assert op.matrix(basis.states).dtype == np.complex128
-    return op, basis
+    n_orb = draw(st.integers(*orbitals))
+    n = draw(st.integers(edge, 2 * n_orb - edge))
+    basis = pq.sector_basis(2 * n_orb, n, n % 2 if draw(st.booleans()) else None)
+    if basis.dim < 3:
+        basis = pq.sector_basis(2 * n_orb, n)
+    mo = random_integral_set(n_orb, 2, draw(st.integers(0, 10_000)))
+    return IntegralHamiltonian(mo), basis
 
 
-def _check_iterative_solve(op, basis):
-    mat = op.matrix(basis.states)
+def _check_iterative_solve(hamiltonian, basis):
+    mat = hamiltonian.matrix(basis.states)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact_mod, "_DENSE_DIM", 2)
-        energy, vector = pq.exact_ground_energy(op, basis)
-        again, vector_again = pq.exact_ground_energy(op, basis)
+        energy, vector = pq.exact_ground_energy(hamiltonian, basis)
+        again, vector_again = pq.exact_ground_energy(hamiltonian, basis)
     assert abs(energy - np.linalg.eigvalsh(mat.toarray())[0]) < 1e-10
     assert np.linalg.norm(mat @ vector - energy * vector) < 1e-8
-    assert vector.dtype == mat.dtype
+    assert vector.dtype == mat.dtype == np.float64
     assert again == energy and np.array_equal(vector_again, vector)
 
 
 @ITERATIVE
-@given(sector_operators())
+@given(sector_hamiltonians())
 def test_iterative_solve_matches_the_dense_spectrum(case):
     _check_iterative_solve(*case)
 
 
 @ITERATIVE
-@given(sector_operators(qubits=(8, 10), edge=3, max_terms=40))
+@given(sector_hamiltonians(orbitals=(5, 5), edge=4))
 def test_restarted_iterative_solve_matches_the_dense_spectrum(case):
     assert case[1].dim > 2 * _NCV
     _check_iterative_solve(*case)
@@ -138,7 +155,8 @@ def test_restarted_iterative_solve_matches_the_dense_spectrum(case):
 
 def test_iterative_solve_of_an_operator_that_vanishes_on_the_sector(monkeypatch):
     monkeypatch.setattr(exact_mod, "_DENSE_DIM", 2)
-    energy, vector = pq.exact_ground_energy(QubitOperator(3, {}), pq.sector_basis(3, 1))
+    hamiltonian = IntegralHamiltonian(integral_set(np.zeros((2, 2))))
+    energy, vector = pq.exact_ground_energy(hamiltonian, pq.sector_basis(4, 1))
     assert energy == 0.0 and np.linalg.norm(vector) == pytest.approx(1.0)
 
 
@@ -150,58 +168,59 @@ def test_import_leaves_the_iterative_solver_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
+def paired_spectrum(hamiltonian) -> np.ndarray:
+    """Every eigenvalue of a paired Hamiltonian, over the sectors of each pair count."""
+    n = hamiltonian.n_qubits
+    blocks = [hamiltonian.matrix(pq.sector_basis(n, k).states).toarray() for k in range(n + 1)]
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
+
+
+PAIRED = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+
+
 class TestPairedHamiltonian:
     def test_one_orbital_closed_form(self):
         h = np.array([[-1.1]])
         g = np.full((1, 1, 1, 1), 0.6)
-        mo = pq.IntegralSet(n_orb=1, h=h, g=g, core_energy=0.25, n_electrons=2)
-        hp = pq.build_paired_hamiltonian(mo)
-        np.testing.assert_allclose(
-            np.sort(eigenvalues_dense(hp)),
-            np.sort([0.25, 0.25 - 2.2 + 0.6]),
-            atol=1e-12,
-        )
+        hp = pq.build_paired_hamiltonian(integral_set(h, g, core=0.25))
+        np.testing.assert_allclose(paired_spectrum(hp), np.sort([0.25, 0.25 - 2.2 + 0.6]),
+                                   atol=1e-12)
 
     def test_zero_two_electron_terms(self):
-        h = np.diag([-1.0, -0.4])
-        mo = pq.IntegralSet(
-            n_orb=2, h=h, g=np.zeros((2,) * 4), core_energy=0.0, n_electrons=2
-        )
-        hp = pq.build_paired_hamiltonian(mo)
-        spectrum = np.sort(eigenvalues_dense(hp))
+        hp = pq.build_paired_hamiltonian(integral_set(np.diag([-1.0, -0.4])))
         expected = np.sort([0.0, -2.0, -0.8, -2.8])
-        np.testing.assert_allclose(spectrum, expected, atol=1e-12)
+        np.testing.assert_allclose(paired_spectrum(hp), expected, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_projection_equivalence(self, seed):
-        mo = random_integral_set(3, 2, seed)
-        h_full = pq.jordan_wigner(pq.build_hamiltonian(mo), 6)
-        h_pair = pq.build_paired_hamiltonian(mo)
-        np.testing.assert_allclose(
-            np.linalg.eigvalsh(seniority_zero_projection(h_full, 3)),
-            eigenvalues_dense(h_pair),
-            atol=1e-10,
-        )
+    @PAIRED
+    @given(st.integers(2, 5), st.integers(0, 10_000))
+    def test_matrix_entries_match_the_seniority_zero_projection(self, n_orb, seed):
+        mo = random_integral_set(n_orb, 2, seed)
+        full = reference_jordan_wigner(reference_build_hamiltonian(mo), 2 * n_orb)
+        projection = seniority_zero_projection(full, n_orb)
+        assert not projection.imag.any()
+        hp = pq.build_paired_hamiltonian(mo)
+        assert hp.n_qubits == n_orb
+        for n_pairs in range(n_orb + 1):
+            states = pq.sector_basis(n_orb, n_pairs).states
+            np.testing.assert_allclose(hp.matrix(states).toarray(),
+                                       projection.real[np.ix_(states, states)], atol=1e-12, rtol=0)
 
     def test_paired_bound(self):
         mo = random_integral_set(3, 4, 9)
-        h_full = pq.jordan_wigner(pq.build_hamiltonian(mo), 6)
-        h_pair = pq.build_paired_hamiltonian(mo)
-        e_full = eigenvalues_dense(h_full)[0]
-        e_pair, _ = pq.exact_ground_energy(h_pair, register_basis(3))
+        e_full, _ = pq.exact_ground_energy(IntegralHamiltonian(mo), pq.sector_basis(6, 4, 0))
+        e_pair, _ = pq.exact_ground_energy(pq.build_paired_hamiltonian(mo), pq.sector_basis(3, 2))
         assert e_pair >= e_full - 1e-10
 
 
 class TestPairedAnsatzEquivalence:
     def test_vqe_energies_match_across_encodings(self):
         mo = random_integral_set(4, 4, 10)
-        h_full = pq.jordan_wigner(pq.build_hamiltonian(mo), 8)
         space = pq.OrbitalSpace(
             n_total=4, occupied=(0, 1),
             pno_assignment={2: (0, 0), 3: (1, 1)}, transform=np.eye(4),
         )
         full_ansatz = pq.build_pno_ansatz(space, "UpCCD")
-        res_full = pq.run_vqe(h_full, full_ansatz)
+        res_full = pq.run_vqe(IntegralHamiltonian(mo), full_ansatz)
         doubles = [g.orbitals for g in full_ansatz.generators]
         res_pair = pq.run_vqe(
             pq.build_paired_hamiltonian(mo),
@@ -231,12 +250,7 @@ class TestBasisRotationInvariance:
             core_energy=mo.core_energy,
             n_electrons=2,
         )
-        e0, _ = pq.exact_ground_energy(
-            pq.jordan_wigner(pq.build_hamiltonian(mo), 6),
-            pq.sector_basis(6, 2, two_sz=0),
-        )
-        e1, _ = pq.exact_ground_energy(
-            pq.jordan_wigner(pq.build_hamiltonian(rotated), 6),
-            pq.sector_basis(6, 2, two_sz=0),
-        )
+        sector = pq.sector_basis(6, 2, two_sz=0)
+        e0, _ = pq.exact_ground_energy(IntegralHamiltonian(mo), sector)
+        e1, _ = pq.exact_ground_energy(IntegralHamiltonian(rotated), sector)
         assert e1 == pytest.approx(e0, abs=1e-9)

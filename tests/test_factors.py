@@ -29,8 +29,8 @@ from pnovqe.exact import SectorBasis
 from pnovqe.simulator import _factors, _rotate, _sector_state
 
 from ci_oracle import (
-    random_integral_set, reference_factor, reference_generator_strings,
-    reference_register_shift_gradient, reference_rotate,
+    paired_register_matrix, random_integral_set, reference_factor, reference_generator_strings,
+    reference_matrix, reference_register_shift_gradient, reference_rotate,
 )
 
 FACTORS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -223,7 +223,7 @@ def test_circuit_factors_match_the_oracle_on_the_n_sector(build):
 def check_factor(gen, basis, angle, seed):
     gen_op = sum((pq.QubitOperator.from_string(s, c) for s, c in reference_generator_strings(gen)),
                  pq.QubitOperator(basis.n_qubits))
-    g = gen_op.matrix(basis.states)
+    g = reference_matrix(gen_op, basis.states)
     vec = random_state(basis.dim, seed)
     got = vec.copy()
     _rotate(got, one_factor(gen, basis), angle)
@@ -239,8 +239,7 @@ def test_excitation_factor_matches_expm_and_reference(case, angle, seed):
 
 
 def small_problem(seed: int):
-    mo = random_integral_set(3, 2, seed)
-    return pq.jordan_wigner(pq.build_hamiltonian(mo), 6)
+    return pq.IntegralHamiltonian(random_integral_set(3, 2, seed))
 
 
 def fresh_ansatz():
@@ -332,7 +331,7 @@ def test_one_mat_vec_and_one_backward_sweep_per_parameter_point(monkeypatch):
     k = ansatz.n_parameters
     theta = np.linspace(-0.2, 0.6, k)
     products, rotations = [], []
-    hermitian_matrix, rotate = simulator._hermitian_matrix, simulator._rotate
+    sector_matrix, rotate = simulator._sector_matrix, simulator._rotate
 
     class CountedMatrix:
         def __init__(self, mat):
@@ -346,8 +345,8 @@ def test_one_mat_vec_and_one_backward_sweep_per_parameter_point(monkeypatch):
         rotations.append(1)
         return rotate(*args)
 
-    monkeypatch.setattr(simulator, "_hermitian_matrix",
-                        lambda op, basis: CountedMatrix(hermitian_matrix(op, basis)))
+    monkeypatch.setattr(simulator, "_sector_matrix",
+                        lambda op, basis: CountedMatrix(sector_matrix(op, basis)))
     monkeypatch.setattr(simulator, "_rotate", counted_rotate)
     pq.ansatz_expectation(h1, ansatz, theta)
     grad = pq.gradient(h1, ansatz, theta)
@@ -361,7 +360,11 @@ def test_one_mat_vec_and_one_backward_sweep_per_parameter_point(monkeypatch):
 
 @st.composite
 def sweep_circuits(draw, kind: str):
-    """(operator, ansatz, theta) on a random integral set: UpCCGSD, a PNO variant or paired."""
+    """(Hamiltonian, its register oracle, ansatz, theta) on a random integral set.
+
+    The ansatz is UpCCGSD, a PNO variant or paired; the oracle is the
+    Jordan-Wigner image, or the paired register matrix.
+    """
     seed = draw(st.integers(0, 10_000))
     if kind == "paired":
         mo = random_integral_set(4, 4, seed)
@@ -370,7 +373,7 @@ def sweep_circuits(draw, kind: str):
         ansatz = pq.build_paired_ansatz((0, 1), pairs, 4)
         theta = draw(st.lists(st.floats(-np.pi, np.pi, allow_nan=False),
                               min_size=ansatz.n_parameters, max_size=ansatz.n_parameters))
-        return pq.build_paired_hamiltonian(mo), ansatz, np.array(theta)
+        return pq.build_paired_hamiltonian(mo), paired_register_matrix(mo), ansatz, np.array(theta)
     if kind in PNO_VARIANTS:
         mo = random_integral_set(4, draw(st.sampled_from([2, 4])), seed, with_energies=True)
         pnos = pq.select_pnos(pq.pair_densities(pq.mp2_amplitudes(mo)), 6,
@@ -381,26 +384,26 @@ def sweep_circuits(draw, kind: str):
     else:
         mo = random_integral_set(3, 2, seed)
         ansatz = pq.build_upccgsd(3, 2)
-    hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 2 * mo.n_orb)
+    oracle = pq.jordan_wigner(pq.build_hamiltonian(mo), 2 * mo.n_orb)
     theta = draw(st.lists(st.floats(-np.pi, np.pi, allow_nan=False),
                           min_size=ansatz.n_parameters, max_size=ansatz.n_parameters))
-    return hq, ansatz, np.array(theta)
+    return pq.IntegralHamiltonian(mo), oracle, ansatz, np.array(theta)
 
 
 @pytest.mark.parametrize("kind", ("UpCCGSD",) + PNO_VARIANTS + ("paired",))
 @CACHE
 @given(data=st.data(), gradient_first=st.booleans())
 def test_backward_sweep_matches_register_shift_rule(kind, data, gradient_first):
-    hq, ansatz, theta = data.draw(sweep_circuits(kind))
+    hq, oracle, ansatz, theta = data.draw(sweep_circuits(kind))
     if gradient_first:
         grad = pq.gradient(hq, ansatz, theta)
         energy = pq.ansatz_expectation(hq, ansatz, theta)
     else:
         energy = pq.ansatz_expectation(hq, ansatz, theta)
         grad = pq.gradient(hq, ansatz, theta)
-    np.testing.assert_allclose(grad, reference_register_shift_gradient(hq, ansatz, theta),
+    np.testing.assert_allclose(grad, reference_register_shift_gradient(oracle, ansatz, theta),
                                atol=1e-10, rtol=0)
     (basis, circuit), = ansatz._prepared.items()
     assert circuit.reference.dtype == np.float64
     psi, _ = simulator._evolve(circuit.reference.copy(), circuit.factors, theta)
-    assert energy == float(np.vdot(psi, hq.matrix(basis.states) @ psi).real)
+    assert energy == float(np.vdot(psi, hq.matrix(basis.states) @ psi))

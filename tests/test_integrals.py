@@ -289,10 +289,10 @@ class TestFCIDump:
     def test_roundtrip_preserves_fci_energy(self, tmp_path):
         base = h2_pipeline(1.4)
         sector = pq.sector_basis(4, 2, two_sz=0)
-        e_before, _ = pq.exact_ground_energy(base["hamiltonian"], sector)
+        e_before, _ = pq.exact_ground_energy(pq.IntegralHamiltonian(base["mo"]), sector)
         path = tmp_path / "h2.fcidump"
         pq.write_fcidump(base["mo"], path)
         mo2 = pq.read_fcidump(path)
-        h2q = pq.jordan_wigner(pq.build_hamiltonian(mo2), 4)
+        h2q = pq.IntegralHamiltonian(mo2)
         e_after, _ = pq.exact_ground_energy(h2q, sector)
         assert e_after == pytest.approx(e_before, abs=1e-10)

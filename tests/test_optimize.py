@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import pnovqe as pq
-from pnovqe.operators import QubitOperator
 from pnovqe.optimize import _zoom
 
 from test_workbench import h2_config
@@ -87,7 +86,7 @@ class TestMinimize:
 
 class TestRunVQE:
     def test_h2_reaches_fci(self, h2_sto3g):
-        hq = h2_sto3g["hamiltonian"]
+        hq = pq.IntegralHamiltonian(h2_sto3g["mo"])
         ansatz = pq.build_upccgsd(2, 2)
         result = pq.run_vqe(hq, ansatz)
         e_fci, _ = pq.exact_ground_energy(hq, pq.sector_basis(4, 2, two_sz=0))
@@ -95,16 +94,19 @@ class TestRunVQE:
         assert result.converged
 
     def test_diagonal_hamiltonian_keeps_reference(self):
-        # Z-only Hamiltonian: theta = 0 is stationary, energy is the
-        # reference value, and the optimizer exits without iterating
-        terms = {(0, 0): -0.5, (0, 0b0001): 0.3, (0, 0b0110): -0.2}
-        hq = QubitOperator(4, terms)
+        # diagonal h and Coulomb-only g give a diagonal determinant matrix:
+        # theta = 0 is stationary, energy is the reference value, and the
+        # optimizer exits without iterating
+        g = np.zeros((2,) * 4)
+        g[0, 0, 0, 0], g[0, 1, 0, 1], g[1, 0, 1, 0] = 0.6, 0.2, 0.2
+        mo = pq.IntegralSet(n_orb=2, h=np.diag([-0.4, 0.7]), g=g, core_energy=-0.5, n_electrons=2)
+        hq = pq.IntegralHamiltonian(mo)
         ansatz = pq.build_upccgsd(2, 2)
         grad0 = pq.gradient(hq, ansatz, np.zeros(3))
         np.testing.assert_allclose(grad0, 0.0, atol=1e-12)
         result = pq.run_vqe(hq, ansatz)
-        # the reference |0011> is a Z eigenstate: -0.5 + 0.3 * (-1) - 0.2 * (-1)(+1)
-        assert result.fun == pytest.approx(-0.6, abs=1e-12)
+        # the reference |0011> fills orbital 0: -0.5 + 2 * (-0.4) + <00|00>
+        assert result.fun == pytest.approx(-0.7, abs=1e-12)
         assert result.iterations == 0
 
     def test_zero_parameter_ansatz(self, h2_sto3g):
@@ -112,7 +114,7 @@ class TestRunVQE:
         pnos = pq.select_pnos(pq.pair_densities(pq.mp2_amplitudes(mo)), 2)
         space = pq.orthonormalize(pnos)
         final = pq.build_final_integrals(mo, space)
-        hq = pq.jordan_wigner(pq.build_hamiltonian(final), 2)
+        hq = pq.IntegralHamiltonian(final)
         ansatz = pq.build_pno_ansatz(space, "UpCCD")
         assert ansatz.n_parameters == 0
         result = pq.run_vqe(hq, ansatz)
@@ -130,18 +132,18 @@ class TestRunVQE:
         pnos = pq.select_pnos(pq.pair_densities(pq.mp2_amplitudes(big)), 4)
         space = pq.orthonormalize(pnos)
         final = pq.build_final_integrals(big, space)
-        hq = pq.jordan_wigner(pq.build_hamiltonian(final), 4)
+        hq = pq.IntegralHamiltonian(final)
         result = pq.run_vqe(hq, pq.build_upccgsd(2, 2))
         assert result.fun < e_sto3g - 1e-3
 
     def test_variational_bound(self, h2_sto3g):
-        hq = h2_sto3g["hamiltonian"]
+        hq = pq.IntegralHamiltonian(h2_sto3g["mo"])
         result = pq.run_vqe(hq, pq.build_upccgsd(2, 2))
         e_fci, _ = pq.exact_ground_energy(hq, pq.sector_basis(4, 2, two_sz=0))
         assert result.fun >= e_fci - 1e-9
 
     def test_restarts_logged_and_deterministic(self, h2_sto3g):
-        hq = h2_sto3g["hamiltonian"]
+        hq = pq.IntegralHamiltonian(h2_sto3g["mo"])
         ansatz = pq.build_upccgsd(2, 2)
         a = pq.run_vqe(hq, ansatz, restarts=2, seed=7)
         b = pq.run_vqe(hq, ansatz, restarts=2, seed=7)
@@ -149,7 +151,7 @@ class TestRunVQE:
         np.testing.assert_array_equal(a.x, b.x)
 
     def test_serial_determinism_of_trajectory(self, h2_sto3g):
-        hq = h2_sto3g["hamiltonian"]
+        hq = pq.IntegralHamiltonian(h2_sto3g["mo"])
         ansatz = pq.build_upccgsd(2, 2)
         a = pq.run_vqe(hq, ansatz)
         b = pq.run_vqe(hq, ansatz)
@@ -201,7 +203,7 @@ class TestExitReason:
 
     def test_zero_parameter_vqe(self, h2_sto3g):
         ansatz = pq.Ansatz(generators=(), n_qubits=4, reference=(0, 1), name="empty")
-        result = pq.run_vqe(h2_sto3g["hamiltonian"], ansatz)
+        result = pq.run_vqe(pq.IntegralHamiltonian(h2_sto3g["mo"]), ansatz)
         assert result.exit_reason == "grad_tol"
 
     def test_run_point_records_the_exit_reason(self):

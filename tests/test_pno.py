@@ -119,7 +119,7 @@ class TestMP2:
         mo = pq.transform_to_mo(ao, scf.mo_coefficients, 2,
                                 orbital_energies=scf.orbital_energies)
         e_mp2 = pq.mp2_amplitudes(mo).mp2_total
-        hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 6)
+        hq = pq.IntegralHamiltonian(mo)
         e_fci, _ = pq.exact_ground_energy(hq, pq.sector_basis(6, 2, two_sz=0))
         e_corr = e_fci - scf.total_energy
         assert e_corr == pytest.approx(e_mp2, rel=bound)
@@ -299,7 +299,7 @@ class TestOrthonormalize:
         energies = []
         for space in (cholesky, loewdin):
             final = pq.build_final_integrals(mo, space)
-            hq = pq.jordan_wigner(pq.build_hamiltonian(final), 10)
+            hq = pq.IntegralHamiltonian(final)
             e, _ = pq.exact_ground_energy(hq, pq.sector_basis(10, 4, two_sz=0))
             energies.append(e)
         assert energies[0] == pytest.approx(energies[1], abs=1e-9)
@@ -329,7 +329,7 @@ class TestBuildFinalIntegrals:
             pq.select_pnos(pq.pair_densities(pq.mp2_amplitudes(mo)), 2)
         )
         final = pq.build_final_integrals(mo, space)
-        hq = pq.jordan_wigner(pq.build_hamiltonian(final), 2)
+        hq = pq.IntegralHamiltonian(final)
         energy, _ = pq.exact_ground_energy(
             hq, pq.sector_basis(2, 2, two_sz=0)
         )
@@ -349,14 +349,14 @@ class TestBuildFinalIntegrals:
         for nq in (4, 6, 8, 10):
             space = pq.orthonormalize(pq.select_pnos(densities, nq))
             final = pq.build_final_integrals(big, space)
-            hq = pq.jordan_wigner(pq.build_hamiltonian(final), nq)
+            hq = pq.IntegralHamiltonian(final)
             e, _ = pq.exact_ground_energy(
                 hq, pq.sector_basis(nq, 2, two_sz=0)
             )
             energies.append(e)
         assert all(b < a - 1e-9 for a, b in zip(energies, energies[1:]))
         e_sto3g, _ = pq.exact_ground_energy(
-            h2_sto3g["hamiltonian"], pq.sector_basis(4, 2, two_sz=0)
+            pq.IntegralHamiltonian(h2_sto3g["mo"]), pq.sector_basis(4, 2, two_sz=0)
         )
         assert energies[0] < e_sto3g - 1e-9
 
@@ -376,7 +376,7 @@ class TestFreezeCore:
     def test_frozen_sector_equivalence(self):
         mo = random_integral_set(3, 4, 21)
         frozen = pq.freeze_core(mo, [0])
-        hq = pq.jordan_wigner(pq.build_hamiltonian(frozen), 4)
+        hq = pq.IntegralHamiltonian(frozen)
         e_frozen, _ = pq.exact_ground_energy(hq, pq.sector_basis(4, 2, two_sz=0))
         # oracle: full CI restricted to determinants with orbital 0 doubly occupied
         masks = [

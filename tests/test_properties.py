@@ -1,6 +1,9 @@
-"""Property tests for the Pauli kernel and the generator engine.
+"""Property tests for the oracle's Pauli projection and the generator engine.
 
-Examples are derandomized, so every run checks the same cases.
+``ci_oracle.reference_matrix`` is the one sector projection of a Pauli sum
+that the tests compare the package's determinant matrices with; it is
+checked here against Kronecker products. Examples are derandomized, so
+every run checks the same cases.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ from pnovqe.simulator import _sector_state
 
 from ci_oracle import (
     embed, kron_ansatz_state, kron_expectation, kron_matrix, random_integral_set,
-    reference_register_shift_gradient,
+    reference_matrix, reference_register_shift_gradient,
 )
 
 KERNEL = settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -37,7 +40,7 @@ def qubit_operators(draw):
 @given(qubit_operators())
 def test_matrix_on_full_basis_matches_kron_oracle(op):
     states = np.arange(1 << op.n_qubits, dtype=np.int64)
-    np.testing.assert_allclose(op.matrix(states).toarray(), kron_matrix(op), atol=1e-12)
+    np.testing.assert_allclose(reference_matrix(op, states).toarray(), kron_matrix(op), atol=1e-12)
 
 
 @KERNEL
@@ -47,13 +50,13 @@ def test_matrix_on_subset_is_the_submatrix(op, data):
         st.lists(st.integers(0, (1 << op.n_qubits) - 1), min_size=1, unique=True)
     ))
     expected = kron_matrix(op)[np.ix_(subset, subset)]
-    got = op.matrix(np.array(subset, dtype=np.int64)).toarray()
+    got = reference_matrix(op, np.array(subset, dtype=np.int64)).toarray()
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 @st.composite
 def circuits(draw):
-    """A random integral set's Hamiltonian, its UpCCGSD ansatz and angles."""
+    """A random integral set's Hamiltonian, its Jordan-Wigner image, its UpCCGSD ansatz and angles."""
     n_orb = draw(st.integers(2, 3))
     n_elec = draw(st.sampled_from((2,) if n_orb == 2 else (2, 4)))
     mo = random_integral_set(n_orb, n_elec, draw(st.integers(0, 10_000)))
@@ -62,15 +65,15 @@ def circuits(draw):
     angle = st.floats(-np.pi, np.pi, allow_nan=False)
     theta = np.array(draw(st.lists(angle, min_size=ansatz.n_parameters,
                                    max_size=ansatz.n_parameters)))
-    return hq, ansatz, theta
+    return pq.IntegralHamiltonian(mo), hq, ansatz, theta
 
 
 @ENGINE
 @given(circuits())
 def test_sector_energy_matches_full_register(circuit):
-    hq, ansatz, theta = circuit
+    hamiltonian, hq, ansatz, theta = circuit
     oracle = kron_ansatz_state(ansatz, theta)
-    assert abs(pq.ansatz_expectation(hq, ansatz, theta) - kron_expectation(hq, oracle)) < 1e-10
+    assert abs(pq.ansatz_expectation(hamiltonian, ansatz, theta) - kron_expectation(hq, oracle)) < 1e-10
     basis, _, psi = _sector_state(ansatz, theta)
     assert abs(abs(np.vdot(embed(basis, psi), oracle)) - 1.0) < 1e-10
 
@@ -78,6 +81,6 @@ def test_sector_energy_matches_full_register(circuit):
 @ENGINE
 @given(circuits())
 def test_sector_adjoint_gradient_matches_register_shift_rule(circuit):
-    hq, ansatz, theta = circuit
+    hamiltonian, hq, ansatz, theta = circuit
     expected = reference_register_shift_gradient(hq, ansatz, theta)
-    np.testing.assert_allclose(pq.gradient(hq, ansatz, theta), expected, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(pq.gradient(hamiltonian, ansatz, theta), expected, atol=1e-10, rtol=0)

@@ -18,8 +18,8 @@ from pnovqe.exact import build_paired_ansatz, build_paired_hamiltonian
 from pnovqe.operators import QubitOperator, commutator, spin_z_operator
 
 from ci_oracle import (
-    kron_ansatz_state, kron_expectation, random_integral_set, reference_generator_strings,
-    reference_matrix, reference_sector_sweep,
+    paired_register_matrix, random_integral_set, reference_generator_strings, reference_matrix,
+    reference_sector_sweep,
 )
 from conftest import excitation_generators, lih_like_pipeline
 
@@ -40,7 +40,7 @@ def upccgsd_circuits(draw):
     mo = random_integral_set(n_orb, n_elec, draw(st.integers(0, 10_000)))
     hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 2 * n_orb)
     ansatz = pq.build_upccgsd(n_orb, n_elec)
-    return hq, ansatz, draw(angles(ansatz.n_parameters))
+    return pq.IntegralHamiltonian(mo), hq, ansatz, draw(angles(ansatz.n_parameters))
 
 
 @st.composite
@@ -53,12 +53,13 @@ def pno_circuits(draw):
     final = pq.build_final_integrals(LIH_MO, space)
     hq = pq.jordan_wigner(pq.build_hamiltonian(final), n_qubits)
     ansatz = pq.build_pno_ansatz(space, draw(st.sampled_from(PNO_VARIANTS)))
-    return hq, ansatz, draw(angles(ansatz.n_parameters))
+    return pq.IntegralHamiltonian(final), hq, ansatz, draw(angles(ansatz.n_parameters))
 
 
-def check_against_oracle(hq, ansatz, theta):
-    energy = pq.ansatz_expectation(hq, ansatz, theta)
-    grad = pq.gradient(hq, ansatz, theta)
+def check_against_oracle(hamiltonian, hq, ansatz, theta):
+    """The engine on ``hamiltonian`` against the oracle sweep on its Jordan-Wigner image ``hq``."""
+    energy = pq.ansatz_expectation(hamiltonian, ansatz, theta)
+    grad = pq.gradient(hamiltonian, ansatz, theta)
     expected_energy, expected_grad = reference_sector_sweep(hq, ansatz, theta)
     assert abs(energy - expected_energy) < 1e-12
     np.testing.assert_allclose(grad, expected_grad, atol=1e-12, rtol=0)
@@ -81,17 +82,18 @@ def test_real_sz_sweep_matches_complex_number_sector_oracle_pno(circuit):
 
 def test_open_shell_reference_keeps_its_own_sz_sector():
     # qubits 0 and 2 are spin up, 1 is spin down: 2 S_z = 1
-    hq = pq.jordan_wigner(pq.build_hamiltonian(random_integral_set(3, 2, 7)), 6)
+    mo = random_integral_set(3, 2, 7)
+    hamiltonian, hq = pq.IntegralHamiltonian(mo), pq.jordan_wigner(pq.build_hamiltonian(mo), 6)
     closed = pq.build_upccgsd(3, 2)
     ansatz = pq.Ansatz(generators=closed.generators, n_qubits=6, reference=(0, 1, 2), name="doublet")
     theta = np.linspace(-0.5, 0.6, ansatz.n_parameters)
     assert ansatz.two_sz == 1
-    energy = pq.ansatz_expectation(hq, ansatz, theta)
+    energy = pq.ansatz_expectation(hamiltonian, ansatz, theta)
     (basis,) = ansatz._prepared
     assert basis is pq.sector_basis(6, 3, two_sz=1) and basis.dim == 9
     expected, expected_grad = reference_sector_sweep(hq, ansatz, theta)
     assert abs(energy - expected) < 1e-12
-    np.testing.assert_allclose(pq.gradient(hq, ansatz, theta), expected_grad, atol=1e-12)
+    np.testing.assert_allclose(pq.gradient(hamiltonian, ansatz, theta), expected_grad, atol=1e-12)
 
 
 @ALGEBRA
@@ -139,17 +141,9 @@ def test_paired_ansatz_runs_on_the_number_sector():
     energy = pq.ansatz_expectation(h_pair, paired, theta)
     (basis,) = paired._prepared
     assert basis is pq.sector_basis(paired.n_qubits, final.n_occ)
-    expected, expected_grad = reference_sector_sweep(h_pair, paired, theta)
+    expected, expected_grad = reference_sector_sweep(paired_register_matrix(final), paired, theta)
     assert abs(energy - expected) < 1e-12
     np.testing.assert_allclose(pq.gradient(h_pair, paired, theta), expected_grad, atol=1e-12)
-
-
-def imaginary_operator(n_qubits: int = 2):
-    """0.3 Z0 + (X0 Y1 - Y0 X1)/2: Hermitian, with imaginary entries on the one-particle sector."""
-    label = pq.PauliString.from_label
-    return (QubitOperator.from_string(label(n_qubits, "Z0"), 0.3)
-            + QubitOperator.from_string(label(n_qubits, "X0 Y1"), 0.5)
-            + QubitOperator.from_string(label(n_qubits, "Y0 X1"), -0.5))
 
 
 def test_every_call_form_of_one_sector_returns_the_one_basis():
@@ -164,49 +158,20 @@ def test_every_call_form_of_one_sector_returns_the_one_basis():
     assert sz_sector is not n_sector
 
 
-@pytest.mark.parametrize("dense_dim", [600, 1])
-def test_imaginary_sector_entries_get_the_complex_solve(monkeypatch, dense_dim):
-    # 3 qubits: complex ARPACK needs a sector of at least 3 states; |001>,
-    # |010> give -sqrt(1.09) and +sqrt(1.09), |100> 0.3
-    monkeypatch.setattr(exact, "_DENSE_DIM", dense_dim)
-    op = imaginary_operator(3)
-    basis = pq.sector_basis(3, 1)
-    assert op.matrix(basis.states).data.imag.any()
-    energy, vector = pq.exact_ground_energy(op, basis)
-    assert np.iscomplexobj(vector)
-    assert energy == pytest.approx(-np.sqrt(1.09), abs=1e-12)
-
-
 def test_real_sector_solve_runs_in_real_arithmetic(h2_sto3g):
-    hq = h2_sto3g["hamiltonian"]
     basis = pq.sector_basis(4, 2, 0)
-    energy, vector = pq.exact_ground_energy(hq, basis)
+    energy, vector = pq.exact_ground_energy(pq.IntegralHamiltonian(h2_sto3g["mo"]), basis)
     assert vector.dtype == np.float64
     assert energy == pytest.approx(-1.1372759431, abs=1e-8)
 
 
 def test_real_integral_sector_matrix_is_the_cached_float64_real_part(h2_sto3g):
-    hq = pq.jordan_wigner(pq.build_hamiltonian(h2_sto3g["mo"]), 4)
+    hamiltonian = pq.IntegralHamiltonian(h2_sto3g["mo"])
     basis = pq.sector_basis(4, 2, 0)
-    mat = hq.matrix(basis.states)
-    assert mat is hq.matrix(basis.states)
+    mat = hamiltonian.matrix(basis.states)
+    assert mat is hamiltonian.matrix(basis.states)
     assert mat.dtype == np.float64
     assert not mat.data.flags.writeable
-    expected = reference_matrix(hq, basis.states)
-    assert np.array_equal(mat.data, expected.data.real)
-    assert np.array_equal(mat.indices, expected.indices) and np.array_equal(mat.indptr, expected.indptr)
-
-
-def test_real_circuit_state_reads_a_complex_matrix():
-    # the state cos(a/2)|01> + sin(a/2)|10> is real, so the imaginary entries
-    # of H, from (X0 Y1 - Y0 X1)/2, drop out: E = 0.3 <Z0> = -0.3 cos a
-    ansatz = pq.Ansatz(generators=(pq.make_paired_rotation(0, 1, 2),), n_qubits=2,
-                       reference=(0,), name="pair")
-    op, theta = imaginary_operator(), [0.7]
-    assert op.matrix(pq.sector_basis(2, 1).states).dtype == np.complex128
-    energy = pq.ansatz_expectation(op, ansatz, theta)
-    (circuit,) = ansatz._prepared.values()
-    assert circuit.reference.dtype == np.float64
-    assert energy == pytest.approx(-0.3 * np.cos(0.7), abs=1e-12)
-    assert energy == pytest.approx(kron_expectation(op, kron_ansatz_state(ansatz, theta)), abs=1e-12)
-    np.testing.assert_allclose(pq.gradient(op, ansatz, theta), [0.3 * np.sin(0.7)], atol=1e-12)
+    expected = reference_matrix(h2_sto3g["hamiltonian"], basis.states).toarray()
+    assert not expected.imag.any()
+    np.testing.assert_allclose(mat.toarray(), expected.real, atol=1e-12, rtol=0)

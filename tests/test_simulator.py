@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe.exact import SectorBasis
-from pnovqe.operators import QubitOperator
 from pnovqe.simulator import _factors, _rotate, _sector_state, ansatz_expectation
 
 from ci_oracle import (
@@ -26,6 +25,14 @@ from ci_oracle import (
 
 def empty_circuit(n_qubits, reference) -> pq.Ansatz:
     return pq.Ansatz(generators=(), n_qubits=n_qubits, reference=tuple(reference), name="none")
+
+
+def integral_hamiltonian(h, core: float = 0.0) -> pq.IntegralHamiltonian:
+    """The Hamiltonian of one-body integrals ``h`` and a core energy, with no two-body terms."""
+    h = np.asarray(h, dtype=float)
+    n = h.shape[0]
+    mo = pq.IntegralSet(n_orb=n, h=h, g=np.zeros((n,) * 4), core_energy=core, n_electrons=2)
+    return pq.IntegralHamiltonian(mo)
 
 
 def rotate(vec, gen, angle, basis=None):
@@ -63,7 +70,7 @@ class TestPrepareReference:
 
     def test_reference_energy_is_hf(self, h2_sto3g):
         ansatz = pq.build_upccgsd(2, 2)
-        energy = ansatz_expectation(h2_sto3g["hamiltonian"], ansatz, np.zeros(3))
+        energy = ansatz_expectation(pq.IntegralHamiltonian(h2_sto3g["mo"]), ansatz, np.zeros(3))
         assert energy == pytest.approx(h2_sto3g["scf"].total_energy, abs=1e-10)
 
 
@@ -210,26 +217,25 @@ class TestApplyAnsatz:
     def test_parameter_length_mismatch(self):
         ansatz = pq.build_upccgsd(2, 2)
         with pytest.raises(ValueError, match="length"):
-            ansatz_expectation(QubitOperator.identity(4), ansatz, [0.1])
+            ansatz_expectation(integral_hamiltonian(np.zeros((2, 2)), 1.0), ansatz, [0.1])
 
     def test_reference_outside_the_register_rejected(self):
         with pytest.raises(ValueError, match="outside register"):
-            ansatz_expectation(QubitOperator.identity(3), empty_circuit(3, [0, 3]), [])
+            ansatz_expectation(integral_hamiltonian(np.zeros((2, 2)), 1.0),
+                               empty_circuit(4, [0, 4]), [])
 
 
 class TestExpectation:
     def test_identity(self):
-        energy = ansatz_expectation(QubitOperator.identity(3), empty_circuit(3, [1]), [])
+        energy = ansatz_expectation(integral_hamiltonian(np.zeros((2, 2)), 1.0),
+                                    empty_circuit(4, [1]), [])
         assert energy == pytest.approx(1.0)
 
-    def test_z_on_vacuum(self):
-        z0 = QubitOperator.from_string(pq.PauliString.from_label(2, "Z0"))
-        assert ansatz_expectation(z0, empty_circuit(2, []), []) == pytest.approx(1.0)
-
-    def test_non_hermitian_rejected(self):
-        op = QubitOperator(1, {(1, 0): 1j})
-        with pytest.raises(ValueError, match="Hermitian"):
-            ansatz_expectation(op, empty_circuit(1, []), [])
+    def test_one_body_energy_of_a_determinant(self):
+        # orbital 0 doubly and orbital 1 singly occupied: core + 2 h_00 + h_11
+        hamiltonian = integral_hamiltonian(np.diag([-1.0, 0.5]), 0.25)
+        energy = ansatz_expectation(hamiltonian, empty_circuit(4, [0, 1, 2]), [])
+        assert energy == pytest.approx(0.25 - 2.0 + 0.5, abs=1e-12)
 
     def test_energy_at_zero_matches_hf_for_pno_space(self, lih_like):
         mo = lih_like["mo"]
@@ -237,7 +243,7 @@ class TestExpectation:
         pnos = pq.select_pnos(pq.pair_densities(amps), 8, diagonal_only=True)
         space = pq.orthonormalize(pnos)
         final = pq.build_final_integrals(mo, space)
-        hq = pq.jordan_wigner(pq.build_hamiltonian(final), 8)
+        hq = pq.IntegralHamiltonian(final)
         ansatz = pq.build_pno_ansatz(space, "UpCCD")
         e0 = ansatz_expectation(hq, ansatz, np.zeros(ansatz.n_parameters))
         assert e0 == pytest.approx(lih_like["scf"].total_energy, abs=1e-10)
@@ -251,14 +257,14 @@ class TestGradient:
         mo = pq.IntegralSet(
             n_orb=3, h=h, g=np.zeros((3,) * 4), core_energy=0.0, n_electrons=2,
         )
-        hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 6)
+        hq = pq.IntegralHamiltonian(mo)
         ansatz = pq.build_upccgsd(3, 2)
         grad = pq.gradient(hq, ansatz, np.zeros(ansatz.n_parameters))
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_finite_difference_agreement_h2(self, h2_sto3g):
         ansatz = pq.build_upccgsd(2, 2)
-        hq = h2_sto3g["hamiltonian"]
+        hq = pq.IntegralHamiltonian(h2_sto3g["mo"])
         rng = np.random.default_rng(10)
         for _ in range(5):
             theta = rng.uniform(-1, 1, 3)
@@ -268,21 +274,23 @@ class TestGradient:
     def test_shift_and_adjoint_agree(self):
         mo = random_integral_set(3, 2, 31)
         hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 6)
+        hamiltonian = pq.IntegralHamiltonian(mo)
         ansatz = pq.build_upccgsd(3, 2)
         rng = np.random.default_rng(11)
         for _ in range(20):
             theta = rng.uniform(-1.5, 1.5, ansatz.n_parameters)
             expected = reference_register_shift_gradient(hq, ansatz, theta)
-            np.testing.assert_allclose(pq.gradient(hq, ansatz, theta), expected, atol=1e-10)
+            np.testing.assert_allclose(pq.gradient(hamiltonian, ansatz, theta), expected, atol=1e-10)
 
 
 class TestSectorEngine:
     def test_energy_and_gradient_never_allocate_a_register_vector(self):
-        # one 16-qubit register vector is 2^16 * 16 B = 1 MiB; the sector
-        # for 2 electrons has 120 states
-        mo = random_integral_set(8, 2, 4)
-        hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 16)
+        # one 16-qubit register vector is 2^16 * 16 B = 1 MiB; the (N, S_z)
+        # sector for 2 electrons has 64 states. The sector matrix is built
+        # first: its spin-orbital integral tables hold 16^4 entries each
+        hq = pq.IntegralHamiltonian(random_integral_set(8, 2, 4))
         ansatz = pq.build_upccgsd(8, 2)
+        hq.matrix(pq.sector_basis(16, 2, ansatz.two_sz).states)
         theta = np.random.default_rng(4).uniform(-0.5, 0.5, ansatz.n_parameters)
         tracemalloc.start()
         try:
