@@ -4,9 +4,10 @@ The iterative solve (``scipy.sparse.linalg.eigsh``) only runs on sectors
 above ``exact._DENSE_DIM`` = 600 states; its property tests patch the
 crossover down so Hamiltonians of random integrals on N and (N, S_z)
 sectors of 3-252 states reach it; sectors above 40 states make ARPACK
-restart. The paired Hamiltonian's entries are checked against the
-seniority-zero projection of the reference Jordan-Wigner image. Examples
-are derandomized.
+restart; paired Hamiltonians of 3-70 states reach it the same way. The
+paired Hamiltonian's entries are checked against the seniority-zero
+projection of the reference Jordan-Wigner image and against the closed
+form in ``build_paired_hamiltonian``'s docstring. Examples are derandomized.
 """
 
 import os
@@ -20,7 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe import exact as exact_mod
-from pnovqe.exact import IntegralHamiltonian, SectorBasis, build_paired_ansatz
+from pnovqe.exact import (
+    IntegralHamiltonian, SectorBasis, build_paired_ansatz, determinant_matrix,
+)
 
 from ci_oracle import (
     eigenvalues_dense, random_integral_set, reference_build_hamiltonian,
@@ -153,6 +156,21 @@ def test_restarted_iterative_solve_matches_the_dense_spectrum(case):
     _check_iterative_solve(*case)
 
 
+@st.composite
+def paired_sectors(draw):
+    """(Paired Hamiltonian of random integrals, a pair-count sector of at least 3 states)."""
+    n_orb = draw(st.integers(3, 8))
+    basis = pq.sector_basis(n_orb, draw(st.integers(1, n_orb - 1)))
+    mo = random_integral_set(n_orb, 2, draw(st.integers(0, 10_000)))
+    return pq.build_paired_hamiltonian(mo), basis
+
+
+@ITERATIVE
+@given(paired_sectors())
+def test_iterative_solve_of_the_paired_hamiltonian_matches_the_dense_spectrum(case):
+    _check_iterative_solve(*case)
+
+
 def test_iterative_solve_of_an_operator_that_vanishes_on_the_sector(monkeypatch):
     monkeypatch.setattr(exact_mod, "_DENSE_DIM", 2)
     hamiltonian = IntegralHamiltonian(integral_set(np.zeros((2, 2))))
@@ -190,6 +208,57 @@ class TestPairedHamiltonian:
         hp = pq.build_paired_hamiltonian(integral_set(np.diag([-1.0, -0.4])))
         expected = np.sort([0.0, -2.0, -0.8, -2.8])
         np.testing.assert_allclose(paired_spectrum(hp), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_projection_equivalence(self, seed):
+        mo = random_integral_set(3, 2, seed)
+        full = reference_jordan_wigner(reference_build_hamiltonian(mo), 6)
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(seniority_zero_projection(full, 3)),
+            paired_spectrum(pq.build_paired_hamiltonian(mo)),
+            atol=1e-10,
+        )
+
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4, 5])
+    def test_matrix_matches_the_closed_form(self, n_orb):
+        # build_paired_hamiltonian's docstring: pair energies 2 h_pp + <pp|pp>,
+        # pair-pair 4 <pq|pq> - 2 <pq|qp>, and <pp|qq> moves a pair from p to q
+        mo = random_integral_set(n_orb, 2, 20 + n_orb)
+        h, g = mo.h, mo.g
+        hp = pq.build_paired_hamiltonian(mo)
+        for n_pairs in range(n_orb + 1):
+            states = pq.sector_basis(n_orb, n_pairs).states
+            expected = np.zeros((len(states), len(states)))
+            for i, m in enumerate(states):
+                occ = [p for p in range(n_orb) if m >> p & 1]
+                expected[i, i] = mo.core_energy + sum(2 * h[p, p] + g[p, p, p, p] for p in occ)
+                expected[i, i] += sum(4 * g[p, q, p, q] - 2 * g[p, q, q, p]
+                                      for p in occ for q in occ if p < q)
+                for j, k in enumerate(states):
+                    moved = int(m ^ k)
+                    if moved.bit_count() == 2:
+                        p, q = moved.bit_length() - 1, (moved & -moved).bit_length() - 1
+                        expected[i, j] = g[p, p, q, q]
+            np.testing.assert_allclose(hp.matrix(states).toarray(), expected, atol=1e-12, rtol=0)
+
+    def test_pair_states_spread_to_determinants_in_order(self):
+        # bit p of a pair state is spin-orbitals 2p and 2p + 1 of its determinant
+        hp = pq.build_paired_hamiltonian(random_integral_set(4, 2, 3))
+        states = np.arange(16, dtype=np.int64)
+        expected = [sum(0b11 << 2 * p for p in range(4) if m >> p & 1) for m in range(16)]
+        assert hp._determinants(states).tolist() == expected
+        assert hp._determinants(np.zeros(1, dtype=np.int64)).tolist() == [0]
+
+    def test_matrix_is_the_cached_determinant_matrix(self):
+        mo = random_integral_set(4, 4, 5)
+        hp = pq.build_paired_hamiltonian(mo)
+        states = pq.sector_basis(4, 2).states
+        mat = hp.matrix(states)
+        assert hp.matrix(states) is mat
+        assert mat.dtype == np.float64 and not mat.data.flags.writeable
+        direct = determinant_matrix(mo, hp._determinants(states))
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(mat, name), getattr(direct, name)), name
 
     @PAIRED
     @given(st.integers(2, 5), st.integers(0, 10_000))

@@ -158,7 +158,10 @@ def test_every_call_form_of_one_sector_returns_the_one_basis():
     assert sz_sector is not n_sector
 
 
-def test_real_sector_solve_runs_in_real_arithmetic(h2_sto3g):
+@pytest.mark.parametrize("dense_dim", [600, 1])
+def test_real_sector_solve_runs_in_real_arithmetic(monkeypatch, h2_sto3g, dense_dim):
+    # the dense solve, and ARPACK's on the 4-state sector
+    monkeypatch.setattr(exact, "_DENSE_DIM", dense_dim)
     basis = pq.sector_basis(4, 2, 0)
     energy, vector = pq.exact_ground_energy(pq.IntegralHamiltonian(h2_sto3g["mo"]), basis)
     assert vector.dtype == np.float64
