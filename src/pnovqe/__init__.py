@@ -37,17 +37,7 @@ from .pno import (
     pair_densities,
     select_pnos,
 )
-from .operators import (
-    FermionOperator,
-    PauliString,
-    QubitOperator,
-    build_hamiltonian,
-    commutator,
-    jordan_wigner,
-    number_operator,
-    pauli_multiply,
-    spin_z_operator,
-)
+from .operators import PauliString, QubitOperator, build_hamiltonian, jordan_wigner
 from .ansatz import (
     Ansatz,
     ExcitationGenerator,

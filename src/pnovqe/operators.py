@@ -1,4 +1,4 @@
-"""Second-quantized operators, Pauli strings, and the Jordan-Wigner encoding.
+"""The Pauli text of a compact Hamiltonian: second quantization and Jordan-Wigner.
 
 Conventions used throughout the package:
 
@@ -9,6 +9,16 @@ Conventions used throughout the package:
 * Qubit indexing is little-endian: bit j of a basis-state integer is the
   occupation of qubit j.
 
+The one path is ``build_hamiltonian`` -> ``jordan_wigner`` ->
+``QubitOperator.to_text``, for a point's ``hamiltonian.txt`` and
+``pnovqe hamiltonian``; ``PauliString`` also carries the strings a
+generator's CNOT count is read from (``ExcitationGenerator.strings``, from
+its excitation masks, not from ``jordan_wigner``). A fermionic operator is
+a plain dict from ladder tuples, ``((index, is_creation), ...)``, to complex
+coefficients. There is no operator arithmetic, and no sector matrix is
+built from a Pauli sum: the exact solve and the VQE engine read
+``exact.determinant_matrix`` of the integrals.
+
 ``build_hamiltonian`` and ``jordan_wigner`` are array code that works on
 fixed blocks of products. Part of their determinism contract is that every
 coefficient is summed in the order of a term-by-term loop, starting from 0,
@@ -16,15 +26,7 @@ and that keys keep the order in which such a loop first meets them; the
 block size is a constant that changes no bit, so the operators and their
 text are the same to the last bit whatever the blocking. Pauli masks are
 int64 columns, so the array code, ``QubitOperator.to_text`` included,
-covers registers of up to ``MAX_MASK_QUBITS`` qubits. ``jordan_wigner`` has
-this one path whatever the operator's size; an ansatz generator's image
-does not come from it but from its excitation masks
-(``ExcitationGenerator.strings``).
-
-A ``QubitOperator`` is Pauli text (a point's ``hamiltonian.txt``) and the
-strings a generator's CNOT count is read from. No sector matrix is built
-from one: the exact solve and the VQE engine read
-``exact.determinant_matrix`` of the integrals.
+covers registers of up to ``MAX_MASK_QUBITS`` qubits.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ MAX_MASK_QUBITS = 63
 _JW_BLOCK = 1 << 14
 
 _LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
@@ -65,21 +66,6 @@ class PauliString:
         self.x = x
         self.z = z
 
-    @classmethod
-    def from_label(cls, n_qubits: int, label: str) -> "PauliString":
-        """Parse a label like ``"X0 Z2 Y3"`` (``"I"`` means identity)."""
-        x = z = 0
-        for token in label.split():
-            if token == "I":
-                continue
-            letter, idx = token[0].upper(), int(token[1:] or 0)
-            if letter not in _BITS:
-                raise ValueError(f"unknown Pauli letter {letter!r}")
-            bx, bz = _BITS[letter]
-            x |= bx << idx
-            z |= bz << idx
-        return cls(n_qubits, x, z)
-
     @property
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
@@ -94,11 +80,6 @@ class PauliString:
                 parts.append(f"{_LABEL[(bx, bz)]}{j}")
         return " ".join(parts)
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        a = (self.x & other.z).bit_count()
-        b = (self.z & other.x).bit_count()
-        return (a + b) % 2 == 0
-
     def __eq__(self, other):
         return (
             isinstance(other, PauliString)
@@ -112,27 +93,6 @@ class PauliString:
 
     def __repr__(self):
         return f"PauliString({self.n_qubits}, {self.label()!r})"
-
-
-def _mul_masks(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, complex]:
-    """Symplectic product of two Pauli masks, returning (x, z, phase)."""
-    x3 = x1 ^ x2
-    z3 = z1 ^ z2
-    e = (
-        (x1 & z1).bit_count()
-        + (x2 & z2).bit_count()
-        - (x3 & z3).bit_count()
-        + 2 * (z1 & x2).bit_count()
-    ) % 4
-    return x3, z3, _PHASES[e]
-
-
-def pauli_multiply(a: PauliString, b: PauliString) -> tuple[PauliString, complex]:
-    """Product a*b as (string, phase) with phase in {1, i, -1, -i}."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("qubit-count mismatch in Pauli product")
-    x, z, phase = _mul_masks(a.x, a.z, b.x, b.z)
-    return PauliString(a.n_qubits, x, z), phase
 
 
 class QubitOperator:
@@ -162,14 +122,6 @@ class QubitOperator:
         op._terms = terms
         return op
 
-    @classmethod
-    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "QubitOperator":
-        return cls(n_qubits, {(0, 0): coeff})
-
-    @classmethod
-    def from_string(cls, string: PauliString, coeff: complex = 1.0) -> "QubitOperator":
-        return cls(string.n_qubits, {(string.x, string.z): coeff})
-
     @property
     def n_terms(self) -> int:
         return len(self._terms)
@@ -182,46 +134,8 @@ class QubitOperator:
     def raw_items(self):
         return self._terms.items()
 
-    def coefficient(self, string: PauliString) -> complex:
-        return self._terms.get((string.x, string.z), 0.0 + 0.0j)
-
-    def norm(self) -> float:
-        """Frobenius norm over the orthogonal Pauli basis (up to 2^n scale)."""
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self._terms.values())))
-
-    def _check_compatible(self, other):
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit-count mismatch between operators")
-
-    def __add__(self, other: "QubitOperator") -> "QubitOperator":
-        self._check_compatible(other)
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            terms[key] = terms.get(key, 0.0) + coeff
-        return QubitOperator(self.n_qubits, terms)
-
-    def __sub__(self, other: "QubitOperator") -> "QubitOperator":
-        return self + (other * -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, QubitOperator):
-            self._check_compatible(other)
-            terms: dict = {}
-            for (x1, z1), c1 in self._terms.items():
-                for (x2, z2), c2 in other._terms.items():
-                    x3, z3, phase = _mul_masks(x1, z1, x2, z2)
-                    key = (x3, z3)
-                    terms[key] = terms.get(key, 0.0) + c1 * c2 * phase
-            return QubitOperator(self.n_qubits, terms)
-        return QubitOperator(
-            self.n_qubits, {k: c * other for k, c in self._terms.items()}
-        )
-
-    def __rmul__(self, scalar):
-        return self * scalar
-
     def to_text(self) -> str:
-        """One term per line, ``coeff  P0 P1 ...``; round-trips exactly.
+        """One term per line, ``coeff  P0 P1 ...``, each coefficient by ``repr``.
 
         Terms are ordered by weight, then X mask, then Z mask, and each label
         lists the string's Paulis by ascending qubit, as ``PauliString.label``.
@@ -245,147 +159,8 @@ class QubitOperator:
             lines.append(f"{num} {' '.join(words[lo:hi]) or 'I'}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str, n_qubits: int) -> "QubitOperator":
-        terms: dict = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            num, _, rest = line.partition(" ")
-            string = PauliString.from_label(n_qubits, rest)
-            key = (string.x, string.z)
-            terms[key] = terms.get(key, 0.0) + complex(num)
-        return cls(n_qubits, terms)
-
     def __repr__(self):
         return f"QubitOperator(n_qubits={self.n_qubits}, n_terms={self.n_terms})"
-
-
-def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
-    return a * b - b * a
-
-
-def number_operator(n_qubits: int) -> QubitOperator:
-    """Total particle number N = sum_j (I - Z_j)/2 under Jordan-Wigner."""
-    terms = {(0, 0): 0.5 * n_qubits}
-    for j in range(n_qubits):
-        terms[(0, 1 << j)] = -0.5
-    return QubitOperator(n_qubits, terms)
-
-
-def spin_z_operator(n_spatial: int) -> QubitOperator:
-    """S_z for interleaved spin-orbitals: sum_p (Z_{2p+1} - Z_{2p})/4."""
-    terms: dict = {}
-    for p in range(n_spatial):
-        terms[(0, 1 << (2 * p + 1))] = 0.25
-        terms[(0, 1 << (2 * p))] = -0.25
-    return QubitOperator(2 * n_spatial, terms)
-
-
-class FermionOperator:
-    """Normal-ordered linear combination of creation/annihilation products.
-
-    A term is a tuple of ``(spin_orbital_index, is_creation)`` pairs, stored
-    with all creations left of all annihilations and indices strictly
-    descending inside each group. Construction normal-orders arbitrary input
-    products with the fermionic anticommutation rules.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self):
-        self._terms: dict = {}
-
-    @classmethod
-    def from_terms(cls, terms) -> "FermionOperator":
-        """Build from an iterable of (operator tuple, coefficient)."""
-        op = cls()
-        for term, coeff in terms:
-            op.add_term(term, coeff)
-        op.prune()
-        return op
-
-    def add_term(self, term, coeff) -> None:
-        _normal_order_into(list(term), complex(coeff), self._terms)
-
-    def prune(self) -> None:
-        for key in [k for k, c in self._terms.items() if abs(c) < COEFF_CUTOFF]:
-            del self._terms[key]
-
-    @property
-    def n_terms(self) -> int:
-        return len(self._terms)
-
-    def items(self):
-        return self._terms.items()
-
-    def hermitian_conjugate(self) -> "FermionOperator":
-        out = FermionOperator()
-        for term, coeff in self._terms.items():
-            conj = tuple((idx, not cre) for idx, cre in reversed(term))
-            _normal_order_into(list(conj), complex(coeff).conjugate(), out._terms)
-        out.prune()
-        return out
-
-    def __add__(self, other: "FermionOperator") -> "FermionOperator":
-        out = FermionOperator()
-        out._terms = dict(self._terms)
-        for term, coeff in other._terms.items():
-            out._terms[term] = out._terms.get(term, 0.0) + coeff
-        out.prune()
-        return out
-
-    def __mul__(self, scalar) -> "FermionOperator":
-        out = FermionOperator()
-        out._terms = {t: c * scalar for t, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "FermionOperator") -> "FermionOperator":
-        return self + other * -1.0
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self._terms.values())))
-
-    def __repr__(self):
-        return f"FermionOperator(n_terms={self.n_terms})"
-
-
-def _normal_order_into(ops: list, coeff: complex, out: dict) -> None:
-    """Normal-order one product and accumulate the result into ``out``.
-
-    Creations are moved left of annihilations (a a^dag = 1 - a^dag a) and
-    each group is sorted by descending index; adjacent equal operators of
-    the same kind vanish.
-    """
-    stack = [(ops, coeff)]
-    while stack:
-        term, c = stack.pop()
-        i = 0
-        dead = False
-        while i + 1 < len(term):
-            (p, cre_p), (q, cre_q) = term[i], term[i + 1]
-            if not cre_p and cre_q:
-                # a_p a_q^dag = delta_pq - a_q^dag a_p
-                swapped = term[:i] + [term[i + 1], term[i]] + term[i + 2 :]
-                if p == q:
-                    stack.append((term[:i] + term[i + 2 :], c))
-                stack.append((swapped, -c))
-                dead = True
-                break
-            if cre_p == cre_q:
-                if p == q:
-                    dead = True  # repeated creation/annihilation
-                    break
-                if p < q:
-                    term = term[:i] + [term[i + 1], term[i]] + term[i + 2 :]
-                    c = -c
-                    i = max(i - 1, 0)
-                    continue
-            i += 1
-        if not dead:
-            key = tuple(term)
-            out[key] = out.get(key, 0.0) + c
 
 
 def _expand_block(index, y_power, coeffs) -> tuple:
@@ -432,8 +207,8 @@ def _first_occurrence(*columns) -> tuple:
     return number[run], first[by_first]
 
 
-def jordan_wigner(op: FermionOperator, n_qubits: int) -> QubitOperator:
-    """Encode a fermionic operator as a qubit operator.
+def jordan_wigner(op: dict, n_qubits: int) -> QubitOperator:
+    """Encode a fermionic operator, a dict {ladder tuple: coefficient}, as a qubit operator.
 
     a_j^dag -> (X_j - i Y_j)/2 * Z_{j-1}...Z_0 and the conjugate for a_j.
     The 2^L products of a term of length L share the X mask of its ladders;
@@ -452,7 +227,7 @@ def jordan_wigner(op: FermionOperator, n_qubits: int) -> QubitOperator:
     occurrence. Masks are int64, so ``n_qubits`` is at most
     ``MAX_MASK_QUBITS``.
     """
-    terms, coeffs = list(op._terms), list(op._terms.values())
+    terms, coeffs = list(op), list(op.values())
     lengths = np.fromiter(map(len, terms), np.int64, len(terms))
     ladders = np.fromiter(
         chain.from_iterable(chain.from_iterable(terms)), np.int64, 2 * int(lengths.sum())
@@ -489,8 +264,8 @@ def jordan_wigner(op: FermionOperator, n_qubits: int) -> QubitOperator:
     return QubitOperator._simplified(n_qubits, dict(zip(pairs, total[keep].tolist())))
 
 
-def build_hamiltonian(mo) -> FermionOperator:
-    """Second-quantized Hamiltonian from spatial-orbital integrals.
+def build_hamiltonian(mo) -> dict:
+    """Second-quantized Hamiltonian from spatial-orbital integrals, as {ladder tuple: coefficient}.
 
     Expands h and the two-electron tensor <pq|rs> (physicists' notation)
     over interleaved spin-orbitals, keeping spin-conserving terms only:
@@ -538,7 +313,4 @@ def build_hamiltonian(mo) -> FermionOperator:
     for (a, b, c, d), value in zip(keys, sums.tolist()):
         if not abs(value) < COEFF_CUTOFF:
             terms[(cre[a], cre[b], ann[c], ann[d])] = value
-
-    op = FermionOperator()
-    op._terms = terms
-    return op
+    return terms

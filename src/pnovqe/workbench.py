@@ -130,6 +130,10 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if self.layers < 1:
             raise ConfigError("layers must be >= 1")
+        if self.layers > 1 and self.ansatz != "upccgsd":
+            # a PNO circuit has one layer; more would be silently dropped
+            raise ConfigError(f"layers applies to upccgsd only, got layers = {self.layers} "
+                              f"for {self.ansatz}")
         if self.restarts < 0:
             raise ConfigError("restarts must be >= 0")
         if self.max_iter < 0:

@@ -1,7 +1,7 @@
 """Independent reference implementations for the test suite.
 
-The determinant-basis CI oracles deliberately avoid the package's operator
-algebra, Jordan-Wigner encoding, and simulator: matrix elements come from
+The determinant-basis CI oracles deliberately avoid the package's
+Jordan-Wigner encoding and simulator: matrix elements come from
 elementary ladder operator action on occupation bitmasks and, separately,
 from the Slater-Condon rules. Basis states use the same little-endian
 bitmask labeling as the qubit register, with a determinant defined by
@@ -18,8 +18,10 @@ density it already had.
 
 The operator oracles are the term-by-term loops the package's array code
 must reproduce bit for bit: the spin-orbital expansion of the integrals,
-the Jordan-Wigner product of the ladder images, and the text form of a
-qubit operator, one label per term. The projection of a qubit operator
+the Jordan-Wigner product of the ladder images (by ``_mul_masks``, the one
+Pauli product here), and the text form of a qubit operator, one label per
+term. A fermionic operator is a dict from ladder tuples to coefficients,
+as the package's. The projection of a qubit operator
 onto a basis, one X group and one term at a time (``reference_matrix``),
 is the only sector matrix of a Pauli sum: the package builds its sector
 matrices from the integrals, and the tests check them against this
@@ -36,7 +38,8 @@ simulator's determinant-rule factors), the complex sweep in the
 reference's particle-number sector that the real (N, S_z) sweep must
 reproduce, and central finite differences of the package's energy.
 ``register_basis`` is every bitmask of a register as a ``SectorBasis``,
-for the tests that probe the factors there.
+for the tests that probe the factors there, and ``symmetry_leaks`` reads
+a register matrix for the entries that would break N or S_z.
 
 The full-register oracles at the end run nothing of the package's engine
 and read only an operator's terms (or a dense register matrix, as
@@ -62,9 +65,7 @@ from scipy.sparse.linalg import expm_multiply
 from pnovqe.exact import SectorBasis, sector_basis
 from pnovqe.integrals import AOIntegralSet, IntegralSet, _prim_norm, boys
 from pnovqe.scf import SCFResult, _diis_extrapolate, _fock_matrix, _orthogonalizer
-from pnovqe.operators import (
-    _PHASES, COEFF_CUTOFF, FermionOperator, PauliString, QubitOperator, _mul_masks,
-)
+from pnovqe.operators import _PHASES, COEFF_CUTOFF, PauliString, QubitOperator
 from pnovqe.simulator import ansatz_expectation
 
 
@@ -511,7 +512,7 @@ def reference_run_rhf(ao: AOIntegralSet, n_electrons: int, max_iter: int = 100,
                      energy_history=tuple(history))
 
 
-def reference_build_hamiltonian(mo) -> FermionOperator:
+def reference_build_hamiltonian(mo) -> dict:
     """Second-quantized Hamiltonian, one spin-orbital quartet at a time."""
     n = mo.n_orb
     h = mo.h
@@ -556,10 +557,20 @@ def reference_build_hamiltonian(mo) -> FermionOperator:
                                 0.5 * sign * complex(gval),
                             )
 
-    op = FermionOperator()
-    op._terms = terms
-    op.prune()
-    return op
+    return {term: c for term, c in terms.items() if not abs(c) < COEFF_CUTOFF}
+
+
+def _mul_masks(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, complex]:
+    """Symplectic product of two Pauli masks, returning (x, z, phase)."""
+    x3 = x1 ^ x2
+    z3 = z1 ^ z2
+    e = (
+        (x1 & z1).bit_count()
+        + (x2 & z2).bit_count()
+        - (x3 & z3).bit_count()
+        + 2 * (z1 & x2).bit_count()
+    ) % 4
+    return x3, z3, _PHASES[e]
 
 
 def _jw_factor(index: int, creation: bool) -> tuple:
@@ -570,9 +581,9 @@ def _jw_factor(index: int, creation: bool) -> tuple:
     return ((bit, chain, 0.5 + 0.0j), (bit, chain | bit, y_coeff))
 
 
-def reference_jordan_wigner(op: FermionOperator, n_qubits: int) -> QubitOperator:
+def reference_jordan_wigner(op: dict, n_qubits: int) -> QubitOperator:
     """Jordan-Wigner image by multiplying out the ladder images of every term."""
-    if max((index for term in op._terms for index, _ in term), default=-1) >= n_qubits:
+    if max((index for term in op for index, _ in term), default=-1) >= n_qubits:
         raise ValueError("fermionic index exceeds qubit register (index overflow)")
     total: dict = {}
     for term, coeff in op.items():
@@ -609,8 +620,7 @@ def reference_generator_strings(gen) -> tuple:
         else:
             ladders = ((2 * a + gen.spin, True), (2 * i + gen.spin, False))
         adjoint = tuple((index, not creation) for index, creation in reversed(ladders))
-        op = FermionOperator.from_terms([(ladders, 1.0j), (adjoint, -1.0j)])
-        terms = reference_jordan_wigner(op, gen.n_qubits)._terms
+        terms = reference_jordan_wigner({ladders: 1.0j, adjoint: -1.0j}, gen.n_qubits)._terms
     if any(complex(c).imag for c in terms.values()):
         raise ValueError("generator image has a complex coefficient")
     return tuple((PauliString(gen.n_qubits, x, z), complex(c).real)
@@ -662,10 +672,15 @@ def reference_factor(strings, basis) -> tuple:
     makes), one entry per row, G^3 = G. The simulator's signs are -i times
     the phases.
     """
-    gen = sum((QubitOperator.from_string(s, c) for s, c in strings), QubitOperator(basis.n_qubits))
-    g = reference_matrix(gen, basis.states)
+    terms = {(s.x, s.z): c for s, c in strings}
+    square: dict = {}
+    for (x1, z1), c1 in terms.items():
+        for (x2, z2), c2 in terms.items():
+            x3, z3, phase = _mul_masks(x1, z1, x2, z2)
+            square[(x3, z3)] = square.get((x3, z3), 0.0) + c1 * c2 * phase
+    g = reference_matrix(QubitOperator(basis.n_qubits, terms), basis.states)
     g2 = g @ g
-    if abs(g2 - reference_matrix(gen * gen, basis.states)).max() > 1e-10:
+    if abs(g2 - reference_matrix(QubitOperator(basis.n_qubits, square), basis.states)).max() > 1e-10:
         raise ValueError("generator maps a basis state outside the basis")
     per_row = np.diff(g.indptr)
     if per_row.max(initial=0) > 1:
@@ -737,6 +752,26 @@ def finite_difference_gradient(op, ansatz, theta, step: float = 1e-5) -> np.ndar
 def register_basis(n_qubits: int) -> SectorBasis:
     """Every bitmask of the register, as a basis ``reference_matrix`` and ``_factors`` take."""
     return SectorBasis(n_qubits, np.arange(1 << n_qubits, dtype=np.int64))
+
+
+def symmetry_leaks(op) -> tuple:
+    """(N leak, S_z leak): the largest entries between register states of different N or n_up - n_down.
+
+    ``op`` is a Pauli sum, read by ``reference_matrix`` on ``register_basis``,
+    or a matrix over the 2^n register. Entry (i, j) of [op, N] is <i|op|j>
+    (N_j - N_i), so op commutes with N exactly when its N leak is 0, and
+    likewise with S_z.
+    """
+    if isinstance(op, QubitOperator):
+        op = reference_matrix(op, register_basis(op.n_qubits).states)
+    entries = scipy.sparse.coo_matrix(op)
+    up = 0x5555_5555_5555_5555  # the even (spin-up) qubits of an int64 mask
+    rows, cols = entries.row.astype(np.int64), entries.col.astype(np.int64)
+    number = np.bitwise_count(rows) != np.bitwise_count(cols)
+    spin = (2 * np.bitwise_count(rows & up) - np.bitwise_count(rows)
+            != 2 * np.bitwise_count(cols & up) - np.bitwise_count(cols))
+    size = np.abs(entries.data)
+    return float(size[number].max(initial=0.0)), float(size[spin].max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

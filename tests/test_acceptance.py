@@ -20,6 +20,7 @@ from ci_oracle import (
     reference_matrix,
     reference_register_shift_gradient,
     seniority_zero_projection,
+    symmetry_leaks,
 )
 from conftest import h2_big_integrals, lih_like_pipeline
 from test_ansatz import bh12_space, bh22_space, lih12_space, lih22_space
@@ -196,16 +197,12 @@ def test_criterion_7_seniority_zero(lih_like_diag12):
 
 
 def test_criterion_8_symmetry_suite(h2_sto3g, lih_like_diag12):
-    hams = [
-        (4, 2, h2_sto3g["hamiltonian"]),
-        (12, 6, lih_like_diag12["hamiltonian"]),
-    ]
+    hams = [h2_sto3g["hamiltonian"], lih_like_diag12["hamiltonian"]]
     for seed in range(3):
         mo = random_integral_set(3, 2, 200 + seed)
-        hams.append((6, 3, pq.jordan_wigner(pq.build_hamiltonian(mo), 6)))
-    for n_qubits, n_spatial, hq in hams:
-        assert pq.commutator(hq, pq.number_operator(n_qubits)).norm() < 1e-12
-        assert pq.commutator(hq, pq.spin_z_operator(n_spatial)).norm() < 1e-12
+        hams.append(pq.jordan_wigner(pq.build_hamiltonian(mo), 6))
+    for hq in hams:
+        assert max(symmetry_leaks(hq)) < 1e-12
 
     # the engine's sector state against the register state of expm_multiply
     # on Kronecker generators; N is diagonal there, popcount per bitmask
@@ -221,7 +218,8 @@ def test_criterion_8_symmetry_suite(h2_sto3g, lih_like_diag12):
         assert abs(np.linalg.norm(oracle) - 1.0) < 1e-10
         occupation = np.bitwise_count(np.arange(oracle.size))
         assert abs(np.sum(occupation * np.abs(oracle) ** 2) - n_elec) < 1e-10
-    print("criterion 8 PASS: [H,N] = [H,S_z] = 0 at 1e-12; sector states match the "
+    print("criterion 8 PASS: no entry of H between states of different N or S_z above 1e-12; "
+          "sector states match the "
           "register oracle, norm and N conserved")
 
 

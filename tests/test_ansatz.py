@@ -6,16 +6,11 @@ import scipy.linalg
 from hypothesis import given, settings
 
 import pnovqe as pq
-from pnovqe.operators import QubitOperator
 from pnovqe.pno import OrbitalSpace
 from pnovqe.simulator import _sector_state
 
-from ci_oracle import embed, kron_sum, reference_generator_strings
+from ci_oracle import embed, kron_sum, reference_generator_strings, symmetry_leaks
 from conftest import excitation_generators
-
-
-def generator_operator(gen, n_qubits) -> QubitOperator:
-    return QubitOperator(n_qubits, {(s.x, s.z): c for s, c in gen.strings})
 
 
 def space_with_assignment(n_occ, assignment) -> OrbitalSpace:
@@ -193,7 +188,8 @@ class TestGeneratorInvariants:
         for gen in self.gens_for(4):
             for s1, _ in gen.strings:
                 for s2, _ in gen.strings:
-                    assert s1.commutes_with(s2)
+                    # an even count of qubits where one has X and the other Z
+                    assert ((s1.x & s2.z).bit_count() + (s1.z & s2.x).bit_count()) % 2 == 0
 
     def test_cube_equals_generator(self):
         for gen in self.gens_for(3):
@@ -201,12 +197,8 @@ class TestGeneratorInvariants:
             np.testing.assert_allclose(m @ m @ m, m, atol=1e-12)
 
     def test_commute_with_number_and_spin(self):
-        n_op = pq.number_operator(6)
-        sz = pq.spin_z_operator(3)
         for gen in self.gens_for(3):
-            g_op = generator_operator(gen, 6)
-            assert pq.commutator(g_op, n_op).norm() < 1e-12
-            assert pq.commutator(g_op, sz).norm() < 1e-12
+            assert max(symmetry_leaks(kron_sum(gen.strings, 6))) < 1e-12
 
 
 class TestBuildUpccgsd:

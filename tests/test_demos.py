@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke tests: every demo script and the README quick start run to completion."""
 
 import os
 import subprocess
@@ -21,3 +21,12 @@ def test_demo_exits_cleanly(demo, tmp_path):
         capture_output=True, text=True, timeout=600,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_runs(capsys):
+    # the engine takes an IntegralHamiltonian; a QubitOperator is Pauli text only
+    text = (ROOT / "README.md").read_text()
+    code = text.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    vqe, exact = map(float, capsys.readouterr().out.splitlines()[0].split())
+    assert exact - 1e-9 <= vqe <= exact + 1e-6

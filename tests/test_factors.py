@@ -221,8 +221,8 @@ def test_circuit_factors_match_the_oracle_on_the_n_sector(build):
 
 
 def check_factor(gen, basis, angle, seed):
-    gen_op = sum((pq.QubitOperator.from_string(s, c) for s, c in reference_generator_strings(gen)),
-                 pq.QubitOperator(basis.n_qubits))
+    gen_op = pq.QubitOperator(basis.n_qubits,
+                              {(s.x, s.z): c for s, c in reference_generator_strings(gen)})
     g = reference_matrix(gen_op, basis.states)
     vec = random_state(basis.dim, seed)
     got = vec.copy()

@@ -1,13 +1,15 @@
-"""Fermionic algebra, Pauli products, and Jordan-Wigner spectra."""
+"""Jordan-Wigner images, spectra and symmetries of the compact Hamiltonian, and its Pauli text."""
 
 import numpy as np
 import pytest
 
 import pnovqe as pq
-from pnovqe.operators import QubitOperator, _mul_masks
+from pnovqe.operators import QubitOperator
 
 from ci_oracle import (
-    ci_matrix, kron_string, random_integral_set, reference_matrix, slater_condon_matrix,
+    _mul_masks, ci_matrix, kron_string, random_integral_set, reference_build_hamiltonian,
+    reference_jordan_wigner, reference_matrix, reference_to_text, slater_condon_matrix,
+    symmetry_leaks,
 )
 
 
@@ -21,101 +23,51 @@ def max_imag(hq) -> float:
 
 
 class TestPauliStrings:
-    def test_x_times_y_is_iz(self):
-        x = pq.PauliString.from_label(1, "X0")
-        y = pq.PauliString.from_label(1, "Y0")
-        string, phase = pq.pauli_multiply(x, y)
-        assert string.label() == "Z0"
-        assert phase == 1j
-
-    def test_self_product_is_identity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            x, z = int(rng.integers(0, 16)), int(rng.integers(0, 16))
-            p = pq.PauliString(4, x, z)
-            string, phase = pq.pauli_multiply(p, p)
-            assert string.label() == "I"
-            assert phase == 1.0
-
     def test_products_match_dense_matrices(self):
+        # the oracle's mask product on two qubits, which its Jordan-Wigner
+        # and G^2 checks multiply strings with
         rng = np.random.default_rng(2)
         for _ in range(50):
             a = pq.PauliString(2, int(rng.integers(0, 4)), int(rng.integers(0, 4)))
             b = pq.PauliString(2, int(rng.integers(0, 4)), int(rng.integers(0, 4)))
-            string, phase = pq.pauli_multiply(a, b)
+            x, z, phase = _mul_masks(a.x, a.z, b.x, b.z)
             lhs = kron_string(a) @ kron_string(b)
-            rhs = phase * kron_string(string)
+            rhs = phase * kron_string(pq.PauliString(2, x, z))
             np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
-    def test_associativity_with_phases(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            trip = [
-                pq.PauliString(3, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
-                for _ in range(3)
-            ]
-            a, b, c = trip
-            ab, ph_ab = pq.pauli_multiply(a, b)
-            left, ph_left = pq.pauli_multiply(ab, c)
-            bc, ph_bc = pq.pauli_multiply(b, c)
-            right, ph_right = pq.pauli_multiply(a, bc)
-            assert left == right
-            assert ph_ab * ph_left == pytest.approx(ph_bc * ph_right)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pq.pauli_multiply(pq.PauliString(2, 1, 0), pq.PauliString(3, 1, 0))
-
-
-class TestNormalOrdering:
-    def test_a_adag_contraction(self):
-        # a_0 a+_0 = 1 - a+_0 a_0
-        op = pq.FermionOperator.from_terms([(((0, False), (0, True)), 1.0)])
-        terms = dict(op.items())
-        assert terms[()] == 1.0
-        assert terms[((0, True), (0, False))] == -1.0
-
-    def test_storage_is_normal_ordered(self):
-        op = pq.FermionOperator.from_terms(
-            [(((1, False), (3, True), (0, True), (2, False)), 1.0)]
-        )
-        for term, _ in op.items():
-            kinds = [cre for _, cre in term]
-            assert kinds == sorted(kinds, reverse=True)  # creations first
-            cre_idx = [i for i, cre in term if cre]
-            ann_idx = [i for i, cre in term if not cre]
-            assert cre_idx == sorted(cre_idx, reverse=True)
-            assert ann_idx == sorted(ann_idx, reverse=True)
-
-    def test_repeated_creation_vanishes(self):
-        op = pq.FermionOperator.from_terms([(((0, True), (0, True)), 1.0)])
-        assert op.n_terms == 0
-
-    def test_hermitian_conjugate_roundtrip(self):
-        op = pq.FermionOperator.from_terms(
-            [(((2, True), (0, False)), 1.5), (((1, True), (1, False)), -0.25)]
-        )
-        assert (op.hermitian_conjugate().hermitian_conjugate() - op).norm() < 1e-14
+    def test_mask_beyond_the_register_is_refused(self):
+        with pytest.raises(ValueError, match="exceeds qubit count"):
+            pq.PauliString(2, 0b100, 0)
+        with pytest.raises(ValueError, match="exceeds qubit count"):
+            pq.PauliString(2, 0, 0b100)
 
 
 class TestJordanWigner:
     def test_number_operator(self):
-        op = pq.FermionOperator.from_terms([(((0, True), (0, False)), 1.0)])
-        q = pq.jordan_wigner(op, 1)
-        assert q.coefficient(pq.PauliString.from_label(1, "I")) == pytest.approx(0.5)
-        assert q.coefficient(pq.PauliString.from_label(1, "Z0")) == pytest.approx(-0.5)
+        q = pq.jordan_wigner({((0, True), (0, False)): 1.0}, 1)
+        # (I - Z0) / 2
+        assert dict(q.raw_items()) == {(0, 0): 0.5, (0, 1): -0.5}
 
     def test_hopping_identity(self):
-        op = pq.FermionOperator.from_terms(
-            [(((0, True), (1, False)), 1.0), (((1, True), (0, False)), 1.0)]
-        )
+        op = {((0, True), (1, False)): 1.0, ((1, True), (0, False)): 1.0}
         q = pq.jordan_wigner(op, 2)
-        assert q.n_terms == 2
-        assert q.coefficient(pq.PauliString.from_label(2, "X0 X1")) == pytest.approx(0.5)
-        assert q.coefficient(pq.PauliString.from_label(2, "Y0 Y1")) == pytest.approx(0.5)
+        # (X0 X1 + Y0 Y1) / 2
+        assert dict(q.raw_items()) == {(0b11, 0): 0.5, (0b11, 0b11): 0.5}
+
+    def test_products_in_any_order(self):
+        # a fermionic operator is a plain dict, not normal-ordered: the image of
+        # a_0 a_0^dag is that of 1 - a_0^dag a_0, and a repeated creation vanishes
+        q = pq.jordan_wigner({((0, False), (0, True)): 1.0}, 1)
+        assert dict(q.raw_items()) == {(0, 0): 0.5, (0, 1): 0.5}
+        assert pq.jordan_wigner({((0, True), (0, True)): 1.0}, 1).n_terms == 0
+
+    def test_anticommuting_ladders_of_two_modes(self):
+        # a_1^dag a_0 = -a_0 a_1^dag, so the two terms cancel to the last bit
+        op = {((1, True), (0, False)): 1.0, ((0, False), (1, True)): 1.0}
+        assert pq.jordan_wigner(op, 2).n_terms == 0
 
     def test_index_overflow(self):
-        op = pq.FermionOperator.from_terms([(((3, True), (0, False)), 1.0)])
+        op = {((3, True), (0, False)): 1.0}
         with pytest.raises(ValueError, match="overflow"):
             pq.jordan_wigner(op, 2)
 
@@ -170,46 +122,25 @@ class TestBuildHamiltonian:
             core_energy=-3.25, n_electrons=2,
         )
         hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 4)
-        assert hq.n_terms == 1
-        assert hq.coefficient(pq.PauliString.from_label(4, "I")) == pytest.approx(-3.25)
+        assert dict(hq.raw_items()) == {(0, 0): -3.25}
 
     def test_hermiticity_and_symmetries(self, h2_sto3g):
         hq = h2_sto3g["hamiltonian"]
         assert max_imag(hq) < 1e-12
-        n_op = pq.number_operator(4)
-        sz = pq.spin_z_operator(2)
-        assert pq.commutator(hq, n_op).norm() < 1e-12
-        assert pq.commutator(hq, sz).norm() < 1e-12
+        assert max(symmetry_leaks(hq)) < 1e-12
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_symmetries_random_sets(self, seed):
         mo = random_integral_set(3, 4, seed)
         hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 6)
         assert max_imag(hq) < 1e-12
-        assert pq.commutator(hq, pq.number_operator(6)).norm() < 1e-12
-        assert pq.commutator(hq, pq.spin_z_operator(3)).norm() < 1e-12
+        assert max(symmetry_leaks(hq)) < 1e-12
 
 
 class TestOperatorAlgebra:
-    def test_commutator_with_self_vanishes(self):
-        p = QubitOperator.from_string(pq.PauliString.from_label(2, "X0 Z1"), 0.7)
-        assert pq.commutator(p, p).norm() == 0.0
-
-    def test_commutator_x_z(self):
-        x = QubitOperator.from_string(pq.PauliString.from_label(1, "X0"))
-        z = QubitOperator.from_string(pq.PauliString.from_label(1, "Z0"))
-        comm = pq.commutator(x, z)
-        assert comm.n_terms == 1
-        assert comm.coefficient(pq.PauliString.from_label(1, "Y0")) == pytest.approx(-2j)
-
-    def test_qubit_mismatch(self):
-        a = QubitOperator.identity(2)
-        b = QubitOperator.identity(3)
-        with pytest.raises(ValueError):
-            a + b
-
     def test_phase_table_consistency(self):
-        # _mul_masks against dense single-qubit products, all 16 combinations
+        # the oracle's _mul_masks, which its Jordan-Wigner and G^2 read, against
+        # dense single-qubit products, all 16 combinations
         for x1 in (0, 1):
             for z1 in (0, 1):
                 for x2 in (0, 1):
@@ -221,22 +152,32 @@ class TestOperatorAlgebra:
                         np.testing.assert_allclose(lhs, rhs, atol=1e-15)
 
 
-class TestTextSerialization:
-    def test_roundtrip_exact(self):
-        rng = np.random.default_rng(11)
-        terms = {}
-        for _ in range(12):
-            key = (int(rng.integers(0, 32)), int(rng.integers(0, 32)))
-            terms[key] = float(rng.standard_normal())
-        op = QubitOperator(5, terms)
-        back = QubitOperator.from_text(op.to_text(), 5)
-        assert dict(back.raw_items()) == dict(op.raw_items())
+class TestSymmetryLeaks:
+    @pytest.mark.parametrize("terms, leaks", [
+        ({(0b0001, 0): 0.5}, (0.5, 0.5)),                                  # X0
+        ({(0b0011, 0): 0.25, (0b0011, 0b0011): 0.25}, (0.0, 0.5)),         # hop 0 <-> 1
+        ({(0b0101, 0b0010): 0.25, (0b0101, 0b0111): 0.25}, (0.0, 0.0)),    # hop 0 <-> 2
+    ], ids=["creation", "spin-flip-hop", "same-spin-hop"])
+    def test_leaks_of_known_operators(self, terms, leaks):
+        # the check every symmetry test reads must see a leak where there is one
+        op = QubitOperator(4, terms)
+        assert symmetry_leaks(op) == pytest.approx(leaks, abs=1e-15)
+        assert symmetry_leaks(register_matrix(op)) == pytest.approx(leaks, abs=1e-15)
 
+
+class TestTextSerialization:
     def test_example_line_format(self):
         op = QubitOperator(2, {(0b11, 0): 0.5})
         assert op.to_text().strip() == "0.5 X0 X1"
 
-    def test_hamiltonian_roundtrip(self, h2_sto3g):
+    def test_constructor_prunes_below_the_cutoff(self):
+        op = QubitOperator(2, {(1, 0): 1e-15, (2, 0): 0.5, (0, 0): -1e-15j})
+        assert list(op.raw_items()) == [((2, 0), 0.5 + 0j)]
+        assert all(type(c) is complex for _, c in op.raw_items())
+        assert op.to_text() == "0.5 X1\n"
+
+    def test_hamiltonian_text_matches_the_oracle(self, h2_sto3g):
+        # a molecular Hamiltonian's text against the term-by-term loops
         hq = h2_sto3g["hamiltonian"]
-        back = QubitOperator.from_text(hq.to_text(), 4)
-        assert (back - hq).norm() == 0.0
+        reference = reference_jordan_wigner(reference_build_hamiltonian(h2_sto3g["mo"]), 4)
+        assert hq.to_text() == reference_to_text(reference)
