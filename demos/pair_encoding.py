@@ -10,7 +10,8 @@ numerical precision on half the qubits.
 import numpy as np
 
 import pnovqe as pq
-from pnovqe.exact import build_paired_ansatz, build_paired_hamiltonian
+from pnovqe.ansatz import build_paired_ansatz
+from pnovqe.exact import build_paired_hamiltonian
 
 # all-s model of LiH: 7 orbitals, 4 electrons, truncated to 12 qubits
 li, h = np.zeros(3), np.array([0.0, 0.0, 3.0])

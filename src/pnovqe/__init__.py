@@ -37,16 +37,18 @@ from .pno import (
     pair_densities,
     select_pnos,
 )
-from .operators import PauliString, QubitOperator, build_hamiltonian, jordan_wigner
+from .operators import QubitOperator, build_hamiltonian, jordan_wigner
 from .ansatz import (
     Ansatz,
     ExcitationGenerator,
     ResourceReport,
+    build_paired_ansatz,
     build_pno_ansatz,
     build_upccgsd,
     count_resources,
     format_resource_table,
     make_pair_double,
+    make_paired_rotation,
     make_single,
 )
 from .simulator import ansatz_expectation, gradient
@@ -54,10 +56,8 @@ from .optimize import OptimizationResult, minimize, run_vqe
 from .exact import (
     IntegralHamiltonian,
     SectorBasis,
-    build_paired_ansatz,
     build_paired_hamiltonian,
     exact_ground_energy,
-    make_paired_rotation,
     sector_basis,
 )
 from .workbench import (

@@ -1,5 +1,10 @@
 """Fermionic excitation generators and unitary pair-coupled-cluster ansaetze.
 
+This module defines every generator kind and its builders: pair doubles
+and singles on the spin-orbital register (UpCCGSD and the PNO variants)
+and the pair rotations of the paired encoding (``build_paired_ansatz``,
+for ``exact.PairedHamiltonian``).
+
 Every generator G = i(E - E^dag) is Hermitian (the factor i of the
 anti-Hermitian cluster operator is absorbed) and is fixed by its
 excitation E: the qubits E empties, those it fills, and the qubits whose
@@ -7,8 +12,9 @@ parity signs it (``ExcitationGenerator.masks``). Its Jordan-Wigner image is
 a set of mutually commuting Pauli strings with real coefficients, and G^3 =
 G, so the circuit exp(-i theta/2 G) compiles exactly into a product of
 Pauli rotations, one per string, with no Trotter error. The masks give
-that image in closed form (for the CNOT counts), the S_z test, and the
-signed permutation by which the simulator applies G to determinants.
+that image in closed form, as ``(x, z)`` mask pairs (for the CNOT counts),
+the S_z test, and the signed permutation by which the simulator applies G
+to determinants.
 
 Operator ordering inside a product ansatz is fixed for reproducibility:
 pair-doubles block first, then generalized doubles, then singles, each block
@@ -21,7 +27,6 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .operators import PauliString
 from .pno import OrbitalSpace
 
 PNO_VARIANTS = ("UpCCD", "UpCCSD", "UpCCGD")
@@ -84,7 +89,7 @@ class ExcitationGenerator:
 
     @cached_property
     def strings(self) -> tuple:
-        """G's Jordan-Wigner image as ((PauliString, real coefficient), ...), by ascending Z mask.
+        """G's Jordan-Wigner image as (((x, z) masks, real coefficient), ...), by ascending Z mask.
 
         E = Z_parity prod_filled s+ prod_emptied s-, with s+- = (X -+ iY)/2,
         so G = i(E - E^dag) has one string for each odd-size subset S of the
@@ -102,7 +107,7 @@ class ExcitationGenerator:
             size = subset.bit_count()
             if size % 2:
                 sign = (-1) ** ((size + 1) // 2 + (subset & filled).bit_count())
-                strings.append((PauliString(self.n_qubits, flip, subset | parity), sign * scale))
+                strings.append(((flip, subset | parity), sign * scale))
         return tuple(strings)
 
     @property
@@ -171,6 +176,15 @@ def make_single(p: int, q: int, spin: int, n_spatial: int) -> ExcitationGenerato
     ordering.
     """
     return ExcitationGenerator("single", (p, q), spin, 2 * n_spatial)
+
+
+def make_paired_rotation(i: int, a: int, n_orb: int) -> ExcitationGenerator:
+    """Paired-encoding image of the pair excitation i -> a.
+
+    i(P+_a P_i - P+_i P_a) = (Y_a X_i - X_a Y_i)/2 on two qubits; the two
+    strings commute, so the exponential is an exact two-rotation circuit.
+    """
+    return ExcitationGenerator("paired_double", (i, a), None, n_orb)
 
 
 def build_upccgsd(n_spatial: int, n_electrons: int, layers: int = 1) -> Ansatz:
@@ -245,6 +259,21 @@ def build_pno_ansatz(space: OrbitalSpace, variant: str) -> Ansatz:
     )
 
 
+def build_paired_ansatz(occupied, pair_doubles, n_orb: int) -> Ansatz:
+    """Pair-rotation circuit on n_orb qubits mirroring a PNO-UpCCD ansatz.
+
+    ``pair_doubles`` lists (i, a) spatial excitations in ansatz order;
+    ``occupied`` lists the reference's doubly occupied spatial orbitals.
+    """
+    gens = tuple(make_paired_rotation(i, a, n_orb) for i, a in pair_doubles)
+    return Ansatz(
+        generators=gens,
+        n_qubits=n_orb,
+        reference=tuple(sorted(occupied)),
+        name="paired-UpCCD",
+    )
+
+
 @dataclass(frozen=True)
 class ResourceReport:
     """Parameter and naive CNOT counts for one ansatz."""
@@ -271,7 +300,7 @@ def count_resources(ansatz: Ansatz) -> ResourceReport:
     breakdown = []
     total = 0
     for gen in ansatz.generators:
-        cost = sum(2 * (string.weight - 1) for string, _ in gen.strings)
+        cost = sum(2 * ((x | z).bit_count() - 1) for (x, z), _ in gen.strings)
         breakdown.append((gen.label, cost))
         total += cost
     return ResourceReport(

@@ -20,7 +20,8 @@ p set is the orbital doubly occupied (Elfving et al., PRA 2021).
 ``PairedHamiltonian`` reads ``determinant_matrix`` on the determinants with
 spin-orbitals 2p and 2p + 1 occupied for every set qubit p; its entries are
 locked in by a test against the seniority-zero projection of the full
-Jordan-Wigner Hamiltonian.
+Jordan-Wigner Hamiltonian. Its circuit, ``build_paired_ansatz``, is built
+in ``ansatz`` with the other generators.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .ansatz import Ansatz, ExcitationGenerator
 from .integrals import IntegralSet
 from .operators import COEFF_CUTOFF
 
@@ -236,6 +236,8 @@ class PairedHamiltonian(IntegralHamiltonian):
 
 def _sector_matrix(op: IntegralHamiltonian, basis: SectorBasis):
     """The cached matrix of a Hamiltonian on a basis of its register."""
+    if not isinstance(op, IntegralHamiltonian):
+        raise TypeError(f"IntegralHamiltonian or PairedHamiltonian expected, got {type(op).__name__}")
     if op.n_qubits != basis.n_qubits:
         raise ValueError("operator register does not match the basis")
     return op.matrix(basis.states)
@@ -297,27 +299,3 @@ def build_paired_hamiltonian(mo: IntegralSet) -> PairedHamiltonian:
                  + sum_{p<q} <pp|qq> (X_p X_q + Y_p Y_q)/2
     """
     return PairedHamiltonian(mo)
-
-
-def make_paired_rotation(i: int, a: int, n_orb: int) -> ExcitationGenerator:
-    """Paired-encoding image of the pair excitation i -> a.
-
-    i(P+_a P_i - P+_i P_a) = (Y_a X_i - X_a Y_i)/2 on two qubits; the two
-    strings commute, so the exponential is an exact two-rotation circuit.
-    """
-    return ExcitationGenerator("paired_double", (i, a), None, n_orb)
-
-
-def build_paired_ansatz(occupied, pair_doubles, n_orb: int) -> Ansatz:
-    """Pair-rotation circuit on n_orb qubits mirroring a PNO-UpCCD ansatz.
-
-    ``pair_doubles`` lists (i, a) spatial excitations in ansatz order;
-    ``occupied`` lists the reference's doubly occupied spatial orbitals.
-    """
-    gens = tuple(make_paired_rotation(i, a, n_orb) for i, a in pair_doubles)
-    return Ansatz(
-        generators=gens,
-        n_qubits=n_orb,
-        reference=tuple(sorted(occupied)),
-        name="paired-UpCCD",
-    )

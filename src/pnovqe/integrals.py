@@ -433,19 +433,19 @@ def read_fcidump(path) -> IntegralSet:
         if len(fields) != 5:
             raise ParseError(f"malformed FCIDUMP line: {raw!r}")
         value = float(fields[0].upper().replace("D", "E"))
-        i, j, k, l = (int(v) for v in fields[1:])
-        if min(i, j, k, l) < 0 or max(i, j, k, l) > n_orb:
+        i, j, k, l = indices = tuple(int(v) for v in fields[1:])
+        if min(indices) < 0 or max(indices) > n_orb:
             raise ParseError(f"orbital index out of range in line: {raw!r}")
-        if i == 0:
-            core = value
-        elif j == 0:
-            eps[i - 1] = value
-        elif k == 0:
-            if l != 0:
-                raise ParseError(f"malformed index pattern in line: {raw!r}")
-            h[i - 1, j - 1] = h[j - 1, i - 1] = value
-        elif l == 0:
+        # the nonzero indices lead: 0 0 0 0, i 0 0 0, i j 0 0 or i j k l
+        n_set = 4 - indices.count(0)
+        if n_set == 3 or any(indices[n_set:]):
             raise ParseError(f"malformed index pattern in line: {raw!r}")
+        if n_set == 0:
+            core = value
+        elif n_set == 1:
+            eps[i - 1] = value
+        elif n_set == 2:
+            h[i - 1, j - 1] = h[j - 1, i - 1] = value
         else:
             ij, kl = pair[i - 1][j - 1], pair[k - 1][l - 1]
             packed[ij, kl] = packed[kl, ij] = value

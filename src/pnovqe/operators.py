@@ -11,13 +11,15 @@ Conventions used throughout the package:
 
 The one path is ``build_hamiltonian`` -> ``jordan_wigner`` ->
 ``QubitOperator.to_text``, for a point's ``hamiltonian.txt`` and
-``pnovqe hamiltonian``; ``PauliString`` also carries the strings a
-generator's CNOT count is read from (``ExcitationGenerator.strings``, from
-its excitation masks, not from ``jordan_wigner``). A fermionic operator is
-a plain dict from ladder tuples, ``((index, is_creation), ...)``, to complex
-coefficients. There is no operator arithmetic, and no sector matrix is
-built from a Pauli sum: the exact solve and the VQE engine read
-``exact.determinant_matrix`` of the integrals.
+``pnovqe hamiltonian``. A Pauli string is its pair of int masks ``(x, z)``:
+qubit j carries X if bit j of x is set, Z if bit j of z is set, and Y if
+both; the identity is ``(0, 0)``. ``QubitOperator`` keys its terms by these
+pairs, and ``ExcitationGenerator.strings`` gives a generator's in the same
+form. A fermionic operator is a plain dict from ladder tuples,
+``((index, is_creation), ...)``, to complex coefficients. There is no
+operator arithmetic, and no sector matrix is built from a Pauli sum: the
+exact solve and the VQE engine read ``exact.determinant_matrix`` of the
+integrals.
 
 ``build_hamiltonian`` and ``jordan_wigner`` are array code that works on
 fixed blocks of products. Part of their determinism contract is that every
@@ -45,54 +47,7 @@ MAX_MASK_QUBITS = 63
 # (2**10 quartic terms), so its few int64 arrays stay near 128 KiB each.
 _JW_BLOCK = 1 << 14
 
-_LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-
-class PauliString:
-    """Phase-free tensor product of single-qubit Paulis, packed as bitmasks.
-
-    Qubit j carries X if bit j of ``x`` is set, Z if bit j of ``z`` is set,
-    and Y if both are set. The identity is the empty pair of masks.
-    """
-
-    __slots__ = ("n_qubits", "x", "z")
-
-    def __init__(self, n_qubits: int, x: int = 0, z: int = 0):
-        mask = (1 << n_qubits) - 1
-        if x & ~mask or z & ~mask:
-            raise ValueError("Pauli mask exceeds qubit count")
-        self.n_qubits = n_qubits
-        self.x = x
-        self.z = z
-
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
-    def label(self) -> str:
-        if not (self.x | self.z):
-            return "I"
-        parts = []
-        for j in range(self.n_qubits):
-            bx, bz = (self.x >> j) & 1, (self.z >> j) & 1
-            if bx or bz:
-                parts.append(f"{_LABEL[(bx, bz)]}{j}")
-        return " ".join(parts)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PauliString)
-            and self.n_qubits == other.n_qubits
-            and self.x == other.x
-            and self.z == other.z
-        )
-
-    def __hash__(self):
-        return hash((self.n_qubits, self.x, self.z))
-
-    def __repr__(self):
-        return f"PauliString({self.n_qubits}, {self.label()!r})"
 
 
 class QubitOperator:
@@ -126,11 +81,6 @@ class QubitOperator:
     def n_terms(self) -> int:
         return len(self._terms)
 
-    def items(self):
-        """Yield (PauliString, coefficient) pairs in deterministic order."""
-        for (x, z) in sorted(self._terms):
-            yield PauliString(self.n_qubits, x, z), self._terms[(x, z)]
-
     def raw_items(self):
         return self._terms.items()
 
@@ -138,7 +88,7 @@ class QubitOperator:
         """One term per line, ``coeff  P0 P1 ...``, each coefficient by ``repr``.
 
         Terms are ordered by weight, then X mask, then Z mask, and each label
-        lists the string's Paulis by ascending qubit, as ``PauliString.label``.
+        lists the string's Paulis by ascending qubit (``I`` for the identity).
         """
         n_terms = len(self._terms)
         masks = np.fromiter(chain.from_iterable(self._terms), np.int64, 2 * n_terms)

@@ -182,14 +182,6 @@ def run_vqe(
     def grad(theta):
         return ansatz_gradient(hamiltonian, ansatz, theta)
 
-    if n == 0:
-        energy = objective(np.zeros(0))
-        return OptimizationResult(
-            x=np.zeros(0), fun=energy, grad_norm=0.0, iterations=0,
-            n_function_evals=1, n_gradient_evals=0, converged=True,
-            trajectory=((energy, 0.0),), exit_reason="grad_tol",
-        )
-
     best = minimize(objective, grad, np.zeros(n), grad_tol=grad_tol, max_iter=max_iter)
     rng = np.random.default_rng(seed)
     for _ in range(restarts):

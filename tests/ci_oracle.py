@@ -65,7 +65,7 @@ from scipy.sparse.linalg import expm_multiply
 from pnovqe.exact import SectorBasis, sector_basis
 from pnovqe.integrals import AOIntegralSet, IntegralSet, _prim_norm, boys
 from pnovqe.scf import SCFResult, _diis_extrapolate, _fock_matrix, _orthogonalizer
-from pnovqe.operators import _PHASES, COEFF_CUTOFF, PauliString, QubitOperator
+from pnovqe.operators import _PHASES, COEFF_CUTOFF, QubitOperator
 from pnovqe.simulator import ansatz_expectation
 
 
@@ -607,8 +607,8 @@ def reference_generator_strings(gen) -> tuple:
 
     A pair double or a single is i(E - E^dag) of its ladder product E
     through ``reference_jordan_wigner``; a hard-core pair rotation i -> a
-    is the written-out (X_i Y_a - Y_i X_a)/2. Returns ((PauliString, real
-    coefficient), ...) by ascending (X mask, Z mask).
+    is the written-out (X_i Y_a - Y_i X_a)/2. Returns (((X mask, Z mask),
+    real coefficient), ...) by ascending (X mask, Z mask).
     """
     i, a = gen.orbitals
     if gen.kind == "paired_double":
@@ -623,8 +623,7 @@ def reference_generator_strings(gen) -> tuple:
         terms = reference_jordan_wigner({ladders: 1.0j, adjoint: -1.0j}, gen.n_qubits)._terms
     if any(complex(c).imag for c in terms.values()):
         raise ValueError("generator image has a complex coefficient")
-    return tuple((PauliString(gen.n_qubits, x, z), complex(c).real)
-                 for (x, z), c in sorted(terms.items()))
+    return tuple((key, complex(c).real) for key, c in sorted(terms.items()))
 
 
 def reference_matrix(op: QubitOperator, states: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -650,8 +649,16 @@ def reference_matrix(op: QubitOperator, states: np.ndarray) -> scipy.sparse.csr_
     )
 
 
+def pauli_label(x: int, z: int) -> str:
+    """``X0 Y2 Z3``: the Paulis of a mask pair by ascending qubit, ``I`` for the identity."""
+    letters = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+    words = [f"{letters[(x >> j) & 1, (z >> j) & 1]}{j}"
+             for j in range((x | z).bit_length()) if ((x | z) >> j) & 1]
+    return " ".join(words) or "I"
+
+
 def reference_to_text(op: QubitOperator) -> str:
-    """One term per line, sorted by (weight, (X mask, Z mask)), labels from ``PauliString.label``."""
+    """One term per line, sorted by (weight, (X mask, Z mask)), labels from ``pauli_label``."""
     lines = []
     for (x, z) in sorted(op._terms, key=lambda k: ((k[0] | k[1]).bit_count(), k)):
         coeff = op._terms[(x, z)]
@@ -659,7 +666,7 @@ def reference_to_text(op: QubitOperator) -> str:
             num = repr(coeff.real)
         else:
             num = repr(coeff)
-        lines.append(f"{num} {PauliString(op.n_qubits, x, z).label()}")
+        lines.append(f"{num} {pauli_label(x, z)}")
     return "\n".join(lines) + "\n"
 
 
@@ -672,7 +679,7 @@ def reference_factor(strings, basis) -> tuple:
     makes), one entry per row, G^3 = G. The simulator's signs are -i times
     the phases.
     """
-    terms = {(s.x, s.z): c for s, c in strings}
+    terms = dict(strings)
     square: dict = {}
     for (x1, z1), c1 in terms.items():
         for (x2, z2), c2 in terms.items():
@@ -787,27 +794,29 @@ _PAULI_MATRICES = {
 }
 
 
-def kron_string(string: PauliString, sparse: bool = False):
-    """The 2^n matrix of a Pauli string, qubit 0 the last Kronecker factor (little-endian)."""
+def kron_string(x: int, z: int, n_qubits: int, sparse: bool = False):
+    """The 2^n matrix of the Pauli string (x, z), qubit 0 the last Kronecker factor (little-endian)."""
+    if (x | z) >> n_qubits:
+        raise ValueError("Pauli mask exceeds qubit count")
     mat = scipy.sparse.identity(1, dtype=complex, format="csr") if sparse else np.eye(1, dtype=complex)
     kron = (lambda a, b: scipy.sparse.kron(a, b, format="csr")) if sparse else np.kron
-    for j in range(string.n_qubits):
-        mat = kron(_PAULI_MATRICES[(string.x >> j) & 1, (string.z >> j) & 1], mat)
+    for j in range(n_qubits):
+        mat = kron(_PAULI_MATRICES[(x >> j) & 1, (z >> j) & 1], mat)
     return mat
 
 
 def kron_sum(strings, n_qubits: int, sparse: bool = False):
-    """sum_m c_m P_m of (string, c_m) pairs over the 2^n register: a dense array, or CSR when ``sparse``."""
+    """sum_m c_m P_m of ((x, z), c_m) pairs over the 2^n register: a dense array, or CSR when ``sparse``."""
     dim = 1 << n_qubits
     total = scipy.sparse.csr_matrix((dim, dim), dtype=complex) if sparse else np.zeros((dim, dim), complex)
-    for string, coeff in strings:
-        total = total + coeff * kron_string(string, sparse)
+    for (x, z), coeff in strings:
+        total = total + coeff * kron_string(x, z, n_qubits, sparse)
     return total
 
 
 def kron_matrix(op: QubitOperator) -> np.ndarray:
-    """The operator over the 2^n register as a dense Kronecker sum of its terms."""
-    return kron_sum(op.items(), op.n_qubits)
+    """The operator over the 2^n register as a dense Kronecker sum of its terms, by ascending (x, z)."""
+    return kron_sum(sorted(op.raw_items()), op.n_qubits)
 
 
 def register_state(n_qubits: int, occupied) -> np.ndarray:
@@ -852,9 +861,9 @@ def reference_register_shift_gradient(op, ansatz, theta) -> np.ndarray:
     of a Pauli sum ``op``, or ``op`` itself when it is a dense register matrix.
     """
     rotations = [
-        (k, kron_string(string), theta[k] * coeff, coeff)
+        (k, kron_string(x, z, ansatz.n_qubits), theta[k] * coeff, coeff)
         for k, gen in enumerate(ansatz.generators)
-        for string, coeff in reference_generator_strings(gen)
+        for (x, z), coeff in reference_generator_strings(gen)
     ]
 
     def unitary(pauli, angle):

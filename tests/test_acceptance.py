@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pnovqe as pq
-from pnovqe.exact import build_paired_ansatz
+from pnovqe.ansatz import build_paired_ansatz
 from pnovqe.simulator import _sector_state
 
 from ci_oracle import (
@@ -194,6 +194,23 @@ def test_criterion_7_seniority_zero(lih_like_diag12):
         f"criterion 7 PASS: paired spectra match (worst {worst:.2e}); "
         f"12-qubit vs 6-qubit optimized energies differ by {gap:.2e}"
     )
+
+
+def test_paired_circuit_cost(lih_like_diag12):
+    # the same pair excitations as 2 weight-2 rotations on 6 qubits (4 CNOTs
+    # each) against 8 weight-4 rotations on 12 qubits (48 CNOTs each)
+    space, final = lih_like_diag12["space"], lih_like_diag12["final"]
+    ansatz = pq.build_pno_ansatz(space, "UpCCD")
+    doubles = [g.orbitals for g in ansatz.generators]
+    paired = build_paired_ansatz(range(final.n_occ), doubles, final.n_orb)
+    assert (ansatz.n_qubits, paired.n_qubits, len(doubles)) == (12, 6, 4)
+    for gen in paired.generators:
+        assert [(x | z).bit_count() for (x, z), _ in gen.strings] == [2, 2]
+    full_report, paired_report = pq.count_resources(ansatz), pq.count_resources(paired)
+    assert paired_report.n_parameters == full_report.n_parameters == 4
+    assert paired_report.breakdown == tuple((f"P({i}->{a})", 4) for i, a in doubles)
+    assert full_report.breakdown == tuple((f"D({i}->{a})", 48) for i, a in doubles)
+    assert (paired_report.n_cnots, full_report.n_cnots) == (16, 192)
 
 
 def test_criterion_8_symmetry_suite(h2_sto3g, lih_like_diag12):

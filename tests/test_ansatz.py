@@ -49,15 +49,15 @@ class TestPairDouble:
     def test_adjacent_pair_structure(self):
         gen = pq.make_pair_double(0, 1, 2)
         assert len(gen.strings) == 8
-        assert all(s.weight == 4 for s, _ in gen.strings)
+        assert all((x | z).bit_count() == 4 for (x, z), _ in gen.strings)
         assert sorted(c for _, c in gen.strings) == [-0.125] * 4 + [0.125] * 4
 
     def test_distant_pair_z_chain_cancellation(self):
         gen = pq.make_pair_double(0, 5, 6)
         support = set()
-        for s, _ in gen.strings:
-            assert s.weight == 4
-            support |= {j for j in range(12) if ((s.x | s.z) >> j) & 1}
+        for (x, z), _ in gen.strings:
+            assert (x | z).bit_count() == 4
+            support |= {j for j in range(12) if ((x | z) >> j) & 1}
         assert support == {0, 1, 10, 11}
 
     def test_weight_four_for_all_placements(self):
@@ -67,7 +67,7 @@ class TestPairDouble:
                     if i == a:
                         continue
                     gen = pq.make_pair_double(i, a, n)
-                    assert all(s.weight == 4 for s, _ in gen.strings)
+                    assert all((x | z).bit_count() == 4 for (x, z), _ in gen.strings)
 
     def test_full_period_on_basis_states(self):
         gen = pq.make_pair_double(0, 1, 2)
@@ -84,16 +84,16 @@ class TestPairDouble:
 class TestSingle:
     def test_adjacent_weight(self):
         gen = pq.make_single(0, 1, 0, 2)
-        assert [s.weight for s, _ in gen.strings] == [3, 3]
+        assert [(x | z).bit_count() for (x, z), _ in gen.strings] == [3, 3]
         support = set()
-        for s, _ in gen.strings:
-            support |= {j for j in range(4) if ((s.x | s.z) >> j) & 1}
+        for (x, z), _ in gen.strings:
+            support |= {j for j in range(4) if ((x | z) >> j) & 1}
         assert support == {0, 1, 2}  # X/Y on qubits 0 and 2, Z chain on 1
 
     @pytest.mark.parametrize("p,q,expected", [(0, 2, 5), (1, 3, 5), (0, 3, 7)])
     def test_weight_formula(self, p, q, expected):
         gen = pq.make_single(p, q, 0, 4)
-        assert all(s.weight == expected for s, _ in gen.strings)
+        assert all((x | z).bit_count() == expected for (x, z), _ in gen.strings)
 
     def test_exponential_matches_expm(self):
         rng = np.random.default_rng(3)
@@ -186,10 +186,10 @@ class TestGeneratorInvariants:
 
     def test_strings_mutually_commute(self):
         for gen in self.gens_for(4):
-            for s1, _ in gen.strings:
-                for s2, _ in gen.strings:
+            for (x1, z1), _ in gen.strings:
+                for (x2, z2), _ in gen.strings:
                     # an even count of qubits where one has X and the other Z
-                    assert ((s1.x & s2.z).bit_count() + (s1.z & s2.x).bit_count()) % 2 == 0
+                    assert ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0
 
     def test_cube_equals_generator(self):
         for gen in self.gens_for(3):

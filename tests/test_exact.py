@@ -21,9 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe import exact as exact_mod
-from pnovqe.exact import (
-    IntegralHamiltonian, SectorBasis, build_paired_ansatz, determinant_matrix,
-)
+from pnovqe.ansatz import build_paired_ansatz
+from pnovqe.exact import IntegralHamiltonian, SectorBasis, determinant_matrix
 
 from ci_oracle import (
     eigenvalues_dense, random_integral_set, reference_build_hamiltonian,
@@ -78,6 +77,15 @@ class TestExactGroundEnergy:
         hamiltonian = IntegralHamiltonian(integral_set(np.zeros((1, 1))))
         with pytest.raises(ValueError, match="register"):
             pq.exact_ground_energy(hamiltonian, pq.sector_basis(4, 2, 0))
+
+    def test_pauli_sum_rejected_by_the_exact_solve_and_the_vqe(self, h2_sto3g):
+        # the engine reads determinant matrices of integrals, never a Pauli sum
+        pauli_sum = pq.jordan_wigner(pq.build_hamiltonian(h2_sto3g["mo"]), 4)
+        expected = "IntegralHamiltonian or PairedHamiltonian expected, got QubitOperator"
+        with pytest.raises(TypeError, match=expected):
+            pq.exact_ground_energy(pauli_sum, pq.sector_basis(4, 2, 0))
+        with pytest.raises(TypeError, match=expected):
+            pq.run_vqe(pauli_sum, pq.build_upccgsd(2, 2))
 
     def test_asymmetric_integrals_rejected(self):
         # every sector matrix is real symmetric because no other integrals get in
@@ -299,9 +307,9 @@ class TestPairedAnsatzEquivalence:
 
     def test_paired_rotation_strings_commute(self):
         gen = pq.make_paired_rotation(0, 3, 4)
-        (s1, _), (s2, _) = gen.strings
+        ((x1, z1), _), ((x2, z2), _) = gen.strings
         # an even count of qubits where one has X and the other Z
-        assert ((s1.x & s2.z).bit_count() + (s1.z & s2.x).bit_count()) % 2 == 0
+        assert ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0
 
 
 class TestBasisRotationInvariance:

@@ -74,7 +74,7 @@ def generator_cases(draw, subsets: bool = True, kinds=GENERATOR_KINDS, closed: b
         states = set(draw(st.lists(mask, min_size=1, max_size=40, unique=True)))
         if closed or draw(st.booleans()):
             # every string of an excitation flips the same qubits
-            x = reference_generator_strings(gen)[0][0].x
+            x = reference_generator_strings(gen)[0][0][0]
             states |= {s ^ x for s in states}
         return gen, SectorBasis(n, np.array(sorted(states), dtype=np.int64))
     n_particles = draw(st.integers(0, n))
@@ -221,8 +221,7 @@ def test_circuit_factors_match_the_oracle_on_the_n_sector(build):
 
 
 def check_factor(gen, basis, angle, seed):
-    gen_op = pq.QubitOperator(basis.n_qubits,
-                              {(s.x, s.z): c for s, c in reference_generator_strings(gen)})
+    gen_op = pq.QubitOperator(basis.n_qubits, dict(reference_generator_strings(gen)))
     g = reference_matrix(gen_op, basis.states)
     vec = random_state(basis.dim, seed)
     got = vec.copy()

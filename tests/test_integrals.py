@@ -275,6 +275,15 @@ class TestFCIDump:
         with pytest.raises(ParseError, match="out of range"):
             pq.read_fcidump(path)
 
+    @pytest.mark.parametrize("line", ["0.7 0 1 2 0", "0.3 1 0 2 2", "0.2 1 1 1 0", "0.1 0 0 0 1"])
+    def test_malformed_index_pattern(self, tmp_path, line):
+        # only 0 0 0 0, i 0 0 0, i j 0 0 and i j k l name an integral; the first two
+        # lines were once read as the core energy and as orbital energy 1
+        path = tmp_path / "pattern.fcidump"
+        path.write_text(f"&FCI NORB=2,NELEC=2,MS2=0,\n&END\n{line}\n")
+        with pytest.raises(ParseError, match="malformed index pattern"):
+            pq.read_fcidump(path)
+
     @pytest.mark.parametrize("system", ["lih-model", "h2-s10"])
     def test_bytes_and_arrays_match_loop_reference(self, system, tmp_path):
         mo = lih_like_pipeline()["mo"] if system == "lih-model" else h2_big_integrals(1.4)

@@ -203,8 +203,14 @@ class TestExitReason:
 
     def test_zero_parameter_vqe(self, h2_sto3g):
         ansatz = pq.Ansatz(generators=(), n_qubits=4, reference=(0, 1), name="empty")
-        result = pq.run_vqe(pq.IntegralHamiltonian(h2_sto3g["mo"]), ansatz)
+        hamiltonian = pq.IntegralHamiltonian(h2_sto3g["mo"])
+        result = pq.run_vqe(hamiltonian, ansatz)
         assert result.exit_reason == "grad_tol"
+        # minimize stops at iteration 0 after one energy and one (empty) gradient
+        assert (result.iterations, result.n_function_evals, result.n_gradient_evals) == (0, 1, 1)
+        assert result.converged and result.grad_norm == 0.0 and result.x.shape == (0,)
+        energy = pq.ansatz_expectation(hamiltonian, ansatz, np.zeros(0))
+        assert result.fun == energy and result.trajectory == ((energy, 0.0),)
 
     def test_run_point_records_the_exit_reason(self):
         record = pq.run_point(h2_config())
