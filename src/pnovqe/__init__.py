@@ -17,7 +17,6 @@ from .integrals import (
     BasisShell,
     IntegralSet,
     Molecule,
-    boys,
     compute_ao_integrals,
     even_tempered_shells,
     parse_xyz,

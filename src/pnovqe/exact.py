@@ -8,11 +8,11 @@ one cached sector matrix: ``determinant_matrix`` of the compact integrals
 its paired restriction. ``IntegralSet`` refuses asymmetric h and g, so
 every sector matrix is real symmetric, stored as float64, and every solve
 runs in real arithmetic. Bases of up to ``_DENSE_DIM`` states get the
-lowest pair of a dense ``eigh``, larger ones ARPACK's implicitly restarted
-Lanczos (``scipy.sparse.linalg.eigsh``) from one seeded generator, so
-reruns give the same bits; the crossover was measured on real sector
-matrices. ``_sector_matrix`` is the one check before a sector matrix is
-read, here and in the simulator: the Hamiltonian's register is the basis'.
+lowest pair of numpy's dense ``eigh``, larger ones a Davidson solve with
+the diagonal as preconditioner from a seeded start, so reruns give the
+same bits; the crossover was measured on real sector matrices.
+``_sector_matrix`` is the one check before a sector matrix is read, here
+and in the simulator: the Hamiltonian's register is the basis'.
 
 The paired (seniority-zero) encoding gives one qubit to each spatial
 orbital, halving the register relative to the spin-orbital encoding: qubit
@@ -31,18 +31,16 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .integrals import IntegralSet
 from .operators import COEFF_CUTOFF
 
-# Real sectors of H8 STO-3G compact Hamiltonians on 2 cores, lowest pair, best
-# of 7: dense eigh 2.2-3.1 / 7.1-11.5 / 20-31 / 93-108 ms at dim 225 / 441 /
-# 735 / 1225, eigsh 1.9-3.3 / 4.8-7.6 / 6.6-11.3 / 12-18 ms. eigsh is faster
-# from about 300 states on, but the first one in a process also imports
-# scipy.sparse.linalg (16-20 ms), which a dense solve up to 600 states undercuts
-_DENSE_DIM = 600
+# Real compact-Hamiltonian sectors (H2 s10, LiH model, H8 STO-3G), one BLAS thread,
+# median of 15: np.linalg.eigh 0.3 / 0.9-1.3 / 3.4-5.3 / 21-30 ms at dim 64 / 100 /
+# 225 / 441, _davidson 2.2-2.4 / 0.9-3.1 / 1.0-2.1 / 3.4-5.1 ms
+_DENSE_DIM = 128
+_DAVIDSON_SUBSPACE, _DAVIDSON_MAX_MATVECS = 24, 1000
 _MAX_SECTOR_QUBITS = 24
 # Rows per block of ``determinant_matrix``: the 22-qubit H6 sector took 4.8 s
 # at 64 rows against 5.0-5.7 s at 16, 32, 128 and 256 rows (2 cores)
@@ -249,33 +247,56 @@ def _check_solvable(n_qubits: int) -> None:
         raise ValueError(f"sector diagonalization limited to {_MAX_SECTOR_QUBITS} qubits")
 
 
+def _davidson(mat) -> tuple:
+    """Lowest eigenpair of a real symmetric sparse matrix, shaped as ``eigh``'s (Davidson, 1975).
+
+    The start is the lowest-diagonal determinant plus a seeded random admixture of
+    norm 1e-2 (1e-2 per component took 4x the products), which gives every symmetry
+    block weight. Each step adds Olsen's correction (D - theta)^-1 (r - e x), D the
+    diagonal, x the Ritz vector, r its residual and e such that the correction is
+    orthogonal to x (Olsen et al., Chem. Phys. Lett. 1990); it stays new where D is
+    exact. A full subspace restarts on its 4 lowest Ritz vectors; r below 1e-9 ends it.
+    """
+    diag = mat.diagonal()
+    step = np.random.default_rng(12345).standard_normal(len(diag))
+    step *= 1e-2 / np.linalg.norm(step)
+    step[np.argmin(diag)] += 1.0
+    basis, images = np.empty((2, _DAVIDSON_SUBSPACE, len(diag)))
+    k = 0
+    for _ in range(_DAVIDSON_MAX_MATVECS):
+        basis[k] = step / np.linalg.norm(step)
+        images[k] = mat @ basis[k]
+        k += 1
+        theta, s = np.linalg.eigh(basis[:k] @ images[:k].T)
+        vector = s[:, 0] @ basis[:k]
+        residual = s[:, 0] @ images[:k] - theta[0] * vector
+        if np.linalg.norm(residual) < 1e-9:
+            return theta[:1], vector[:, None]
+        if k == _DAVIDSON_SUBSPACE:
+            keep, k = s[:, :4].T, 4
+            basis[:k], images[:k] = keep @ basis, keep @ images
+        shift = diag - theta[0]
+        inverse = 1.0 / np.where(np.abs(shift) < 1e-8, 1e-8, shift)
+        step = inverse * (residual - (vector @ (inverse * residual)) / (vector @ (inverse * vector)) * vector)
+        for _ in range(2):
+            step -= (basis[:k] @ step) @ basis[:k]
+    raise RuntimeError(f"Davidson unconverged after {_DAVIDSON_MAX_MATVECS} matrix-vector products")
+
+
 def exact_ground_energy(op: IntegralHamiltonian, sector: SectorBasis):
     """Lowest eigenvalue and eigenvector of a Hamiltonian on a basis of its register.
 
     ``op`` is an ``IntegralHamiltonian`` or a ``PairedHamiltonian``, whose
-    sector matrix is real symmetric. Small bases are solved densely, larger
-    ones by ARPACK from a seeded start vector. The returned pair always
-    satisfies ||Hv - Ev|| < 1e-8 in the chosen basis; ARPACK's failure to
-    converge is a ``RuntimeError``.
+    sector matrix is real symmetric. Bases of up to ``_DENSE_DIM`` states are
+    solved densely, larger ones by ``_davidson``. The returned pair always
+    satisfies ||Hv - Ev|| < 1e-8 in the chosen basis; a Davidson solve that
+    reaches its matrix-vector cap is a ``RuntimeError``.
     """
     _check_solvable(op.n_qubits)
     if sector.dim == 0:
         raise ValueError("empty sector")
     mat = _sector_matrix(op, sector)
-    if sector.dim <= _DENSE_DIM:
-        evals, evecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, 0])
-    else:
-        # imported here: small sectors, and so ``import pnovqe``, never need it
-        from scipy.sparse.linalg import eigsh
-
-        rng = np.random.default_rng(12345)
-        start = rng.standard_normal(sector.dim)
-        # ARPACK restarts from a random vector when its Krylov space is
-        # invariant, drawn from ``rng`` (from entropy when None)
-        if not mat.count_nonzero():   # ARPACK refuses it; every vector is a ground state
-            evals, evecs = np.zeros(1), (start / np.linalg.norm(start))[:, None]
-        else:
-            evals, evecs = eigsh(mat, k=1, which="SA", v0=start, tol=0, rng=rng)
+    evals, evecs = np.linalg.eigh(mat.toarray()) if sector.dim <= _DENSE_DIM else _davidson(mat)
     energy, vector = float(evals[0]), evecs[:, 0]
     residual = np.linalg.norm(mat @ vector - energy * vector)
     if residual > 1e-8:

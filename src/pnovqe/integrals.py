@@ -6,9 +6,9 @@ LiH-like diatomics, H chains). Anything larger arrives through FCIDUMP files.
 The engine is vectorized over unique primitive pairs: each one-electron
 matrix is one array pass (nuclear attraction over all nuclei at once), and
 the ERIs are a primitive-pair x primitive-pair matrix built and contracted
-in fixed-size row blocks, so their working set stays near 1 MiB. F_0 uses
-``erf`` from ``scipy.special``, imported on first use rather than with the
-package. The scalar ``boys``/``boys_all`` remain for higher orders.
+in fixed-size row blocks over its upper triangle, so their working set stays
+near 1 MiB. F_0 uses ``_erf``, a numpy port of the Cephes rational
+approximations, within 1 ulp of ``scipy.special.erf``.
 
 Units: coordinates are stored in bohr, energies in hartree. Two-electron
 integrals are kept in physicists' notation <pq|rs> in memory and written in
@@ -148,48 +148,6 @@ def even_tempered_shells(center, n: int, alpha0: float, ratio: float) -> list[Ba
 
 
 # ---------------------------------------------------------------------------
-# Boys function
-
-
-def boys(n: int, x: float) -> float:
-    """Boys function F_n(x) = int_0^1 t^(2n) exp(-x t^2) dt."""
-    if n < 0 or n > 16:
-        raise ValueError("boys order limited to 0 <= n <= 16")
-    if x < 0:
-        raise ValueError("boys argument must be non-negative")
-    return float(boys_all(n, x)[n])
-
-
-def boys_all(n_max: int, x: float) -> np.ndarray:
-    """F_0(x) .. F_{n_max}(x).
-
-    For x < 35 the series F_n = e^-x sum_k (2x)^k / prod(2n+1 .. 2n+2k+1)
-    is evaluated at n_max and recursed downward; beyond that the closed form
-    F_0 = sqrt(pi/x)/2 plus stable upward recursion is exact to ~1e-15.
-    """
-    out = np.empty(n_max + 1)
-    ex = math.exp(-x)
-    if x >= 35.0:
-        out[0] = 0.5 * math.sqrt(math.pi / x)
-        for m in range(n_max):
-            out[m + 1] = ((2 * m + 1) * out[m] - ex) / (2.0 * x)
-        return out
-    term = 1.0 / (2 * n_max + 1)
-    total = term
-    k = 0
-    while term > 1e-18 * total:
-        term *= 2.0 * x / (2 * n_max + 2 * k + 3)
-        total += term
-        k += 1
-        if k > 500:  # pragma: no cover - series converges long before this
-            break
-    out[n_max] = ex * total
-    for m in range(n_max - 1, -1, -1):
-        out[m] = (2.0 * x * out[m + 1] + ex) / (2 * m + 1)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # AO integrals over contracted s-Gaussians
 
 # Rows of the primitive-pair ERI matrix evaluated at once are chosen so that a
@@ -212,21 +170,35 @@ def _primitive_overlap(a, b, rab2):
     return (math.pi / p) ** 1.5 * np.exp(-a * b / p * rab2)
 
 
+# Cephes ``ndtr.c``: erf(x) = x T(x^2) / U(x^2) for x <= 1, else 1 - erfc(x) with
+# erfc(x) = exp(-x^2) P(x) / Q(x); np.polyval is Cephes' Horner rule, bit for bit
+_ERF_T = (9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051,
+          55592.30130103949)
+_ERF_U = (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095,
+          49267.39426086359)
+_ERFC_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814,
+           196.5208329560771, 526.4451949954773, 934.5285271719576, 1027.5518868951572,
+           557.5353353693994)
+_ERFC_Q = (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055,
+           1823.9091668790973, 2246.3376081871097, 1656.6630919416134, 557.5353408177277)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf over an array of non-negative x; beyond 6 it rounds to 1.0, so erfc clips x at 8."""
+    out, low = np.empty_like(x), x <= 1.0
+    out[low] = x[low] * np.polyval(_ERF_T, x[low] ** 2) / np.polyval(_ERF_U, x[low] ** 2)
+    a = np.minimum(x[~low], 8.0)
+    out[~low] = 1.0 - np.exp(-a * a) * np.polyval(_ERFC_P, a) / np.polyval(_ERFC_Q, a)
+    return out
+
+
 def _boys0(x: np.ndarray) -> np.ndarray:
-    """F_0 over an array: sqrt(pi/x) erf(sqrt x) / 2, its Taylor series below 1e-3.
-
-    ``scipy.special`` is imported here rather than at module level, so that
-    ``import pnovqe`` stays cheap for processes that never build integrals.
-    """
-    from scipy.special import erf
-
-    small = x < 1e-3
-    root = np.sqrt(np.where(small, 1.0, x))
-    out = erf(root)
-    out /= root
+    """F_0 over an array: sqrt(pi/x) erf(sqrt x) / 2, or sqrt(pi) T(x) / (2 U(x)) up to x = 1."""
+    out, low = np.empty_like(x), x <= 1.0
+    out[low] = np.polyval(_ERF_T, x[low]) / np.polyval(_ERF_U, x[low])
+    root = np.sqrt(x[~low])
+    out[~low] = _erf(root) / root
     out *= 0.5 * math.sqrt(math.pi)
-    xs = x[small]
-    out[small] = 1.0 - xs * (1.0 / 3 - xs * (1.0 / 10 - xs * (1.0 / 42 - xs / 216)))
     return out
 
 
@@ -332,17 +304,20 @@ def compute_ao_integrals(molecule: Molecule, shells: list[BasisShell]) -> AOInte
     t0 = mu * (3.0 - 2.0 * mu * rab2) * s0
     v0 = -2.0 * np.sqrt(p / math.pi) * s0 * (_boys0(p[:, None] * rpc2) @ charges)
 
-    # (kl|mn) = 2 sqrt(rho/pi) S_kl S_mn F0(rho |P - Q|^2), rho = pq/(p + q).
+    # (kl|mn) = 2 sqrt(rho/pi) S_kl S_mn F0(rho |P - Q|^2), rho = pq/(p + q), on the upper
+    # triangle of this symmetric M: rows [lo, hi) take columns lo on, the lower part of
+    # their leading square zeroed and its diagonal halved, so g + g^T = ws M ws^T
     ws = w * s0
     g = np.zeros((w.shape[0],) * 2)
     rows = max(1, _ERI_BLOCK // max(p.size, 1))
     for lo in range(0, p.size, rows):
-        blk = slice(lo, lo + rows)
-        rho = p[blk, None] * p / (p[blk, None] + p)
-        rpq2 = sum((centre_p[blk, None, x] - centre_p[None, :, x]) ** 2 for x in range(3))
+        hi = min(lo + rows, p.size)
+        rho = p[lo:hi, None] * p[lo:] / (p[lo:hi, None] + p[lo:])
+        rpq2 = sum((centre_p[lo:hi, None, x] - centre_p[None, lo:, x]) ** 2 for x in range(3))
         block = 2.0 * np.sqrt(rho / math.pi) * _boys0(rho * rpq2)
-        g += ws[:, blk] @ (block @ ws.T)
-    g = 0.5 * (g + g.T)
+        block[:, :hi - lo] *= np.triu(np.ones((hi - lo,) * 2)) - 0.5 * np.eye(hi - lo)
+        g += ws[:, lo:hi] @ (block @ ws[:, lo:].T)
+    g += g.T
 
     return AOIntegralSet(
         n_ao=n,

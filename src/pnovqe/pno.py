@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .integrals import IntegralSet, transform_eri
 
@@ -201,7 +200,9 @@ def orthonormalize(selection: PNOSet) -> OrbitalSpace:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise ValueError("linearly dependent PNO selection") from None
-    w = scipy.linalg.solve_triangular(chol, v.T, lower=True).T
+    w = np.empty_like(v)
+    for j in range(k):
+        w[:, j] = (v[:, j] - w[:, :j] @ chol[j, :j]) / chol[j, j]
 
     transform = np.zeros((n_parent, n_occ + k))
     transform[:n_occ, :n_occ] = np.eye(n_occ)

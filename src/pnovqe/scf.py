@@ -69,6 +69,7 @@ def run_rhf(ao: AOIntegralSet, n_electrons: int) -> SCFResult:
 
     fock_list: list = []
     error_list: list = []
+    gram = np.empty((0, 0))   # error inner products, one row and column added per iteration
     history = [energy]
     converged = False
     iterations = 0
@@ -80,8 +81,11 @@ def run_rhf(ao: AOIntegralSet, n_electrons: int) -> SCFResult:
         if len(fock_list) > _DIIS_SIZE:
             fock_list.pop(0)
             error_list.pop(0)
+            gram = gram[1:, 1:]
+        gram = np.pad(gram, ((0, 1), (0, 1)))
+        gram[-1] = gram[:, -1] = [np.sum(err * e) for e in error_list]
         if len(fock_list) > 1:
-            fock = _diis_extrapolate(fock_list, error_list)
+            fock = _diis_extrapolate(fock_list, gram)
         eps, c, new_density = _density(fock)
         fock_of_density = _fock_matrix(ao, new_density)
         new_energy = 0.5 * np.sum(new_density * (h + fock_of_density)) + ao.nuclear_repulsion
@@ -106,11 +110,10 @@ def run_rhf(ao: AOIntegralSet, n_electrons: int) -> SCFResult:
     )
 
 
-def _diis_extrapolate(fock_list, error_list) -> np.ndarray:
+def _diis_extrapolate(fock_list, gram: np.ndarray) -> np.ndarray:
     m = len(fock_list)
-    b = -np.ones((m + 1, m + 1))
+    b = np.pad(gram, ((0, 1), (0, 1)), constant_values=-1.0)
     b[m, m] = 0.0
-    b[:m, :m] = [[np.sum(ei * ej) for ej in error_list] for ei in error_list]
     rhs = np.zeros(m + 1)
     rhs[m] = -1.0
     try:

@@ -8,13 +8,14 @@ bitmask labeling as the qubit register, with a determinant defined by
 applying creation operators in ascending index order.
 
 The AO-integral and MP2 oracles are scalar loops over contracted and
-primitive quartets (and virtual pairs) with the scalar Boys function: the
+primitive quartets (and virtual pairs) with the scalar Boys function
+``boys`` defined here, so they run no package integral code: the
 reference the package's array code is compared against. The four-index
 transforms are plain ``einsum`` contractions over the full tensor, and the
 FCIDUMP oracles fill all eight permutations of each integral line and write
 with four nested loops: the references for the package's pair-packed code.
 The SCF oracle is the Roothaan-DIIS loop that rebuilt the Fock matrix of a
-density it already had.
+density it already had, and the DIIS B matrix whole every iteration.
 
 The operator oracles are the term-by-term loops the package's array code
 must reproduce bit for bit: the spin-orbital expansion of the integrals,
@@ -63,8 +64,8 @@ import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
 from pnovqe.exact import SectorBasis, sector_basis
-from pnovqe.integrals import AOIntegralSet, IntegralSet, _prim_norm, boys
-from pnovqe.scf import SCFResult, _diis_extrapolate, _fock_matrix, _orthogonalizer
+from pnovqe.integrals import AOIntegralSet, IntegralSet
+from pnovqe.scf import SCFResult, _fock_matrix, _orthogonalizer
 from pnovqe.operators import _PHASES, COEFF_CUTOFF, QubitOperator
 from pnovqe.simulator import ansatz_expectation
 
@@ -281,6 +282,49 @@ def random_integral_set(n_orb: int, n_elec: int, seed: int, scale: float = 0.2,
     )
 
 
+def boys(n: int, x: float) -> float:
+    """Boys function F_n(x) = int_0^1 t^(2n) exp(-x t^2) dt."""
+    if n < 0 or n > 16:
+        raise ValueError("boys order limited to 0 <= n <= 16")
+    if x < 0:
+        raise ValueError("boys argument must be non-negative")
+    return float(boys_all(n, x)[n])
+
+
+def boys_all(n_max: int, x: float) -> np.ndarray:
+    """F_0(x) .. F_{n_max}(x).
+
+    For x < 35 the series F_n = e^-x sum_k (2x)^k / prod(2n+1 .. 2n+2k+1)
+    is evaluated at n_max and recursed downward; beyond that the closed form
+    F_0 = sqrt(pi/x)/2 plus stable upward recursion is exact to ~1e-15.
+    """
+    out = np.empty(n_max + 1)
+    ex = math.exp(-x)
+    if x >= 35.0:
+        out[0] = 0.5 * math.sqrt(math.pi / x)
+        for m in range(n_max):
+            out[m + 1] = ((2 * m + 1) * out[m] - ex) / (2.0 * x)
+        return out
+    term = 1.0 / (2 * n_max + 1)
+    total = term
+    k = 0
+    while term > 1e-18 * total:
+        term *= 2.0 * x / (2 * n_max + 2 * k + 3)
+        total += term
+        k += 1
+        if k > 500:  # pragma: no cover - series converges long before this
+            break
+    out[n_max] = ex * total
+    for m in range(n_max - 1, -1, -1):
+        out[m] = (2.0 * x * out[m + 1] + ex) / (2 * m + 1)
+    return out
+
+
+def _prim_norm(alpha: float) -> float:
+    """Normalization of an s-primitive of exponent alpha."""
+    return (2.0 * alpha / math.pi) ** 0.75
+
+
 def reference_ao_integrals(molecule, shells) -> AOIntegralSet:
     """S, H_core, ERIs and E_nuc by scalar loops over contracted quartets."""
     n = len(shells)
@@ -495,7 +539,7 @@ def reference_run_rhf(ao: AOIntegralSet, n_electrons: int, max_iter: int = 100,
             fock_list.pop(0)
             error_list.pop(0)
         if len(fock_list) > 1:
-            fock = _diis_extrapolate(fock_list, error_list)
+            fock = reference_diis_extrapolate(fock_list, error_list)
         eps, c, new_density = _density(fock)
         new_energy = (0.5 * np.sum(new_density * (h + _fock_matrix(ao, new_density)))
                       + ao.nuclear_repulsion)
@@ -510,6 +554,21 @@ def reference_run_rhf(ao: AOIntegralSet, n_electrons: int, max_iter: int = 100,
     return SCFResult(mo_coefficients=c, orbital_energies=eps, total_energy=float(energy),
                      converged=converged, iterations=iterations, density_matrix=density,
                      energy_history=tuple(history))
+
+
+def reference_diis_extrapolate(fock_list, error_list) -> np.ndarray:
+    """Pulay's DIIS Fock matrix, its B matrix built whole from the error vectors."""
+    m = len(fock_list)
+    b = -np.ones((m + 1, m + 1))
+    b[m, m] = 0.0
+    b[:m, :m] = [[np.sum(ei * ej) for ej in error_list] for ei in error_list]
+    rhs = np.zeros(m + 1)
+    rhs[m] = -1.0
+    try:
+        coeffs = np.linalg.solve(b, rhs)[:m]
+    except np.linalg.LinAlgError:
+        return fock_list[-1]
+    return sum(ci * fi for ci, fi in zip(coeffs, fock_list))
 
 
 def reference_build_hamiltonian(mo) -> dict:

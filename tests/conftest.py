@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -26,6 +31,43 @@ def h2_pipeline(r_bohr: float = 1.4) -> dict:
     )
     hamiltonian = pq.jordan_wigner(pq.build_hamiltonian(mo), 2 * mo.n_orb)
     return {"mol": mol, "ao": ao, "scf": scf, "mo": mo, "hamiltonian": hamiltonian}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# scipy modules the package never loads: it needs only numpy and scipy.sparse
+UNLOADED_SCIPY = ("scipy.linalg", "scipy.special", "scipy.sparse.linalg")
+
+
+def loaded_after_run_point(dense_dim: int | None = None) -> list:
+    """The ``UNLOADED_SCIPY`` modules a fresh interpreter holds after ``import pnovqe``
+    and the xyz ``run_point`` of ``demos/h2_sto3g.cfg``, with ``exact._DENSE_DIM``
+    set to ``dense_dim`` unless None.
+    """
+    lines = ["import sys, pnovqe"]
+    if dense_dim is not None:
+        lines += ["from pnovqe import exact", f"exact._DENSE_DIM = {dense_dim}"]
+    lines += [f"pnovqe.run_point(pnovqe.load_config({str(ROOT / 'demos' / 'h2_sto3g.cfg')!r}))",
+              f"print(*[name for name in {UNLOADED_SCIPY!r} if name in sys.modules])"]
+    code = "\n".join(lines)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    return result.stdout.split()
+
+
+class CountingMatrix:
+    """A sector matrix that counts the products an iterative solve takes of it."""
+
+    def __init__(self, mat):
+        self.mat, self.shape, self.matvecs = mat, mat.shape, 0
+
+    def diagonal(self):
+        return self.mat.diagonal()
+
+    def __matmul__(self, vector):
+        self.matvecs += 1
+        return self.mat @ vector
 
 
 @pytest.fixture(scope="session")

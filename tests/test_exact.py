@@ -1,19 +1,16 @@
 """Exact diagonalization, sector restriction, and the paired encoding.
 
-The iterative solve (``scipy.sparse.linalg.eigsh``) only runs on sectors
-above ``exact._DENSE_DIM`` = 600 states; its property tests patch the
-crossover down so Hamiltonians of random integrals on N and (N, S_z)
-sectors of 3-252 states reach it; sectors above 40 states make ARPACK
-restart; paired Hamiltonians of 3-70 states reach it the same way. The
-paired Hamiltonian's entries are checked against the seniority-zero
-projection of the reference Jordan-Wigner image and against the closed
-form in ``build_paired_hamiltonian``'s docstring. Examples are derandomized.
+The iterative solve (``exact._davidson``) only runs on sectors above
+``exact._DENSE_DIM`` states; its property tests patch the crossover to 0 so
+Hamiltonians of random integrals on N and (N, S_z) sectors of 3-252 states
+reach it, with a shrunken subspace that makes every solve restart; paired
+Hamiltonians of 3-70 states reach it the same way. Small cases cover a zero
+matrix, dimension 1, a degenerate ground state, a ground state orthogonal
+to the start's determinant and the matrix-vector cap. The paired
+Hamiltonian's entries are checked against the seniority-zero projection of
+the reference Jordan-Wigner image and against the closed form in
+``build_paired_hamiltonian``'s docstring. Examples are derandomized.
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +25,7 @@ from ci_oracle import (
     eigenvalues_dense, random_integral_set, reference_build_hamiltonian,
     reference_jordan_wigner, seniority_zero_projection,
 )
+from conftest import CountingMatrix, loaded_after_run_point
 
 
 def integral_set(h, g=None, core=0.0) -> pq.IntegralSet:
@@ -117,10 +115,6 @@ class TestExactGroundEnergy:
 
 
 ITERATIVE = settings(derandomize=True, database=None, max_examples=40, deadline=None)
-# ARPACK's default Krylov space for one eigenpair holds 20 vectors: larger
-# sectors make it restart, and a Krylov space that turns invariant there
-# restarts from a vector drawn from the solver's seeded generator
-_NCV = 20
 
 
 @st.composite
@@ -142,7 +136,7 @@ def sector_hamiltonians(draw, orbitals=(2, 3), edge=1):
 def _check_iterative_solve(hamiltonian, basis):
     mat = hamiltonian.matrix(basis.states)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exact_mod, "_DENSE_DIM", 2)
+        patch.setattr(exact_mod, "_DENSE_DIM", 0)
         energy, vector = pq.exact_ground_energy(hamiltonian, basis)
         again, vector_again = pq.exact_ground_energy(hamiltonian, basis)
     assert abs(energy - np.linalg.eigvalsh(mat.toarray())[0]) < 1e-10
@@ -160,8 +154,13 @@ def test_iterative_solve_matches_the_dense_spectrum(case):
 @ITERATIVE
 @given(sector_hamiltonians(orbitals=(5, 5), edge=4))
 def test_restarted_iterative_solve_matches_the_dense_spectrum(case):
-    assert case[1].dim > 2 * _NCV
-    _check_iterative_solve(*case)
+    # a subspace of 6 vectors restarts on 4 Ritz vectors every 2 products
+    counting = CountingMatrix(case[0].matrix(case[1].states))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_mod, "_DAVIDSON_SUBSPACE", 6)
+        exact_mod._davidson(counting)
+        _check_iterative_solve(*case)
+    assert counting.matvecs > 6
 
 
 @st.composite
@@ -179,19 +178,54 @@ def test_iterative_solve_of_the_paired_hamiltonian_matches_the_dense_spectrum(ca
     _check_iterative_solve(*case)
 
 
-def test_iterative_solve_of_an_operator_that_vanishes_on_the_sector(monkeypatch):
-    monkeypatch.setattr(exact_mod, "_DENSE_DIM", 2)
-    hamiltonian = IntegralHamiltonian(integral_set(np.zeros((2, 2))))
-    energy, vector = pq.exact_ground_energy(hamiltonian, pq.sector_basis(4, 1))
+def _iterative_solve(h, basis):
+    """The iterative solve of one-electron integrals ``h`` on ``basis``, and its matrix."""
+    hamiltonian = IntegralHamiltonian(integral_set(h))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_mod, "_DENSE_DIM", 0)
+        energy, vector = pq.exact_ground_energy(hamiltonian, basis)
+    return energy, vector, hamiltonian.matrix(basis.states)
+
+
+def test_iterative_solve_of_an_operator_that_vanishes_on_the_sector():
+    energy, vector, _ = _iterative_solve(np.zeros((2, 2)), pq.sector_basis(4, 1))
     assert energy == 0.0 and np.linalg.norm(vector) == pytest.approx(1.0)
 
 
+def test_iterative_solve_of_dimension_one():
+    energy, vector, _ = _iterative_solve([[-0.7]], pq.sector_basis(2, 1, two_sz=1))
+    assert energy == pytest.approx(-0.7, abs=1e-14) and abs(vector[0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("h", [np.diag([-1.0, -1.0, 0.5]), [[0.2, -0.6, 0.1], [-0.6, 0.3, 0.4],
+                                                          [0.1, 0.4, -0.5]]])
+def test_iterative_solve_of_a_degenerate_ground_state(h):
+    # one electron of either spin: every orbital energy twice; the diagonal h
+    # is its own preconditioner, where only Olsen's correction adds a new vector
+    energy, vector, mat = _iterative_solve(h, pq.sector_basis(6, 1))
+    assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+    assert np.linalg.norm(mat @ vector - energy * vector) < 1e-8
+
+
+def test_iterative_solve_of_a_ground_state_orthogonal_to_the_start_determinant():
+    # the lowest diagonal entry (-1, orbital 0) is its own block; the ground
+    # state, -3, lives on orbitals 1 and 2, and only the admixture reaches it
+    h = [[-1.0, 0.0, 0.0], [0.0, 0.0, -3.0], [0.0, -3.0, 0.0]]
+    energy, vector, _ = _iterative_solve(h, pq.sector_basis(6, 1, two_sz=1))
+    assert energy == pytest.approx(-3.0, abs=1e-12)
+    assert abs(vector[0]) < 1e-9
+
+
+def test_iterative_solve_past_its_matrix_vector_cap_is_an_error(monkeypatch):
+    monkeypatch.setattr(exact_mod, "_DAVIDSON_MAX_MATVECS", 2)
+    mo = random_integral_set(4, 2, 3)
+    with pytest.raises(RuntimeError, match="Davidson unconverged after 2 matrix-vector products"):
+        _check_iterative_solve(IntegralHamiltonian(mo), pq.sector_basis(8, 2, 0))
+
+
 def test_import_leaves_the_iterative_solver_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
-    code = "import sys, pnovqe; sys.exit('scipy.sparse.linalg' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    # an xyz run_point through the iterative solve loads no scipy solver module
+    assert loaded_after_run_point(dense_dim=0) == []
 
 
 def paired_spectrum(hamiltonian) -> np.ndarray:

@@ -1,24 +1,25 @@
 """Geometry parsing, Boys function, s-Gaussian integrals, FCIDUMP I/O."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
 import pnovqe as pq
-from pnovqe.integrals import ParseError, _boys0, _prim_norm, fcidump_header
+from pnovqe import integrals as integrals_mod
+from pnovqe.integrals import ParseError, _boys0, _erf, _prim_norm, fcidump_header
 
 from ci_oracle import (
-    random_integral_set, reference_ao_integrals, reference_fcidump_text, reference_read_fcidump,
+    boys, random_integral_set, reference_ao_integrals, reference_fcidump_text,
+    reference_read_fcidump,
 )
 from conftest import (
     h2_big_integrals, h2_big_system, h2_pipeline, he_big_system, lih_like_pipeline, lih_like_system,
+    loaded_after_run_point,
 )
 
 
@@ -54,9 +55,9 @@ class TestParseXYZ:
 
 class TestBoys:
     def test_at_zero(self):
-        assert pq.boys(0, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert boys(0, 0.0) == pytest.approx(1.0, abs=1e-14)
         for n in range(9):
-            assert pq.boys(n, 0.0) == pytest.approx(1.0 / (2 * n + 1), abs=1e-14)
+            assert boys(n, 0.0) == pytest.approx(1.0 / (2 * n + 1), abs=1e-14)
 
     @pytest.mark.parametrize("n,x", [(0, 1.0), (0, 0.3), (2, 4.5), (5, 12.0),
                                      (8, 30.0), (3, 40.0), (0, 60.0)])
@@ -66,25 +67,25 @@ class TestBoys:
             epsabs=1e-14, epsrel=1e-13,
         )
         assert err < 1e-12
-        assert pq.boys(n, x) == pytest.approx(oracle, abs=1e-12)
+        assert boys(n, x) == pytest.approx(oracle, abs=1e-12)
 
     def test_f0_at_one_value(self):
-        assert pq.boys(0, 1.0) == pytest.approx(0.7468241328124271, abs=1e-12)
+        assert boys(0, 1.0) == pytest.approx(0.7468241328124271, abs=1e-12)
 
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
     def test_downward_recursion(self, x):
         for n in range(9):
-            lhs = pq.boys(n, x)
-            rhs = (2.0 * x * pq.boys(n + 1, x) + math.exp(-x)) / (2 * n + 1)
+            lhs = boys(n, x)
+            rhs = (2.0 * x * boys(n + 1, x) + math.exp(-x)) / (2 * n + 1)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):
-            pq.boys(-1, 1.0)
+            boys(-1, 1.0)
         with pytest.raises(ValueError):
-            pq.boys(17, 1.0)
+            boys(17, 1.0)
         with pytest.raises(ValueError):
-            pq.boys(0, -0.5)
+            boys(0, -0.5)
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(st.one_of(st.floats(0.0, 1e-3), st.floats(0.0, 60.0)))
@@ -96,7 +97,23 @@ class TestBoys:
     @example(np.nextafter(35.0, 0.0))
     @example(60.0)
     def test_vectorized_f0_matches_scalar(self, x):
-        assert abs(_boys0(np.array([x]))[0] - pq.boys(0, x)) <= 1e-14
+        assert abs(_boys0(np.array([x]))[0] - boys(0, x)) <= 1e-14
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.floats(0.0, 8.0))
+    @example(0.0)
+    @example(1.0)
+    @example(np.nextafter(1.0, 2.0))
+    @example(6.0)
+    @example(8.0)
+    def test_erf_within_one_ulp_of_scipy(self, x):
+        expected = scipy.special.erf(x)
+        assert abs(_erf(np.array([x]))[0] - expected) <= np.spacing(expected)
+
+    def test_erf_of_an_array_beyond_the_clip(self):
+        x = np.array([0.5, 8.0, 9.0, 30.0, 1e10, 1e300])
+        np.testing.assert_array_equal(_erf(x)[1:], 1.0)
+        assert abs(_erf(x)[0] - scipy.special.erf(0.5)) <= np.spacing(0.5)
 
 
 def _grid_overlap(shell_a, shell_b, spacing=0.12, extent=7.5):
@@ -206,13 +223,29 @@ class TestAOIntegrals:
         assert abs(ao.nuclear_repulsion - ref.nuclear_repulsion) <= 1e-13
 
 
+@lru_cache(maxsize=1)
+def _h4_sto3g_with_reference_eri():
+    mol = pq.parse_xyz("4\n\nH 0 0 0\nH 0 0 0.7\nH 0 0.2 1.5\nH 0 0 2.4")
+    shells = pq.sto3g_shells(mol)
+    return mol, shells, reference_ao_integrals(mol, shells).eri
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(st.integers(1, 78))
+@example(5)    # 16 blocks of 5 rows, the last of 3
+@example(77)   # a last block of one row
+def test_eri_blocks_of_any_height_match_the_loop_reference(rows):
+    # 12 primitives make 78 primitive pairs; each block holds ``rows`` of them
+    mol, shells, expected = _h4_sto3g_with_reference_eri()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrals_mod, "_ERI_BLOCK", rows * 78)
+        eri = pq.compute_ao_integrals(mol, shells).eri
+    np.testing.assert_allclose(eri, expected, rtol=0, atol=1e-13)
+
+
 def test_import_leaves_scipy_special_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
-    code = "import sys, pnovqe; sys.exit('scipy.special' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-    assert result.returncode == 0
+    # an xyz run_point builds integrals with the package's own erf
+    assert loaded_after_run_point() == []
 
 
 class TestFCIDump:

@@ -185,9 +185,9 @@ class TestToText:
 
 # seed-0 inputs of the benchmark's workloads and their qubit Hamiltonians'
 # (terms, X-mask groups) at every scan point; h2's counts hinge on MO integrals
-# of round-off size, so they move with the four-index transform's round-off
+# of round-off size, so they move with the AO integrals' and four-index transform's round-off
 WORKLOAD_COUNTS = {
-    "h2-s10-q16-point": (3005, 509),
+    "h2-s10-q16-point": (3517, 613),
     "lih-q12-scan-w2": (1819, 286),
     "h8-sto3g-scan": (919, 148),
 }

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe.pno import PNOSet
@@ -277,6 +279,15 @@ class TestOrthonormalize:
         # span preserved: each original vector reconstructs from the new set
         proj = w @ (w.T @ v)
         assert np.max(np.abs(proj - v)) < 1e-10
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 11), st.integers(0, 10_000))
+    def test_matches_scipy_triangular_solve(self, k, extra, seed):
+        v = np.random.default_rng(seed).standard_normal((k + extra, k))
+        w = pq.orthonormalize(_pno_set_from_vectors(v)).transform[1:, 1:]
+        chol = np.linalg.cholesky(v.T @ v)
+        expected = scipy.linalg.solve_triangular(chol, v.T, lower=True).T
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-12)
 
     def test_linearly_dependent_rejected(self):
         v = np.ones((3, 2))

@@ -113,6 +113,9 @@ class TestRunRHF:
                             lambda ao, density: built.append(1) or fock_matrix(ao, density))
         result = pq.run_rhf(ao, mol.n_electrons)
         assert len(built) <= result.iterations + 1
+        # the oracle rebuilds the DIIS B matrix whole; h8 runs past the kept
+        # history, so the kept inner products also lose their oldest row
+        assert system == "heh+" or result.iterations > scf_module._DIIS_SIZE
         assert (result.iterations, result.converged) == (expected.iterations, expected.converged)
         assert result.total_energy == expected.total_energy
         assert result.energy_history == expected.energy_history
