@@ -8,13 +8,14 @@ for ``exact.PairedHamiltonian``).
 Every generator G = i(E - E^dag) is Hermitian (the factor i of the
 anti-Hermitian cluster operator is absorbed) and is fixed by its
 excitation E: the qubits E empties, those it fills, and the qubits whose
-parity signs it (``ExcitationGenerator.masks``). Its Jordan-Wigner image is
-a set of mutually commuting Pauli strings with real coefficients, and G^3 =
-G, so the circuit exp(-i theta/2 G) compiles exactly into a product of
-Pauli rotations, one per string, with no Trotter error. The masks give
-that image in closed form, as ``(x, z)`` mask pairs (for the CNOT counts),
-the S_z test, and the signed permutation by which the simulator applies G
-to determinants.
+parity signs it (``ExcitationGenerator.masks``, by ``exact.between``). Its
+Jordan-Wigner image is a set of mutually commuting Pauli strings with real
+coefficients, and G^3 = G, so the circuit exp(-i theta/2 G) compiles
+exactly into a product of Pauli rotations, one per string, with no Trotter
+error. The masks give that image in closed form, as ``(x, z)`` mask pairs
+(for the CNOT counts), and the signed permutation by which the simulator
+applies G to determinants (``exact._factors``). A circuit runs on
+``Ansatz.basis``.
 
 Operator ordering inside a product ansatz is fixed for reproducibility:
 pair-doubles block first, then generalized doubles, then singles, each block
@@ -26,20 +27,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
+from .exact import SectorBasis, between, sector_basis
 from .pno import OrbitalSpace
 
 PNO_VARIANTS = ("UpCCD", "UpCCSD", "UpCCGD")
 GENERATOR_KINDS = ("pair_double", "single", "paired_double")
-
-
-def _two_sz(qubits) -> int:
-    """n_up - n_down of the listed qubits: qubit 2p is spin up and 2p + 1 spin down."""
-    return sum(1 - 2 * (q % 2) for q in qubits)
-
-
-def _qubits(mask: int) -> list:
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 @dataclass(frozen=True)
@@ -75,9 +69,7 @@ class ExcitationGenerator:
         """(emptied, filled, parity) qubit masks of E.
 
         E empties the first mask and fills the second, with the sign of the
-        parity of the occupied qubits in the third: those strictly between
-        the two spin-orbitals of a single, none for the other kinds (the
-        interior parities of a pair double's two spin hops cancel).
+        parity of the occupied qubits in the third (``exact.between``).
         """
         i, a = self.orbitals
         if self.kind == "paired_double":
@@ -85,7 +77,7 @@ class ExcitationGenerator:
         if self.kind == "pair_double":
             return 3 << 2 * i, 3 << 2 * a, 0
         p, q = 2 * i + self.spin, 2 * a + self.spin
-        return 1 << p, 1 << q, (1 << max(p, q)) - (2 << min(p, q))
+        return 1 << p, 1 << q, between(min(p, q), max(p, q))
 
     @cached_property
     def strings(self) -> tuple:
@@ -99,7 +91,7 @@ class ExcitationGenerator:
         """
         emptied, filled, parity = self.masks
         flip = emptied | filled
-        flipped = _qubits(flip)
+        flipped = [j for j in range(flip.bit_length()) if flip >> j & 1]
         scale = 2.0 ** (1 - len(flipped))
         strings = []
         for pick in range(1 << len(flipped)):    # subsets in ascending mask order
@@ -109,12 +101,6 @@ class ExcitationGenerator:
                 sign = (-1) ** ((size + 1) // 2 + (subset & filled).bit_count())
                 strings.append(((flip, subset | parity), sign * scale))
         return tuple(strings)
-
-    @property
-    def commutes_with_sz(self) -> bool:
-        """[S_z, G] = 0: E fills as many spin-up (even) and spin-down (odd) qubits as it empties."""
-        emptied, filled, _ = self.masks
-        return _two_sz(_qubits(emptied)) == _two_sz(_qubits(filled))
 
     @property
     def label(self) -> str:
@@ -146,16 +132,19 @@ class Ansatz:
             raise ValueError("generator register differs from the ansatz register")
 
     @cached_property
-    def two_sz(self) -> int | None:
-        """n_up - n_down of the reference if every generator commutes with S_z, else None.
+    def basis(self) -> SectorBasis:
+        """The sector the circuit keeps its reference in, where its energies and gradients run.
 
-        Qubit 2p is spin up and 2p + 1 spin down. The circuit keeps its
-        reference in the (N, S_z) sector when this is an integer and only in
-        its N sector otherwise; an odd register has no spin pairs.
+        Pair doubles and spin-keeping singles conserve S_z (qubit 2p is spin
+        up, 2p + 1 spin down), so without a pair rotation it is the
+        reference's (N, S_z) sector. A pair rotation's qubit is a spatial
+        orbital, not a spin, and an odd register has no spin pairs: there it
+        is the N sector.
         """
-        if self.n_qubits % 2 or not all(g.commutes_with_sz for g in self.generators):
-            return None
-        return _two_sz(self.reference)
+        n = len(self.reference)
+        if self.n_qubits % 2 or any(g.kind == "paired_double" for g in self.generators):
+            return sector_basis(self.n_qubits, n)
+        return sector_basis(self.n_qubits, n, sum(1 - 2 * (q % 2) for q in self.reference))
 
 
 def make_pair_double(i: int, a: int, n_spatial: int) -> ExcitationGenerator:
@@ -195,17 +184,11 @@ def build_upccgsd(n_spatial: int, n_electrons: int, layers: int = 1) -> Ansatz:
     """
     if n_electrons % 2 != 0 or n_electrons > 2 * n_spatial:
         raise ValueError("invalid electron count for the register")
-    gens = []
-    for _ in range(layers):
-        for p in range(n_spatial):
-            for q in range(p + 1, n_spatial):
-                gens.append(make_pair_double(p, q, n_spatial))
-        for p in range(n_spatial):
-            for q in range(p + 1, n_spatial):
-                for spin in (0, 1):
-                    gens.append(make_single(p, q, spin, n_spatial))
+    pairs = list(combinations(range(n_spatial), 2))
+    layer = [make_pair_double(p, q, n_spatial) for p, q in pairs]
+    layer += [make_single(p, q, spin, n_spatial) for p, q in pairs for spin in (0, 1)]
     return Ansatz(
-        generators=tuple(gens),
+        generators=tuple(layer) * layers,
         n_qubits=2 * n_spatial,
         reference=tuple(range(n_electrons)),
         name=f"UpCCGSD(k={layers})" if layers > 1 else "UpCCGSD",
@@ -238,19 +221,12 @@ def build_pno_ansatz(space: OrbitalSpace, variant: str) -> Ansatz:
     diag = _diagonal_pno_sets(space)
 
     doubles = [(i, a) for i in sorted(diag) for a in diag[i]]
-
     gens = [make_pair_double(i, a, n_spatial) for i, a in doubles]
     if variant == "UpCCGD":
-        for i in sorted(diag):
-            orbs = diag[i]
-            for m, a in enumerate(orbs):
-                for b in orbs[m + 1 :]:
-                    gens.append(make_pair_double(a, b, n_spatial))
+        gens += [make_pair_double(a, b, n_spatial) for i in sorted(diag)
+                 for a, b in combinations(diag[i], 2)]
     if variant == "UpCCSD":
-        for p, q in doubles:
-            for spin in (0, 1):
-                gens.append(make_single(p, q, spin, n_spatial))
-
+        gens += [make_single(p, q, spin, n_spatial) for p, q in doubles for spin in (0, 1)]
     return Ansatz(
         generators=tuple(gens),
         n_qubits=2 * n_spatial,
@@ -297,17 +273,9 @@ def count_resources(ansatz: Ansatz) -> ResourceReport:
     always costs 8 * 2 * 3 = 48 CNOTs and a single (p, q) costs 8(q - p)
     per spin channel.
     """
-    breakdown = []
-    total = 0
-    for gen in ansatz.generators:
-        cost = sum(2 * ((x | z).bit_count() - 1) for (x, z), _ in gen.strings)
-        breakdown.append((gen.label, cost))
-        total += cost
-    return ResourceReport(
-        n_parameters=ansatz.n_parameters,
-        n_cnots=total,
-        breakdown=tuple(breakdown),
-    )
+    breakdown = tuple((gen.label, sum(2 * ((x | z).bit_count() - 1) for (x, z), _ in gen.strings))
+                      for gen in ansatz.generators)
+    return ResourceReport(ansatz.n_parameters, sum(cost for _, cost in breakdown), breakdown)
 
 
 def format_resource_table(rows: list) -> str:

@@ -5,7 +5,9 @@ Every solve runs on a basis its caller names, of a register of at most
 point's exact solve runs on the sector its VQE sweeps read, so both read
 one cached sector matrix: ``determinant_matrix`` of the compact integrals
 (Slater-Condon rules per determinant), through ``IntegralHamiltonian`` or
-its paired restriction. ``IntegralSet`` refuses asymmetric h and g, so
+its paired restriction. One rule, ``between``, signs that matrix's entries
+and the circuit factors (``_factors``), and both find images in a basis by
+``_locate``. ``IntegralSet`` refuses asymmetric h and g, so
 every sector matrix is real symmetric, stored as float64, and every solve
 runs in real arithmetic. Bases of up to ``_DENSE_DIM`` states get the
 lowest pair of numpy's dense ``eigh``, larger ones a Davidson solve with
@@ -55,7 +57,7 @@ class SectorBasis:
     states: np.ndarray   # int64 bitmasks, strictly increasing
 
     def __post_init__(self):
-        # ``determinant_matrix`` and the simulator locate images by ``searchsorted``
+        # ``_locate`` finds images by ``searchsorted``
         states = np.asarray(self.states, dtype=np.int64)
         if states.size and (states[0] < 0 or int(states[-1]) >> self.n_qubits
                             or not np.all(states[1:] > states[:-1])):
@@ -104,31 +106,53 @@ def _sector_basis(n_qubits: int, n_particles: int, two_sz: int | None) -> Sector
     return SectorBasis(n_qubits, np.array(sorted(states), dtype=np.int64))
 
 
+def between(lo, hi):
+    """The qubits strictly between lo < hi: the mask of the one determinant sign rule.
+
+    A ladder operator on qubit q is signed by the parity of the occupied
+    qubits below q (Jordan-Wigner), so an excitation's sign on a
+    determinant is (-1)^k, k the occupied qubits it crosses: for a single
+    i -> a, the row's in ``between(min(i, a), max(i, a))``; for a double
+    i < j -> a < b (a+_a a+_b a_j a_i), those of the row with i and j
+    emptied in ``between(i, j)`` and in ``between(a, b)``. A pair double
+    2i, 2i+1 -> 2a, 2a+1 crosses none; a hard-core pair rotation has no
+    parity. Only ``<<`` and ``-``: exact on Python ints of any width,
+    elementwise on int64 arrays.
+    """
+    return (1 << hi) - (2 << lo)
+
+
+def _locate(states, images):
+    """(column, found): where sorted basis ``states`` hold each bitmask image, and whether they do.
+
+    ``column`` is meaningful only where ``found`` is set.
+    """
+    column = np.minimum(np.searchsorted(states, images), len(states) - 1)
+    return column, states[column] == images
+
+
 def _determinant_block(block, states, core, h, anti, exchange):
     """Rows ``block`` of the determinant matrix as (row, column, value) entries, by row then column."""
     m, n, b = h.shape[0], int(block[0]).bit_count(), len(block)
     bits = (block[:, None] >> np.arange(m)) & 1
     occ, vir = np.nonzero(bits)[1].reshape(b, n), np.nonzero(1 - bits)[1].reshape(b, m - n)
-    below = np.cumsum(bits, axis=1) - bits      # c_p: occupied spin-orbitals below p
-    c_occ, c_vir = np.take_along_axis(below, occ, 1), np.take_along_axis(below, vir, 1)
+    row = block[:, None, None]
     (ki, kj), (va, vb) = np.triu_indices(n, 1), np.triu_indices(m - n, 1)
     # diagonal: core + sum_k h_kk + sum_{k<l} <kl||kl>
     i, j = occ[:, ki], occ[:, kj]
     diag = core + h[occ, occ].sum(axis=1) + anti[((i * m + j) * m + i) * m + j].sum(axis=1)
-    # singles i -> a: h_ai + sum_k <ak||ik>; a+_a a_i has the parity c_i + c_a - [i < a]
+    # singles i -> a: h_ai + sum_k <ak||ik>
     i, a = occ[:, :, None], vir[:, None, :]
     single = h[a, i] + exchange[((a * m + i) * m)[..., None] + occ[:, None, None, :]].sum(axis=-1)
-    flip_s = np.left_shift(1, i) | np.left_shift(1, a)
-    odd_s = c_occ[:, :, None] + c_vir[:, None, :] + (i < a)
-    # doubles i < j -> a < b: <ab||ij>; a+_a a+_b a_j a_i has the parity
-    # c_i + c_j - 1 + c_a + c_b, less the number of i, j strictly between a and b
+    flip_s = (1 << i) | (1 << a)
+    odd_s = np.bitwise_count(row & between(np.minimum(i, a), np.maximum(i, a)))
+    # doubles i < j -> a < b: <ab||ij>
     i, j, a, c = occ[:, ki, None], occ[:, kj, None], vir[:, None, va], vir[:, None, vb]
     double = anti[((a * m + c) * m + i) * m + j]
-    holes = np.left_shift(1, i) | np.left_shift(1, j)
-    between = (np.left_shift(1, c) - 1) & ~(np.left_shift(2, a) - 1)
-    odd_d = ((c_occ[:, ki] + c_occ[:, kj] + 1)[:, :, None] + (c_vir[:, va] + c_vir[:, vb])[:, None, :]
-             + np.bitwise_count(holes & between))
-    flip_d = holes | np.left_shift(1, a) | np.left_shift(1, c)
+    holes = (1 << i) | (1 << j)
+    rest = row ^ holes
+    odd_d = np.bitwise_count(rest & between(i, j)) + np.bitwise_count(rest & between(a, c))
+    flip_d = holes | (1 << a) | (1 << c)
     keys, values = [], []
     for value, flip, odd in ((diag, 0, 0), (single, flip_s, odd_s), (double, flip_d, odd_d)):
         keep = ~(np.abs(value) < COEFF_CUTOFF)
@@ -139,10 +163,35 @@ def _determinant_block(block, states, core, h, anti, exchange):
     # keys row << m | image sort by row, then image: a row's columns come out sorted
     order = np.argsort(np.concatenate(keys))
     key, value = np.concatenate(keys)[order], np.concatenate(values)[order]
-    image = key & ((1 << m) - 1)
-    column = np.minimum(np.searchsorted(states, image), len(states) - 1)
-    found = states[column] == image
+    column, found = _locate(states, key & ((1 << m) - 1))
     return key[found] >> m, column[found], value[found]
+
+
+def _factors(generators, basis: SectorBasis) -> list:
+    """Each excitation generator on the basis as (rows, cols, signs): G|cols> = i signs|rows>.
+
+    G = i(E - E^dag) is fixed by E's (emptied, filled, parity) masks
+    (``ExcitationGenerator.masks``). The rows, ascending, are the basis
+    states on which E or E^dag acts (one mask all occupied, the other all
+    empty), and cols their images with both masks flipped. E and E^dag
+    carry the same sign, the parity of the image's occupied parity qubits
+    (``between``), so signs (float64) are that sign on rows with the filled
+    mask occupied and minus it on the others. A generator that maps a basis
+    state outside the basis is refused.
+    """
+    states, factors = basis.states, []
+    for gen in generators:
+        emptied, filled, parity = gen.masks
+        flip = emptied | filled
+        side = states & flip
+        rows = np.flatnonzero((side == emptied) | (side == filled))
+        images = states[rows] ^ flip
+        cols, found = _locate(states, images)
+        if not found.all():
+            raise ValueError("generator maps a basis state outside the basis")
+        odd = (side[rows] == emptied) ^ (np.bitwise_count(images & parity) & 1).astype(bool)
+        factors.append((rows, cols, np.where(odd, -1.0, 1.0)))
+    return factors
 
 
 def determinant_matrix(mo: IntegralSet, states: np.ndarray):
@@ -151,7 +200,7 @@ def determinant_matrix(mo: IntegralSet, states: np.ndarray):
     Bit q of a state occupies spin-orbital q of the 2 * ``mo.n_orb``,
     interleaved as in ``operators``. Per determinant: the diagonal, every
     single i -> a (h_ai + sum_k <ak||ik>) and double i < j -> a < b
-    (<ab||ij>), with the Jordan-Wigner sign of a+_a (a+_b a_j) a_i; images
+    (<ab||ij>), with the Jordan-Wigner sign (``between``) of a+_a (a+_b a_j) a_i; images
     outside ``states`` and entries below ``COEFF_CUTOFF`` are dropped.
     Blocks of ``_DETERMINANT_BLOCK`` rows fill, in order, arrays sized by the
     spin-conserving excitation count; each entry's operations are

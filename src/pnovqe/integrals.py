@@ -61,6 +61,8 @@ class Molecule:
     charge: int = 0
 
     def __post_init__(self):
+        if not self.atoms:
+            raise ValueError("a molecule needs at least one atom")
         for symbol, z, pos in self.atoms:
             if z < 1:
                 raise ValueError(f"nuclear charge {z} < 1 for {symbol}")
@@ -83,6 +85,8 @@ def parse_xyz(text: str, charge: int = 0) -> Molecule:
         count = int(lines[0].split()[0])
     except (ValueError, IndexError):
         raise ParseError(f"malformed count on line 1: {lines[0]!r}") from None
+    if count < 1:
+        raise ParseError(f"atom count {count} on line 1 is below 1")
     if len(lines) < count + 2:
         raise ParseError(f"expected {count} atom lines, found {len(lines) - 2}")
     atoms = []
@@ -354,8 +358,8 @@ class IntegralSet:
         for perm in [(2, 1, 0, 3), (0, 3, 2, 1), (1, 0, 3, 2)]:
             if not np.allclose(g, g.transpose(perm), atol=1e-12):
                 raise ValueError("<pq|rs> lacks real 8-fold symmetry")
-        if self.n_electrons % 2 != 0:
-            raise ValueError("n_electrons must be even")
+        if self.n_electrons < 0 or self.n_electrons % 2 != 0:
+            raise ValueError("n_electrons must be even and non-negative")
         if self.n_electrons // 2 > self.n_orb:
             raise ValueError("more electron pairs than orbitals")
 
@@ -386,6 +390,8 @@ def fcidump_header(text: str) -> tuple:
     n_elec = _header_int("NELEC")
     if n_orb is None or n_elec is None:
         raise ParseError("FCIDUMP header must define NORB and NELEC")
+    if n_orb < 1 or n_elec < 0:
+        raise ParseError(f"FCIDUMP header needs NORB >= 1 and NELEC >= 0, got {n_orb} and {n_elec}")
     if n_elec % 2 != 0:
         raise ParseError("odd NELEC not supported (closed shell only)")
     return n_orb, n_elec, text[header_match.end() :]

@@ -125,6 +125,8 @@ def select_pnos(
     """
     if qubit_budget % 2 != 0:
         raise ValueError("qubit budget must be even")
+    if not densities:
+        raise ValueError("no occupied pairs to select PNOs for: the system has no electrons")
     pairs = sorted(densities)
     n_occ = max(j for _, j in pairs) + 1
     n_virt = densities[pairs[0]].shape[0]

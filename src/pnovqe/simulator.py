@@ -6,34 +6,25 @@ double, a single or a hard-core pair rotation. On a basis of determinants G
 is a signed permutation of its support, G|cols> = i signs|rows> with real
 signs +-1, so G^3 = G and each factor exp(-i theta/2 G) updates the support
 in place as v[rows] = cos(theta/2) v[rows] + sin(theta/2) signs v[cols].
-``_factors`` builds (rows, cols, signs) straight from each generator's
-excitation masks (``ExcitationGenerator.masks``: the qubits E empties, those
-it fills, and those whose parity signs it, from which the generator's Pauli
-strings and S_z test derive too) and the basis bitmasks, by the determinant
-rule that ``exact._determinant_block`` applies to the Hamiltonian: E's sign
-on a determinant is the Jordan-Wigner parity of the occupied spin-orbitals
-strictly between the two of a single, and +1 for a pair double (the interior
-parities of its two spin hops cancel) and for a hard-core pair rotation. Its
-one check refuses a generator that maps a basis state outside the basis,
-which a subset of a sector can. Factors are real, so the reference and every
-state are float64. Factors and reference vector are prepared once per
-(ansatz, basis) and kept on the ``Ansatz`` with the last forward sweep,
-which a call at bit-equal parameters reuses: the state, the signed input
-t_k = signs psi_{k-1}[cols] of each rotation (one 8 B amplitude per support
-row of each factor), and H times the state for the last operator read,
-formed by whichever of the energy and the gradient needs it first.
+``exact._factors`` builds (rows, cols, signs) from each generator's masks
+by the determinant rule (``exact.between``) that signs the Hamiltonian's
+entries too. Factors are real, so the reference and every state are
+float64. Factors and reference vector are prepared once per (ansatz, basis)
+and kept on the ``Ansatz`` with the last forward sweep, which a call at
+bit-equal parameters reuses: the state, the signed input t_k = signs
+psi_{k-1}[cols] of each rotation (one 8 B amplitude per support row of each
+factor), and H times the state for the last operator read, formed by
+whichever of the energy and the gradient needs it first.
 
-VQE energies and gradients run on the sector the circuit keeps its
-reference in: the (N, S_z) sector when every generator commutes with S_z
-(``Ansatz.two_sz``), else the N sector. The Hamiltonian is an
-``exact.IntegralHamiltonian`` or its paired restriction, and the exact
-solve of a point uses the same basis and reads the same cached real
-``matrix`` of it (``exact.determinant_matrix``) through the same check,
-``exact._sector_matrix``. The gradient is the adjoint sweep (Jones and Gacon,
-arXiv:2009.02823): it rotates a copy of H psi alone backwards through the
-factors and reads each derivative from the kept rotation inputs, so one
-parameter point costs one forward sweep, one mat-vec and one backward
-sweep. No state here spans the 2^n register.
+VQE energies and gradients run on the circuit's sector, ``Ansatz.basis``.
+The Hamiltonian is an ``exact.IntegralHamiltonian`` or its paired
+restriction, and the exact solve of a point uses the same basis and reads
+the same cached real ``matrix`` of it (``exact.determinant_matrix``)
+through the same check, ``exact._sector_matrix``. The gradient is the
+adjoint sweep (Jones and Gacon, arXiv:2009.02823): it rotates a copy of H
+psi alone backwards through the factors and reads each derivative from the
+kept rotation inputs, so one parameter point costs one forward sweep, one
+mat-vec and one backward sweep. No state here spans the 2^n register.
 """
 
 from __future__ import annotations
@@ -44,44 +35,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import Ansatz
-from .exact import IntegralHamiltonian, SectorBasis, _sector_matrix, sector_basis
+from .exact import IntegralHamiltonian, SectorBasis, _factors, _locate, _sector_matrix
 
 
 def _basis_vector(basis: SectorBasis, occupied) -> np.ndarray:
-    """Amplitudes of the basis state with the listed qubits set to 1.
+    """Amplitudes of the basis state with the listed qubits set to 1; it must be a basis state.
 
     ``occupied`` is an ``Ansatz.reference``, which is strictly increasing.
     """
     if any(j >= basis.n_qubits or j < 0 for j in occupied):
         raise ValueError("reference index outside register")
+    (column,), (found,) = _locate(basis.states, np.array([sum(1 << j for j in occupied)]))
+    if not found:
+        raise ValueError("reference is not a state of the basis")
     vec = np.zeros(basis.dim)
-    vec[np.searchsorted(basis.states, sum(1 << j for j in occupied))] = 1.0
+    vec[column] = 1.0
     return vec
-
-
-def _factors(generators, basis: SectorBasis) -> list:
-    """Each excitation generator on the basis as (rows, cols, signs): G|cols> = i signs|rows>.
-
-    The rows, ascending, are the basis states on which E or E^dag acts (one
-    mask all occupied, the other all empty), and cols their images with
-    both masks flipped. E and E^dag carry the same parity sign, and G =
-    i(E - E^dag), so signs (float64) are that sign on rows with the filled
-    mask occupied and minus it on the others. A generator that maps a basis
-    state outside the basis is refused.
-    """
-    states, factors = basis.states, []
-    for gen in generators:
-        emptied, filled, parity = gen.masks
-        flip = emptied | filled
-        side = states & flip
-        rows = np.flatnonzero((side == emptied) | (side == filled))
-        images = states[rows] ^ flip
-        cols = np.minimum(np.searchsorted(states, images), basis.dim - 1)
-        if not np.array_equal(states[cols], images):
-            raise ValueError("generator maps a basis state outside the basis")
-        odd = (side[rows] == emptied) ^ (np.bitwise_count(images & parity) & 1).astype(bool)
-        factors.append((rows, cols, np.where(odd, -1.0, 1.0)))
-    return factors
 
 
 def _rotate(vec: np.ndarray, factor: tuple, angle: float) -> np.ndarray:
@@ -135,7 +104,7 @@ def _prepared(ansatz: Ansatz, basis: SectorBasis) -> _Circuit:
 def _sector_state(ansatz: Ansatz, theta) -> tuple:
     """Basis, circuit and read-only circuit state in the sector the circuit keeps its reference in."""
     theta = _parameters(ansatz, theta)
-    basis = sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
+    basis = ansatz.basis
     circuit = _prepared(ansatz, basis)
     key = theta.tobytes()
     if key != circuit.last[0]:

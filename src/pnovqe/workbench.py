@@ -570,16 +570,18 @@ def lookup_coordinate(table: dict, coordinate, what: str = "reference") -> float
 
 def load_curve_csv(path, column: str = "e_vqe") -> dict:
     """Read one column of a curve CSV keyed by coordinate."""
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text().splitlines() or [""]   # an empty file has an empty header
     header = lines[0].split(",")
     if column not in header:
-        raise ValueError(f"column {column!r} not in {path}")
+        raise ValueError(f"{path}, line 1: no column {column!r} in the header")
     idx = header.index(column)
     table: dict = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split(",")
+        if len(fields) < len(header):
+            raise ValueError(f"{path}, line {lineno}: {len(fields)} of {len(header)} fields")
         table[float(fields[0])] = float(fields[idx])
     return table
 

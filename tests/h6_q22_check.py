@@ -11,12 +11,15 @@ it through ``workbench.fci_energy``, where ``exact_ground_energy`` runs the
 Davidson solve (``exact._davidson``), then runs the point's 5-parameter VQE
 with the config's optimizer settings on the same cached matrix. It reports
 the solve's time and matrix-vector products, the certificate's included,
-and exits nonzero unless E_FCI and E_VQE are each within 1e-9 Ha of their
+and a SHA-256 of the sector matrix's CSR ``data``, ``indices`` and
+``indptr``, in that order, so that a log shows whether its bits moved. It
+exits nonzero unless E_FCI and E_VQE are each within 1e-9 Ha of their
 pinned values, the solve takes at most 40 products and the process's peak
 RSS stays under 800 MiB. The name keeps it out of the test suite's
 collection: it takes about 7 s and 0.3 GiB.
 """
 
+import hashlib
 import resource
 import sys
 import tempfile
@@ -76,7 +79,11 @@ def main() -> int:
                      restarts=config.restarts, seed=config.seed)
     vqe_s = time.perf_counter() - start
     peak = peak_rss_mib()
+    digest = hashlib.sha256()
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        digest.update(array)
     print(f"sector dim {sector.dim}, {matrix.nnz} nonzeros, built in {build_s:.2f} s")
+    print(f"sector matrix sha256 {digest.hexdigest()} (CSR data, indices, indptr)")
     print(f"E_FCI {energy!r} Ha in {solve_s:.2f} s ({counting.matvecs} matrix-vector products)")
     print(f"E_VQE {vqe.fun!r} Ha in {vqe_s:.2f} s ({vqe.iterations} iterations), "
           f"peak RSS {peak:.0f} MiB")

@@ -284,6 +284,12 @@ class TestCountResources:
         assert report.n_parameters == 165
         assert report.n_cnots == 6160
 
+    def test_upccgsd_on_80_qubits(self):
+        # the parity masks are Python ints, exact past an int64's 64 bits
+        report = pq.count_resources(pq.build_upccgsd(40, 4))
+        assert report.n_parameters == 2340
+        assert report.n_cnots == 208_000
+
     def test_pair_double_costs_48(self):
         for i, a, n in [(0, 1, 2), (0, 5, 6), (3, 7, 11)]:
             gen = pq.make_pair_double(i, a, n)

@@ -4,7 +4,9 @@
 ``ci_oracle.slater_condon_matrix`` and against the Jordan-Wigner route
 (``ci_oracle.reference_matrix`` of ``jordan_wigner(build_hamiltonian(mo))``)
 on random integrals and on every seed-0 benchmark point; its row blocks
-must change no bit. A point
+must change no bit. Its sign mask, ``exact.between``, is checked against
+the Jordan-Wigner sign of a hop and its image lookup, ``exact._locate``,
+against set membership. A point
 runs on it, and runs the Jordan-Wigner encoding only to write its
 ``hamiltonian.txt``. Examples are derandomized.
 """
@@ -21,9 +23,12 @@ from pnovqe import cli, exact, workbench
 from pnovqe.exact import IntegralHamiltonian, determinant_matrix
 from pnovqe.operators import COEFF_CUTOFF
 
-from ci_oracle import random_integral_set, reference_matrix, slater_condon_matrix
+from ci_oracle import (
+    random_integral_set, reference_jordan_wigner, reference_matrix, slater_condon_matrix,
+)
 
 BUILDER = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+RULE = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 
 def jw_matrix(mo, states):
@@ -80,7 +85,7 @@ def test_builder_matches_the_jordan_wigner_matrix_on_benchmark_points(workload, 
     config = workload.config(coordinates, tmp_path)
     stage = workbench.compact_hamiltonian(config, coordinate)
     ansatz = workbench.build_ansatz_for(config, stage)
-    basis = pq.sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
+    basis = ansatz.basis
     mat = IntegralHamiltonian(stage["final"]).matrix(basis.states)
     jw = reference_matrix(stage["hamiltonian"], basis.states)
     assert not jw.data.imag.any()
@@ -99,6 +104,48 @@ def test_row_blocks_change_no_bit(monkeypatch, two_sz):
     for mat in built[1:]:
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(mat, name), getattr(first, name)), name
+
+
+@st.composite
+def hops(draw):
+    """(n_qubits, row, p, q): a determinant of an int64 register with p occupied and q empty."""
+    n_qubits = draw(st.integers(2, 62))
+    p, q = draw(st.lists(st.integers(0, n_qubits - 1), min_size=2, max_size=2, unique=True))
+    row = (draw(st.integers(0, (1 << n_qubits) - 1)) | 1 << p) & ~(1 << q)
+    return n_qubits, row, p, q
+
+
+@RULE
+@given(hops())
+def test_between_gives_the_jordan_wigner_sign_of_a_hop(hop):
+    n_qubits, row, p, q = hop
+    image = row ^ (1 << p) ^ (1 << q)
+    hop_op = reference_jordan_wigner({((q, True), (p, False)): 1.0}, n_qubits)
+    states = np.array(sorted((row, image)), dtype=np.int64)
+    mat = reference_matrix(hop_op, states).toarray()
+    sign = mat[states.tolist().index(image), states.tolist().index(row)]
+    lo, hi = min(p, q), max(p, q)
+    assert sign == (-1) ** (row & exact.between(lo, hi)).bit_count()
+    # elementwise on int64 arrays, bit-equal to the Python int
+    assert exact.between(np.array([lo]), np.array([hi])).tolist() == [exact.between(lo, hi)]
+
+
+@RULE
+@given(st.lists(st.integers(0, 120), min_size=2, max_size=2, unique=True).map(sorted))
+def test_between_is_exact_past_64_qubits(pair):
+    lo, hi = pair
+    assert exact.between(lo, hi) == sum(1 << k for k in range(lo + 1, hi))
+
+
+@RULE
+@given(st.sets(st.integers(0, 2**62), min_size=1, max_size=30),
+       st.lists(st.integers(0, 2**62), max_size=30), st.data())
+def test_locate_finds_exactly_the_basis_states(states, others, data):
+    states = np.array(sorted(states), dtype=np.int64)
+    images = others + data.draw(st.lists(st.sampled_from(states.tolist()), max_size=30))
+    column, found = exact._locate(states, np.array(images, dtype=np.int64))
+    assert found.tolist() == [image in states.tolist() for image in images]
+    assert np.array_equal(states[column[found]], np.array(images, dtype=np.int64)[found])
 
 
 def test_integral_hamiltonian_caches_one_matrix_per_basis():

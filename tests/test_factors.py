@@ -25,8 +25,8 @@ from hypothesis import given, settings, strategies as st
 import pnovqe as pq
 from pnovqe import simulator
 from pnovqe.ansatz import GENERATOR_KINDS, PNO_VARIANTS
-from pnovqe.exact import SectorBasis
-from pnovqe.simulator import _factors, _rotate, _sector_state
+from pnovqe.exact import SectorBasis, _factors
+from pnovqe.simulator import _rotate, _sector_state
 
 from ci_oracle import (
     paired_register_matrix, random_integral_set, reference_factor, reference_generator_strings,
@@ -197,7 +197,7 @@ def pno_space():
 ], ids=["upccgsd", "upccgsd-k2", *PNO_VARIANTS, "paired"])
 def test_circuit_factors_match_the_oracle_on_their_sector(build):
     ansatz = build()    # a fresh ansatz, so its circuit is prepared here
-    basis = pq.sector_basis(ansatz.n_qubits, len(ansatz.reference), ansatz.two_sz)
+    basis = ansatz.basis
     circuit = simulator._prepared(ansatz, basis)
     assert len(circuit.factors) == ansatz.n_parameters
     for gen, factor in zip(ansatz.generators, circuit.factors):

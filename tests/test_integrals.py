@@ -46,6 +46,14 @@ class TestParseXYZ:
         with pytest.raises(ParseError, match="count"):
             pq.parse_xyz("two\n\nH 0 0 0")
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_atom_count_below_one_rejected(self, count):
+        # an empty molecule once reached run_rhf, which failed on a zero-size array
+        with pytest.raises(ParseError, match=f"atom count {count} on line 1 is below 1"):
+            pq.parse_xyz(f"{count}\n\n")
+        with pytest.raises(ValueError, match="at least one atom"):
+            pq.Molecule(atoms=())
+
     def test_charged_molecule_parity(self):
         mol = pq.parse_xyz("2\n\nHe 0 0 0\nH 0 0 0.9", charge=1)
         assert mol.n_electrons == 2
@@ -295,6 +303,19 @@ class TestFCIDump:
         assert "NORB" not in body.upper() and len(body.split()) % 5 == 0
         back = pq.read_fcidump(path)
         assert (back.n_orb, back.n_electrons) == (n_orb, n_elec)
+
+    @pytest.mark.parametrize("norb, nelec", [(-1, 2), (0, 0), (2, -2)])
+    def test_norb_below_one_or_negative_nelec_rejected(self, tmp_path, norb, nelec):
+        # NELEC=-2 once gave n_occ == -1, NORB=-1 a numpy dimension error
+        path = tmp_path / "count.fcidump"
+        path.write_text(f"&FCI NORB={norb},NELEC={nelec},MS2=0,\n&END\n")
+        with pytest.raises(ParseError, match="needs NORB >= 1 and NELEC >= 0"):
+            pq.read_fcidump(path)
+
+    def test_integral_set_refuses_a_negative_electron_count(self):
+        with pytest.raises(ValueError, match="n_electrons must be even and non-negative"):
+            pq.IntegralSet(n_orb=1, h=np.zeros((1, 1)), g=np.zeros((1,) * 4), core_energy=0.0,
+                           n_electrons=-2)
 
     def test_odd_nelec_rejected(self, tmp_path):
         path = tmp_path / "odd.fcidump"

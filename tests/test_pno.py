@@ -208,6 +208,11 @@ class TestSelectPNOs:
         with pytest.raises(ValueError, match="maximum feasible N_q = 8"):
             pq.select_pnos(densities, 10)
 
+    def test_no_pairs_rejected(self):
+        # NELEC=0 gives MP2 no pairs; max() over them once failed without a word
+        with pytest.raises(ValueError, match="no occupied pairs"):
+            pq.select_pnos({}, 4)
+
     def test_odd_budget_rejected(self):
         with pytest.raises(ValueError, match="even"):
             pq.select_pnos(_synthetic_densities(1, 3), 5)

@@ -3,9 +3,10 @@
 The VQE runs in the sector the ansatz keeps its reference in, in float64,
 and the exact solve reads the same cached sector matrix. The sweep is
 checked against the complex particle-number-sector sweep of
-``ci_oracle.reference_sector_sweep``; the S_z rule against the entries
-that the generator's Jordan-Wigner image has between states of different
-S_z. Examples are derandomized.
+``ci_oracle.reference_sector_sweep``. That pair doubles and singles keep
+S_z, so that a circuit without pair rotations may run in the (N, S_z)
+sector, is checked on the entries their Jordan-Wigner images have between
+states of different S_z. Examples are derandomized.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe import exact, workbench
-from pnovqe.ansatz import PNO_VARIANTS, build_paired_ansatz
+from pnovqe.ansatz import PNO_VARIANTS, build_paired_ansatz, make_pair_double, make_single
 from pnovqe.exact import build_paired_hamiltonian
 from pnovqe.operators import QubitOperator
 
@@ -22,10 +23,9 @@ from ci_oracle import (
     paired_register_matrix, random_integral_set, reference_generator_strings, reference_matrix,
     reference_sector_sweep, symmetry_leaks,
 )
-from conftest import excitation_generators, lih_like_pipeline
+from conftest import lih_like_pipeline
 
 SWEEP = settings(derandomize=True, database=None, max_examples=15, deadline=None)
-ALGEBRA = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 LIH_MO = lih_like_pipeline()["mo"]
 
@@ -88,25 +88,26 @@ def test_open_shell_reference_keeps_its_own_sz_sector():
     closed = pq.build_upccgsd(3, 2)
     ansatz = pq.Ansatz(generators=closed.generators, n_qubits=6, reference=(0, 1, 2), name="doublet")
     theta = np.linspace(-0.5, 0.6, ansatz.n_parameters)
-    assert ansatz.two_sz == 1
     energy = pq.ansatz_expectation(hamiltonian, ansatz, theta)
     (basis,) = ansatz._prepared
-    assert basis is pq.sector_basis(6, 3, two_sz=1) and basis.dim == 9
+    assert basis is ansatz.basis is pq.sector_basis(6, 3, two_sz=1) and basis.dim == 9
     expected, expected_grad = reference_sector_sweep(hq, ansatz, theta)
     assert abs(energy - expected) < 1e-12
     np.testing.assert_allclose(pq.gradient(hamiltonian, ansatz, theta), expected_grad, atol=1e-12)
 
 
-@ALGEBRA
-@given(excitation_generators().filter(lambda gen: gen.n_qubits % 2 == 0))
-def test_sz_rule_agrees_with_the_commutator(gen):
-    # pair rotations on a spin-orbital register move weight between spins
-    # when i and a differ in parity; the leak reads the reference strings
-    g = QubitOperator(gen.n_qubits, dict(reference_generator_strings(gen)))
-    commutes = symmetry_leaks(g)[1] < 1e-12
-    assert gen.commutes_with_sz == commutes
-    ansatz = pq.Ansatz(generators=(gen,), n_qubits=gen.n_qubits, reference=(0,), name="one")
-    assert ansatz.two_sz == (1 if commutes else None)
+@pytest.mark.parametrize("n_spatial", [2, 3, 4])
+def test_every_pair_double_and_single_keeps_sz(n_spatial):
+    # the leaks read the reference strings, from each generator's fermionic form
+    pairs = [(i, a) for i in range(n_spatial) for a in range(n_spatial) if i != a]
+    generators = [make_pair_double(i, a, n_spatial) for i, a in pairs]
+    generators += [make_single(i, a, spin, n_spatial) for i, a in pairs for spin in (0, 1)]
+    for gen in generators:
+        g = QubitOperator(gen.n_qubits, dict(reference_generator_strings(gen)))
+        assert symmetry_leaks(g) == (0.0, 0.0), gen.label
+    ansatz = pq.Ansatz(generators=tuple(generators), n_qubits=2 * n_spatial, reference=(0,),
+                       name="all")
+    assert ansatz.basis is pq.sector_basis(2 * n_spatial, 1, two_sz=1)
 
 
 def test_run_point_builds_one_sector_matrix(monkeypatch, tmp_path):
@@ -128,6 +129,18 @@ def test_run_point_builds_one_sector_matrix(monkeypatch, tmp_path):
     assert record["e_fci"] <= record["e_vqe"]
 
 
+def check_paired_sweep(mo, paired, theta):
+    """The paired circuit on its register's N sector against the oracle sweep; returns the basis."""
+    h_pair = build_paired_hamiltonian(mo)
+    energy = pq.ansatz_expectation(h_pair, paired, theta)
+    (basis,) = paired._prepared
+    assert basis is paired.basis is pq.sector_basis(paired.n_qubits, len(paired.reference))
+    expected, expected_grad = reference_sector_sweep(paired_register_matrix(mo), paired, theta)
+    assert abs(energy - expected) < 1e-12
+    np.testing.assert_allclose(pq.gradient(h_pair, paired, theta), expected_grad, atol=1e-12)
+    return basis
+
+
 def test_paired_ansatz_runs_on_the_number_sector():
     amps = pq.mp2_amplitudes(LIH_MO)
     space = pq.orthonormalize(pq.select_pnos(pq.pair_densities(amps), 12, diagonal_only=True))
@@ -135,15 +148,15 @@ def test_paired_ansatz_runs_on_the_number_sector():
     ansatz = pq.build_pno_ansatz(space, "UpCCD")
     paired = build_paired_ansatz(range(final.n_occ), [g.orbitals for g in ansatz.generators],
                                  final.n_orb)
-    h_pair = build_paired_hamiltonian(final)
-    theta = np.linspace(-0.3, 0.4, paired.n_parameters)
-    assert paired.two_sz is None
-    energy = pq.ansatz_expectation(h_pair, paired, theta)
-    (basis,) = paired._prepared
-    assert basis is pq.sector_basis(paired.n_qubits, final.n_occ)
-    expected, expected_grad = reference_sector_sweep(paired_register_matrix(final), paired, theta)
-    assert abs(energy - expected) < 1e-12
-    np.testing.assert_allclose(pq.gradient(h_pair, paired, theta), expected_grad, atol=1e-12)
+    check_paired_sweep(final, paired, np.linspace(-0.3, 0.4, paired.n_parameters))
+
+
+def test_same_parity_paired_circuit_runs_on_the_number_sector():
+    # read as spins, qubits 0, 2 and 1, 3 would keep this circuit in an
+    # "S_z = 0" subset of the paired states, which has no meaning there
+    paired = build_paired_ansatz([0, 1], [(0, 2), (1, 3)], 6)
+    basis = check_paired_sweep(random_integral_set(6, 4, 3), paired, np.array([0.3, -0.7]))
+    assert basis.dim == 15
 
 
 def test_every_call_form_of_one_sector_returns_the_one_basis():

@@ -13,8 +13,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
-from pnovqe.exact import SectorBasis
-from pnovqe.simulator import _factors, _rotate, _sector_state, ansatz_expectation
+from pnovqe.exact import SectorBasis, _factors
+from pnovqe.simulator import _rotate, _sector_state, ansatz_expectation
 
 from ci_oracle import (
     embed, finite_difference_gradient, kron_sum,
@@ -291,7 +291,7 @@ class TestSectorEngine:
         # first: its spin-orbital integral tables hold 16^4 entries each
         hq = pq.IntegralHamiltonian(random_integral_set(8, 2, 4))
         ansatz = pq.build_upccgsd(8, 2)
-        hq.matrix(pq.sector_basis(16, 2, ansatz.two_sz).states)
+        hq.matrix(ansatz.basis.states)
         theta = np.random.default_rng(4).uniform(-0.5, 0.5, ansatz.n_parameters)
         tracemalloc.start()
         try:

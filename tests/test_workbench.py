@@ -717,6 +717,18 @@ class TestCLI:
         assert "barrier" not in captured.out
         assert "error: barrier needs finite energies" in captured.err
 
+    @pytest.mark.parametrize("text, where", [
+        ("", "line 1: no column 'e_vqe' in the header"),
+        ("coordinate,e_vqe,e_fci\n0.5,-1.0,-1.0\n1.0\n", "line 3: 1 of 3 fields"),
+    ], ids=["empty", "short-row"])
+    def test_metrics_names_the_file_and_line_of_a_malformed_curve(self, tmp_path, capsys,
+                                                                  text, where):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(text)
+        code = cli.main(["metrics", str(curve), "--barrier-at", "1.0", "0.5"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {curve}, {where}\n"
+
     def test_metrics_barrier_needs_both_coordinates(self, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
         curve.write_text("coordinate,e_vqe\n0.5,-56.01\n1.0,-56.0\n")
