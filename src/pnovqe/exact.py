@@ -1,8 +1,11 @@
 """Exact diagonalization of sector Hamiltonians and the paired encoding.
 
 Every solve runs on a basis its caller names, of a register of at most
-``_MAX_SECTOR_QUBITS`` = 24 qubits; there is no full-register solve. A
-point's exact solve runs on the sector its VQE sweeps read, so both read
+``_MAX_SECTOR_QUBITS`` = 24 qubits; there is no full-register solve. Every
+sector is built from spin-up and spin-down strings by the one rule that
+``sector_basis`` states, and every basis, built here or passed in, is
+checked by ``_checked_states`` before ``_locate`` searches it. A point's
+exact solve runs on the sector its VQE sweeps read, so both read
 one cached sector matrix: ``determinant_matrix`` of the compact integrals
 (Slater-Condon rules per determinant), through ``IntegralHamiltonian`` or
 its paired restriction. One rule, ``between``, signs that matrix's entries
@@ -49,61 +52,77 @@ _MAX_SECTOR_QUBITS = 24
 _DETERMINANT_BLOCK = 64
 
 
+def _checked_states(states, n_qubits: int) -> np.ndarray:
+    """A read-only int64 copy of ``states``, if they are nonempty strictly increasing register bitmasks.
+
+    Any other ``states`` are a ``ValueError``. ``_locate`` finds images by
+    binary search, so every basis it searches (``SectorBasis.states`` and
+    ``determinant_matrix``'s determinants) passes here.
+    """
+    states = np.array(states, dtype=np.int64)
+    if not states.size:
+        raise ValueError("empty sector basis")
+    if states[0] < 0 or int(states[-1]) >> n_qubits or not np.all(states[1:] > states[:-1]):
+        raise ValueError("basis states must be strictly increasing bitmasks of the register")
+    states.flags.writeable = False   # bases are cached and shared
+    return states
+
+
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
     """Ordered basis of bitmask states of a register; ``sector_basis`` builds the sectors."""
 
     n_qubits: int
-    states: np.ndarray   # int64 bitmasks, strictly increasing
+    states: np.ndarray   # read-only int64 bitmasks, strictly increasing (``_checked_states``)
 
     def __post_init__(self):
-        # ``_locate`` finds images by ``searchsorted``
-        states = np.asarray(self.states, dtype=np.int64)
-        if states.size and (states[0] < 0 or int(states[-1]) >> self.n_qubits
-                            or not np.all(states[1:] > states[:-1])):
-            raise ValueError("basis states must be strictly increasing bitmasks of the register")
-        states.flags.writeable = False   # bases are cached and shared
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "states", _checked_states(self.states, self.n_qubits))
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
 
-def sector_basis(n_qubits: int, n_particles: int, two_sz: int | None = None) -> SectorBasis:
-    """All bitmasks with the requested popcount (and spin balance).
+def _spread(strings):
+    """Bit p of each string (below 2**32) moved to bit 2p: orbital p to its spin-up qubit.
 
-    Spin balance uses the interleaved convention: even qubits are spin up.
-    ``two_sz`` is n_up - n_down. Every call form of one sector returns the
-    same cached basis.
+    Elementwise on int64 arrays, and on Python ints.
+    """
+    # (2**64 - 1) // (2**shift + 1) is 0x0000FFFF0000FFFF, 0x00FF00FF00FF00FF, ..., 0x5555555555555555
+    for shift in (16, 8, 4, 2, 1):
+        strings = (strings | strings << shift) & (2**64 - 1) // ((1 << shift) + 1)
+    return strings
+
+
+def _strings(n_orbitals: int, n_occupied: int) -> np.ndarray:
+    """Every string of ``n_occupied`` of ``n_orbitals`` orbitals, spread (``_spread``), as int64."""
+    strings = [sum(1 << p for p in chosen) for chosen in combinations(range(n_orbitals), n_occupied)]
+    return _spread(np.array(strings, dtype=np.int64))
+
+
+def sector_basis(n_qubits: int, n_particles: int, two_sz: int | None = None) -> SectorBasis:
+    """The sorted determinants of an N (and S_z) sector of an interleaved register.
+
+    The one sector rule: qubit 2p is orbital p spin up and qubit 2p + 1 is
+    orbital p spin down, so a determinant is a spin-up string OR'd with its
+    spin-down string shifted left by one, each string spread by ``_spread``
+    (Knowles and Handy, CPL 1984). An odd register's extra orbital is spin
+    up. ``two_sz`` = n_up - n_down fixes the split of the ``n_particles``;
+    without it the sector is the sorted union of every split. A ``two_sz``
+    of the wrong parity and a sector with no state are ``ValueError``s.
+    Every call form of one sector returns the same cached basis.
     """
     return _sector_basis(n_qubits, n_particles, two_sz)
 
 
 @lru_cache(maxsize=32)   # keyed on the positional arguments only
 def _sector_basis(n_qubits: int, n_particles: int, two_sz: int | None) -> SectorBasis:
-    if two_sz is None:
-        states = [
-            sum(1 << b for b in bits)
-            for bits in combinations(range(n_qubits), n_particles)
-        ]
-    else:
-        if (n_particles + two_sz) % 2 != 0:
-            raise ValueError("incompatible particle number and 2*S_z parity")
-        n_up = (n_particles + two_sz) // 2
-        n_dn = n_particles - n_up
-        ups = [q for q in range(n_qubits) if q % 2 == 0]
-        dns = [q for q in range(n_qubits) if q % 2 == 1]
-        if n_up < 0 or n_dn < 0 or n_up > len(ups) or n_dn > len(dns):
-            raise ValueError("empty sector: spin balance not realizable")
-        states = [
-            sum(1 << b for b in u + d)
-            for u in combinations(ups, n_up)
-            for d in combinations(dns, n_dn)
-        ]
-    if not states:
-        raise ValueError("empty sector basis")
-    return SectorBasis(n_qubits, np.array(sorted(states), dtype=np.int64))
+    if two_sz is not None and (n_particles + two_sz) % 2 != 0:
+        raise ValueError("incompatible particle number and 2*S_z parity")
+    n_up = range(n_particles + 1) if two_sz is None else [(n_particles + two_sz) // 2]
+    sectors = [_strings((n_qubits + 1) // 2, k)[:, None] | _strings(n_qubits // 2, n_particles - k) << 1
+               for k in n_up if 0 <= k <= n_particles]
+    return SectorBasis(n_qubits, np.sort(np.concatenate([np.zeros(0, np.int64), *sectors], axis=None)))
 
 
 def between(lo, hi):
@@ -206,11 +225,10 @@ def determinant_matrix(mo: IntegralSet, states: np.ndarray):
     spin-conserving excitation count; each entry's operations are
     elementwise, so the block size changes no bit.
     """
-    dim, counts, n_qubits = len(states), np.unique(np.bitwise_count(states)), 2 * mo.n_orb
+    states, n_qubits = _checked_states(states, 2 * mo.n_orb), 2 * mo.n_orb
+    dim, counts = len(states), np.unique(np.bitwise_count(states))
     if counts.size != 1:
-        raise ValueError("the determinant matrix needs a nonempty fixed-particle-number basis")
-    if int(states[-1]) >> n_qubits:
-        raise ValueError("a state occupies a spin-orbital past the integrals'")
+        raise ValueError("the determinant matrix needs a fixed-particle-number basis")
     if n_qubits + (_DETERMINANT_BLOCK - 1).bit_length() > 63:
         raise ValueError("a block's (row, image) keys overflow int64 on this register")
     # h_PQ and <PQ||RS> with <PQ|RS> = <pq|rs> d(s_P, s_R) d(s_Q, s_S) over interleaved
@@ -220,7 +238,7 @@ def determinant_matrix(mo: IntegralSet, states: np.ndarray):
     anti = g - g.transpose(0, 1, 3, 2)
     tables = (float(mo.core_energy), h, anti.ravel(), np.einsum("akik->aik", anti).ravel())
     # a row holds at most 1 + its spin-conserving singles and doubles
-    up = np.bitwise_count(states & sum(1 << q for q in range(0, n_qubits, 2))).astype(np.int64)
+    up = np.bitwise_count(states & _spread((1 << mo.n_orb) - 1)).astype(np.int64)
     n = int(counts[0])
     dn, up_holes, dn_holes = n - up, mo.n_orb - up, mo.n_orb - n + up
     pairs = up * (up - 1) * up_holes * (up_holes - 1) + dn * (dn - 1) * dn_holes * (dn_holes - 1)
@@ -255,7 +273,8 @@ class IntegralHamiltonian:
         """The spin-orbital bitmasks of basis states: here the states themselves."""
         return states
 
-    def matrix(self, states: np.ndarray):
+    def matrix(self, states):
+        states = np.asarray(states, dtype=np.int64)
         key = states.tobytes()
         if key not in self._compiled:
             self._compiled[key] = determinant_matrix(self.integrals, self._determinants(states))
@@ -277,8 +296,7 @@ class PairedHamiltonian(IntegralHamiltonian):
         self.n_qubits = integrals.n_orb
 
     def _determinants(self, states: np.ndarray) -> np.ndarray:
-        p = np.arange(int(states.max(initial=0)).bit_length())
-        return ((states[:, None] >> p) & 1) @ np.left_shift(3, 2 * p)
+        return 3 * _spread(states)
 
 
 def _sector_matrix(op: IntegralHamiltonian, basis: SectorBasis):
@@ -342,8 +360,6 @@ def exact_ground_energy(op: IntegralHamiltonian, sector: SectorBasis):
     reaches its matrix-vector cap is a ``RuntimeError``.
     """
     _check_solvable(op.n_qubits)
-    if sector.dim == 0:
-        raise ValueError("empty sector")
     mat = _sector_matrix(op, sector)
     evals, evecs = np.linalg.eigh(mat.toarray()) if sector.dim <= _DENSE_DIM else _davidson(mat)
     energy, vector = float(evals[0]), evecs[:, 0]

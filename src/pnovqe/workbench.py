@@ -544,17 +544,25 @@ def barrier_kcal(e_transition: float, e_equilibrium: float) -> float:
     return barrier(e_transition, e_equilibrium) * HARTREE_TO_KCALMOL
 
 
+def _number(path, lineno: int, text: str) -> float:
+    """A numeric field of line ``lineno`` of ``path``; any other text is a ``ValueError`` naming both."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path}, line {lineno}: {text!r} is not a number") from None
+
+
 def load_reference(path) -> dict:
     """Read (coordinate, energy) rows from whitespace- or comma-separated text."""
     table: dict = {}
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line[0].isalpha():
             continue
         fields = line.replace(",", " ").split()
         if len(fields) < 2:
             raise ValueError(f"malformed reference row: {raw!r}")
-        table[float(fields[0])] = float(fields[1])
+        table[_number(path, lineno, fields[0])] = _number(path, lineno, fields[1])
     if not table:
         raise ValueError(f"no reference rows found in {path}")
     return table
@@ -582,7 +590,7 @@ def load_curve_csv(path, column: str = "e_vqe") -> dict:
         fields = line.split(",")
         if len(fields) < len(header):
             raise ValueError(f"{path}, line {lineno}: {len(fields)} of {len(header)} fields")
-        table[float(fields[0])] = float(fields[idx])
+        table[_number(path, lineno, fields[0])] = _number(path, lineno, fields[idx])
     return table
 
 

@@ -157,8 +157,29 @@ def test_integral_hamiltonian_caches_one_matrix_per_basis():
     assert hamiltonian.n_qubits == 6
     with pytest.raises(ValueError, match="fixed-particle-number"):
         hamiltonian.matrix(np.arange(4, dtype=np.int64))
-    with pytest.raises(ValueError, match="past the integrals"):
+    with pytest.raises(ValueError, match="strictly increasing bitmasks of the register"):
         hamiltonian.matrix(pq.sector_basis(8, 2, 0).states)
+
+
+def test_matrix_refuses_shuffled_states():
+    # images are located by searchsorted: a shuffled basis gave a symmetric
+    # matrix whose two lowest eigenvalues were 0.0 and 0.0
+    hamiltonian = IntegralHamiltonian(random_integral_set(3, 2, 7))
+    states = pq.sector_basis(6, 2, 0).states
+    shuffled = states[np.random.default_rng(0).permutation(9)]
+    with pytest.raises(ValueError, match="strictly increasing bitmasks of the register"):
+        hamiltonian.matrix(shuffled)
+    lowest = np.linalg.eigvalsh(hamiltonian.matrix(states).toarray())[:2]
+    np.testing.assert_allclose(lowest, [-3.305, -3.060], atol=1e-3)
+    with pytest.raises(ValueError, match="strictly increasing bitmasks of the register"):
+        pq.build_paired_hamiltonian(random_integral_set(3, 2, 7)).matrix(np.array([0b110, 0b011]))
+
+
+def test_matrix_refuses_unsorted_states_outside_the_register():
+    # this basis failed inside numpy, on a reshape of the occupied orbitals
+    hamiltonian = IntegralHamiltonian(random_integral_set(3, 2, 7))
+    with pytest.raises(ValueError, match="strictly increasing bitmasks of the register"):
+        hamiltonian.matrix([0b11, 0b1000001, 0b101])
 
 
 def lih_config(tmp_path, lih_like, **fields):

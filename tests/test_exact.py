@@ -9,7 +9,11 @@ matrix, dimension 1, a degenerate ground state, a ground state orthogonal
 to the start's determinant and the matrix-vector cap. The paired
 Hamiltonian's entries are checked against the seniority-zero projection of
 the reference Jordan-Wigner image and against the closed form in
-``build_paired_hamiltonian``'s docstring. Examples are derandomized.
+``build_paired_hamiltonian``'s docstring. The one sector rule, spin
+strings spread by ``exact._spread``, is checked against a brute-force
+filter of every register bitmask (``ci_oracle.register_sector``) on every
+sector of up to 12 qubits, and the paired determinants against a matrix
+product over the bits. Examples are derandomized.
 """
 
 import numpy as np
@@ -23,7 +27,8 @@ from pnovqe.exact import IntegralHamiltonian, SectorBasis, determinant_matrix
 
 from ci_oracle import (
     eigenvalues_dense, random_integral_set, reference_build_hamiltonian,
-    reference_jordan_wigner, seniority_zero_projection,
+    reference_jordan_wigner, reference_paired_determinants, register_sector,
+    seniority_zero_projection,
 )
 from conftest import CountingMatrix, loaded_after_run_point
 
@@ -104,6 +109,8 @@ class TestExactGroundEnergy:
         for n_qubits, states in bad:
             with pytest.raises(ValueError, match="strictly increasing bitmasks of the register"):
                 SectorBasis(n_qubits, np.array(states, dtype=np.int64))
+        with pytest.raises(ValueError, match="empty sector basis"):
+            SectorBasis(2, np.zeros(0, dtype=np.int64))
         assert SectorBasis(2, np.arange(4)).dim == 4
 
     def test_residual_certified(self, h2_sto3g):
@@ -112,6 +119,48 @@ class TestExactGroundEnergy:
         energy, vector = pq.exact_ground_energy(hamiltonian, sector)
         mat = hamiltonian.matrix(sector.states).toarray()
         assert np.linalg.norm(mat @ vector - energy * vector) < 1e-8
+
+
+class TestSectorRule:
+    @pytest.mark.parametrize("n_qubits", range(13))
+    def test_sectors_match_the_register_filter(self, n_qubits):
+        # every N and 2S_z, and one past each end: a wrong parity and an
+        # empty sector are refused
+        for n in range(-1, n_qubits + 2):
+            for two_sz in [None, *range(-n_qubits - 1, n_qubits + 2)]:
+                expected = register_sector(n_qubits, n, two_sz)
+                if two_sz is not None and (n + two_sz) % 2:
+                    with pytest.raises(ValueError, match="parity"):
+                        pq.sector_basis(n_qubits, n, two_sz)
+                elif not expected:
+                    with pytest.raises(ValueError, match="empty sector"):
+                        pq.sector_basis(n_qubits, n, two_sz)
+                else:
+                    basis = pq.sector_basis(n_qubits, n, two_sz)
+                    assert basis.states.dtype == np.int64 and not basis.states.flags.writeable
+                    assert basis.states.tolist() == expected
+
+    @pytest.mark.parametrize("n_qubits", range(13))
+    def test_n_sector_is_the_sorted_union_of_its_sz_sectors(self, n_qubits):
+        for n in range(n_qubits + 1):
+            splits = [pq.sector_basis(n_qubits, n, 2 * n_up - n).states for n_up in range(n + 1)
+                      if n_up <= (n_qubits + 1) // 2 and n - n_up <= n_qubits // 2]
+            union = np.sort(np.concatenate(splits))
+            assert np.array_equal(pq.sector_basis(n_qubits, n).states, union)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=20))
+    def test_spread_moves_bit_p_to_bit_2p(self, strings):
+        expected = [sum(((s >> p) & 1) << 2 * p for p in range(32)) for s in strings]
+        assert [exact_mod._spread(s) for s in strings] == expected
+        assert exact_mod._spread(np.array(strings, dtype=np.int64)).tolist() == expected
+
+    @pytest.mark.parametrize("n_orb", range(1, 13))
+    def test_paired_determinants_match_the_bit_product(self, n_orb):
+        hp = pq.build_paired_hamiltonian(random_integral_set(n_orb, 2, 0))
+        for n_pairs in range(n_orb + 1):
+            states = pq.sector_basis(n_orb, n_pairs).states
+            assert np.array_equal(hp._determinants(states), reference_paired_determinants(states))
 
 
 ITERATIVE = settings(derandomize=True, database=None, max_examples=40, deadline=None)

@@ -729,6 +729,22 @@ class TestCLI:
         assert code == 1
         assert capsys.readouterr().err == f"error: {curve}, {where}\n"
 
+    def test_metrics_names_the_file_and_line_of_a_non_numeric_curve_field(self, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("coordinate,e_vqe,e_fci\n0.5,abc,-1.0\n")
+        code = cli.main(["metrics", str(curve), "--barrier-at", "1.0", "0.5"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {curve}, line 2: 'abc' is not a number\n"
+
+    def test_metrics_names_the_file_and_line_of_a_non_numeric_reference(self, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("coordinate,e_vqe\n0.5,-1.0\n")
+        ref = tmp_path / "ref.dat"
+        ref.write_text("# R  E\n0.4 -1.01\n0.5 abc\n")
+        code = cli.main(["metrics", str(curve), "--reference", str(ref)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {ref}, line 3: 'abc' is not a number\n"
+
     def test_metrics_barrier_needs_both_coordinates(self, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
         curve.write_text("coordinate,e_vqe\n0.5,-56.01\n1.0,-56.0\n")
