@@ -394,6 +394,9 @@ def fcidump_header(text: str) -> tuple:
         raise ParseError(f"FCIDUMP header needs NORB >= 1 and NELEC >= 0, got {n_orb} and {n_elec}")
     if n_elec % 2 != 0:
         raise ParseError("odd NELEC not supported (closed shell only)")
+    two_sz = _header_int("MS2") or 0   # an absent MS2 is 0
+    if two_sz != 0:
+        raise ParseError(f"MS2 = {two_sz} not supported (closed shell only)")
     return n_orb, n_elec, text[header_match.end() :]
 
 
@@ -411,10 +414,11 @@ def read_fcidump(path) -> IntegralSet:
         if not line:
             continue
         fields = line.split()
-        if len(fields) != 5:
-            raise ParseError(f"malformed FCIDUMP line: {raw!r}")
-        value = float(fields[0].upper().replace("D", "E"))
-        i, j, k, l = indices = tuple(int(v) for v in fields[1:])
+        try:   # a value and four integer indices, or a malformed line
+            value = float(fields[0].upper().replace("D", "E"))
+            i, j, k, l = indices = tuple(int(v) for v in fields[1:])
+        except ValueError:
+            raise ParseError(f"malformed FCIDUMP line: {raw!r}") from None
         if min(indices) < 0 or max(indices) > n_orb:
             raise ParseError(f"orbital index out of range in line: {raw!r}")
         # the nonzero indices lead: 0 0 0 0, i 0 0 0, i j 0 0 or i j k l

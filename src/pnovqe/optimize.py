@@ -13,7 +13,7 @@ from .simulator import ansatz_expectation, gradient as ansatz_gradient
 _C1 = 1e-4
 _C2 = 0.9
 _RESTART_SCALE = 0.1   # half-width of the uniform draw of a restart's start point
-_BRACKET_STEPS, _ZOOM_STEPS = 25, 40   # step doublings and bisections of one line search
+_DOUBLINGS, _BISECTIONS = 25, 40   # the step budgets of one line search
 
 
 @dataclass(frozen=True)
@@ -59,34 +59,29 @@ def minimize(objective, grad, x0, grad_tol: float = 1e-6, max_iter: int = 500) -
     n = x.size
     fx = f(x)
     gx = np.asarray(g(x), dtype=float)
-    gnorm = float(np.max(np.abs(gx))) if n else 0.0
-    trajectory = [(float(fx), gnorm)]
-    if gnorm < grad_tol:
-        return OptimizationResult(
-            x=x, fun=float(fx), grad_norm=gnorm, iterations=0,
-            n_function_evals=f.count, n_gradient_evals=g.count,
-            converged=True, trajectory=tuple(trajectory), exit_reason="grad_tol",
-        )
-
     h_inv = np.eye(n)
-    exit_reason = "max_iter"
+    trajectory = []
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    while True:
+        gnorm = float(np.max(np.abs(gx))) if n else 0.0
+        trajectory.append((float(fx), gnorm))
+        if gnorm < grad_tol or iterations == max_iter:
+            exit_reason = "grad_tol" if gnorm < grad_tol else "max_iter"
+            break
+        iterations += 1
         direction = -h_inv @ gx
-        slope = float(direction @ gx)
-        if slope >= 0.0:
+        if direction @ gx >= 0.0:   # uphill: drop the curvature model for steepest descent
             h_inv = np.eye(n)
             direction = -gx
-            slope = float(direction @ gx)
-            if slope >= 0.0:
-                exit_reason = "no_descent"
-                break
+        slope = float(direction @ gx)
+        if slope >= 0.0:
+            exit_reason = "no_descent"
+            break
         alpha, fx_new, gx_new = _wolfe_line_search(f, g, x, direction, fx, slope)
         if alpha is None:
             exit_reason = "line_search_failed"
             break
         step = alpha * direction
-        x_new = x + step
         y = gx_new - gx
         sy = float(step @ y)
         if sy > 1e-14 * np.linalg.norm(step) * np.linalg.norm(y):
@@ -96,16 +91,10 @@ def minimize(objective, grad, x0, grad_tol: float = 1e-6, max_iter: int = 500) -
                 (np.eye(n) - rho * outer) @ h_inv @ (np.eye(n) - rho * outer.T)
                 + rho * np.outer(step, step)
             )
-        x, fx, gx = x_new, fx_new, gx_new
-        gnorm = float(np.max(np.abs(gx)))
-        trajectory.append((float(fx), gnorm))
-        if gnorm < grad_tol:
-            exit_reason = "grad_tol"
-            break
+        x, fx, gx = x + step, fx_new, gx_new
 
     return OptimizationResult(
-        x=x, fun=float(fx), grad_norm=float(np.max(np.abs(gx))) if n else 0.0,
-        iterations=iterations,
+        x=x, fun=float(fx), grad_norm=gnorm, iterations=iterations,
         n_function_evals=f.count, n_gradient_evals=g.count,
         converged=exit_reason == "grad_tol", trajectory=tuple(trajectory),
         exit_reason=exit_reason,
@@ -113,51 +102,37 @@ def minimize(objective, grad, x0, grad_tol: float = 1e-6, max_iter: int = 500) -
 
 
 def _wolfe_line_search(f, g, x, direction, f0, slope0):
-    """Strong Wolfe conditions (c1 = 1e-4, c2 = 0.9), initial step 1."""
+    """Strong Wolfe conditions (c1 = 1e-4, c2 = 0.9) by doubling, then bisection.
 
-    def phi(alpha):
-        return f(x + alpha * direction)
-
-    def dphi(alpha):
-        grad = np.asarray(g(x + alpha * direction), dtype=float)
-        return float(grad @ direction), grad
-
-    # the gradient at step 0 is never read: a search that ends there fails
-    alpha_prev, phi_prev, grad_prev = 0.0, f0, None
-    alpha = 1.0
-    for i in range(_BRACKET_STEPS):
-        phi_a = phi(alpha)
-        if phi_a > f0 + _C1 * alpha * slope0 or (i > 0 and phi_a >= phi_prev):
-            return _zoom(f, g, x, direction, f0, slope0, alpha_prev, phi_prev, grad_prev, alpha)
-        d_a, grad_a = dphi(alpha)
-        if abs(d_a) <= -_C2 * slope0:
-            return alpha, phi_a, grad_a
-        if d_a >= 0.0:
-            return _zoom(f, g, x, direction, f0, slope0, alpha, phi_a, grad_a, alpha_prev)
-        alpha_prev, phi_prev, grad_prev = alpha, phi_a, grad_a
-        alpha *= 2.0
-    return None, None, None
-
-
-def _zoom(f, g, x, direction, f0, slope0, lo, phi_lo, grad_lo, hi):
-    """Bisect [lo, hi] for a strong-Wolfe step; phi_lo and grad_lo are f and g at lo."""
-    for _ in range(_ZOOM_STEPS):
-        alpha = 0.5 * (lo + hi)
+    ``lo`` is the last admissible step, with f and g there in hand (the
+    gradient at step 0 is never read: a search that ends there fails).
+    ``hi`` is None while the step doubles from 1, and then the other end of
+    the bracket that bisection narrows. Running out of doublings fails; running
+    out of bisections falls back to ``lo``.
+    """
+    lo, phi_lo, grad_lo, hi = 0.0, f0, None, None
+    doublings = bisections = 0
+    while (doublings < _DOUBLINGS) if hi is None else (bisections < _BISECTIONS):
+        if hi is None:
+            doublings += 1
+            alpha = 2.0 * lo if lo else 1.0
+        else:
+            bisections += 1
+            alpha = 0.5 * (lo + hi)
         phi_a = f(x + alpha * direction)
-        if phi_a > f0 + _C1 * alpha * slope0 or phi_a >= phi_lo:
+        first_trial = hi is None and lo == 0.0   # step 1 has no earlier step to beat
+        if phi_a > f0 + _C1 * alpha * slope0 or (not first_trial and phi_a >= phi_lo):
             hi = alpha
             continue
         grad_a = np.asarray(g(x + alpha * direction), dtype=float)
         d_a = float(grad_a @ direction)
         if abs(d_a) <= -_C2 * slope0:
             return alpha, phi_a, grad_a
-        if d_a * (hi - lo) >= 0.0:
+        # while doubling, the bracket's far end lies beyond every step
+        if d_a * (1.0 if hi is None else hi - lo) >= 0.0:
             hi = lo
         lo, phi_lo, grad_lo = alpha, phi_a, grad_a
-    # fall back to the best admissible point found, whose values are in hand
-    if lo > 0.0:
-        return lo, phi_lo, grad_lo
-    return None, None, None
+    return (lo, phi_lo, grad_lo) if hi is not None and lo > 0.0 else (None, None, None)
 
 
 def run_vqe(
@@ -170,9 +145,9 @@ def run_vqe(
 ) -> OptimizationResult:
     """Minimize <H> over the ansatz parameters, starting from zero.
 
-    Optional random restarts (uniform in +-0.1, seeded) rerun the
-    minimization and keep the result of lowest energy. The gradient is
-    ``simulator.gradient``'s adjoint sweep.
+    Optional random restarts (uniform in +-0.1, seeded, all drawn before the
+    first minimization) rerun it; the first result of lowest energy is kept.
+    The gradient is ``simulator.gradient``'s adjoint sweep.
     """
     n = ansatz.n_parameters
 
@@ -182,11 +157,9 @@ def run_vqe(
     def grad(theta):
         return ansatz_gradient(hamiltonian, ansatz, theta)
 
-    best = minimize(objective, grad, np.zeros(n), grad_tol=grad_tol, max_iter=max_iter)
+    # every restart is drawn before any minimization, so a bad seed costs nothing
     rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        theta0 = rng.uniform(-_RESTART_SCALE, _RESTART_SCALE, size=n)
-        candidate = minimize(objective, grad, theta0, grad_tol=grad_tol, max_iter=max_iter)
-        if candidate.fun < best.fun:
-            best = candidate
-    return best
+    draws = [rng.uniform(-_RESTART_SCALE, _RESTART_SCALE, size=n) for _ in range(restarts)]
+    results = [minimize(objective, grad, theta0, grad_tol=grad_tol, max_iter=max_iter)
+               for theta0 in [np.zeros(n)] + draws]
+    return min(results, key=lambda result: result.fun)   # the first of the lowest

@@ -136,6 +136,8 @@ class RunConfig:
                               f"for {self.ansatz}")
         if self.restarts < 0:
             raise ConfigError("restarts must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be >= 0")
         if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
@@ -249,8 +251,9 @@ def _molecule(config: RunConfig, coordinate):
 def molecular_integrals(config: RunConfig, coordinate=None):
     """Stage 1: produce the canonical MO IntegralSet for one geometry."""
     if config.integral_source == "fcidump":
-        path = _substitute(config.fcidump, coordinate)
-        return read_fcidump(path), None
+        mo = read_fcidump(_substitute(config.fcidump, coordinate))
+        _refuse_unoccupied(config.freeze, mo.n_electrons // 2)
+        return mo, None
     molecule = _molecule(config, coordinate)
     _refuse_unoccupied(config.freeze, molecule.n_electrons // 2)   # before the SCF
     ao = compute_ao_integrals(molecule, sto3g_shells(molecule))
@@ -545,11 +548,14 @@ def barrier_kcal(e_transition: float, e_equilibrium: float) -> float:
 
 
 def _number(path, lineno: int, text: str) -> float:
-    """A numeric field of line ``lineno`` of ``path``; any other text is a ``ValueError`` naming both."""
+    """A finite numeric field of line ``lineno`` of ``path``; any other text is a ``ValueError`` naming both."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ValueError(f"{path}, line {lineno}: {text!r} is not a number") from None
+        value = np.nan   # refused below, with every other non-finite field
+    if not np.isfinite(value):
+        raise ValueError(f"{path}, line {lineno}: {text!r} is not a number")
+    return value
 
 
 def load_reference(path) -> dict:

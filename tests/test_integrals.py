@@ -323,6 +323,28 @@ class TestFCIDump:
         with pytest.raises(ParseError, match="odd NELEC"):
             pq.read_fcidump(path)
 
+    @pytest.mark.parametrize("ms2", [2, -2])
+    def test_nonzero_ms2_rejected(self, tmp_path, ms2):
+        # MS2 = 2 was once read and solved as a closed-shell problem
+        path = tmp_path / "spin.fcidump"
+        path.write_text(f"&FCI NORB=2,NELEC=2,MS2={ms2},\n&END\n")
+        with pytest.raises(ParseError, match=f"MS2 = {ms2} not supported"):
+            pq.read_fcidump(path)
+
+    def test_absent_ms2_counts_as_zero(self, tmp_path):
+        path = tmp_path / "no-ms2.fcidump"
+        path.write_text("&FCI NORB=1,NELEC=2,\n&END\n0.5 1 1 0 0\n")
+        assert pq.read_fcidump(path).h[0, 0] == 0.5
+
+    @pytest.mark.parametrize("line", ["abc 1 1 1 1", "0.5 1 1 1 1.0", "0.5 1 1 1 x", "0.5 1 1 1"])
+    def test_malformed_fields_name_the_line(self, tmp_path, line):
+        # the first three once escaped as a bare ValueError naming neither file nor line
+        path = tmp_path / "fields.fcidump"
+        path.write_text(f"&FCI NORB=2,NELEC=2,MS2=0,\n&END\n{line}\n")
+        with pytest.raises(ParseError) as info:
+            pq.read_fcidump(path)
+        assert str(info.value) == f"malformed FCIDUMP line: {line!r}"
+
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "range.fcidump"
         path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n0.5 3 1 1 1\n")

@@ -1,11 +1,20 @@
-"""BFGS minimizer benchmarks and the VQE driver."""
+"""BFGS minimizer benchmarks and the VQE driver.
+
+``TestSameIterates`` holds the optimizer to ``ci_oracle``'s copy of the
+driver with a separate bisection loop: the same evaluation points and the
+same result bits on random objectives, derandomized so every run checks the
+same cases.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
-from pnovqe.optimize import _zoom
+from pnovqe import optimize
+from pnovqe.optimize import _wolfe_line_search
 
+from ci_oracle import random_integral_set, reference_minimize, reference_run_vqe
 from test_workbench import h2_config
 
 
@@ -193,13 +202,23 @@ class TestExitReason:
         assert result.n_gradient_evals == len(points) == 1
 
     def test_bisection_fallback_reuses_the_values_at_lo(self):
-        # no bisection point of (1, 2) falls below phi(1) = 0: the search
-        # returns step 1 with the values it was given, calling g never
-        calls = []
-        grad_lo = np.array([-0.5])
-        alpha, phi, grad = _zoom(lambda x: 0.5, lambda x: calls.append(x), np.zeros(1),
-                                 np.ones(1), 1.0, -1.0, 1.0, 0.0, grad_lo, 2.0)
-        assert alpha == 1.0 and phi == 0.0 and grad is grad_lo and not calls
+        # step 1 is admissible but too steep, and no later point (step 2, then
+        # forty bisections of (1, 2)) falls below phi(1) = 0: the search
+        # returns step 1 with the values found there, calling g only there
+        grad_lo = np.array([-1.0])
+        f_steps, g_steps = [], []
+
+        def f(x):
+            f_steps.append(x[0])
+            return 0.0 if x[0] == 1.0 else 0.5
+
+        def g(x):
+            g_steps.append(x[0])
+            return grad_lo
+
+        alpha, phi, grad = _wolfe_line_search(f, g, np.zeros(1), np.ones(1), 1.0, -1.0)
+        assert alpha == 1.0 and phi == 0.0 and grad is grad_lo and g_steps == [1.0]
+        assert f_steps[:2] == [1.0, 2.0] and len(f_steps) == 2 + 40
 
     def test_zero_parameter_vqe(self, h2_sto3g):
         ansatz = pq.Ansatz(generators=(), n_qubits=4, reference=(0, 1), name="empty")
@@ -217,3 +236,97 @@ class TestExitReason:
         assert record["optimizer"]["exit_reason"] == "grad_tol"
         record = pq.run_point(h2_config(max_iter=1))
         assert record["optimizer"]["exit_reason"] == "max_iter"
+
+
+def _objective(kind, n, rng):
+    """A random objective and its gradient, both of numpy arrays."""
+    if kind == "quadratic":
+        a = rng.standard_normal((n, n))
+        a = a @ a.T + 0.1 * np.eye(n)
+        center = rng.standard_normal(n)
+        return (lambda x: 0.5 * (x - center) @ a @ (x - center)), (lambda x: a @ (x - center))
+    if kind == "ill_conditioned":
+        scales = 10.0 ** rng.uniform(-4.0, 6.0, n)
+        return (lambda x: 0.5 * np.sum(scales * x**2)), (lambda x: scales * x)
+    if kind == "rosenbrock":
+        def fun(x):
+            return np.sum((1.0 - x) ** 2) + 100.0 * np.sum((x[1:] - x[:-1] ** 2) ** 2)
+
+        def grad(x):
+            g = -2.0 * (1.0 - x)
+            g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+            g[:-1] -= 400.0 * x[:-1] * (x[1:] - x[:-1] ** 2)
+            return g
+        return fun, grad
+    if kind == "periodic":
+        w, p = rng.uniform(0.5, 2.0, (2, n))
+        k = rng.uniform(0.5, 8.0, n)   # fast enough for step 1 to overshoot a trough
+        return (lambda x: np.sum(w * np.sin(k * x + p))), (lambda x: w * k * np.cos(k * x + p))
+    if kind == "plateau":
+        # the objective rounds to steps; the gradient is that of the smooth bowl
+        scales = rng.uniform(0.5, 5.0, n)
+        return (lambda x: np.round(4.0 * np.sum(scales * x**2)) / 4.0), (lambda x: 2.0 * scales * x)
+    if kind == "flat":
+        # a constant large enough to swallow small Armijo decreases, and a fixed slope
+        level = 10.0 ** rng.uniform(-3.0, 12.0)
+        slope = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 0.0)
+        return (lambda x: level), (lambda x: slope.copy())
+    assert kind == "unbounded"
+    a = rng.standard_normal(n)
+    return (lambda x: a @ x), (lambda x: a.copy())
+
+
+def _logged(fn, name, log):
+    def wrapped(x):
+        log.append((name, np.asarray(x, dtype=float).tobytes()))
+        return fn(x)
+    return wrapped
+
+
+def _bits(result):
+    """Every field of an OptimizationResult, floats as their bytes."""
+    return (
+        result.x.tobytes(), result.x.shape, np.float64(result.fun).tobytes(),
+        np.float64(result.grad_norm).tobytes(), result.iterations, result.n_function_evals,
+        result.n_gradient_evals, result.converged,
+        np.array(result.trajectory, dtype=float).tobytes(), result.exit_reason,
+    )
+
+
+class TestSameIterates:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ("quadratic", "ill_conditioned", "rosenbrock", "periodic", "plateau", "flat", "unbounded")
+        ),
+        n=st.integers(1, 5),
+        max_iter=st.integers(0, 500),
+        log_tol=st.floats(-12.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_minimize_matches_the_reference(self, kind, n, max_iter, log_tol, seed):
+        rng = np.random.default_rng(seed)
+        fun, grad = _objective(kind, n, rng)
+        x0 = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 1.0)
+        runs = []
+        for driver in (pq.minimize, reference_minimize):
+            log = []
+            result = driver(_logged(fun, "f", log), _logged(grad, "g", log), x0,
+                            grad_tol=10.0**log_tol, max_iter=max_iter)
+            runs.append((log, _bits(result)))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("restarts", [0, 1, 2, 3])
+    def test_run_vqe_matches_the_reference(self, restarts):
+        hamiltonian = pq.IntegralHamiltonian(random_integral_set(3, 2, seed=5))
+        ansatz = pq.build_upccgsd(3, 2)
+        result = pq.run_vqe(hamiltonian, ansatz, restarts=restarts, seed=11)
+        expected = reference_run_vqe(hamiltonian, ansatz, restarts=restarts, seed=11)
+        assert _bits(result) == _bits(expected)
+
+    def test_a_negative_seed_fails_before_any_evaluation(self, h2_sto3g, monkeypatch):
+        calls = []
+        monkeypatch.setattr(optimize, "ansatz_expectation", lambda *args: calls.append(args))
+        with pytest.raises(ValueError):
+            pq.run_vqe(pq.IntegralHamiltonian(h2_sto3g["mo"]), pq.build_upccgsd(2, 2), seed=-1)
+        assert not calls

@@ -708,14 +708,28 @@ class TestCLI:
         assert code == 0
         assert "0.0100000000 hartree" in capsys.readouterr().out
 
-    def test_metrics_barrier_refuses_a_non_finite_energy(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_metrics_barrier_refuses_a_non_finite_energy(self, tmp_path, capsys, field):
         curve = tmp_path / "curve.csv"
-        curve.write_text("coordinate,e_vqe\n0.5,-56.01\n1.0,nan\n")
+        curve.write_text(f"coordinate,e_vqe\n0.5,-56.01\n1.0,{field}\n")
         code = cli.main(["metrics", str(curve), "--barrier-at", "1.0", "0.5"])
         assert code == 1
         captured = capsys.readouterr()
         assert "barrier" not in captured.out
-        assert "error: barrier needs finite energies" in captured.err
+        assert captured.err == f"error: {curve}, line 3: {field!r} is not a number\n"
+
+    @pytest.mark.parametrize("row, field", [("0.5 nan", "nan"), ("-inf -1.0", "-inf")])
+    def test_metrics_refuses_a_non_finite_reference(self, tmp_path, capsys, row, field):
+        # a reference row 0.5 nan once loaded, and NPE and MAX printed nan
+        curve = tmp_path / "curve.csv"
+        curve.write_text("coordinate,e_vqe\n0.5,-1.0\n")
+        ref = tmp_path / "ref.dat"
+        ref.write_text(f"0.4 -1.01\n{row}\n")
+        code = cli.main(["metrics", str(curve), "--reference", str(ref)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "NPE" not in captured.out
+        assert captured.err == f"error: {ref}, line 2: {field!r} is not a number\n"
 
     @pytest.mark.parametrize("text, where", [
         ("", "line 1: no column 'e_vqe' in the header"),
@@ -779,6 +793,27 @@ class TestCLI:
         assert cli.main([command, "--config", config, "--freeze", "1"]) == 1
         assert ran == []
         assert "error: freeze [1]: can only freeze the 1 occupied orbitals" in capsys.readouterr().err
+
+    def test_unoccupied_frozen_orbital_gets_one_message_from_either_source(
+            self, tmp_path, capsys, h2_sto3g):
+        # an FCIDUMP source once failed inside pno.freeze_core with another message
+        dump = tmp_path / "h2.fcidump"
+        pq.write_fcidump(h2_sto3g["mo"], dump)
+        cfg = tmp_path / "h2-dump.cfg"
+        cfg.write_text(f"[integrals]\nsource = fcidump\nfcidump = {dump}\n[space]\nnq = 4\n")
+        errors = []
+        for config in (str(cfg), str(ROOT / "demos" / "h2_sto3g.cfg")):
+            assert cli.main(["vqe", "--config", config, "--freeze", "1"]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: freeze [1]: can only freeze the 1 occupied orbitals\n"] * 2
+
+    def test_negative_seed_is_refused_before_any_work(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(workbench, "molecular_integrals", lambda *args: ran.append(args))
+        config = str(ROOT / "demos" / "h2_sto3g.cfg")
+        assert cli.main(["vqe", "--config", config, "--seed", "-1"]) == 1
+        assert ran == []
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     def test_freeze_override(self, tmp_path, capsys, lih_like):
         dump = tmp_path / "lih.fcidump"
