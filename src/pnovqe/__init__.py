@@ -3,9 +3,10 @@
 The pipeline: molecular integrals (built-in s-Gaussian engine or FCIDUMP)
 -> restricted Hartree-Fock -> MP2 pair densities -> globally ranked PNO
 selection under a qubit budget -> Cholesky orthonormalization -> compact
-integrals on 2 qubits per kept orbital -> their (N, S_z) sector matrix by
-Slater-Condon rules -> pair coupled-cluster VQE there, checked against exact
-diagonalization of that matrix. Jordan-Wigner runs only for Pauli text.
+integrals on 2 qubits per kept orbital -> their (N, S_z) sector, where the
+Hamiltonian acts by a determinant sigma from its one-electron moves, with no
+Hamiltonian matrix stored -> pair coupled-cluster VQE there, checked against
+a Davidson solve of the same operator. Jordan-Wigner runs only for Pauli text.
 """
 
 __version__ = "0.1.0"

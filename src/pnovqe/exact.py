@@ -1,29 +1,35 @@
 """Exact diagonalization of sector Hamiltonians and the paired encoding.
 
-Every solve runs on a basis its caller names, of a register of at most
-``_MAX_SECTOR_QUBITS`` = 24 qubits; there is no full-register solve. Every
-sector is built from spin-up and spin-down strings by the one rule that
-``sector_basis`` states, and every basis, built here or passed in, is
-checked by ``_checked_states`` before ``_locate`` searches it. A point's
-exact solve runs on the sector its VQE sweeps read, so both read
-one cached sector matrix: ``determinant_matrix`` of the compact integrals
-(Slater-Condon rules per determinant), through ``IntegralHamiltonian`` or
-its paired restriction. One rule, ``between``, signs that matrix's entries
-and the circuit factors (``_factors``), and both find images in a basis by
-``_locate``. ``IntegralSet`` refuses asymmetric h and g, so
-every sector matrix is real symmetric, stored as float64, and every solve
-runs in real arithmetic. Bases of up to ``_DENSE_DIM`` states get the
-lowest pair of numpy's dense ``eigh``, larger ones a Davidson solve with
-the diagonal as preconditioner from a seeded start, so reruns give the
-same bits; the crossover was measured on real sector matrices.
-``_sector_matrix`` is the one check before a sector matrix is read, here
-and in the simulator: the Hamiltonian's register is the basis'.
+Every solve runs on a basis its caller names; there is no full-register
+solve. Every sector is built from spin-up and spin-down strings by the one
+rule that ``sector_basis`` states, and every basis, built here or passed
+in, is checked by ``_checked_states`` before ``_locate`` searches it. A
+point's exact solve runs on the sector its VQE sweeps read, so both read
+one operator per (Hamiltonian, basis), kept on the Hamiltonian and found
+through ``_sector_operator``, the one check that the Hamiltonian's
+register is the basis'. An operator has ``@`` (on a vector or a (dim, k)
+block) and ``diagonal()``.
+
+For an ``IntegralHamiltonian`` it is ``_StringSigma``, the direct
+determinant sigma of Knowles and Handy (Chem. Phys. Lett. 1984) on the
+spin-up x spin-down string grids whose union is the basis (``_grids``):
+the one-spin moves of E_pq + E_qp (p >= q) per string, signed by the
+determinant rule ``between``, make a sparse table of the one-electron
+operators on the basis, which one GEMM with the two-electron integrals
+joins; the diagonal is in closed form. No Hamiltonian matrix is stored. The same rule signs the circuit
+factors (``_factors``), and both find images in a basis by ``_locate``.
+``IntegralSet`` refuses asymmetric h and g, so every operator is real
+symmetric and every solve runs in real arithmetic: the Davidson solve
+(``_davidson``), with the diagonal as preconditioner from a seeded start,
+so reruns give the same bits. ``_check_solvable`` refuses a sector whose
+sigma and Davidson arrays would not fit in physical memory, by an
+estimate from the orbital and electron counts alone.
 
 The paired (seniority-zero) encoding gives one qubit to each spatial
 orbital, halving the register relative to the spin-orbital encoding: qubit
 p set is the orbital doubly occupied (Elfving et al., PRA 2021).
-``PairedHamiltonian`` reads ``determinant_matrix`` on the determinants with
-spin-orbitals 2p and 2p + 1 occupied for every set qubit p; its entries are
+``PairedHamiltonian``'s operator is the sparse matrix of the closed form in
+``build_paired_hamiltonian``'s docstring on pair states; its entries are
 locked in by a test against the seniority-zero projection of the full
 Jordan-Wigner Hamiltonian. Its circuit, ``build_paired_ansatz``, is built
 in ``ansatz`` with the other generators.
@@ -31,6 +37,8 @@ in ``ansatz`` with the other generators.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -39,25 +47,18 @@ import numpy as np
 import scipy.sparse
 
 from .integrals import IntegralSet
-from .operators import COEFF_CUTOFF
 
-# Real compact-Hamiltonian sectors (H2 s10, LiH model, H8 STO-3G), one BLAS thread,
-# median of 15: np.linalg.eigh 0.3 / 0.9-1.3 / 3.4-5.3 / 21-30 ms at dim 64 / 100 /
-# 225 / 441, _davidson 2.2-2.4 / 0.9-3.1 / 1.0-2.1 / 3.4-5.1 ms
-_DENSE_DIM = 128
 _DAVIDSON_SUBSPACE, _DAVIDSON_MAX_MATVECS = 24, 1000
-_MAX_SECTOR_QUBITS = 24
-# Rows per block of ``determinant_matrix``: the 22-qubit H6 sector took 4.8 s
-# at 64 rows against 5.0-5.7 s at 16, 32, 128 and 256 rows (2 cores)
-_DETERMINANT_BLOCK = 64
+# the interpreter, numpy, scipy.sparse and a point's integrals: 51-63 MiB at the H6 points, rounded up
+_BASE_BYTES = 100 << 20
 
 
 def _checked_states(states, n_qubits: int) -> np.ndarray:
     """A read-only int64 copy of ``states``, if they are nonempty strictly increasing register bitmasks.
 
     Any other ``states`` are a ``ValueError``. ``_locate`` finds images by
-    binary search, so every basis it searches (``SectorBasis.states`` and
-    ``determinant_matrix``'s determinants) passes here.
+    binary search, so every basis it searches (``SectorBasis.states``)
+    passes here.
     """
     states = np.array(states, dtype=np.int64)
     if not states.size:
@@ -95,9 +96,14 @@ def _spread(strings):
 
 
 def _strings(n_orbitals: int, n_occupied: int) -> np.ndarray:
-    """Every string of ``n_occupied`` of ``n_orbitals`` orbitals, spread (``_spread``), as int64."""
-    strings = [sum(1 << p for p in chosen) for chosen in combinations(range(n_orbitals), n_occupied)]
-    return _spread(np.array(strings, dtype=np.int64))
+    """Every string of ``n_occupied`` of ``n_orbitals`` orbitals, bit p for orbital p, ascending int64."""
+    return np.sort(np.array([sum(1 << p for p in chosen)
+                             for chosen in combinations(range(n_orbitals), n_occupied)], dtype=np.int64))
+
+
+def _grid(n_qubits: int, n_up: int, n_down: int) -> np.ndarray:
+    """The determinants of ``n_up`` and ``n_down`` electrons: spin-up string by row, spin-down by column."""
+    return _spread(_strings((n_qubits + 1) // 2, n_up))[:, None] | _spread(_strings(n_qubits // 2, n_down)) << 1
 
 
 def sector_basis(n_qubits: int, n_particles: int, two_sz: int | None = None) -> SectorBasis:
@@ -120,8 +126,7 @@ def _sector_basis(n_qubits: int, n_particles: int, two_sz: int | None) -> Sector
     if two_sz is not None and (n_particles + two_sz) % 2 != 0:
         raise ValueError("incompatible particle number and 2*S_z parity")
     n_up = range(n_particles + 1) if two_sz is None else [(n_particles + two_sz) // 2]
-    sectors = [_strings((n_qubits + 1) // 2, k)[:, None] | _strings(n_qubits // 2, n_particles - k) << 1
-               for k in n_up if 0 <= k <= n_particles]
+    sectors = [_grid(n_qubits, k, n_particles - k) for k in n_up if 0 <= k <= n_particles]
     return SectorBasis(n_qubits, np.sort(np.concatenate([np.zeros(0, np.int64), *sectors], axis=None)))
 
 
@@ -148,42 +153,6 @@ def _locate(states, images):
     """
     column = np.minimum(np.searchsorted(states, images), len(states) - 1)
     return column, states[column] == images
-
-
-def _determinant_block(block, states, core, h, anti, exchange):
-    """Rows ``block`` of the determinant matrix as (row, column, value) entries, by row then column."""
-    m, n, b = h.shape[0], int(block[0]).bit_count(), len(block)
-    bits = (block[:, None] >> np.arange(m)) & 1
-    occ, vir = np.nonzero(bits)[1].reshape(b, n), np.nonzero(1 - bits)[1].reshape(b, m - n)
-    row = block[:, None, None]
-    (ki, kj), (va, vb) = np.triu_indices(n, 1), np.triu_indices(m - n, 1)
-    # diagonal: core + sum_k h_kk + sum_{k<l} <kl||kl>
-    i, j = occ[:, ki], occ[:, kj]
-    diag = core + h[occ, occ].sum(axis=1) + anti[((i * m + j) * m + i) * m + j].sum(axis=1)
-    # singles i -> a: h_ai + sum_k <ak||ik>
-    i, a = occ[:, :, None], vir[:, None, :]
-    single = h[a, i] + exchange[((a * m + i) * m)[..., None] + occ[:, None, None, :]].sum(axis=-1)
-    flip_s = (1 << i) | (1 << a)
-    odd_s = np.bitwise_count(row & between(np.minimum(i, a), np.maximum(i, a)))
-    # doubles i < j -> a < b: <ab||ij>
-    i, j, a, c = occ[:, ki, None], occ[:, kj, None], vir[:, None, va], vir[:, None, vb]
-    double = anti[((a * m + c) * m + i) * m + j]
-    holes = (1 << i) | (1 << j)
-    rest = row ^ holes
-    odd_d = np.bitwise_count(rest & between(i, j)) + np.bitwise_count(rest & between(a, c))
-    flip_d = holes | (1 << a) | (1 << c)
-    keys, values = [], []
-    for value, flip, odd in ((diag, 0, 0), (single, flip_s, odd_s), (double, flip_d, odd_d)):
-        keep = ~(np.abs(value) < COEFF_CUTOFF)
-        shape = (b,) + (1,) * (value.ndim - 1)
-        key = np.left_shift(np.arange(b).reshape(shape), m) | (block.reshape(shape) ^ flip)
-        keys.append(np.broadcast_to(key, value.shape)[keep])
-        values.append(np.where(odd & 1, -value, value)[keep])
-    # keys row << m | image sort by row, then image: a row's columns come out sorted
-    order = np.argsort(np.concatenate(keys))
-    key, value = np.concatenate(keys)[order], np.concatenate(values)[order]
-    column, found = _locate(states, key & ((1 << m) - 1))
-    return key[found] >> m, column[found], value[found]
 
 
 def _factors(generators, basis: SectorBasis) -> list:
@@ -213,116 +182,185 @@ def _factors(generators, basis: SectorBasis) -> list:
     return factors
 
 
-def determinant_matrix(mo: IntegralSet, states: np.ndarray):
-    """The Hamiltonian of ``mo`` on a sorted fixed-N basis of determinants, as a real read-only CSR.
+@lru_cache(maxsize=16)
+def _string_moves(n_orb: int, n_occ: int) -> tuple:
+    """(occupations, pair, string, image, sign): E_pq + E_qp (p >= q) on the ascending strings (``_strings``).
 
-    Bit q of a state occupies spin-orbital q of the 2 * ``mo.n_orb``,
-    interleaved as in ``operators``. Per determinant: the diagonal, every
-    single i -> a (h_ai + sum_k <ak||ik>) and double i < j -> a < b
-    (<ab||ij>), with the Jordan-Wigner sign (``between``) of a+_a (a+_b a_j) a_i; images
-    outside ``states`` and entries below ``COEFF_CUTOFF`` are dropped.
-    Blocks of ``_DETERMINANT_BLOCK`` rows fill, in order, arrays sized by the
-    spin-conserving excitation count; each entry's operations are
-    elementwise, so the block size changes no bit.
+    Move i takes string ``string[i]`` to string ``image[i]`` (indices into
+    the strings) with ``sign[i]`` in pair ``pair[i]`` = p (p + 1) / 2 + q,
+    E_pp taken once: where a+_p a_q or a+_q a_p moves an electron of the
+    string to an empty orbital, signed by the parity of the string's
+    electrons strictly between p and q (``between``), and, for p = q, where
+    the string holds p. Every pair's moves are symmetric.
     """
-    states, n_qubits = _checked_states(states, 2 * mo.n_orb), 2 * mo.n_orb
-    dim, counts = len(states), np.unique(np.bitwise_count(states))
-    if counts.size != 1:
-        raise ValueError("the determinant matrix needs a fixed-particle-number basis")
-    if n_qubits + (_DETERMINANT_BLOCK - 1).bit_length() > 63:
-        raise ValueError("a block's (row, image) keys overflow int64 on this register")
-    # h_PQ and <PQ||RS> with <PQ|RS> = <pq|rs> d(s_P, s_R) d(s_Q, s_S) over interleaved
-    # spin-orbitals: spin-forbidden entries are (signed) zeros
-    eye = np.eye(2)
-    h, g = np.kron(mo.h, eye), np.kron(mo.g, np.einsum("ac,bd->abcd", eye, eye))
-    anti = g - g.transpose(0, 1, 3, 2)
-    tables = (float(mo.core_energy), h, anti.ravel(), np.einsum("akik->aik", anti).ravel())
-    # a row holds at most 1 + its spin-conserving singles and doubles
-    up = np.bitwise_count(states & _spread((1 << mo.n_orb) - 1)).astype(np.int64)
-    n = int(counts[0])
-    dn, up_holes, dn_holes = n - up, mo.n_orb - up, mo.n_orb - n + up
-    pairs = up * (up - 1) * up_holes * (up_holes - 1) + dn * (dn - 1) * dn_holes * (dn_holes - 1)
-    bound = int(np.sum(1 + up * up_holes + dn * dn_holes + up * dn * up_holes * dn_holes + pairs // 4))
-    data, indices, indptr = np.empty(bound), np.empty(bound, np.int32), np.zeros(dim + 1, np.int64)
-    for lo in range(0, dim, _DETERMINANT_BLOCK):
-        block = states[lo:lo + _DETERMINANT_BLOCK]
-        rows, columns, values = _determinant_block(block, states, *tables)
-        start = indptr[lo]
-        data[start:start + values.size], indices[start:start + values.size] = values, columns
-        indptr[lo + 1:lo + 1 + len(block)] = start + np.cumsum(np.bincount(rows, minlength=len(block)))
-    # the tail past nnz was never written, so it takes no resident memory
-    mat = scipy.sparse.csr_matrix((data[:indptr[-1]], indices[:indptr[-1]], indptr), shape=(dim, dim))
-    for array in (mat.data, mat.indices, mat.indptr):
-        array.flags.writeable = False   # the cached matrix is shared
-    return mat
+    strings = _strings(n_orb, n_occ)
+    occupations = (strings[:, None] >> np.arange(n_orb)) & 1
+    empty_or_same = np.eye(n_orb, dtype=np.int64) | 1 - occupations[:, :, None]
+    string, p, q = np.nonzero(occupations[:, None, :] & empty_or_same)   # q occupied, p empty or q
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    odd = np.bitwise_count(strings[string] & np.where(p == q, 0, between(lo, hi))) & 1
+    image = np.searchsorted(strings, strings[string] ^ (1 << p) ^ (1 << q))
+    return occupations, hi * (hi + 1) // 2 + lo, string, image, np.where(odd, -1.0, 1.0)
+
+
+def _grids(basis: SectorBasis):
+    """Yield (n_up, n_down, positions, phases) of each spin grid (``_grid``) whose union is the basis.
+
+    ``positions[I, J]`` is where the basis holds the determinant of spin-up
+    string I and spin-down string J, and ``phases[I, J]`` its sign in the
+    basis' order: a grid determinant puts its spin-up creators before its
+    spin-down ones, which in ascending qubit order takes (-1)^k, k its
+    (spin up at p, spin down at q) pairs with p > q. A basis that is not an
+    (N, S_z) or an N sector of its (even) register is a ``ValueError``.
+    """
+    states, n_qubits = basis.states, basis.n_qubits
+    n, below = int(states[0]).bit_count(), np.tril(np.ones((n_qubits // 2,) * 2, np.int64), -1)
+    up = np.bitwise_count(states & _spread((1 << (n_qubits + 1) // 2) - 1))
+    two_sz = 2 * int(up[0]) - n if np.all(up == up[0]) else None
+    if np.any(np.bitwise_count(states) != n) or not np.array_equal(
+            states, sector_basis(n_qubits, n, two_sz).states):
+        raise ValueError("the sector operator needs an (N, S_z) or an N sector basis")
+    for k in np.unique(up).tolist():
+        crossed = _string_moves(n_qubits // 2, k)[0] @ below @ _string_moves(n_qubits // 2, n - k)[0].T
+        yield k, n - k, np.searchsorted(states, _grid(n_qubits, k, n - k)), 1 - 2.0 * (crossed & 1)
+
+
+def _physical_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_solvable(n_orb: int, *grids) -> None:
+    """Refuse a basis of (n_up, n_down) spin ``grids`` of ``n_orb`` orbitals past physical memory.
+
+    The estimate needs only the counts, with dim = sum C(n_orb, n_up)
+    C(n_orb, n_down): 4 arrays of pairs x dim float64 for the sigma's
+    table, the part it builds at a time and its two products D and G; 2 x
+    ``_DAVIDSON_SUBSPACE`` x dim float64 for the Davidson subspace; and
+    ``_BASE_BYTES``. The 22- and 26-qubit H6 points peak at 0.74 and 0.78
+    of it.
+    """
+    dim = sum(math.comb(n_orb, n_up) * math.comb(n_orb, n_down) for n_up, n_down in grids)
+    need = (2 * n_orb * (n_orb + 1) + 2 * _DAVIDSON_SUBSPACE) * 8 * dim + _BASE_BYTES
+    if need > _physical_bytes():
+        raise ValueError(f"the exact solve of {' or '.join(f'{u} + {d}' for u, d in grids)} electrons in "
+                         f"{n_orb} orbitals needs about {need} bytes, past the {_physical_bytes()} bytes "
+                         "of physical memory")
+
+
+class _StringSigma:
+    """An ``IntegralSet``'s Hamiltonian on a sector basis, applied by its one-electron moves, never stored.
+
+    H = core + sum_pq k_pq E_pq + 1/2 sum_pqrs (pq|rs) E_pq E_rs, with E_pq
+    summed over both spins and k = h - 1/2 sum_r (pr|rq) (Knowles and
+    Handy, CPL 1984). The table E, a CSC of shape (pairs x dim, dim), holds
+    <j|E_pq + E_qp|i> for the pairs p >= q in row pq x dim + i: each spin
+    grid's string moves (``_string_moves``) at every string of the other
+    spin, placed and signed in the basis by ``_grids``. A product is D = E
+    C, G = (1/2 (pq|rs) + k_pq d_rs / N) D in one GEMM, since sum_r E_rr C
+    = N C on a basis of N electrons, and sigma = E^T G + core C. The
+    diagonal is in closed form.
+    """
+
+    def __init__(self, mo: IntegralSet, basis: SectorBasis):
+        n, dim, grids = mo.n_orb, basis.dim, list(_grids(basis))
+        chem = mo.g.transpose(0, 2, 1, 3)   # (pq|rs) = <pr|qs>
+        p, q = np.tril_indices(n)
+        one = (mo.h - 0.5 * np.einsum("prrq->pq", chem))[p, q]
+        self._coupling = 0.5 * chem[p, q][:, p, q] + np.outer(one, p == q) / max(sum(grids[0][:2]), 1)
+        coulomb, exchange = np.einsum("ppqq->pq", chem), np.einsum("pqqp->pq", chem)
+        self._core, self._diagonal, parts = float(mo.core_energy), np.empty(dim), []
+        _check_solvable(n, *(grid[:2] for grid in grids))
+        for n_up, n_down, positions, phases in grids:
+            (up, *up_moves), (down, *down_moves) = _string_moves(n, n_up), _string_moves(n, n_down)
+            own = [o @ np.diag(mo.h) + 0.5 * ((o @ (coulomb - exchange)) * o).sum(1) for o in (up, down)]
+            self._diagonal[positions] = self._core + own[0][:, None] + own[1] + up @ coulomb @ down.T
+            # a spin-up move at every spin-down string, a spin-down move at every spin-up string;
+            # one CSC per part, summed, so that only one part's (row, column) entries are held
+            for (pair, string, image, sign), at, sign_at in ((up_moves, positions, phases),
+                                                             (down_moves, positions.T, phases.T)):
+                entries = (sign[:, None] * sign_at[string] * sign_at[image]).ravel(), (
+                    (pair[:, None] * dim + at[string]).ravel(), at[image].ravel())
+                parts.append(scipy.sparse.csc_matrix(entries, shape=(len(one) * dim, dim)))
+        self._table = sum(parts[1:], parts[0])
+        self._transpose = self._table.T   # a CSR view of the same arrays
+
+    def diagonal(self) -> np.ndarray:
+        return self._diagonal
+
+    def __matmul__(self, vector: np.ndarray) -> np.ndarray:
+        d = self._table @ vector   # a vector, or a (dim, k) block
+        g = self._coupling @ d.reshape(len(self._coupling), -1)
+        return self._transpose @ g.reshape(d.shape) + self._core * vector
+
+
+def _pair_matrix(mo: IntegralSet, basis: SectorBasis):
+    """``build_paired_hamiltonian``'s closed form on a basis of pair states, as a real CSR.
+
+    The diagonal is core + sum_p 2 h_pp n_p + 1/2 sum_pq (4 <pq|pq> - 2 <pq|qp>)
+    n_p n_q (its p = q terms are the <pp|pp> of the pair energies), and
+    <pp|qq> joins states that differ by one pair moved between p and q; a
+    move whose image lies outside the basis is dropped.
+    """
+    n, g, states = mo.n_orb, mo.g, basis.states
+    _check_solvable(n, *((n_pairs, 0) for n_pairs in np.unique(np.bitwise_count(states)).tolist()))
+    occ = (states[:, None] >> np.arange(n)) & 1
+    pair_pair = 4 * np.einsum("pqpq->pq", g) - 2 * np.einsum("pqqp->pq", g)
+    diagonal = mo.core_energy + occ @ (2 * np.diag(mo.h)) + 0.5 * ((occ @ pair_pair) * occ).sum(1)
+    row, p, q = np.nonzero(occ[:, :, None] & (1 - occ[:, None, :]))
+    column, found = _locate(states, states[row] ^ (1 << p) ^ (1 << q))
+    hops = (np.einsum("ppqq->pq", g)[p, q][found], (row[found], column[found]))
+    return (scipy.sparse.diags(diagonal) + scipy.sparse.csr_matrix(hops, shape=(len(states),) * 2)).tocsr()
 
 
 class IntegralHamiltonian:
     """The Hamiltonian of an ``IntegralSet`` on its 2 * ``n_orb`` spin-orbitals.
 
-    The simulator and ``exact_ground_energy`` read its ``n_qubits`` and its
-    ``matrix``: ``determinant_matrix`` on the basis' determinants, cached per basis.
+    The simulator and ``exact_ground_energy`` read its ``n_qubits`` and,
+    through ``_sector_operator``, its operator on a basis, a ``_StringSigma``
+    kept per basis.
     """
 
-    __slots__ = ("integrals", "n_qubits", "_compiled")
+    __slots__ = ("integrals", "n_qubits", "_operators")
+    _qubits_per_orbital, _operator = 2, _StringSigma   # _operator(integrals, basis)
 
     def __init__(self, integrals: IntegralSet):
-        self.integrals, self.n_qubits, self._compiled = integrals, 2 * integrals.n_orb, {}
-
-    def _determinants(self, states: np.ndarray) -> np.ndarray:
-        """The spin-orbital bitmasks of basis states: here the states themselves."""
-        return states
-
-    def matrix(self, states):
-        states = np.asarray(states, dtype=np.int64)
-        key = states.tobytes()
-        if key not in self._compiled:
-            self._compiled[key] = determinant_matrix(self.integrals, self._determinants(states))
-        return self._compiled[key]
+        self.integrals, self._operators = integrals, {}
+        self.n_qubits = self._qubits_per_orbital * integrals.n_orb
 
 
 class PairedHamiltonian(IntegralHamiltonian):
     """The seniority-zero restriction of an ``IntegralSet``'s Hamiltonian, on ``n_orb`` qubits.
 
-    Qubit p set is spatial orbital p doubly occupied, so bit p of a state
-    becomes spin-orbitals 2p and 2p + 1 of its determinant. The map keeps
-    the order of states, so a sorted basis stays sorted.
+    Qubit p set is spatial orbital p doubly occupied; its operator on a
+    basis of pair states is ``_pair_matrix``.
     """
 
     __slots__ = ()
-
-    def __init__(self, integrals: IntegralSet):
-        super().__init__(integrals)
-        self.n_qubits = integrals.n_orb
-
-    def _determinants(self, states: np.ndarray) -> np.ndarray:
-        return 3 * _spread(states)
+    _qubits_per_orbital, _operator = 1, staticmethod(_pair_matrix)
 
 
-def _sector_matrix(op: IntegralHamiltonian, basis: SectorBasis):
-    """The cached matrix of a Hamiltonian on a basis of its register."""
+def _sector_operator(op: IntegralHamiltonian, basis: SectorBasis):
+    """A Hamiltonian's operator on a basis of its register, built on first use and kept on the Hamiltonian."""
     if not isinstance(op, IntegralHamiltonian):
         raise TypeError(f"IntegralHamiltonian or PairedHamiltonian expected, got {type(op).__name__}")
     if op.n_qubits != basis.n_qubits:
         raise ValueError("operator register does not match the basis")
-    return op.matrix(basis.states)
-
-
-def _check_solvable(n_qubits: int) -> None:
-    """Refuse a register past the exact-solve cap."""
-    if n_qubits > _MAX_SECTOR_QUBITS:
-        raise ValueError(f"sector diagonalization limited to {_MAX_SECTOR_QUBITS} qubits")
+    key = basis.states.tobytes()
+    if key not in op._operators:
+        op._operators[key] = op._operator(op.integrals, basis)
+    return op._operators[key]
 
 
 def _davidson(mat) -> tuple:
-    """Lowest eigenpair of a real symmetric sparse matrix, shaped as ``eigh``'s (Davidson, 1975).
+    """(lowest eigenvalue, its eigenvector) of a real symmetric operator (Davidson, 1975).
 
     The start is the lowest-diagonal determinant plus a seeded random admixture of
     norm 1e-2 (1e-2 per component took 4x the products), which gives every symmetry
     block weight. Each step adds Olsen's correction (D - theta)^-1 (r - e x), D the
     diagonal, x the Ritz vector, r its residual and e such that the correction is
     orthogonal to x (Olsen et al., Chem. Phys. Lett. 1990); it stays new where D is
-    exact. A full subspace restarts on its 4 lowest Ritz vectors; r below 1e-9 ends it.
+    exact. A full subspace restarts on its 4 lowest Ritz vectors; r below 1e-9 ends it,
+    as it does once the subspace spans a space of fewer states than it holds.
     """
     diag = mat.diagonal()
     step = np.random.default_rng(12345).standard_normal(len(diag))
@@ -338,7 +376,7 @@ def _davidson(mat) -> tuple:
         vector = s[:, 0] @ basis[:k]
         residual = s[:, 0] @ images[:k] - theta[0] * vector
         if np.linalg.norm(residual) < 1e-9:
-            return theta[:1], vector[:, None]
+            return float(theta[0]), vector
         if k == _DAVIDSON_SUBSPACE:
             keep, k = s[:, :4].T, 4
             basis[:k], images[:k] = keep @ basis, keep @ images
@@ -354,16 +392,14 @@ def exact_ground_energy(op: IntegralHamiltonian, sector: SectorBasis):
     """Lowest eigenvalue and eigenvector of a Hamiltonian on a basis of its register.
 
     ``op`` is an ``IntegralHamiltonian`` or a ``PairedHamiltonian``, whose
-    sector matrix is real symmetric. Bases of up to ``_DENSE_DIM`` states are
-    solved densely, larger ones by ``_davidson``. The returned pair always
-    satisfies ||Hv - Ev|| < 1e-8 in the chosen basis; a Davidson solve that
-    reaches its matrix-vector cap is a ``RuntimeError``.
+    operator on the basis (``_sector_operator``) is real symmetric;
+    ``_davidson`` solves it. The returned pair always satisfies
+    ||Hv - Ev|| < 1e-8 in the chosen basis; a solve that reaches its
+    matrix-vector cap is a ``RuntimeError``.
     """
-    _check_solvable(op.n_qubits)
-    mat = _sector_matrix(op, sector)
-    evals, evecs = np.linalg.eigh(mat.toarray()) if sector.dim <= _DENSE_DIM else _davidson(mat)
-    energy, vector = float(evals[0]), evecs[:, 0]
-    residual = np.linalg.norm(mat @ vector - energy * vector)
+    operator = _sector_operator(op, sector)
+    energy, vector = _davidson(operator)
+    residual = np.linalg.norm(operator @ vector - energy * vector)
     if residual > 1e-8:
         raise RuntimeError(f"eigenpair residual {residual:.2e} exceeds 1e-8")
     return energy, vector

@@ -17,9 +17,9 @@ both; the identity is ``(0, 0)``. ``QubitOperator`` keys its terms by these
 pairs, and ``ExcitationGenerator.strings`` gives a generator's in the same
 form. A fermionic operator is a plain dict from ladder tuples,
 ``((index, is_creation), ...)``, to complex coefficients. There is no
-operator arithmetic, and no sector matrix is built from a Pauli sum: the
-exact solve and the VQE engine read ``exact.determinant_matrix`` of the
-integrals.
+operator arithmetic, and no sector operator is built from a Pauli sum: the
+exact solve and the VQE engine apply the integrals directly, by the
+determinant sigma of ``exact``.
 
 ``build_hamiltonian`` and ``jordan_wigner`` are array code that works on
 fixed blocks of products. Part of their determinism contract is that every
@@ -58,8 +58,8 @@ class QubitOperator:
     """
 
     __slots__ = ("n_qubits", "_terms")
-    # no sector matrix is ever compiled from a Pauli sum (sector matrices come
-    # from ``exact.determinant_matrix``); ``bench/test_bench.py`` reads this
+    # no sector operator is ever compiled from a Pauli sum (sector operators
+    # apply the integrals, in ``exact``); ``bench/test_bench.py`` reads this
     _compiled = None
 
     def __init__(self, n_qubits: int, terms: dict | None = None):

@@ -19,8 +19,8 @@ whichever of the energy and the gradient needs it first.
 VQE energies and gradients run on the circuit's sector, ``Ansatz.basis``.
 The Hamiltonian is an ``exact.IntegralHamiltonian`` or its paired
 restriction, and the exact solve of a point uses the same basis and reads
-the same cached real ``matrix`` of it (``exact.determinant_matrix``)
-through the same check, ``exact._sector_matrix``. The gradient is the
+the same kept real operator on it (the string sigma, or the paired closed
+form) through the same check, ``exact._sector_operator``. The gradient is the
 adjoint sweep (Jones and Gacon, arXiv:2009.02823): it rotates a copy of H
 psi alone backwards through the factors and reads each derivative from the
 kept rotation inputs, so one parameter point costs one forward sweep, one
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import Ansatz
-from .exact import IntegralHamiltonian, SectorBasis, _factors, _locate, _sector_matrix
+from .exact import IntegralHamiltonian, SectorBasis, _factors, _locate, _sector_operator
 
 
 def _basis_vector(basis: SectorBasis, occupied) -> np.ndarray:
@@ -83,7 +83,7 @@ class _Circuit:
     factors: tuple
     reference: np.ndarray
     last: tuple = (None, None, ())    # (parameter bytes, read-only state, signed rotation inputs)
-    applied: tuple = (None, None)     # (operator, read-only matrix @ last state)
+    applied: tuple = (None, None)     # (Hamiltonian, read-only H @ last state)
 
 
 def _parameters(ansatz: Ansatz, theta) -> np.ndarray:
@@ -117,14 +117,14 @@ def _sector_state(ansatz: Ansatz, theta) -> tuple:
 
 
 def _applied(op: IntegralHamiltonian, basis: SectorBasis, circuit: _Circuit) -> np.ndarray:
-    """The operator's sector matrix times the circuit's last state, read-only.
+    """The Hamiltonian's operator on the basis times the circuit's last state, read-only.
 
     Formed once per (state, operator): the energy and the gradient at one
     parameter point share it, and another operator never reads it.
     """
     kept_op, h_psi = circuit.applied
     if kept_op is not op:
-        h_psi = _sector_matrix(op, basis) @ circuit.last[1]
+        h_psi = _sector_operator(op, basis) @ circuit.last[1]
         h_psi.flags.writeable = False
         circuit.applied = (op, h_psi)
     return h_psi

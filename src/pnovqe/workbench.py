@@ -322,10 +322,12 @@ def build_ansatz_for(config: RunConfig, stage: dict):
 def fci_energy(hamiltonian: IntegralHamiltonian) -> float:
     """E_FCI: the ground state of the Hamiltonian's (N, S_z = 0) sector, where the VQE runs.
 
-    A register past the exact-solve cap is refused before its sector is enumerated.
+    A sector whose exact solve would not fit in physical memory is refused
+    before it is enumerated.
     """
-    _check_solvable(hamiltonian.n_qubits)
-    sector = sector_basis(hamiltonian.n_qubits, hamiltonian.integrals.n_electrons, 0)
+    mo = hamiltonian.integrals
+    _check_solvable(mo.n_orb, (mo.n_occ, mo.n_occ))
+    sector = sector_basis(hamiltonian.n_qubits, mo.n_electrons, 0)
     return exact_ground_energy(hamiltonian, sector)[0]
 
 
@@ -337,8 +339,8 @@ def run_point(config: RunConfig, coordinate=None) -> dict:
     resources = count_resources(ansatz)
     final = stage["final"]
     hamiltonian = IntegralHamiltonian(final)
-    # first, so that a register past the exact-solve cap is refused before
-    # the VQE; both read the one cached sector matrix
+    # first, so that a sector past physical memory is refused before the
+    # VQE; both read the one kept sector operator
     e_fci = fci_energy(hamiltonian)
     vqe = run_vqe(
         hamiltonian,
@@ -559,11 +561,16 @@ def _number(path, lineno: int, text: str) -> float:
 
 
 def load_reference(path) -> dict:
-    """Read (coordinate, energy) rows from whitespace- or comma-separated text."""
+    """Read (coordinate, energy) rows from whitespace- or comma-separated text.
+
+    Blank lines and ``#`` comments are skipped, and so is line 1 if it
+    starts with a letter (a header); every other row must hold two finite
+    numbers (``_number``).
+    """
     table: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line[0].isalpha():
+        if not line or line.startswith("#") or (lineno == 1 and line[0].isalpha()):
             continue
         fields = line.replace(",", " ").split()
         if len(fields) < 2:

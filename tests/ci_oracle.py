@@ -41,11 +41,9 @@ reproduce, and central finite differences of the package's energy.
 ``register_basis`` is every bitmask of a register as a ``SectorBasis``,
 for the tests that probe the factors there, and ``symmetry_leaks`` reads
 a register matrix for the entries that would break N or S_z. The sector
-oracles filter every bitmask of a register by popcount and by its count
-of even (spin-up) qubits (``register_sector``), and spread a pair state to
-its determinant by a matrix product over its bits
-(``reference_paired_determinants``); the package builds both from spin
-strings.
+oracle filters every bitmask of a register by popcount and by its count
+of even (spin-up) qubits (``register_sector``); the package builds its
+sectors from spin strings.
 
 The full-register oracles at the end run nothing of the package's engine
 and read only an operator's terms (or a dense register matrix, as
@@ -841,12 +839,6 @@ def register_sector(n_qubits: int, n_particles: int, two_sz: int | None = None) 
     even = sum(1 << q for q in range(0, n_qubits, 2))
     return [m for m in range(1 << n_qubits) if m.bit_count() == n_particles
             and (two_sz is None or 2 * (m & even).bit_count() - n_particles == two_sz)]
-
-
-def reference_paired_determinants(states: np.ndarray) -> np.ndarray:
-    """Bit p of each pair state as spin-orbitals 2p and 2p + 1, by a matrix product over the bits."""
-    p = np.arange(int(states.max(initial=0)).bit_length())
-    return ((states[:, None] >> p) & 1) @ np.left_shift(3, 2 * p)
 
 
 def symmetry_leaks(op) -> tuple:

@@ -38,16 +38,13 @@ ROOT = Path(__file__).resolve().parents[1]
 UNLOADED_SCIPY = ("scipy.linalg", "scipy.special", "scipy.sparse.linalg")
 
 
-def loaded_after_run_point(dense_dim: int | None = None) -> list:
+def loaded_after_run_point() -> list:
     """The ``UNLOADED_SCIPY`` modules a fresh interpreter holds after ``import pnovqe``
-    and the xyz ``run_point`` of ``demos/h2_sto3g.cfg``, with ``exact._DENSE_DIM``
-    set to ``dense_dim`` unless None.
+    and the xyz ``run_point`` of ``demos/h2_sto3g.cfg``.
     """
-    lines = ["import sys, pnovqe"]
-    if dense_dim is not None:
-        lines += ["from pnovqe import exact", f"exact._DENSE_DIM = {dense_dim}"]
-    lines += [f"pnovqe.run_point(pnovqe.load_config({str(ROOT / 'demos' / 'h2_sto3g.cfg')!r}))",
-              f"print(*[name for name in {UNLOADED_SCIPY!r} if name in sys.modules])"]
+    lines = ["import sys, pnovqe",
+             f"pnovqe.run_point(pnovqe.load_config({str(ROOT / 'demos' / 'h2_sto3g.cfg')!r}))",
+             f"print(*[name for name in {UNLOADED_SCIPY!r} if name in sys.modules])"]
     code = "\n".join(lines)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p))
@@ -56,11 +53,16 @@ def loaded_after_run_point(dense_dim: int | None = None) -> list:
     return result.stdout.split()
 
 
+def sector_matrix(hamiltonian, basis) -> np.ndarray:
+    """The dense matrix of a Hamiltonian's sector operator: its product with the identity block."""
+    return pq.exact._sector_operator(hamiltonian, basis) @ np.eye(basis.dim)
+
+
 class CountingMatrix:
-    """A sector matrix that counts the products an iterative solve takes of it."""
+    """A sector operator that counts the products an iterative solve takes of it."""
 
     def __init__(self, mat):
-        self.mat, self.shape, self.matvecs = mat, mat.shape, 0
+        self.mat, self.matvecs = mat, 0
 
     def diagonal(self):
         return self.mat.diagonal()

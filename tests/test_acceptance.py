@@ -22,7 +22,7 @@ from ci_oracle import (
     seniority_zero_projection,
     symmetry_leaks,
 )
-from conftest import h2_big_integrals, lih_like_pipeline
+from conftest import h2_big_integrals, lih_like_pipeline, sector_matrix
 from test_ansatz import bh12_space, bh22_space, lih12_space, lih22_space
 from test_workbench import H2_INLINE, h2_config
 
@@ -168,7 +168,7 @@ def test_criterion_7_seniority_zero(lih_like_diag12):
         mo = random_integral_set(n_orb, 2, 100 + seed)
         h_full = pq.jordan_wigner(pq.build_hamiltonian(mo), 2 * n_orb)
         h_pair = pq.build_paired_hamiltonian(mo)
-        paired = [np.linalg.eigvalsh(h_pair.matrix(pq.sector_basis(n_orb, k).states).toarray())
+        paired = [np.linalg.eigvalsh(sector_matrix(h_pair, pq.sector_basis(n_orb, k)))
                   for k in range(n_orb + 1)]
         diff = np.max(
             np.abs(

@@ -1,14 +1,20 @@
-"""The sector matrix built from the compact integrals by the Slater-Condon rules.
+"""The sector operator that applies the compact integrals by their one-electron moves.
 
-``exact.determinant_matrix`` is checked against the determinant oracle
+``exact._StringSigma`` (its products, on a vector and on a (dim, k) block,
+and its closed-form diagonal) is checked against the determinant oracle
 ``ci_oracle.slater_condon_matrix`` and against the Jordan-Wigner route
 (``ci_oracle.reference_matrix`` of ``jordan_wigner(build_hamiltonian(mo))``)
-on random integrals and on every seed-0 benchmark point; its row blocks
-must change no bit. Its sign mask, ``exact.between``, is checked against
-the Jordan-Wigner sign of a hop and its image lookup, ``exact._locate``,
-against set membership. A point
-runs on it, and runs the Jordan-Wigner encoding only to write its
-``hamiltonian.txt``. Examples are derandomized.
+on random integrals, on (N, S_z) sectors with n_up != n_down and on N
+sectors (unions of spin grids), and on every seed-0 benchmark point. The
+Davidson solve of it matches ``eigvalsh`` of the oracle on tiny sectors,
+where the subspace can exhaust the space, and a basis that is not a sector
+is refused. Its string moves are checked against ladder operators on
+bitmasks (``ci_oracle.apply_ladder``), and its grid positions and signs
+against the sign of putting a grid determinant's creators in ascending
+order. Its sign mask, ``exact.between``, is checked against the
+Jordan-Wigner sign of a hop and its image lookup, ``exact._locate``,
+against set membership. A point runs on it, and runs the Jordan-Wigner
+encoding only to write its ``hamiltonian.txt``. Examples are derandomized.
 """
 
 import sys
@@ -20,12 +26,13 @@ from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe import cli, exact, workbench
-from pnovqe.exact import IntegralHamiltonian, determinant_matrix
-from pnovqe.operators import COEFF_CUTOFF
+from pnovqe.exact import IntegralHamiltonian, SectorBasis, _sector_operator
 
 from ci_oracle import (
-    random_integral_set, reference_jordan_wigner, reference_matrix, slater_condon_matrix,
+    apply_ladder, random_integral_set, reference_jordan_wigner, reference_matrix, register_sector,
+    slater_condon_matrix,
 )
+from conftest import sector_matrix
 
 BUILDER = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 RULE = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -36,9 +43,9 @@ def jw_matrix(mo, states):
 
 
 @st.composite
-def sectors(draw):
+def sectors(draw, orbitals=(1, 4)):
     """(integrals, basis): (N, S_z) or N sectors, open and closed shell."""
-    n_orb = draw(st.integers(1, 4))
+    n_orb = draw(st.integers(*orbitals))
     mo = random_integral_set(n_orb, 2, draw(st.integers(0, 10_000)))
     n_qubits = 2 * n_orb
     n_particles = draw(st.integers(0, n_qubits))
@@ -51,18 +58,107 @@ def sectors(draw):
 
 
 @BUILDER
-@given(sectors())
-def test_builder_matches_the_determinant_oracle_and_the_jordan_wigner_matrix(case):
+@given(sectors(), st.integers(0, 2**32 - 1))
+def test_sigma_matches_the_determinant_oracle_and_the_jordan_wigner_matrix(case, seed):
     mo, basis = case
-    mat = determinant_matrix(mo, basis.states)
-    assert mat.dtype == np.float64 and mat.has_sorted_indices
-    assert not mat.data.flags.writeable
-    assert np.all(np.abs(mat.data) >= COEFF_CUTOFF)
-    dense = mat.toarray()
-    jw = jw_matrix(mo, basis.states).toarray()
-    np.testing.assert_allclose(dense, jw.real, atol=1e-12, rtol=0)
+    operator = _sector_operator(IntegralHamiltonian(mo), basis)
     oracle = slater_condon_matrix(mo, [int(s) for s in basis.states])
-    np.testing.assert_allclose(dense, oracle, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(jw_matrix(mo, basis.states).toarray().real, oracle, atol=1e-12, rtol=0)
+    block = np.random.default_rng(seed).standard_normal((basis.dim, 3))
+    product = operator @ block
+    assert product.dtype == np.float64 and product.shape == block.shape
+    np.testing.assert_allclose(product, oracle @ block, atol=1e-12, rtol=0)
+    for k in range(3):
+        np.testing.assert_allclose(operator @ block[:, k], product[:, k], atol=1e-12, rtol=0)
+    np.testing.assert_allclose(operator.diagonal(), np.diag(oracle), atol=1e-12, rtol=0)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(sectors(orbitals=(1, 3)).filter(lambda case: case[1].dim <= 30))
+def test_davidson_matches_the_oracle_spectrum_on_tiny_sectors(case):
+    # dims 1-30: the 24-vector subspace can span the whole sector
+    mo, basis = case
+    energy, vector = pq.exact_ground_energy(IntegralHamiltonian(mo), basis)
+    oracle = slater_condon_matrix(mo, [int(s) for s in basis.states])
+    assert abs(energy - np.linalg.eigvalsh(oracle)[0]) < 1e-10
+    assert np.linalg.norm(oracle @ vector - energy * vector) < 1e-8
+
+
+@BUILDER
+@given(sectors(orbitals=(1, 3)), st.data())
+def test_a_basis_that_is_not_a_sector_is_refused(case, data):
+    # a sector with states dropped or added; the result is refused unless it
+    # happens to be another sector (``register_sector``)
+    mo, basis = case
+    n_qubits, states = basis.n_qubits, set(basis.states.tolist())
+    dropped = data.draw(st.sets(st.sampled_from(sorted(states))))
+    added = data.draw(st.sets(st.integers(0, 2**n_qubits - 1), max_size=3))
+    kept = sorted((states - dropped) | added) or [0]
+    sectors_of_register = [register_sector(n_qubits, n, two_sz) for n in range(n_qubits + 1)
+                           for two_sz in [None, *range(-n, n + 1, 2)]]
+    subset = SectorBasis(n_qubits, np.array(kept, dtype=np.int64))
+    if kept in sectors_of_register:
+        np.testing.assert_allclose(sector_matrix(IntegralHamiltonian(mo), subset),
+                                   slater_condon_matrix(mo, kept), atol=1e-12, rtol=0)
+    else:
+        with pytest.raises(ValueError, match=r"needs an \(N, S_z\) or an N sector basis"):
+            _sector_operator(IntegralHamiltonian(mo), subset)
+
+
+def _creators_sign(creators: list) -> tuple:
+    """(bitmask, sign) of a+_c1 a+_c2 ... |0> for ``creators`` c1, c2, ..., applied right to left."""
+    mask, sign = 0, 1.0
+    for c in reversed(creators):
+        mask, step = apply_ladder(mask, c, True)
+        sign *= step
+    return mask, sign
+
+
+@pytest.mark.parametrize("n_orb", range(1, 9))
+def test_string_moves_are_the_merged_one_spin_replacements(n_orb):
+    # move (pair pq, string I, image J, sign) is <J|E_pq + E_qp|I> for p > q and <J|E_pp|I>, by ladders
+    for n_occupied in range(n_orb + 1):
+        strings = exact._strings(n_orb, n_occupied).tolist()
+        occupations, pair, string, image, sign = exact._string_moves(n_orb, n_occupied)
+        assert occupations.tolist() == [[s >> p & 1 for p in range(n_orb)] for s in strings]
+        assert len(set(zip(pair.tolist(), string.tolist()))) == len(pair)   # one image per (pair, string)
+        moves = np.zeros((n_orb * (n_orb + 1) // 2, len(strings), len(strings)))
+        moves[pair, image, string] = sign
+        expected = np.zeros(moves.shape)
+        for p in range(n_orb):
+            for q in range(p + 1):
+                for i, s in enumerate(strings):
+                    for a, b in {(p, q), (q, p)}:   # a+_a a_b
+                        emptied = apply_ladder(s, b, False)
+                        filled = emptied and apply_ladder(emptied[0], a, True)
+                        if filled:
+                            expected[p * (p + 1) // 2 + q, strings.index(filled[0]), i] += emptied[1] * filled[1]
+        assert np.array_equal(moves, expected)
+        assert np.array_equal(moves, moves.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("n_orb", range(1, 7))
+def test_grid_positions_and_phases_order_the_creators(n_orb):
+    # a grid determinant is a+ of its spin-up orbitals, then of its spin-down ones; in
+    # the basis it is the same creators in ascending qubit order, which take no sign
+    for n in range(2 * n_orb + 1):
+        for two_sz in [None, *range(-n, n + 1, 2)]:
+            try:
+                basis = pq.sector_basis(2 * n_orb, n, two_sz)
+            except ValueError:
+                continue
+            covered = []
+            for n_up, n_down, positions, phases in exact._grids(basis):
+                up, down = exact._strings(n_orb, n_up).tolist(), exact._strings(n_orb, n_down).tolist()
+                for i, alpha in enumerate(up):
+                    for j, beta in enumerate(down):
+                        creators = [2 * p for p in range(n_orb) if alpha >> p & 1]
+                        creators += [2 * p + 1 for p in range(n_orb) if beta >> p & 1]
+                        determinant, sign = _creators_sign(creators)
+                        assert basis.states[positions[i, j]] == determinant
+                        assert phases[i, j] == sign
+                covered += positions.ravel().tolist()
+            assert sorted(covered) == list(range(basis.dim))
 
 
 def benchmark_points():
@@ -78,7 +174,7 @@ def benchmark_points():
 
 
 @pytest.mark.parametrize("workload, coordinate", benchmark_points())
-def test_builder_matches_the_jordan_wigner_matrix_on_benchmark_points(workload, coordinate,
+def test_sigma_matches_the_jordan_wigner_matrix_on_benchmark_points(workload, coordinate,
                                                                       tmp_path):
     coordinates = workload.coordinates(0)
     workload.write_inputs([coordinate] if workload.scan else coordinates, tmp_path)
@@ -86,24 +182,10 @@ def test_builder_matches_the_jordan_wigner_matrix_on_benchmark_points(workload, 
     stage = workbench.compact_hamiltonian(config, coordinate)
     ansatz = workbench.build_ansatz_for(config, stage)
     basis = ansatz.basis
-    mat = IntegralHamiltonian(stage["final"]).matrix(basis.states)
+    mat = sector_matrix(IntegralHamiltonian(stage["final"]), basis)
     jw = reference_matrix(stage["hamiltonian"], basis.states)
     assert not jw.data.imag.any()
-    assert abs(mat - jw.real).max() < 1e-12
-
-
-@pytest.mark.parametrize("two_sz", [0, 1, None])
-def test_row_blocks_change_no_bit(monkeypatch, two_sz):
-    mo = random_integral_set(5, 4, 11)
-    states = pq.sector_basis(10, 3 if two_sz == 1 else 4, two_sz).states
-    built = []
-    for block in (1, 7, exact._DETERMINANT_BLOCK):
-        monkeypatch.setattr(exact, "_DETERMINANT_BLOCK", block)
-        built.append(determinant_matrix(mo, states))
-    first = built[0]
-    for mat in built[1:]:
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(mat, name), getattr(first, name)), name
+    assert np.abs(mat - jw.real).max() < 1e-12
 
 
 @st.composite
@@ -148,38 +230,37 @@ def test_locate_finds_exactly_the_basis_states(states, others, data):
     assert np.array_equal(states[column[found]], np.array(images, dtype=np.int64)[found])
 
 
-def test_integral_hamiltonian_caches_one_matrix_per_basis():
+def test_integral_hamiltonian_keeps_one_operator_per_basis():
     mo = random_integral_set(3, 2, 4)
     hamiltonian = IntegralHamiltonian(mo)
     basis = pq.sector_basis(6, 2, 0)
-    mat = hamiltonian.matrix(basis.states)
-    assert hamiltonian.matrix(basis.states) is mat
+    operator = _sector_operator(hamiltonian, basis)
+    assert _sector_operator(hamiltonian, SectorBasis(6, basis.states)) is operator
     assert hamiltonian.n_qubits == 6
-    with pytest.raises(ValueError, match="fixed-particle-number"):
-        hamiltonian.matrix(np.arange(4, dtype=np.int64))
-    with pytest.raises(ValueError, match="strictly increasing bitmasks of the register"):
-        hamiltonian.matrix(pq.sector_basis(8, 2, 0).states)
+    with pytest.raises(ValueError, match="N sector basis"):
+        _sector_operator(hamiltonian, SectorBasis(6, np.arange(4, dtype=np.int64)))
+    with pytest.raises(ValueError, match="register"):
+        _sector_operator(hamiltonian, pq.sector_basis(8, 2, 0))
 
 
-def test_matrix_refuses_shuffled_states():
+def test_basis_refuses_shuffled_states():
     # images are located by searchsorted: a shuffled basis gave a symmetric
     # matrix whose two lowest eigenvalues were 0.0 and 0.0
     hamiltonian = IntegralHamiltonian(random_integral_set(3, 2, 7))
-    states = pq.sector_basis(6, 2, 0).states
-    shuffled = states[np.random.default_rng(0).permutation(9)]
+    basis = pq.sector_basis(6, 2, 0)
+    shuffled = basis.states[np.random.default_rng(0).permutation(9)]
     with pytest.raises(ValueError, match="strictly increasing bitmasks of the register"):
-        hamiltonian.matrix(shuffled)
-    lowest = np.linalg.eigvalsh(hamiltonian.matrix(states).toarray())[:2]
+        SectorBasis(6, shuffled)
+    lowest = np.linalg.eigvalsh(sector_matrix(hamiltonian, basis))[:2]
     np.testing.assert_allclose(lowest, [-3.305, -3.060], atol=1e-3)
     with pytest.raises(ValueError, match="strictly increasing bitmasks of the register"):
-        pq.build_paired_hamiltonian(random_integral_set(3, 2, 7)).matrix(np.array([0b110, 0b011]))
+        SectorBasis(3, np.array([0b110, 0b011]))
 
 
-def test_matrix_refuses_unsorted_states_outside_the_register():
+def test_basis_refuses_unsorted_states_outside_the_register():
     # this basis failed inside numpy, on a reshape of the occupied orbitals
-    hamiltonian = IntegralHamiltonian(random_integral_set(3, 2, 7))
     with pytest.raises(ValueError, match="strictly increasing bitmasks of the register"):
-        hamiltonian.matrix([0b11, 0b1000001, 0b101])
+        SectorBasis(6, [0b11, 0b1000001, 0b101])
 
 
 def lih_config(tmp_path, lih_like, **fields):
@@ -208,7 +289,7 @@ def test_jordan_wigner_runs_only_to_write_the_point_artifacts(monkeypatch, tmp_p
         assert (out / "point.hamiltonian.txt").read_text() == text
 
 
-def test_fci_command_reads_the_matrix_of_run_point(monkeypatch, tmp_path, lih_like):
+def test_fci_command_reads_the_operator_of_run_point(monkeypatch, tmp_path, lih_like):
     config = lih_config(tmp_path, lih_like)
     path = tmp_path / "lih.cfg"
     path.write_text(f"[integrals]\nsource = fcidump\nfcidump = {config.fcidump}\n\n"

@@ -1,19 +1,18 @@
 """Exact diagonalization, sector restriction, and the paired encoding.
 
-The iterative solve (``exact._davidson``) only runs on sectors above
-``exact._DENSE_DIM`` states; its property tests patch the crossover to 0 so
-Hamiltonians of random integrals on N and (N, S_z) sectors of 3-252 states
-reach it, with a shrunken subspace that makes every solve restart; paired
-Hamiltonians of 3-70 states reach it the same way. Small cases cover a zero
-matrix, dimension 1, a degenerate ground state, a ground state orthogonal
+The Davidson solve (``exact._davidson``) is the only eigensolver. Its
+property tests run Hamiltonians of random integrals on N and (N, S_z)
+sectors of 3-252 states, with a shrunken subspace that makes every solve
+restart, and paired Hamiltonians of 3-70 states. Small cases cover a zero
+operator, dimension 1, a degenerate ground state, a ground state orthogonal
 to the start's determinant and the matrix-vector cap. The paired
 Hamiltonian's entries are checked against the seniority-zero projection of
-the reference Jordan-Wigner image and against the closed form in
-``build_paired_hamiltonian``'s docstring. The one sector rule, spin
-strings spread by ``exact._spread``, is checked against a brute-force
-filter of every register bitmask (``ci_oracle.register_sector``) on every
-sector of up to 12 qubits, and the paired determinants against a matrix
-product over the bits. Examples are derandomized.
+the reference Jordan-Wigner image, on sectors and on bases that drop some
+pair moves, and against the closed form in ``build_paired_hamiltonian``'s
+docstring. The one sector rule, spin strings spread by ``exact._spread``,
+is checked against a brute-force filter of every register bitmask
+(``ci_oracle.register_sector``) on every sector of up to 12 qubits.
+Examples are derandomized.
 """
 
 import numpy as np
@@ -23,14 +22,13 @@ from hypothesis import given, settings, strategies as st
 import pnovqe as pq
 from pnovqe import exact as exact_mod
 from pnovqe.ansatz import build_paired_ansatz
-from pnovqe.exact import IntegralHamiltonian, SectorBasis, determinant_matrix
+from pnovqe.exact import IntegralHamiltonian, SectorBasis, _sector_operator
 
 from ci_oracle import (
-    eigenvalues_dense, random_integral_set, reference_build_hamiltonian,
-    reference_jordan_wigner, reference_paired_determinants, register_sector,
-    seniority_zero_projection,
+    eigenvalues_dense, paired_register_matrix, random_integral_set, reference_build_hamiltonian,
+    reference_jordan_wigner, register_sector, seniority_zero_projection,
 )
-from conftest import CountingMatrix, loaded_after_run_point
+from conftest import CountingMatrix, sector_matrix
 
 
 def integral_set(h, g=None, core=0.0) -> pq.IntegralSet:
@@ -82,7 +80,7 @@ class TestExactGroundEnergy:
             pq.exact_ground_energy(hamiltonian, pq.sector_basis(4, 2, 0))
 
     def test_pauli_sum_rejected_by_the_exact_solve_and_the_vqe(self, h2_sto3g):
-        # the engine reads determinant matrices of integrals, never a Pauli sum
+        # the engine applies the integrals, never a Pauli sum
         pauli_sum = pq.jordan_wigner(pq.build_hamiltonian(h2_sto3g["mo"]), 4)
         expected = "IntegralHamiltonian or PairedHamiltonian expected, got QubitOperator"
         with pytest.raises(TypeError, match=expected):
@@ -117,8 +115,29 @@ class TestExactGroundEnergy:
         hamiltonian = IntegralHamiltonian(h2_sto3g["mo"])
         sector = pq.sector_basis(4, 2, two_sz=0)
         energy, vector = pq.exact_ground_energy(hamiltonian, sector)
-        mat = hamiltonian.matrix(sector.states).toarray()
+        mat = sector_matrix(hamiltonian, sector)
         assert np.linalg.norm(mat @ vector - energy * vector) < 1e-8
+
+
+class TestByteEstimate:
+    def test_an_n_sector_is_estimated_over_all_its_spin_grids(self, monkeypatch):
+        # C(2,0) C(2,2) + C(2,1)^2 + C(2,2) C(2,0) = 6 states of the 4-qubit N = 2 sector
+        need = (2 * 2 * 3 + 2 * 24) * 8 * 6 + (100 << 20)
+        hamiltonian, basis = IntegralHamiltonian(random_integral_set(2, 2, 0)), pq.sector_basis(4, 2)
+        monkeypatch.setattr(exact_mod, "_physical_bytes", lambda: need - 1)
+        with pytest.raises(ValueError, match=rf"of 0 \+ 2 or 1 \+ 1 or 2 \+ 0 electrons in 2 orbitals "
+                                             rf"needs about {need} bytes"):
+            pq.exact_ground_energy(hamiltonian, basis)
+        monkeypatch.setattr(exact_mod, "_physical_bytes", lambda: need)
+        pq.exact_ground_energy(hamiltonian, basis)
+
+    def test_a_pair_basis_is_estimated_as_strings(self, monkeypatch):
+        # 2 pairs in 4 orbitals: C(4, 2) = 6 pair states
+        need = (2 * 4 * 5 + 2 * 24) * 8 * 6 + (100 << 20)
+        monkeypatch.setattr(exact_mod, "_physical_bytes", lambda: need - 1)
+        with pytest.raises(ValueError, match=rf"of 2 \+ 0 electrons in 4 orbitals needs about {need} bytes"):
+            pq.exact_ground_energy(pq.build_paired_hamiltonian(random_integral_set(4, 2, 0)),
+                                   pq.sector_basis(4, 2))
 
 
 class TestSectorRule:
@@ -155,13 +174,6 @@ class TestSectorRule:
         assert [exact_mod._spread(s) for s in strings] == expected
         assert exact_mod._spread(np.array(strings, dtype=np.int64)).tolist() == expected
 
-    @pytest.mark.parametrize("n_orb", range(1, 13))
-    def test_paired_determinants_match_the_bit_product(self, n_orb):
-        hp = pq.build_paired_hamiltonian(random_integral_set(n_orb, 2, 0))
-        for n_pairs in range(n_orb + 1):
-            states = pq.sector_basis(n_orb, n_pairs).states
-            assert np.array_equal(hp._determinants(states), reference_paired_determinants(states))
-
 
 ITERATIVE = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -183,12 +195,10 @@ def sector_hamiltonians(draw, orbitals=(2, 3), edge=1):
 
 
 def _check_iterative_solve(hamiltonian, basis):
-    mat = hamiltonian.matrix(basis.states)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exact_mod, "_DENSE_DIM", 0)
-        energy, vector = pq.exact_ground_energy(hamiltonian, basis)
-        again, vector_again = pq.exact_ground_energy(hamiltonian, basis)
-    assert abs(energy - np.linalg.eigvalsh(mat.toarray())[0]) < 1e-10
+    mat = sector_matrix(hamiltonian, basis)
+    energy, vector = pq.exact_ground_energy(hamiltonian, basis)
+    again, vector_again = pq.exact_ground_energy(hamiltonian, basis)
+    assert abs(energy - np.linalg.eigvalsh(mat)[0]) < 1e-10
     assert np.linalg.norm(mat @ vector - energy * vector) < 1e-8
     assert vector.dtype == mat.dtype == np.float64
     assert again == energy and np.array_equal(vector_again, vector)
@@ -204,7 +214,7 @@ def test_iterative_solve_matches_the_dense_spectrum(case):
 @given(sector_hamiltonians(orbitals=(5, 5), edge=4))
 def test_restarted_iterative_solve_matches_the_dense_spectrum(case):
     # a subspace of 6 vectors restarts on 4 Ritz vectors every 2 products
-    counting = CountingMatrix(case[0].matrix(case[1].states))
+    counting = CountingMatrix(_sector_operator(*case))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact_mod, "_DAVIDSON_SUBSPACE", 6)
         exact_mod._davidson(counting)
@@ -230,10 +240,8 @@ def test_iterative_solve_of_the_paired_hamiltonian_matches_the_dense_spectrum(ca
 def _iterative_solve(h, basis):
     """The iterative solve of one-electron integrals ``h`` on ``basis``, and its matrix."""
     hamiltonian = IntegralHamiltonian(integral_set(h))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exact_mod, "_DENSE_DIM", 0)
-        energy, vector = pq.exact_ground_energy(hamiltonian, basis)
-    return energy, vector, hamiltonian.matrix(basis.states)
+    energy, vector = pq.exact_ground_energy(hamiltonian, basis)
+    return energy, vector, sector_matrix(hamiltonian, basis)
 
 
 def test_iterative_solve_of_an_operator_that_vanishes_on_the_sector():
@@ -272,15 +280,10 @@ def test_iterative_solve_past_its_matrix_vector_cap_is_an_error(monkeypatch):
         _check_iterative_solve(IntegralHamiltonian(mo), pq.sector_basis(8, 2, 0))
 
 
-def test_import_leaves_the_iterative_solver_unloaded():
-    # an xyz run_point through the iterative solve loads no scipy solver module
-    assert loaded_after_run_point(dense_dim=0) == []
-
-
 def paired_spectrum(hamiltonian) -> np.ndarray:
     """Every eigenvalue of a paired Hamiltonian, over the sectors of each pair count."""
     n = hamiltonian.n_qubits
-    blocks = [hamiltonian.matrix(pq.sector_basis(n, k).states).toarray() for k in range(n + 1)]
+    blocks = [sector_matrix(hamiltonian, pq.sector_basis(n, k)) for k in range(n + 1)]
     return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
 
 
@@ -330,26 +333,15 @@ class TestPairedHamiltonian:
                     if moved.bit_count() == 2:
                         p, q = moved.bit_length() - 1, (moved & -moved).bit_length() - 1
                         expected[i, j] = g[p, p, q, q]
-            np.testing.assert_allclose(hp.matrix(states).toarray(), expected, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(sector_matrix(hp, pq.sector_basis(n_orb, n_pairs)), expected,
+                                       atol=1e-12, rtol=0)
 
-    def test_pair_states_spread_to_determinants_in_order(self):
-        # bit p of a pair state is spin-orbitals 2p and 2p + 1 of its determinant
-        hp = pq.build_paired_hamiltonian(random_integral_set(4, 2, 3))
-        states = np.arange(16, dtype=np.int64)
-        expected = [sum(0b11 << 2 * p for p in range(4) if m >> p & 1) for m in range(16)]
-        assert hp._determinants(states).tolist() == expected
-        assert hp._determinants(np.zeros(1, dtype=np.int64)).tolist() == [0]
-
-    def test_matrix_is_the_cached_determinant_matrix(self):
-        mo = random_integral_set(4, 4, 5)
-        hp = pq.build_paired_hamiltonian(mo)
-        states = pq.sector_basis(4, 2).states
-        mat = hp.matrix(states)
-        assert hp.matrix(states) is mat
-        assert mat.dtype == np.float64 and not mat.data.flags.writeable
-        direct = determinant_matrix(mo, hp._determinants(states))
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(mat, name), getattr(direct, name)), name
+    def test_matrix_is_kept_per_basis(self):
+        hp = pq.build_paired_hamiltonian(random_integral_set(4, 4, 5))
+        basis = pq.sector_basis(4, 2)
+        mat = _sector_operator(hp, basis)
+        assert _sector_operator(hp, SectorBasis(4, basis.states)) is mat
+        assert mat.dtype == np.float64 and mat.shape == (6, 6)
 
     @PAIRED
     @given(st.integers(2, 5), st.integers(0, 10_000))
@@ -361,9 +353,21 @@ class TestPairedHamiltonian:
         hp = pq.build_paired_hamiltonian(mo)
         assert hp.n_qubits == n_orb
         for n_pairs in range(n_orb + 1):
-            states = pq.sector_basis(n_orb, n_pairs).states
-            np.testing.assert_allclose(hp.matrix(states).toarray(),
-                                       projection.real[np.ix_(states, states)], atol=1e-12, rtol=0)
+            basis = pq.sector_basis(n_orb, n_pairs)
+            np.testing.assert_allclose(sector_matrix(hp, basis),
+                                       projection.real[np.ix_(basis.states, basis.states)],
+                                       atol=1e-12, rtol=0)
+
+    @PAIRED
+    @given(st.integers(2, 4), st.integers(0, 10_000), st.data())
+    def test_moves_out_of_the_basis_are_dropped(self, n_orb, seed, data):
+        # any sorted set of pair states: the matrix is the projection restricted to it
+        mo = random_integral_set(n_orb, 2, seed)
+        projection = paired_register_matrix(mo)
+        states = sorted(data.draw(st.sets(st.integers(0, 2**n_orb - 1), min_size=1)))
+        basis = SectorBasis(n_orb, np.array(states, dtype=np.int64))
+        np.testing.assert_allclose(sector_matrix(pq.build_paired_hamiltonian(mo), basis),
+                                   projection.real[np.ix_(states, states)], atol=1e-12, rtol=0)
 
     def test_paired_bound(self):
         mo = random_integral_set(3, 4, 9)

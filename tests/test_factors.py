@@ -23,7 +23,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
-from pnovqe import simulator
+from pnovqe import exact, simulator
 from pnovqe.ansatz import GENERATOR_KINDS, PNO_VARIANTS
 from pnovqe.exact import SectorBasis, _factors
 from pnovqe.simulator import _rotate, _sector_state
@@ -330,7 +330,7 @@ def test_one_mat_vec_and_one_backward_sweep_per_parameter_point(monkeypatch):
     k = ansatz.n_parameters
     theta = np.linspace(-0.2, 0.6, k)
     products, rotations = [], []
-    sector_matrix, rotate = simulator._sector_matrix, simulator._rotate
+    sector_operator, rotate = simulator._sector_operator, simulator._rotate
 
     class CountedMatrix:
         def __init__(self, mat):
@@ -344,8 +344,8 @@ def test_one_mat_vec_and_one_backward_sweep_per_parameter_point(monkeypatch):
         rotations.append(1)
         return rotate(*args)
 
-    monkeypatch.setattr(simulator, "_sector_matrix",
-                        lambda op, basis: CountedMatrix(sector_matrix(op, basis)))
+    monkeypatch.setattr(simulator, "_sector_operator",
+                        lambda op, basis: CountedMatrix(sector_operator(op, basis)))
     monkeypatch.setattr(simulator, "_rotate", counted_rotate)
     pq.ansatz_expectation(h1, ansatz, theta)
     grad = pq.gradient(h1, ansatz, theta)
@@ -405,4 +405,4 @@ def test_backward_sweep_matches_register_shift_rule(kind, data, gradient_first):
     (basis, circuit), = ansatz._prepared.items()
     assert circuit.reference.dtype == np.float64
     psi, _ = simulator._evolve(circuit.reference.copy(), circuit.factors, theta)
-    assert energy == float(np.vdot(psi, hq.matrix(basis.states) @ psi))
+    assert energy == float(np.vdot(psi, exact._sector_operator(hq, basis) @ psi))

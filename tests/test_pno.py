@@ -1,9 +1,13 @@
-"""MP2 amplitudes, pair densities, budgeted PNO selection, orbital spaces."""
+"""MP2 amplitudes, pair densities, budgeted PNO selection, orbital spaces.
+
+The compact orbitals span a subspace of the parent MOs, so on drawn H
+chains the compact space's E_FCI is never below the parent's.
+"""
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe.pno import PNOSet
@@ -14,6 +18,8 @@ from ci_oracle import (
     sector_masks,
     slater_condon_matrix,
 )
+from pnovqe.workbench import fci_energy
+
 from conftest import h2_big_integrals, lih_like_pipeline
 
 
@@ -410,3 +416,35 @@ class TestFreezeCore:
         frozen = pq.freeze_core(mo, [0])
         assert frozen.n_electrons == 2
         assert frozen.n_orb == 3
+
+
+@st.composite
+def h_chains(draw):
+    """Canonical MO integrals of a linear H chain, with its first orbital frozen or not.
+
+    2-4 atoms (H3 as the cation), 1-3 even-tempered s shells on each.
+    """
+    n_atoms = draw(st.integers(2, 4))
+    spacing = draw(st.floats(1.2, 2.4))
+    alpha0, ratio = draw(st.sampled_from([0.1, 0.2, 0.4])), draw(st.sampled_from([3.0, 4.0]))
+    atoms = tuple(("H", 1, np.array([0.0, 0.0, spacing * k])) for k in range(n_atoms))
+    molecule = pq.Molecule(atoms=atoms, charge=n_atoms % 2)
+    shells = [shell for _, _, pos in atoms
+              for shell in pq.even_tempered_shells(pos, draw(st.integers(1, 3)), alpha0, ratio)]
+    ao = pq.compute_ao_integrals(molecule, shells)
+    scf = pq.run_rhf(ao, molecule.n_electrons)
+    assume(scf.converged)
+    mo = pq.transform_to_mo(ao, scf.mo_coefficients, molecule.n_electrons,
+                            orbital_energies=scf.orbital_energies)
+    return pq.freeze_core(mo, [0] if mo.n_occ > 1 and draw(st.booleans()) else [])
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(h_chains(), st.data())
+def test_compact_fci_is_never_below_the_parent_fci(parent, data):
+    budget = data.draw(st.sampled_from(range(2 * parent.n_occ, 2 * parent.n_orb + 1, 2)))
+    pnos = pq.select_pnos(pq.pair_densities(pq.mp2_amplitudes(parent)), budget,
+                          diagonal_only=data.draw(st.booleans()))
+    compact = pq.build_final_integrals(parent, pq.orthonormalize(pnos))
+    e_parent = fci_energy(pq.IntegralHamiltonian(parent))
+    assert fci_energy(pq.IntegralHamiltonian(compact)) >= e_parent - 1e-10

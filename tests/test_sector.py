@@ -1,7 +1,7 @@
-"""One sector per point: the real (N, S_z) sweep, the shared sector matrix and the exact solve.
+"""One sector per point: the real (N, S_z) sweep, the shared sector operator and the exact solve.
 
 The VQE runs in the sector the ansatz keeps its reference in, in float64,
-and the exact solve reads the same cached sector matrix. The sweep is
+and the exact solve reads the same kept sector operator. The sweep is
 checked against the complex particle-number-sector sweep of
 ``ci_oracle.reference_sector_sweep``. That pair doubles and singles keep
 S_z, so that a circuit without pair rotations may run in the (N, S_z)
@@ -110,22 +110,22 @@ def test_every_pair_double_and_single_keeps_sz(n_spatial):
     assert ansatz.basis is pq.sector_basis(2 * n_spatial, 1, two_sz=1)
 
 
-def test_run_point_builds_one_sector_matrix(monkeypatch, tmp_path):
+def test_run_point_builds_one_sector_operator(monkeypatch, tmp_path):
     built = []
-    build = exact.determinant_matrix
+    build = exact._StringSigma
 
-    def keep(mo, states):
-        built.append((states, build(mo, states)))
+    def keep(mo, basis):
+        built.append((basis.states, build(mo, basis)))
         return built[-1][1]
 
-    monkeypatch.setattr(exact, "determinant_matrix", keep)
+    monkeypatch.setattr(exact.IntegralHamiltonian, "_operator", staticmethod(keep))
     pq.write_fcidump(LIH_MO, tmp_path / "lih.fcidump")
     config = pq.RunConfig(integral_source="fcidump", fcidump=str(tmp_path / "lih.fcidump"),
                           n_qubits=8, ansatz="upccgsd", diagonal_only=True).validate()
     record = pq.run_point(config)
-    ((states, mat),) = built
+    ((states, operator),) = built
     assert states.tobytes() == pq.sector_basis(8, 4, 0).states.tobytes()
-    assert mat.dtype == np.float64
+    assert operator.diagonal().dtype == np.float64
     assert record["e_fci"] <= record["e_vqe"]
 
 
@@ -171,23 +171,21 @@ def test_every_call_form_of_one_sector_returns_the_one_basis():
     assert sz_sector is not n_sector
 
 
-@pytest.mark.parametrize("dense_dim", [600, 1])
-def test_real_sector_solve_runs_in_real_arithmetic(monkeypatch, h2_sto3g, dense_dim):
-    # the dense solve, and the Davidson solve on the 4-state sector
-    monkeypatch.setattr(exact, "_DENSE_DIM", dense_dim)
+def test_real_sector_solve_runs_in_real_arithmetic(h2_sto3g):
+    # the Davidson solve on the 4-state sector
     basis = pq.sector_basis(4, 2, 0)
     energy, vector = pq.exact_ground_energy(pq.IntegralHamiltonian(h2_sto3g["mo"]), basis)
     assert vector.dtype == np.float64
     assert energy == pytest.approx(-1.1372759431, abs=1e-8)
 
 
-def test_real_integral_sector_matrix_is_the_cached_float64_real_part(h2_sto3g):
+def test_real_integral_sector_operator_is_the_kept_float64_real_part(h2_sto3g):
     hamiltonian = pq.IntegralHamiltonian(h2_sto3g["mo"])
     basis = pq.sector_basis(4, 2, 0)
-    mat = hamiltonian.matrix(basis.states)
-    assert mat is hamiltonian.matrix(basis.states)
-    assert mat.dtype == np.float64
-    assert not mat.data.flags.writeable
+    operator = exact._sector_operator(hamiltonian, basis)
+    assert operator is exact._sector_operator(hamiltonian, basis)
+    mat = operator @ np.eye(basis.dim)
+    assert mat.dtype == operator.diagonal().dtype == np.float64
     expected = reference_matrix(h2_sto3g["hamiltonian"], basis.states).toarray()
     assert not expected.imag.any()
-    np.testing.assert_allclose(mat.toarray(), expected.real, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(mat, expected.real, atol=1e-12, rtol=0)

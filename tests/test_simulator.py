@@ -287,11 +287,11 @@ class TestGradient:
 class TestSectorEngine:
     def test_energy_and_gradient_never_allocate_a_register_vector(self):
         # one 16-qubit register vector is 2^16 * 16 B = 1 MiB; the (N, S_z)
-        # sector for 2 electrons has 64 states. The sector matrix is built
-        # first: its spin-orbital integral tables hold 16^4 entries each
+        # sector for 2 electrons has 64 states. The sector operator is built
+        # first: its pair tables hold 36 x 64 products of 8 strings
         hq = pq.IntegralHamiltonian(random_integral_set(8, 2, 4))
         ansatz = pq.build_upccgsd(8, 2)
-        hq.matrix(ansatz.basis.states)
+        pq.exact._sector_operator(hq, ansatz.basis)
         theta = np.random.default_rng(4).uniform(-0.5, 0.5, ansatz.n_parameters)
         tracemalloc.start()
         try:

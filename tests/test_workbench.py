@@ -274,23 +274,37 @@ class TestRunPoint:
         assert record["e_vqe"] == pytest.approx(record["e_hf"], abs=1e-10)
         assert record["n_parameters"] == 0
 
-    def test_point_past_the_exact_solve_cap_is_refused_before_the_vqe(self, monkeypatch):
+    def test_point_past_physical_memory_is_refused_before_the_vqe(self, monkeypatch):
+        # H2/STO-3G: 2 orbitals, pairs 3, dim 4: 4 * 3 * 4 * 8 + 2 * 24 * 4 * 8 B above the base
         ran = []
-        monkeypatch.setattr(pq.exact, "_MAX_SECTOR_QUBITS", 2)
+        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 1919)
         monkeypatch.setattr(workbench, "run_vqe", lambda *args, **kwargs: ran.append(args))
-        with pytest.raises(ValueError, match="limited to 2 qubits"):
+        with pytest.raises(ValueError, match=r"^the exact solve of 1 \+ 1 electrons in 2 orbitals needs "
+                                             r"about 104859520 bytes, past the 104859519 bytes of "
+                                             r"physical memory$"):
             pq.run_point(h2_config())
         assert ran == []
+        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 1920)
+        pq.exact._check_solvable(2, (1, 1))   # the estimate fits exactly
 
-    def test_register_past_the_cap_is_refused_before_its_sector_is_enumerated(self, monkeypatch):
-        # sector_basis(26, 10, 0) alone is 1.66 million states, listed in Python
+    def test_sector_past_physical_memory_is_refused_before_it_is_enumerated(self, monkeypatch):
+        # 36 orbitals, 18 + 18 electrons: C(36, 18)^2 = 8.2e19 states, which no machine holds
         enumerated = []
         monkeypatch.setattr(workbench, "sector_basis", lambda *args: enumerated.append(args))
-        hamiltonian = pq.IntegralHamiltonian(random_integral_set(13, 10, 0))
-        assert hamiltonian.n_qubits == 26
-        with pytest.raises(ValueError, match="limited to 24 qubits"):
+        hamiltonian = pq.IntegralHamiltonian(pq.IntegralSet(
+            n_orb=36, h=np.zeros((36, 36)), g=np.zeros((36,) * 4), core_energy=0.0, n_electrons=36))
+        with pytest.raises(ValueError, match="the exact solve of 18 \\+ 18 electrons in 36 orbitals "
+                                             "needs about [0-9]+ bytes, past the [0-9]+ bytes"):
             workbench.fci_energy(hamiltonian)
         assert enumerated == []
+        # and with a tiny machine, the 4-orbital sector a real run takes
+        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: 1 << 20)
+        with pytest.raises(ValueError, match="past the 1048576 bytes of physical memory"):
+            workbench.fci_energy(pq.IntegralHamiltonian(random_integral_set(4, 2, 0)))
+        assert enumerated == []
+
+    def test_physical_memory_is_read_from_the_machine(self):
+        assert pq.exact._physical_bytes() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
     def test_fcidump_source_with_freeze(self, tmp_path, lih_like):
         path = tmp_path / "lih.fcidump"
@@ -436,13 +450,14 @@ class TestRunCurve:
         assert "error" in curve.points[0]
         assert "e_vqe" in curve.points[1]
 
-    def test_points_past_the_exact_solve_cap_are_recorded_without_a_vqe(self, monkeypatch):
+    def test_points_past_physical_memory_are_recorded_without_a_vqe(self, monkeypatch):
         ran = []
-        monkeypatch.setattr(pq.exact, "_MAX_SECTOR_QUBITS", 2)
+        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: 1 << 20)
         monkeypatch.setattr(workbench, "run_vqe", lambda *args, **kwargs: ran.append(args))
         curve = pq.run_curve(h2_config(xyz=H2_INLINE, scan=(0.7, 0.74)))
         assert curve.failures == 2 and ran == []
-        assert all("limited to 2 qubits" in point["error"] for point in curve.points)
+        assert all("past the 1048576 bytes of physical memory" in point["error"]
+                   for point in curve.points)
 
     def test_fcidump_path_template_scan(self, tmp_path):
         grid = (1.2, 1.6)
@@ -749,6 +764,23 @@ class TestCLI:
         code = cli.main(["metrics", str(curve), "--barrier-at", "1.0", "0.5"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {curve}, line 2: 'abc' is not a number\n"
+
+    @pytest.mark.parametrize("row", ["inf -1.0", "nan -1.0"])
+    def test_a_non_finite_coordinate_after_line_1_is_refused(self, tmp_path, row):
+        # once skipped as a header, so metrics failed later: no reference energy for coordinate
+        ref = tmp_path / "ref.dat"
+        ref.write_text(f"0.4 -1.01\n{row}\n")
+        field = row.split()[0]
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(ref))}, line 2: '{field}' is not a number$"):
+            workbench.load_reference(ref)
+
+    def test_a_header_on_line_1_is_skipped(self, tmp_path):
+        ref = tmp_path / "ref.dat"
+        ref.write_text("R energy\n# bohr hartree\n\n0.4 -1.01\n0.5, -1.02\n")
+        assert workbench.load_reference(ref) == {0.4: -1.01, 0.5: -1.02}
+        ref.write_text("0.4 -1.01\nR energy\n")
+        with pytest.raises(ValueError, match=r"line 2: 'energy' is not a number"):
+            workbench.load_reference(ref)
 
     def test_metrics_names_the_file_and_line_of_a_non_numeric_reference(self, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
