@@ -22,7 +22,7 @@ factors (``_factors``), and both find images in a basis by ``_locate``.
 symmetric and every solve runs in real arithmetic: the Davidson solve
 (``_davidson``), with the diagonal as preconditioner from a seeded start,
 so reruns give the same bits. ``_check_solvable`` refuses a sector whose
-sigma and Davidson arrays would not fit in physical memory, by an
+operator and Davidson arrays would not fit in physical memory, by an
 estimate from the orbital and electron counts alone.
 
 The paired (seniority-zero) encoding gives one qubit to each spatial
@@ -226,21 +226,33 @@ def _grids(basis: SectorBasis):
 
 
 def _physical_bytes() -> int:
+    """The machine's physical memory, which one process checks its own sector against.
+
+    A cgroup or container limit below it is not seen, and neither are the
+    other workers of a parallel curve, each of which checks its own sector
+    against the whole machine.
+    """
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _check_solvable(n_orb: int, *grids) -> None:
     """Refuse a basis of (n_up, n_down) spin ``grids`` of ``n_orb`` orbitals past physical memory.
 
-    The estimate needs only the counts, with dim = sum C(n_orb, n_up)
-    C(n_orb, n_down): 4 arrays of pairs x dim float64 for the sigma's
-    table, the part it builds at a time and its two products D and G; 2 x
-    ``_DAVIDSON_SUBSPACE`` x dim float64 for the Davidson subspace; and
-    ``_BASE_BYTES``. The 22- and 26-qubit H6 points peak at 0.74 and 0.78
-    of it.
+    The estimate needs only the counts. A grid holds C(n_orb, n_up)
+    C(n_orb, n_down) determinants, and a string of k electrons has
+    k (n_orb - k + 1) one-spin moves (``_string_moves``), so the sigma's
+    table (or the pair matrix's hops) has at most dim x moves entries. It
+    prices 48 B per entry for the table and its setup, 2 arrays of
+    pairs x dim float64 for the products D and G, 2 x ``_DAVIDSON_SUBSPACE``
+    x dim float64 for the Davidson subspace, and ``_BASE_BYTES``. A solve's
+    peak RSS measured 0.55-0.64 of it on sectors of 3 + 3 electrons in 11
+    and 13 orbitals, of 5 + 5 in 10 and 11, on the N = 8 sector of 8
+    orbitals and on bases of 7 and 8 pairs in 14 and 16 orbitals.
     """
-    dim = sum(math.comb(n_orb, n_up) * math.comb(n_orb, n_down) for n_up, n_down in grids)
-    need = (2 * n_orb * (n_orb + 1) + 2 * _DAVIDSON_SUBSPACE) * 8 * dim + _BASE_BYTES
+    # per determinant: 48 B per move, and 8 B for each of its pair rows in D and in G and each Davidson vector
+    need = _BASE_BYTES + sum(math.comb(n_orb, up) * math.comb(n_orb, down) * 8 * (
+        6 * (up * (n_orb + 1 - up) + down * (n_orb + 1 - down)) + n_orb * (n_orb + 1) + 2 * _DAVIDSON_SUBSPACE)
+        for up, down in grids)
     if need > _physical_bytes():
         raise ValueError(f"the exact solve of {' or '.join(f'{u} + {d}' for u, d in grids)} electrons in "
                          f"{n_orb} orbitals needs about {need} bytes, past the {_physical_bytes()} bytes "
@@ -268,21 +280,21 @@ class _StringSigma:
         one = (mo.h - 0.5 * np.einsum("prrq->pq", chem))[p, q]
         self._coupling = 0.5 * chem[p, q][:, p, q] + np.outer(one, p == q) / max(sum(grids[0][:2]), 1)
         coulomb, exchange = np.einsum("ppqq->pq", chem), np.einsum("pqqp->pq", chem)
-        self._core, self._diagonal, parts = float(mo.core_energy), np.empty(dim), []
+        self._core, self._diagonal, self._table = float(mo.core_energy), np.empty(dim), 0   # 0: the empty sum
         _check_solvable(n, *(grid[:2] for grid in grids))
         for n_up, n_down, positions, phases in grids:
             (up, *up_moves), (down, *down_moves) = _string_moves(n, n_up), _string_moves(n, n_down)
             own = [o @ np.diag(mo.h) + 0.5 * ((o @ (coulomb - exchange)) * o).sum(1) for o in (up, down)]
             self._diagonal[positions] = self._core + own[0][:, None] + own[1] + up @ coulomb @ down.T
             # a spin-up move at every spin-down string, a spin-down move at every spin-up string;
-            # one CSC per part, summed, so that only one part's (row, column) entries are held
+            # each part is added as it is built, so that only one part's (row, column) entries are held
             for (pair, string, image, sign), at, sign_at in ((up_moves, positions, phases),
                                                              (down_moves, positions.T, phases.T)):
-                entries = (sign[:, None] * sign_at[string] * sign_at[image]).ravel(), (
-                    (pair[:, None] * dim + at[string]).ravel(), at[image].ravel())
-                parts.append(scipy.sparse.csc_matrix(entries, shape=(len(one) * dim, dim)))
-        self._table = sum(parts[1:], parts[0])
+                self._table = self._table + scipy.sparse.csc_matrix((
+                    (sign[:, None] * sign_at[string] * sign_at[image]).ravel(),
+                    ((pair[:, None] * dim + at[string]).ravel(), at[image].ravel())), shape=(len(one) * dim, dim))
         self._transpose = self._table.T   # a CSR view of the same arrays
+        self._diagonal.flags.writeable = False   # the operator is kept on the Hamiltonian and shared
 
     def diagonal(self) -> np.ndarray:
         return self._diagonal
@@ -303,13 +315,17 @@ def _pair_matrix(mo: IntegralSet, basis: SectorBasis):
     """
     n, g, states = mo.n_orb, mo.g, basis.states
     _check_solvable(n, *((n_pairs, 0) for n_pairs in np.unique(np.bitwise_count(states)).tolist()))
-    occ = (states[:, None] >> np.arange(n)) & 1
+    occ = ((states[:, None] >> np.arange(n)) & 1).astype(bool)
     pair_pair = 4 * np.einsum("pqpq->pq", g) - 2 * np.einsum("pqqp->pq", g)
     diagonal = mo.core_energy + occ @ (2 * np.diag(mo.h)) + 0.5 * ((occ @ pair_pair) * occ).sum(1)
-    row, p, q = np.nonzero(occ[:, :, None] & (1 - occ[:, None, :]))
+    row, p, q = np.nonzero(occ[:, :, None] & ~occ[:, None, :])
     column, found = _locate(states, states[row] ^ (1 << p) ^ (1 << q))
     hops = (np.einsum("ppqq->pq", g)[p, q][found], (row[found], column[found]))
-    return (scipy.sparse.diags(diagonal) + scipy.sparse.csr_matrix(hops, shape=(len(states),) * 2)).tocsr()
+    del row, p, q, column, found   # the move arrays, before the matrix is built from the hops
+    matrix = (scipy.sparse.diags(diagonal) + scipy.sparse.csr_matrix(hops, shape=(len(states),) * 2)).tocsr()
+    # the matrix is kept on the Hamiltonian and shared
+    matrix.data.flags.writeable = matrix.indices.flags.writeable = matrix.indptr.flags.writeable = False
+    return matrix
 
 
 class IntegralHamiltonian:

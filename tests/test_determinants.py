@@ -71,6 +71,7 @@ def test_sigma_matches_the_determinant_oracle_and_the_jordan_wigner_matrix(case,
     for k in range(3):
         np.testing.assert_allclose(operator @ block[:, k], product[:, k], atol=1e-12, rtol=0)
     np.testing.assert_allclose(operator.diagonal(), np.diag(oracle), atol=1e-12, rtol=0)
+    assert not operator.diagonal().flags.writeable   # the operator is kept and shared
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -122,6 +123,7 @@ def test_string_moves_are_the_merged_one_spin_replacements(n_orb):
         occupations, pair, string, image, sign = exact._string_moves(n_orb, n_occupied)
         assert occupations.tolist() == [[s >> p & 1 for p in range(n_orb)] for s in strings]
         assert len(set(zip(pair.tolist(), string.tolist()))) == len(pair)   # one image per (pair, string)
+        assert len(pair) == len(strings) * n_occupied * (n_orb + 1 - n_occupied)   # as _check_solvable counts
         moves = np.zeros((n_orb * (n_orb + 1) // 2, len(strings), len(strings)))
         moves[pair, image, string] = sign
         expected = np.zeros(moves.shape)

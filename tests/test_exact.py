@@ -121,8 +121,9 @@ class TestExactGroundEnergy:
 
 class TestByteEstimate:
     def test_an_n_sector_is_estimated_over_all_its_spin_grids(self, monkeypatch):
-        # C(2,0) C(2,2) + C(2,1)^2 + C(2,2) C(2,0) = 6 states of the 4-qubit N = 2 sector
-        need = (2 * 2 * 3 + 2 * 24) * 8 * 6 + (100 << 20)
+        # C(2,0) C(2,2) + C(2,1)^2 + C(2,2) C(2,0) = 6 states of the 4-qubit N = 2 sector, whose
+        # determinants have 0 + 2 * 1, 2 * 2 and 2 * 1 + 0 one-spin moves: 20 table entries
+        need = 48 * 20 + 8 * (2 * 3 + 2 * 24) * 6 + (100 << 20)
         hamiltonian, basis = IntegralHamiltonian(random_integral_set(2, 2, 0)), pq.sector_basis(4, 2)
         monkeypatch.setattr(exact_mod, "_physical_bytes", lambda: need - 1)
         with pytest.raises(ValueError, match=rf"of 0 \+ 2 or 1 \+ 1 or 2 \+ 0 electrons in 2 orbitals "
@@ -132,8 +133,8 @@ class TestByteEstimate:
         pq.exact_ground_energy(hamiltonian, basis)
 
     def test_a_pair_basis_is_estimated_as_strings(self, monkeypatch):
-        # 2 pairs in 4 orbitals: C(4, 2) = 6 pair states
-        need = (2 * 4 * 5 + 2 * 24) * 8 * 6 + (100 << 20)
+        # 2 pairs in 4 orbitals: C(4, 2) = 6 pair states of 2 * 3 moves each
+        need = 48 * 36 + 8 * (4 * 5 + 2 * 24) * 6 + (100 << 20)
         monkeypatch.setattr(exact_mod, "_physical_bytes", lambda: need - 1)
         with pytest.raises(ValueError, match=rf"of 2 \+ 0 electrons in 4 orbitals needs about {need} bytes"):
             pq.exact_ground_energy(pq.build_paired_hamiltonian(random_integral_set(4, 2, 0)),
@@ -342,6 +343,7 @@ class TestPairedHamiltonian:
         mat = _sector_operator(hp, basis)
         assert _sector_operator(hp, SectorBasis(4, basis.states)) is mat
         assert mat.dtype == np.float64 and mat.shape == (6, 6)
+        assert not any(array.flags.writeable for array in (mat.data, mat.indices, mat.indptr))
 
     @PAIRED
     @given(st.integers(2, 5), st.integers(0, 10_000))

@@ -186,6 +186,7 @@ def test_real_integral_sector_operator_is_the_kept_float64_real_part(h2_sto3g):
     assert operator is exact._sector_operator(hamiltonian, basis)
     mat = operator @ np.eye(basis.dim)
     assert mat.dtype == operator.diagonal().dtype == np.float64
+    assert not operator.diagonal().flags.writeable
     expected = reference_matrix(h2_sto3g["hamiltonian"], basis.states).toarray()
     assert not expected.imag.any()
     np.testing.assert_allclose(mat, expected.real, atol=1e-12, rtol=0)

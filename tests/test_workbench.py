@@ -275,16 +275,17 @@ class TestRunPoint:
         assert record["n_parameters"] == 0
 
     def test_point_past_physical_memory_is_refused_before_the_vqe(self, monkeypatch):
-        # H2/STO-3G: 2 orbitals, pairs 3, dim 4: 4 * 3 * 4 * 8 + 2 * 24 * 4 * 8 B above the base
+        # H2/STO-3G: 2 orbitals, pairs 3, dim 4, 2 * 2 one-spin moves per determinant:
+        # 48 * 16 + 2 * 3 * 4 * 8 + 2 * 24 * 4 * 8 = 2496 B above the base
         ran = []
-        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 1919)
+        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 2495)
         monkeypatch.setattr(workbench, "run_vqe", lambda *args, **kwargs: ran.append(args))
         with pytest.raises(ValueError, match=r"^the exact solve of 1 \+ 1 electrons in 2 orbitals needs "
-                                             r"about 104859520 bytes, past the 104859519 bytes of "
+                                             r"about 104860096 bytes, past the 104860095 bytes of "
                                              r"physical memory$"):
             pq.run_point(h2_config())
         assert ran == []
-        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 1920)
+        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 2496)
         pq.exact._check_solvable(2, (1, 1))   # the estimate fits exactly
 
     def test_sector_past_physical_memory_is_refused_before_it_is_enumerated(self, monkeypatch):
