@@ -16,10 +16,12 @@ spin-up x spin-down string grids whose union is the basis (``_grids``):
 the one-spin moves of E_pq + E_qp (p >= q) per string, signed by the
 determinant rule ``between``, make a sparse table of the one-electron
 operators on the basis, which one GEMM with the two-electron integrals
-joins; the diagonal is in closed form. No Hamiltonian matrix is stored. The same rule signs the circuit
-factors (``_factors``), and both find images in a basis by ``_locate``.
-``IntegralSet`` refuses asymmetric h and g, so every operator is real
-symmetric and every solve runs in real arithmetic: the Davidson solve
+joins: ``IntegralSet.eri``, chemists' (pq|rs), read as it is stored. The
+diagonal is in closed form. No Hamiltonian matrix is stored. The same
+rule signs the circuit factors (``_factors``), and both find images in a
+basis by ``_locate``. ``IntegralSet`` refuses an asymmetric h and an eri
+without 8-fold symmetry, so every operator is real symmetric and every
+solve runs in real arithmetic: the Davidson solve
 (``_davidson``), with the diagonal as preconditioner from a seeded start,
 so reruns give the same bits. ``_check_solvable`` refuses a sector whose
 operator and Davidson arrays would not fit in physical memory, by an
@@ -274,12 +276,11 @@ class _StringSigma:
     """
 
     def __init__(self, mo: IntegralSet, basis: SectorBasis):
-        n, dim, grids = mo.n_orb, basis.dim, list(_grids(basis))
-        chem = mo.g.transpose(0, 2, 1, 3)   # (pq|rs) = <pr|qs>
+        n, dim, grids, eri = mo.n_orb, basis.dim, list(_grids(basis)), mo.eri
         p, q = np.tril_indices(n)
-        one = (mo.h - 0.5 * np.einsum("prrq->pq", chem))[p, q]
-        self._coupling = 0.5 * chem[p, q][:, p, q] + np.outer(one, p == q) / max(sum(grids[0][:2]), 1)
-        coulomb, exchange = np.einsum("ppqq->pq", chem), np.einsum("pqqp->pq", chem)
+        one = (mo.h - 0.5 * np.einsum("prrq->pq", eri))[p, q]
+        self._coupling = 0.5 * eri[p, q][:, p, q] + np.outer(one, p == q) / max(sum(grids[0][:2]), 1)
+        coulomb, exchange = np.einsum("ppqq->pq", eri), np.einsum("pqqp->pq", eri)
         self._core, self._diagonal, self._table = float(mo.core_energy), np.empty(dim), 0   # 0: the empty sum
         _check_solvable(n, *(grid[:2] for grid in grids))
         for n_up, n_down, positions, phases in grids:
@@ -308,19 +309,19 @@ class _StringSigma:
 def _pair_matrix(mo: IntegralSet, basis: SectorBasis):
     """``build_paired_hamiltonian``'s closed form on a basis of pair states, as a real CSR.
 
-    The diagonal is core + sum_p 2 h_pp n_p + 1/2 sum_pq (4 <pq|pq> - 2 <pq|qp>)
-    n_p n_q (its p = q terms are the <pp|pp> of the pair energies), and
-    <pp|qq> joins states that differ by one pair moved between p and q; a
+    The diagonal is core + sum_p 2 h_pp n_p + 1/2 sum_pq (4 (pp|qq) - 2 (pq|qp))
+    n_p n_q (its p = q terms are the (pp|pp) of the pair energies), and
+    (pq|pq) joins states that differ by one pair moved between p and q; a
     move whose image lies outside the basis is dropped.
     """
-    n, g, states = mo.n_orb, mo.g, basis.states
+    n, eri, states = mo.n_orb, mo.eri, basis.states
     _check_solvable(n, *((n_pairs, 0) for n_pairs in np.unique(np.bitwise_count(states)).tolist()))
     occ = ((states[:, None] >> np.arange(n)) & 1).astype(bool)
-    pair_pair = 4 * np.einsum("pqpq->pq", g) - 2 * np.einsum("pqqp->pq", g)
+    pair_pair = 4 * np.einsum("ppqq->pq", eri) - 2 * np.einsum("pqqp->pq", eri)
     diagonal = mo.core_energy + occ @ (2 * np.diag(mo.h)) + 0.5 * ((occ @ pair_pair) * occ).sum(1)
     row, p, q = np.nonzero(occ[:, :, None] & ~occ[:, None, :])
     column, found = _locate(states, states[row] ^ (1 << p) ^ (1 << q))
-    hops = (np.einsum("ppqq->pq", g)[p, q][found], (row[found], column[found]))
+    hops = (np.einsum("pqpq->pq", eri)[p, q][found], (row[found], column[found]))
     del row, p, q, column, found   # the move arrays, before the matrix is built from the hops
     matrix = (scipy.sparse.diags(diagonal) + scipy.sparse.csr_matrix(hops, shape=(len(states),) * 2)).tocsr()
     # the matrix is kept on the Hamiltonian and shared
@@ -432,8 +433,10 @@ def build_paired_hamiltonian(mo: IntegralSet) -> PairedHamiltonian:
     determinants the Slater-Condon rules give, with hard-core pair
     operators P+_p -> (X_p - i Y_p)/2,
 
-        H = core + sum_p (2 h_pp + <pp|pp>) n_p
-                 + sum_{p<q} (4 <pq|pq> - 2 <pq|qp>) n_p n_q
-                 + sum_{p<q} <pp|qq> (X_p X_q + Y_p Y_q)/2
+        H = core + sum_p (2 h_pp + (pp|pp)) n_p
+                 + sum_{p<q} (4 (pp|qq) - 2 (pq|qp)) n_p n_q
+                 + sum_{p<q} (pq|pq) (X_p X_q + Y_p Y_q)/2
+
+    in the chemists' notation of ``IntegralSet.eri``.
     """
     return PairedHamiltonian(mo)

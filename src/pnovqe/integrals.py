@@ -11,8 +11,9 @@ near 1 MiB. F_0 uses ``_erf``, a numpy port of the Cephes rational
 approximations, within 1 ulp of ``scipy.special.erf``.
 
 Units: coordinates are stored in bohr, energies in hartree. Two-electron
-integrals are kept in physicists' notation <pq|rs> in memory and written in
-chemists' notation (ij|kl) on disk, following the FCIDUMP convention.
+integrals have one notation, chemists' (pq|rs), in memory (``eri`` of
+``AOIntegralSet`` and ``IntegralSet``) and on disk, following the FCIDUMP
+convention.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class Molecule:
                 raise ValueError(f"nuclear charge {z} < 1 for {symbol}")
             if not np.all(np.isfinite(pos)):
                 raise ValueError(f"non-finite position for {symbol}")
+        if self.n_electrons < 0:
+            raise ValueError(f"charge {self.charge} leaves {self.n_electrons} electrons")
         if self.n_electrons % 2 != 0:
             raise ValueError("odd electron count (closed-shell restriction)")
 
@@ -244,6 +247,19 @@ def transform_eri(chem: np.ndarray, m: np.ndarray) -> np.ndarray:
     return _unpacked(np.tril(g) + np.tril(g, -1).T, len(m))
 
 
+def _check_symmetric(name: str, h: np.ndarray, eri: np.ndarray) -> None:
+    """Refuse an asymmetric one-electron matrix, or chemists' (pq|rs) without 8-fold symmetry.
+
+    (pq|rs) = (qp|rs) = (pq|sr) = (rs|pq) generate the eight permutations;
+    a physicists' <pq|rs> tensor fails them.
+    """
+    if not np.allclose(h, h.T, atol=1e-12):
+        raise ValueError(f"{name} must be symmetric")
+    for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
+        if not np.allclose(eri, eri.transpose(perm), atol=1e-12):
+            raise ValueError("(pq|rs) lacks 8-fold permutation symmetry")
+
+
 @dataclass(frozen=True)
 class AOIntegralSet:
     """Atomic-orbital integrals: overlap, core Hamiltonian, ERIs (chemists')."""
@@ -255,14 +271,9 @@ class AOIntegralSet:
     nuclear_repulsion: float
 
     def __post_init__(self):
-        s, h, g = self.overlap, self.core_hamiltonian, self.eri
-        if not np.allclose(s, s.T, atol=1e-12):
+        if not np.allclose(self.overlap, self.overlap.T, atol=1e-12):
             raise ValueError("overlap must be symmetric")
-        if not np.allclose(h, h.T, atol=1e-12):
-            raise ValueError("core Hamiltonian must be symmetric")
-        for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
-            if not np.allclose(g, g.transpose(perm), atol=1e-12):
-                raise ValueError("(pq|rs) lacks 8-fold permutation symmetry")
+        _check_symmetric("core Hamiltonian", self.core_hamiltonian, self.eri)
 
 
 def compute_ao_integrals(molecule: Molecule, shells: list[BasisShell]) -> AOIntegralSet:
@@ -338,11 +349,11 @@ def compute_ao_integrals(molecule: Molecule, shells: list[BasisShell]) -> AOInte
 
 @dataclass(frozen=True)
 class IntegralSet:
-    """Spatial-orbital integrals: h, <pq|rs> (physicists'), core energy."""
+    """Spatial-orbital integrals: h, ``eri`` (chemists' (pq|rs), as in ``AOIntegralSet``), core energy."""
 
     n_orb: int
     h: np.ndarray
-    g: np.ndarray
+    eri: np.ndarray
     core_energy: float
     n_electrons: int
     orbital_energies: np.ndarray | None = None
@@ -350,14 +361,9 @@ class IntegralSet:
     def __post_init__(self):
         if self.h.shape != (self.n_orb, self.n_orb):
             raise ValueError("h has wrong shape")
-        if self.g.shape != (self.n_orb,) * 4:
-            raise ValueError("g has wrong shape")
-        if not np.allclose(self.h, self.h.T, atol=1e-12):
-            raise ValueError("h must be symmetric")
-        g = self.g
-        for perm in [(2, 1, 0, 3), (0, 3, 2, 1), (1, 0, 3, 2)]:
-            if not np.allclose(g, g.transpose(perm), atol=1e-12):
-                raise ValueError("<pq|rs> lacks real 8-fold symmetry")
+        if self.eri.shape != (self.n_orb,) * 4:
+            raise ValueError("eri has wrong shape")
+        _check_symmetric("h", self.h, self.eri)
         if self.n_electrons < 0 or self.n_electrons % 2 != 0:
             raise ValueError("n_electrons must be even and non-negative")
         if self.n_electrons // 2 > self.n_orb:
@@ -368,10 +374,10 @@ class IntegralSet:
         return self.n_electrons // 2
 
     def mean_field(self, occupied) -> np.ndarray:
-        """h + sum_i (2<.i|.i> - <.i|i.>) over the doubly occupied orbitals i."""
+        """h + sum_i (2 (..|ii) - (.i|i.)) over the doubly occupied orbitals i."""
         fock = self.h.copy()
         for i in occupied:
-            fock += 2.0 * self.g[:, i, :, i] - self.g[:, i, i, :]
+            fock += 2.0 * self.eri[:, :, i, i] - self.eri[:, i, i, :]
         return fock
 
 
@@ -419,6 +425,8 @@ def read_fcidump(path) -> IntegralSet:
             i, j, k, l = indices = tuple(int(v) for v in fields[1:])
         except ValueError:
             raise ParseError(f"malformed FCIDUMP line: {raw!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value in FCIDUMP line: {raw!r}")
         if min(indices) < 0 or max(indices) > n_orb:
             raise ParseError(f"orbital index out of range in line: {raw!r}")
         # the nonzero indices lead: 0 0 0 0, i 0 0 0, i j 0 0 or i j k l
@@ -438,7 +446,7 @@ def read_fcidump(path) -> IntegralSet:
     return IntegralSet(
         n_orb=n_orb,
         h=h,
-        g=_unpacked(packed, n_orb).transpose(0, 2, 1, 3).copy(),
+        eri=_unpacked(packed, n_orb),
         core_energy=core,
         n_electrons=n_elec,
         orbital_energies=orbital_energies,
@@ -458,7 +466,7 @@ def write_fcidump(mo: IntegralSet, path) -> None:
     i, j, _ = _pair_table(n)
     ij, kl = np.tril_indices(i.size)
     quads = np.stack([i[ij], j[ij], i[kl], j[kl]], axis=1)
-    values = mo.g.transpose(0, 2, 1, 3)[tuple(quads.T)]
+    values = mo.eri[tuple(quads.T)]
     keep = np.abs(values) > 1e-14
     for value, quad in zip(values[keep].tolist(), (quads[keep] + 1).tolist()):
         _emit(value, *quad)

@@ -217,8 +217,9 @@ def jordan_wigner(op: dict, n_qubits: int) -> QubitOperator:
 def build_hamiltonian(mo) -> dict:
     """Second-quantized Hamiltonian from spatial-orbital integrals, as {ladder tuple: coefficient}.
 
-    Expands h and the two-electron tensor <pq|rs> (physicists' notation)
-    over interleaved spin-orbitals, keeping spin-conserving terms only:
+    Expands h and the two-electron integrals over interleaved spin-orbitals,
+    keeping spin-conserving terms only. ``mo.eri`` holds chemists' (pq|rs);
+    this sum reads it through one physicists' view <pq|rs> = (pr|qs):
 
         H = core + sum h_pq a^dag_{p,s} a_{q,s}
                  + 1/2 sum <pq|rs> a^dag_{p,s} a^dag_{q,t} a_{s',t} a_{r',s}
@@ -245,13 +246,14 @@ def build_hamiltonian(mo) -> dict:
     for a, b, value in one_body:
         terms[(cre[a], ann[b])] = complex(value)
 
-    nonzero = np.nonzero(~(np.abs(mo.g) < COEFF_CUTOFF))
+    g = mo.eri.transpose(0, 2, 1, 3)   # <pq|rs> = (pr|qs)
+    nonzero = np.nonzero(~(np.abs(g) < COEFF_CUTOFF))
     p, q, r, s = (2 * i[:, None] for i in nonzero)
     sigma, tau = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
     P, Q, S, R = p + sigma, q + tau, s + tau, r + sigma
     kept = ((P != Q) & (S != R)).ravel()
     # a^dag_P a^dag_Q a_S a_R with P > Q and S > R; each swap flips the sign
-    half = np.where((P < Q) ^ (S < R), -0.5, 0.5) * mo.g[nonzero][:, None]
+    half = np.where((P < Q) ^ (S < R), -0.5, 0.5) * g[nonzero][:, None]
     ladders = [np.maximum(P, Q), np.minimum(P, Q), np.maximum(S, R), np.minimum(S, R)]
     ladders = [a.ravel()[kept] for a in ladders]
     slot, first = _first_occurrence(((ladders[0] * m + ladders[1]) * m + ladders[2]) * m + ladders[3])

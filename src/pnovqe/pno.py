@@ -5,7 +5,9 @@ per occupied pair, whose eigenvectors (pair natural orbitals, PNOs) are
 ranked globally by occupation number. The largest occupations are kept
 until the qubit budget is exhausted, orthonormalized by Cholesky in
 selection order (which preserves the most important PNO), and combined
-with the occupied orbitals into the final compact orbital set.
+with the occupied orbitals into the final compact orbital set. Every
+``IntegralSet`` here, parent and compact, holds chemists' (pq|rs) in
+``eri``, which the four-index transform reads and writes as it is.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _fock_diagonal(mo: IntegralSet) -> np.ndarray:
 
 
 def mp2_amplitudes(mo: IntegralSet) -> PairAmplitudes:
-    """Closed-form MP2 amplitudes t^{ij}_{ab} = <ij|ab> / (e_i+e_j-e_a-e_b)."""
+    """Closed-form MP2 amplitudes t^{ij}_{ab} = (ia|jb) / (e_i+e_j-e_a-e_b)."""
     n_occ = mo.n_occ
     n_virt = mo.n_orb - n_occ
     eps = mo.orbital_energies
@@ -81,7 +83,7 @@ def mp2_amplitudes(mo: IntegralSet) -> PairAmplitudes:
             denom = eps[i] + eps[j] - eps_v[:, None] - eps_v[None, :]
             if np.any(np.abs(denom) < 1e-8):
                 raise ValueError("degenerate occupied/virtual gap in MP2 denominator")
-            g = mo.g[i, j, n_occ:, n_occ:]
+            g = mo.eri[i, n_occ:, j, n_occ:]
             weight = 1.0 if i == j else 2.0
             t[(i, j)] = g / denom
             pair_energies[(i, j)] = weight * float(np.sum(g * (2.0 * g - g.T) / denom))
@@ -228,7 +230,7 @@ def build_final_integrals(mo: IntegralSet, space: OrbitalSpace) -> IntegralSet:
     return IntegralSet(
         n_orb=space.n_total,
         h=u.T @ mo.h @ u,
-        g=transform_eri(mo.g.transpose(0, 2, 1, 3), u.T).transpose(0, 2, 1, 3).copy(),
+        eri=transform_eri(mo.eri, u.T),
         core_energy=mo.core_energy,
         n_electrons=mo.n_electrons,
         orbital_energies=None,
@@ -238,7 +240,7 @@ def build_final_integrals(mo: IntegralSet, space: OrbitalSpace) -> IntegralSet:
 def freeze_core(mo: IntegralSet, frozen: list[int]) -> IntegralSet:
     """Fold doubly occupied frozen orbitals into the core energy.
 
-    core += sum_i 2 h_ii + sum_ij (2<ij|ij> - <ij|ji>) over frozen i, j;
+    core += sum_i 2 h_ii + sum_ij (2 (ii|jj) - (ij|ji)) over frozen i, j;
     the remaining one-electron integrals pick up the frozen mean field.
     """
     frozen = sorted(set(frozen))
@@ -250,12 +252,11 @@ def freeze_core(mo: IntegralSet, frozen: list[int]) -> IntegralSet:
     h_eff = mo.mean_field(frozen)
     core = mo.core_energy + np.sum(np.diag(mo.h + h_eff)[frozen])
     keep = [p for p in range(mo.n_orb) if p not in frozen]
-    g_new = mo.g[np.ix_(keep, keep, keep, keep)]
     eps = mo.orbital_energies
     return IntegralSet(
         n_orb=len(keep),
         h=h_eff[np.ix_(keep, keep)],
-        g=g_new,
+        eri=mo.eri[np.ix_(keep, keep, keep, keep)],
         core_energy=float(core),
         n_electrons=mo.n_electrons - 2 * len(frozen),
         orbital_energies=None if eps is None else eps[keep],

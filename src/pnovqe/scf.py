@@ -47,6 +47,8 @@ def run_rhf(ao: AOIntegralSet, n_electrons: int) -> SCFResult:
     convergence requires both the energy change and the density change to
     fall below their tolerances. Non-convergence is flagged, not raised.
     """
+    if n_electrons < 0:
+        raise ValueError(f"negative electron count {n_electrons}")
     if n_electrons % 2 != 0:
         raise ValueError("closed-shell solver needs an even electron count")
     if n_electrons > 2 * ao.n_ao:
@@ -127,8 +129,8 @@ def transform_to_mo(ao: AOIntegralSet, c: np.ndarray, n_electrons: int,
                     orbital_energies: np.ndarray | None = None) -> IntegralSet:
     """Four-index transform of the AO integrals into the MO basis.
 
-    Output two-electron integrals are in physicists' notation,
-    <pq|rs> = (pr|qs) over the chemists' AO tensor, exactly 8-fold symmetric.
+    The MO two-electron integrals ``eri`` stay in the AO tensor's chemists'
+    notation (pq|rs), exactly 8-fold symmetric (``transform_eri``).
     """
     ctsc = c.T @ ao.overlap @ c
     if not np.allclose(ctsc, np.eye(c.shape[1]), atol=1e-8):
@@ -136,7 +138,7 @@ def transform_to_mo(ao: AOIntegralSet, c: np.ndarray, n_electrons: int,
     return IntegralSet(
         n_orb=c.shape[1],
         h=c.T @ ao.core_hamiltonian @ c,
-        g=transform_eri(ao.eri, c.T).transpose(0, 2, 1, 3).copy(),
+        eri=transform_eri(ao.eri, c.T),
         core_energy=ao.nuclear_repulsion,
         n_electrons=n_electrons,
         orbital_energies=None if orbital_energies is None else np.asarray(orbital_energies),

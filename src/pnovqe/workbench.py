@@ -574,8 +574,9 @@ def load_reference(path) -> dict:
             continue
         fields = line.replace(",", " ").split()
         if len(fields) < 2:
-            raise ValueError(f"malformed reference row: {raw!r}")
-        table[_number(path, lineno, fields[0])] = _number(path, lineno, fields[1])
+            raise ValueError(f"{path}, line {lineno}: malformed reference row {raw!r}")
+        coordinate = _number(path, lineno, fields[0])   # the coordinate is reported first
+        table[coordinate] = _number(path, lineno, fields[1])
     if not table:
         raise ValueError(f"no reference rows found in {path}")
     return table
@@ -603,7 +604,8 @@ def load_curve_csv(path, column: str = "e_vqe") -> dict:
         fields = line.split(",")
         if len(fields) < len(header):
             raise ValueError(f"{path}, line {lineno}: {len(fields)} of {len(header)} fields")
-        table[_number(path, lineno, fields[0])] = _number(path, lineno, fields[idx])
+        coordinate = _number(path, lineno, fields[0])
+        table[coordinate] = _number(path, lineno, fields[idx])
     return table
 
 

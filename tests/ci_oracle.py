@@ -93,6 +93,7 @@ def spin_orbital_integrals(mo: IntegralSet):
     """Expand spatial integrals over interleaved spin-orbitals."""
     n = mo.n_orb
     n_so = 2 * n
+    g = mo.eri.transpose(0, 2, 1, 3)   # physicists' <pq|rs> = (pr|qs)
     h_so = np.zeros((n_so, n_so))
     g_so = np.zeros((n_so, n_so, n_so, n_so))
     for p in range(n):
@@ -103,7 +104,7 @@ def spin_orbital_integrals(mo: IntegralSet):
         for q in range(n):
             for r in range(n):
                 for s_ in range(n):
-                    val = mo.g[p, q, r, s_]
+                    val = g[p, q, r, s_]
                     if val == 0.0:
                         continue
                     for sig in (0, 1):
@@ -284,7 +285,7 @@ def random_integral_set(n_orb: int, n_elec: int, seed: int, scale: float = 0.2,
     return IntegralSet(
         n_orb=n_orb,
         h=h,
-        g=chem.transpose(0, 2, 1, 3).copy(),
+        eri=chem,
         core_energy=float(rng.standard_normal()),
         n_electrons=n_elec,
         orbital_energies=eps,
@@ -397,12 +398,12 @@ def reference_mo_eri(eri: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def reference_final_eri(g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Physicists' <pq|rs> rotated by the columns of u, by one einsum."""
+    """Two-electron integrals rotated by the columns of u on all four indices, by one einsum."""
     return np.einsum("PQRS,Pp,Qq,Rr,Ss->pqrs", g, u, u, u, u, optimize=True)
 
 
 def reference_read_fcidump(path) -> tuple:
-    """(h, physicists' g, orbital energies or None, core) of an FCIDUMP file."""
+    """(h, chemists' eri, orbital energies or None, core) of an FCIDUMP file."""
     with open(path) as fh:
         text = fh.read()
     end = re.search(r"(&END|/)", text)
@@ -430,13 +431,12 @@ def reference_read_fcidump(path) -> tuple:
                 for r, s in ((c, d), (d, c)):
                     chem[p, q, r, s] = value
                     chem[r, s, p, q] = value
-    return h, chem.transpose(0, 2, 1, 3).copy(), None if np.any(np.isnan(eps)) else eps, core
+    return h, chem, None if np.any(np.isnan(eps)) else eps, core
 
 
 def reference_fcidump_text(mo: IntegralSet) -> str:
     """FCIDUMP text of an integral set: unique (ij|kl) by four nested loops, then h."""
     n = mo.n_orb
-    chem = mo.g.transpose(0, 2, 1, 3)
     lines = [f"&FCI NORB={n},NELEC={mo.n_electrons},MS2=0,",
              " ORBSYM=" + ",".join(["1"] * n) + ",", " ISYM=1,", "&END"]
 
@@ -450,7 +450,7 @@ def reference_fcidump_text(mo: IntegralSet) -> str:
                 for l in range(k + 1):
                     if pair_index(i, j) < pair_index(k, l):
                         continue
-                    val = chem[i, j, k, l]
+                    val = mo.eri[i, j, k, l]
                     if abs(val) > 1e-14:
                         _emit(val, i + 1, j + 1, k + 1, l + 1)
     for i in range(n):
@@ -498,6 +498,7 @@ def reference_mp2_amplitudes(mo: IntegralSet):
     """MP2 amplitudes t[(i, j)] and pair energies by a loop over virtual pairs."""
     n_occ = mo.n_occ
     eps = mo.orbital_energies
+    g = mo.eri.transpose(0, 2, 1, 3)   # physicists' <pq|rs> = (pr|qs)
     virt = range(n_occ, mo.n_orb)
     t: dict = {}
     pair_energies: dict = {}
@@ -508,8 +509,8 @@ def reference_mp2_amplitudes(mo: IntegralSet):
             for a_local, a in enumerate(virt):
                 for b_local, b in enumerate(virt):
                     denom = eps[i] + eps[j] - eps[a] - eps[b]
-                    g_ijab = mo.g[i, j, a, b]
-                    g_ijba = mo.g[i, j, b, a]
+                    g_ijab = g[i, j, a, b]
+                    g_ijba = g[i, j, b, a]
                     tij[a_local, b_local] = g_ijab / denom
                     e_pair += g_ijab * (2.0 * g_ijab - g_ijba) / denom
             t[(i, j)] = tij
@@ -584,7 +585,7 @@ def reference_build_hamiltonian(mo) -> dict:
     """Second-quantized Hamiltonian, one spin-orbital quartet at a time."""
     n = mo.n_orb
     h = mo.h
-    g = mo.g
+    g = mo.eri.transpose(0, 2, 1, 3)   # physicists' <pq|rs> = (pr|qs)
     terms: dict = {(): complex(mo.core_energy)}
 
     def _accumulate(term, coeff):

@@ -14,7 +14,9 @@ then runs the point's VQE with the config's optimizer settings on the same
 kept operator. It reports the time to enumerate the sector, with a SHA-256
 of its int64 ``states`` so that a log shows whether their bits moved, the
 operator's setup time, the solve's time and matrix-vector products, the
-certificate's included, and the VQE's time.
+certificate's included, and the VQE's time. It also prints a SHA-256 of
+the compact integrals' ``h`` and ``eri`` (chemists' (pq|rs)) bytes, so that
+a log shows whether the integral bits moved.
 
 It exits nonzero unless, on 22 qubits, E_FCI and E_VQE are each within
 1e-9 Ha of their pinned values and the solve takes at most 40 products;
@@ -48,6 +50,10 @@ def peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024   # KiB on Linux
 
 
+def sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array)).hexdigest()
+
+
 def run_h6_point(shells_per_atom: int, n_qubits: int) -> dict:
     """The compact PNO-UpCCGD point of the H6 chain: its energies, product count and timings."""
     atoms = tuple(("H", 1, np.array([0.0, 0.0, 1.6 * k])) for k in range(6))
@@ -66,10 +72,12 @@ def run_h6_point(shells_per_atom: int, n_qubits: int) -> dict:
         config = pq.RunConfig(integral_source="fcidump", fcidump=str(path), n_qubits=n_qubits,
                               ansatz="pno-upccgd").validate()
         stage = workbench.compact_integrals(config)
-    hamiltonian = pq.IntegralHamiltonian(stage["final"])
+    final = stage["final"]
+    print(f"{n_qubits} qubits: compact h sha256 {sha256(final.h)}, eri sha256 {sha256(final.eri)}")
+    hamiltonian = pq.IntegralHamiltonian(final)
     # the sector fci_energy solves, enumerated here first; its operator is kept on the Hamiltonian
     start = time.perf_counter()
-    sector = pq.sector_basis(hamiltonian.n_qubits, stage["final"].n_electrons, 0)
+    sector = pq.sector_basis(hamiltonian.n_qubits, final.n_electrons, 0)
     sector_s = time.perf_counter() - start
     start = time.perf_counter()
     operator = exact._sector_operator(hamiltonian, sector)
@@ -86,7 +94,7 @@ def run_h6_point(shells_per_atom: int, n_qubits: int) -> dict:
     vqe = pq.run_vqe(hamiltonian, ansatz, grad_tol=config.grad_tol, max_iter=config.max_iter,
                      restarts=config.restarts, seed=config.seed)
     vqe_s = time.perf_counter() - start
-    print(f"{n_qubits} qubits: sector states sha256 {hashlib.sha256(sector.states).hexdigest()}, "
+    print(f"{n_qubits} qubits: sector states sha256 {sha256(sector.states)}, "
           f"enumerated in {1e3 * sector_s:.1f} ms")
     print(f"{n_qubits} qubits: sector dim {sector.dim}, operator set up in {1e3 * setup_s:.1f} ms")
     print(f"{n_qubits} qubits: E_FCI {energy!r} Ha in {solve_s:.2f} s "

@@ -31,11 +31,11 @@ from ci_oracle import (
 from conftest import CountingMatrix, sector_matrix
 
 
-def integral_set(h, g=None, core=0.0) -> pq.IntegralSet:
+def integral_set(h, eri=None, core=0.0) -> pq.IntegralSet:
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
-    g = np.zeros((n,) * 4) if g is None else g
-    return pq.IntegralSet(n_orb=n, h=h, g=g, core_energy=core, n_electrons=2)
+    eri = np.zeros((n,) * 4) if eri is None else eri
+    return pq.IntegralSet(n_orb=n, h=h, eri=eri, core_energy=core, n_electrons=2)
 
 
 class TestExactGroundEnergy:
@@ -92,10 +92,10 @@ class TestExactGroundEnergy:
         # every sector matrix is real symmetric because no other integrals get in
         with pytest.raises(ValueError, match="h must be symmetric"):
             integral_set([[0.0, 0.1], [0.2, 0.0]])
-        g = np.zeros((2,) * 4)
-        g[0, 0, 1, 1] = 0.3
+        eri = np.zeros((2,) * 4)
+        eri[0, 0, 1, 1] = 0.3
         with pytest.raises(ValueError, match="8-fold"):
-            integral_set(np.zeros((2, 2)), g)
+            integral_set(np.zeros((2, 2)), eri)
 
     def test_basis_out_of_order_or_outside_the_register_rejected(self):
         # states are located by searchsorted: a reversed basis solved to 0.0
@@ -316,24 +316,24 @@ class TestPairedHamiltonian:
 
     @pytest.mark.parametrize("n_orb", [1, 2, 3, 4, 5])
     def test_matrix_matches_the_closed_form(self, n_orb):
-        # build_paired_hamiltonian's docstring: pair energies 2 h_pp + <pp|pp>,
-        # pair-pair 4 <pq|pq> - 2 <pq|qp>, and <pp|qq> moves a pair from p to q
+        # build_paired_hamiltonian's docstring: pair energies 2 h_pp + (pp|pp),
+        # pair-pair 4 (pp|qq) - 2 (pq|qp), and (pq|pq) moves a pair from p to q
         mo = random_integral_set(n_orb, 2, 20 + n_orb)
-        h, g = mo.h, mo.g
+        h, eri = mo.h, mo.eri
         hp = pq.build_paired_hamiltonian(mo)
         for n_pairs in range(n_orb + 1):
             states = pq.sector_basis(n_orb, n_pairs).states
             expected = np.zeros((len(states), len(states)))
             for i, m in enumerate(states):
                 occ = [p for p in range(n_orb) if m >> p & 1]
-                expected[i, i] = mo.core_energy + sum(2 * h[p, p] + g[p, p, p, p] for p in occ)
-                expected[i, i] += sum(4 * g[p, q, p, q] - 2 * g[p, q, q, p]
+                expected[i, i] = mo.core_energy + sum(2 * h[p, p] + eri[p, p, p, p] for p in occ)
+                expected[i, i] += sum(4 * eri[p, p, q, q] - 2 * eri[p, q, q, p]
                                       for p in occ for q in occ if p < q)
                 for j, k in enumerate(states):
                     moved = int(m ^ k)
                     if moved.bit_count() == 2:
                         p, q = moved.bit_length() - 1, (moved & -moved).bit_length() - 1
-                        expected[i, j] = g[p, p, q, q]
+                        expected[i, j] = eri[p, q, p, q]
             np.testing.assert_allclose(sector_matrix(hp, pq.sector_basis(n_orb, n_pairs)), expected,
                                        atol=1e-12, rtol=0)
 
@@ -413,7 +413,7 @@ class TestBasisRotationInvariance:
         rotated = pq.IntegralSet(
             n_orb=3,
             h=u.T @ mo.h @ u,
-            g=np.einsum("PQRS,Pp,Qq,Rr,Ss->pqrs", mo.g, u, u, u, u, optimize=True),
+            eri=np.einsum("PQRS,Pp,Qq,Rr,Ss->pqrs", mo.eri, u, u, u, u, optimize=True),
             core_energy=mo.core_energy,
             n_electrons=2,
         )

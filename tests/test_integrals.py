@@ -60,6 +60,11 @@ class TestParseXYZ:
         with pytest.raises(ValueError, match="odd electron"):
             pq.parse_xyz("1\n\nH 0 0 0")
 
+    def test_a_charge_past_the_nuclear_charge_is_refused(self):
+        # H2 with charge 4 once had -2 electrons and reached run_rhf
+        with pytest.raises(ValueError, match="^charge 4 leaves -2 electrons$"):
+            pq.parse_xyz("2\n\nH 0 0 0\nH 0 0 0.74", charge=4)
+
 
 class TestBoys:
     def test_at_zero(self):
@@ -263,7 +268,7 @@ class TestFCIDump:
         pq.write_fcidump(mo, path)
         back = pq.read_fcidump(path)
         np.testing.assert_allclose(back.h, mo.h, atol=1e-12)
-        np.testing.assert_allclose(back.g, mo.g, atol=1e-12)
+        np.testing.assert_allclose(back.eri, mo.eri, atol=1e-12)
         assert back.core_energy == pytest.approx(mo.core_energy, abs=1e-12)
         np.testing.assert_allclose(
             back.orbital_energies, mo.orbital_energies, atol=1e-12
@@ -274,7 +279,7 @@ class TestFCIDump:
         path = tmp_path / "one.fcidump"
         path.write_text("&FCI NORB=1,NELEC=2,MS2=0,\n&END\n0.5 1 1 1 1\n")
         mo = pq.read_fcidump(path)
-        assert mo.g[0, 0, 0, 0] == pytest.approx(0.5)
+        assert mo.eri[0, 0, 0, 0] == pytest.approx(0.5)
 
     def test_d_exponent_accepted(self, tmp_path):
         path = tmp_path / "d.fcidump"
@@ -312,9 +317,36 @@ class TestFCIDump:
         with pytest.raises(ParseError, match="needs NORB >= 1 and NELEC >= 0"):
             pq.read_fcidump(path)
 
+    @pytest.mark.parametrize("indices", [["0", "0", "0", "0"], ["2", "2", "0", "0"], ["2", "2", "1", "1"]],
+                             ids=["core", "h", "eri"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_values_name_the_line(self, tmp_path, h2_sto3g, indices, value):
+        # once refused later, or elsewhere: "Eigenvalues did not converge" (core),
+        # "h must be symmetric" (h) and "<pq|rs> lacks real 8-fold symmetry" (eri)
+        path = tmp_path / "h2.fcidump"
+        pq.write_fcidump(h2_sto3g["mo"], path)
+        lines = path.read_text().splitlines()
+        at = next(k for k, text in enumerate(lines) if text.split()[1:] == indices)
+        lines[at] = " ".join([value, *indices])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            pq.read_fcidump(path)
+        assert str(info.value) == f"non-finite value in FCIDUMP line: {lines[at]!r}"
+
+    @pytest.mark.parametrize("n_orb, seed", [(2, 0), (3, 1), (4, 2)])
+    def test_integral_set_holds_chemists_notation_only(self, n_orb, seed):
+        # a caller still passing physicists' <pq|rs> = (pr|qs) fails instead of getting another Hamiltonian
+        mo = random_integral_set(n_orb, 2, seed)
+        fields = dict(n_orb=n_orb, h=mo.h, core_energy=0.0, n_electrons=2)
+        assert np.array_equal(pq.IntegralSet(eri=mo.eri, **fields).eri, mo.eri)
+        with pytest.raises(ValueError, match=r"^\(pq\|rs\) lacks 8-fold permutation symmetry$"):
+            pq.IntegralSet(eri=mo.eri.transpose(0, 2, 1, 3), **fields)
+        with pytest.raises(TypeError, match="'g'"):
+            pq.IntegralSet(g=mo.eri.transpose(0, 2, 1, 3), **fields)
+
     def test_integral_set_refuses_a_negative_electron_count(self):
         with pytest.raises(ValueError, match="n_electrons must be even and non-negative"):
-            pq.IntegralSet(n_orb=1, h=np.zeros((1, 1)), g=np.zeros((1,) * 4), core_energy=0.0,
+            pq.IntegralSet(n_orb=1, h=np.zeros((1, 1)), eri=np.zeros((1,) * 4), core_energy=0.0,
                            n_electrons=-2)
 
     def test_odd_nelec_rejected(self, tmp_path):
@@ -367,8 +399,8 @@ class TestFCIDump:
         pq.write_fcidump(mo, path)
         assert path.read_bytes() == reference_fcidump_text(mo).encode()
         back = pq.read_fcidump(path)
-        h, g, eps, core = reference_read_fcidump(path)
-        assert np.array_equal(back.h, h) and np.array_equal(back.g, g)
+        h, eri, eps, core = reference_read_fcidump(path)
+        assert np.array_equal(back.h, h) and np.array_equal(back.eri, eri)
         assert np.array_equal(back.orbital_energies, eps) and back.core_energy == core
 
     def test_roundtrip_preserves_fci_energy(self, tmp_path):

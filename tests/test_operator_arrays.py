@@ -50,8 +50,8 @@ def integral_sets(draw):
     flips and cancellations meet in one key."""
     n = draw(st.integers(1, 4))
     h = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
-    g = np.array(draw(st.lists(entries, min_size=n**4, max_size=n**4))).reshape((n,) * 4)
-    return SimpleNamespace(n_orb=n, h=h, g=g, core_energy=draw(entries))
+    eri = np.array(draw(st.lists(entries, min_size=n**4, max_size=n**4))).reshape((n,) * 4)
+    return SimpleNamespace(n_orb=n, h=h, eri=eri, core_energy=draw(entries))
 
 
 @st.composite

@@ -95,8 +95,8 @@ class TestJordanWigner:
 class TestBuildHamiltonian:
     def test_one_orbital_closed_form(self):
         h = np.array([[-1.25]])
-        g = np.full((1, 1, 1, 1), 0.675)
-        mo = pq.IntegralSet(n_orb=1, h=h, g=g, core_energy=0.7, n_electrons=2)
+        eri = np.full((1, 1, 1, 1), 0.675)
+        mo = pq.IntegralSet(n_orb=1, h=h, eri=eri, core_energy=0.7, n_electrons=2)
         hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 2)
         # H = core + h11 (n0 + n1) + <11|11> n0 n1 on the 4-state register
         expected = np.diag([0.7, 0.7 - 1.25, 0.7 - 1.25, 0.7 - 2.5 + 0.675])
@@ -104,15 +104,15 @@ class TestBuildHamiltonian:
 
     def test_one_orbital_term_count(self):
         h = np.array([[-1.0]])
-        g = np.full((1, 1, 1, 1), 0.6)
-        mo = pq.IntegralSet(n_orb=1, h=h, g=g, core_energy=0.3, n_electrons=2)
+        eri = np.full((1, 1, 1, 1), 0.6)
+        mo = pq.IntegralSet(n_orb=1, h=h, eri=eri, core_energy=0.3, n_electrons=2)
         hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 2)
         labels = {pauli_label(x, z) for (x, z), _ in hq.raw_items()}
         assert labels == {"I", "Z0", "Z1", "Z0 Z1"}
 
     def test_zero_integrals_gives_constant(self):
         mo = pq.IntegralSet(
-            n_orb=2, h=np.zeros((2, 2)), g=np.zeros((2, 2, 2, 2)),
+            n_orb=2, h=np.zeros((2, 2)), eri=np.zeros((2, 2, 2, 2)),
             core_energy=-3.25, n_electrons=2,
         )
         hq = pq.jordan_wigner(pq.build_hamiltonian(mo), 4)

@@ -103,12 +103,12 @@ class TestRunVQE:
         assert result.converged
 
     def test_diagonal_hamiltonian_keeps_reference(self):
-        # diagonal h and Coulomb-only g give a diagonal determinant matrix:
+        # diagonal h and Coulomb-only (pp|qq) give a diagonal determinant matrix:
         # theta = 0 is stationary, energy is the reference value, and the
         # optimizer exits without iterating
-        g = np.zeros((2,) * 4)
-        g[0, 0, 0, 0], g[0, 1, 0, 1], g[1, 0, 1, 0] = 0.6, 0.2, 0.2
-        mo = pq.IntegralSet(n_orb=2, h=np.diag([-0.4, 0.7]), g=g, core_energy=-0.5, n_electrons=2)
+        eri = np.zeros((2,) * 4)
+        eri[0, 0, 0, 0], eri[0, 0, 1, 1], eri[1, 1, 0, 0] = 0.6, 0.2, 0.2
+        mo = pq.IntegralSet(n_orb=2, h=np.diag([-0.4, 0.7]), eri=eri, core_energy=-0.5, n_electrons=2)
         hq = pq.IntegralHamiltonian(mo)
         ansatz = pq.build_upccgsd(2, 2)
         grad0 = pq.gradient(hq, ansatz, np.zeros(3))

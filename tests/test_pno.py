@@ -32,8 +32,8 @@ def mp2_brute_force(mo):
         for j in range(n_occ):
             for a in range(n_occ, mo.n_orb):
                 for b in range(n_occ, mo.n_orb):
-                    num = mo.g[i, j, a, b] * (
-                        2.0 * mo.g[i, j, a, b] - mo.g[i, j, b, a]
+                    num = mo.eri[i, a, j, b] * (
+                        2.0 * mo.eri[i, a, j, b] - mo.eri[i, b, j, a]
                     )
                     total += num / (eps[i] + eps[j] - eps[a] - eps[b])
     return total
@@ -44,15 +44,15 @@ class TestMP2:
         mo = h2_sto3g["mo"]
         amps = pq.mp2_amplitudes(mo)
         eps = mo.orbital_energies
-        t = mo.g[0, 0, 1, 1] / (2.0 * eps[0] - 2.0 * eps[1])
+        t = mo.eri[0, 1, 0, 1] / (2.0 * eps[0] - 2.0 * eps[1])
         assert amps.t[(0, 0)][0, 0] == pytest.approx(t, abs=1e-12)
-        assert amps.mp2_total == pytest.approx(t * mo.g[0, 0, 1, 1], abs=1e-12)
+        assert amps.mp2_total == pytest.approx(t * mo.eri[0, 1, 0, 1], abs=1e-12)
         assert amps.mp2_total == pytest.approx(-0.0132, abs=5e-4)
 
     def test_zero_coupling_gives_zero(self):
         h = np.diag([-1.0, 0.5, 0.8])
         mo = pq.IntegralSet(
-            n_orb=3, h=h, g=np.zeros((3,) * 4), core_energy=0.0, n_electrons=2,
+            n_orb=3, h=h, eri=np.zeros((3,) * 4), core_energy=0.0, n_electrons=2,
             orbital_energies=np.array([-1.0, 0.5, 0.8]),
         )
         assert pq.mp2_amplitudes(mo).mp2_total == 0.0
@@ -95,11 +95,11 @@ class TestMP2:
 
     def test_degenerate_denominator(self):
         h = np.diag([-1.0, -1.0 + 1e-10])
-        g = np.zeros((2,) * 4)
-        for idx in [(0, 0, 1, 1), (1, 1, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0)]:
-            g[idx] = 0.1
+        eri = np.zeros((2,) * 4)
+        for idx in [(0, 1, 0, 1), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0)]:
+            eri[idx] = 0.1
         mo = pq.IntegralSet(
-            n_orb=2, h=h, g=g, core_energy=0.0, n_electrons=2,
+            n_orb=2, h=h, eri=eri, core_energy=0.0, n_electrons=2,
             orbital_energies=np.array([-1.0, -1.0 + 1e-10]),
         )
         with pytest.raises(ValueError, match="degenerate"):
@@ -119,7 +119,7 @@ class TestMP2:
             n_ao=3,
             overlap=np.eye(3),
             core_hamiltonian=np.diag([-1.3, 0.6, 1.1]),
-            eri=lam * base.g.transpose(0, 2, 1, 3).copy(),
+            eri=lam * base.eri,
             nuclear_repulsion=0.0,
         )
         scf = pq.run_rhf(ao, 2)
@@ -342,7 +342,7 @@ class TestBuildFinalIntegrals:
         )
         final = pq.build_final_integrals(mo, space)
         np.testing.assert_allclose(final.h, mo.h, atol=1e-12)
-        np.testing.assert_allclose(final.g, mo.g, atol=1e-12)
+        np.testing.assert_allclose(final.eri, mo.eri, atol=1e-12)
 
     def test_occupied_only_space_is_single_determinant(self, h2_sto3g):
         mo = h2_sto3g["mo"]

@@ -27,6 +27,11 @@ def heh_plus():
 
 
 class TestRunRHF:
+    def test_negative_electron_count_refused(self, h2_sto3g):
+        # -2 electrons once ran with n_occ = -1, a density from all but one orbital
+        with pytest.raises(ValueError, match="^negative electron count -2$"):
+            pq.run_rhf(h2_sto3g["ao"], -2)
+
     def test_helium_closed_form(self):
         mol = pq.parse_xyz("1\n\nHe 0 0 0")
         ao = pq.compute_ao_integrals(mol, pq.sto3g_shells(mol))
@@ -130,7 +135,7 @@ class TestTransformToMO:
             n_ao=3,
             overlap=np.eye(3),
             core_hamiltonian=mo.h,
-            eri=mo.g.transpose(0, 2, 1, 3).copy(),
+            eri=mo.eri,
             nuclear_repulsion=0.5,
         )
 
@@ -138,9 +143,7 @@ class TestTransformToMO:
         ao = self._orthonormal_ao()
         mo = pq.transform_to_mo(ao, np.eye(3), 2)
         np.testing.assert_allclose(mo.h, ao.core_hamiltonian, atol=1e-14)
-        np.testing.assert_allclose(
-            mo.g, ao.eri.transpose(0, 2, 1, 3), atol=1e-14
-        )
+        np.testing.assert_allclose(mo.eri, ao.eri, atol=1e-14)
         assert mo.core_energy == pytest.approx(0.5)
 
     def test_trace_invariance(self):
@@ -155,7 +158,7 @@ class TestTransformToMO:
     def test_hf_energy_from_mo_integrals(self, h2_sto3g):
         mo = h2_sto3g["mo"]
         scf = h2_sto3g["scf"]
-        e = mo.core_energy + 2.0 * mo.h[0, 0] + mo.g[0, 0, 0, 0]
+        e = mo.core_energy + 2.0 * mo.h[0, 0] + mo.eri[0, 0, 0, 0]
         assert e == pytest.approx(scf.total_energy, abs=1e-8)
 
     def test_non_orthonormal_rejected(self, h2_sto3g):
@@ -167,7 +170,7 @@ class TestTransformToMO:
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**16))
 def test_transform_eri_exactly_symmetric_and_matches_einsum(n_in, n_out, seed):
-    chem = random_integral_set(n_in, 2, seed).g.transpose(0, 2, 1, 3)
+    chem = random_integral_set(n_in, 2, seed).eri
     c = np.random.default_rng(seed).standard_normal((n_in, n_out))
     out = transform_eri(chem, c.T)
     assert out.shape == (n_out,) * 4
@@ -196,7 +199,7 @@ def test_ill_conditioned_chains_pass_both_transforms(n_atoms, n_shells, alpha0, 
     assert scf.converged
     c = scf.mo_coefficients
     mo = pq.transform_to_mo(ao, c, mol.n_electrons, orbital_energies=scf.orbital_energies)
-    chem = mo.g.transpose(0, 2, 1, 3)
+    chem = mo.eri
     assert_exactly_symmetric(chem)
     # both transforms carry round-off of order max|C|^4 eps
     tol = 8 * np.finfo(float).eps * np.abs(c).max() ** 4
@@ -206,6 +209,6 @@ def test_ill_conditioned_chains_pass_both_transforms(n_atoms, n_shells, alpha0, 
     space = pq.orthonormalize(pq.select_pnos(pq.pair_densities(amps), n_qubits))
     final = pq.build_final_integrals(mo, space)
     assert final.n_orb == n_qubits // 2
-    assert_exactly_symmetric(final.g.transpose(0, 2, 1, 3))
-    np.testing.assert_allclose(final.g, reference_final_eri(mo.g, space.transform),
+    assert_exactly_symmetric(final.eri)
+    np.testing.assert_allclose(final.eri, reference_final_eri(mo.eri, space.transform),
                                rtol=0, atol=1e-12)

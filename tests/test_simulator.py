@@ -31,7 +31,7 @@ def integral_hamiltonian(h, core: float = 0.0) -> pq.IntegralHamiltonian:
     """The Hamiltonian of one-body integrals ``h`` and a core energy, with no two-body terms."""
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
-    mo = pq.IntegralSet(n_orb=n, h=h, g=np.zeros((n,) * 4), core_energy=core, n_electrons=2)
+    mo = pq.IntegralSet(n_orb=n, h=h, eri=np.zeros((n,) * 4), core_energy=core, n_electrons=2)
     return pq.IntegralHamiltonian(mo)
 
 
@@ -256,7 +256,7 @@ class TestGradient:
         # determinant is an eigenstate, so the gradient vanishes at zero
         h = np.diag([-1.2, 0.4, 0.9])
         mo = pq.IntegralSet(
-            n_orb=3, h=h, g=np.zeros((3,) * 4), core_energy=0.0, n_electrons=2,
+            n_orb=3, h=h, eri=np.zeros((3,) * 4), core_energy=0.0, n_electrons=2,
         )
         hq = pq.IntegralHamiltonian(mo)
         ansatz = pq.build_upccgsd(3, 2)

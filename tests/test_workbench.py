@@ -293,7 +293,7 @@ class TestRunPoint:
         enumerated = []
         monkeypatch.setattr(workbench, "sector_basis", lambda *args: enumerated.append(args))
         hamiltonian = pq.IntegralHamiltonian(pq.IntegralSet(
-            n_orb=36, h=np.zeros((36, 36)), g=np.zeros((36,) * 4), core_energy=0.0, n_electrons=36))
+            n_orb=36, h=np.zeros((36, 36)), eri=np.zeros((36,) * 4), core_energy=0.0, n_electrons=36))
         with pytest.raises(ValueError, match="the exact solve of 18 \\+ 18 electrons in 36 orbitals "
                                              "needs about [0-9]+ bytes, past the [0-9]+ bytes"):
             workbench.fci_energy(hamiltonian)
@@ -780,8 +780,20 @@ class TestCLI:
         ref.write_text("R energy\n# bohr hartree\n\n0.4 -1.01\n0.5, -1.02\n")
         assert workbench.load_reference(ref) == {0.4: -1.01, 0.5: -1.02}
         ref.write_text("0.4 -1.01\nR energy\n")
-        with pytest.raises(ValueError, match=r"line 2: 'energy' is not a number"):
+        with pytest.raises(ValueError, match=r"line 2: 'R' is not a number"):
             workbench.load_reference(ref)
+
+    def test_a_one_field_reference_row_names_the_file_and_line(self, tmp_path):
+        ref = tmp_path / "ref.dat"
+        ref.write_text("0.4 -1.01\n0.5\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(ref))}, line 2: malformed reference row '0.5'$"):
+            workbench.load_reference(ref)
+
+    def test_a_curve_row_with_both_fields_bad_is_reported_by_its_coordinate(self, tmp_path):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("coordinate,e_vqe\n0.5,-1.0\nR,energy\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(curve))}, line 3: 'R' is not a number$"):
+            load_curve_csv(curve)
 
     def test_metrics_names_the_file_and_line_of_a_non_numeric_reference(self, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
@@ -839,6 +851,30 @@ class TestCLI:
             assert cli.main(["vqe", "--config", config, "--freeze", "1"]) == 1
             errors.append(capsys.readouterr().err)
         assert errors == ["error: freeze [1]: can only freeze the 1 occupied orbitals\n"] * 2
+
+    @pytest.mark.parametrize("command", ["fci", "vqe"])
+    def test_a_nan_fcidump_integral_is_refused_with_its_line(self, tmp_path, capsys, h2_sto3g, command):
+        # a nan (pq|rs) once failed as "<pq|rs> lacks real 8-fold symmetry"
+        dump = tmp_path / "h2.fcidump"
+        pq.write_fcidump(h2_sto3g["mo"], dump)
+        lines = dump.read_text().splitlines()
+        lines[4] = " ".join(["nan", *lines[4].split()[1:]])   # the first (pq|rs) line
+        dump.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "h2-dump.cfg"
+        cfg.write_text(f"[integrals]\nsource = fcidump\nfcidump = {dump}\n[space]\nnq = 4\n")
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: non-finite value in FCIDUMP line: {lines[4]!r}\n"
+
+    @pytest.mark.parametrize("command", ["scf", "fci"])
+    def test_a_charge_past_the_nuclear_charge_is_refused_before_the_scf(self, tmp_path, capsys,
+                                                                        monkeypatch, command):
+        ran = []
+        monkeypatch.setattr(workbench, "run_rhf", lambda *args: ran.append(args))
+        cfg = tmp_path / "h2-charged.cfg"
+        cfg.write_text((ROOT / "demos" / "h2_sto3g.cfg").read_text().replace("[molecule]", "[molecule]\ncharge = 4"))
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        assert ran == []
+        assert capsys.readouterr().err == "error: charge 4 leaves -2 electrons\n"
 
     def test_negative_seed_is_refused_before_any_work(self, capsys, monkeypatch):
         ran = []
