@@ -23,9 +23,11 @@ basis by ``_locate``. ``IntegralSet`` refuses an asymmetric h and an eri
 without 8-fold symmetry, so every operator is real symmetric and every
 solve runs in real arithmetic: the Davidson solve
 (``_davidson``), with the diagonal as preconditioner from a seeded start,
-so reruns give the same bits. ``_check_solvable`` refuses a sector whose
-operator and Davidson arrays would not fit in physical memory, by an
-estimate from the orbital and electron counts alone.
+so reruns give the same bits. ``sector_basis`` admits every sector, on
+every call and before it enumerates a state, through ``_check_solvable``:
+an estimate from the orbital and electron counts alone of its operator
+and Davidson arrays, refused past physical memory (``_physical_bytes``).
+``_pair_matrix`` prices its own bases of pair states the same way.
 
 The paired (seniority-zero) encoding gives one qubit to each spatial
 orbital, halving the register relative to the spin-orbital encoding: qubit
@@ -49,10 +51,12 @@ import numpy as np
 import scipy.sparse
 
 from .integrals import IntegralSet
+from .operators import MAX_MASK_QUBITS
 
 _DAVIDSON_SUBSPACE, _DAVIDSON_MAX_MATVECS = 24, 1000
 # the interpreter, numpy, scipy.sparse and a point's integrals: 51-63 MiB at the H6 points, rounded up
 _BASE_BYTES = 100 << 20
+_CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"   # cgroup v2: a byte count, or "max"
 
 
 def _checked_states(states, n_qubits: int) -> np.ndarray:
@@ -109,26 +113,36 @@ def _grid(n_qubits: int, n_up: int, n_down: int) -> np.ndarray:
 
 
 def sector_basis(n_qubits: int, n_particles: int, two_sz: int | None = None) -> SectorBasis:
-    """The sorted determinants of an N (and S_z) sector of an interleaved register.
+    """The sorted determinants of an N (and S_z) sector of an interleaved register, admitted first.
 
     The one sector rule: qubit 2p is orbital p spin up and qubit 2p + 1 is
     orbital p spin down, so a determinant is a spin-up string OR'd with its
     spin-down string shifted left by one, each string spread by ``_spread``
     (Knowles and Handy, CPL 1984). An odd register's extra orbital is spin
     up. ``two_sz`` = n_up - n_down fixes the split of the ``n_particles``;
-    without it the sector is the sorted union of every split. A ``two_sz``
-    of the wrong parity and a sector with no state are ``ValueError``s.
-    Every call form of one sector returns the same cached basis.
+    without it the sector is the sorted union of every split. A register
+    past ``MAX_MASK_QUBITS``, a ``two_sz`` of the wrong parity and a sector
+    with no state are ``ValueError``s, and so, on every call and before any
+    state is enumerated, is a sector whose exact solve ``_check_solvable``
+    prices past physical memory from its (n_up, n_down) splits, in
+    n_qubits // 2 orbitals (an odd register is a paired one, whose pair
+    matrix checks its own basis). Every call form of one sector returns
+    the same cached basis.
     """
-    return _sector_basis(n_qubits, n_particles, two_sz)
-
-
-@lru_cache(maxsize=32)   # keyed on the positional arguments only
-def _sector_basis(n_qubits: int, n_particles: int, two_sz: int | None) -> SectorBasis:
+    if n_qubits > MAX_MASK_QUBITS:
+        raise ValueError(f"int64 bitmask states hold at most {MAX_MASK_QUBITS} qubits")
     if two_sz is not None and (n_particles + two_sz) % 2 != 0:
         raise ValueError("incompatible particle number and 2*S_z parity")
     n_up = range(n_particles + 1) if two_sz is None else [(n_particles + two_sz) // 2]
-    sectors = [_grid(n_qubits, k, n_particles - k) for k in n_up if 0 <= k <= n_particles]
+    splits = tuple((k, n_particles - k) for k in n_up
+                   if 0 <= k <= (n_qubits + 1) // 2 and 0 <= n_particles - k <= n_qubits // 2)
+    _check_solvable(n_qubits // 2, *splits)
+    return _sector_basis(n_qubits, splits)
+
+
+@lru_cache(maxsize=32)
+def _sector_basis(n_qubits: int, splits: tuple) -> SectorBasis:
+    sectors = [_grid(n_qubits, n_up, n_down) for n_up, n_down in splits]
     return SectorBasis(n_qubits, np.sort(np.concatenate([np.zeros(0, np.int64), *sectors], axis=None)))
 
 
@@ -213,7 +227,8 @@ def _grids(basis: SectorBasis):
     basis' order: a grid determinant puts its spin-up creators before its
     spin-down ones, which in ascending qubit order takes (-1)^k, k its
     (spin up at p, spin down at q) pairs with p > q. A basis that is not an
-    (N, S_z) or an N sector of its (even) register is a ``ValueError``.
+    (N, S_z) or an N sector of its (even) register is a ``ValueError``; the
+    ``sector_basis`` call that checks it prices it too.
     """
     states, n_qubits = basis.states, basis.n_qubits
     n, below = int(states[0]).bit_count(), np.tril(np.ones((n_qubits // 2,) * 2, np.int64), -1)
@@ -228,20 +243,29 @@ def _grids(basis: SectorBasis):
 
 
 def _physical_bytes() -> int:
-    """The machine's physical memory, which one process checks its own sector against.
+    """The memory one process checks its own sector against: the host's RAM, or a smaller cgroup limit.
 
-    A cgroup or container limit below it is not seen, and neither are the
-    other workers of a parallel curve, each of which checks its own sector
-    against the whole machine.
+    The limit is a decimal byte count in ``_CGROUP_MEMORY_MAX``; "max", a
+    missing and an unreadable file are no limit. The other workers of a
+    parallel curve are not seen: each checks its own sector against the
+    whole of it.
     """
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open(_CGROUP_MEMORY_MAX, encoding="ascii") as file:
+            limit = file.read().strip()
+    except (OSError, UnicodeError):
+        return ram
+    return min(ram, int(limit)) if limit.isdecimal() else ram
 
 
 def _check_solvable(n_orb: int, *grids) -> None:
     """Refuse a basis of (n_up, n_down) spin ``grids`` of ``n_orb`` orbitals past physical memory.
 
-    The estimate needs only the counts. A grid holds C(n_orb, n_up)
-    C(n_orb, n_down) determinants, and a string of k electrons has
+    ``sector_basis`` calls it on every sector before enumerating one, and
+    ``_pair_matrix`` on each basis of pair states, as (n_pairs, 0) grids of
+    the pair register. The estimate needs only the counts. A grid holds
+    C(n_orb, n_up) C(n_orb, n_down) determinants, and a string of k electrons has
     k (n_orb - k + 1) one-spin moves (``_string_moves``), so the sigma's
     table (or the pair matrix's hops) has at most dim x moves entries. It
     prices 48 B per entry for the table and its setup, 2 arrays of
@@ -255,9 +279,9 @@ def _check_solvable(n_orb: int, *grids) -> None:
     need = _BASE_BYTES + sum(math.comb(n_orb, up) * math.comb(n_orb, down) * 8 * (
         6 * (up * (n_orb + 1 - up) + down * (n_orb + 1 - down)) + n_orb * (n_orb + 1) + 2 * _DAVIDSON_SUBSPACE)
         for up, down in grids)
-    if need > _physical_bytes():
+    if need > (have := _physical_bytes()):
         raise ValueError(f"the exact solve of {' or '.join(f'{u} + {d}' for u, d in grids)} electrons in "
-                         f"{n_orb} orbitals needs about {need} bytes, past the {_physical_bytes()} bytes "
+                         f"{n_orb} orbitals needs about {need} bytes, past the {have} bytes "
                          "of physical memory")
 
 
@@ -282,7 +306,6 @@ class _StringSigma:
         self._coupling = 0.5 * eri[p, q][:, p, q] + np.outer(one, p == q) / max(sum(grids[0][:2]), 1)
         coulomb, exchange = np.einsum("ppqq->pq", eri), np.einsum("pqqp->pq", eri)
         self._core, self._diagonal, self._table = float(mo.core_energy), np.empty(dim), 0   # 0: the empty sum
-        _check_solvable(n, *(grid[:2] for grid in grids))
         for n_up, n_down, positions, phases in grids:
             (up, *up_moves), (down, *down_moves) = _string_moves(n, n_up), _string_moves(n, n_down)
             own = [o @ np.diag(mo.h) + 0.5 * ((o @ (coulomb - exchange)) * o).sum(1) for o in (up, down)]

@@ -407,14 +407,19 @@ def fcidump_header(text: str) -> tuple:
 
 
 def read_fcidump(path) -> IntegralSet:
-    """Read an FCIDUMP file (chemists' notation, 1-based indices)."""
+    """Read an FCIDUMP file (chemists' notation, 1-based indices).
+
+    Lines may repeat an integral, under any of its index permutations, as
+    long as they repeat its value: a second, different value is a
+    ``ParseError`` naming that line.
+    """
     with open(path) as fh:
         n_orb, n_elec, body = fcidump_header(fh.read())
     pair = _pair_table(n_orb)[2].tolist()
-    h = np.zeros((n_orb, n_orb))
-    packed = np.zeros((n_orb * (n_orb + 1) // 2,) * 2)
-    core = 0.0
-    eps = np.full(n_orb, np.nan)
+    # what a line of 0, 1, 2 and 4 nonzero indices sets, upper triangles only, and which entries are set
+    values = core, eps, h, packed = (np.zeros(()), np.zeros(n_orb), np.zeros((n_orb, n_orb)),
+                                     np.zeros((n_orb * (n_orb + 1) // 2,) * 2))
+    filled = [np.zeros(v.shape, dtype=bool) for v in values]
     for raw in body.splitlines():
         line = raw.strip()
         if not line:
@@ -433,23 +438,22 @@ def read_fcidump(path) -> IntegralSet:
         n_set = 4 - indices.count(0)
         if n_set == 3 or any(indices[n_set:]):
             raise ParseError(f"malformed index pattern in line: {raw!r}")
-        if n_set == 0:
-            core = value
-        elif n_set == 1:
-            eps[i - 1] = value
-        elif n_set == 2:
-            h[i - 1, j - 1] = h[j - 1, i - 1] = value
-        else:
-            ij, kl = pair[i - 1][j - 1], pair[k - 1][l - 1]
-            packed[ij, kl] = packed[kl, ij] = value
-    orbital_energies = None if np.any(np.isnan(eps)) else eps
+        kind = min(n_set, 3)
+        at = tuple(sorted((pair[i - 1][j - 1], pair[k - 1][l - 1]) if kind == 3 else
+                          [v - 1 for v in indices[:n_set]]))
+        if filled[kind][at] and values[kind][at] != value:
+            raise ParseError(f"a second, different value for one integral in line: {raw!r}")
+        values[kind][at], filled[kind][at] = value, True
+    for square in (h, packed):
+        lower = np.tril_indices(len(square), -1)
+        square[lower] = square.T[lower]
     return IntegralSet(
         n_orb=n_orb,
         h=h,
         eri=_unpacked(packed, n_orb),
-        core_energy=core,
+        core_energy=float(core),
         n_electrons=n_elec,
-        orbital_energies=orbital_energies,
+        orbital_energies=eps if filled[1].all() else None,
     )
 
 

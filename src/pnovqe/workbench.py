@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import build_pno_ansatz, build_upccgsd, count_resources
-from .exact import IntegralHamiltonian, _check_solvable, exact_ground_energy, sector_basis
+from .exact import IntegralHamiltonian, exact_ground_energy, sector_basis
 from .integrals import (
     IntegralSet,
     fcidump_header,
@@ -322,12 +322,10 @@ def build_ansatz_for(config: RunConfig, stage: dict):
 def fci_energy(hamiltonian: IntegralHamiltonian) -> float:
     """E_FCI: the ground state of the Hamiltonian's (N, S_z = 0) sector, where the VQE runs.
 
-    A sector whose exact solve would not fit in physical memory is refused
-    before it is enumerated.
+    ``sector_basis`` refuses a sector whose exact solve would not fit in
+    physical memory before it is enumerated.
     """
-    mo = hamiltonian.integrals
-    _check_solvable(mo.n_orb, (mo.n_occ, mo.n_occ))
-    sector = sector_basis(hamiltonian.n_qubits, mo.n_electrons, 0)
+    sector = sector_basis(hamiltonian.n_qubits, hamiltonian.integrals.n_electrons, 0)
     return exact_ground_energy(hamiltonian, sector)[0]
 
 

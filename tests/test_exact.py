@@ -15,12 +15,14 @@ is checked against a brute-force filter of every register bitmask
 Examples are derandomized.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pnovqe as pq
-from pnovqe import exact as exact_mod
+from pnovqe import exact as exact_mod, simulator as simulator_mod
 from pnovqe.ansatz import build_paired_ansatz
 from pnovqe.exact import IntegralHamiltonian, SectorBasis, _sector_operator
 
@@ -140,6 +142,39 @@ class TestByteEstimate:
             pq.exact_ground_energy(pq.build_paired_hamiltonian(random_integral_set(4, 2, 0)),
                                    pq.sector_basis(4, 2))
 
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sector_basis_admits_exactly_what_the_string_sigma_needs(self, data):
+        # need: the sigma's estimate over the spin grids _grids finds in the basis
+        n_orb = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(0, 2 * n_orb))
+        two_sz = data.draw(st.sampled_from([None, *range(max(-n, n - 2 * n_orb), min(n, 2 * n_orb - n) + 1, 2)]))
+        basis = pq.sector_basis(2 * n_orb, n, two_sz)
+        grids = [(up, down) for up, down, *_ in exact_mod._grids(basis)]
+        need = (100 << 20) + sum(math.comb(n_orb, up) * math.comb(n_orb, down) * 8 * (
+            6 * (up * (n_orb + 1 - up) + down * (n_orb + 1 - down)) + n_orb * (n_orb + 1) + 48) for up, down in grids)
+        refusal = (f"the exact solve of {' or '.join(f'{u} + {d}' for u, d in grids)} electrons in {n_orb} "
+                   f"orbitals needs about {need} bytes, past the {need - 1} bytes of physical memory")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact_mod, "_physical_bytes", lambda: need - 1)
+            with pytest.raises(ValueError) as info:
+                pq.sector_basis(2 * n_orb, n, two_sz)
+            assert str(info.value) == refusal
+            patch.setattr(exact_mod, "_physical_bytes", lambda: need)
+            assert pq.sector_basis(2 * n_orb, n, two_sz) is basis
+
+    def test_the_vqe_is_refused_before_its_sector_or_factors_are_built(self, monkeypatch):
+        # the sector was once enumerated, every circuit factor built and the grids
+        # enumerated again before the sigma refused it
+        built = []
+        for module, name in ((exact_mod, "_grid"), (exact_mod, "_factors"), (simulator_mod, "_factors")):
+            function = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, f=function, n=name: built.append(n) or f(*args))
+        monkeypatch.setattr(exact_mod, "_physical_bytes", lambda: 1 << 20)
+        with pytest.raises(ValueError, match="past the 1048576 bytes of physical memory$"):
+            pq.run_vqe(IntegralHamiltonian(random_integral_set(4, 4, 0)), pq.build_upccgsd(4, 4))
+        assert built == []
+
 
 class TestSectorRule:
     @pytest.mark.parametrize("n_qubits", range(13))
@@ -167,6 +202,14 @@ class TestSectorRule:
                       if n_up <= (n_qubits + 1) // 2 and n - n_up <= n_qubits // 2]
             union = np.sort(np.concatenate(splits))
             assert np.array_equal(pq.sector_basis(n_qubits, n).states, union)
+
+    def test_a_register_past_the_int64_masks_is_refused_first(self):
+        # 70 qubits once failed as "basis states must be strictly increasing bitmasks of the register"
+        with pytest.raises(ValueError, match="^int64 bitmask states hold at most 63 qubits$"):
+            pq.sector_basis(70, 2, 0)
+        with pytest.raises(ValueError, match="at most 63 qubits"):
+            pq.sector_basis(64, 2, 1)   # before the parity
+        assert pq.sector_basis(63, 2, 0).dim == 32 * 31
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=20))

@@ -377,6 +377,33 @@ class TestFCIDump:
             pq.read_fcidump(path)
         assert str(info.value) == f"malformed FCIDUMP line: {line!r}"
 
+    @pytest.mark.parametrize("first, second", [("0.5 1 1 1 1", "0.7 1 1 1 1"), ("0.5 2 1 2 1", "0.7 1 2 1 2"),
+                                               ("0.5 2 1 0 0", "0.7 1 2 0 0"), ("0.5 1 0 0 0", "0.7 1 0 0 0"),
+                                               ("0.5 0 0 0 0", "0.7 0 0 0 0")],
+                             ids=["eri", "eri-permuted", "h", "orbital-energy", "core"])
+    def test_a_second_different_value_names_the_line(self, tmp_path, first, second):
+        # the first pair once read (11|11) = 0.7: the last line won
+        path = tmp_path / "twice.fcidump"
+        path.write_text(f"&FCI NORB=2,NELEC=2,MS2=0,\n&END\n{first}\n{second}\n")
+        with pytest.raises(ParseError) as info:
+            pq.read_fcidump(path)
+        assert str(info.value) == f"a second, different value for one integral in line: {second!r}"
+
+    def test_identical_repeats_are_read(self, tmp_path, h2_sto3g):
+        # some writers list every permutation of an integral
+        path = tmp_path / "h2.fcidump"
+        pq.write_fcidump(h2_sto3g["mo"], path)
+        expected = pq.read_fcidump(path)
+        head, body = path.read_text().split("&END\n")
+        # each line again, and each two-electron line once more as (ji|lk)
+        repeats = [f"{value} {j} {i} {l} {k}" for value, i, j, k, l in (line.split() for line in body.splitlines())
+                   if "0" not in (i, j, k, l)]
+        assert ["1", "2", "1", "2"] in [line.split()[1:] for line in repeats]
+        path.write_text(f"{head}&END\n{body}{body}" + "\n".join(repeats) + "\n")
+        back = pq.read_fcidump(path)
+        assert np.array_equal(back.h, expected.h) and np.array_equal(back.eri, expected.eri)
+        assert back.core_energy == expected.core_energy
+
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "range.fcidump"
         path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n0.5 3 1 1 1\n")

@@ -289,12 +289,14 @@ class TestRunPoint:
         pq.exact._check_solvable(2, (1, 1))   # the estimate fits exactly
 
     def test_sector_past_physical_memory_is_refused_before_it_is_enumerated(self, monkeypatch):
-        # 36 orbitals, 18 + 18 electrons: C(36, 18)^2 = 8.2e19 states, which no machine holds
+        # 30 orbitals, 15 + 15 electrons: C(30, 15)^2 = 2.4e16 states, which no machine holds
         enumerated = []
-        monkeypatch.setattr(workbench, "sector_basis", lambda *args: enumerated.append(args))
+        grid = pq.exact._grid
+        monkeypatch.setattr(pq.exact, "_grid", lambda *args: enumerated.append(args) or grid(*args))
+        pq.exact._sector_basis.cache_clear()   # so that a sector admitted too late shows as a _grid call
         hamiltonian = pq.IntegralHamiltonian(pq.IntegralSet(
-            n_orb=36, h=np.zeros((36, 36)), eri=np.zeros((36,) * 4), core_energy=0.0, n_electrons=36))
-        with pytest.raises(ValueError, match="the exact solve of 18 \\+ 18 electrons in 36 orbitals "
+            n_orb=30, h=np.zeros((30, 30)), eri=np.zeros((30,) * 4), core_energy=0.0, n_electrons=30))
+        with pytest.raises(ValueError, match="the exact solve of 15 \\+ 15 electrons in 30 orbitals "
                                              "needs about [0-9]+ bytes, past the [0-9]+ bytes"):
             workbench.fci_energy(hamiltonian)
         assert enumerated == []
@@ -305,7 +307,29 @@ class TestRunPoint:
         assert enumerated == []
 
     def test_physical_memory_is_read_from_the_machine(self):
-        assert pq.exact._physical_bytes() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        try:
+            limit = Path(pq.exact._CGROUP_MEMORY_MAX).read_text().strip()
+        except OSError:
+            limit = "max"
+        assert pq.exact._physical_bytes() == (min(ram, int(limit)) if limit.isdecimal() else ram)
+
+    def test_a_cgroup_limit_below_the_ram_is_the_physical_memory(self, monkeypatch, tmp_path):
+        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        limit = tmp_path / "memory.max"
+        monkeypatch.setattr(pq.exact, "_CGROUP_MEMORY_MAX", str(limit))
+        assert pq.exact._physical_bytes() == ram   # a missing file
+        for text, expected in (("max\n", ram), (f"{2 * ram}\n", ram), ("12 34\n", ram), ("", ram),
+                               ("1048576\n", 1 << 20)):
+            limit.write_text(text)
+            assert pq.exact._physical_bytes() == expected
+        with pytest.raises(ValueError, match="past the 1048576 bytes of physical memory$"):
+            pq.run_point(h2_config())
+        limit.write_bytes(b"\xff\n")
+        assert pq.exact._physical_bytes() == ram
+        limit.unlink()
+        limit.mkdir()   # unreadable as a file
+        assert pq.exact._physical_bytes() == ram
 
     def test_fcidump_source_with_freeze(self, tmp_path, lih_like):
         path = tmp_path / "lih.fcidump"
