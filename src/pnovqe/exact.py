@@ -14,10 +14,13 @@ For an ``IntegralHamiltonian`` it is ``_StringSigma``, the direct
 determinant sigma of Knowles and Handy (Chem. Phys. Lett. 1984) on the
 spin-up x spin-down string grids whose union is the basis (``_grids``):
 the one-spin moves of E_pq + E_qp (p >= q) per string, signed by the
-determinant rule ``between``, make a sparse table of the one-electron
-operators on the basis, which one GEMM with the two-electron integrals
-joins: ``IntegralSet.eri``, chemists' (pq|rs), read as it is stored. The
-diagonal is in closed form. No Hamiltonian matrix is stored. The same
+determinant rule ``between``, make a table of the one-electron operators
+on the basis, which one GEMM with the two-electron integrals joins:
+``IntegralSet.eri``, chemists' (pq|rs), read as it is stored. The
+diagonal is in closed form. No Hamiltonian matrix is stored. The table
+and the paired matrix below are ``_PaddedRows``: numpy arrays whose
+products add in the order of scipy's sparse kernels, so that they give
+scipy's bits and no process loads scipy. The same
 rule signs the circuit factors (``_factors``), and both find images in a
 basis by ``_locate``. ``IntegralSet`` refuses an asymmetric h and an eri
 without 8-fold symmetry, so every operator is real symmetric and every
@@ -32,7 +35,7 @@ and Davidson arrays, refused past physical memory (``_physical_bytes``).
 The paired (seniority-zero) encoding gives one qubit to each spatial
 orbital, halving the register relative to the spin-orbital encoding: qubit
 p set is the orbital doubly occupied (Elfving et al., PRA 2021).
-``PairedHamiltonian``'s operator is the sparse matrix of the closed form in
+``PairedHamiltonian``'s operator is the ``_PaddedRows`` of the closed form in
 ``build_paired_hamiltonian``'s docstring on pair states; its entries are
 locked in by a test against the seniority-zero projection of the full
 Jordan-Wigner Hamiltonian. Its circuit, ``build_paired_ansatz``, is built
@@ -48,14 +51,18 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse
+import numpy.ma  # noqa: F401  (np.unique loads it on first call: here, so that no point imports a module)
+import numpy.random  # noqa: F401  (the Davidson start; loaded with the package for the same reason)
 
 from .integrals import IntegralSet
 from .operators import MAX_MASK_QUBITS
 
 _DAVIDSON_SUBSPACE, _DAVIDSON_MAX_MATVECS = 24, 1000
-# the interpreter, numpy, scipy.sparse and a point's integrals: 51-63 MiB at the H6 points, rounded up
+# the interpreter, numpy and a point's integrals: 40-48 MiB at the H6 points, rounded up
 _BASE_BYTES = 100 << 20
+# slots per block of a sparse operator's rows: a product's temporaries are one block's. A sigma product at
+# the H6 points (27 225 and 81 796 determinants) measured 4-8 % faster at 2^15 than at 2^13 or 2^17
+_BLOCK = 1 << 15
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"   # cgroup v2: a byte count, or "max"
 
 
@@ -267,17 +274,19 @@ def _check_solvable(n_orb: int, *grids) -> None:
     the pair register. The estimate needs only the counts. A grid holds
     C(n_orb, n_up) C(n_orb, n_down) determinants, and a string of k electrons has
     k (n_orb - k + 1) one-spin moves (``_string_moves``), so the sigma's
-    table (or the pair matrix's hops) has at most dim x moves entries. It
-    prices 48 B per entry for the table and its setup, 2 arrays of
-    pairs x dim float64 for the products D and G, 2 x ``_DAVIDSON_SUBSPACE``
-    x dim float64 for the Davidson subspace, and ``_BASE_BYTES``. A solve's
-    peak RSS measured 0.55-0.64 of it on sectors of 3 + 3 electrons in 11
+    table (or the pair matrix's hops) has at most dim x moves slots. It
+    prices 24 B per slot: the table's 16 B (an intp column and a float64
+    value) and the int32 key and int8 value per slot that its setup holds
+    beside it. To that it adds 2 arrays of pairs x dim float64 for the
+    products' D and G, which the sigma keeps, 2 x ``_DAVIDSON_SUBSPACE`` x
+    dim float64 for the Davidson subspace, and ``_BASE_BYTES``. A solve's
+    peak RSS measured 0.46-0.84 of it on sectors of 3 + 3 electrons in 11
     and 13 orbitals, of 5 + 5 in 10 and 11, on the N = 8 sector of 8
     orbitals and on bases of 7 and 8 pairs in 14 and 16 orbitals.
     """
-    # per determinant: 48 B per move, and 8 B for each of its pair rows in D and in G and each Davidson vector
+    # per determinant: 24 B per move, and 8 B for each of its pair rows in D and in G and each Davidson vector
     need = _BASE_BYTES + sum(math.comb(n_orb, up) * math.comb(n_orb, down) * 8 * (
-        6 * (up * (n_orb + 1 - up) + down * (n_orb + 1 - down)) + n_orb * (n_orb + 1) + 2 * _DAVIDSON_SUBSPACE)
+        3 * (up * (n_orb + 1 - up) + down * (n_orb + 1 - down)) + n_orb * (n_orb + 1) + 2 * _DAVIDSON_SUBSPACE)
         for up, down in grids)
     if need > (have := _physical_bytes()):
         raise ValueError(f"the exact solve of {' or '.join(f'{u} + {d}' for u, d in grids)} electrons in "
@@ -285,18 +294,85 @@ def _check_solvable(n_orb: int, *grids) -> None:
                          "of physical memory")
 
 
+class _PaddedRows:
+    """A real sparse (n, m) matrix whose rows are padded to one width, applied with scipy's sums bit for bit.
+
+    The rows are kept in blocks of at least two and about ``_BLOCK`` slots
+    each: slot k of row b x block + i holds column ``columns[b, k, i]``
+    (intp) and value ``values[b, k, i]`` (float64, read-only). A row's
+    nonzero values sit at increasing columns, none repeated, as in scipy's
+    canonical CSR; its other slots, and the rows that fill out the last
+    block, hold 0. Those change no sum, since every sum starts at +0.0, to
+    which +-0.0 adds nothing.
+    """
+
+    def __init__(self, columns: np.ndarray, values: np.ndarray, n_columns: int):
+        """From (n, width) rows of columns and values."""
+        n, width = columns.shape
+        self.shape, block = (n, n_columns), max(2, min(n, _BLOCK // max(width, 1)))
+        self.columns = np.zeros((-(-n // block), width, block), np.intp)
+        self.values = np.zeros(self.columns.shape)
+        for b, start in enumerate(range(0, n, block)):
+            self.columns[b, :, :n - start] = columns[start:start + block].T
+            self.values[b, :, :n - start] = values[start:start + block].T
+        self.columns.flags.writeable = self.values.flags.writeable = False   # kept on the Hamiltonian and shared
+
+    def diagonal(self) -> np.ndarray:
+        n_blocks, _, block = self.columns.shape
+        rows = np.arange(n_blocks * block).reshape(n_blocks, 1, block)
+        return np.where(self.columns == rows, self.values, 0.0).sum(axis=1).ravel()[:self.shape[0]]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """M x, for a vector or an (m, k) block: each row's products added in slot order from 0.0.
+
+        That is the order of scipy's csr kernel. numpy's reduce keeps it
+        across a block's slots, as it would not for a lone row.
+        """
+        n_blocks, _, block = self.columns.shape
+        out = np.empty((n_blocks * block,) + x.shape[1:])
+        for b in range(n_blocks):
+            products = x[self.columns[b]]
+            products *= self.values[(b, ...) + (None,) * (x.ndim - 1)]
+            np.add.reduce(products, axis=0, initial=0.0, out=out[b * block:(b + 1) * block])
+        return out[:self.shape[0]]
+
+    def transpose_matmul(self, x: np.ndarray, out: np.ndarray) -> None:
+        """M^T x into ``out``, for a vector or an (n, k) block, one block of rows at a time.
+
+        ``np.add.at`` adds each block's products to ``out``, set to 0.0, in
+        (block, slot, row) order, and scipy's csc kernel in row order; the
+        two agree on every column of at most two nonzero values, whose sum
+        has no order. A block's products are the only temporaries.
+        """
+        n_blocks, width, block = self.columns.shape
+        rows = x
+        if n_blocks * block > self.shape[0]:   # x, and 0 in the rows that fill out the last block
+            rows = np.zeros((n_blocks * block,) + x.shape[1:])
+            rows[:self.shape[0]] = x
+        flat, terms = out.reshape(-1), np.empty((width, block) + x.shape[1:])
+        flat.fill(0.0)
+        for b in range(n_blocks):
+            np.multiply(self.values[(b, ...) + (None,) * (x.ndim - 1)], rows[b * block:(b + 1) * block], out=terms)
+            index = self.columns[b] if x.ndim == 1 else self.columns[b, :, :, None] * x.shape[1] + np.arange(x.shape[1])
+            np.add.at(flat, index.reshape(-1), terms.reshape(-1))
+
+
 class _StringSigma:
     """An ``IntegralSet``'s Hamiltonian on a sector basis, applied by its one-electron moves, never stored.
 
     H = core + sum_pq k_pq E_pq + 1/2 sum_pqrs (pq|rs) E_pq E_rs, with E_pq
     summed over both spins and k = h - 1/2 sum_r (pr|rq) (Knowles and
-    Handy, CPL 1984). The table E, a CSC of shape (pairs x dim, dim), holds
-    <j|E_pq + E_qp|i> for the pairs p >= q in row pq x dim + i: each spin
-    grid's string moves (``_string_moves``) at every string of the other
-    spin, placed and signed in the basis by ``_grids``. A product is D = E
-    C, G = (1/2 (pq|rs) + k_pq d_rs / N) D in one GEMM, since sum_r E_rr C
-    = N C on a basis of N electrons, and sigma = E^T G + core C. The
-    diagonal is in closed form.
+    Handy, CPL 1984). The table E, of shape (pairs x dim, dim), holds
+    <i|E_pq + E_qp|j> for the pairs p >= q in row pq x dim + i and column
+    j: each spin grid's string moves (``_string_moves``) at every string of
+    the other spin, placed and signed in the basis by ``_grids``. It is
+    kept as E^T in ``_PaddedRows``: row j holds the moves of determinant
+    j's spin-up string and of its spin-down string, sorted by column; E_pp
+    from both spins is one entry of value 2. A row of E holds at most one
+    move of each spin, so E C by ``np.add.at`` has scipy's bits. A
+    product is D = E C, G = (1/2 (pq|rs) + k_pq d_rs / N) D in one GEMM,
+    since sum_r E_rr C = N C on a basis of N electrons, and sigma = E^T G
+    + core C. The diagonal is in closed form.
     """
 
     def __init__(self, mo: IntegralSet, basis: SectorBasis):
@@ -305,32 +381,61 @@ class _StringSigma:
         one = (mo.h - 0.5 * np.einsum("prrq->pq", eri))[p, q]
         self._coupling = 0.5 * eri[p, q][:, p, q] + np.outer(one, p == q) / max(sum(grids[0][:2]), 1)
         coulomb, exchange = np.einsum("ppqq->pq", eri), np.einsum("pqqp->pq", eri)
-        self._core, self._diagonal, self._table = float(mo.core_energy), np.empty(dim), 0   # 0: the empty sum
+        self._core, self._diagonal = float(mo.core_energy), np.empty(dim)
+        # each determinant's moves as keys 2 (pq x dim + i) + (sign < 0), one row of keys per determinant,
+        # padded past every move where a grid has fewer moves than the widest
+        n_rows = len(one) * dim
+        key = np.int32 if 2 * n_rows < 2**31 else np.int64
+        width = max(up * (n + 1 - up) + down * (n + 1 - down) for up, down, *_ in grids)
+        keys = np.full((dim, width), 2 * n_rows, key)
         for n_up, n_down, positions, phases in grids:
             (up, *up_moves), (down, *down_moves) = _string_moves(n, n_up), _string_moves(n, n_down)
             own = [o @ np.diag(mo.h) + 0.5 * ((o @ (coulomb - exchange)) * o).sum(1) for o in (up, down)]
             self._diagonal[positions] = self._core + own[0][:, None] + own[1] + up @ coulomb @ down.T
-            # a spin-up move at every spin-down string, a spin-down move at every spin-up string;
-            # each part is added as it is built, so that only one part's (row, column) entries are held
-            for (pair, string, image, sign), at, sign_at in ((up_moves, positions, phases),
-                                                             (down_moves, positions.T, phases.T)):
-                self._table = self._table + scipy.sparse.csc_matrix((
-                    (sign[:, None] * sign_at[string] * sign_at[image]).ravel(),
-                    ((pair[:, None] * dim + at[string]).ravel(), at[image].ravel())), shape=(len(one) * dim, dim))
-        self._transpose = self._table.T   # a CSR view of the same arrays
+            # a string of k electrons has k (n + 1 - k) moves: one row of them per string
+            (up_pair, up_image, up_odd), (down_pair, down_image, down_odd) = (
+                (pair.reshape(len(o), -1).astype(key), image.reshape(len(o), -1), (sign < 0).reshape(len(o), -1))
+                for o, (pair, _, image, sign) in ((up, up_moves), (down, down_moves)))
+            at, odd = positions.astype(key), phases < 0
+            up_keys = 2 * (up_pair[:, None] * dim + at[up_image].transpose(0, 2, 1)) + (
+                up_odd[:, None] ^ odd[:, :, None] ^ odd[up_image].transpose(0, 2, 1))
+            keys[positions.ravel(), :up_keys.shape[2]] = up_keys.reshape(positions.size, -1)
+            del up_keys
+            down_keys = 2 * (down_pair * dim + at[:, down_image]) + (down_odd ^ odd[:, :, None] ^ odd[:, down_image])
+            keys[positions.ravel(), up_pair.shape[1]:up_pair.shape[1] + down_pair.shape[1]] = (
+                down_keys.reshape(positions.size, -1))
+            del down_keys
+        keys.sort(axis=1)
+        values = (1 - 2 * (keys & 1)).astype(np.int8)
+        twin = keys[:, 1:] == keys[:, :-1]   # E_pp at the determinant from both spins: one entry of 2
+        values[:, :-1][twin], values[:, 1:][twin] = 2, 0
+        padding = keys == 2 * n_rows
+        values[padding] = 0
+        keys >>= 1
+        keys[padding] = 0
+        del twin, padding
+        self._table, self._work = _PaddedRows(keys, values, n_rows), {}
         self._diagonal.flags.writeable = False   # the operator is kept on the Hamiltonian and shared
 
     def diagonal(self) -> np.ndarray:
         return self._diagonal
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
-        d = self._table @ vector   # a vector, or a (dim, k) block
-        g = self._coupling @ d.reshape(len(self._coupling), -1)
-        return self._transpose @ g.reshape(d.shape) + self._core * vector
+        """sigma for a vector or a (dim, k) block; D and G are written into arrays kept per shape.
+
+        Kept, they cost no page faults or zeroing of fresh memory per
+        product, and the operator is not for concurrent use.
+        """
+        if vector.shape not in self._work:
+            self._work[vector.shape] = np.empty((2, len(self._coupling), vector.size))
+        d, g = self._work[vector.shape]
+        self._table.transpose_matmul(vector, d)
+        np.matmul(self._coupling, d, out=g)
+        return self._table @ g.reshape((-1,) + vector.shape[1:]) + self._core * vector
 
 
-def _pair_matrix(mo: IntegralSet, basis: SectorBasis):
-    """``build_paired_hamiltonian``'s closed form on a basis of pair states, as a real CSR.
+def _pair_matrix(mo: IntegralSet, basis: SectorBasis) -> _PaddedRows:
+    """``build_paired_hamiltonian``'s closed form on a basis of pair states, as ``_PaddedRows``.
 
     The diagonal is core + sum_p 2 h_pp n_p + 1/2 sum_pq (4 (pp|qq) - 2 (pq|qp))
     n_p n_q (its p = q terms are the (pp|pp) of the pair energies), and
@@ -344,12 +449,19 @@ def _pair_matrix(mo: IntegralSet, basis: SectorBasis):
     diagonal = mo.core_energy + occ @ (2 * np.diag(mo.h)) + 0.5 * ((occ @ pair_pair) * occ).sum(1)
     row, p, q = np.nonzero(occ[:, :, None] & ~occ[:, None, :])
     column, found = _locate(states, states[row] ^ (1 << p) ^ (1 << q))
-    hops = (np.einsum("pqpq->pq", eri)[p, q][found], (row[found], column[found]))
-    del row, p, q, column, found   # the move arrays, before the matrix is built from the hops
-    matrix = (scipy.sparse.diags(diagonal) + scipy.sparse.csr_matrix(hops, shape=(len(states),) * 2)).tocsr()
-    # the matrix is kept on the Hamiltonian and shared
-    matrix.data.flags.writeable = matrix.indices.flags.writeable = matrix.indptr.flags.writeable = False
-    return matrix
+    row, column, hop = row[found], column[found], np.einsum("pqpq->pq", eri)[p, q][found]
+    del p, q, found   # the move arrays, before the rows are built from the hops
+    # slot 0 of each row is its diagonal entry, then its hops in the order found; unused slots hold 0
+    starts = np.searchsorted(row, np.arange(len(states)))
+    width = 1 + int(np.diff(np.append(starts, len(row))).max(initial=0))
+    columns = np.repeat(np.arange(len(states))[:, None], width, axis=1)
+    values = np.zeros(columns.shape)
+    values[:, 0] = diagonal
+    slot = 1 + np.arange(len(row)) - starts[row]
+    columns[row, slot], values[row, slot] = column, hop
+    del row, column, hop, slot
+    order = np.argsort(columns, axis=1, kind="stable")
+    return _PaddedRows(np.take_along_axis(columns, order, 1), np.take_along_axis(values, order, 1), len(states))
 
 
 class IntegralHamiltonian:

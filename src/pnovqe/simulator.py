@@ -65,6 +65,18 @@ def _rotate(vec: np.ndarray, factor: tuple, angle: float) -> np.ndarray:
     return signed
 
 
+def _adjoint_step(lam: np.ndarray, factor: tuple, angle: float, signed_input: np.ndarray) -> float:
+    """exp(-i angle/2 G) lam in place, as ``_rotate`` does, and <lam[rows]|t> of the rows it has just formed.
+
+    t is the factor's signed input that the forward sweep kept; the rows are
+    gathered once.
+    """
+    rows, cols, signs = factor
+    new = math.cos(0.5 * angle) * lam[rows] + math.sin(0.5 * angle) * (signs * lam[cols])
+    lam[rows] = new
+    return np.vdot(new, signed_input)
+
+
 def _evolve(vec: np.ndarray, factors, angles) -> tuple:
     """Apply exp(-i angle/2 G) for every factor G in order, in place; checks the norm.
 
@@ -143,8 +155,8 @@ def gradient(op: IntegralHamiltonian, ansatz: Ansatz, theta) -> np.ndarray:
     lam = H psi alone backwards: lam_{k-1} = exp(+i theta_k/2 G_k) lam_k, and
     d<H>/d(theta_k) = Im <lam_k|G_k|psi_k> = Im <lam_{k-1}|G_k|psi_{k-1}>,
     read from the signed input t_k = signs psi_{k-1}[cols] that the forward
-    rotation kept, as Re <lam_{k-1}[rows]|t_k>. It is exact. The kept inputs
-    are one value per support row of each factor.
+    rotation kept, as <lam_{k-1}[rows]|t_k> (``_adjoint_step``). It is
+    exact. The kept inputs are one value per support row of each factor.
     """
     theta = _parameters(ansatz, theta)
     basis, circuit, _ = _sector_state(ansatz, theta)
@@ -152,7 +164,5 @@ def gradient(op: IntegralHamiltonian, ansatz: Ansatz, theta) -> np.ndarray:
     inputs = circuit.last[2]
     grad = np.zeros(ansatz.n_parameters)
     for k in range(ansatz.n_parameters - 1, -1, -1):
-        factor = circuit.factors[k]
-        _rotate(lam, factor, -theta[k])
-        grad[k] = np.vdot(lam[factor[0]], inputs[k]).real
+        grad[k] = _adjoint_step(lam, circuit.factors[k], -theta[k], inputs[k])
     return grad

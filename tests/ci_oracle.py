@@ -26,11 +26,13 @@ as the package's. The projection of a qubit operator
 onto a basis, one X group and one term at a time (``reference_matrix``),
 is the only sector matrix of a Pauli sum: the package builds its sector
 matrices from the integrals, and the tests check them against this
-projection of the Jordan-Wigner image. An excitation generator's
-Pauli strings come from that Jordan-Wigner product of its ladders (written
-out for a pair rotation), never from the excitation masks the package
-derives its strings and factors from; every oracle below that reads a
-generator reads these strings.
+projection of the Jordan-Wigner image. The package's sector operators as
+they were built on scipy.sparse (``ReferenceStringSigma``,
+``reference_pair_matrix``) are the bits its numpy operators must give.
+An excitation generator's Pauli strings come from that Jordan-Wigner
+product of its ladders (written out for a pair rotation), never from the
+excitation masks the package derives its strings and factors from; every
+oracle below that reads a generator reads these strings.
 
 The state-engine oracles that follow build on ``reference_matrix``: the
 sparse-G form of a G^3 = G factor from a generator's Pauli
@@ -71,7 +73,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
-from pnovqe.exact import SectorBasis, sector_basis
+from pnovqe.exact import SectorBasis, _grids, _locate, _string_moves, sector_basis
 from pnovqe.integrals import AOIntegralSet, IntegralSet
 from pnovqe.scf import SCFResult, _fock_matrix, _orthogonalizer
 from pnovqe.operators import _PHASES, COEFF_CUTOFF, QubitOperator
@@ -716,6 +718,58 @@ def reference_matrix(op: QubitOperator, states: np.ndarray) -> scipy.sparse.csr_
     return scipy.sparse.csr_matrix(
         (vals, np.divmod(entries, dim)), shape=(dim, dim), dtype=complex
     )
+
+
+class ReferenceStringSigma:
+    """The string sigma as ``exact._StringSigma`` built it on scipy.sparse: the bits its numpy table must give.
+
+    The table E, a CSC of shape (pairs x dim, dim), holds <j|E_pq + E_qp|i>
+    for the pairs p >= q in row pq x dim + i: each spin grid's string moves
+    at every string of the other spin, placed and signed by ``exact._grids``,
+    summed part by part by scipy. A product is D = E C, G = (1/2 (pq|rs) +
+    k_pq d_rs / N) D in one GEMM and sigma = E^T G + core C, both sparse
+    products scipy's.
+    """
+
+    def __init__(self, mo: IntegralSet, basis: SectorBasis):
+        n, dim, grids, eri = mo.n_orb, basis.dim, list(_grids(basis)), mo.eri
+        p, q = np.tril_indices(n)
+        one = (mo.h - 0.5 * np.einsum("prrq->pq", eri))[p, q]
+        self._coupling = 0.5 * eri[p, q][:, p, q] + np.outer(one, p == q) / max(sum(grids[0][:2]), 1)
+        coulomb, exchange = np.einsum("ppqq->pq", eri), np.einsum("pqqp->pq", eri)
+        self._core, self._diagonal, self._table = float(mo.core_energy), np.empty(dim), 0   # 0: the empty sum
+        for n_up, n_down, positions, phases in grids:
+            (up, *up_moves), (down, *down_moves) = _string_moves(n, n_up), _string_moves(n, n_down)
+            own = [o @ np.diag(mo.h) + 0.5 * ((o @ (coulomb - exchange)) * o).sum(1) for o in (up, down)]
+            self._diagonal[positions] = self._core + own[0][:, None] + own[1] + up @ coulomb @ down.T
+            # a spin-up move at every spin-down string, a spin-down move at every spin-up string;
+            # each part is added as it is built, so that only one part's (row, column) entries are held
+            for (pair, string, image, sign), at, sign_at in ((up_moves, positions, phases),
+                                                             (down_moves, positions.T, phases.T)):
+                self._table = self._table + scipy.sparse.csc_matrix((
+                    (sign[:, None] * sign_at[string] * sign_at[image]).ravel(),
+                    ((pair[:, None] * dim + at[string]).ravel(), at[image].ravel())), shape=(len(one) * dim, dim))
+        self._transpose = self._table.T   # a CSR view of the same arrays
+
+    def diagonal(self) -> np.ndarray:
+        return self._diagonal
+
+    def __matmul__(self, vector: np.ndarray) -> np.ndarray:
+        d = self._table @ vector   # a vector, or a (dim, k) block
+        g = self._coupling @ d.reshape(len(self._coupling), -1)
+        return self._transpose @ g.reshape(d.shape) + self._core * vector
+
+
+def reference_pair_matrix(mo: IntegralSet, basis: SectorBasis) -> scipy.sparse.csr_matrix:
+    """``exact._pair_matrix``'s closed form as it was built on scipy.sparse: the diagonal plus the hops, a real CSR."""
+    n, eri, states = mo.n_orb, mo.eri, basis.states
+    occ = ((states[:, None] >> np.arange(n)) & 1).astype(bool)
+    pair_pair = 4 * np.einsum("ppqq->pq", eri) - 2 * np.einsum("pqqp->pq", eri)
+    diagonal = mo.core_energy + occ @ (2 * np.diag(mo.h)) + 0.5 * ((occ @ pair_pair) * occ).sum(1)
+    row, p, q = np.nonzero(occ[:, :, None] & ~occ[:, None, :])
+    column, found = _locate(states, states[row] ^ (1 << p) ^ (1 << q))
+    hops = (np.einsum("pqpq->pq", eri)[p, q][found], (row[found], column[found]))
+    return (scipy.sparse.diags(diagonal) + scipy.sparse.csr_matrix(hops, shape=(len(states),) * 2)).tocsr()
 
 
 def pauli_label(x: int, z: int) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -34,23 +35,29 @@ def h2_pipeline(r_bohr: float = 1.4) -> dict:
 
 
 ROOT = Path(__file__).resolve().parents[1]
-# scipy modules the package never loads: it needs only numpy and scipy.sparse
-UNLOADED_SCIPY = ("scipy.linalg", "scipy.special", "scipy.sparse.linalg")
 
 
-def loaded_after_run_point() -> list:
-    """The ``UNLOADED_SCIPY`` modules a fresh interpreter holds after ``import pnovqe``
-    and the xyz ``run_point`` of ``demos/h2_sto3g.cfg``.
+def modules_loaded_by_points(fcidump) -> tuple:
+    """(scipy modules held, modules first imported by the points) of a fresh interpreter.
+
+    It imports ``pnovqe``, sets up two points, then runs them: a PNO-UpCCGD
+    ``run_point`` on 8 qubits of the FCIDUMP at ``fcidump``, and the xyz
+    ``run_point`` of ``demos/h2_sto3g.cfg``.
     """
-    lines = ["import sys, pnovqe",
-             f"pnovqe.run_point(pnovqe.load_config({str(ROOT / 'demos' / 'h2_sto3g.cfg')!r}))",
-             f"print(*[name for name in {UNLOADED_SCIPY!r} if name in sys.modules])"]
-    code = "\n".join(lines)
+    lines = ["import json, sys, pnovqe",
+             f"configs = [pnovqe.RunConfig(integral_source='fcidump', fcidump={str(fcidump)!r}, n_qubits=8,",
+             "                             ansatz='pno-upccgd').validate(),",
+             f"           pnovqe.load_config({str(ROOT / 'demos' / 'h2_sto3g.cfg')!r})]",
+             "before = set(sys.modules)",
+             "for config in configs:",
+             "    pnovqe.run_point(config)",
+             "print(json.dumps([sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'),",
+             "                  sorted(set(sys.modules) - before)]))"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env, capture_output=True,
                             text=True, timeout=120, check=True)
-    return result.stdout.split()
+    return tuple(json.loads(result.stdout))
 
 
 def sector_matrix(hamiltonian, basis) -> np.ndarray:

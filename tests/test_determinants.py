@@ -1,7 +1,10 @@
 """The sector operator that applies the compact integrals by their one-electron moves.
 
 ``exact._StringSigma`` (its products, on a vector and on a (dim, k) block,
-and its closed-form diagonal) is checked against the determinant oracle
+and its closed-form diagonal) is checked byte for byte against the
+scipy.sparse table it replaced (``ci_oracle.ReferenceStringSigma``), as
+the pair matrix is against ``ci_oracle.reference_pair_matrix`` on bases of
+pair states, and to 1e-12 against the determinant oracle
 ``ci_oracle.slater_condon_matrix`` and against the Jordan-Wigner route
 (``ci_oracle.reference_matrix`` of ``jordan_wigner(build_hamiltonian(mo))``)
 on random integrals, on (N, S_z) sectors with n_up != n_down and on N
@@ -19,23 +22,25 @@ encoding only to write its ``hamiltonian.txt``. Examples are derandomized.
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pnovqe as pq
 from pnovqe import cli, exact, workbench
 from pnovqe.exact import IntegralHamiltonian, SectorBasis, _sector_operator
 
 from ci_oracle import (
-    apply_ladder, random_integral_set, reference_jordan_wigner, reference_matrix, register_sector,
-    slater_condon_matrix,
+    ReferenceStringSigma, apply_ladder, random_integral_set, reference_jordan_wigner, reference_matrix,
+    reference_pair_matrix, register_sector, slater_condon_matrix,
 )
 from conftest import sector_matrix
 
 BUILDER = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 RULE = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+BLOCKS = (exact._BLOCK, 16, 64)   # the default: one block on these sectors; the others: several
 
 
 def jw_matrix(mo, states):
@@ -72,6 +77,46 @@ def test_sigma_matches_the_determinant_oracle_and_the_jordan_wigner_matrix(case,
         np.testing.assert_allclose(operator @ block[:, k], product[:, k], atol=1e-12, rtol=0)
     np.testing.assert_allclose(operator.diagonal(), np.diag(oracle), atol=1e-12, rtol=0)
     assert not operator.diagonal().flags.writeable   # the operator is kept and shared
+
+
+def vectors(rng, dim: int) -> tuple:
+    """A vector with exact zeros (as a circuit state has) and a (dim, 3) block."""
+    vector = rng.standard_normal(dim)
+    return np.where(rng.random(dim) < 0.3, 0.0, vector), rng.standard_normal((dim, 3))
+
+
+@BUILDER
+@given(sectors(), st.integers(0, 2**32 - 1), st.sampled_from(BLOCKS))
+# one row of 8 slots
+@example(case=(random_integral_set(4, 2, 0), pq.sector_basis(8, 8, 0)), seed=4, block=exact._BLOCK)
+def test_sigma_has_the_bits_of_the_scipy_table(case, seed, block):
+    # the numpy table against the scipy.sparse one it replaced, byte for byte; a small
+    # ``_BLOCK`` splits the table into many blocks of two or more rows, the last one partly filled
+    mo, basis = case
+    with mock.patch.object(exact, "_BLOCK", block):
+        operator = _sector_operator(IntegralHamiltonian(mo), basis)
+    reference = ReferenceStringSigma(mo, basis)
+    for x in vectors(np.random.default_rng(seed), basis.dim):
+        want = (reference @ x).tobytes()
+        assert (operator @ x).tobytes() == want
+        assert (operator @ x).tobytes() == want   # again, on the work arrays the first product left
+    assert operator.diagonal().tobytes() == reference.diagonal().tobytes()
+
+
+@BUILDER
+@given(st.integers(1, 6), st.integers(0, 10_000), st.sampled_from(BLOCKS), st.data())
+def test_pair_matrix_has_the_bits_of_the_scipy_matrix(n_orb, seed, block, data):
+    # on any basis of pair states: sectors, several pair counts, and bases that drop pair moves;
+    # in one block and, with a small ``_BLOCK``, in many
+    mo = random_integral_set(n_orb, 2, seed)
+    states = data.draw(st.sets(st.integers(0, 2**n_orb - 1), min_size=1))
+    basis = SectorBasis(n_orb, np.array(sorted(states), dtype=np.int64))
+    with mock.patch.object(exact, "_BLOCK", block):
+        operator = _sector_operator(pq.build_paired_hamiltonian(mo), basis)
+    reference = reference_pair_matrix(mo, basis)
+    for x in vectors(np.random.default_rng(seed), basis.dim):
+        assert (operator @ x).tobytes() == (reference @ x).tobytes()
+    assert operator.diagonal().tobytes() == reference.diagonal().tobytes()
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -5,14 +5,16 @@ property tests run Hamiltonians of random integrals on N and (N, S_z)
 sectors of 3-252 states, with a shrunken subspace that makes every solve
 restart, and paired Hamiltonians of 3-70 states. Small cases cover a zero
 operator, dimension 1, a degenerate ground state, a ground state orthogonal
-to the start's determinant and the matrix-vector cap. The paired
-Hamiltonian's entries are checked against the seniority-zero projection of
-the reference Jordan-Wigner image, on sectors and on bases that drop some
-pair moves, and against the closed form in ``build_paired_hamiltonian``'s
-docstring. The one sector rule, spin strings spread by ``exact._spread``,
-is checked against a brute-force filter of every register bitmask
-(``ci_oracle.register_sector``) on every sector of up to 12 qubits.
-Examples are derandomized.
+to the start's determinant, ground states 1-2 mHa below the lowest state of
+the start determinant's symmetry block (of an integral and of a paired
+Hamiltonian, against dense oracle matrices) and the matrix-vector cap. The
+paired Hamiltonian's entries are checked against the seniority-zero
+projection of the reference Jordan-Wigner image, on sectors and on bases
+that drop some pair moves, and against the closed form in
+``build_paired_hamiltonian``'s docstring. The one sector rule, spin
+strings spread by ``exact._spread``, is checked against a brute-force
+filter of every register bitmask (``ci_oracle.register_sector``) on every
+sector of up to 12 qubits. Examples are derandomized.
 """
 
 import math
@@ -28,7 +30,7 @@ from pnovqe.exact import IntegralHamiltonian, SectorBasis, _sector_operator
 
 from ci_oracle import (
     eigenvalues_dense, paired_register_matrix, random_integral_set, reference_build_hamiltonian,
-    reference_jordan_wigner, register_sector, seniority_zero_projection,
+    reference_jordan_wigner, register_sector, seniority_zero_projection, slater_condon_matrix,
 )
 from conftest import CountingMatrix, sector_matrix
 
@@ -124,8 +126,8 @@ class TestExactGroundEnergy:
 class TestByteEstimate:
     def test_an_n_sector_is_estimated_over_all_its_spin_grids(self, monkeypatch):
         # C(2,0) C(2,2) + C(2,1)^2 + C(2,2) C(2,0) = 6 states of the 4-qubit N = 2 sector, whose
-        # determinants have 0 + 2 * 1, 2 * 2 and 2 * 1 + 0 one-spin moves: 20 table entries
-        need = 48 * 20 + 8 * (2 * 3 + 2 * 24) * 6 + (100 << 20)
+        # determinants have 0 + 2 * 1, 2 * 2 and 2 * 1 + 0 one-spin moves: 20 table slots
+        need = 24 * 20 + 8 * (2 * 3 + 2 * 24) * 6 + (100 << 20)
         hamiltonian, basis = IntegralHamiltonian(random_integral_set(2, 2, 0)), pq.sector_basis(4, 2)
         monkeypatch.setattr(exact_mod, "_physical_bytes", lambda: need - 1)
         with pytest.raises(ValueError, match=rf"of 0 \+ 2 or 1 \+ 1 or 2 \+ 0 electrons in 2 orbitals "
@@ -136,7 +138,7 @@ class TestByteEstimate:
 
     def test_a_pair_basis_is_estimated_as_strings(self, monkeypatch):
         # 2 pairs in 4 orbitals: C(4, 2) = 6 pair states of 2 * 3 moves each
-        need = 48 * 36 + 8 * (4 * 5 + 2 * 24) * 6 + (100 << 20)
+        need = 24 * 36 + 8 * (4 * 5 + 2 * 24) * 6 + (100 << 20)
         monkeypatch.setattr(exact_mod, "_physical_bytes", lambda: need - 1)
         with pytest.raises(ValueError, match=rf"of 2 \+ 0 electrons in 4 orbitals needs about {need} bytes"):
             pq.exact_ground_energy(pq.build_paired_hamiltonian(random_integral_set(4, 2, 0)),
@@ -152,7 +154,7 @@ class TestByteEstimate:
         basis = pq.sector_basis(2 * n_orb, n, two_sz)
         grids = [(up, down) for up, down, *_ in exact_mod._grids(basis)]
         need = (100 << 20) + sum(math.comb(n_orb, up) * math.comb(n_orb, down) * 8 * (
-            6 * (up * (n_orb + 1 - up) + down * (n_orb + 1 - down)) + n_orb * (n_orb + 1) + 48) for up, down in grids)
+            3 * (up * (n_orb + 1 - up) + down * (n_orb + 1 - down)) + n_orb * (n_orb + 1) + 48) for up, down in grids)
         refusal = (f"the exact solve of {' or '.join(f'{u} + {d}' for u, d in grids)} electrons in {n_orb} "
                    f"orbitals needs about {need} bytes, past the {need - 1} bytes of physical memory")
         with pytest.MonkeyPatch.context() as patch:
@@ -317,6 +319,49 @@ def test_iterative_solve_of_a_ground_state_orthogonal_to_the_start_determinant()
     assert abs(vector[0]) < 1e-9
 
 
+def _cross_block_case(matrix, block, got):
+    """Check a solve whose ground state lies outside the block of the lowest diagonal entry, just below it."""
+    start = block == block[np.argmin(np.diag(matrix))]
+    ground = np.linalg.eigh(matrix)
+    assert not start[np.argmax(np.abs(ground.eigenvectors[:, 0]))]
+    # the start's block holds a state 1-2 mHa above the ground state: only the admixture reaches below it
+    assert 1e-3 < np.linalg.eigvalsh(matrix[np.ix_(start, start)])[0] - ground.eigenvalues[0] < 2e-3
+    assert abs(got - ground.eigenvalues[0]) < 1e-10
+
+
+def test_iterative_solve_reaches_a_nearly_degenerate_ground_state_in_another_symmetry_block():
+    # orbitals 1 and 3 odd, 0 and 2 even: integrals of odd parity vanish, so the
+    # parity of the electrons in odd orbitals is conserved; a shift of the odd
+    # orbitals puts the odd-parity ground state 1.05 mHa below the even one
+    odd = np.array([0, 1, 0, 1])
+    base = random_integral_set(4, 4, 1)
+    h = np.where(odd[:, None] == odd, base.h, 0.0) - 0.009 * np.diag(odd)
+    kept = (odd[:, None, None, None] ^ odd[None, :, None, None] ^ odd[None, None, :, None] ^ odd) == 0
+    mo = pq.IntegralSet(4, h, np.where(kept, base.eri, 0.0), base.core_energy, 4)
+    basis = pq.sector_basis(8, 4, 0)
+    energy, _ = pq.exact_ground_energy(IntegralHamiltonian(mo), basis)
+    states = [int(state) for state in basis.states]
+    parity = np.array([(state & 0b11001100).bit_count() % 2 for state in states])
+    _cross_block_case(slater_condon_matrix(mo, states), parity, energy)
+
+
+def test_iterative_solve_of_the_paired_hamiltonian_reaches_a_ground_state_in_another_block():
+    # two fragments, orbitals 0-1 and 2-3, with no integral that joins their
+    # densities: no pair hops between them, so each keeps its pair count; a
+    # shift of fragment 2-3 puts the ground state, one pair in each fragment,
+    # 1.76 mHa below the state with both pairs in fragment 2-3
+    fragment = np.array([0, 0, 1, 1])
+    base = random_integral_set(4, 4, 3)
+    h = np.where(fragment[:, None] == fragment, base.h, 0.0) - 0.7205 * np.diag(fragment)
+    kept = ((fragment[:, None, None, None] == fragment[None, :, None, None])
+            & (fragment[None, None, :, None] == fragment))
+    mo = pq.IntegralSet(4, h, np.where(kept, base.eri, 0.0), base.core_energy, 4)
+    energy, _ = pq.exact_ground_energy(pq.build_paired_hamiltonian(mo), pq.sector_basis(4, 2))
+    states = [state for state in range(16) if state.bit_count() == 2]
+    matrix = paired_register_matrix(mo).real[np.ix_(states, states)]
+    _cross_block_case(matrix, np.array([(state & 0b1100).bit_count() for state in states]), energy)
+
+
 def test_iterative_solve_past_its_matrix_vector_cap_is_an_error(monkeypatch):
     monkeypatch.setattr(exact_mod, "_DAVIDSON_MAX_MATVECS", 2)
     mo = random_integral_set(4, 2, 3)
@@ -385,8 +430,8 @@ class TestPairedHamiltonian:
         basis = pq.sector_basis(4, 2)
         mat = _sector_operator(hp, basis)
         assert _sector_operator(hp, SectorBasis(4, basis.states)) is mat
-        assert mat.dtype == np.float64 and mat.shape == (6, 6)
-        assert not any(array.flags.writeable for array in (mat.data, mat.indices, mat.indptr))
+        assert mat.values.dtype == np.float64 and mat.shape == (6, 6)
+        assert not mat.values.flags.writeable
 
     @PAIRED
     @given(st.integers(2, 5), st.integers(0, 10_000))

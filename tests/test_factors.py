@@ -329,8 +329,8 @@ def test_one_mat_vec_and_one_backward_sweep_per_parameter_point(monkeypatch):
     ansatz = fresh_ansatz()
     k = ansatz.n_parameters
     theta = np.linspace(-0.2, 0.6, k)
-    products, rotations = [], []
-    sector_operator, rotate = simulator._sector_operator, simulator._rotate
+    products, rotations, steps = [], [], []
+    sector_operator, rotate, adjoint_step = simulator._sector_operator, simulator._rotate, simulator._adjoint_step
 
     class CountedMatrix:
         def __init__(self, mat):
@@ -344,17 +344,23 @@ def test_one_mat_vec_and_one_backward_sweep_per_parameter_point(monkeypatch):
         rotations.append(1)
         return rotate(*args)
 
+    def counted_step(*args):
+        steps.append(1)
+        return adjoint_step(*args)
+
     monkeypatch.setattr(simulator, "_sector_operator",
                         lambda op, basis: CountedMatrix(sector_operator(op, basis)))
     monkeypatch.setattr(simulator, "_rotate", counted_rotate)
+    monkeypatch.setattr(simulator, "_adjoint_step", counted_step)
+    counts = lambda: (len(products), len(rotations), len(steps))   # noqa: E731
     pq.ansatz_expectation(h1, ansatz, theta)
     grad = pq.gradient(h1, ansatz, theta)
-    assert (len(products), len(rotations)) == (1, 2 * k)    # K on psi, K on lam
+    assert counts() == (1, k, k)    # K on psi, K backward steps on lam
     assert np.array_equal(pq.gradient(h1, ansatz, theta), grad)
-    assert (len(products), len(rotations)) == (1, 3 * k)
+    assert counts() == (1, k, 2 * k)
     # H psi is kept for its operator only
     pq.ansatz_expectation(h2, ansatz, theta)
-    assert (len(products), len(rotations)) == (2, 3 * k)
+    assert counts() == (2, k, 2 * k)
 
 
 @st.composite

@@ -19,7 +19,6 @@ from ci_oracle import (
 )
 from conftest import (
     h2_big_integrals, h2_big_system, h2_pipeline, he_big_system, lih_like_pipeline, lih_like_system,
-    loaded_after_run_point,
 )
 
 
@@ -254,11 +253,6 @@ def test_eri_blocks_of_any_height_match_the_loop_reference(rows):
         patch.setattr(integrals_mod, "_ERI_BLOCK", rows * 78)
         eri = pq.compute_ao_integrals(mol, shells).eri
     np.testing.assert_allclose(eri, expected, rtol=0, atol=1e-13)
-
-
-def test_import_leaves_scipy_special_unloaded():
-    # an xyz run_point builds integrals with the package's own erf
-    assert loaded_after_run_point() == []
 
 
 class TestFCIDump:

@@ -21,7 +21,7 @@ from ci_oracle import (
     fci_ground_energy, random_integral_set, reference_build_hamiltonian, reference_jordan_wigner,
     reference_to_text,
 )
-from conftest import h2_big_integrals
+from conftest import h2_big_integrals, modules_loaded_by_points
 
 ROOT = Path(__file__).resolve().parents[1]
 H2_INLINE = "H 0 0 0; H 0 0 {R}"
@@ -58,6 +58,12 @@ def reference_pauli_text(config) -> str:
     stage = workbench.compact_integrals(config)
     fermion = reference_build_hamiltonian(stage["final"])
     return reference_to_text(reference_jordan_wigner(fermion, stage["n_qubits"]))
+
+
+def test_points_hold_no_scipy_module_and_import_none(h2_big_fcidump):
+    # numpy is the one runtime dependency (the xyz point builds its integrals with
+    # the package's own erf), and every module a point reads comes with the package
+    assert modules_loaded_by_points(h2_big_fcidump) == ([], [])
 
 
 class TestConfigParsing:
@@ -276,16 +282,16 @@ class TestRunPoint:
 
     def test_point_past_physical_memory_is_refused_before_the_vqe(self, monkeypatch):
         # H2/STO-3G: 2 orbitals, pairs 3, dim 4, 2 * 2 one-spin moves per determinant:
-        # 48 * 16 + 2 * 3 * 4 * 8 + 2 * 24 * 4 * 8 = 2496 B above the base
+        # 24 * 16 + 2 * 3 * 4 * 8 + 2 * 24 * 4 * 8 = 2112 B above the base
         ran = []
-        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 2495)
+        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 2111)
         monkeypatch.setattr(workbench, "run_vqe", lambda *args, **kwargs: ran.append(args))
         with pytest.raises(ValueError, match=r"^the exact solve of 1 \+ 1 electrons in 2 orbitals needs "
-                                             r"about 104860096 bytes, past the 104860095 bytes of "
+                                             r"about 104859712 bytes, past the 104859711 bytes of "
                                              r"physical memory$"):
             pq.run_point(h2_config())
         assert ran == []
-        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 2496)
+        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 2112)
         pq.exact._check_solvable(2, (1, 1))   # the estimate fits exactly
 
     def test_sector_past_physical_memory_is_refused_before_it_is_enumerated(self, monkeypatch):
