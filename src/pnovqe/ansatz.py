@@ -239,9 +239,14 @@ def build_paired_ansatz(occupied, pair_doubles, n_orb: int) -> Ansatz:
     """Pair-rotation circuit on n_orb qubits mirroring a PNO-UpCCD ansatz.
 
     ``pair_doubles`` lists (i, a) spatial excitations in ansatz order;
-    ``occupied`` lists the reference's doubly occupied spatial orbitals.
+    ``occupied`` lists the reference's doubly occupied spatial orbitals. An
+    empty list is a ``ValueError``: ``Ansatz.basis`` knows a register is
+    paired only from its pair rotations, and would read an empty circuit's
+    qubits as spins.
     """
     gens = tuple(make_paired_rotation(i, a, n_orb) for i, a in pair_doubles)
+    if not gens:
+        raise ValueError("a paired circuit needs at least one pair double")
     return Ansatz(
         generators=gens,
         n_qubits=n_orb,

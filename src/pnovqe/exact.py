@@ -7,8 +7,8 @@ in, is checked by ``_checked_states`` before ``_locate`` searches it. A
 point's exact solve runs on the sector its VQE sweeps read, so both read
 one operator per (Hamiltonian, basis), kept on the Hamiltonian and found
 through ``_sector_operator``, the one check that the Hamiltonian's
-register is the basis'. An operator has ``@`` (on a vector or a (dim, k)
-block) and ``diagonal()``.
+register is the basis'. An operator has ``@`` on one vector and
+``diagonal()``.
 
 For an ``IntegralHamiltonian`` it is ``_StringSigma``, the direct
 determinant sigma of Knowles and Handy (Chem. Phys. Lett. 1984) on the
@@ -21,8 +21,8 @@ diagonal is in closed form. No Hamiltonian matrix is stored. The table
 and the paired matrix below are ``_PaddedRows``: numpy arrays whose
 products add in the order of scipy's sparse kernels, so that they give
 scipy's bits and no process loads scipy. The same
-rule signs the circuit factors (``_factors``), and both find images in a
-basis by ``_locate``. ``IntegralSet`` refuses an asymmetric h and an eri
+rule signs the circuit factors (``_factors``), which find their images in
+a basis by ``_locate``. ``IntegralSet`` refuses an asymmetric h and an eri
 without 8-fold symmetry, so every operator is real symmetric and every
 solve runs in real arithmetic: the Davidson solve
 (``_davidson``), with the diagonal as preconditioner from a seeded start,
@@ -30,16 +30,18 @@ so reruns give the same bits. ``sector_basis`` admits every sector, on
 every call and before it enumerates a state, through ``_check_solvable``:
 an estimate from the orbital and electron counts alone of its operator
 and Davidson arrays, refused past physical memory (``_physical_bytes``).
-``_pair_matrix`` prices its own bases of pair states the same way.
+``_pair_matrix`` prices its pair-count sector the same way.
 
 The paired (seniority-zero) encoding gives one qubit to each spatial
 orbital, halving the register relative to the spin-orbital encoding: qubit
 p set is the orbital doubly occupied (Elfving et al., PRA 2021).
 ``PairedHamiltonian``'s operator is the ``_PaddedRows`` of the closed form in
-``build_paired_hamiltonian``'s docstring on pair states; its entries are
-locked in by a test against the seniority-zero projection of the full
-Jordan-Wigner Hamiltonian. Its circuit, ``build_paired_ansatz``, is built
-in ``ansatz`` with the other generators.
+``build_paired_hamiltonian``'s docstring on a pair-count sector, read from
+the same string moves as the sigma, and any other basis is refused; its
+entries are locked in by a test against the seniority-zero projection of
+the full Jordan-Wigner Hamiltonian. Its circuit, ``build_paired_ansatz``,
+is built in ``ansatz`` with the other generators, and refuses an empty
+list of pair doubles, whose register it could not tell from a spin one.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-import numpy.ma  # noqa: F401  (np.unique loads it on first call: here, so that no point imports a module)
-import numpy.random  # noqa: F401  (the Davidson start; loaded with the package for the same reason)
+import numpy.random  # noqa: F401  (the Davidson start: loaded here, so that no point imports a module)
 
 from .integrals import IntegralSet
 from .operators import MAX_MASK_QUBITS
@@ -64,6 +65,8 @@ _BASE_BYTES = 100 << 20
 # the H6 points (27 225 and 81 796 determinants) measured 4-8 % faster at 2^15 than at 2^13 or 2^17
 _BLOCK = 1 << 15
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"   # cgroup v2: a byte count, or "max"
+# the processes that solve sectors at once on this memory: each curve worker's start sets it in that worker
+_workers = 1
 
 
 def _checked_states(states, n_qubits: int) -> np.ndarray:
@@ -218,12 +221,14 @@ def _string_moves(n_orb: int, n_occ: int) -> tuple:
     """
     strings = _strings(n_orb, n_occ)
     occupations = (strings[:, None] >> np.arange(n_orb)) & 1
-    empty_or_same = np.eye(n_orb, dtype=np.int64) | 1 - occupations[:, :, None]
-    string, p, q = np.nonzero(occupations[:, None, :] & empty_or_same)   # q occupied, p empty or q
+    occupied = occupations.astype(bool)
+    # a boolean mask of (string, p, q), q occupied and p empty or q: no int64 per entry
+    string, p, q = np.nonzero(occupied[:, None, :] & (np.eye(n_orb, dtype=bool) | ~occupied[:, :, None]))
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     odd = np.bitwise_count(strings[string] & np.where(p == q, 0, between(lo, hi))) & 1
     image = np.searchsorted(strings, strings[string] ^ (1 << p) ^ (1 << q))
-    return occupations, hi * (hi + 1) // 2 + lo, string, image, np.where(odd, -1.0, 1.0)
+    # string copied: as a view it would keep p and q in the cache
+    return occupations, hi * (hi + 1) // 2 + lo, string.copy(), image, np.where(odd, -1.0, 1.0)
 
 
 def _grids(basis: SectorBasis):
@@ -244,58 +249,65 @@ def _grids(basis: SectorBasis):
     if np.any(np.bitwise_count(states) != n) or not np.array_equal(
             states, sector_basis(n_qubits, n, two_sz).states):
         raise ValueError("the sector operator needs an (N, S_z) or an N sector basis")
-    for k in np.unique(up).tolist():
+    for k in sorted(set(up.tolist())):
         crossed = _string_moves(n_qubits // 2, k)[0] @ below @ _string_moves(n_qubits // 2, n - k)[0].T
         yield k, n - k, np.searchsorted(states, _grid(n_qubits, k, n - k)), 1 - 2.0 * (crossed & 1)
 
 
 def _physical_bytes() -> int:
-    """The memory one process checks its own sector against: the host's RAM, or a smaller cgroup limit.
+    """The memory one process checks its own sector against: its share of the RAM or of a smaller cgroup limit.
 
     The limit is a decimal byte count in ``_CGROUP_MEMORY_MAX``; "max", a
-    missing and an unreadable file are no limit. The other workers of a
-    parallel curve are not seen: each checks its own sector against the
-    whole of it.
+    missing and an unreadable file are no limit. The share is 1 /
+    ``_workers``: a parallel curve's workers solve their sectors at once.
     """
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     try:
         with open(_CGROUP_MEMORY_MAX, encoding="ascii") as file:
             limit = file.read().strip()
     except (OSError, UnicodeError):
-        return ram
-    return min(ram, int(limit)) if limit.isdecimal() else ram
+        limit = "max"
+    return (min(ram, int(limit)) if limit.isdecimal() else ram) // _workers
 
 
 def _check_solvable(n_orb: int, *grids) -> None:
     """Refuse a basis of (n_up, n_down) spin ``grids`` of ``n_orb`` orbitals past physical memory.
 
     ``sector_basis`` calls it on every sector before enumerating one, and
-    ``_pair_matrix`` on each basis of pair states, as (n_pairs, 0) grids of
-    the pair register. The estimate needs only the counts. A grid holds
+    ``_pair_matrix`` on its sector of k pairs, as a (k, 0) grid of the pair
+    register. The estimate needs only the counts. A grid holds
     C(n_orb, n_up) C(n_orb, n_down) determinants, and a string of k electrons has
     k (n_orb - k + 1) one-spin moves (``_string_moves``), so the sigma's
-    table (or the pair matrix's hops) has at most dim x moves slots. It
+    table (or the pair matrix's rows) has at most dim x moves slots. It
     prices 24 B per slot: the table's 16 B (an intp column and a float64
     value) and the int32 key and int8 value per slot that its setup holds
     beside it. To that it adds 2 arrays of pairs x dim float64 for the
     products' D and G, which the sigma keeps, 2 x ``_DAVIDSON_SUBSPACE`` x
-    dim float64 for the Davidson subspace, and ``_BASE_BYTES``. A solve's
-    peak RSS measured 0.46-0.84 of it on sectors of 3 + 3 electrons in 11
-    and 13 orbitals, of 5 + 5 in 10 and 11, on the N = 8 sector of 8
-    orbitals and on bases of 7 and 8 pairs in 14 and 16 orbitals.
+    dim float64 for the Davidson subspace, 32 B per move of each string
+    count's move table that ``_string_moves`` keeps (an int64 pair, string
+    and image and a float64 sign; on a grid of one spin, as a pair sector
+    is, as many as the slots), and ``_BASE_BYTES``. A solve's peak RSS
+    measured 0.69-0.87 of it, on random integrals, on sectors of 3 + 3
+    electrons in 11 and 13 orbitals, of 5 + 5 in 10 and 11, on the N = 8
+    sector of 8 orbitals and on sectors of 7, 8 and 9 pairs in 14, 16 and
+    18 orbitals. It is checked against this process' share of physical
+    memory (``_physical_bytes``).
     """
-    # per determinant: 24 B per move, and 8 B for each of its pair rows in D and in G and each Davidson vector
-    need = _BASE_BYTES + sum(math.comb(n_orb, up) * math.comb(n_orb, down) * 8 * (
-        3 * (up * (n_orb + 1 - up) + down * (n_orb + 1 - down)) + n_orb * (n_orb + 1) + 2 * _DAVIDSON_SUBSPACE)
-        for up, down in grids)
+    moves = {k: k * (n_orb + 1 - k) for grid in grids for k in grid}   # of a string of k electrons
+    # per determinant: 24 B per move, and 8 B for each of its pair rows in D and in G and each Davidson vector;
+    # per string of each move table: 32 B per move
+    need = _BASE_BYTES + 32 * sum(math.comb(n_orb, k) * m for k, m in moves.items()) + sum(
+        math.comb(n_orb, up) * math.comb(n_orb, down) * 8 * (
+            3 * (moves[up] + moves[down]) + n_orb * (n_orb + 1) + 2 * _DAVIDSON_SUBSPACE) for up, down in grids)
     if need > (have := _physical_bytes()):
+        share = f" each of {_workers} curve workers may use" if _workers > 1 else ""
         raise ValueError(f"the exact solve of {' or '.join(f'{u} + {d}' for u, d in grids)} electrons in "
                          f"{n_orb} orbitals needs about {need} bytes, past the {have} bytes "
-                         "of physical memory")
+                         f"of physical memory{share}")
 
 
 class _PaddedRows:
-    """A real sparse (n, m) matrix whose rows are padded to one width, applied with scipy's sums bit for bit.
+    """A real sparse (n, m) matrix, its rows padded to one width, applied to a vector with scipy's sums exactly.
 
     The rows are kept in blocks of at least two and about ``_BLOCK`` slots
     each: slot k of row b x block + i holds column ``columns[b, k, i]``
@@ -323,38 +335,37 @@ class _PaddedRows:
         return np.where(self.columns == rows, self.values, 0.0).sum(axis=1).ravel()[:self.shape[0]]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """M x, for a vector or an (m, k) block: each row's products added in slot order from 0.0.
+        """M x for a vector x: each row's products added in slot order from 0.0.
 
         That is the order of scipy's csr kernel. numpy's reduce keeps it
         across a block's slots, as it would not for a lone row.
         """
         n_blocks, _, block = self.columns.shape
-        out = np.empty((n_blocks * block,) + x.shape[1:])
+        out = np.empty(n_blocks * block)
         for b in range(n_blocks):
             products = x[self.columns[b]]
-            products *= self.values[(b, ...) + (None,) * (x.ndim - 1)]
+            products *= self.values[b]
             np.add.reduce(products, axis=0, initial=0.0, out=out[b * block:(b + 1) * block])
         return out[:self.shape[0]]
 
     def transpose_matmul(self, x: np.ndarray, out: np.ndarray) -> None:
-        """M^T x into ``out``, for a vector or an (n, k) block, one block of rows at a time.
+        """M^T x for a vector x into ``out`` (m values, of any shape), one block of rows at a time.
 
         ``np.add.at`` adds each block's products to ``out``, set to 0.0, in
-        (block, slot, row) order, and scipy's csc kernel in row order; the
-        two agree on every column of at most two nonzero values, whose sum
-        has no order. A block's products are the only temporaries.
+        (slot, row) order, and scipy's csc kernel in row order; the two
+        agree on every column of at most two nonzero values, whose sum has
+        no order. A block's products are the only temporaries.
         """
         n_blocks, width, block = self.columns.shape
         rows = x
         if n_blocks * block > self.shape[0]:   # x, and 0 in the rows that fill out the last block
-            rows = np.zeros((n_blocks * block,) + x.shape[1:])
+            rows = np.zeros(n_blocks * block)
             rows[:self.shape[0]] = x
-        flat, terms = out.reshape(-1), np.empty((width, block) + x.shape[1:])
+        flat, terms = out.reshape(-1), np.empty((width, block))
         flat.fill(0.0)
         for b in range(n_blocks):
-            np.multiply(self.values[(b, ...) + (None,) * (x.ndim - 1)], rows[b * block:(b + 1) * block], out=terms)
-            index = self.columns[b] if x.ndim == 1 else self.columns[b, :, :, None] * x.shape[1] + np.arange(x.shape[1])
-            np.add.at(flat, index.reshape(-1), terms.reshape(-1))
+            np.multiply(self.values[b], rows[b * block:(b + 1) * block], out=terms)
+            np.add.at(flat, self.columns[b].reshape(-1), terms.reshape(-1))
 
 
 class _StringSigma:
@@ -370,9 +381,9 @@ class _StringSigma:
     j's spin-up string and of its spin-down string, sorted by column; E_pp
     from both spins is one entry of value 2. A row of E holds at most one
     move of each spin, so E C by ``np.add.at`` has scipy's bits. A
-    product is D = E C, G = (1/2 (pq|rs) + k_pq d_rs / N) D in one GEMM,
-    since sum_r E_rr C = N C on a basis of N electrons, and sigma = E^T G
-    + core C. The diagonal is in closed form.
+    product takes one vector C: D = E C, G = (1/2 (pq|rs) + k_pq d_rs / N)
+    D in one GEMM, since sum_r E_rr C = N C on a basis of N electrons, and
+    sigma = E^T G + core C. The diagonal is in closed form.
     """
 
     def __init__(self, mo: IntegralSet, basis: SectorBasis):
@@ -414,54 +425,52 @@ class _StringSigma:
         keys >>= 1
         keys[padding] = 0
         del twin, padding
-        self._table, self._work = _PaddedRows(keys, values, n_rows), {}
+        self._table, self._work = _PaddedRows(keys, values, n_rows), np.empty((2, len(one), dim))
         self._diagonal.flags.writeable = False   # the operator is kept on the Hamiltonian and shared
 
     def diagonal(self) -> np.ndarray:
         return self._diagonal
 
     def __matmul__(self, vector: np.ndarray) -> np.ndarray:
-        """sigma for a vector or a (dim, k) block; D and G are written into arrays kept per shape.
+        """sigma for a vector; D and G are written into the one kept (2, pairs, dim) array.
 
         Kept, they cost no page faults or zeroing of fresh memory per
         product, and the operator is not for concurrent use.
         """
-        if vector.shape not in self._work:
-            self._work[vector.shape] = np.empty((2, len(self._coupling), vector.size))
-        d, g = self._work[vector.shape]
+        d, g = self._work
         self._table.transpose_matmul(vector, d)
         np.matmul(self._coupling, d, out=g)
-        return self._table @ g.reshape((-1,) + vector.shape[1:]) + self._core * vector
+        return self._table @ g.reshape(-1) + self._core * vector
 
 
 def _pair_matrix(mo: IntegralSet, basis: SectorBasis) -> _PaddedRows:
-    """``build_paired_hamiltonian``'s closed form on a basis of pair states, as ``_PaddedRows``.
+    """``build_paired_hamiltonian``'s closed form on a pair-count sector, as ``_PaddedRows``.
 
-    The diagonal is core + sum_p 2 h_pp n_p + 1/2 sum_pq (4 (pp|qq) - 2 (pq|qp))
-    n_p n_q (its p = q terms are the (pp|pp) of the pair energies), and
-    (pq|pq) joins states that differ by one pair moved between p and q; a
-    move whose image lies outside the basis is dropped.
+    The basis must hold every state of k pairs in ``n_orb`` orbitals, the
+    strings ``_strings(n_orb, k)``: any other is a ``ValueError``, as the
+    sigma refuses a basis that is not a sector. ``_check_solvable`` prices
+    it as a (k, 0) grid before its moves are read. The diagonal is core +
+    sum_p 2 h_pp n_p + 1/2 sum_pq (4 (pp|qq) - 2 (pq|qp)) n_p n_q (its
+    p = q terms are the (pp|pp) of the pair energies), from the strings'
+    occupations, and (pq|pq) joins the states that a string move of a
+    pair p > q (``_string_moves``) joins: k (n_orb - k) hops per state.
     """
     n, eri, states = mo.n_orb, mo.eri, basis.states
-    _check_solvable(n, *((n_pairs, 0) for n_pairs in np.unique(np.bitwise_count(states)).tolist()))
-    occ = ((states[:, None] >> np.arange(n)) & 1).astype(bool)
+    k = int(states[0]).bit_count()
+    if len(states) != math.comb(n, k) or np.any(np.bitwise_count(states) != k):
+        raise ValueError("the pair matrix needs a pair-count sector basis")
+    _check_solvable(n, (k, 0))
+    occ, pair, string, image, _ = _string_moves(n, k)
     pair_pair = 4 * np.einsum("ppqq->pq", eri) - 2 * np.einsum("pqqp->pq", eri)
     diagonal = mo.core_energy + occ @ (2 * np.diag(mo.h)) + 0.5 * ((occ @ pair_pair) * occ).sum(1)
-    row, p, q = np.nonzero(occ[:, :, None] & ~occ[:, None, :])
-    column, found = _locate(states, states[row] ^ (1 << p) ^ (1 << q))
-    row, column, hop = row[found], column[found], np.einsum("pqpq->pq", eri)[p, q][found]
-    del p, q, found   # the move arrays, before the rows are built from the hops
-    # slot 0 of each row is its diagonal entry, then its hops in the order found; unused slots hold 0
-    starts = np.searchsorted(row, np.arange(len(states)))
-    width = 1 + int(np.diff(np.append(starts, len(row))).max(initial=0))
-    columns = np.repeat(np.arange(len(states))[:, None], width, axis=1)
-    values = np.zeros(columns.shape)
-    values[:, 0] = diagonal
-    slot = 1 + np.arange(len(row)) - starts[row]
-    columns[row, slot], values[row, slot] = column, hop
-    del row, column, hop, slot
-    order = np.argsort(columns, axis=1, kind="stable")
-    return _PaddedRows(np.take_along_axis(columns, order, 1), np.take_along_axis(values, order, 1), len(states))
+    # the entries' values: (pq|pq) of each pair p >= q, then each state's diagonal
+    table = np.concatenate([np.einsum("pqpq->pq", eri)[np.tril_indices(n)], diagonal])
+    rows, n_pairs, hop = np.arange(len(states)), n * (n + 1) // 2, image != string   # E_pp keeps the string
+    # each state's diagonal entry and hops as keys column x len(table) + value index, sorted by column
+    keys = np.column_stack([rows * len(table) + n_pairs + rows,
+                            (image[hop] * len(table) + pair[hop]).reshape(len(states), -1)])
+    keys.sort(axis=1)
+    return _PaddedRows(keys // len(table), table[keys % len(table)], len(states))
 
 
 class IntegralHamiltonian:

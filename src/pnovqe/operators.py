@@ -194,7 +194,7 @@ def jordan_wigner(op: dict, n_qubits: int) -> QubitOperator:
     products = np.concatenate(([0], np.cumsum(np.left_shift(1, lengths))))
     x, z = np.empty(products[-1], np.int64), np.empty(products[-1], np.int64)
     values = np.empty(products[-1], dtype=complex)
-    for length in np.unique(lengths).tolist():
+    for length in sorted(set(lengths.tolist())):
         same = np.flatnonzero(lengths == length)
         per_block = max(1, _JW_BLOCK >> length)
         for lo in range(0, same.size, per_block):

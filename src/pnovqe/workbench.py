@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, exact
 from .ansatz import build_pno_ansatz, build_upccgsd, count_resources
 from .exact import IntegralHamiltonian, exact_ground_energy, sector_basis
 from .integrals import (
@@ -106,6 +106,9 @@ class RunConfig:
                 raise ConfigError("fcidump source needs a path")
             if self.xyz or self.xyz_file:
                 raise ConfigError("exactly one integral source: remove the geometry")
+            if self.charge:
+                raise ConfigError(f"charge {self.charge} does not apply to an fcidump source: "
+                                  "its NELEC fixes the electron count")
         else:
             if not (self.xyz or self.xyz_file):
                 raise ConfigError("builtin source needs xyz or xyz_file")
@@ -406,12 +409,23 @@ def _point_worker(payload):
         return {"coordinate": coordinate, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _worker_start(workers: int) -> None:
+    """A curve worker's start: it admits sectors against 1 / ``workers`` of the memory and freezes its heap."""
+    exact._workers = workers
+    # a frozen heap keeps the import-time objects out of the worker's full collections
+    gc.freeze()
+
+
 def _pool_map(payloads, workers: int) -> list:
-    """``_point_worker`` per payload in a process pool; a point whose worker died gets an error record."""
+    """``_point_worker`` per payload in a process pool; a point whose worker died gets an error record.
+
+    The min(``workers``, payloads) processes that run at once share the
+    memory that their sectors are admitted against.
+    """
     from concurrent.futures.process import BrokenProcessPool   # loads multiprocessing
 
-    # a frozen heap keeps the import-time objects out of the workers' full collections
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_worker_start,
+                                                initargs=(min(workers, len(payloads)),)) as pool:
         futures = [pool.submit(_point_worker, payload) for payload in payloads]
     points = []
     for future, (_, coordinate) in zip(futures, payloads):

@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def modules_loaded_by_points(fcidump) -> tuple:
-    """(scipy modules held, modules first imported by the points) of a fresh interpreter.
+    """(scipy and numpy.ma modules held, modules first imported by the points) of a fresh interpreter.
 
     It imports ``pnovqe``, sets up two points, then runs them: a PNO-UpCCGD
     ``run_point`` on 8 qubits of the FCIDUMP at ``fcidump``, and the xyz
@@ -51,7 +51,8 @@ def modules_loaded_by_points(fcidump) -> tuple:
              "before = set(sys.modules)",
              "for config in configs:",
              "    pnovqe.run_point(config)",
-             "print(json.dumps([sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'),",
+             "print(json.dumps([sorted(name for name in sys.modules",
+             "                         if name.split('.')[0] == 'scipy' or name.split('.')[:2] == ['numpy', 'ma']),",
              "                  sorted(set(sys.modules) - before)]))"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p))
@@ -61,8 +62,9 @@ def modules_loaded_by_points(fcidump) -> tuple:
 
 
 def sector_matrix(hamiltonian, basis) -> np.ndarray:
-    """The dense matrix of a Hamiltonian's sector operator: its product with the identity block."""
-    return pq.exact._sector_operator(hamiltonian, basis) @ np.eye(basis.dim)
+    """The dense matrix of a Hamiltonian's sector operator, one column per product with a unit vector."""
+    operator = pq.exact._sector_operator(hamiltonian, basis)
+    return np.column_stack([operator @ unit for unit in np.eye(basis.dim)])
 
 
 class CountingMatrix:

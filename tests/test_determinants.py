@@ -1,10 +1,10 @@
 """The sector operator that applies the compact integrals by their one-electron moves.
 
-``exact._StringSigma`` (its products, on a vector and on a (dim, k) block,
-and its closed-form diagonal) is checked byte for byte against the
-scipy.sparse table it replaced (``ci_oracle.ReferenceStringSigma``), as
-the pair matrix is against ``ci_oracle.reference_pair_matrix`` on bases of
-pair states, and to 1e-12 against the determinant oracle
+``exact._StringSigma`` (its products on vectors and its closed-form
+diagonal) is checked byte for byte against the scipy.sparse table it
+replaced (``ci_oracle.ReferenceStringSigma``), as the pair matrix is
+against ``ci_oracle.reference_pair_matrix`` on pair-count sectors, and to
+1e-12 against the determinant oracle
 ``ci_oracle.slater_condon_matrix`` and against the Jordan-Wigner route
 (``ci_oracle.reference_matrix`` of ``jordan_wigner(build_hamiltonian(mo))``)
 on random integrals, on (N, S_z) sectors with n_up != n_down and on N
@@ -69,20 +69,18 @@ def test_sigma_matches_the_determinant_oracle_and_the_jordan_wigner_matrix(case,
     operator = _sector_operator(IntegralHamiltonian(mo), basis)
     oracle = slater_condon_matrix(mo, [int(s) for s in basis.states])
     np.testing.assert_allclose(jw_matrix(mo, basis.states).toarray().real, oracle, atol=1e-12, rtol=0)
-    block = np.random.default_rng(seed).standard_normal((basis.dim, 3))
-    product = operator @ block
-    assert product.dtype == np.float64 and product.shape == block.shape
-    np.testing.assert_allclose(product, oracle @ block, atol=1e-12, rtol=0)
-    for k in range(3):
-        np.testing.assert_allclose(operator @ block[:, k], product[:, k], atol=1e-12, rtol=0)
+    for vector in np.random.default_rng(seed).standard_normal((3, basis.dim)):
+        product = operator @ vector
+        assert product.dtype == np.float64 and product.shape == vector.shape
+        np.testing.assert_allclose(product, oracle @ vector, atol=1e-12, rtol=0)
     np.testing.assert_allclose(operator.diagonal(), np.diag(oracle), atol=1e-12, rtol=0)
     assert not operator.diagonal().flags.writeable   # the operator is kept and shared
 
 
 def vectors(rng, dim: int) -> tuple:
-    """A vector with exact zeros (as a circuit state has) and a (dim, 3) block."""
+    """A vector with exact zeros (as a circuit state has) and three dense vectors."""
     vector = rng.standard_normal(dim)
-    return np.where(rng.random(dim) < 0.3, 0.0, vector), rng.standard_normal((dim, 3))
+    return np.where(rng.random(dim) < 0.3, 0.0, vector), *rng.standard_normal((3, dim))
 
 
 @BUILDER
@@ -106,11 +104,9 @@ def test_sigma_has_the_bits_of_the_scipy_table(case, seed, block):
 @BUILDER
 @given(st.integers(1, 6), st.integers(0, 10_000), st.sampled_from(BLOCKS), st.data())
 def test_pair_matrix_has_the_bits_of_the_scipy_matrix(n_orb, seed, block, data):
-    # on any basis of pair states: sectors, several pair counts, and bases that drop pair moves;
-    # in one block and, with a small ``_BLOCK``, in many
+    # on every pair-count sector, in one block and, with a small ``_BLOCK``, in many
     mo = random_integral_set(n_orb, 2, seed)
-    states = data.draw(st.sets(st.integers(0, 2**n_orb - 1), min_size=1))
-    basis = SectorBasis(n_orb, np.array(sorted(states), dtype=np.int64))
+    basis = pq.sector_basis(n_orb, data.draw(st.integers(0, n_orb)))
     with mock.patch.object(exact, "_BLOCK", block):
         operator = _sector_operator(pq.build_paired_hamiltonian(mo), basis)
     reference = reference_pair_matrix(mo, basis)

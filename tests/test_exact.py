@@ -126,8 +126,9 @@ class TestExactGroundEnergy:
 class TestByteEstimate:
     def test_an_n_sector_is_estimated_over_all_its_spin_grids(self, monkeypatch):
         # C(2,0) C(2,2) + C(2,1)^2 + C(2,2) C(2,0) = 6 states of the 4-qubit N = 2 sector, whose
-        # determinants have 0 + 2 * 1, 2 * 2 and 2 * 1 + 0 one-spin moves: 20 table slots
-        need = 24 * 20 + 8 * (2 * 3 + 2 * 24) * 6 + (100 << 20)
+        # determinants have 0 + 2 * 1, 2 * 2 and 2 * 1 + 0 one-spin moves: 20 table slots; the
+        # move tables of 0, 1 and 2 electrons hold 0, 2 * 2 and 2 moves
+        need = 24 * 20 + 8 * (2 * 3 + 2 * 24) * 6 + 32 * 6 + (100 << 20)
         hamiltonian, basis = IntegralHamiltonian(random_integral_set(2, 2, 0)), pq.sector_basis(4, 2)
         monkeypatch.setattr(exact_mod, "_physical_bytes", lambda: need - 1)
         with pytest.raises(ValueError, match=rf"of 0 \+ 2 or 1 \+ 1 or 2 \+ 0 electrons in 2 orbitals "
@@ -137,8 +138,8 @@ class TestByteEstimate:
         pq.exact_ground_energy(hamiltonian, basis)
 
     def test_a_pair_basis_is_estimated_as_strings(self, monkeypatch):
-        # 2 pairs in 4 orbitals: C(4, 2) = 6 pair states of 2 * 3 moves each
-        need = 24 * 36 + 8 * (4 * 5 + 2 * 24) * 6 + (100 << 20)
+        # 2 pairs in 4 orbitals: C(4, 2) = 6 pair states of 2 * 3 moves each, and as many string moves
+        need = (24 + 32) * 36 + 8 * (4 * 5 + 2 * 24) * 6 + (100 << 20)
         monkeypatch.setattr(exact_mod, "_physical_bytes", lambda: need - 1)
         with pytest.raises(ValueError, match=rf"of 2 \+ 0 electrons in 4 orbitals needs about {need} bytes"):
             pq.exact_ground_energy(pq.build_paired_hamiltonian(random_integral_set(4, 2, 0)),
@@ -155,6 +156,7 @@ class TestByteEstimate:
         grids = [(up, down) for up, down, *_ in exact_mod._grids(basis)]
         need = (100 << 20) + sum(math.comb(n_orb, up) * math.comb(n_orb, down) * 8 * (
             3 * (up * (n_orb + 1 - up) + down * (n_orb + 1 - down)) + n_orb * (n_orb + 1) + 48) for up, down in grids)
+        need += 32 * sum(math.comb(n_orb, k) * k * (n_orb + 1 - k) for k in {k for grid in grids for k in grid})
         refusal = (f"the exact solve of {' or '.join(f'{u} + {d}' for u, d in grids)} electrons in {n_orb} "
                    f"orbitals needs about {need} bytes, past the {need - 1} bytes of physical memory")
         with pytest.MonkeyPatch.context() as patch:
@@ -449,15 +451,23 @@ class TestPairedHamiltonian:
                                        atol=1e-12, rtol=0)
 
     @PAIRED
-    @given(st.integers(2, 4), st.integers(0, 10_000), st.data())
-    def test_moves_out_of_the_basis_are_dropped(self, n_orb, seed, data):
-        # any sorted set of pair states: the matrix is the projection restricted to it
+    @given(st.integers(1, 4), st.integers(0, 10_000), st.data())
+    def test_a_basis_that_is_not_a_pair_count_sector_is_refused(self, n_orb, seed, data):
+        # a pair-count sector with states dropped or added; the result is refused unless it
+        # happens to be another pair-count sector, where the matrix is the projection's block
         mo = random_integral_set(n_orb, 2, seed)
-        projection = paired_register_matrix(mo)
-        states = sorted(data.draw(st.sets(st.integers(0, 2**n_orb - 1), min_size=1)))
-        basis = SectorBasis(n_orb, np.array(states, dtype=np.int64))
-        np.testing.assert_allclose(sector_matrix(pq.build_paired_hamiltonian(mo), basis),
-                                   projection.real[np.ix_(states, states)], atol=1e-12, rtol=0)
+        states = set(pq.sector_basis(n_orb, data.draw(st.integers(0, n_orb))).states.tolist())
+        dropped = data.draw(st.sets(st.sampled_from(sorted(states))))
+        added = data.draw(st.sets(st.integers(0, 2**n_orb - 1), max_size=3))
+        kept = sorted((states - dropped) | added) or [0]
+        basis = SectorBasis(n_orb, np.array(kept, dtype=np.int64))
+        hp = pq.build_paired_hamiltonian(mo)
+        if kept in [pq.sector_basis(n_orb, k).states.tolist() for k in range(n_orb + 1)]:
+            np.testing.assert_allclose(sector_matrix(hp, basis),
+                                       paired_register_matrix(mo).real[np.ix_(kept, kept)], atol=1e-12, rtol=0)
+        else:
+            with pytest.raises(ValueError, match="^the pair matrix needs a pair-count sector basis$"):
+                _sector_operator(hp, basis)
 
     def test_paired_bound(self):
         mo = random_integral_set(3, 4, 9)

@@ -23,7 +23,7 @@ from ci_oracle import (
     paired_register_matrix, random_integral_set, reference_generator_strings, reference_matrix,
     reference_sector_sweep, symmetry_leaks,
 )
-from conftest import lih_like_pipeline
+from conftest import lih_like_pipeline, sector_matrix
 
 SWEEP = settings(derandomize=True, database=None, max_examples=15, deadline=None)
 
@@ -159,6 +159,13 @@ def test_same_parity_paired_circuit_runs_on_the_number_sector():
     assert basis.dim == 15
 
 
+def test_an_empty_paired_circuit_is_refused():
+    # with no pair rotation its register would read as spins: reference [0, 1] would run on
+    # an "S_z" subset of 4 of the 6 two-pair states, and [0, 2] on one of 1
+    with pytest.raises(ValueError, match="^a paired circuit needs at least one pair double$"):
+        build_paired_ansatz([0, 1], [], 4)
+
+
 def test_every_call_form_of_one_sector_returns_the_one_basis():
     # an Ansatz keeps its prepared circuit per basis object, so a sector must be one object
     n_sector = pq.sector_basis(4, 2)
@@ -184,7 +191,7 @@ def test_real_integral_sector_operator_is_the_kept_float64_real_part(h2_sto3g):
     basis = pq.sector_basis(4, 2, 0)
     operator = exact._sector_operator(hamiltonian, basis)
     assert operator is exact._sector_operator(hamiltonian, basis)
-    mat = operator @ np.eye(basis.dim)
+    mat = sector_matrix(hamiltonian, basis)
     assert mat.dtype == operator.diagonal().dtype == np.float64
     assert not operator.diagonal().flags.writeable
     expected = reference_matrix(h2_sto3g["hamiltonian"], basis.states).toarray()

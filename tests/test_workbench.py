@@ -62,7 +62,8 @@ def reference_pauli_text(config) -> str:
 
 def test_points_hold_no_scipy_module_and_import_none(h2_big_fcidump):
     # numpy is the one runtime dependency (the xyz point builds its integrals with
-    # the package's own erf), and every module a point reads comes with the package
+    # the package's own erf), numpy.ma is never loaded, and every module a point
+    # reads comes with the package
     assert modules_loaded_by_points(h2_big_fcidump) == ([], [])
 
 
@@ -96,6 +97,19 @@ class TestConfigParsing:
             cfg.integral_source = "fcidump"
             cfg.fcidump = "x.fcidump"
             cfg.validate()
+
+    @pytest.mark.parametrize("charge", [2, -3])
+    def test_a_charge_with_an_fcidump_source_is_refused(self, tmp_path, capsys, charge):
+        # NELEC fixes the electron count: the charge was once dropped without a word
+        cfg = tmp_path / "h2-charged.cfg"
+        cfg.write_text(f"[molecule]\ncharge = {charge}\n[integrals]\nsource = fcidump\n"
+                       f"fcidump = {tmp_path / 'h2.fcidump'}\n[space]\nnq = 4\n")
+        message = (f"charge {charge} does not apply to an fcidump source: "
+                   "its NELEC fixes the electron count")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            pq.parse_config(cfg.read_text())
+        assert cli.main(["vqe", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_scan_requires_placeholder(self):
         with pytest.raises(ConfigError, match="placeholder"):
@@ -281,17 +295,18 @@ class TestRunPoint:
         assert record["n_parameters"] == 0
 
     def test_point_past_physical_memory_is_refused_before_the_vqe(self, monkeypatch):
-        # H2/STO-3G: 2 orbitals, pairs 3, dim 4, 2 * 2 one-spin moves per determinant:
-        # 24 * 16 + 2 * 3 * 4 * 8 + 2 * 24 * 4 * 8 = 2112 B above the base
+        # H2/STO-3G: 2 orbitals, pairs 3, dim 4, 2 * 2 one-spin moves per determinant, and one
+        # move table of 2 strings of 2 moves: 24 * 16 + 2 * 3 * 4 * 8 + 2 * 24 * 4 * 8 + 32 * 4 = 2240 B above
+        # the base
         ran = []
-        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 2111)
+        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 2239)
         monkeypatch.setattr(workbench, "run_vqe", lambda *args, **kwargs: ran.append(args))
         with pytest.raises(ValueError, match=r"^the exact solve of 1 \+ 1 electrons in 2 orbitals needs "
-                                             r"about 104859712 bytes, past the 104859711 bytes of "
+                                             r"about 104859840 bytes, past the 104859839 bytes of "
                                              r"physical memory$"):
             pq.run_point(h2_config())
         assert ran == []
-        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 2112)
+        monkeypatch.setattr(pq.exact, "_physical_bytes", lambda: (100 << 20) + 2240)
         pq.exact._check_solvable(2, (1, 1))   # the estimate fits exactly
 
     def test_sector_past_physical_memory_is_refused_before_it_is_enumerated(self, monkeypatch):
@@ -489,6 +504,23 @@ class TestRunCurve:
         assert curve.failures == 2 and ran == []
         assert all("past the 1048576 bytes of physical memory" in point["error"]
                    for point in curve.points)
+
+    def test_curve_workers_admit_their_sectors_against_their_share(self, tmp_path, monkeypatch):
+        # a limit below twice a point's estimate admits one point at a time, not two at once
+        need = (100 << 20) + 2240   # 1 + 1 electrons in 2 orbitals (see the single-point refusal)
+        limit = tmp_path / "memory.max"
+        limit.write_text(f"{2 * need - 1}\n")
+        monkeypatch.setattr(pq.exact, "_CGROUP_MEMORY_MAX", str(limit))
+        # forked workers see the patched path whatever the default start method
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=fork))
+        parallel = pq.run_curve(h2_config(xyz=H2_INLINE, scan=(0.7, 0.74), workers=2))
+        assert parallel.failures == 2
+        assert all(point["error"].endswith(f"needs about {need} bytes, past the {need - 1} bytes of physical "
+                                           "memory each of 2 curve workers may use") for point in parallel.points)
+        serial = pq.run_curve(h2_config(xyz=H2_INLINE, scan=(0.7, 0.74), workers=1))
+        assert serial.failures == 0 and pq.exact._workers == 1
 
     def test_fcidump_path_template_scan(self, tmp_path):
         grid = (1.2, 1.6)
